@@ -2,12 +2,14 @@
 
 The paper measures directed distances (Section 3.3): ``dist(u, v)`` is the
 length of the shortest *directed* path from ``u`` to ``v`` using social links
-only.  The attribute distance (Section 4.1) is derived from social distances
-between the members of two attribute nodes.
+only.  The attribute distance (Section 4.1) is one plus the minimum social
+distance between the members of two attribute nodes, which is one
+multi-source BFS seeded with every member of the first.
 
-:func:`bfs_distances` and :func:`sample_distance_distribution` dispatch
-through the :mod:`repro.engine` registry: on a frozen graph
-(:class:`~repro.graph.frozen.FrozenDiGraph`) the BFS runs as a frontier-array
+:func:`bfs_distances`, :func:`attribute_distance` and
+:func:`sample_distance_distribution` dispatch through the :mod:`repro.engine`
+registry: on a frozen graph (:class:`~repro.graph.frozen.FrozenDiGraph` or
+:class:`~repro.graph.frozen.FrozenSAN`) the BFS runs as a frontier-array
 sweep over the CSR arrays — each level expands every frontier node's
 successor list in one ``gather_rows`` call — instead of a Python deque loop,
 and the sampled distance histogram accumulates with ``np.bincount``.
@@ -22,7 +24,7 @@ import numpy as np
 
 from ..engine import dispatchable, kernel
 from ..graph.digraph import DiGraph
-from ..graph.frozen import FrozenDiGraph, gather_rows
+from ..graph.frozen import FrozenDiGraph, FrozenSAN, gather_rows
 from ..graph.protocol import SANView
 from ..utils.rng import RngLike, ensure_rng
 
@@ -56,28 +58,32 @@ def bfs_distances(
 def frontier_bfs_levels(
     indptr: np.ndarray,
     indices: np.ndarray,
-    source_id: int,
+    sources: Union[int, np.ndarray],
     max_depth: Optional[int] = None,
+    stop: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Array BFS over a CSR adjacency: distance per compact id, -1 unreachable.
 
+    ``sources`` is one compact id or an array of them, all at distance 0.
     The whole frontier is expanded per level with one :func:`gather_rows`
     call, so the per-level cost is a handful of vectorized operations rather
-    than one Python iteration per edge.
+    than one Python iteration per edge.  With a boolean ``stop`` mask over
+    compact ids, the sweep ends at the first level that reaches a stop node:
+    nodes beyond it keep -1.
     """
     n = indptr.size - 1
     distances = np.full(n, -1, dtype=np.int64)
-    distances[source_id] = 0
-    frontier = np.array([source_id], dtype=np.int64)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    distances[frontier] = 0
     depth = 0
     while frontier.size and (max_depth is None or depth < max_depth):
-        neighbors, _ = gather_rows(indptr, indices, frontier)
-        if neighbors.size == 0:
+        if stop is not None and stop[frontier].any():
             break
-        neighbors = np.unique(neighbors)
+        neighbors, _ = gather_rows(indptr, indices, frontier)
         fresh = neighbors[distances[neighbors] < 0]
         if fresh.size == 0:
             break
+        fresh = np.unique(fresh)
         depth += 1
         distances[fresh] = depth
         frontier = fresh
@@ -230,6 +236,7 @@ def effective_diameter_from_histogram(
     return float(max(histogram))
 
 
+@dispatchable("attribute_distance")
 def attribute_distance(
     san: SANView, attribute_a: Node, attribute_b: Node, max_depth: Optional[int] = None
 ) -> Optional[int]:
@@ -238,28 +245,50 @@ def attribute_distance(
     ``dist(a, b) = min{dist(u, v) : u in Gamma_s(a), v in Gamma_s(b)} + 1``:
     one plus the minimum directed social distance between any member of ``a``
     and any member of ``b``.  Returns ``None`` when no member of ``b`` is
-    reachable from any member of ``a``.  Accepts either SAN backend; the
-    inner BFS dispatches to the frontier-array kernel on frozen inputs.
+    reachable from any member of ``a`` within ``max_depth`` hops.
+
+    The minimum over members is one multi-source BFS seeded with every
+    member of ``a`` that returns at the first level touching a member of
+    ``b``.  On frozen inputs it runs as a frontier-array sweep.
     """
     members_a = san.attributes.members_of(attribute_a)
-    members_b = set(san.attributes.members_of(attribute_b))
+    members_b = san.attributes.members_of(attribute_b)
     if not members_a or not members_b:
         return None
-    shared = members_a & members_b
-    if shared:
+    if not members_a.isdisjoint(members_b):
         return 1
-    best: Optional[int] = None
-    for source in members_a:
-        distances = bfs_distances(san.social, source, max_depth=max_depth)
-        for target in members_b:
-            distance = distances.get(target)
-            if distance is None:
-                continue
-            if best is None or distance < best:
-                best = distance
-                if best == 1:
-                    return best + 1
-    return None if best is None else best + 1
+    distances: Dict[Node, int] = dict.fromkeys(members_a, 0)
+    frontier = deque(members_a)
+    while frontier:
+        node = frontier.popleft()
+        depth = distances[node]
+        if max_depth is not None and depth >= max_depth:
+            break  # the deque is in level order: every later node is as deep
+        for neighbor in san.social.successors(node):
+            if neighbor not in distances:
+                if neighbor in members_b:
+                    return depth + 2
+                distances[neighbor] = depth + 1
+                frontier.append(neighbor)
+    return None
+
+
+@kernel("attribute_distance")
+def _attribute_distance_frozen(
+    san: FrozenSAN, attribute_a: Node, attribute_b: Node, max_depth: Optional[int] = None
+) -> Optional[int]:
+    members_a = san.attributes.member_indices_of(attribute_a)
+    members_b = san.attributes.member_indices_of(attribute_b)
+    if members_a.size == 0 or members_b.size == 0:
+        return None
+    indptr, indices = san.social.out_csr()
+    stop = np.zeros(indptr.size - 1, dtype=bool)
+    stop[members_b] = True
+    distances = frontier_bfs_levels(
+        indptr, indices, members_a, max_depth=max_depth, stop=stop
+    )[members_b]
+    reached = distances[distances >= 0]
+    return int(reached.min()) + 1 if reached.size else None
 
 
 def sample_attribute_distance_distribution(

@@ -20,30 +20,9 @@ import numpy as np
 #: tail mass beyond this support is negligible for every fit the library runs.
 DEFAULT_SUPPORT_MAX = 10 ** 6
 
-
-def _support(xmin: int, support_max: int) -> np.ndarray:
-    if xmin < 1:
-        raise ValueError(f"xmin must be >= 1, got {xmin}")
-    return np.arange(xmin, max(xmin + 1, support_max) + 1, dtype=float)
-
-
-#: xmin -> read-only ``log(arange(xmin, xmin + n))`` array, grown on demand.
-#: The discrete-lognormal normaliser evaluates ``log k`` over tens of
-#: thousands of support points *per golden-section iterate*; the values only
-#: ever depend on (xmin, length), so one shared array serves every fit.
-#: Slicing a prefix is bit-exact with recomputing: ``np.log`` is elementwise.
-_SUPPORT_LOG_CACHE: Dict[int, np.ndarray] = {}
-
-
-def _support_logs(xmin: int, count: int) -> np.ndarray:
-    cached = _SUPPORT_LOG_CACHE.get(xmin)
-    if cached is None or cached.size < count:
-        size = count if cached is None else max(count, 2 * cached.size)
-        grown = np.log(np.arange(xmin, xmin + size, dtype=float))
-        grown.setflags(write=False)
-        _SUPPORT_LOG_CACHE[xmin] = grown
-        cached = grown
-    return cached[:count]
+#: Support points the discrete-lognormal normaliser sums term by term; the
+#: rest of its support is added in closed form.
+LOGNORMAL_EXACT_HEAD = 2048
 
 
 @dataclass(frozen=True)
@@ -53,7 +32,7 @@ class PowerLaw:
     alpha: float
     xmin: int = 1
 
-    def _normaliser(self, support_max: int = DEFAULT_SUPPORT_MAX) -> float:
+    def _normaliser(self) -> float:
         # Hurwitz zeta via direct summation with an integral tail correction.
         ks = np.arange(self.xmin, 100000, dtype=float)
         head = np.sum(ks ** -self.alpha)
@@ -123,14 +102,50 @@ class DiscreteLognormal:
         return self._log_weights_from_logs(np.log(values))
 
     def _log_normaliser(self, support_max: int = DEFAULT_SUPPORT_MAX) -> float:
-        # Sum over a generous support; weights decay fast enough in k.  The
-        # support logs come from the shared prefix cache (bit-identical to
-        # recomputing them) since this runs once per optimiser iterate.
+        # The support runs to a generous cutoff, but only its first
+        # LOGNORMAL_EXACT_HEAD points are summed term by term.  The rest is
+        # Euler-Maclaurin: the integral of the weight, the two endpoint
+        # halves, and the first-derivative correction.  The next correction
+        # (third derivative) is negligible while the weight spans many
+        # integers, sigma * k >= 50 over the tail.  Narrower weights, and
+        # supports capped below the median e^mu, are summed whole.
         cutoff = min(support_max, max(1000, int(math.exp(self.mu + 8 * self.sigma))))
-        logs = _support_logs(self.xmin, cutoff - self.xmin + 1)
+        split = min(cutoff, self.xmin + LOGNORMAL_EXACT_HEAD - 1)
+        if self.sigma * split < 50 or math.log(cutoff) < self.mu:
+            split = cutoff
+        logs = np.log(np.arange(self.xmin, split + 1, dtype=float))
         log_weights = self._log_weights_from_logs(logs)
         peak = float(np.max(log_weights))
-        return peak + math.log(float(np.sum(np.exp(log_weights - peak))))
+        head = float(np.sum(np.exp(log_weights - peak)))
+        if split == cutoff:
+            return peak + math.log(head)
+        first, last = split + 1, cutoff
+        log_first, log_last = math.log(first), math.log(last)
+        # In t = ln k the integral is Gaussian; differencing erfc of the upper
+        # (or the mirrored lower) tails avoids cancellation.
+        scale = self.sigma * math.sqrt(2)
+        z_first, z_last = (log_first - self.mu) / scale, (log_last - self.mu) / scale
+        if z_first > 0:
+            mass = math.erfc(z_first) - math.erfc(z_last)
+        else:
+            mass = math.erfc(-z_last) - math.erfc(-z_first)
+        log_integral = (
+            math.log(self.sigma * math.sqrt(math.pi / 2) * mass) if mass > 0 else -math.inf
+        )
+        weight_first = self._log_weights_from_logs(log_first)
+        weight_last = self._log_weights_from_logs(log_last)
+        # Rescale every term by the largest, as the head is, so none overflows.
+        ref = max(peak, log_integral, weight_first, weight_last)
+        f_first, f_last = math.exp(weight_first - ref), math.exp(weight_last - ref)
+        # f'(k) = f(k) * slope(k), the derivative of the log weight.
+        slope_first = -(1 + (log_first - self.mu) / self.sigma ** 2) / first
+        slope_last = -(1 + (log_last - self.mu) / self.sigma ** 2) / last
+        tail = (
+            math.exp(log_integral - ref)
+            + (f_first + f_last) / 2
+            + (f_last * slope_last - f_first * slope_first) / 12
+        )
+        return ref + math.log(head * math.exp(peak - ref) + tail)
 
     def log_pmf(self, values: Sequence[int]) -> np.ndarray:
         values = np.asarray(values, dtype=float)

@@ -4,7 +4,8 @@ The social effective diameter follows Section 3.3: the (interpolated) 90th
 percentile of directed pairwise distances, approximated with HyperANF.  The
 attribute diameter (Section 4.1) applies the same percentile to attribute
 distances — one plus the minimum social distance between members of two
-attribute nodes — estimated by sampling attribute-node pairs.
+attribute nodes, one multi-source BFS per pair — estimated by sampling
+attribute-node pairs.
 
 Every function accepts either SAN backend: the underlying HyperANF iteration
 and BFS sweeps dispatch through the :mod:`repro.engine` registry, so a frozen
