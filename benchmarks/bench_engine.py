@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro import engine
 from repro.algorithms.components import weakly_connected_components
 from repro.algorithms.hyperanf import (
     effective_diameter_from_neighbourhood,
@@ -40,17 +39,6 @@ NUM_WALKS = 10_000
 WALK_LENGTH = 16
 NUM_PAIRS = 4000
 TOP_K = 100
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _pin_frozen_tier():
-    """Measure the frozen single-core kernels themselves: on a many-core
-    machine the parallel tier would otherwise shadow them above its size
-    threshold (this workload is ~50k edges).  bench_parallel.py owns the
-    parallel-tier measurements."""
-    engine.configure(parallel_threshold=None)
-    yield
-    engine.configure()
 
 
 @pytest.fixture(scope="module")

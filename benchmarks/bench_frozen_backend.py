@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from repro import engine
 from repro.algorithms.clustering import average_social_clustering_coefficient
 from repro.algorithms.triangles import count_directed_triangles
 from repro.experiments import format_table
@@ -37,16 +36,6 @@ from repro.synthetic import BENCH_SEED, GooglePlusConfig, simulate_google_plus
 #: The acceptance bar for the three headline metric groups.
 REQUIRED_SPEEDUP = 3.0
 MIN_EDGES = 50_000
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _pin_frozen_tier():
-    """Measure the frozen single-core kernels themselves: on a many-core
-    machine the parallel tier would otherwise shadow clustering/triangles
-    above its size threshold (this workload is ~50k edges)."""
-    engine.configure(parallel_threshold=None)
-    yield
-    engine.configure()
 
 
 @pytest.fixture(scope="module")

@@ -136,7 +136,7 @@ def test_pipeline_parallel_stages_match_serial(tmp_path_factory, write_result):
                 {"jobs": 1, "total_s": round(serial.total_seconds, 2)},
                 {"jobs": 4, "total_s": round(parallel.total_seconds, 2)},
             ],
-            title="Pipeline stage execution — serial vs 4 worker threads (tiny)",
+            title="Pipeline stage execution — serial vs 4 worker processes (tiny)",
         ),
     )
     assert not mismatched, f"parallel payloads diverge: {mismatched}"

@@ -38,7 +38,7 @@ from repro.metrics.reciprocity import reciprocal_edge_count
 from repro.models import SANModelParameters, generate_san_fast
 from repro.synthetic.workloads import BENCH_SEED
 
-#: Acceptance bars (overridable per leg, like bench_parallel's floors).
+#: Acceptance bars, overridable per CI leg through the environment.
 REQUIRED_COLD_SPEEDUP = float(os.environ.get("BENCH_STORAGE_MIN_COLD_SPEEDUP", "3.0"))
 REQUIRED_WARM_SPEEDUP = float(os.environ.get("BENCH_STORAGE_MIN_WARM_SPEEDUP", "10.0"))
 MAX_RSS_BYTES_PER_EDGE = float(os.environ.get("BENCH_STORAGE_MAX_RSS_PER_EDGE", "40"))

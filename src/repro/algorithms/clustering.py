@@ -40,8 +40,7 @@ from typing import Dict, Hashable, Iterable, List, Tuple, Union
 
 import numpy as np
 
-from ..engine import PARALLEL, dispatchable, kernel
-from ..engine import parallel as par
+from ..engine import dispatchable, kernel
 from ..engine.deps import scipy_sparse
 from ..graph.frozen import FrozenSAN, gather_rows, sorted_membership
 from ..graph.san import SAN
@@ -177,154 +176,6 @@ def _build_attribute_clustering_array(san: FrozenSAN) -> np.ndarray:
     return np.divide(
         links, pairs, out=np.zeros(num_attrs, dtype=np.float64), where=pairs > 0
     )
-
-
-# ----------------------------------------------------------------------
-# Parallel tier: the links-per-row sparse product is exactly row-
-# decomposable (row u of ``(A @ D) ⊙ A`` involves only row u of A), so
-# node-range chunks computed on the process pool concatenate to the same
-# int64 ``L`` array the frozen kernels produce — and the c(u) arrays built
-# from it are memoized under the *same* ``san.derived`` keys, so frozen
-# kernels dispatched later on the same SAN reuse the parallel-built arrays.
-# ----------------------------------------------------------------------
-
-
-def _shared_directed_matrix(san: FrozenSAN) -> par.SharedCSRSpec:
-    """Shared-memory export of the loop-free directed matrix's CSR triple."""
-
-    def factory():
-        matrix = _loop_free_directed_matrix(san)
-        return {
-            "data": matrix.data,
-            "indices": matrix.indices,
-            "indptr": matrix.indptr,
-        }
-
-    return par.shared_arrays(san, "loop_free_directed_matrix", factory)
-
-
-def _links_chunk(
-    neigh_spec: par.SharedCSRSpec,
-    directed_spec: par.SharedCSRSpec,
-    lo: int,
-    hi: int,
-    n_cols: int,
-) -> np.ndarray:
-    """Pool worker: ``L[lo:hi]`` for rows of a shared neighborhood CSR."""
-    sparse = scipy_sparse()
-    views = par.attach_views(neigh_spec)
-    indptr, indices = views["indptr"], views["indices"]
-    start, stop = indptr[lo], indptr[hi]
-    chunk = sparse.csr_matrix(
-        (
-            np.ones(stop - start, dtype=np.int64),
-            indices[start:stop],
-            indptr[lo : hi + 1] - start,
-        ),
-        shape=(hi - lo, n_cols),
-    )
-    directed = par.attached_derived(
-        directed_spec,
-        "matrix",
-        lambda: sparse.csr_matrix(
-            tuple(
-                par.attach_views(directed_spec)[name]
-                for name in ("data", "indices", "indptr")
-            ),
-            shape=(n_cols, n_cols),
-        ),
-    )
-    return _links_per_row(chunk, directed)
-
-
-def _parallel_links(
-    san: FrozenSAN, neigh_spec: par.SharedCSRSpec, n_rows: int
-) -> np.ndarray:
-    """``L`` for every row of a shared neighborhood matrix, chunked on the pool."""
-    n_cols = san.social.number_of_nodes()
-    directed_spec = _shared_directed_matrix(san)
-    chunks = par.chunk_ranges(n_rows, par.max_workers())
-    if not chunks:
-        return np.zeros(0, dtype=np.int64)
-    parts = par.run_chunks(
-        _links_chunk,
-        [(neigh_spec, directed_spec, lo, hi, n_cols) for lo, hi in chunks],
-    )
-    return np.concatenate(parts)
-
-
-def _build_social_clustering_array_parallel(san: FrozenSAN) -> np.ndarray:
-    n = san.social.number_of_nodes()
-    links = _parallel_links(san, par.shared_undirected_csr(san.social), n)
-    degrees = san.social.undirected_degree_array()
-    pairs = degrees * (degrees - 1)
-    return np.divide(
-        links, pairs, out=np.zeros(n, dtype=np.float64), where=pairs > 0
-    )
-
-
-def _build_attribute_clustering_array_parallel(san: FrozenSAN) -> np.ndarray:
-    num_attrs = san.attributes.number_of_attribute_nodes()
-    membership_spec = par.shared_arrays(
-        san,
-        "attr_to_social_csr",
-        lambda: dict(zip(("indptr", "indices"), san.attributes.attr_to_social_csr())),
-    )
-    links = _parallel_links(san, membership_spec, num_attrs)
-    degrees = san.attributes.social_degree_array()
-    pairs = degrees * (degrees - 1)
-    return np.divide(
-        links, pairs, out=np.zeros(num_attrs, dtype=np.float64), where=pairs > 0
-    )
-
-
-def _ensure_clustering_array_parallel(san: FrozenSAN, kind: str) -> np.ndarray:
-    """The memoized c(u) array of ``kind``, built on the pool if not cached."""
-    if kind == "social":
-        return san.derived(
-            "social_clustering_array", _build_social_clustering_array_parallel
-        )
-    return san.derived(
-        "attribute_clustering_array", _build_attribute_clustering_array_parallel
-    )
-
-
-@kernel(
-    "average_social_clustering_coefficient",
-    backend=PARALLEL,
-    requires=("scipy", "parallel"),
-    priority=20,
-)
-def _average_social_clustering_parallel(san: FrozenSAN) -> float:
-    coefficients = _ensure_clustering_array_parallel(san, "social")
-    return float(coefficients.mean()) if coefficients.size else 0.0
-
-
-@kernel(
-    "average_attribute_clustering_coefficient",
-    backend=PARALLEL,
-    requires=("scipy", "parallel"),
-    priority=20,
-)
-def _average_attribute_clustering_parallel(san: FrozenSAN) -> float:
-    coefficients = _ensure_clustering_array_parallel(san, "attribute")
-    return float(coefficients.mean()) if coefficients.size else 0.0
-
-
-@kernel(
-    "clustering_by_degree",
-    backend=PARALLEL,
-    requires=("scipy", "parallel"),
-    priority=20,
-)
-def _clustering_by_degree_parallel(
-    san: FrozenSAN, kind: str = "social"
-) -> List[Tuple[int, float]]:
-    _require_kind(kind)
-    _ensure_clustering_array_parallel(san, kind)
-    # The grouping itself is a cheap pair of bincounts; reuse the frozen
-    # kernel, which now picks up the parallel-built memoized array.
-    return _clustering_by_degree_frozen_sparse(san, kind)
 
 
 @dispatchable("node_clustering_coefficient")

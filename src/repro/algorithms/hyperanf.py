@@ -26,8 +26,7 @@ from typing import Dict, Hashable, List, Optional, Union
 
 import numpy as np
 
-from ..engine import PARALLEL, dispatchable, kernel
-from ..engine import parallel as par
+from ..engine import dispatchable, kernel
 from ..graph.digraph import DiGraph
 from ..graph.frozen import FrozenDiGraph
 from .hyperloglog import (
@@ -116,92 +115,6 @@ def _neighbourhood_function_frozen(
             if relative_growth < 1e-4:
                 break
     return totals
-
-
-def _hyperanf_chunk(
-    csr_spec: par.SharedCSRSpec,
-    cur_spec: par.SharedCSRSpec,
-    nxt_spec: par.SharedCSRSpec,
-    lo: int,
-    hi: int,
-) -> bool:
-    """Pool worker: merge registers of rows ``[lo, hi)`` for one iteration.
-
-    Reads the previous iteration's full register matrix from ``cur_spec``
-    and writes only its own row span into ``nxt_spec`` — chunk spans
-    partition the rows, so every row is written exactly once per iteration.
-    Register merges are integer ``max`` operations; the result is identical
-    for any chunking.
-    """
-    views = par.attach_views(csr_spec)
-    indptr, indices = views["indptr"], views["indices"]
-    old = par.attach_views(cur_spec)["registers"]
-    new = par.attach_output_views(nxt_spec)["registers"]
-    row_ptr = indptr[lo : hi + 1]
-    merged = old[lo:hi].copy()
-    segment = indices[row_ptr[0] : row_ptr[-1]]
-    if segment.size:
-        local_counts = np.diff(row_ptr)
-        nonempty = local_counts > 0
-        offsets = (row_ptr[:-1] - row_ptr[0])[nonempty]
-        neighbor_max = np.maximum.reduceat(old[segment], offsets, axis=0)
-        merged[nonempty] = np.maximum(merged[nonempty], neighbor_max)
-    changed = bool((merged != old[lo:hi]).any())
-    new[lo:hi] = merged
-    return changed
-
-
-@kernel("neighbourhood_function", backend=PARALLEL, requires="parallel", priority=20)
-def _neighbourhood_function_parallel(
-    graph: FrozenDiGraph,
-    precision: int = 7,
-    max_iterations: int = 64,
-    salt: int = 0,
-) -> List[float]:
-    """Process-pool HyperANF: ping-pong shared register buffers.
-
-    Workers merge disjoint row spans of the register matrix in place in
-    shared memory; the parent reads the full matrix back for the totals and
-    the stop conditions, which are verbatim those of the frozen kernel —
-    the totals lists are bit-identical.  The two scratch register segments
-    are per-call (they depend on ``precision``/``salt``) and are unlinked on
-    every exit path.
-    """
-    registers = register_matrix_for_items(graph.labels(), precision, salt)
-    totals: List[float] = [float(cardinality_of_register_matrix(registers).sum())]
-    n = registers.shape[0]
-    csr_spec = par.shared_out_csr(graph)
-    current = par.SharedCSR({"registers": registers})
-    upcoming = par.SharedCSR({"registers": registers})
-    try:
-        chunks = par.chunk_ranges(n, par.max_workers())
-        for _ in range(max_iterations):
-            changed = par.run_chunks(
-                _hyperanf_chunk,
-                [
-                    (csr_spec, current.spec, upcoming.spec, lo, hi)
-                    for lo, hi in chunks
-                ],
-            )
-            changed_any = any(changed)
-            totals.append(
-                float(
-                    cardinality_of_register_matrix(
-                        upcoming.view("registers")
-                    ).sum()
-                )
-            )
-            current, upcoming = upcoming, current
-            if not changed_any:
-                break
-            if len(totals) >= 2 and totals[-2] > 0:
-                relative_growth = (totals[-1] - totals[-2]) / totals[-2]
-                if relative_growth < 1e-4:
-                    break
-        return totals
-    finally:
-        current.unlink()
-        upcoming.unlink()
 
 
 def effective_diameter_from_neighbourhood(

@@ -20,8 +20,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..engine import PARALLEL, dispatchable, kernel
-from ..engine import parallel as par
+from ..engine import dispatchable, kernel
 from ..graph.digraph import DiGraph
 from ..graph.frozen import FrozenDiGraph
 from ..utils.rng import RngLike, ensure_rng
@@ -181,19 +180,10 @@ def batched_walk_ids(
     return paths
 
 
-#: Walks per RNG chunk of the batched frozen/parallel kernels.  Both kernels
-#: seed chunk ``i`` with ``default_rng([base_seed, i])`` over fixed-size
-#: chunks, so the single-core and process-pool paths draw identical streams
-#: regardless of worker count.
+#: Walks per RNG chunk of the batched frozen kernel.  Chunk ``i`` draws from
+#: ``default_rng([base_seed, i])``, so the chunk size and the per-chunk
+#: streams together fix the paths a given seed produces.
 WALK_CHUNK_SIZE = 2048
-
-
-def _walk_chunk_starts(start_ids: np.ndarray) -> List[np.ndarray]:
-    """Fixed-size chunks of the start-id array (possibly a short tail)."""
-    return [
-        start_ids[lo : lo + WALK_CHUNK_SIZE]
-        for lo in range(0, start_ids.size, WALK_CHUNK_SIZE)
-    ]
 
 
 def _chunked_walk_ids(
@@ -203,8 +193,11 @@ def _chunked_walk_ids(
     length: int,
     base_seed: int,
 ) -> np.ndarray:
-    """Single-core reference of the chunked-RNG walk batch."""
-    chunks = _walk_chunk_starts(start_ids)
+    """The walk batch in fixed-size chunks, one RNG stream per chunk."""
+    chunks = [
+        start_ids[lo : lo + WALK_CHUNK_SIZE]
+        for lo in range(0, start_ids.size, WALK_CHUNK_SIZE)
+    ]
     if not chunks:
         return np.full((0, length + 1), -1, dtype=np.int64)
     paths = [
@@ -232,77 +225,6 @@ def _random_walks_frozen(
     base_seed = generator.getrandbits(64)
     paths = _chunked_walk_ids(indptr, indices, start_ids, length, base_seed)
     return _paths_to_labels(graph, paths)
-
-
-def _walk_chunk(
-    csr_spec: par.SharedCSRSpec,
-    start_ids: np.ndarray,
-    length: int,
-    base_seed: int,
-    chunk_index: int,
-) -> np.ndarray:
-    """Pool worker: one fixed-size walk chunk with its deterministic stream."""
-    views = par.attach_views(csr_spec)
-    return batched_walk_ids(
-        views["indptr"],
-        views["indices"],
-        start_ids,
-        length,
-        np.random.default_rng([base_seed, chunk_index]),
-    )
-
-
-@kernel("random_walks", backend=PARALLEL, requires="parallel", priority=20)
-def _random_walks_parallel(
-    graph: FrozenDiGraph,
-    starts: Sequence[Node],
-    length: int,
-    degree_cap: Optional[int] = None,
-    rng: RngLike = None,
-) -> List[List[Node]]:
-    """Process-pool walk batches: same chunks, same seeds, different cores.
-
-    The frozen kernel already advances walks in fixed-size chunks with one
-    RNG stream per chunk index; here the chunks run on the pool instead, so
-    the drawn steps — and thus the returned paths — are bit-identical.  The
-    degree-capped CSR depends on the caller's ``random.Random`` stream and is
-    exported as a per-call scratch segment; the uncapped CSR reuses the
-    graph's memoized export.
-    """
-    generator = ensure_rng(rng)
-    # Consume the caller's stream in the frozen kernel's exact order: the
-    # degree-cap sampling first, the walk base seed second.
-    scratch: Optional[par.SharedCSR] = None
-    if degree_cap is None:
-        csr_spec = par.shared_undirected_csr(graph)
-    else:
-        indptr, indices = capped_undirected_csr(
-            graph, degree_cap=degree_cap, rng=generator
-        )
-        scratch = par.SharedCSR({"indptr": indptr, "indices": indices})
-        csr_spec = scratch.spec
-    start_ids = np.fromiter(
-        (graph.index_of(start) for start in starts), dtype=np.int64, count=len(starts)
-    )
-    base_seed = generator.getrandbits(64)
-    chunks = _walk_chunk_starts(start_ids)
-    if not chunks:
-        if scratch is not None:
-            scratch.unlink()
-        return []
-    try:
-        paths = par.run_chunks(
-            _walk_chunk,
-            [
-                (csr_spec, chunk, length, base_seed, i)
-                for i, chunk in enumerate(chunks)
-            ],
-        )
-    finally:
-        if scratch is not None:
-            scratch.unlink()
-    matrix = np.concatenate(paths) if len(paths) > 1 else paths[0]
-    return _paths_to_labels(graph, matrix)
 
 
 def _paths_to_labels(graph: FrozenDiGraph, paths: np.ndarray) -> List[List[Node]]:

@@ -20,8 +20,7 @@ from typing import Hashable, Iterable, Set, Tuple, Union
 
 import numpy as np
 
-from ..engine import PARALLEL, dispatchable, kernel
-from ..engine import parallel as par
+from ..engine import dispatchable, kernel
 from ..engine.deps import scipy_sparse
 from ..graph.frozen import FrozenSAN, gather_rows, sorted_membership
 from ..graph.san import SAN
@@ -183,67 +182,6 @@ def _count_triangles_frozen(san: FrozenSAN) -> int:
         hits = sorted_membership(higher, neighbor_lists) & candidates
         count += int(np.count_nonzero(hits))
     return count
-
-
-def _triangle_chunk(spec: par.SharedCSRSpec, lo: int, hi: int, use_scipy: bool) -> int:
-    """Pool worker: exact triangle contribution of undirected-CSR rows ``[lo, hi)``.
-
-    With scipy the chunk contributes its rows' *closed wedge* count — summing
-    over all chunks gives ``sum((A @ A) ⊙ A)``, which the parent divides by 6
-    exactly as the frozen sparse kernel does.  Without scipy the chunk counts
-    the triangles whose smallest vertex lies in the chunk (the frozen numpy
-    convention), which sum directly.  Both are integer sums, so any chunking
-    is bit-identical to the single-core result.
-    """
-    views = par.attach_views(spec)
-    indptr, indices = views["indptr"], views["indices"]
-    n = indptr.size - 1
-    if use_scipy:
-        sparse = scipy_sparse()
-        full = par.attached_derived(
-            spec,
-            "int64_adjacency",
-            lambda: sparse.csr_matrix(
-                (np.ones(indices.size, dtype=np.int64), indices, indptr),
-                shape=(n, n),
-            ),
-        )
-        start, stop = indptr[lo], indptr[hi]
-        chunk = sparse.csr_matrix(
-            (
-                np.ones(stop - start, dtype=np.int64),
-                indices[start:stop],
-                indptr[lo : hi + 1] - start,
-            ),
-            shape=(hi - lo, n),
-        )
-        return int((chunk @ full).multiply(chunk).sum())
-    count = 0
-    for u in range(lo, hi):
-        row = indices[indptr[u] : indptr[u + 1]]
-        higher = row[np.searchsorted(row, u + 1) :]
-        if higher.size < 2:
-            continue
-        neighbor_lists, counts = gather_rows(indptr, indices, higher)
-        sources = np.repeat(higher, counts)
-        candidates = neighbor_lists > sources
-        hits = sorted_membership(higher, neighbor_lists) & candidates
-        count += int(np.count_nonzero(hits))
-    return count
-
-
-@kernel("count_directed_triangles", backend=PARALLEL, requires="parallel", priority=20)
-def _count_triangles_parallel(san: FrozenSAN) -> int:
-    """Process-pool triangle count over node-range chunks of the shared CSR."""
-    n = san.social.number_of_nodes()
-    use_scipy = scipy_sparse() is not None
-    spec = par.shared_undirected_csr(san.social)
-    chunks = par.chunk_ranges(n, par.max_workers())
-    totals = par.run_chunks(
-        _triangle_chunk, [(spec, lo, hi, use_scipy) for lo, hi in chunks]
-    )
-    total = sum(totals)
-    return total // 6 if use_scipy else total
 
 
 def _comparable(first, second) -> bool:

@@ -33,8 +33,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..engine import PARALLEL, dispatchable, kernel
-from ..engine import parallel as par
+from ..engine import dispatchable, kernel
 from ..engine.deps import scipy_sparse
 from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
@@ -400,106 +399,6 @@ def _rank_candidate_pairs_frozen(
     rows = candidates.row[mask]
     cols = candidates.col[mask]
     data = candidates.data[mask]
-    if data.size == 0:
-        return []
-    ranked = np.lexsort((cols, rows, -data))[:top_k]
-    labels = san.social.labels()
-    return [
-        (labels[rows[position]], labels[cols[position]], float(data[position]))
-        for position in ranked
-    ]
-
-
-def _rank_chunk(
-    csr_spec: par.SharedCSRSpec,
-    weights_spec: Optional[par.SharedCSRSpec],
-    lo: int,
-    hi: int,
-    metric: str,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pool worker: surviving candidates among global rows ``[lo, hi)``.
-
-    Sparse row-chunk products reproduce the frozen kernel's arithmetic
-    exactly: scipy's CSR matmul computes each output row from that row of
-    the left operand alone, so ``A[lo:hi] @ A`` equals rows ``[lo, hi)`` of
-    ``A @ A`` bit for bit.  The strict-upper-triangle filter shifts with the
-    chunk (local row ``r`` is global row ``lo + r``, so ``k = lo + 1`` keeps
-    exactly the globally-upper-triangular entries), and already-linked pairs
-    are removed against the matching adjacency row chunk.
-    """
-    sparse = scipy_sparse()
-    views = par.attach_views(csr_spec)
-    indptr, indices = views["indptr"], views["indices"]
-    n = indptr.size - 1
-    full = par.attached_derived(
-        csr_spec,
-        "float_adjacency",
-        lambda: sparse.csr_matrix(
-            (np.ones(indices.size, dtype=np.float64), indices, indptr),
-            shape=(n, n),
-        ),
-    )
-    start, stop = indptr[lo], indptr[hi]
-    adjacency_chunk = sparse.csr_matrix(
-        (
-            np.ones(stop - start, dtype=np.float64),
-            indices[start:stop],
-            indptr[lo : hi + 1] - start,
-        ),
-        shape=(hi - lo, n),
-    )
-    if metric == "common_neighbors":
-        product = adjacency_chunk @ full
-    else:
-        weights = par.attach_views(weights_spec)["weights"]
-        product = (adjacency_chunk @ sparse.diags(weights)) @ full
-    candidates = sparse.triu(product, k=lo + 1).tocsr()
-    linked = candidates.multiply(adjacency_chunk)
-    candidates = (candidates - linked).tocoo()
-    mask = candidates.data > 0
-    return (
-        candidates.row[mask].astype(np.int64) + lo,
-        candidates.col[mask].astype(np.int64),
-        candidates.data[mask],
-    )
-
-
-@kernel(
-    "link_prediction.rank_candidate_pairs",
-    backend=PARALLEL,
-    requires=("scipy", "parallel"),
-    priority=20,
-)
-def _rank_candidate_pairs_parallel(
-    san: FrozenSAN, top_k: int = 100, metric: str = "common_neighbors"
-) -> List[Tuple[Node, Node, float]]:
-    """Process-pool candidate ranking over row chunks of ``A @ A``.
-
-    The final ``lexsort`` keys (score descending, then row, then column)
-    fully disambiguate every candidate — each unordered pair appears exactly
-    once across chunks — so concatenation order cannot affect the ranking
-    and the result matches the frozen kernel exactly.
-    """
-    _require_metric(metric)
-    n = san.social.number_of_nodes()
-    csr_spec = par.shared_undirected_csr(san.social)
-    weights_spec = None
-    if metric == "adamic_adar":
-        weights_spec = par.shared_arrays(
-            san,
-            "adamic_adar_weights",
-            lambda: {"weights": _adamic_adar_weights(san)},
-        )
-    chunks = par.chunk_ranges(n, par.max_workers())
-    parts = par.run_chunks(
-        _rank_chunk,
-        [(csr_spec, weights_spec, lo, hi, metric) for lo, hi in chunks],
-    )
-    if not parts:
-        return []
-    rows = np.concatenate([part[0] for part in parts])
-    cols = np.concatenate([part[1] for part in parts])
-    data = np.concatenate([part[2] for part in parts])
     if data.size == 0:
         return []
     ranked = np.lexsort((cols, rows, -data))[:top_k]

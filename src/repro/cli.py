@@ -19,7 +19,7 @@ Ten subcommands cover the common workflows without writing any Python:
 * ``pipeline``  — reproduce the paper's whole evaluation (Figures 2-19 plus
   Sections 2.2/5.2) from one scenario config: every shared artifact is
   materialized exactly once, cached content-addressed on disk, and the
-  stages run over the artifact DAG (optionally in parallel).
+  stages run over the artifact DAG (optionally on a process pool).
 * ``validate``  — the fidelity regression gate: evaluate a scenario's
   checked-in answer key (``benchmarks/keys/<scenario>.json``) against the
   pipeline's stage payloads and fail loudly, naming each violated
@@ -31,13 +31,12 @@ Ten subcommands cover the common workflows without writing any Python:
   inspects existing columnar files (``--info``).
 * ``lint``      — the invariant regression gate: run the AST-based rule
   catalog (seeded RNG, scipy containment, registry dispatch,
-  content-derived caches, shared-memory hygiene, registry coherence,
-  cache-token soundness, parallel-worker purity, seed-stream discipline,
-  storage hygiene)
-  over the library source and fail on any unsuppressed finding.  The
-  runtime counterpart is ``pipeline --sanitize`` (or ``REPRO_SANITIZE=1``
-  around any entry point), which checks backend parity, shared-view
-  hygiene, NaN/Inf outputs, and artifact integrity on the live run.
+  content-derived caches, registry coherence, cache-token soundness,
+  seed-stream discipline, storage hygiene) over the library source and
+  fail on any unsuppressed finding.  The runtime counterpart is
+  ``pipeline --sanitize`` (or ``REPRO_SANITIZE=1`` around any entry
+  point), which checks backend parity, NaN/Inf outputs, and artifact
+  integrity on the live run.
 
 Examples
 --------
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce the full figure suite (Figures 2-19, Sections 2.2/5.2) "
         "from one scenario config over the artifact DAG: shared inputs are "
         "materialized once, cached content-addressed on disk, and independent "
-        "stages may run in parallel"
+        "stages may run on a process pool"
     )
     pipeline = subparsers.add_parser(
         "pipeline", help=pipeline_help, description=pipeline_help
@@ -244,18 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="concurrent stage executions (stages are independent once the "
-        "artifacts are materialized); with a cache dir, N jobs run on N "
-        "worker processes, i.e. N cores",
-    )
-    pipeline.add_argument(
-        "--executor",
-        choices=("auto", "thread", "process"),
-        default="auto",
-        help="stage executor: 'process' uses a multi-core worker pool that "
-        "rehydrates artifacts from the disk cache, 'thread' the legacy "
-        "in-process pool; 'auto' (default) picks processes whenever "
-        "--jobs > 1 and --cache-dir is set",
+        help="worker processes for the stages (stages are independent once "
+        "the artifacts are materialized); needs --cache-dir, from which the "
+        "workers load the artifacts; without it the stages run serially",
     )
     pipeline.add_argument(
         "--cache-dir",
@@ -310,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker threads for stage execution",
+        help="worker processes for the stages (with --cache-dir; serial "
+        "without it)",
     )
     validate.add_argument(
         "--cache-dir",
@@ -564,7 +555,6 @@ def _command_pipeline(args: argparse.Namespace) -> int:
             jobs=max(1, args.jobs),
             cache_dir=args.cache_dir,
             out_dir=args.out,
-            executor=args.executor,
             strict=False,
         )
     except (UnknownScenarioError, UnknownExperimentError, UnknownArtifactError) as exc:

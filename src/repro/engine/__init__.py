@@ -3,17 +3,17 @@
 The engine is the only place in the library that inspects a graph's backend.
 Metric and algorithm modules declare a portable implementation with
 :func:`dispatchable` and attach vectorized backend kernels with
-:func:`kernel`; callers keep calling plain functions.  See
+:func:`kernel`; callers keep calling plain functions.  A frozen graph runs
+its best available frozen kernel, or the portable body when there is none.
+See
 :mod:`repro.engine.registry` for the dispatch rules and
 :mod:`repro.engine.deps` for how optional dependencies (scipy) are gated.
 """
 
-from . import deps, parallel
+from . import deps
 from .registry import (
-    DEFAULT_PARALLEL_THRESHOLD,
     FROZEN,
     MUTABLE,
-    PARALLEL,
     DuplicateKernelError,
     EngineConfig,
     EngineError,
@@ -36,10 +36,8 @@ from .registry import (
 )
 
 __all__ = [
-    "DEFAULT_PARALLEL_THRESHOLD",
     "FROZEN",
     "MUTABLE",
-    "PARALLEL",
     "DuplicateKernelError",
     "EngineConfig",
     "EngineError",
@@ -57,7 +55,6 @@ __all__ = [
     "kernel",
     "kernels_for",
     "list_ops",
-    "parallel",
     "register",
     "resolve",
     "select",

@@ -34,7 +34,7 @@ def env_flag(name: str) -> bool:
 
     Read from the environment on every call (it is one dict lookup) so tests
     can flip a flag with ``monkeypatch.setenv`` without reimporting.  Shared
-    by every engine escape hatch (``REPRO_NO_SCIPY``, ``REPRO_NO_PARALLEL``).
+    by the engine's switches (``REPRO_NO_SCIPY``, ``REPRO_SANITIZE``).
     """
     return os.environ.get(name, "").strip().lower() in _TRUTHY
 
@@ -46,7 +46,7 @@ def scipy_disabled() -> bool:
 
 #: Environment variable that arms the runtime sanitizer
 #: (:mod:`repro.sanitize`): backend-parity re-execution at dispatch time,
-#: read-only worker views, NaN/Inf screening, artifact integrity re-hashing.
+#: NaN/Inf screening, artifact integrity re-hashing.
 #: Defined here (not in ``repro.sanitize``) so the engine and artifact layers
 #: can probe it without importing the sanitizer.
 SANITIZE_ENV_VAR = "REPRO_SANITIZE"

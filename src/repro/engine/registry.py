@@ -41,16 +41,6 @@ re-enter dispatch per node — freeze once per graph state, not once per call.
 Batch pipelines should still prefer freezing explicitly up front (see
 ``repro.metrics.summary.frozen_san_report`` and the ``python -m repro
 report`` subcommand).
-
-The parallel tier: kernels registered under ``backend="parallel"`` (with
-``requires="parallel"``) fan node-range chunks out to the shared-memory
-process pool in :mod:`repro.engine.parallel`.  A frozen dispatch prefers the
-parallel tier only when the graph has at least
-``EngineConfig.parallel_threshold`` edges *and* the pool is usable (two or
-more workers, ``REPRO_NO_PARALLEL`` unset); otherwise it falls through to
-the single-core frozen kernels.  Parallel kernels are bit-identical to their
-frozen counterparts by construction, so tier selection is purely a
-scheduling decision.
 """
 
 from __future__ import annotations
@@ -62,29 +52,19 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..graph.frozen import FrozenBipartiteAttributeGraph, FrozenDiGraph, FrozenSAN
-from . import deps, parallel
+from . import deps
 
 #: Canonical backend names.
 MUTABLE = "mutable"
 FROZEN = "frozen"
-PARALLEL = "parallel"
 
 _FROZEN_TYPES = (FrozenSAN, FrozenDiGraph, FrozenBipartiteAttributeGraph)
 
 #: Requirement name -> zero-arg availability probe, evaluated at dispatch
-#: time (so e.g. setting ``REPRO_NO_SCIPY`` or ``REPRO_NO_PARALLEL``
-#: mid-process is honoured).
+#: time (so e.g. setting ``REPRO_NO_SCIPY`` mid-process is honoured).
 REQUIREMENT_PROBES: Dict[str, Callable[[], bool]] = {
     "scipy": deps.have_scipy,
-    "parallel": parallel.parallel_available,
 }
-
-#: Default edge-count floor below which the parallel tier is never selected:
-#: chunk scheduling and shared-memory export cost more than they save on
-#: small graphs.  Mirrors the spirit of ``auto_freeze_threshold``, but with a
-#: non-``None`` default — the parallel tier is opt-out, not opt-in, because
-#: every parallel kernel is bit-identical to its frozen counterpart.
-DEFAULT_PARALLEL_THRESHOLD = 50_000
 
 
 class EngineError(Exception):
@@ -134,11 +114,6 @@ class EngineConfig:
     #: graph has at least this many edges.  ``None`` disables auto-freezing.
     auto_freeze_threshold: Optional[int] = None
 
-    #: Select a ``parallel`` kernel over the frozen one only when the graph
-    #: has at least this many edges.  ``None`` disables the parallel tier
-    #: entirely (as does ``REPRO_NO_PARALLEL=1`` in the environment).
-    parallel_threshold: Optional[int] = DEFAULT_PARALLEL_THRESHOLD
-
 
 _config = EngineConfig()
 
@@ -146,22 +121,14 @@ _config = EngineConfig()
 _registry: Dict[str, Dict[str, List[Kernel]]] = {}
 
 
-def configure(
-    auto_freeze_threshold: Optional[int] = None,
-    parallel_threshold: Optional[int] = DEFAULT_PARALLEL_THRESHOLD,
-) -> EngineConfig:
+def configure(auto_freeze_threshold: Optional[int] = None) -> EngineConfig:
     """Set engine policy; returns the live config object.
 
     ``configure(auto_freeze_threshold=10_000)`` makes :func:`dispatch` freeze
     mutable graphs of >= 10k edges before running ops that have a frozen
-    kernel.  ``configure(parallel_threshold=0)`` makes every frozen dispatch
-    prefer an available parallel kernel regardless of size;
-    ``parallel_threshold=None`` pins dispatch to the single-core frozen tier.
-    ``configure()`` restores the defaults (no auto-freezing, parallel tier
-    above :data:`DEFAULT_PARALLEL_THRESHOLD` edges).
+    kernel.  ``configure()`` restores the default (no auto-freezing).
     """
     _config.auto_freeze_threshold = auto_freeze_threshold
-    _config.parallel_threshold = parallel_threshold
     return _config
 
 
@@ -326,24 +293,6 @@ def _select(op: str, backend: str) -> Optional[Kernel]:
     return None
 
 
-def _select_frozen_tier(op: str, size: int) -> Optional[Kernel]:
-    """Best kernel for a frozen graph of ``size`` edges: parallel, then frozen.
-
-    The parallel tier is consulted only at or above the configured
-    ``parallel_threshold`` (its ``"parallel"`` requirement probe additionally
-    gates on worker availability and ``REPRO_NO_PARALLEL``); below the
-    threshold, or when no parallel kernel is available, the single-core
-    frozen kernels serve the call — the tiers are bit-identical, so this is
-    purely a scheduling decision.
-    """
-    threshold = _config.parallel_threshold
-    if threshold is not None and size >= threshold:
-        entry = _select(op, PARALLEL)
-        if entry is not None:
-            return entry
-    return _select(op, FROZEN)
-
-
 def select(op: str, backend: str) -> Optional[Kernel]:
     """Best available kernel registered for ``(op, backend)``, or ``None``.
 
@@ -360,20 +309,15 @@ def select(op: str, backend: str) -> Optional[Kernel]:
 def resolve(op: str, graph: Any) -> Kernel:
     """The kernel :func:`dispatch` would run for ``graph`` (without running it).
 
-    Resolution order: for frozen inputs, the parallel tier (when the graph
-    clears the size threshold and workers are available), then the best
-    available kernel of the graph's own backend, then — for frozen inputs —
-    the portable mutable kernel, which runs unchanged on the frozen
-    read-only API.  (Auto-freezing is a dispatch-time decision and is not
-    reflected here.)
+    Resolution order: the best available kernel of the graph's own backend,
+    then — for frozen inputs — the portable mutable kernel, which runs
+    unchanged on the frozen read-only API.  (Auto-freezing is a
+    dispatch-time decision and is not reflected here.)
     """
     if op not in _registry:
         raise UnknownOperationError(op)
     backend = backend_of(graph)
-    if backend == FROZEN:
-        entry = _select_frozen_tier(op, graph_size(graph))
-    else:
-        entry = _select(op, backend)
+    entry = _select(op, backend)
     if entry is None and backend == FROZEN:
         entry = _select(op, MUTABLE)
     if entry is None:
@@ -450,7 +394,7 @@ def dispatch(op: str, graph: Any, *args: Any, **kwargs: Any) -> Any:
     if backend_of(graph) == MUTABLE:
         threshold = _config.auto_freeze_threshold
         if threshold is not None and graph_size(graph) >= threshold:
-            entry = _select_frozen_tier(op, graph_size(graph))
+            entry = _select(op, FROZEN)
             if entry is not None:
                 frozen = frozen_view(graph)
                 if frozen is not None:

@@ -4,9 +4,9 @@
 :class:`~repro.experiments.scenarios.Scenario`), selects the requested stages
 from the experiment registry, topologically materialises every artifact they
 declare (freeze-once, content-addressed disk cache), and executes the stages
-— optionally in parallel, since stages only depend on artifacts and never on
-each other.  Each stage's returned payload is rendered to the same aligned
-text tables the figure benches write (via
+— optionally on a process pool, since stages only depend on artifacts and
+never on each other.  Each stage's returned payload is rendered to the same
+aligned text tables the figure benches write (via
 :func:`~repro.experiments.report.render_payload`), and the whole run is
 summarised in a JSON manifest: per-stage timings (wall-clock *and* CPU), the
 executor used, per-artifact cache status (built vs cached), and the scenario
@@ -16,7 +16,8 @@ With ``jobs > 1`` and a disk cache, stages run on a *process* pool: each
 worker process rehydrates the artifacts its stage needs from the
 content-addressed store (stage payloads are picklable; artifacts never cross
 the process boundary from the parent heap), so ``repro pipeline --jobs N``
-uses N cores instead of overlapping GIL-bound threads.  Per-stage failures
+uses N cores.  Without a disk cache every worker would rebuild every
+artifact, so such runs stay serial whatever ``jobs`` says.  Per-stage failures
 are collected — never silently dropped — and reported together with their
 stage names after every surviving result has been written.
 
@@ -31,13 +32,12 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..engine import parallel as engine_parallel
 from .artifacts import ArtifactResolver, artifact_topological_order
 from .registry import ExperimentStage, experiment_stages, get_experiment
 from .report import render_payload
@@ -91,8 +91,8 @@ class StageResult:
     """One executed pipeline stage: payload, rendering, timing, outcome.
 
     ``seconds`` is wall-clock; ``cpu_seconds`` is the executing thread's CPU
-    time (``time.thread_time``), which stays honest under thread-pool GIL
-    contention and measures real per-core work under the process executor.
+    time (``time.thread_time``), the stage's own work whether it ran in the
+    parent or in a process worker.
     A failed stage carries ``error`` (exception type and message) with
     ``payload=None`` and an empty rendering.
     """
@@ -117,7 +117,8 @@ class PipelineResult:
     jobs: int
     artifact_seconds: float
     total_seconds: float
-    executor: str = "thread"
+    #: ``"serial"`` (in the calling process) or ``"process"`` (worker pool).
+    executor: str = "serial"
     out_dir: Optional[Path] = None
 
     def failures(self) -> Dict[str, str]:
@@ -247,7 +248,7 @@ def _execute_stage(
 _worker_resolvers: Dict[Tuple[str, str], ArtifactResolver] = {}
 
 
-def _stage_worker(stage_name: str, scenario: Scenario, cache_dir: Optional[str]) -> StageResult:
+def _stage_worker(stage_name: str, scenario: Scenario, cache_dir: str) -> StageResult:
     """Process-pool entry point: execute one stage by name in this worker.
 
     The stage is looked up in the worker's own registry (stage functions are
@@ -256,44 +257,13 @@ def _stage_worker(stage_name: str, scenario: Scenario, cache_dir: Optional[str])
     stage's payload comes back.
     """
     stage = experiment_stages()[stage_name]
-    key = (json.dumps(scenario.cache_token(), sort_keys=True), str(cache_dir))
+    key = (json.dumps(scenario.cache_token(), sort_keys=True), cache_dir)
     resolver = _worker_resolvers.get(key)
     if resolver is None:
         _worker_resolvers.clear()  # a worker serves one pipeline run at a time
         resolver = ArtifactResolver(scenario, cache_dir=cache_dir)
         _worker_resolvers[key] = resolver
     return _execute_stage(stage, resolver, scenario)
-
-
-def _stage_worker_init() -> None:
-    # Stage workers own a full core each; the kernel-level parallel tier must
-    # not fork pools of its own inside them (and a forked child must not
-    # treat the parent's shared-memory bookkeeping as its own).
-    engine_parallel._worker_init("fork")
-
-
-def _resolve_executor(
-    executor: str,
-    jobs: int,
-    stage_count: int,
-    cache_dir: Optional[Union[str, Path]],
-    injected_resolver: bool,
-) -> str:
-    """The stage-execution mode a run will actually use.
-
-    ``"auto"`` picks processes when they can pay off: more than one job and
-    stage, a disk cache for workers to rehydrate from, and no injected
-    in-memory resolver (whose artifacts exist only in the parent heap).
-    """
-    if executor not in ("auto", "thread", "process"):
-        raise ValueError(
-            f"executor must be 'auto', 'thread' or 'process', got {executor!r}"
-        )
-    if jobs <= 1 or stage_count <= 1:
-        return "thread"
-    if executor == "auto":
-        return "process" if cache_dir is not None and not injected_resolver else "thread"
-    return executor
 
 
 def run_pipeline(
@@ -303,7 +273,6 @@ def run_pipeline(
     cache_dir: Optional[Union[str, Path]] = None,
     out_dir: Optional[Union[str, Path]] = None,
     resolver: Optional[ArtifactResolver] = None,
-    executor: str = "auto",
     strict: bool = True,
 ) -> PipelineResult:
     """Run the declarative experiment pipeline for one scenario.
@@ -316,9 +285,11 @@ def run_pipeline(
     figures:
         Stage names to run (default: the full suite).
     jobs:
-        Concurrent stage executions.  Stages are mutually independent once
-        artifacts are materialised, so any subset may run concurrently;
+        Worker processes for the stages.  Stages are mutually independent
+        once artifacts are materialised, so any subset may run concurrently;
         artifact resolution itself is sequential (dependencies chain).
+        Stages run serially unless ``jobs > 1``, at least two stages are
+        selected, ``cache_dir`` is given and no ``resolver`` is injected.
     cache_dir:
         Root of the content-addressed artifact store.  ``None`` shares
         artifacts in memory only (nothing is written or read).
@@ -327,11 +298,6 @@ def run_pipeline(
         renderings.  ``None`` skips writing.
     resolver:
         Pre-populated resolver to reuse (tests; overrides ``cache_dir``).
-    executor:
-        ``"process"`` runs stages on a process pool (true multi-core;
-        workers rehydrate artifacts from the disk store), ``"thread"`` on
-        the legacy thread pool.  ``"auto"`` picks processes whenever
-        ``jobs > 1`` and a disk cache is available.
     strict:
         When ``True`` (default), stage failures raise
         :class:`PipelineStageError` — *after* all outputs (including the
@@ -342,8 +308,10 @@ def run_pipeline(
         scenario = get_scenario(scenario)
     stages = select_stages(figures)
     plan = pipeline_artifact_plan(stages)
-    mode = _resolve_executor(
-        executor, jobs, len(stages), cache_dir, injected_resolver=resolver is not None
+    # Workers rehydrate artifacts from the disk store, so a pool needs one,
+    # and an injected resolver's artifacts exist only in this process.
+    use_processes = (
+        jobs > 1 and len(stages) > 1 and cache_dir is not None and resolver is None
     )
     if resolver is None:
         resolver = ArtifactResolver(scenario, cache_dir=cache_dir)
@@ -353,15 +321,8 @@ def run_pipeline(
         resolver.artifact(name)
     artifact_seconds = time.perf_counter() - started
 
-    if mode == "process":
+    if use_processes:
         results = _run_stages_processes(stages, scenario, cache_dir, jobs)
-    elif jobs > 1 and len(stages) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda stage: _execute_stage(stage, resolver, scenario), stages
-                )
-            )
     else:
         results = [_execute_stage(stage, resolver, scenario) for stage in stages]
 
@@ -372,7 +333,7 @@ def run_pipeline(
         jobs=jobs,
         artifact_seconds=artifact_seconds,
         total_seconds=time.perf_counter() - started,
-        executor=mode,
+        executor="process" if use_processes else "serial",
     )
     if out_dir is not None:
         result.out_dir = write_outputs(result, out_dir)
@@ -385,7 +346,7 @@ def run_pipeline(
 def _run_stages_processes(
     stages: Sequence[ExperimentStage],
     scenario: Scenario,
-    cache_dir: Optional[Union[str, Path]],
+    cache_dir: Union[str, Path],
     jobs: int,
 ) -> List[StageResult]:
     """Execute stages on a process pool, one future per stage, order preserved.
@@ -395,15 +356,13 @@ def _run_stages_processes(
     is converted into a failed ``StageResult`` for that stage so sibling
     stages still report.
     """
-    cache = str(cache_dir) if cache_dir is not None else None
+    cache = str(cache_dir)
     try:
         context = get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         context = get_context("spawn")
     results: List[StageResult] = []
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=context, initializer=_stage_worker_init
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
         futures = [
             pool.submit(_stage_worker, stage.name, scenario, cache) for stage in stages
         ]

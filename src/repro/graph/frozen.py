@@ -293,8 +293,8 @@ class FrozenDiGraph:
         "_und_indptr",
         "_und_indices",
         "_edge_src",
-        # Weak-referenceable so the engine's parallel tier can key its
-        # shared-memory segment cache on the graph and unlink on its GC.
+        # Weak-referenceable so spill_to_mmap can tie a temp file it could
+        # not unlink yet to the graph's lifetime (weakref.finalize).
         "__weakref__",
     )
 
@@ -635,7 +635,6 @@ class FrozenBipartiteAttributeGraph:
         "_num_links",
         "_type_names",
         "_type_codes",
-        "__weakref__",
     )
 
     def __init__(
@@ -959,6 +958,8 @@ class FrozenSAN:
     True
     """
 
+    # __weakref__: spill_to_mmap may tie its temp file's unlink to the
+    # graph's lifetime (weakref.finalize), as for FrozenDiGraph.
     __slots__ = ("social", "attributes", "_derived", "__weakref__")
 
     def __init__(

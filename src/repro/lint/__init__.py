@@ -4,8 +4,10 @@ An AST-based rule engine that turns the repository's load-bearing
 conventions into a machine-checked gate: seeded-by-default RNG (R001),
 scipy contained behind :mod:`repro.engine.deps` (R002), backend dispatch
 through the kernel registry instead of ``isinstance(Frozen*)`` (R003),
-content-derived cache keys (R004), shared-memory segments that always get
-unlinked (R005), and a coherent kernel registry (R006).
+content-derived cache keys (R004), a coherent kernel registry (R006), sound
+cache tokens (R007), seed-stream discipline (R009), and storage hygiene
+(R010).  R005 and R008 guarded the removed shared-memory kernel tier; their
+ids stay unused so that no rule is renumbered.
 
 See ``docs/architecture.md`` ("Invariant catalog") for the rule-by-rule
 story and how to add a rule; :mod:`repro.lint.core` for the framework;

@@ -3,8 +3,7 @@
 Seven PRs of this repository accumulated load-bearing invariants — seeded
 RNG defaults, scipy contained behind :mod:`repro.engine.deps`, backend
 dispatch through the kernel registry instead of ``isinstance(Frozen*)``
-branches, content-derived cache tokens, shared-memory segments that always
-get unlinked.  Each was enforced by convention or a one-off grep.  This
+branches, content-derived cache tokens.  Each was enforced by convention or a one-off grep.  This
 module turns the catalog into a static-analysis gate:
 
 * a :class:`Rule` visits a parsed module (:class:`ModuleContext`) and yields
@@ -19,7 +18,7 @@ module turns the catalog into a static-analysis gate:
 * :func:`run_lint` walks the target files, applies every selected rule, and
   returns a :class:`LintResult` the reporters render as text or JSON.
 
-The concrete invariant catalog (R001-R009) lives in
+The concrete invariant catalog (R001-R010) lives in
 :mod:`repro.lint.rules`; the CLI wiring in :mod:`repro.lint.cli`.
 """
 

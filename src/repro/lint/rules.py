@@ -1,4 +1,4 @@
-"""The invariant catalog: concrete rules R001-R010.
+"""The invariant catalog: concrete rules R001-R010 (R005 and R008 retired).
 
 Each rule encodes one load-bearing convention of this repository (the PR
 that introduced it is named in ``docs/architecture.md``'s invariant
@@ -215,7 +215,7 @@ class NoBackendIsinstance(Rule):
 
     ``isinstance(x, Frozen*)`` branches outside the engine and graph layers
     reintroduce the scattered PR-1 idiom the registry replaced; they bypass
-    priority shadowing, requirement gating, and the parallel tier.
+    priority shadowing and requirement gating.
     """
 
     rule_id = "R003"
@@ -354,70 +354,10 @@ class NoWallclockInCachedPaths(Rule):
             )
 
 
-# -- R005: shared-memory lifecycle ----------------------------------------
-
-@register_rule
-class ShmLifecycle(Rule):
-    """Every created shared-memory segment must be unlinked (PR 7).
-
-    A ``SharedMemory(create=True)`` site without a ``weakref.finalize``/
-    ``atexit`` unlink in the same module leaks ``/dev/shm`` segments under
-    load — exactly the failure mode the parallel tier's ``_LIVE_SEGMENTS``
-    bookkeeping exists to prevent.
-    """
-
-    rule_id = "R005"
-    name = "shm-lifecycle"
-    description = (
-        "a module calling SharedMemory(create=True) must pair it with an "
-        "unlink via weakref.finalize/atexit.register in the same module"
-    )
-
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        create_sites: List[ast.Call] = []
-        has_finalizer = False
-        has_unlink = False
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                dotted = module.resolve_dotted(node.func)
-                name = dotted.rsplit(".", 1)[-1] if dotted else None
-                if name is None and isinstance(node.func, ast.Attribute):
-                    name = node.func.attr
-                if name == "SharedMemory" and any(
-                    keyword.arg == "create"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is True
-                    for keyword in node.keywords
-                ):
-                    create_sites.append(node)
-                if dotted in ("weakref.finalize", "atexit.register"):
-                    has_finalizer = True
-            if isinstance(node, ast.Attribute) and node.attr == "unlink":
-                has_unlink = True
-        if not create_sites:
-            return
-        missing = []
-        if not has_finalizer:
-            missing.append("a weakref.finalize/atexit.register hook")
-        if not has_unlink:
-            missing.append("an unlink() call")
-        if not missing:
-            return
-        for site in create_sites:
-            yield self.finding(
-                module,
-                site,
-                "SharedMemory(create=True) without "
-                + " or ".join(missing)
-                + " in this module; segments must always be unlinked "
-                "(see repro.engine.parallel)",
-            )
-
-
 # -- R006: registry coherence ---------------------------------------------
 
 #: Backends with special meaning to the coherence checks.
-_MUTABLE, _FROZEN, _PARALLEL = "mutable", "frozen", "parallel"
+_MUTABLE, _FROZEN = "mutable", "frozen"
 
 
 def _kernel_location(fn: Any) -> Tuple[str, int]:
@@ -437,13 +377,11 @@ def check_registry(registry: Mapping[str, Mapping[str, Sequence[Any]]]) -> List[
     """Pure coherence checks over a registry mapping (op -> backend -> kernels).
 
     Kernels only need ``fn`` and ``priority`` attributes, so tests can feed
-    synthetic registries.  Three invariants:
+    synthetic registries.  Two invariants:
 
-    * every operation with a ``frozen``/``parallel`` kernel also registers a
-      portable (``mutable``) body — the fallback :func:`repro.engine.registry.
+    * every operation with a ``frozen`` kernel also registers a portable
+      (``mutable``) body — the fallback :func:`repro.engine.registry.
       resolve` relies on;
-    * a parallel kernel outranks the frozen tier it shadows (and has a frozen
-      counterpart to be bit-identical to);
     * no two kernels share ``(operation, backend, priority)`` — equal
       priority makes shadowing an accident of registration order.
     """
@@ -456,41 +394,15 @@ def check_registry(registry: Mapping[str, Mapping[str, Sequence[Any]]]) -> List[
     for op in sorted(registry):
         backends = registry[op]
         frozen = list(backends.get(_FROZEN, ()))
-        parallel = list(backends.get(_PARALLEL, ()))
-        mutable = list(backends.get(_MUTABLE, ()))
-        if (frozen or parallel) and not mutable:
-            anchor = (frozen + parallel)[0]
+        if frozen and not backends.get(_MUTABLE):
             findings.append(
                 finding(
-                    anchor.fn,
-                    f"operation {op!r} registers "
-                    f"{'frozen' if frozen else 'parallel'} kernels but no "
+                    frozen[0].fn,
+                    f"operation {op!r} registers frozen kernels but no "
                     "portable (mutable) body; frozen inputs would have no "
                     "fallback",
                 )
             )
-        if parallel:
-            if not frozen:
-                findings.append(
-                    finding(
-                        parallel[0].fn,
-                        f"operation {op!r} has a parallel kernel but no "
-                        "frozen counterpart to be bit-identical to",
-                    )
-                )
-            else:
-                best_parallel = max(entry.priority for entry in parallel)
-                best_frozen = max(entry.priority for entry in frozen)
-                if best_parallel <= best_frozen:
-                    findings.append(
-                        finding(
-                            parallel[0].fn,
-                            f"operation {op!r}: parallel tier priority "
-                            f"({best_parallel}) must exceed the frozen tier's "
-                            f"({best_frozen}) so threshold selection is "
-                            "meaningful",
-                        )
-                    )
         for backend in sorted(backends):
             seen: Dict[int, Any] = {}
             for entry in backends[backend]:
@@ -805,267 +717,6 @@ class CacheTokenSoundness(ProjectRule):
                     )
 
 
-# -- R008: parallel-worker purity -----------------------------------------
-
-#: Roles of the shared-view taint analysis.
-_VIEWS_DICT = "views-dict"
-_VIEWS_ARRAY = "views-array"
-
-
-def _is_attach_call(module: ModuleContext, node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    dotted = module.resolve_dotted(node.func)
-    if dotted is not None:
-        return dotted.rsplit(".", 1)[-1] == "attach_views"
-    return isinstance(node.func, ast.Attribute) and node.func.attr == "attach_views"
-
-
-def _view_role(module: ModuleContext, expr: ast.AST, env: Mapping[str, str]) -> Optional[str]:
-    """Shared-view taint of an expression.
-
-    ``attach_views(...)`` yields the views dict; subscripting it yields an
-    array; slicing a tainted array yields another view of the same shared
-    buffer.  Any other call (``.copy()``, ``np.asarray``...) breaks the
-    taint — it produces private memory.
-    """
-    if isinstance(expr, ast.Name):
-        return env.get(expr.id)
-    if _is_attach_call(module, expr):
-        return _VIEWS_DICT
-    if isinstance(expr, ast.Subscript):
-        base = _view_role(module, expr.value, env)
-        if base in (_VIEWS_DICT, _VIEWS_ARRAY):
-            return _VIEWS_ARRAY
-    return None
-
-
-def _view_env(module: ModuleContext, fn: ast.AST) -> Dict[str, str]:
-    """Name -> taint role inside one function body, to a fixpoint."""
-    env: Dict[str, str] = {}
-    changed = True
-    while changed:
-        changed = False
-
-        def bind(name: str, role: Optional[str]) -> None:
-            nonlocal changed
-            if role is not None and env.get(name) != role:
-                env[name] = role
-                changed = True
-
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                bind(target.id, _view_role(module, node.value, env))
-            elif (
-                isinstance(target, ast.Tuple)
-                and isinstance(node.value, ast.Tuple)
-                and len(target.elts) == len(node.value.elts)
-            ):
-                for element, value in zip(target.elts, node.value.elts):
-                    if isinstance(element, ast.Name):
-                        bind(element.id, _view_role(module, value, env))
-    return env
-
-
-def _module_level_bindings(module: ModuleContext) -> set:
-    names: set = set()
-    for node in module.tree.body:
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        for target in targets:
-            if isinstance(target, ast.Name):
-                names.add(target.id)
-            elif isinstance(target, ast.Tuple):
-                names.update(
-                    element.id
-                    for element in target.elts
-                    if isinstance(element, ast.Name)
-                )
-    return names
-
-
-def _root_name(expr: ast.AST) -> Optional[str]:
-    while isinstance(expr, (ast.Subscript, ast.Attribute)):
-        expr = expr.value
-    return expr.id if isinstance(expr, ast.Name) else None
-
-
-@register_rule
-class ParallelWorkerPurity(Rule):
-    """Functions submitted to the shared-memory pool stay pure (PR 7).
-
-    A worker that writes to a module global loses the write silently (fork
-    isolation) or races (threads); a worker that writes through a shared
-    *input* view corrupts sibling chunks; a lambda/nested function captures
-    a closure the pool cannot pickle reliably.  Output buffers are the one
-    sanctioned mutation and must be attached explicitly via
-    ``attach_output_views``.
-    """
-
-    rule_id = "R008"
-    name = "parallel-worker-purity"
-    description = (
-        "workers passed to engine.parallel.run_chunks must be module-level "
-        "functions that never write module globals or arrays attached via "
-        "attach_views (output buffers go through attach_output_views)"
-    )
-
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        module_defs = {
-            node.name: node
-            for node in module.tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        module_globals = _module_level_bindings(module)
-        findings: List[Finding] = []
-        analyzed: set = set()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = module.resolve_dotted(node.func)
-            if dotted is None or dotted.rsplit(".", 1)[-1] != "run_chunks":
-                continue
-            if "parallel" not in dotted:
-                continue
-            worker = node.args[0] if node.args else None
-            if worker is None:
-                for keyword in node.keywords:
-                    if keyword.arg == "fn":
-                        worker = keyword.value
-            if worker is None:
-                continue
-            if isinstance(worker, ast.Lambda):
-                findings.append(
-                    self.finding(
-                        module,
-                        worker,
-                        "lambda submitted to run_chunks captures its closure; "
-                        "pool workers must be module-level functions (fork "
-                        "inherits them, spawn pickles them by reference)",
-                    )
-                )
-                continue
-            if not isinstance(worker, ast.Name):
-                continue
-            definition = module_defs.get(worker.id)
-            if definition is not None:
-                if worker.id not in analyzed:
-                    analyzed.add(worker.id)
-                    self._check_worker(
-                        module, definition, module_defs, module_globals, findings
-                    )
-            elif worker.id not in module.imports and self._is_nested_def(
-                module, worker.id
-            ):
-                findings.append(
-                    self.finding(
-                        module,
-                        worker,
-                        f"nested function {worker.id!r} submitted to "
-                        "run_chunks captures its enclosing scope; hoist the "
-                        "worker to module level",
-                    )
-                )
-        return findings
-
-    def _is_nested_def(self, module: ModuleContext, name: str) -> bool:
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name == name
-            ):
-                return True
-        return False
-
-    def _check_worker(
-        self,
-        module: ModuleContext,
-        worker: ast.AST,
-        module_defs: Mapping[str, ast.AST],
-        module_globals: set,
-        findings: List[Finding],
-    ) -> None:
-        queue = [worker]
-        visited = {worker.name}
-        while queue:
-            fn = queue.pop()
-            locals_here = {arg.arg for arg in fn.args.args}
-            locals_here.update(
-                node.id
-                for node in ast.walk(fn)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
-            )
-            env = _view_env(module, fn)
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Global):
-                    findings.append(
-                        self.finding(
-                            module,
-                            node,
-                            f"pool worker {worker.name!r} declares "
-                            f"global {', '.join(node.names)}; worker-side "
-                            "global writes are lost to fork isolation — "
-                            "return results instead",
-                        )
-                    )
-                    continue
-                targets: List[ast.AST] = []
-                if isinstance(node, ast.Assign):
-                    targets = list(node.targets)
-                elif isinstance(node, ast.AugAssign):
-                    targets = [node.target]
-                for target in targets:
-                    if isinstance(target, (ast.Subscript, ast.Attribute)):
-                        base = (
-                            target.value
-                            if isinstance(target, (ast.Subscript, ast.Attribute))
-                            else target
-                        )
-                        if isinstance(target, ast.Subscript) and _view_role(
-                            module, target.value, env
-                        ) in (_VIEWS_DICT, _VIEWS_ARRAY):
-                            findings.append(
-                                self.finding(
-                                    module,
-                                    node,
-                                    f"pool worker {worker.name!r} writes "
-                                    "through a shared view attached with "
-                                    "attach_views(); input views are "
-                                    "read-only — attach intentional output "
-                                    "buffers via attach_output_views()",
-                                )
-                            )
-                            continue
-                        root = _root_name(base)
-                        if (
-                            root is not None
-                            and root in module_globals
-                            and root not in locals_here
-                        ):
-                            findings.append(
-                                self.finding(
-                                    module,
-                                    node,
-                                    f"pool worker {worker.name!r} mutates "
-                                    f"module-level state {root!r}; the write "
-                                    "is invisible to the parent and to "
-                                    "sibling workers — return results "
-                                    "instead",
-                                )
-                            )
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                    callee = module_defs.get(node.func.id)
-                    if callee is not None and node.func.id not in visited:
-                        visited.add(node.func.id)
-                        queue.append(callee)
-
-
 # -- R010: storage hygiene -------------------------------------------------
 
 #: The one module allowed to serialize raw graph arrays (the versioned,
@@ -1180,8 +831,9 @@ class SeedStreamDiscipline(Rule):
     with ``base + 1`` *is* chunk ``i+1``'s stream, and two base seeds one
     apart overlap wholesale.  numpy's ``SeedSequence`` spawning — written
     ``default_rng([base, index])`` — mixes the pair through a hash, so
-    every (base, index) combination is an independent stream.  This is the
-    derivation the frozen/parallel walk kernels rely on for bit-identity.
+    every (base, index) combination is an independent stream.  The frozen
+    walk kernel and the vectorized generative model derive their per-chunk
+    streams this way.
     """
 
     rule_id = "R009"
@@ -1224,16 +876,15 @@ class RegistryCoherence(ProjectRule):
 
     A static+import hybrid: loads the live registry (importing every
     ``repro`` submodule so registration side effects run) and asserts the
-    portable-fallback, parallel-outranks-frozen, and no-duplicate
-    invariants.  Findings point at the registering function's definition.
+    portable-fallback and no-duplicate invariants.  Findings point at the
+    registering function's definition.
     """
 
     rule_id = "R006"
     name = "registry-coherence"
     description = (
-        "every frozen/parallel kernel shadows a registered portable body, "
-        "parallel priority exceeds frozen priority, and no (operation, "
-        "backend, priority) is registered twice"
+        "every frozen kernel shadows a registered portable body, and no "
+        "(operation, backend, priority) is registered twice"
     )
 
     def check_project(self, modules: Sequence[ModuleContext]) -> Iterable[Finding]:

@@ -10,11 +10,6 @@ attribute-node pairs.
 Every function accepts either SAN backend: the underlying HyperANF iteration
 and BFS sweeps dispatch through the :mod:`repro.engine` registry, so a frozen
 input runs the register-matrix / frontier-array kernels on its social CSR.
-Above the engine's parallel size threshold the ``neighbourhood_function``
-dispatch additionally selects the process-pool HyperANF kernel (register
-merges chunked over shared-memory row spans; see
-:mod:`repro.engine.parallel`), which is bit-identical to the single-core
-register-matrix kernel — diameter numbers never depend on the tier.
 """
 
 from __future__ import annotations

@@ -1,24 +1,17 @@
-"""The runtime sanitizer: re-execute, re-hash, and clamp under ``REPRO_SANITIZE=1``.
+"""The runtime sanitizer: re-execute and re-hash under ``REPRO_SANITIZE=1``.
 
 The static linter (:mod:`repro.lint`) proves properties of the *source*;
 this module checks the same invariants on *live runs*, the way a race
 detector or an address sanitizer gates a build.  Armed via the
 ``REPRO_SANITIZE`` environment variable (see ``repro pipeline --sanitize``),
-it hooks four places:
+it hooks three places:
 
 * **backend parity** — every :func:`repro.engine.registry.dispatch` that
-  selects a frozen or parallel kernel also runs the next tier down
-  (parallel -> frozen, frozen -> portable) on the same inputs and compares
-  the results.  Parallel kernels must be *bit-identical* to their frozen
-  counterparts (the PR-7 contract: integer merges, per-chunk RNG streams);
-  frozen kernels must match the portable body exactly for integer results
+  selects a frozen kernel also runs the portable body on the same inputs
+  and compares the results.  They must match exactly for integer results
   and to tight tolerance for float aggregates (summation order differs).
   A mismatch raises :class:`BackendParityError` naming the operation, both
   backends, and the input shape.
-* **shared-memory hygiene** — :func:`repro.engine.parallel.attach_views`
-  hands workers read-only views, so an in-worker write through an input
-  view raises instead of corrupting sibling chunks (output buffers opt out
-  via ``attach_output_views``).
 * **NaN/Inf screening** — kernel outputs are screened for non-finite
   floats; operations that legitimately produce them (log-likelihoods of
   impossible events, ratios over empty sets) are allowlisted explicitly in
@@ -65,9 +58,7 @@ FLOAT_ATOL = 1e-12
 NONFINITE_ALLOWED: set = set()
 
 #: Parameter names that mark an operation as stochastic.  Frozen and
-#: portable bodies draw in different orders, so frozen->portable parity is
-#: skipped for them; parallel->frozen parity still runs (both tiers derive
-#: identical per-chunk streams from the same base seed).
+#: portable bodies draw in different orders, so parity is skipped for them.
 _STOCHASTIC_PARAMS = {"rng", "seed", "base_seed", "random_state"}
 
 #: op -> normalizer applied to *both* results before comparison, for
@@ -172,13 +163,11 @@ def _is_float_like(value: Any) -> bool:
     return isinstance(value, (np.floating, np.complexfloating))
 
 
-def compare_results(primary: Any, reference: Any, exact: bool, path: str = "$") -> Optional[str]:
+def compare_results(primary: Any, reference: Any, path: str = "$") -> Optional[str]:
     """First divergence between two kernel results, or ``None`` when equal.
 
-    ``exact=True`` (parallel vs frozen) requires bit-identity even for
-    floats; ``exact=False`` (frozen vs portable) allows
-    :data:`FLOAT_RTOL`/:data:`FLOAT_ATOL` on float values.  Containers are
-    walked recursively; NaNs in matching positions compare equal (parity is
+    Float values may differ by :data:`FLOAT_RTOL`/:data:`FLOAT_ATOL`;
+    everything else must be equal.  Containers are walked recursively; NaNs in matching positions compare equal (parity is
     about *agreement*, the NaN screen is a separate check).  Returns a
     human-readable description anchored at ``path``.
     """
@@ -190,7 +179,7 @@ def compare_results(primary: Any, reference: Any, exact: bool, path: str = "$") 
                 f"{path}: shape mismatch {primary_arr.shape} != "
                 f"{reference_arr.shape}"
             )
-        if primary_arr.dtype.kind in "fc" and not exact:
+        if primary_arr.dtype.kind in "fc":
             if np.allclose(
                 primary_arr, reference_arr,
                 rtol=FLOAT_RTOL, atol=FLOAT_ATOL, equal_nan=True,
@@ -200,11 +189,7 @@ def compare_results(primary: Any, reference: Any, exact: bool, path: str = "$") 
                 np.abs(primary_arr.astype(np.float64) - reference_arr.astype(np.float64))
             ) if primary_arr.size else 0.0
             return f"{path}: float arrays differ (max abs diff {diff:.3e})"
-        if primary_arr.dtype.kind in "fc":
-            equal = np.array_equal(primary_arr, reference_arr, equal_nan=True)
-        else:
-            equal = np.array_equal(primary_arr, reference_arr)
-        if equal:
+        if np.array_equal(primary_arr, reference_arr):
             return None
         mismatches = int(np.sum(primary_arr != reference_arr)) if primary_arr.size else 0
         return f"{path}: arrays differ in {mismatches} position(s)"
@@ -213,9 +198,7 @@ def compare_results(primary: Any, reference: Any, exact: bool, path: str = "$") 
             extra = sorted(set(primary) ^ set(reference))
             return f"{path}: dict keys differ ({extra[:4]})"
         for key in sorted(primary, key=repr):
-            found = compare_results(
-                primary[key], reference[key], exact, f"{path}[{key!r}]"
-            )
+            found = compare_results(primary[key], reference[key], f"{path}[{key!r}]")
             if found:
                 return found
         return None
@@ -223,7 +206,7 @@ def compare_results(primary: Any, reference: Any, exact: bool, path: str = "$") 
         if len(primary) != len(reference):
             return f"{path}: length {len(primary)} != {len(reference)}"
         for index, (left, right) in enumerate(zip(primary, reference)):
-            found = compare_results(left, right, exact, f"{path}[{index}]")
+            found = compare_results(left, right, f"{path}[{index}]")
             if found:
                 return found
         return None
@@ -231,10 +214,7 @@ def compare_results(primary: Any, reference: Any, exact: bool, path: str = "$") 
         left, right = float(primary), float(reference)
         if math.isnan(left) and math.isnan(right):
             return None
-        if exact:
-            if left == right:
-                return None
-        elif math.isclose(left, right, rel_tol=FLOAT_RTOL, abs_tol=FLOAT_ATOL):
+        if math.isclose(left, right, rel_tol=FLOAT_RTOL, abs_tol=FLOAT_ATOL):
             return None
         return f"{path}: {left!r} != {right!r}"
     if isinstance(primary, (int, bool, str, bytes, type(None), np.integer, np.bool_)) or isinstance(
@@ -308,18 +288,6 @@ def _has_live_rng(args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> bool:
     )
 
 
-def _reference_kernel(entry: Any) -> Tuple[Optional[Any], bool]:
-    """(reference kernel one tier down, exact-comparison?) for ``entry``."""
-    if entry.backend == registry.PARALLEL:
-        reference = registry._select(entry.op, registry.FROZEN)
-        if reference is None:
-            reference = registry._select(entry.op, registry.MUTABLE)
-        return reference, True
-    if entry.backend == registry.FROZEN:
-        return registry._select(entry.op, registry.MUTABLE), False
-    return None, False
-
-
 #: Reentrancy guard: portable fallbacks re-enter dispatch per element, and
 #: the reference run must not recursively sanitize — only the outermost
 #: dispatch of a call tree is checked.
@@ -327,7 +295,7 @@ _active = False
 
 
 def checked_dispatch(entry: Any, graph: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Any:
-    """Run ``entry`` and, when a lower tier exists, assert parity with it.
+    """Run ``entry``; for a frozen kernel, also assert portable-body parity.
 
     The registry calls this instead of ``entry.fn(...)`` whenever the
     sanitizer is enabled.  Raises :class:`BackendParityError` on divergence
@@ -341,27 +309,24 @@ def checked_dispatch(entry: Any, graph: Any, args: Tuple[Any, ...], kwargs: Dict
     try:
         result = entry.fn(graph, *args, **kwargs)
         _screen_nonfinite(entry, result)
-        reference, exact = _reference_kernel(entry)
+        if entry.backend != registry.FROZEN:
+            return result
+        reference = registry._select(entry.op, registry.MUTABLE)
         if reference is None:
-            if entry.backend in (registry.FROZEN, registry.PARALLEL):
-                _skip(entry.op, entry.backend, "no-reference-kernel")
+            _skip(entry.op, entry.backend, "no-reference-kernel")
             return result
         if _has_live_rng(args, kwargs):
             _skip(entry.op, entry.backend, "live-rng-argument")
             return result
-        if not exact and _stochastic(entry.fn):
-            # frozen vs portable draw orders differ; parallel vs frozen
-            # share per-chunk streams, so `exact` pairs are still checked.
+        if _stochastic(entry.fn):
             _skip(entry.op, entry.backend, "stochastic-draw-order")
             return result
         expected = reference.fn(graph, *args, **kwargs)
         normalize = PARITY_NORMALIZERS.get(entry.op)
         if normalize is not None:
-            divergence = compare_results(
-                normalize(result), normalize(expected), exact=exact
-            )
+            divergence = compare_results(normalize(result), normalize(expected))
         else:
-            divergence = compare_results(result, expected, exact=exact)
+            divergence = compare_results(result, expected)
         _report["parity"]["checked"] += 1
         if divergence is None:
             _tally_op(entry.op, entry.backend, f"parity-vs-{reference.backend}")
@@ -379,8 +344,7 @@ def checked_dispatch(entry: Any, graph: Any, args: Tuple[Any, ...], kwargs: Dict
             f"backend parity violation in operation {entry.op!r}: "
             f"{entry.backend!r} kernel disagrees with {reference.backend!r} "
             f"reference on {_graph_shape(graph)} — {divergence} "
-            f"(comparison: {'bit-identical' if exact else 'float-close'}; "
-            "rerun with REPRO_SANITIZE=0 to bypass, or see "
+            "(rerun with REPRO_SANITIZE=0 to bypass, or see "
             "docs/architecture.md 'Runtime sanitizer' for debugging)"
         )
     finally:

@@ -10,7 +10,6 @@ from repro.engine import deps
 from repro.engine.registry import (
     FROZEN,
     MUTABLE,
-    PARALLEL,
     Kernel,
     NoKernelError,
     UnknownOperationError,
@@ -229,7 +228,7 @@ class TestIntrospection:
 
     def test_kernels_for_reports_backends(self):
         backends = {entry.backend for entry in kernels_for("count_directed_triangles")}
-        assert backends == {MUTABLE, FROZEN, PARALLEL}
+        assert backends == {MUTABLE, FROZEN}
 
     def test_dispatchable_exposes_op_and_wrapped(self):
         from repro.metrics.degrees import social_out_degrees

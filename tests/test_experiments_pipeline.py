@@ -7,7 +7,9 @@ Covers the three contract areas of the pipeline subsystem:
 * **caching** — content-addressed hits, invalidation on scenario change and
   recipe-version bumps, warm reruns recomputing nothing;
 * **parity** — pipeline stage outputs byte-identical to direct ``figure*``
-  calls on the same artifacts, across cold/warm caches and ``--jobs``.
+  calls on the same artifacts, across cold/warm caches and ``--jobs``;
+* **stage execution** — when the process pool is used, and per-stage
+  failure collection on both the serial and the process path.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.experiments.figures import (
     figure13_influence,
     section22_crawl_coverage,
 )
+from repro.experiments.runner import PipelineStageError
 
 #: Stage subset used by the shared pipeline fixture: covers the crawl-side
 #: artifact closure (evolution, series, frozen views, reference, halfway)
@@ -341,3 +344,127 @@ def test_stage_timings_are_recorded(tiny_pipeline):
         assert stage.seconds >= 0.0
         assert stage.rendered
     assert tiny_pipeline.total_seconds >= tiny_pipeline.artifact_seconds >= 0.0
+
+
+# ----------------------------------------------------------------------
+# Stage execution: the process pool and failure collection
+# ----------------------------------------------------------------------
+
+#: Small stage subset whose artifact closure stays cheap on "tiny".
+EXECUTOR_FIGURES = ("fig02_03", "sec22", "fig05")
+
+
+class TestProcessExecutor:
+    def test_process_payloads_match_serial(self, tiny_pipeline, pipeline_cache):
+        result = run_pipeline(
+            "tiny", figures=EXECUTOR_FIGURES, cache_dir=pipeline_cache, jobs=2
+        )
+        assert result.executor == "process"
+        assert tiny_pipeline.executor == "serial"
+        for name in EXECUTOR_FIGURES:
+            assert canonical_json(result.stages[name].payload) == canonical_json(
+                tiny_pipeline.stages[name].payload
+            )
+        # Warm process run rebuilt nothing: workers rehydrated from disk.
+        assert result.recomputed_persistent_artifacts() == []
+
+    def test_processes_need_jobs_a_cache_and_no_injected_resolver(self, pipeline_cache):
+        def executor(**options):
+            return run_pipeline("tiny", figures=EXECUTOR_FIGURES, **options).executor
+
+        assert executor(cache_dir=pipeline_cache, jobs=2) == "process"
+        assert executor(cache_dir=pipeline_cache, jobs=1) == "serial"
+        # Without a disk cache every worker would rebuild every artifact.
+        assert executor(jobs=2) == "serial"
+        resolver = ArtifactResolver(get_scenario("tiny"), cache_dir=pipeline_cache)
+        assert executor(cache_dir=pipeline_cache, jobs=2, resolver=resolver) == "serial"
+        single = run_pipeline("tiny", figures=("sec22",), cache_dir=pipeline_cache, jobs=2)
+        assert single.executor == "serial"
+
+    def test_cpu_seconds_recorded_in_manifest(self, tmp_path, pipeline_cache):
+        out = tmp_path / "out"
+        result = run_pipeline(
+            "tiny",
+            figures=EXECUTOR_FIGURES,
+            cache_dir=pipeline_cache,
+            jobs=2,
+            out_dir=out,
+        )
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["executor"] == "process"
+        for stage in manifest["stages"]:
+            assert stage["error"] is None
+            assert stage["cpu_seconds"] >= 0.0
+        assert result.failures() == {}
+
+
+class TestFailureCollection:
+    @pytest.fixture
+    def boom_stage(self, monkeypatch):
+        """Replace one stage's function with a deterministic failure.
+
+        The runner (and its process workers) look stages up through
+        ``repro.experiments.runner.experiment_stages``; patch that symbol —
+        patching the registry module would not reach the direct import.
+        """
+        from dataclasses import replace
+
+        from repro.experiments.runner import experiment_stages as real_stages
+
+        def boom(*args, **kwargs):
+            raise ValueError("intentional boom")
+
+        def patched():
+            stages = dict(real_stages())
+            stages["fig02_03"] = replace(stages["fig02_03"], fn=boom)
+            return stages
+
+        monkeypatch.setattr("repro.experiments.runner.experiment_stages", patched)
+        return patched
+
+    def test_strict_raises_after_writing_outputs(self, tmp_path, boom_stage, pipeline_cache):
+        out = tmp_path / "out"
+        with pytest.raises(PipelineStageError) as excinfo:
+            run_pipeline(
+                "tiny",
+                figures=EXECUTOR_FIGURES,
+                cache_dir=pipeline_cache,
+                out_dir=out,
+            )
+        assert set(excinfo.value.failures) == {"fig02_03"}
+        assert "intentional boom" in excinfo.value.failures["fig02_03"]
+        # Outputs were written before the raise; survivors are intact.
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["executor"] == "serial"
+        by_name = {stage["name"]: stage for stage in manifest["stages"]}
+        assert by_name["fig02_03"]["error"] == "ValueError: intentional boom"
+        for name in ("sec22", "fig05"):
+            assert by_name[name]["error"] is None
+            assert (out / f"{name}.txt").read_text(encoding="utf-8").strip()
+
+    def test_non_strict_returns_failures(self, boom_stage, pipeline_cache):
+        result = run_pipeline(
+            "tiny",
+            figures=EXECUTOR_FIGURES,
+            cache_dir=pipeline_cache,
+            strict=False,
+        )
+        assert result.failures() == {"fig02_03": "ValueError: intentional boom"}
+        assert result.stages["fig02_03"].payload is None
+        assert result.stages["fig02_03"].rendered == ""
+        for name in ("sec22", "fig05"):
+            assert result.stages[name].error is None
+            assert result.stages[name].payload is not None
+
+    def test_process_executor_collects_failures(self, boom_stage, pipeline_cache):
+        result = run_pipeline(
+            "tiny",
+            figures=EXECUTOR_FIGURES,
+            cache_dir=pipeline_cache,
+            jobs=2,
+            strict=False,
+        )
+        assert result.executor == "process"
+        assert result.failures() == {"fig02_03": "ValueError: intentional boom"}
+        for name in ("sec22", "fig05"):
+            assert result.stages[name].error is None

@@ -3,13 +3,10 @@
 Covers the format contract end to end: round-trip bit-identity (in-RAM vs
 mmap) across representative engine kernels, the named error taxonomy for
 malformed files, label-encoding selection, extras sections, the
-``REPRO_MMAP`` spill path, shared-memory export from mmap-backed graphs, and
-the artifact cache's zero-parse warm hits.
+``REPRO_MMAP`` spill path, and the artifact cache's zero-parse warm hits.
 """
 
-import gc
 import json
-import os
 import struct
 
 import numpy as np
@@ -18,7 +15,6 @@ import pytest
 from repro.algorithms.clustering import average_social_clustering_coefficient
 from repro.algorithms.components import weakly_connected_components
 from repro.algorithms.triangles import count_directed_triangles
-from repro.engine import parallel
 from repro.graph import (
     DiGraph,
     FrozenDiGraph,
@@ -372,28 +368,3 @@ def test_streaming_tsv_load_matches_freeze(tmp_path, figure1_san):
     assert isinstance(streamed, FrozenSAN)
     materialized = load_san_tsv(social, attrs, frozen=False).freeze()
     _assert_sections_identical(streamed, materialized)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory export from mmap-backed graphs
-# ----------------------------------------------------------------------
-def test_shared_csr_from_mmap_graph_does_not_leak_segments(columnar_path):
-    before = set(parallel.live_segment_names())
-    san = open_columnar(columnar_path, mmap_mode="r")
-    spec = parallel.shared_out_csr(san.social)
-    created = set(parallel.live_segment_names()) - before
-    assert created == {spec.name}
-    shm_entry = os.path.join("/dev/shm", spec.name)
-    if os.path.isdir("/dev/shm"):
-        assert os.path.exists(shm_entry)
-    views = parallel.attach_views(spec)
-    indptr, indices = san.social.out_csr()
-    assert np.array_equal(views["indptr"], indptr)
-    assert np.array_equal(views["indices"], indices)
-    del views
-    del san
-    gc.collect()
-    # The graph's finalizer unlinks its bundle: no lingering /dev/shm entry.
-    assert spec.name not in parallel.live_segment_names()
-    if os.path.isdir("/dev/shm"):
-        assert not os.path.exists(shm_entry)

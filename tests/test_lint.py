@@ -3,7 +3,7 @@
 Three layers of coverage:
 
 * the fixture corpus under ``tests/lint_fixtures/`` — every AST rule
-  (R001-R005, R007-R009) both fires on a deliberate violation (lines
+  (R001-R004, R007, R009, R010) both fires on a deliberate violation (lines
   marked ``# expect[R###]``) and stays silent on the corrected form;
 * the suppression syntax — a justified ``lint-ignore`` silences a finding,
   a reasonless one is itself a finding, and ``--report-stale`` flags
@@ -165,8 +165,7 @@ class TestRuleSelection:
 
     def test_catalog_is_complete(self):
         assert sorted(all_rules()) == [
-            "R001", "R002", "R003", "R004", "R005", "R006",
-            "R007", "R008", "R009", "R010",
+            "R001", "R002", "R003", "R004", "R006", "R007", "R009", "R010",
         ]
         for rule in all_rules().values():
             assert rule.name and rule.description
@@ -193,32 +192,11 @@ class TestRegistryCoherence:
         assert "portable" in findings[0].message
         assert findings[0].rule == "R006"
 
-    def test_parallel_must_outrank_frozen(self):
-        registry = {
-            "op.tied": {
-                "mutable": [_kernel(0)],
-                "frozen": [_kernel(10)],
-                "parallel": [_kernel(10)],
-            }
-        }
-        findings = check_registry(registry)
-        assert len(findings) == 1
-        assert "exceed" in findings[0].message
-
-    def test_parallel_without_frozen_counterpart_flagged(self):
-        registry = {
-            "op.orphan": {"mutable": [_kernel(0)], "parallel": [_kernel(20)]}
-        }
-        findings = check_registry(registry)
-        assert len(findings) == 1
-        assert "counterpart" in findings[0].message
-
     def test_equal_priority_duplicates_flagged(self):
         registry = {
             "op.dup": {
                 "mutable": [_kernel(0)],
                 "frozen": [_kernel(10), _kernel(10), _kernel(0)],
-                "parallel": [_kernel(20)],
             }
         }
         findings = check_registry(registry)
@@ -230,7 +208,6 @@ class TestRegistryCoherence:
             "op.good": {
                 "mutable": [_kernel(0)],
                 "frozen": [_kernel(10), _kernel(0)],
-                "parallel": [_kernel(20)],
             },
             "op.engine_backends": {"loop": [_kernel(0)], "vectorized": [_kernel(10)]},
         }
@@ -416,11 +393,11 @@ class TestCli:
 
 class TestReporters:
     def test_text_reporter_one_row_per_finding(self):
-        result = run_lint([FIXTURES / "r005_violation.py"], rule_ids=["R005"])
+        result = run_lint([FIXTURES / "r009_violation.py"], rule_ids=["R009"])
         text = render_text(result)
-        assert "R005" in text
-        assert text.count("r005_violation.py") == 1
-        assert "1 finding(s)" in text
+        assert "R009" in text
+        assert text.count("r009_violation.py") == 2
+        assert "2 finding(s)" in text
 
     def test_json_reporter_sorted_and_stable(self):
         result = run_lint([FIXTURES / "r001_violation.py"], rule_ids=["R001"])
