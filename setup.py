@@ -4,12 +4,11 @@ Kept as an executable ``setup.py`` (rather than pyproject-only metadata) so
 that ``pip install -e .`` works in offline environments whose setuptools
 lacks the PEP 660 editable-wheel path (no ``wheel`` package available).
 
-The library needs only numpy at runtime.  The optional ``fast`` extra pulls
-in scipy, whose sparse kernels the dispatch engine (:mod:`repro.engine`)
-selects automatically when present::
+The library needs numpy and scipy at runtime.  The frozen kernels of the
+dispatch engine (:mod:`repro.engine`) use scipy's sparse and csgraph
+modules, which are imported on first use, never at package import::
 
-    pip install -e .          # numpy-only: portable + batched-numpy kernels
-    pip install -e .[fast]    # + scipy sparse/csgraph kernels
+    pip install -e .
 """
 
 from setuptools import find_packages, setup
@@ -25,7 +24,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
-    extras_require={"fast": ["scipy"]},
+    install_requires=["numpy", "scipy"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

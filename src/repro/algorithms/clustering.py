@@ -19,12 +19,11 @@ On a frozen backend (:class:`~repro.graph.frozen.FrozenSAN`) the inner
 ``L(u)`` count is vectorized: the successor lists of all of ``u``'s neighbors
 are gathered from the CSR arrays in one shot and membership in the (sorted)
 neighborhood is resolved with a single batched binary search, instead of one
-Python set probe per candidate link.  Whole-graph averages go further when
-scipy is installed: with neighborhood incidence ``A`` (undirected projection
-or attribute membership) and loop-free directed adjacency ``D``, the per-node
-link counts are ``L = ((A @ D) ⊙ A) · 1`` — three sparse operations for the
-entire graph.  Without scipy (or with ``REPRO_NO_SCIPY=1``) the registry
-selects the batched per-node kernels instead.
+Python set probe per candidate link.  Whole-graph averages and per-degree
+curves go further with scipy sparse products: with neighborhood incidence
+``A`` (undirected projection or attribute membership) and loop-free directed
+adjacency ``D``, the per-node link counts are ``L = ((A @ D) ⊙ A) · 1`` —
+three sparse operations for the entire graph.
 
 Examples
 --------
@@ -207,7 +206,7 @@ def average_social_clustering_coefficient(san: SANLike) -> float:
     return sum(node_clustering_coefficient(san, node) for node in nodes) / len(nodes)
 
 
-@kernel("average_social_clustering_coefficient", requires="scipy")
+@kernel("average_social_clustering_coefficient")
 def _average_social_clustering_frozen(san: FrozenSAN) -> float:
     coefficients = _social_clustering_array(san)
     return float(coefficients.mean()) if coefficients.size else 0.0
@@ -222,7 +221,7 @@ def average_attribute_clustering_coefficient(san: SANLike) -> float:
     return sum(node_clustering_coefficient(san, node) for node in nodes) / len(nodes)
 
 
-@kernel("average_attribute_clustering_coefficient", requires="scipy")
+@kernel("average_attribute_clustering_coefficient")
 def _average_attribute_clustering_frozen(san: FrozenSAN) -> float:
     coefficients = _attribute_clustering_array(san)
     return float(coefficients.mean()) if coefficients.size else 0.0
@@ -265,7 +264,7 @@ def _require_kind(kind: str) -> None:
         raise ValueError(f"kind must be 'social' or 'attribute', got {kind!r}")
 
 
-@kernel("clustering_by_degree", requires="scipy", priority=10)
+@kernel("clustering_by_degree")
 def _clustering_by_degree_frozen_sparse(
     san: FrozenSAN, kind: str = "social"
 ) -> List[Tuple[int, float]]:
@@ -285,39 +284,12 @@ def _clustering_by_degree_frozen_sparse(
     return [(int(k), float(grouped_sums[k] / grouped_counts[k])) for k in present]
 
 
-@kernel("clustering_by_degree")
-def _clustering_by_degree_frozen(
-    san: FrozenSAN, kind: str = "social"
-) -> List[Tuple[int, float]]:
-    """Numpy-only frozen fallback: degree arrays + batched per-node ``L(u)``."""
-    _require_kind(kind)
-    if kind == "social":
-        nodes = san.social.labels()
-        degree_array = san.social.undirected_degree_array()
-    else:
-        nodes = san.attributes.attribute_labels()
-        degree_array = san.attributes.social_degree_array()
-
-    sums: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for position, node in enumerate(nodes):
-        degree = int(degree_array[position])
-        if degree < 2:
-            continue
-        coefficient = _node_clustering_coefficient_frozen(san, node)
-        sums[degree] = sums.get(degree, 0.0) + coefficient
-        counts[degree] = counts.get(degree, 0) + 1
-    return sorted(
-        (degree, sums[degree] / counts[degree]) for degree in sums
-    )
-
-
 @dispatchable("average_clustering_by_attribute_type")
 def average_clustering_by_attribute_type(san: SANLike) -> Dict[str, float]:
     """Average attribute clustering coefficient for every attribute type.
 
     Equivalent to calling :func:`average_clustering_for_attribute_type` per
-    type (keys sorted), but on the frozen scipy path the whole-graph ``c(a)``
+    type (keys sorted), but on the frozen backend the whole-graph ``c(a)``
     array is computed once and grouped by the interned type codes, instead of
     once per type.
     """
@@ -327,7 +299,7 @@ def average_clustering_by_attribute_type(san: SANLike) -> Dict[str, float]:
     }
 
 
-@kernel("average_clustering_by_attribute_type", requires="scipy")
+@kernel("average_clustering_by_attribute_type")
 def _average_clustering_by_attribute_type_frozen(san: FrozenSAN) -> Dict[str, float]:
     coefficients = _attribute_clustering_array(san)
     codes = san.attributes.type_codes()
@@ -353,7 +325,7 @@ def average_clustering_for_attribute_type(san: SANLike, attr_type: str) -> float
     return sum(node_clustering_coefficient(san, node) for node in nodes) / len(nodes)
 
 
-@kernel("average_clustering_for_attribute_type", requires="scipy")
+@kernel("average_clustering_for_attribute_type")
 def _average_clustering_for_attribute_type_frozen(
     san: FrozenSAN, attr_type: str
 ) -> float:

@@ -6,9 +6,9 @@ The Google+ crawl in the paper covers a large weakly connected component
 Both entry points dispatch through the :mod:`repro.engine` registry.  On a
 frozen graph (:class:`~repro.graph.frozen.FrozenDiGraph`) the weak components
 come from ``scipy.sparse.csgraph.connected_components`` over the undirected
-CSR when scipy is available, and from a frontier-array BFS labelling sweep
-otherwise; strong components use csgraph's ``connection="strong"`` mode with
-the portable iterative Tarjan as the fallback.
+CSR, and the strong components from its ``connection="strong"`` mode over
+the out-CSR.  The portable bodies (a BFS sweep and an iterative Tarjan) run
+on mutable graphs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from ..engine import dispatchable, kernel
 from ..engine.deps import scipy_csgraph, scipy_sparse
 from ..graph.digraph import DiGraph
-from ..graph.frozen import FrozenDiGraph, gather_rows
+from ..graph.frozen import FrozenDiGraph
 from ..graph.protocol import SANView
 
 Node = Hashable
@@ -72,7 +72,7 @@ def _components_from_labels(graph: FrozenDiGraph, labels: np.ndarray) -> List[Se
     return [{node_labels[i] for i in group} for group, _ in ranked]
 
 
-@kernel("weakly_connected_components", requires="scipy", priority=10)
+@kernel("weakly_connected_components")
 def _weak_components_frozen_sparse(graph: FrozenDiGraph) -> List[Set[Node]]:
     n = graph.number_of_nodes()
     if n == 0:
@@ -84,34 +84,6 @@ def _weak_components_frozen_sparse(graph: FrozenDiGraph) -> List[Set[Node]]:
         (np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n)
     )
     _, labels = csgraph.connected_components(adjacency, directed=False)
-    return _components_from_labels(graph, labels)
-
-
-@kernel("weakly_connected_components")
-def _weak_components_frozen(graph: FrozenDiGraph) -> List[Set[Node]]:
-    """Numpy fallback: frontier-array BFS labelling over the undirected CSR."""
-    n = graph.number_of_nodes()
-    if n == 0:
-        return []
-    indptr, indices = graph.undirected_csr()
-    labels = np.full(n, -1, dtype=np.int64)
-    next_label = 0
-    for seed in range(n):
-        if labels[seed] >= 0:
-            continue
-        labels[seed] = next_label
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            neighbors, _ = gather_rows(indptr, indices, frontier)
-            if neighbors.size == 0:
-                break
-            neighbors = np.unique(neighbors)
-            fresh = neighbors[labels[neighbors] < 0]
-            if fresh.size == 0:
-                break
-            labels[fresh] = next_label
-            frontier = fresh
-        next_label += 1
     return _components_from_labels(graph, labels)
 
 
@@ -201,7 +173,7 @@ def strongly_connected_components(graph: GraphLike) -> List[Set[Node]]:
     return components
 
 
-@kernel("strongly_connected_components", requires="scipy")
+@kernel("strongly_connected_components")
 def _strong_components_frozen_sparse(graph: FrozenDiGraph) -> List[Set[Node]]:
     n = graph.number_of_nodes()
     if n == 0:

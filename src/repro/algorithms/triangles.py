@@ -6,11 +6,10 @@ edge as a *triadic* closure (the endpoints share a social neighbor), a *focal*
 closure (they share an attribute), both, or neither.
 
 All helpers accept either SAN backend; :func:`count_directed_triangles`
-additionally registers CSR kernels for the frozen backend (via the
-:mod:`repro.engine` registry) that enumerate each triangle once over compact
-integer ids — a sparse ``trace(A³)/6`` when scipy is available, batched
-binary searches otherwise — instead of the per-node dict walk used on the
-mutable backend.
+additionally registers a frozen kernel (via the :mod:`repro.engine`
+registry) that counts every triangle at once as a sparse ``trace(A³)/6`` over
+the undirected CSR, instead of the per-node dict walk used on the mutable
+backend.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from ..engine import dispatchable, kernel
 from ..engine.deps import scipy_sparse
-from ..graph.frozen import FrozenSAN, gather_rows, sorted_membership
+from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
 
 Node = Hashable
@@ -148,7 +147,7 @@ def count_directed_triangles(san: SANLike) -> int:
     return count
 
 
-@kernel("count_directed_triangles", requires="scipy", priority=10)
+@kernel("count_directed_triangles")
 def _count_triangles_frozen_sparse(san: FrozenSAN) -> int:
     """Sparse triangle count: ``trace(A^3) / 6 = sum((A @ A) ⊙ A) / 6``."""
     sparse = scipy_sparse()
@@ -159,29 +158,6 @@ def _count_triangles_frozen_sparse(san: FrozenSAN) -> int:
     )
     closed_wedges = (adjacency @ adjacency).multiply(adjacency).sum()
     return int(closed_wedges) // 6
-
-
-@kernel("count_directed_triangles")
-def _count_triangles_frozen(san: FrozenSAN) -> int:
-    """Numpy fallback: each triangle ``u < v < w`` (compact ids) is counted
-    exactly once at its smallest vertex ``u`` — among the neighbors of ``u``
-    greater than ``u``, count ordered candidate pairs ``(v, w)`` with ``w``
-    adjacent to ``v`` and ``w > v``, both resolved with vectorized binary
-    searches.
-    """
-    indptr, indices = san.social.undirected_csr()
-    count = 0
-    for u in range(san.social.number_of_nodes()):
-        row = indices[indptr[u] : indptr[u + 1]]
-        higher = row[np.searchsorted(row, u + 1) :]  # neighbors with id > u
-        if higher.size < 2:
-            continue
-        neighbor_lists, counts = gather_rows(indptr, indices, higher)
-        sources = np.repeat(higher, counts)
-        candidates = neighbor_lists > sources  # enforce w > v
-        hits = sorted_membership(higher, neighbor_lists) & candidates
-        count += int(np.count_nonzero(hits))
-    return count
 
 
 def _comparable(first, second) -> bool:

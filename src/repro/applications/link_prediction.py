@@ -17,12 +17,12 @@ All feature extraction is *batched* and dispatches through the
 :mod:`repro.engine` registry: :func:`pair_features_batch`,
 :func:`common_neighbor_counts` and :func:`adamic_adar_scores` accept a list
 of candidate pairs.  On a frozen SAN the common-neighbor and Adamic-Adar
-scores for the whole batch come from memoized sparse matrix products
-(``A @ A`` and ``A @ diag(1/log deg) @ A`` indexed at the pair positions)
-when scipy is available, and from sorted CSR-row intersections otherwise;
-degrees and reverse-link membership tests are plain array lookups.  The
-dataset builders accept either backend and feed every candidate pair through
-the batched path.
+scores of a large batch come from memoized scipy sparse products (``A @ A``
+and ``A @ diag(1/log deg) @ A`` indexed at the pair positions), and those of
+a small batch from sorted CSR-row intersections, unless the products are
+already built; degrees and reverse-link membership tests are plain array
+lookups.  The dataset builders accept either backend and feed every
+candidate pair through the batched path.
 """
 
 from __future__ import annotations
@@ -259,27 +259,26 @@ def _neighborhood_scores(
     lookup instead.  Only the requested score arrays are computed; the
     other is returned as zeros.
     """
-    if scipy_sparse() is not None:
-        amortized = sources.size >= san.number_of_social_nodes()
-        counts_via_matrix = not need_counts or (
-            amortized or san.has_derived("common_neighbor_matrix")
+    amortized = sources.size >= san.number_of_social_nodes()
+    counts_via_matrix = not need_counts or (
+        amortized or san.has_derived("common_neighbor_matrix")
+    )
+    adamic_via_matrix = not need_adamic or (
+        amortized or san.has_derived("adamic_adar_matrix")
+    )
+    if counts_via_matrix and adamic_via_matrix:
+        zeros = np.zeros(sources.size)
+        counts = (
+            np.asarray(_common_neighbor_matrix(san)[sources, targets]).ravel()
+            if need_counts
+            else zeros
         )
-        adamic_via_matrix = not need_adamic or (
-            amortized or san.has_derived("adamic_adar_matrix")
+        adamic = (
+            np.asarray(_adamic_adar_matrix(san)[sources, targets]).ravel()
+            if need_adamic
+            else zeros
         )
-        if counts_via_matrix and adamic_via_matrix:
-            zeros = np.zeros(sources.size)
-            counts = (
-                np.asarray(_common_neighbor_matrix(san)[sources, targets]).ravel()
-                if need_counts
-                else zeros
-            )
-            adamic = (
-                np.asarray(_adamic_adar_matrix(san)[sources, targets]).ravel()
-                if need_adamic
-                else zeros
-            )
-            return counts.astype(np.int64), adamic
+        return counts.astype(np.int64), adamic
     indptr, indices = san.social.undirected_csr()
     return _pairwise_row_intersections(
         indptr,
@@ -342,7 +341,7 @@ def rank_candidate_pairs(
     ``"common_neighbors"`` (shared-neighbor count) or ``"adamic_adar"``
     (``sum 1/log deg`` over shared neighbors) — and the ``top_k`` pairs are
     returned as ``(source, target, score)``, score-descending with ties
-    broken by node insertion order.  On a frozen SAN with scipy this is the
+    broken by node insertion order.  On a frozen SAN this is the
     sparse-matmul workload the CSR backend exists for: one memoized
     ``A @ A`` (or ``A @ diag(w) @ A``) product scores every candidate at
     once, where the portable implementation walks each wedge in Python.
@@ -380,7 +379,7 @@ def _require_metric(metric: str) -> None:
         )
 
 
-@kernel("link_prediction.rank_candidate_pairs", requires="scipy")
+@kernel("link_prediction.rank_candidate_pairs")
 def _rank_candidate_pairs_frozen(
     san: FrozenSAN, top_k: int = 100, metric: str = "common_neighbors"
 ) -> List[Tuple[Node, Node, float]]:

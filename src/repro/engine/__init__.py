@@ -1,13 +1,12 @@
-"""Backend-dispatch engine: kernel registry + optional-dependency gating.
+"""Backend-dispatch engine: one kernel per (operation, backend).
 
 The engine is the only place in the library that inspects a graph's backend.
 Metric and algorithm modules declare a portable implementation with
-:func:`dispatchable` and attach vectorized backend kernels with
+:func:`dispatchable` and attach a vectorized frozen kernel with
 :func:`kernel`; callers keep calling plain functions.  A frozen graph runs
-its best available frozen kernel, or the portable body when there is none.
-See
-:mod:`repro.engine.registry` for the dispatch rules and
-:mod:`repro.engine.deps` for how optional dependencies (scipy) are gated.
+its frozen kernel, or the portable body when there is none; a mutable graph
+runs the portable body.  See :mod:`repro.engine.registry` for the dispatch
+rules and :mod:`repro.engine.deps` for the lazy scipy import point.
 """
 
 from . import deps
@@ -15,18 +14,14 @@ from .registry import (
     FROZEN,
     MUTABLE,
     DuplicateKernelError,
-    EngineConfig,
     EngineError,
     Kernel,
     NoKernelError,
     UnknownOperationError,
     backend_of,
-    config,
-    configure,
     dispatch,
     dispatchable,
     frozen_view,
-    graph_size,
     kernel,
     kernels_for,
     list_ops,
@@ -39,19 +34,15 @@ __all__ = [
     "FROZEN",
     "MUTABLE",
     "DuplicateKernelError",
-    "EngineConfig",
     "EngineError",
     "Kernel",
     "NoKernelError",
     "UnknownOperationError",
     "backend_of",
-    "config",
-    "configure",
     "deps",
     "dispatch",
     "dispatchable",
     "frozen_view",
-    "graph_size",
     "kernel",
     "kernels_for",
     "list_ops",

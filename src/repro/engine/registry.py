@@ -1,21 +1,20 @@
 """Backend-dispatch engine: a kernel registry keyed by (operation, backend).
 
-PR 1 wired the frozen CSR fast paths into the metrics layer with scattered
-``isinstance(san, FrozenSAN)`` checks.  That idiom does not scale to more
-backends (sharded, GPU, remote) or more operations, so this module replaces
-it with an explicit registry:
+Metric and algorithm modules never inspect a graph's backend themselves;
+they register implementations here instead:
 
 * an *operation* is a named measurement/algorithm entry point whose first
-  positional argument is the graph (``"social_knn"``, ``"components.weak"``,
-  ``"random_walks"``, ...);
-* a *kernel* is one implementation of an operation for one backend,
-  registered with the :func:`kernel` decorator, optionally gated on a
-  requirement (``requires="scipy"``) and ranked by ``priority``;
-* :func:`dispatch` resolves the backend of the input graph, picks the best
-  available kernel, and calls it.  A frozen graph with no frozen kernel falls
-  back to the portable (mutable-backend) implementation, which every frozen
-  graph can run because it satisfies the read-only
-  :class:`~repro.graph.protocol.SANView` / ``DiGraphView`` surface.
+  positional argument is the graph (``"social_knn"``,
+  ``"weakly_connected_components"``, ``"random_walks"``, ...);
+* a *kernel* is the one implementation of an operation for one backend,
+  registered with the :func:`kernel` decorator.  A second, different
+  function for an occupied (operation, backend) slot raises
+  :class:`DuplicateKernelError`;
+* :func:`dispatch` looks up the kernel of the input graph's backend and
+  calls it.  A frozen graph with no frozen kernel runs the portable
+  (mutable-backend) implementation, which every frozen graph can run because
+  it satisfies the read-only :class:`~repro.graph.protocol.SANView` /
+  ``DiGraphView`` surface.  A mutable graph always runs the portable body.
 
 Public entry points keep their normal Python signatures via
 :func:`dispatchable`, which registers the decorated function as the portable
@@ -31,16 +30,9 @@ True
 >>> resolve("reciprocal_edge_count", san).backend
 'mutable'
 
-Freeze-on-demand: by default a mutable graph runs the portable kernel.  When
-an auto-freeze threshold is configured (:func:`configure`), ``dispatch``
-freezes a mutable graph on the fly whenever a frozen kernel exists and the
-graph has at least that many edges.  The frozen view is cached per graph in
-a weak-keyed map and validated against the graph's mutation counter
-(``version()``), so repeated dispatches — including portable fallbacks that
-re-enter dispatch per node — freeze once per graph state, not once per call.
-Batch pipelines should still prefer freezing explicitly up front (see
+Callers that want the frozen kernels freeze explicitly, once, up front (see
 ``repro.metrics.summary.frozen_san_report`` and the ``python -m repro
-report`` subcommand).
+report`` subcommand); :func:`frozen_view` caches that freeze per graph state.
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ import functools
 import inspect
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..graph.frozen import FrozenBipartiteAttributeGraph, FrozenDiGraph, FrozenSAN
 from . import deps
@@ -59,12 +51,6 @@ MUTABLE = "mutable"
 FROZEN = "frozen"
 
 _FROZEN_TYPES = (FrozenSAN, FrozenDiGraph, FrozenBipartiteAttributeGraph)
-
-#: Requirement name -> zero-arg availability probe, evaluated at dispatch
-#: time (so e.g. setting ``REPRO_NO_SCIPY`` mid-process is honoured).
-REQUIREMENT_PROBES: Dict[str, Callable[[], bool]] = {
-    "scipy": deps.have_scipy,
-}
 
 
 class EngineError(Exception):
@@ -80,74 +66,27 @@ class NoKernelError(EngineError, LookupError):
 
 
 class DuplicateKernelError(EngineError, ValueError):
-    """Two kernels were registered for one (operation, backend) at equal priority.
+    """A second function was registered for an occupied (operation, backend).
 
-    Equal priority makes shadowing an accident of registration (import)
-    order: the earlier registration would silently win at dispatch time.
-    Raised at import time so the collision is named where it happens; pick a
-    distinct priority for the new kernel instead.  Re-registering the *same*
-    function (same module and qualname, e.g. after a module reload) replaces
-    the old entry rather than raising.
+    Each (operation, backend) holds exactly one kernel, so a second
+    registration would silently replace the first, and which one ran would
+    depend on import order.  Raised at import time so the collision is named
+    where it happens.  Registering the *same* function object again is a
+    no-op.
     """
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """One registered implementation of an operation on one backend."""
+    """The implementation of an operation on one backend."""
 
     op: str
     backend: str
     fn: Callable[..., Any]
-    requires: Tuple[str, ...] = ()
-    priority: int = 0
-
-    def available(self) -> bool:
-        """Whether every requirement of this kernel is satisfied right now."""
-        return all(REQUIREMENT_PROBES[name]() for name in self.requires)
 
 
-@dataclass
-class EngineConfig:
-    """Mutable engine policy (a single module-level instance)."""
-
-    #: Freeze a mutable graph on the fly when a frozen kernel exists and the
-    #: graph has at least this many edges.  ``None`` disables auto-freezing.
-    auto_freeze_threshold: Optional[int] = None
-
-
-_config = EngineConfig()
-
-#: op -> backend -> kernels (sorted at dispatch time by priority).
-_registry: Dict[str, Dict[str, List[Kernel]]] = {}
-
-
-def configure(auto_freeze_threshold: Optional[int] = None) -> EngineConfig:
-    """Set engine policy; returns the live config object.
-
-    ``configure(auto_freeze_threshold=10_000)`` makes :func:`dispatch` freeze
-    mutable graphs of >= 10k edges before running ops that have a frozen
-    kernel.  ``configure()`` restores the default (no auto-freezing).
-    """
-    _config.auto_freeze_threshold = auto_freeze_threshold
-    return _config
-
-
-def config() -> EngineConfig:
-    """The live engine configuration."""
-    return _config
-
-
-def _same_function(a: Callable[..., Any], b: Callable[..., Any]) -> bool:
-    """Whether two callables are the same definition (reload-tolerant)."""
-    if a is b:
-        return True
-    module_a = getattr(a, "__module__", None)
-    qualname_a = getattr(a, "__qualname__", None)
-    if module_a is None or qualname_a is None:
-        return False
-    return module_a == getattr(b, "__module__", None) and qualname_a == getattr(
-        b, "__qualname__", None
-    )
+#: op -> backend -> kernel.
+_registry: Dict[str, Dict[str, Kernel]] = {}
 
 
 def _describe(fn: Callable[..., Any]) -> str:
@@ -156,65 +95,35 @@ def _describe(fn: Callable[..., Any]) -> str:
     return f"{module}.{qualname}"
 
 
-def register(
-    op: str,
-    fn: Callable[..., Any],
-    backend: str = FROZEN,
-    requires: Union[str, Tuple[str, ...]] = (),
-    priority: int = 0,
-) -> Kernel:
-    """Register ``fn`` as a kernel (functional form of :func:`kernel`).
+def register(op: str, fn: Callable[..., Any], backend: str = FROZEN) -> Kernel:
+    """Register ``fn`` as the ``(op, backend)`` kernel (functional :func:`kernel`).
 
-    Raises :class:`DuplicateKernelError` when a *different* function is
-    already registered for ``(op, backend)`` at the same priority — silent
-    equal-priority shadowing is an accident of import order.  Registering
-    the same function again (by module and qualname) replaces the existing
-    entry, so module reloads stay idempotent.
+    Raises :class:`DuplicateKernelError` when a *different* function already
+    holds the slot.  Registering the same function object again returns the
+    existing entry.
     """
-    if isinstance(requires, str):
-        requires = (requires,)
-    for name in requires:
-        if name not in REQUIREMENT_PROBES:
-            raise ValueError(f"unknown kernel requirement {name!r}")
-    entry = Kernel(op=op, backend=backend, fn=fn, requires=tuple(requires), priority=priority)
-    entries = _registry.setdefault(op, {}).setdefault(backend, [])
-    # Keep the list priority-descending (stable for ties) at registration
-    # time so dispatch never re-sorts on the hot path.
-    position = len(entries)
-    for index, existing in enumerate(entries):
-        if existing.priority == entry.priority:
-            if _same_function(existing.fn, fn):
-                entries[index] = entry  # idempotent re-registration
-                return entry
-            raise DuplicateKernelError(
-                f"duplicate kernel registration for operation {op!r} on "
-                f"backend {backend!r} at priority {priority}: "
-                f"{_describe(existing.fn)} is already registered and "
-                f"{_describe(fn)} would shadow it silently; pick a distinct "
-                "priority"
-            )
-        if existing.priority < entry.priority:
-            position = index
-            break
-    entries.insert(position, entry)
+    backends = _registry.setdefault(op, {})
+    existing = backends.get(backend)
+    if existing is not None:
+        if existing.fn is fn:
+            return existing
+        raise DuplicateKernelError(
+            f"duplicate kernel registration for operation {op!r} on backend "
+            f"{backend!r}: {_describe(existing.fn)} is already registered and "
+            f"{_describe(fn)} would replace it"
+        )
+    entry = Kernel(op=op, backend=backend, fn=fn)
+    backends[backend] = entry
     return entry
 
 
 def kernel(
-    op: str,
-    backend: str = FROZEN,
-    requires: Union[str, Tuple[str, ...]] = (),
-    priority: int = 0,
+    op: str, backend: str = FROZEN
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Decorator: register the function as the (op, backend) kernel.
-
-    ``priority`` ranks kernels registered for the same (op, backend) pair —
-    higher wins when its requirements are met.  The convention is 10 for a
-    scipy kernel shadowing a numpy fallback at 0.
-    """
+    """Decorator: register the function as the ``(op, backend)`` kernel."""
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
-        register(op, fn, backend=backend, requires=requires, priority=priority)
+        register(op, fn, backend=backend)
         return fn
 
     return decorator
@@ -231,7 +140,7 @@ def dispatchable(op: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
-        register(op, fn, backend=MUTABLE, priority=0)
+        register(op, fn, backend=MUTABLE)
         graph_parameter = next(iter(inspect.signature(fn).parameters))
 
         @functools.wraps(fn)
@@ -257,28 +166,12 @@ def backend_of(graph: Any) -> str:
     return FROZEN if isinstance(graph, _FROZEN_TYPES) else MUTABLE
 
 
-def graph_size(graph: Any) -> int:
-    """Edge count used by the auto-freeze policy (0 when undeterminable)."""
-    try:
-        return graph.number_of_social_edges() + graph.number_of_attribute_edges()
-    except AttributeError:
-        pass
-    try:
-        return graph.number_of_edges()
-    except AttributeError:
-        return 0
-
-
 def kernels_for(op: str) -> List[Kernel]:
-    """All registered kernels of ``op`` (all backends), best-first per backend."""
+    """Every registered kernel of ``op``, one per backend."""
     try:
-        backends = _registry[op]
+        return list(_registry[op].values())
     except KeyError:
         raise UnknownOperationError(op) from None
-    result: List[Kernel] = []
-    for entries in backends.values():
-        result.extend(entries)  # already priority-descending per backend
-    return result
 
 
 def list_ops() -> List[str]:
@@ -287,14 +180,11 @@ def list_ops() -> List[str]:
 
 
 def _select(op: str, backend: str) -> Optional[Kernel]:
-    for entry in _registry.get(op, {}).get(backend, ()):  # priority-descending
-        if entry.available():
-            return entry
-    return None
+    return _registry.get(op, {}).get(backend)
 
 
 def select(op: str, backend: str) -> Optional[Kernel]:
-    """Best available kernel registered for ``(op, backend)``, or ``None``.
+    """The kernel registered for ``(op, backend)``, or ``None``.
 
     Unlike :func:`resolve`, this looks up a backend *by name* instead of
     inferring it from a graph object, which is what operations with no graph
@@ -309,29 +199,26 @@ def select(op: str, backend: str) -> Optional[Kernel]:
 def resolve(op: str, graph: Any) -> Kernel:
     """The kernel :func:`dispatch` would run for ``graph`` (without running it).
 
-    Resolution order: the best available kernel of the graph's own backend,
-    then — for frozen inputs — the portable mutable kernel, which runs
-    unchanged on the frozen read-only API.  (Auto-freezing is a
-    dispatch-time decision and is not reflected here.)
+    The kernel of the graph's own backend; for a frozen input without one,
+    the portable mutable kernel, which runs unchanged on the frozen
+    read-only API.
     """
-    if op not in _registry:
-        raise UnknownOperationError(op)
+    try:
+        backends = _registry[op]
+    except KeyError:
+        raise UnknownOperationError(op) from None
     backend = backend_of(graph)
-    entry = _select(op, backend)
+    entry = backends.get(backend)
     if entry is None and backend == FROZEN:
-        entry = _select(op, MUTABLE)
+        entry = backends.get(MUTABLE)
     if entry is None:
-        raise NoKernelError(
-            f"no available kernel for operation {op!r} on backend {backend!r}"
-        )
+        raise NoKernelError(f"no kernel for operation {op!r} on backend {backend!r}")
     return entry
 
 
-#: Auto-freeze cache: mutable graph -> (version at freeze time, frozen view).
+#: Freeze cache: mutable graph -> (version at freeze time, frozen view).
 #: Weakly keyed so caching never extends a graph's lifetime; validated by the
-#: graph's mutation counter, so a stale frozen view is never served and
-#: portable fallback loops that re-enter dispatch per element freeze once,
-#: not once per element.
+#: graph's mutation counter, so a stale frozen view is never served.
 _frozen_views: "weakref.WeakKeyDictionary[Any, Tuple[int, Any]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -371,8 +258,8 @@ def _run(entry: Kernel, graph: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any
     """Invoke a resolved kernel, detouring through the sanitizer when armed.
 
     ``REPRO_SANITIZE=1`` routes the call through
-    :func:`repro.sanitize.checked_dispatch`, which re-runs the next tier
-    down on the same inputs and asserts parity (see the module docstring of
+    :func:`repro.sanitize.checked_dispatch`, which also runs the portable
+    body on the same inputs and asserts parity (see the module docstring of
     :mod:`repro.sanitize`).  The import is deferred: the sanitizer is never
     loaded — and costs one env lookup per dispatch — unless armed.
     """
@@ -384,25 +271,9 @@ def _run(entry: Kernel, graph: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any
 
 
 def dispatch(op: str, graph: Any, *args: Any, **kwargs: Any) -> Any:
-    """Run the best available kernel of ``op`` on ``graph``.
+    """Run the kernel :func:`resolve` picks for ``op`` on ``graph``.
 
     The graph is always passed to the kernel as the first positional
     argument; remaining arguments are forwarded untouched.
     """
-    if op not in _registry:
-        raise UnknownOperationError(op)
-    if backend_of(graph) == MUTABLE:
-        threshold = _config.auto_freeze_threshold
-        if threshold is not None and graph_size(graph) >= threshold:
-            entry = _select(op, FROZEN)
-            if entry is not None:
-                frozen = frozen_view(graph)
-                if frozen is not None:
-                    return _run(entry, frozen, args, kwargs)
-        entry = _select(op, MUTABLE)
-        if entry is None:
-            raise NoKernelError(
-                f"no available kernel for operation {op!r} on backend 'mutable'"
-            )
-        return _run(entry, graph, args, kwargs)
     return _run(resolve(op, graph), graph, args, kwargs)

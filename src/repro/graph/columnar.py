@@ -551,8 +551,9 @@ def columnar_info(path) -> Dict[str, object]:
 def mmap_forced() -> bool:
     """Whether ``REPRO_MMAP`` requests mmap-backed frozen graphs.
 
-    Read per call (same contract as :func:`repro.engine.deps.env_flag`) so
-    tests can flip the environment without cache invalidation concerns.
+    Read per call (same contract as
+    :func:`repro.engine.deps.sanitize_enabled`) so tests can flip the
+    environment without cache invalidation concerns.
     """
     return os.environ.get(MMAP_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
 

@@ -123,46 +123,24 @@ class NoUnseededRng(Rule):
 
 # -- R002: scipy containment ----------------------------------------------
 
-#: The one module allowed to import scipy (the lazy/guarded boundary).
+#: The one module allowed to import scipy (the lazy import point).
 _SCIPY_BOUNDARY = "engine/deps.py"
-
-#: Names whose presence in an enclosing ``if`` test marks a scipy import as
-#: guarded by the deps probe.
-_SCIPY_PROBES = {"have_scipy", "scipy_sparse", "scipy_csgraph"}
-
-
-def _guarded_by_probe(module: ModuleContext, node: ast.AST) -> bool:
-    """Inside a function *and* under an ``if`` consulting the deps probe."""
-    in_function = False
-    probed = False
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            in_function = True
-        elif isinstance(ancestor, ast.If):
-            for name in ast.walk(ancestor.test):
-                if isinstance(name, ast.Name) and name.id in _SCIPY_PROBES:
-                    probed = True
-                elif isinstance(name, ast.Attribute) and name.attr in _SCIPY_PROBES:
-                    probed = True
-    return in_function and probed
 
 
 @register_rule
 class ScipyContainment(Rule):
     """scipy stays behind :mod:`repro.engine.deps` (PR 2).
 
-    Importing :mod:`repro` must never import scipy eagerly, and
-    ``REPRO_NO_SCIPY`` must be able to force the numpy fallbacks at dispatch
-    time — both only hold while every scipy access goes through the deps
-    probe (``scipy_sparse()``/``scipy_csgraph()``).
+    scipy is required but slow to import, so importing :mod:`repro` must
+    never import it eagerly.  That only holds while every scipy access goes
+    through the lazy accessors ``scipy_sparse()``/``scipy_csgraph()``.
     """
 
     rule_id = "R002"
     name = "scipy-containment"
     description = (
         "scipy may only be imported in engine/deps.py; elsewhere use the "
-        "lazy accessors (deps.scipy_sparse()/scipy_csgraph()) or guard a "
-        "function-local import behind the deps probe"
+        "lazy accessors deps.scipy_sparse()/scipy_csgraph()"
     )
 
     def check(self, module: ModuleContext) -> Iterable[Finding]:
@@ -192,14 +170,11 @@ class ScipyContainment(Rule):
                         target = head.value
             if target is None:
                 continue
-            if _guarded_by_probe(module, node):
-                continue
             yield self.finding(
                 module,
                 node,
                 f"direct import of {target!r} outside engine/deps.py; go "
-                "through repro.engine.deps (scipy_sparse()/scipy_csgraph()) "
-                "or guard a lazy import behind deps.have_scipy()",
+                "through repro.engine.deps (scipy_sparse()/scipy_csgraph())",
             )
 
 
@@ -215,7 +190,8 @@ class NoBackendIsinstance(Rule):
 
     ``isinstance(x, Frozen*)`` branches outside the engine and graph layers
     reintroduce the scattered PR-1 idiom the registry replaced; they bypass
-    priority shadowing and requirement gating.
+    the registry's one-kernel-per-backend lookup and the sanitizer's parity
+    checks.
     """
 
     rule_id = "R003"
@@ -373,57 +349,38 @@ def _kernel_location(fn: Any) -> Tuple[str, int]:
     return "<registry>", 1
 
 
-def check_registry(registry: Mapping[str, Mapping[str, Sequence[Any]]]) -> List[Finding]:
-    """Pure coherence checks over a registry mapping (op -> backend -> kernels).
+def check_registry(registry: Mapping[str, Mapping[str, Any]]) -> List[Finding]:
+    """Pure coherence check over a registry mapping (op -> backend -> kernel).
 
-    Kernels only need ``fn`` and ``priority`` attributes, so tests can feed
-    synthetic registries.  Two invariants:
-
-    * every operation with a ``frozen`` kernel also registers a portable
-      (``mutable``) body — the fallback :func:`repro.engine.registry.
-      resolve` relies on;
-    * no two kernels share ``(operation, backend, priority)`` — equal
-      priority makes shadowing an accident of registration order.
+    Kernels only need an ``fn`` attribute, so tests can feed synthetic
+    registries.  Every operation with a ``frozen`` kernel must also register
+    a portable (``mutable``) body — the fallback
+    :func:`repro.engine.registry.resolve` relies on.  (A second kernel for
+    one ``(operation, backend)`` cannot be registered at all:
+    ``engine.register`` raises ``DuplicateKernelError``.)
     """
     findings: List[Finding] = []
-
-    def finding(fn: Any, message: str) -> Finding:
-        path, line = _kernel_location(fn)
-        return Finding(path=path, line=line, rule="R006", message=message)
-
     for op in sorted(registry):
         backends = registry[op]
-        frozen = list(backends.get(_FROZEN, ()))
-        if frozen and not backends.get(_MUTABLE):
+        frozen = backends.get(_FROZEN)
+        if frozen is not None and _MUTABLE not in backends:
+            path, line = _kernel_location(frozen.fn)
             findings.append(
-                finding(
-                    frozen[0].fn,
-                    f"operation {op!r} registers frozen kernels but no "
-                    "portable (mutable) body; frozen inputs would have no "
-                    "fallback",
+                Finding(
+                    path=path,
+                    line=line,
+                    rule="R006",
+                    message=(
+                        f"operation {op!r} registers a frozen kernel but no "
+                        "portable (mutable) body; frozen inputs would have no "
+                        "fallback"
+                    ),
                 )
             )
-        for backend in sorted(backends):
-            seen: Dict[int, Any] = {}
-            for entry in backends[backend]:
-                clash = seen.get(entry.priority)
-                if clash is not None and clash is not entry.fn:
-                    findings.append(
-                        finding(
-                            entry.fn,
-                            f"duplicate registration for ({op!r}, "
-                            f"{backend!r}) at priority {entry.priority}; "
-                            "shadowing at equal priority is order-dependent "
-                            "(engine.register raises "
-                            "DuplicateKernelError for this)",
-                        )
-                    )
-                else:
-                    seen[entry.priority] = entry.fn
     return findings
 
 
-def load_full_registry() -> Mapping[str, Mapping[str, Sequence[Any]]]:
+def load_full_registry() -> Mapping[str, Mapping[str, Any]]:
     """Import every ``repro`` submodule, then return the live registry.
 
     Kernel registration happens at import time, so the coherence check must
@@ -447,16 +404,12 @@ def load_full_registry() -> Mapping[str, Mapping[str, Sequence[Any]]]:
     from repro.engine import registry as engine_registry
 
     def _shipped(kernel: Any) -> bool:
-        module = getattr(getattr(kernel, "fn", None), "__module__", "") or ""
+        module = getattr(kernel.fn, "__module__", "") or ""
         return module == "repro" or module.startswith("repro.")
 
-    filtered: Dict[str, Dict[str, List[Any]]] = {}
+    filtered: Dict[str, Dict[str, Any]] = {}
     for operation, backends in engine_registry._registry.items():
-        kept = {
-            backend: [kernel for kernel in kernels if _shipped(kernel)]
-            for backend, kernels in backends.items()
-        }
-        kept = {backend: kernels for backend, kernels in kept.items() if kernels}
+        kept = {backend: kernel for backend, kernel in backends.items() if _shipped(kernel)}
         if kept:
             filtered[operation] = kept
     return filtered
@@ -876,16 +829,13 @@ class RegistryCoherence(ProjectRule):
 
     A static+import hybrid: loads the live registry (importing every
     ``repro`` submodule so registration side effects run) and asserts the
-    portable-fallback and no-duplicate invariants.  Findings point at the
-    registering function's definition.
+    portable-fallback invariant.  Findings point at the registering
+    function's definition.
     """
 
     rule_id = "R006"
     name = "registry-coherence"
-    description = (
-        "every frozen kernel shadows a registered portable body, and no "
-        "(operation, backend, priority) is registered twice"
-    )
+    description = "every frozen kernel shadows a registered portable body"
 
     def check_project(self, modules: Sequence[ModuleContext]) -> Iterable[Finding]:
         return check_registry(load_full_registry())

@@ -492,10 +492,7 @@ def evaluate_attachment_models_fast(
 
 
 engine_registry.register(
-    ATTACHMENT_LIKELIHOOD_OP,
-    evaluate_attachment_models_fast,
-    backend=VECTORIZED_ENGINE,
-    priority=10,
+    ATTACHMENT_LIKELIHOOD_OP, evaluate_attachment_models_fast, backend=VECTORIZED_ENGINE
 )
 
 __all__ = [

@@ -874,9 +874,7 @@ def _loop_generate(
 
 
 engine_registry.register(SAN_GENERATE_OP, _loop_generate, backend=LOOP_ENGINE)
-engine_registry.register(
-    SAN_GENERATE_OP, generate_san_fast, backend=VECTORIZED_ENGINE, priority=10
-)
+engine_registry.register(SAN_GENERATE_OP, generate_san_fast, backend=VECTORIZED_ENGINE)
 
 
 def san_generate(

@@ -258,10 +258,9 @@ def evaluate_attachment_models(
     ``engine`` selects the backend registered under the
     ``"attachment_likelihood"`` operation: ``"vectorized"`` (array backend,
     :mod:`repro.models.fast_likelihood`), ``"loop"`` (reference
-    implementation), or ``"auto"`` — the best registered backend, currently
-    always the vectorized one.  Both backends draw the scored-link subsample
-    identically, so switching engines never changes *which* links are scored,
-    only how fast they are scored.
+    implementation), or ``"auto"``, which picks the vectorized one.  Both
+    backends draw the scored-link subsample identically, so switching engines
+    never changes *which* links are scored, only how fast they are scored.
     """
     from . import fast_likelihood  # noqa: F401  (registers the vectorized backend)
 

@@ -1,27 +1,12 @@
-"""R002 fixture: the sanctioned accessors and a probe-guarded lazy import."""
+"""R002 fixture: scipy reached only through the lazy accessors in deps."""
 
 from repro.engine import deps
-from repro.engine.deps import have_scipy
+from repro.engine.deps import scipy_csgraph
 
 
-def through_the_accessor():
-    sparse = deps.scipy_sparse()
-    if sparse is None:
-        return None
-    return sparse.csr_matrix
+def through_the_module_accessor():
+    return deps.scipy_sparse().csr_matrix
 
 
-def guarded_lazy_import():
-    if have_scipy():
-        from scipy.sparse import csgraph
-
-        return csgraph
-    return None
-
-
-def guarded_via_module_attribute():
-    if deps.have_scipy():
-        import scipy.sparse as sp
-
-        return sp
-    return None
+def through_the_imported_accessor():
+    return scipy_csgraph().connected_components

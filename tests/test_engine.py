@@ -1,21 +1,26 @@
 """Tests for the backend-dispatch engine: registry semantics, backend
-resolution, scipy gating, freeze-on-demand, and introspection."""
+resolution, the cached frozen view, and introspection."""
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import engine
-from repro.engine import deps
 from repro.engine.registry import (
     FROZEN,
     MUTABLE,
-    Kernel,
     NoKernelError,
     UnknownOperationError,
     backend_of,
     dispatch,
-    graph_size,
+    frozen_view,
     kernels_for,
     list_ops,
     resolve,
@@ -38,11 +43,6 @@ class TestBackendResolution:
         assert backend_of(small_san.freeze().social) == FROZEN
         assert backend_of(object()) == MUTABLE  # unknown objects act portable
 
-    def test_graph_size(self, small_san):
-        assert graph_size(small_san) == 4  # 3 social + 1 attribute link
-        assert graph_size(small_san.social) == 3
-        assert graph_size(object()) == 0
-
     def test_resolve_picks_backend_kernel(self, small_san):
         assert resolve("reciprocal_edge_count", small_san).backend == MUTABLE
         assert resolve("reciprocal_edge_count", small_san.freeze()).backend == FROZEN
@@ -63,10 +63,6 @@ class TestRegistryErrors:
         with pytest.raises(UnknownOperationError):
             kernels_for("no.such.op")
 
-    def test_unknown_requirement_rejected(self):
-        with pytest.raises(ValueError):
-            engine.register("test.bad_req", lambda graph: None, requires="cuda")
-
     def test_no_kernel_for_backend(self, small_san):
         engine.register("test.frozen_only", lambda graph: "frozen", backend=FROZEN)
         with pytest.raises(NoKernelError):
@@ -80,140 +76,89 @@ class TestRegistryErrors:
         def shadower(graph):
             return "shadower"
 
-        engine.register("test.duplicate", first, backend=FROZEN, priority=5)
+        engine.register("test.duplicate", first, backend=FROZEN)
         with pytest.raises(engine.DuplicateKernelError) as excinfo:
-            engine.register("test.duplicate", shadower, backend=FROZEN, priority=5)
+            engine.register("test.duplicate", shadower, backend=FROZEN)
         message = str(excinfo.value)
-        assert "test.duplicate" in message and "priority 5" in message
+        assert "test.duplicate" in message and "'frozen'" in message
         assert "first" in message and "shadower" in message
         # The registry is unchanged: the original kernel still dispatches.
         assert dispatch("test.duplicate", small_san.freeze()) == "first"
-        # Distinct priority and distinct backend are both fine.
-        engine.register("test.duplicate", shadower, backend=FROZEN, priority=6)
-        engine.register("test.duplicate", shadower, backend=MUTABLE, priority=5)
-        assert dispatch("test.duplicate", small_san.freeze()) == "shadower"
+        # Another backend is another slot.
+        engine.register("test.duplicate", shadower, backend=MUTABLE)
+        assert dispatch("test.duplicate", small_san) == "shadower"
 
     def test_same_function_reregistration_replaces(self, small_san):
         def body(graph):
             return "one"
 
-        entry = engine.register("test.rereg", body, backend=FROZEN, priority=3)
+        entry = engine.register("test.rereg", body, backend=FROZEN)
         assert entry.fn is body
-        # Same module + qualname (a reloaded module re-decorating the same
-        # definition) replaces the entry instead of raising.
-        replacement = engine.register("test.rereg", body, backend=FROZEN, priority=3)
-        assert replacement.fn is body
-        assert len([k for k in kernels_for("test.rereg") if k.backend == FROZEN]) == 1
+        # Registering the same function object again is a no-op.
+        assert engine.register("test.rereg", body, backend=FROZEN) is entry
+        assert [k.fn for k in kernels_for("test.rereg")] == [body]
         assert dispatch("test.rereg", small_san.freeze()) == "one"
 
+    def test_distinct_functions_with_one_name_collide(self, small_san):
+        # Two lambdas, or two closures from one factory, share a module and a
+        # qualname but are different kernels: neither may replace the other.
+        engine.register("test.lambdas", lambda graph: "first", backend=FROZEN)
+        with pytest.raises(engine.DuplicateKernelError):
+            engine.register("test.lambdas", lambda graph: "second", backend=FROZEN)
+        assert dispatch("test.lambdas", small_san.freeze()) == "first"
 
-class TestPriorityAndRequirements:
-    def test_higher_priority_wins(self, small_san):
-        engine.register("test.prio", lambda graph: "low", backend=FROZEN, priority=0)
-        engine.register("test.prio", lambda graph: "high", backend=FROZEN, priority=10)
-        assert dispatch("test.prio", small_san.freeze()) == "high"
+        def make(tag):
+            def body(graph):
+                return tag
 
-    def test_scipy_gate_respected(self, small_san, monkeypatch):
-        engine.register(
-            "test.gated", lambda graph: "sparse", backend=FROZEN,
-            requires="scipy", priority=10,
-        )
-        engine.register("test.gated", lambda graph: "numpy", backend=FROZEN, priority=0)
+            return body
+
+        engine.register("test.closures", make("one"), backend=FROZEN)
+        with pytest.raises(engine.DuplicateKernelError):
+            engine.register("test.closures", make("two"), backend=FROZEN)
+        assert dispatch("test.closures", small_san.freeze()) == "one"
+
+
+class TestFrozenView:
+    @pytest.fixture
+    def freezes(self, monkeypatch):
+        calls = []
+        original_freeze = SAN.freeze
+
+        def counting_freeze(self):
+            calls.append(1)
+            return original_freeze(self)
+
+        monkeypatch.setattr(SAN, "freeze", counting_freeze)
+        return calls
+
+    def test_unchanged_graph_is_frozen_once(self, small_san, freezes):
+        view = frozen_view(small_san)
+        assert backend_of(view) == FROZEN
+        for _ in range(4):
+            assert frozen_view(small_san) is view
+        assert len(freezes) == 1
+
+    def test_mutation_causes_a_new_freeze(self, small_san, freezes):
+        before = frozen_view(small_san)
+        small_san.add_social_edge(7, 8)
+        after = frozen_view(small_san)
+        assert after is not before
+        assert after.social.has_edge(7, 8) and not before.social.has_node(7)
+        assert frozen_view(small_san) is after
+        assert len(freezes) == 2
+
+    def test_frozen_input_is_returned_as_is(self, small_san):
         frozen = small_san.freeze()
-        if deps.have_scipy():
-            assert dispatch("test.gated", frozen) == "sparse"
-        monkeypatch.setenv(deps.DISABLE_ENV_VAR, "1")
-        assert not deps.have_scipy()
-        assert dispatch("test.gated", frozen) == "numpy"
-
-    def test_kernel_availability_probe(self):
-        entry = Kernel(op="x", backend=FROZEN, fn=lambda graph: None, requires=("scipy",))
-        assert entry.available() == deps.have_scipy()
-
-
-class TestAutoFreeze:
-    def test_auto_freeze_above_threshold(self, small_san, monkeypatch):
-        # The fake kernels return different sentinels on purpose (to observe
-        # which tier ran); keep the parity sanitizer from flagging them.
-        monkeypatch.delenv(deps.SANITIZE_ENV_VAR, raising=False)
-        seen = []
-        engine.register(
-            "test.autofreeze",
-            lambda graph: seen.append(backend_of(graph)) or "portable",
-            backend=MUTABLE,
-        )
-        engine.register(
-            "test.autofreeze",
-            lambda graph: seen.append(backend_of(graph)) or "frozen",
-            backend=FROZEN,
-        )
-        try:
-            engine.configure(auto_freeze_threshold=1)
-            assert dispatch("test.autofreeze", small_san) == "frozen"
-            engine.configure(auto_freeze_threshold=10_000)
-            assert dispatch("test.autofreeze", small_san) == "portable"
-        finally:
-            engine.configure()  # restore: no auto-freezing
-        assert dispatch("test.autofreeze", small_san) == "portable"
-        assert seen == [FROZEN, MUTABLE, MUTABLE]
-
-    def test_auto_freeze_caches_frozen_view_per_graph_state(self, small_san, monkeypatch):
-        freezes = []
-        original_freeze = SAN.freeze
-
-        def counting_freeze(self):
-            freezes.append(1)
-            return original_freeze(self)
-
-        monkeypatch.setattr(SAN, "freeze", counting_freeze)
-        engine.register("test.cached_freeze", lambda graph: backend_of(graph), backend=MUTABLE)
-        engine.register("test.cached_freeze", lambda graph: backend_of(graph), backend=FROZEN)
-        try:
-            engine.configure(auto_freeze_threshold=1)
-            for _ in range(5):
-                assert dispatch("test.cached_freeze", small_san) == FROZEN
-            assert len(freezes) == 1  # one freeze, not one per dispatch
-            small_san.add_social_edge(7, 8)  # mutation invalidates the view
-            assert dispatch("test.cached_freeze", small_san) == FROZEN
-            assert len(freezes) == 2
-        finally:
-            engine.configure()
-
-    def test_auto_freeze_portable_fallback_loops_freeze_once(self, monkeypatch):
-        """The reviewer scenario: without scipy, the clustering average falls
-        back to per-node dispatches; those must reuse one cached frozen view
-        instead of re-freezing the graph per node."""
-        from repro.algorithms.clustering import average_social_clustering_coefficient
-
-        monkeypatch.setenv(deps.DISABLE_ENV_VAR, "1")
-        san = san_from_edge_lists([(1, 2), (2, 1), (1, 3), (3, 2), (2, 4)])
-        expected = average_social_clustering_coefficient(san)
-        freezes = []
-        original_freeze = SAN.freeze
-
-        def counting_freeze(self):
-            freezes.append(1)
-            return original_freeze(self)
-
-        monkeypatch.setattr(SAN, "freeze", counting_freeze)
-        try:
-            engine.configure(auto_freeze_threshold=1)
-            assert average_social_clustering_coefficient(san) == pytest.approx(expected)
-            assert len(freezes) == 1
-        finally:
-            engine.configure()
-
-    def test_auto_freeze_ignores_ops_without_frozen_kernel(self, small_san):
-        engine.register("test.autofreeze_portable", lambda graph: backend_of(graph), backend=MUTABLE)
-        try:
-            engine.configure(auto_freeze_threshold=0)
-            assert dispatch("test.autofreeze_portable", small_san) == MUTABLE
-        finally:
-            engine.configure()
+        assert frozen_view(frozen) is frozen
+        assert frozen_view(frozen.social) is frozen.social
+        assert frozen_view(object()) is None  # nothing to freeze
 
 
 class TestIntrospection:
     def test_list_ops_contains_migrated_operations(self):
+        import repro.applications  # noqa: F401  (registers the application ops)
+
         ops = list_ops()
         for expected in (
             "reciprocal_edge_count",
@@ -252,3 +197,37 @@ class TestIntrospection:
             assert MUTABLE in backends or LOOP_ENGINE in backends, (
                 f"{op} has no portable kernel"
             )
+
+
+#: Imports the package the way the CLI and the pipeline do, reports every
+#: loaded scipy module, then runs one frozen kernel that needs scipy.
+_LAZY_SCIPY_SCRIPT = """
+import json, sys
+import repro, repro.experiments, repro.cli
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+from repro.algorithms.components import weakly_connected_components
+from repro.graph import DiGraph
+components = weakly_connected_components(DiGraph([(1, 2), (3, 3)]).freeze())
+print(json.dumps({
+    "loaded_at_import": loaded,
+    "components": sorted(sorted(component) for component in components),
+    "csgraph_loaded_on_use": "scipy.sparse.csgraph" in sys.modules,
+}))
+"""
+
+
+def test_importing_the_package_loads_no_scipy():
+    """The runtime twin of lint rule R002: scipy is required but lazy."""
+    env = dict(os.environ)
+    source_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (source_root, env.get("PYTHONPATH")) if part
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["loaded_at_import"] == []
+    assert report["components"] == [[1, 2], [3]]
+    assert report["csgraph_loaded_on_use"]

@@ -1,7 +1,7 @@
 """Edge-case and parity tests for the kernels added with the dispatch engine:
 traversal, components, HyperANF, random walks, sampling, link prediction, and
 the application drivers — on degenerate SANs (empty, single node, isolated
-attribute-only component) for both backends, with and without scipy."""
+attribute-only component) for both backends."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from repro.algorithms.hyperanf import effective_diameter, neighbourhood_function
 from repro.algorithms.random_walk import random_walks
 from repro.algorithms.sampling import sample_social_edges
 from repro.algorithms.traversal import bfs_distances, sample_distance_distribution
+from repro.applications import link_prediction
 from repro.applications.anonymity import end_to_end_attack_probability
 from repro.applications.link_prediction import (
     adamic_adar_scores,
@@ -28,7 +29,6 @@ from repro.applications.link_prediction import (
     rank_candidate_pairs,
 )
 from repro.applications.sybil import sybil_identities_vs_compromised
-from repro.engine import deps
 from repro.graph import SAN, san_from_edge_lists
 
 ATTRIBUTE_TYPES = ["employer", "school", "major", "city"]
@@ -80,11 +80,12 @@ def isolated_attribute_component_san() -> SAN:
 EDGE_CASES = [empty_san, single_node_san, isolated_attribute_component_san]
 
 
-@pytest.fixture(params=["scipy", "no-scipy"])
-def scipy_mode(request, monkeypatch):
-    if request.param == "no-scipy":
-        monkeypatch.setenv(deps.DISABLE_ENV_VAR, "1")
-        assert not deps.have_scipy()
+@pytest.fixture(params=["scipy"])
+def scipy_mode(request):
+    """The frozen kernels under test run on scipy, a required dependency.
+
+    One mode only; the parameter keeps these tests' ids stable.
+    """
     return request.param
 
 
@@ -279,6 +280,40 @@ class TestLinkPredictionKernels:
                 adamic_adar_scores(frozen, pairs), adamic_adar_scores(san, pairs)
             ):
                 assert math.isclose(left, right, rel_tol=1e-9, abs_tol=1e-12)
+
+    def test_small_batch_uses_row_intersections(self, monkeypatch):
+        # Fewer pairs than social nodes on a fresh freeze (no memoized
+        # product): the batch is scored by per-pair CSR-row intersections.
+        calls = []
+        intersect = link_prediction._pairwise_row_intersections
+
+        def counting_intersect(*args, **kwargs):
+            calls.append(1)
+            return intersect(*args, **kwargs)
+
+        monkeypatch.setattr(
+            link_prediction, "_pairwise_row_intersections", counting_intersect
+        )
+        san = random_san(19)
+        frozen = san.freeze()
+        nodes = list(san.social_nodes())
+        rng = random.Random(3)
+        pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(12)]
+        assert len(pairs) < frozen.number_of_social_nodes()
+
+        frozen_rows = pair_features_batch(frozen, pairs)
+        for frozen_row, mutable_row in zip(frozen_rows, pair_features_batch(san, pairs)):
+            assert frozen_row.keys() == mutable_row.keys()
+            for key, value in mutable_row.items():
+                assert math.isclose(frozen_row[key], value, rel_tol=1e-9, abs_tol=1e-12)
+        assert common_neighbor_counts(frozen, pairs) == common_neighbor_counts(san, pairs)
+        for left, right in zip(
+            adamic_adar_scores(frozen, pairs), adamic_adar_scores(san, pairs)
+        ):
+            assert math.isclose(left, right, rel_tol=1e-9, abs_tol=1e-12)
+        assert not frozen.has_derived("common_neighbor_matrix")
+        assert not frozen.has_derived("adamic_adar_matrix")
+        assert len(calls) == 3
 
     def test_rank_candidate_pairs_parity(self, scipy_mode):
         san = random_san(17, num_social=40, num_edges=150)

@@ -264,46 +264,3 @@ class TestTriangleParity:
         for san, frozen in san_pair:
             assert count_directed_triangles(frozen) == count_directed_triangles(san)
 
-
-class TestNoScipyFallbacks:
-    """The frozen kernels must stay correct when scipy is unavailable.
-
-    With scipy installed the sparse kernels shadow the batched-numpy
-    fallbacks, so these tests disable scipy through the engine's dependency
-    gate (``REPRO_NO_SCIPY``, checked at dispatch time) to exercise the
-    fallback kernels against the mutable ground truth.
-    """
-
-    @pytest.fixture(autouse=True)
-    def without_scipy(self, monkeypatch):
-        from repro.engine import deps
-
-        monkeypatch.setenv(deps.DISABLE_ENV_VAR, "1")
-        assert not deps.have_scipy()
-
-    def test_clustering_fallbacks(self, san_pair):
-        for san, frozen in san_pair:
-            assert_float_close(
-                average_social_clustering_coefficient(frozen),
-                average_social_clustering_coefficient(san),
-            )
-            assert_float_close(
-                average_attribute_clustering_coefficient(frozen),
-                average_attribute_clustering_coefficient(san),
-            )
-            assert_curve_close(
-                clustering_by_degree(frozen, "social"), clustering_by_degree(san, "social")
-            )
-            assert_curve_close(
-                clustering_by_degree(frozen, "attribute"),
-                clustering_by_degree(san, "attribute"),
-            )
-            mutable_by_type = attribute_clustering_by_type(san)
-            frozen_by_type = attribute_clustering_by_type(frozen)
-            assert frozen_by_type.keys() == mutable_by_type.keys()
-            for attr_type, value in mutable_by_type.items():
-                assert_float_close(frozen_by_type[attr_type], value)
-
-    def test_triangle_fallback(self, san_pair):
-        for san, frozen in san_pair:
-            assert count_directed_triangles(frozen) == count_directed_triangles(san)

@@ -175,8 +175,8 @@ class TestRuleSelection:
             run_lint([Path("/no/such/dir/anywhere")], rule_ids=["R001"])
 
 
-def _kernel(priority, fn=None):
-    return SimpleNamespace(priority=priority, fn=fn or (lambda graph: None))
+def _kernel():
+    return SimpleNamespace(fn=lambda graph: None)
 
 
 class TestRegistryCoherence:
@@ -185,31 +185,22 @@ class TestRegistryCoherence:
         assert len(registry) >= 40
         assert check_registry(registry) == []
 
+    def test_live_registry_holds_one_kernel_per_backend(self):
+        for backends in load_full_registry().values():
+            for backend, entry in backends.items():
+                assert entry.backend == backend and callable(entry.fn)
+
     def test_missing_portable_body_flagged(self):
-        registry = {"op.frozen_only": {"frozen": [_kernel(0)]}}
+        registry = {"op.frozen_only": {"frozen": _kernel()}}
         findings = check_registry(registry)
         assert len(findings) == 1
         assert "portable" in findings[0].message
         assert findings[0].rule == "R006"
 
-    def test_equal_priority_duplicates_flagged(self):
-        registry = {
-            "op.dup": {
-                "mutable": [_kernel(0)],
-                "frozen": [_kernel(10), _kernel(10), _kernel(0)],
-            }
-        }
-        findings = check_registry(registry)
-        assert len(findings) == 1
-        assert "duplicate" in findings[0].message
-
     def test_healthy_synthetic_registry_passes(self):
         registry = {
-            "op.good": {
-                "mutable": [_kernel(0)],
-                "frozen": [_kernel(10), _kernel(0)],
-            },
-            "op.engine_backends": {"loop": [_kernel(0)], "vectorized": [_kernel(10)]},
+            "op.good": {"mutable": _kernel(), "frozen": _kernel()},
+            "op.engine_backends": {"loop": _kernel(), "vectorized": _kernel()},
         }
         assert check_registry(registry) == []
 
