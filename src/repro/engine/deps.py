@@ -1,11 +1,12 @@
 """The one import point for scipy, plus the engine's environment switches.
 
 scipy is a required dependency: the frozen kernels build ``scipy.sparse``
-matrix products and call ``scipy.sparse.csgraph`` connectivity routines.
-Importing ``scipy.sparse.csgraph`` would be a large share of the package's
-start-up time, so scipy is loaded on first use, never at import time.
-Every scipy access in the library goes through the two accessors below, which
-keeps ``import repro`` free of scipy (lint rule R002 enforces this).
+matrix products and call ``scipy.sparse.csgraph`` connectivity routines, and
+the power-law fit evaluates the Hurwitz zeta function from
+``scipy.special``.  Importing scipy would be a large share of the package's
+start-up time, so it is loaded on first use, never at import time.  Every scipy access in the library goes through the three
+accessors below, which keeps ``import repro`` free of scipy (lint rule R002
+enforces this).
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ def scipy_csgraph() -> ModuleType:
     from scipy.sparse import csgraph
 
     return csgraph
+
+
+def scipy_special() -> ModuleType:
+    """The ``scipy.special`` module, imported on first use."""
+    import scipy.special
+
+    return scipy.special
 
 
 #: Environment variable that arms the runtime sanitizer

@@ -6,6 +6,15 @@ and reports that Google+ social degrees are best modeled by a *discrete
 lognormal* while the social degree of attribute nodes is best modeled by a
 *power law*.  This module provides the candidate families: normalised pmfs on
 ``{xmin, xmin+1, ...}``, log-pmfs, sampling, and moments.
+
+The normalisers are what the maximum-likelihood fits evaluate on every
+iterate, so none of them sums a long support term by term.  The power law's
+is the Hurwitz zeta function ``zeta(alpha, xmin)`` from ``scipy.special``
+(loaded lazily through :func:`repro.engine.deps.scipy_special`).  The
+lognormal and cutoff normalisers sum their first :data:`EXACT_HEAD` support
+points exactly and add the rest of their support by Euler-Maclaurin, whose
+integral is closed-form: Gaussian (``erfc``) for the lognormal and an upper
+incomplete gamma function for the cutoff.
 """
 
 from __future__ import annotations
@@ -16,13 +25,15 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from ..engine.deps import scipy_special
+
 #: Truncation point used to normalise discrete distributions numerically.  The
 #: tail mass beyond this support is negligible for every fit the library runs.
 DEFAULT_SUPPORT_MAX = 10 ** 6
 
-#: Support points the discrete-lognormal normaliser sums term by term; the
-#: rest of its support is added in closed form.
-LOGNORMAL_EXACT_HEAD = 2048
+#: Support points the lognormal and cutoff normalisers sum term by term; the
+#: rest of their support is added in closed form.
+EXACT_HEAD = 2048
 
 
 @dataclass(frozen=True)
@@ -33,14 +44,12 @@ class PowerLaw:
     xmin: int = 1
 
     def _normaliser(self) -> float:
-        # Hurwitz zeta via direct summation with an integral tail correction.
-        ks = np.arange(self.xmin, 100000, dtype=float)
-        head = np.sum(ks ** -self.alpha)
+        # The Hurwitz zeta function zeta(alpha, xmin).  The series diverges
+        # for alpha <= 1, where a sum truncated at 10^5 terms stands in.
         if self.alpha > 1:
-            tail = (100000.0 ** (1 - self.alpha)) / (self.alpha - 1)
-        else:
-            tail = 0.0
-        return float(head + tail)
+            return float(scipy_special().zeta(self.alpha, self.xmin))
+        ks = np.arange(self.xmin, 100000, dtype=float)
+        return float(np.sum(ks ** -self.alpha))
 
     def log_pmf(self, values: Sequence[int]) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -103,14 +112,14 @@ class DiscreteLognormal:
 
     def _log_normaliser(self, support_max: int = DEFAULT_SUPPORT_MAX) -> float:
         # The support runs to a generous cutoff, but only its first
-        # LOGNORMAL_EXACT_HEAD points are summed term by term.  The rest is
+        # EXACT_HEAD points are summed term by term.  The rest is
         # Euler-Maclaurin: the integral of the weight, the two endpoint
         # halves, and the first-derivative correction.  The next correction
         # (third derivative) is negligible while the weight spans many
         # integers, sigma * k >= 50 over the tail.  Narrower weights, and
         # supports capped below the median e^mu, are summed whole.
         cutoff = min(support_max, max(1000, int(math.exp(self.mu + 8 * self.sigma))))
-        split = min(cutoff, self.xmin + LOGNORMAL_EXACT_HEAD - 1)
+        split = min(cutoff, self.xmin + EXACT_HEAD - 1)
         if self.sigma * split < 50 or math.log(cutoff) < self.mu:
             split = cutoff
         logs = np.log(np.arange(self.xmin, split + 1, dtype=float))
@@ -189,12 +198,44 @@ class PowerLawWithCutoff:
         return -self.alpha * np.log(values) - self.cutoff_rate * values
 
     def _log_normaliser(self) -> float:
+        # The support ends where e^(-lambda k) has fallen by e^-20, clamped
+        # to [1000, DEFAULT_SUPPORT_MAX].  Its first EXACT_HEAD points are
+        # summed term by term; the rest is Euler-Maclaurin: the integral, the
+        # two endpoint halves and the first-derivative correction.  A tail
+        # exists only for lambda < 20 / EXACT_HEAD, where the log weight's
+        # slope alpha / k + lambda stays below 0.02 (alpha <= 20), so the next
+        # correction, about slope^3 / 720 of f(first) <= head / 2048, is
+        # below 1e-11 of the sum.  Without a cutoff (lambda = 0) the support
+        # is summed whole.
         cutoff = max(1000, int(20 / max(self.cutoff_rate, 1e-6)))
         cutoff = min(cutoff, DEFAULT_SUPPORT_MAX)
-        ks = np.arange(self.xmin, cutoff + 1, dtype=float)
-        log_weights = self._log_weights(ks)
+        split = min(cutoff, self.xmin + EXACT_HEAD - 1)
+        if self.cutoff_rate <= 0:
+            split = cutoff
+        log_weights = self._log_weights(np.arange(self.xmin, split + 1, dtype=float))
         peak = float(np.max(log_weights))
-        return peak + math.log(float(np.sum(np.exp(log_weights - peak))))
+        head = float(np.sum(np.exp(log_weights - peak)))
+        if split == cutoff:
+            return peak + math.log(head)
+        first, last = split + 1, cutoff
+        alpha, rate = self.alpha, self.cutoff_rate
+        # int_a^b k^-alpha e^(-lambda k) dk
+        #   = lambda^(alpha - 1) [Gamma(1 - alpha, lambda a) - Gamma(1 - alpha, lambda b)].
+        mass = _upper_gamma_difference(1 - alpha, rate * first, rate * last)
+        integral = (
+            math.exp((alpha - 1) * math.log(rate) + math.log(mass) - peak) if mass > 0 else 0.0
+        )
+        f_first = math.exp(float(self._log_weights(first)) - peak)
+        f_last = math.exp(float(self._log_weights(last)) - peak)
+        # f'(k) = f(k) * slope(k), the derivative of the log weight.
+        slope_first = -alpha / first - rate
+        slope_last = -alpha / last - rate
+        tail = (
+            integral
+            + (f_first + f_last) / 2
+            + (f_last * slope_last - f_first * slope_first) / 12
+        )
+        return peak + math.log(head + tail)
 
     def log_pmf(self, values: Sequence[int]) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -257,6 +298,72 @@ class DiscreteExponential:
 
     def parameters(self) -> Dict[str, float]:
         return {"rate": self.rate, "xmin": self.xmin}
+
+
+#: Where :func:`_upper_gamma_difference` switches from the power series of
+#: ``e^-t`` (below) to Legendre's continued fraction (above).
+_GAMMA_PIVOT = 2.0
+
+
+def _upper_gamma_difference(shape: float, low: float, high: float) -> float:
+    """``Gamma(shape, low) - Gamma(shape, high)`` for ``0 < low <= high``, any real shape.
+
+    That is ``int_low^high t^(shape - 1) e^-t dt``.  ``scipy.special`` has
+    the upper incomplete gamma function for positive shapes only, and the
+    recurrence that extends it below zero divides by the shape, losing every
+    digit as the shape nears a non-positive integer (a cutoff exponent near
+    1 or 2).  Both methods here hold full double precision at every shape.
+    """
+    pivot = _GAMMA_PIVOT
+    below = _gamma_series_between(shape, low, min(high, pivot)) if low < pivot else 0.0
+    above = (
+        _upper_gamma_fraction(shape, max(low, pivot)) - _upper_gamma_fraction(shape, high)
+        if high > pivot
+        else 0.0
+    )
+    return below + above
+
+
+def _upper_gamma_fraction(shape: float, x: float) -> float:
+    """``Gamma(shape, x)`` by Legendre's continued fraction (modified Lentz), ``x >= 2``."""
+    tiny = 1e-300
+    b = x + 1 - shape
+    c = 1 / tiny
+    d = 1 / b
+    fraction = d
+    for i in range(1, 500):
+        a = -i * (i - shape)
+        b += 2
+        d = a * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + a / c
+        if abs(c) < tiny:
+            c = tiny
+        delta = c * d
+        fraction *= delta
+        if abs(delta - 1) < 1e-16:
+            return math.exp(shape * math.log(x) - x) * fraction
+    raise FloatingPointError(f"Gamma({shape}, {x}): continued fraction did not converge")
+
+
+def _gamma_series_between(shape: float, low: float, high: float) -> float:
+    """``int_low^high t^(shape - 1) e^-t dt`` for ``high <= 2``, termwise in ``e^-t``.
+
+    Term ``k`` is ``(-1)^k / k!`` times ``int_low^high t^(shape + k - 1) dt``,
+    written with ``expm1`` so it stays exact as ``shape + k`` crosses zero.
+    """
+    log_ratio = math.log(high / low)
+    total = 0.0
+    sign_over_factorial = 1.0
+    for k in range(200):
+        power = shape + k
+        piece = math.expm1(power * log_ratio) / power if power != 0 else log_ratio
+        term = sign_over_factorial * low ** power * piece
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+        sign_over_factorial /= -(k + 1)
+    return total
 
 
 def truncated_normal_mean_variance(mu: float, sigma: float) -> tuple:

@@ -3,13 +3,21 @@
 Each ``fit_*`` function takes an integer sample (degrees >= xmin are used, the
 rest discarded) and returns the fitted distribution object together with its
 log-likelihood so the model-selection layer can compare candidates.
+
+Every negative log-likelihood depends on the sample only through a few
+sufficient statistics: the count n, the sum of ``ln k``, and the sum of ``k``
+(the lognormal also takes the spread of ``ln k`` about its mean).  They are
+computed once per fit, so each golden-section iterate costs one normaliser
+evaluation (see :mod:`repro.fitting.distributions`), not a pass over the
+sample.  The exponential family needs no search: its maximum is the
+closed-form geometric estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +52,8 @@ class FitResult:
 
 
 def _clean(values: Sequence[int], xmin: int) -> np.ndarray:
-    data = np.asarray([int(v) for v in values if v >= xmin], dtype=int)
+    data = np.asarray(values)
+    data = data[data >= xmin].astype(int)
     if data.size == 0:
         raise ValueError(f"no samples >= xmin={xmin}")
     return data
@@ -57,24 +66,38 @@ def fit_power_law(values: Sequence[int], xmin: int = 1) -> FitResult:
     followed by a golden-section refinement of the exact discrete likelihood.
     """
     data = _clean(values, xmin)
-    shifted = np.log(data / (xmin - 0.5))
-    total = float(np.sum(shifted))
+    log_sum = float(np.sum(np.log(data)))
+    negative_log_likelihood = _power_law_objective(data.size, log_sum, xmin)
+    alpha_best = _power_law_alpha(data, negative_log_likelihood, xmin)
+    return FitResult(
+        PowerLaw(alpha=alpha_best, xmin=xmin),
+        -negative_log_likelihood(alpha_best),
+        data.size,
+    )
+
+
+def _power_law_objective(count: int, log_sum: float, xmin: int) -> Callable[[float], float]:
+    """``alpha -> -ln L`` of a power law: ``alpha * sum ln k + n ln zeta(alpha, xmin)``."""
+
+    def negative_log_likelihood(alpha: float) -> float:
+        return alpha * log_sum + count * math.log(PowerLaw(alpha=alpha, xmin=xmin)._normaliser())
+
+    return negative_log_likelihood
+
+
+def _power_law_alpha(
+    data: np.ndarray, negative_log_likelihood: Callable[[float], float], xmin: int
+) -> float:
+    """The golden-section exponent, searched 0.75 either side of the CSN estimate."""
+    total = float(np.sum(np.log(data / (xmin - 0.5))))
     if total <= 0:
         alpha_hat = 3.5
     else:
         alpha_hat = 1.0 + data.size / total
     alpha_hat = min(max(alpha_hat, 1.01), 6.0)
-
-    def negative_log_likelihood(alpha: float) -> float:
-        dist = PowerLaw(alpha=alpha, xmin=xmin)
-        return -float(np.sum(dist.log_pmf(data)))
-
-    alpha_best = _golden_section(
+    return _golden_section(
         negative_log_likelihood, max(1.01, alpha_hat - 0.75), min(6.0, alpha_hat + 0.75)
     )
-    distribution = PowerLaw(alpha=alpha_best, xmin=xmin)
-    log_likelihood = float(np.sum(distribution.log_pmf(data)))
-    return FitResult(distribution, log_likelihood, data.size)
 
 
 def fit_lognormal(values: Sequence[int], xmin: int = 1) -> FitResult:
@@ -113,19 +136,26 @@ def fit_lognormal(values: Sequence[int], xmin: int = 1) -> FitResult:
             sigma_best * 2.5 + 0.1,
         )
     distribution = DiscreteLognormal(mu=mu_best, sigma=sigma_best, xmin=xmin)
-    log_likelihood = float(np.sum(distribution.log_pmf(data)))
-    return FitResult(distribution, log_likelihood, data.size)
+    return FitResult(distribution, -negative_log_likelihood(mu_best, sigma_best), count)
 
 
 def fit_power_law_with_cutoff(values: Sequence[int], xmin: int = 1) -> FitResult:
-    """MLE fit of the power law with exponential cutoff (alpha, lambda)."""
+    """MLE fit of the power law with exponential cutoff (alpha, lambda).
+
+    The search starts from the pure power law's exponent, which is computed
+    from the same sufficient statistics.
+    """
     data = _clean(values, xmin)
-    initial_alpha = fit_power_law(data, xmin=xmin).distribution.alpha
-    initial_rate = 1.0 / max(float(np.mean(data)), 1.0)
+    count = data.size
+    log_sum = float(np.sum(np.log(data)))
+    value_sum = float(np.sum(data))
+    initial_alpha = _power_law_alpha(data, _power_law_objective(count, log_sum, xmin), xmin)
+    initial_rate = 1.0 / max(value_sum / count, 1.0)
 
     def negative_log_likelihood(alpha: float, rate: float) -> float:
+        # -sum(log_pmf) = alpha sum ln k + lambda sum k + n ln Z.
         dist = PowerLawWithCutoff(alpha=alpha, cutoff_rate=rate, xmin=xmin)
-        return -float(np.sum(dist.log_pmf(data)))
+        return alpha * log_sum + rate * value_sum + count * dist._log_normaliser()
 
     alpha_best, rate_best = initial_alpha, initial_rate
     for _ in range(5):
@@ -140,29 +170,34 @@ def fit_power_law_with_cutoff(values: Sequence[int], xmin: int = 1) -> FitResult
             rate_best * 10 + 1e-4,
         )
     # The pure power law is the rate -> 0 limit; never report a worse fit than it.
-    candidates = [(alpha_best, rate_best), (initial_alpha, 1e-7)]
-    best = min(candidates, key=lambda pair: negative_log_likelihood(*pair))
-    distribution = PowerLawWithCutoff(alpha=best[0], cutoff_rate=best[1], xmin=xmin)
-    log_likelihood = float(np.sum(distribution.log_pmf(data)))
-    return FitResult(distribution, log_likelihood, data.size)
+    scored = [
+        (negative_log_likelihood(*pair), pair)
+        for pair in ((alpha_best, rate_best), (initial_alpha, 1e-7))
+    ]
+    best_value, (alpha, rate) = min(scored, key=lambda item: item[0])
+    distribution = PowerLawWithCutoff(alpha=alpha, cutoff_rate=rate, xmin=xmin)
+    return FitResult(distribution, -best_value, count)
 
 
 def fit_exponential(values: Sequence[int], xmin: int = 1) -> FitResult:
-    """MLE fit of the discrete exponential distribution."""
+    """MLE fit of the discrete exponential distribution.
+
+    ``k - xmin`` is geometric with ratio ``e^-lambda``, so the likelihood peaks
+    at ``lambda = ln(1 + 1 / (mean - xmin))``, unboundedly when every value is
+    ``xmin``.  The estimate is clipped to ``[max(1e-6, r / 5), 5 r + 0.001]``
+    around ``r = ln(1 + 1 / (mean - xmin + 1))``; the likelihood is concave in
+    lambda, so the clipped value is the maximum over that interval.
+    """
     data = _clean(values, xmin)
-    mean_excess = float(np.mean(data)) - xmin + 1.0
-    rate_hat = math.log(1 + 1 / max(mean_excess, 1e-9))
-
-    def negative_log_likelihood(rate: float) -> float:
-        dist = DiscreteExponential(rate=rate, xmin=xmin)
-        return -float(np.sum(dist.log_pmf(data)))
-
-    rate_best = _golden_section(
-        negative_log_likelihood, max(1e-6, rate_hat * 0.2), rate_hat * 5 + 1e-3
-    )
-    distribution = DiscreteExponential(rate=rate_best, xmin=xmin)
-    log_likelihood = float(np.sum(distribution.log_pmf(data)))
-    return FitResult(distribution, log_likelihood, data.size)
+    count = data.size
+    mean = float(np.sum(data)) / count
+    rate_hat = math.log(1 + 1 / (mean - xmin + 1.0))
+    low, high = max(1e-6, rate_hat * 0.2), rate_hat * 5 + 1e-3
+    rate = math.log1p(1 / (mean - xmin)) if mean > xmin else high
+    rate = min(max(rate, low), high)
+    # -sum(log_pmf) = n [lambda (mean - xmin) - ln(1 - e^-lambda)].
+    log_likelihood = -count * (rate * (mean - xmin) - math.log1p(-math.exp(-rate)))
+    return FitResult(DiscreteExponential(rate=rate, xmin=xmin), log_likelihood, count)
 
 
 def fit_lognormal_parameters_over_time(

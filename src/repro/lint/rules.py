@@ -133,14 +133,15 @@ class ScipyContainment(Rule):
 
     scipy is required but slow to import, so importing :mod:`repro` must
     never import it eagerly.  That only holds while every scipy access goes
-    through the lazy accessors ``scipy_sparse()``/``scipy_csgraph()``.
+    through the lazy accessors ``scipy_sparse()``/``scipy_csgraph()``/
+    ``scipy_special()``.
     """
 
     rule_id = "R002"
     name = "scipy-containment"
     description = (
         "scipy may only be imported in engine/deps.py; elsewhere use the "
-        "lazy accessors deps.scipy_sparse()/scipy_csgraph()"
+        "lazy accessors deps.scipy_sparse()/scipy_csgraph()/scipy_special()"
     )
 
     def check(self, module: ModuleContext) -> Iterable[Finding]:
@@ -174,7 +175,8 @@ class ScipyContainment(Rule):
                 module,
                 node,
                 f"direct import of {target!r} outside engine/deps.py; go "
-                "through repro.engine.deps (scipy_sparse()/scipy_csgraph())",
+                "through repro.engine.deps (scipy_sparse()/scipy_csgraph()/"
+                "scipy_special())",
             )
 
 

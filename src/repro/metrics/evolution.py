@@ -156,7 +156,7 @@ def clustering_series(
     series: Series = []
     for day, san in ensure_frozen_snapshots(snapshots):
         if kind == "social":
-            population = list(san.social_nodes())
+            population = None
         elif kind == "attribute":
             population = list(san.attribute_nodes())
         else:

@@ -1,7 +1,14 @@
 """Tests for exact and approximate clustering coefficients."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.algorithms import (
     approximate_attribute_clustering,
     approximate_average_clustering,
@@ -119,37 +126,81 @@ def test_approximate_with_epsilon_nu_defaults(figure1_san):
     assert value == pytest.approx(exact, abs=0.1)
 
 
-class _CountingRng(__import__("random").Random):
-    """Counts randrange calls so tests can pin the number of drawn triples."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.randrange_calls = 0
-
-    def randrange(self, *args, **kwargs):
-        self.randrange_calls += 1
-        return super().randrange(*args, **kwargs)
-
-
 def test_approximate_draws_exactly_num_samples_triples(clique_san):
-    """Regression for the dead rejection guard: the estimator draws exactly
-    ``num_samples`` triples — a center pick plus two endpoint picks when the
-    center has >= 2 neighbors."""
-    rng = _CountingRng(7)
-    approximate_average_clustering(clique_san, num_samples=100, rng=rng)
-    assert rng.randrange_calls == 3 * 100
+    """The estimate is a mean over exactly ``num_samples`` triples: on a
+    reciprocal clique every triple scores F = 2, so the score total is 2K and
+    the estimate is exactly 1.0 for any K."""
+    for samples in (1, 7, 100):
+        assert approximate_average_clustering(clique_san, num_samples=samples, rng=7) == 1.0
 
 
 def test_approximate_low_degree_centers_count_as_samples():
-    """Centers with < 2 neighbors consume one pick and contribute c(u) = 0;
-    they are samples, not rejections, so an edgeless SAN still terminates
-    after exactly ``num_samples`` draws."""
+    """Centers with < 2 neighbors are zero-scored samples, not rejections: a
+    reciprocal 4-clique plus 4 isolated users has C = 0.5 (rejecting the
+    isolated centers would give the clique's 1.0), every clique center adds
+    exactly 2 to the score total, and an edgeless SAN returns 0.0."""
     san = SAN()
-    for node in range(5):
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                san.add_social_edge(source, target)
+    for node in range(4, 8):
         san.add_social_node(node)
-    rng = _CountingRng(11)
-    assert approximate_average_clustering(san, num_samples=50, rng=rng) == 0.0
-    assert rng.randrange_calls == 50
+    samples = 4000
+    estimate = approximate_average_clustering(san, num_samples=samples, rng=11)
+    clique_centers = estimate * samples  # score total / 2
+    assert clique_centers == pytest.approx(round(clique_centers), abs=1e-9)
+    assert estimate == pytest.approx(0.5, abs=0.05)
+
+    edgeless = SAN()
+    for node in range(5):
+        edgeless.add_social_node(node)
+    assert approximate_average_clustering(edgeless, num_samples=50, rng=11) == 0.0
+
+
+#: A 200-user string-labelled SAN with 1,200 random links and 12 cities;
+#: prints the estimate for both populations on the mutable SAN and its freeze.
+_HASH_SEED_SCRIPT = """
+import json, random
+from repro.algorithms import approximate_average_clustering
+from repro.graph import SAN
+draws = random.Random(7)
+san = SAN()
+for user in range(200):
+    san.add_social_node(f"user{user}")
+for _ in range(1200):
+    san.add_social_edge(f"user{draws.randrange(200)}", f"user{draws.randrange(200)}")
+for user in range(200):
+    san.add_attribute_edge(f"user{user}", f"city:{draws.randrange(12)}", attr_type="city")
+cities = list(san.attribute_nodes())
+print(json.dumps({
+    f"{backend}/{kind}": approximate_average_clustering(
+        graph, population=population, num_samples=4000, rng=1
+    )
+    for backend, graph in (("mutable", san), ("frozen", san.freeze()))
+    for kind, population in (("social", None), ("attribute", cities))
+}))
+"""
+
+
+def test_approximate_is_independent_of_the_hash_seed():
+    """String labels iterate sets in hash-seed order; no draw may depend on it."""
+    env = dict(os.environ)
+    source_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (source_root, env.get("PYTHONPATH")) if part
+    )
+    estimates = []
+    for hash_seed in ("0", "1", "2"):
+        env["PYTHONHASHSEED"] = hash_seed
+        result = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        estimates.append(json.loads(result.stdout))
+    assert estimates[0] == estimates[1] == estimates[2], estimates
+    for kind in ("social", "attribute"):
+        assert estimates[0][f"mutable/{kind}"] == estimates[0][f"frozen/{kind}"], estimates[0]
 
 
 def test_approximate_zero_samples_is_zero(figure1_san):

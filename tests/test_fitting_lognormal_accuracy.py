@@ -1,6 +1,6 @@
 """Accuracy of the discrete-lognormal normaliser and MLE against full-support sums.
 
-``DiscreteLognormal._log_normaliser`` sums the first ``LOGNORMAL_EXACT_HEAD``
+``DiscreteLognormal._log_normaliser`` sums the first ``EXACT_HEAD``
 support points exactly and adds the rest in closed form (Euler-Maclaurin);
 ``fit_lognormal`` evaluates its objective from sufficient statistics.  The
 references here are the term-by-term methods they replace: a sum over the
@@ -15,7 +15,7 @@ import pytest
 
 from repro.fitting.distributions import (
     DEFAULT_SUPPORT_MAX,
-    LOGNORMAL_EXACT_HEAD,
+    EXACT_HEAD,
     DiscreteLognormal,
 )
 from repro.fitting.mle import _golden_section, fit_lognormal
@@ -59,7 +59,7 @@ def test_log_normaliser_matches_full_support_sum_over_the_grid(xmin):
     # The grid holds cutoffs at the 10^6 cap, supports with no tail, and
     # mu = 7.5, sigma = 0.05, whose peak straddles the 2,048-point split.
     cutoffs = {_cutoff(float(mu), sigma) for mu in MUS for sigma in SIGMAS}
-    assert DEFAULT_SUPPORT_MAX in cutoffs and min(cutoffs) < LOGNORMAL_EXACT_HEAD
+    assert DEFAULT_SUPPORT_MAX in cutoffs and min(cutoffs) < EXACT_HEAD
     for mu in MUS:
         for sigma in SIGMAS:
             _assert_close(float(mu), sigma, xmin)
@@ -79,7 +79,7 @@ def test_log_normaliser_with_the_cap_below_the_median(mu, sigma):
 
 def test_log_normaliser_without_a_tail_is_the_plain_sum():
     for mu, sigma, xmin in ((1.0, 0.5, 1), (2.0, 0.6, 2), (-1.0, 1.0, 5)):
-        assert _cutoff(mu, sigma) < xmin + LOGNORMAL_EXACT_HEAD
+        assert _cutoff(mu, sigma) < xmin + EXACT_HEAD
         actual = DiscreteLognormal(mu=mu, sigma=sigma, xmin=xmin)._log_normaliser()
         assert actual == full_support_log_normaliser(mu, sigma, xmin)
 
