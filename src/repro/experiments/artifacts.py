@@ -7,9 +7,9 @@ generated model SANs.  This module declares each of those as an *artifact
 node* — a named builder with declared dependencies, an optional on-disk
 representation, and a version tag::
 
-    @artifact("reference_san", needs=("snapshot_series",),
-              save=_save_san, load=_load_san)
-    def _build_reference_san(resolver): ...
+    @artifact("snapshot_series", needs=("evolution",), version="2",
+              save=_save_snapshot_series, load=_load_snapshot_series)
+    def _build_snapshot_series(resolver): ...
 
 An :class:`ArtifactResolver` materialises artifacts on demand for one
 scenario: every artifact is built at most once per run (memory sharing), and
@@ -21,14 +21,19 @@ scenario, bumping a recipe version, or invalidating any upstream artifact
 therefore re-keys — and rebuilds — everything downstream, while a warm cache
 reruns the full figure suite without recomputing a single artifact.
 
-Persistence goes through :mod:`repro.graph.serialization` (SAN JSON
-documents) for mutable inputs and :mod:`repro.graph.columnar` (binary
-columnar files, served as ``np.memmap`` views on warm hits) for frozen
-graphs, and every frozen artifact is built with :func:`canonical_frozen`
-— a sorted rebuild that makes the CSR view a pure function of the graph's
-*content* rather than of the source object's set-insertion history.  Cold,
-warm, and naive (per-figure re-derivation) runs of the same scenario are
-therefore byte-identical, stage for stage.
+The store holds one graph format.  Every persisted SAN is written once, as a
+canonical :mod:`repro.graph.columnar` file that warm hits serve as
+``np.memmap`` views: the crawled snapshots (one file per day inside
+``snapshot_series``) and the frozen views of the generated model SANs.
+Everything else that persists is a small JSON document (the evolution's
+event log and the estimated parameters).  The snapshot list, the reference
+and halfway SANs and their frozen aliases are memory views of the series,
+the arrival history is a memory view of the evolution, and the mutable model
+SANs are in-memory intermediates of cold builds.  Every stored graph goes
+through :func:`canonical_frozen` — a CSR relabel that makes the frozen view
+a pure function of the graph's *content* rather than of the source object's
+insertion history — so cold, warm, and naive (per-figure re-derivation) runs
+of the same scenario are byte-identical, stage for stage.
 """
 
 from __future__ import annotations
@@ -43,9 +48,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+import numpy as np
+
 from ..crawler.snapshots import SnapshotSeries, crawl_evolution
-from ..graph.columnar import open_columnar, save_columnar
-from ..graph.serialization import load_san_json, save_san_json
+from ..graph.columnar import maybe_spill, open_columnar, save_columnar
+from ..graph.frozen import FrozenSAN
 from ..models.estimation import estimate_parameters
 from ..models.history import ArrivalEvent, ArrivalHistory
 from ..models.parameters import (
@@ -101,8 +108,10 @@ class ArtifactSpec:
     def persistent(self) -> bool:
         """Whether this artifact has an on-disk representation.
 
-        Non-persistent artifacts are cheap in-memory views (e.g. the frozen
-        reference SAN) rebuilt from their cached parents on every run.
+        Non-persistent artifacts are in-memory views (e.g. the reference
+        SAN, a snapshot of the cached series) rebuilt from their parents on
+        every run, or intermediates only a cold build needs (the mutable
+        model SANs behind the persisted frozen views).
         """
         return self.save is not None and self.load is not None
 
@@ -419,45 +428,67 @@ class ArtifactResolver:
         return {name: self.artifact(name) for name in artifact_topological_order(names)}
 
 
-def canonical_frozen(san):
+def _canonical_order(labels) -> np.ndarray:
+    """Positions of ``labels`` in ``(str(label), type name)`` order.
+
+    The type name breaks the ties ``str`` leaves (``1`` and ``"1"``), so the
+    order depends on the labels alone, never on where they sat before.
+    """
+    keys = [(str(label), type(label).__name__) for label in labels]
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+
+
+def _inverse(order: np.ndarray, size: int) -> np.ndarray:
+    """``inverse[order[k]] = k`` (-1 for ids ``order`` leaves out)."""
+    inverse = np.full(size, -1, dtype=np.int64)
+    inverse[order] = np.arange(order.size, dtype=np.int64)
+    return inverse
+
+
+def canonical_frozen(san) -> FrozenSAN:
     """A canonical CSR-backed frozen view of ``san`` (mutable or frozen).
 
     The frozen backend preserves the *insertion order* of its source, and the
     mutable backend's set-based adjacency makes that order a function of the
-    object's construction history, not just its content.  Rebuilding in
-    sorted order first makes the frozen view a pure function of the graph's
-    content — so a freshly built artifact and its cache-loaded round trip
-    yield byte-identical frozen views, and every downstream sampled estimator
-    draws identical populations.
+    object's construction history, not just its content.  Relabelling the
+    CSR arrays — social labels, and attribute labels with at least one link,
+    sorted by ``(str(label), type name)`` — makes the frozen view a pure
+    function of the graph's content, so a freshly built artifact and its
+    cache-loaded round trip yield byte-identical frozen views, and every
+    downstream sampled estimator draws identical populations.  Attribute
+    nodes with no link are dropped.
     """
-    from ..graph.san import SAN
+    frozen = san.freeze()
+    social, attributes = frozen.social, frozen.attributes
+    labels = social.labels()
+    order = _canonical_order(labels)
+    rank = _inverse(order, order.size)
+    sources, targets = social.edge_arrays()
 
-    rebuilt = SAN()
-    for node in sorted(san.social_nodes(), key=str):
-        rebuilt.add_social_node(node)
-    for source, target in sorted(
-        san.social_edges(), key=lambda edge: (str(edge[0]), str(edge[1]))
-    ):
-        rebuilt.add_social_edge(source, target)
-    for social, attribute in sorted(
-        san.attribute_edges(), key=lambda edge: (str(edge[1]), str(edge[0]))
-    ):
-        info = san.attribute_info(attribute)
-        rebuilt.add_attribute_edge(
-            social, attribute, attr_type=info.attr_type, value=info.value
+    attr_labels = attributes.attribute_labels()
+    linked = np.flatnonzero(attributes.social_degree_array())
+    attr_order = linked[_canonical_order([attr_labels[i] for i in linked.tolist()])]
+    attr_rank = _inverse(attr_order, len(attr_labels))
+    sa_indptr, sa_indices = attributes.social_to_attr_csr()
+    link_social = np.repeat(np.arange(order.size, dtype=np.int64), np.diff(sa_indptr))
+
+    kept_attrs = [attr_labels[i] for i in attr_order.tolist()]
+    return maybe_spill(
+        FrozenSAN.from_edge_arrays(
+            [labels[i] for i in order.tolist()],
+            rank[sources],
+            rank[targets],
+            kept_attrs,
+            [attributes.attribute_info(label) for label in kept_attrs],
+            rank[link_social],
+            attr_rank[sa_indices],
         )
-    from ..graph.columnar import maybe_spill
-
-    return maybe_spill(rebuilt.freeze())
+    )
 
 
 # ----------------------------------------------------------------------
 # Serialization helpers (all order-preserving)
 # ----------------------------------------------------------------------
-def _save_san(san, path: Path) -> None:
-    save_san_json(san, path / "san.json")
-
-
 def _save_frozen_san(san, path: Path) -> None:
     save_columnar(san, path / "san.col")
 
@@ -466,26 +497,6 @@ def _load_frozen_san(path: Path):
     # Served copy-free: the CSR arrays are np.memmap views of the cache
     # entry itself, so a warm hit costs one header parse, not an edge scan.
     return open_columnar(path / "san.col", mmap_mode="r")
-
-
-def _save_frozen_snapshot_list(snapshots, path: Path) -> None:
-    days = []
-    for day, san in snapshots:
-        save_columnar(san, path / f"day-{day:05d}.col")
-        days.append(day)
-    (path / "days.json").write_text(json.dumps(days), encoding="utf-8")
-
-
-def _load_frozen_snapshot_list(path: Path):
-    days = json.loads((path / "days.json").read_text(encoding="utf-8"))
-    return [
-        (day, open_columnar(path / f"day-{day:05d}.col", mmap_mode="r"))
-        for day in days
-    ]
-
-
-def _load_san(path: Path):
-    return load_san_json(path / "san.json")
 
 
 def _event_to_json(event: ArrivalEvent) -> Dict[str, Any]:
@@ -545,21 +556,10 @@ def _load_evolution(path: Path) -> GroundTruthEvolution:
     )
 
 
-def _save_snapshot_list(snapshots, path: Path) -> None:
-    days = []
-    for day, san in snapshots:
-        save_san_json(san, path / f"day-{day:05d}.json")
-        days.append(day)
-    (path / "days.json").write_text(json.dumps(days), encoding="utf-8")
-
-
-def _load_snapshot_list(path: Path):
-    days = json.loads((path / "days.json").read_text(encoding="utf-8"))
-    return [(day, load_san_json(path / f"day-{day:05d}.json")) for day in days]
-
-
 def _save_snapshot_series(series: SnapshotSeries, path: Path) -> None:
-    _save_snapshot_list(series.snapshots, path)
+    for day, san in series.snapshots:
+        save_columnar(san, path / f"day-{day:05d}.col")
+    (path / "days.json").write_text(json.dumps(series.days()), encoding="utf-8")
     (path / "coverage.json").write_text(
         json.dumps([[day, value] for day, value in series.coverage.items()]),
         encoding="utf-8",
@@ -567,26 +567,14 @@ def _save_snapshot_series(series: SnapshotSeries, path: Path) -> None:
 
 
 def _load_snapshot_series(path: Path) -> SnapshotSeries:
+    days = json.loads((path / "days.json").read_text(encoding="utf-8"))
     coverage = json.loads((path / "coverage.json").read_text(encoding="utf-8"))
     return SnapshotSeries(
-        snapshots=_load_snapshot_list(path),
+        snapshots=[
+            (day, open_columnar(path / f"day-{day:05d}.col", mmap_mode="r"))
+            for day in days
+        ],
         coverage={day: value for day, value in coverage},
-    )
-
-
-def _save_history(history: ArrivalHistory, path: Path) -> None:
-    save_san_json(history.initial, path / "initial.json")
-    (path / "events.json").write_text(
-        json.dumps([_event_to_json(event) for event in history.events]),
-        encoding="utf-8",
-    )
-
-
-def _load_history(path: Path) -> ArrivalHistory:
-    events = json.loads((path / "events.json").read_text(encoding="utf-8"))
-    return ArrivalHistory(
-        initial=load_san_json(path / "initial.json"),
-        events=[_event_from_json(record) for record in events],
     )
 
 
@@ -653,86 +641,67 @@ def _earliest_joiners(evolution: GroundTruthEvolution, count: int):
 @artifact(
     "snapshot_series",
     needs=("evolution",),
+    version="2",
     save=_save_snapshot_series,
     load=_load_snapshot_series,
 )
 def _build_snapshot_series(resolver: ArtifactResolver) -> SnapshotSeries:
     """Crawled daily snapshots (the analogue of the paper's 79 crawls).
 
-    The scenario's privacy regime (if any) is applied during the crawl, so
-    visibility sweeps flow through the whole figure suite.  Privacy crawls
-    start from several early joiners instead of the single default seed —
-    otherwise one link-hiding seed strands every snapshot of the series.
+    Each crawled snapshot is stored as its :func:`canonical_frozen` view —
+    one columnar file per day — so a warm hit mmaps every snapshot straight
+    out of the store.  The scenario's privacy regime (if any) is applied
+    during the crawl, so visibility sweeps flow through the whole figure
+    suite.  Privacy crawls start from several early joiners instead of the
+    single default seed — otherwise one link-hiding seed strands every
+    snapshot of the series.
     """
     evolution = resolver.artifact("evolution")
     privacy = resolver.scenario.privacy_model()
     seeds = None
     if privacy is not None:
         seeds = _earliest_joiners(evolution, _PRIVACY_CRAWL_SEEDS)
-    return crawl_evolution(
+    crawled = crawl_evolution(
         evolution,
         resolver.scenario.snapshot_days(),
         privacy=privacy,
         seeds=seeds,
     )
+    return SnapshotSeries(
+        snapshots=[(day, canonical_frozen(san)) for day, san in crawled],
+        coverage=crawled.coverage,
+    )
 
 
+# Memory views of the series.  Its snapshots are canonical frozen SANs
+# already, so each plain name and its frozen_* alias share one builder.
+@artifact("frozen_snapshots", needs=("snapshot_series",))
 @artifact("snapshots", needs=("snapshot_series",))
 def _build_snapshots(resolver: ArtifactResolver):
-    """The snapshot series as a plain ``[(day, SAN)]`` list (memory view)."""
+    """The snapshot series as a ``[(day, FrozenSAN)]`` list (memory view)."""
     return list(resolver.artifact("snapshot_series"))
 
 
-@artifact(
-    "frozen_snapshots",
-    needs=("snapshot_series",),
-    version="2",
-    save=_save_frozen_snapshot_list,
-    load=_load_frozen_snapshot_list,
-)
-def _build_frozen_snapshots(resolver: ArtifactResolver):
-    """CSR-backed frozen views of every crawled snapshot.
-
-    Persisted as columnar files since the binary format landed: a warm hit
-    mmaps the canonical CSR arrays straight out of the store — no JSON
-    re-parse, no canonical rebuild, and no dependence on the parent
-    ``snapshot_series`` being materialised at all.
-    """
-    return [
-        (day, canonical_frozen(san))
-        for day, san in resolver.artifact("snapshot_series")
-    ]
-
-
-@artifact("reference_san", needs=("snapshot_series",), save=_save_san, load=_load_san)
+@artifact("frozen_reference", needs=("snapshot_series",))
+@artifact("reference_san", needs=("snapshot_series",))
 def _build_reference_san(resolver: ArtifactResolver):
     """The last crawled snapshot — the reference the models are fitted against."""
     return resolver.artifact("snapshot_series").last()
 
 
-@artifact(
-    "frozen_reference",
-    needs=("reference_san",),
-    version="2",
-    save=_save_frozen_san,
-    load=_load_frozen_san,
-)
-def _build_frozen_reference(resolver: ArtifactResolver):
-    """Frozen view of the reference SAN (columnar on disk, mmap on warm hits)."""
-    return canonical_frozen(resolver.artifact("reference_san"))
-
-
-@artifact("halfway_san", needs=("snapshot_series",), save=_save_san, load=_load_san)
+@artifact("halfway_san", needs=("snapshot_series",))
 def _build_halfway_san(resolver: ArtifactResolver):
     """The mid-crawl snapshot (the 'earlier' input of Figure 13)."""
     return resolver.artifact("snapshot_series").halfway()
 
 
-@artifact(
-    "arrival_history", needs=("evolution",), save=_save_history, load=_load_history
-)
+@artifact("arrival_history", needs=("evolution",))
 def _build_arrival_history(resolver: ArtifactResolver) -> ArrivalHistory:
-    """Link arrivals over the crawl's later days (the Figure 15 input)."""
+    """Link arrivals over the crawl's later days (the Figure 15 input).
+
+    A memory view: replaying the evolution's event log is cheaper than
+    parsing a stored copy of the same events.
+    """
     evolution = resolver.artifact("evolution")
     start_day = evolution.num_days // resolver.scenario.history_start_divisor
     return evolution.arrival_history(start_day=start_day)
@@ -754,38 +723,28 @@ def _build_estimated_parameters(resolver: ArtifactResolver) -> SANModelParameter
     ).parameters
 
 
-@artifact("model_san", needs=("estimated_parameters",), save=_save_san, load=_load_san)
+@artifact("model_san", needs=("estimated_parameters",))
 def _build_model_san(resolver: ArtifactResolver):
     """Our model (Algorithm 1) fitted to the reference SAN."""
     params = resolver.artifact("estimated_parameters")
     return generate_san(params, rng=resolver.scenario.seed, record_history=False).san
 
 
-@artifact(
-    "model_no_focal_san",
-    needs=("estimated_parameters",),
-    save=_save_san,
-    load=_load_san,
-)
+@artifact("model_no_focal_san", needs=("estimated_parameters",))
 def _build_model_no_focal_san(resolver: ArtifactResolver):
     """Ablation: the fitted model without focal closure (RR instead of RR-SAN)."""
     params = replace(resolver.artifact("estimated_parameters"), use_focal_closure=False)
     return generate_san(params, rng=resolver.scenario.seed, record_history=False).san
 
 
-@artifact(
-    "model_no_lapa_san",
-    needs=("estimated_parameters",),
-    save=_save_san,
-    load=_load_san,
-)
+@artifact("model_no_lapa_san", needs=("estimated_parameters",))
 def _build_model_no_lapa_san(resolver: ArtifactResolver):
     """Ablation: the fitted model with classical PA instead of LAPA."""
     params = replace(resolver.artifact("estimated_parameters"), use_lapa=False)
     return generate_san(params, rng=resolver.scenario.seed, record_history=False).san
 
 
-@artifact("zhel_san", needs=("estimated_parameters",), save=_save_san, load=_load_san)
+@artifact("zhel_san", needs=("estimated_parameters",))
 def _build_zhel_san(resolver: ArtifactResolver):
     """The directed Zhel baseline sized to the same number of social nodes."""
     estimated = resolver.artifact("estimated_parameters")
@@ -797,12 +756,14 @@ def _build_zhel_san(resolver: ArtifactResolver):
     return generate_zhel_san(params, rng=resolver.scenario.seed, record_history=False).san
 
 
-# Frozen views of the generated SANs, persisted as columnar files.  Beyond
-# running the model-evaluation stages on the vectorized kernels, the CSR form
-# is *canonical* (rows sorted), so stages consuming these produce
-# byte-identical payloads whether the parent SAN was freshly generated,
-# rebuilt from its JSON cache entry, or mmapped from a columnar entry — the
-# mutable backend's set-based adjacency does not guarantee that.
+# Frozen views of the generated SANs, persisted as columnar files.  The
+# mutable model SANs above are in-memory intermediates of cold builds: no
+# stage reads them, so a warm run never materialises them.  Beyond running
+# the model-evaluation stages on the vectorized kernels, the CSR form is
+# *canonical*, so stages consuming these produce byte-identical payloads
+# whether the parent SAN was freshly generated or the view was mmapped from
+# its cache entry — the mutable backend's set-based adjacency does not
+# guarantee that.
 @artifact(
     "frozen_model_san",
     needs=("model_san",),

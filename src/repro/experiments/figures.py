@@ -71,8 +71,8 @@ Snapshots = Sequence[Tuple[int, SAN]]
 # ----------------------------------------------------------------------
 # Section 2 / Figures 2-3: growth and crawl coverage
 # ----------------------------------------------------------------------
-# Growth reads O(1) counters only, so the plain snapshot views suffice —
-# no need to materialise frozen CSR rebuilds for this stage.
+# Growth reads O(1) counters only.  ``snapshots`` and ``frozen_snapshots``
+# name the same canonical frozen graphs, memory views of the stored series.
 @experiment("fig02_03", needs=("snapshots",))
 def figure2_3_growth(snapshots: Snapshots) -> Dict[str, List[Tuple[int, float]]]:
     """Growth of social/attribute nodes and links over time."""

@@ -12,7 +12,10 @@ reciprocity needs no per-edge membership test at all: for every node,
 ``|succ(v) ∩ pred(v)| = outdeg(v) + indeg(v) - |succ(v) ∪ pred(v)|`` and the
 union sizes are exactly the undirected-projection degrees, so the mutual-link
 count is one vectorized sum over three degree arrays (self-loops, which count
-as mutual, are added back separately).
+as mutual, are added back separately).  The fine-grained reciprocity's frozen
+kernel finds the one-way links with one membership test over sorted edge
+keys and counts both kinds of common neighbors with row-wise sparse
+products, instead of intersecting two neighbor sets per link.
 
 Examples
 --------
@@ -31,8 +34,8 @@ from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..engine import dispatchable, kernel
-from ..graph.frozen import FrozenSAN
+from ..engine import deps, dispatchable, frozen_view, kernel
+from ..graph.frozen import FrozenSAN, sorted_membership
 from ..graph.san import SAN
 
 Node = Hashable
@@ -128,6 +131,7 @@ def attribute_bucket(num_common_attributes: int) -> int:
     return 2
 
 
+@dispatchable("fine_grained_reciprocity")
 def fine_grained_reciprocity(
     earlier: SANLike,
     later: SANLike,
@@ -139,13 +143,16 @@ def fine_grained_reciprocity(
     For every one-directional link ``u -> v`` present in ``earlier`` (i.e. the
     reverse link is absent there), determine whether ``v -> u`` exists in
     ``later``, and stratify by the endpoints' common social neighbors and
-    common attribute bucket *measured on the earlier snapshot*.  Both
-    snapshots may be mutable or frozen; frozen snapshots answer the per-link
-    common-neighbor queries via sorted-array intersections.
+    common attribute bucket *measured on the earlier snapshot*.  Either
+    snapshot may be mutable or frozen; a frozen ``earlier`` runs a
+    vectorized kernel.  ``max_links`` keeps only the first ``max_links``
+    one-way links in ``earlier.social_edges()`` order.
     """
     result = FineGrainedReciprocity()
     processed = 0
     for source, target in earlier.social_edges():
+        if max_links is not None and processed >= max_links:
+            break
         if earlier.social.has_edge(target, source):
             continue  # already mutual at the earlier snapshot
         common_social = len(earlier.common_social_neighbors(source, target))
@@ -161,8 +168,85 @@ def fine_grained_reciprocity(
         previous = result.counts.get(key, (0, 0))
         result.counts[key] = (previous[0] + reciprocated, previous[1] + 1)
         processed += 1
-        if max_links is not None and processed >= max_links:
-            break
+    return result
+
+
+def _row_overlaps(indptr: np.ndarray, indices: np.ndarray, num_columns: int, first, second):
+    """``|row(first[k]) ∩ row(second[k])|`` of a 0/1 CSR, for every ``k``."""
+    sparse = deps.scipy_sparse()
+    matrix = sparse.csr_matrix(
+        (np.ones(indices.size, dtype=np.int64), indices, indptr),
+        shape=(indptr.size - 1, num_columns),
+    )
+    return np.asarray(matrix[first].multiply(matrix[second]).sum(axis=1)).ravel()
+
+
+@kernel("fine_grained_reciprocity")
+def _fine_grained_reciprocity_frozen(
+    earlier: FrozenSAN,
+    later: SANLike,
+    max_common_social: int = 50,
+    max_links: Optional[int] = None,
+) -> FineGrainedReciprocity:
+    social = earlier.social
+    n = social.number_of_nodes()
+    sources, targets = social.edge_arrays()
+    # Edge keys come out sorted: edge_arrays() walks the sorted CSR rows.
+    one_way = ~sorted_membership(sources * n + targets, targets * n + sources)
+    sources, targets = sources[one_way], targets[one_way]
+    if max_links is not None:
+        keep = max(max_links, 0)  # a negative slice bound would count from the end
+        sources, targets = sources[:keep], targets[:keep]
+    if sources.size == 0:
+        return FineGrainedReciprocity()
+
+    und_indptr, und_indices = social.undirected_csr()
+    common_social = np.minimum(
+        _row_overlaps(und_indptr, und_indices, n, sources, targets), max_common_social
+    )
+    sa_indptr, sa_indices = earlier.attributes.social_to_attr_csr()
+    buckets = np.minimum(
+        _row_overlaps(
+            sa_indptr,
+            sa_indices,
+            earlier.attributes.number_of_attribute_nodes(),
+            sources,
+            targets,
+        ),
+        2,
+    )
+
+    # Reverse link in ``later``: map the endpoints onto later's ids (-1 when
+    # the user is gone) and look the key up among later's sorted edge keys.
+    later = frozen_view(later)
+    later_social = later.social
+    m = later_social.number_of_nodes()
+    later_ids = np.fromiter(
+        (
+            later_social.index_of(label) if later_social.has_node(label) else -1
+            for label in social.labels()
+        ),
+        dtype=np.int64,
+        count=n,
+    )
+    later_sources, later_targets = later_social.edge_arrays()
+    back_source, back_target = later_ids[targets], later_ids[sources]
+    present = (back_source >= 0) & (back_target >= 0)
+    reciprocated = present & sorted_membership(
+        later_sources * m + later_targets, back_source * m + back_target
+    )
+
+    # Tally per (s, bucket) cell, cells in order of first appearance like
+    # the per-link loop.  ``s * 3 + bucket`` is one-to-one since bucket < 3.
+    cells, first, inverse = np.unique(
+        common_social * 3 + buckets, return_index=True, return_inverse=True
+    )
+    totals = np.bincount(inverse, minlength=cells.size)
+    hits = np.bincount(inverse[reciprocated], minlength=cells.size)
+    result = FineGrainedReciprocity()
+    for position in np.argsort(first, kind="stable").tolist():
+        cell = int(cells[position])
+        result.counts[(cell // 3, cell % 3)] = (int(hits[position]), int(totals[position]))
     return result
 
 

@@ -249,22 +249,25 @@ def test_cache_invalidation_on_recipe_version_bump(tmp_path):
 def test_warm_columnar_hit_is_mmap_backed_with_sized_marker(
     tiny_pipeline, pipeline_cache
 ):
-    """Warm frozen-graph hits are zero-parse: served as mmap views of the
-    cache entry, whose marker records the payload hash and size from write
-    time."""
+    """Warm snapshot hits are zero-parse: every snapshot of the series is
+    served as an mmap view of the cache entry, whose marker records the
+    payload hash and size from write time.  The frozen reference is a memory
+    view of the series' last snapshot."""
     from repro.graph import is_mmap_backed
 
     resolver = ArtifactResolver(get_scenario("tiny"), cache_dir=pipeline_cache)
-    frozen = resolver.artifact("frozen_reference")
-    event = next(e for e in resolver.events if e.name == "frozen_reference")
+    series = resolver.artifact("snapshot_series")
+    event = next(e for e in resolver.events if e.name == "snapshot_series")
     assert event.status == "cached"
-    assert is_mmap_backed(frozen)
-    entry = resolver.store.entry_path("frozen_reference", event.key)
+    assert len(series) > 0
+    assert all(is_mmap_backed(san) for _, san in series)
+    entry = resolver.store.entry_path("snapshot_series", event.key)
     marker = json.loads((entry / "ARTIFACT.json").read_text(encoding="utf-8"))
     payload_files = [p for p in entry.rglob("*") if p.is_file() and p.name != "ARTIFACT.json"]
     assert marker["payload_bytes"] == sum(p.stat().st_size for p in payload_files) > 0
     assert len(marker["payload_sha256"]) == 64
     assert event.bytes == marker["payload_bytes"]
+    assert resolver.artifact("frozen_reference") is series.last()
 
 
 def test_warm_rerun_recomputes_no_artifact(tiny_pipeline, pipeline_cache):

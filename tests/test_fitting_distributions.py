@@ -1,6 +1,7 @@
 """Tests for the candidate discrete distributions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,22 @@ def test_power_law_with_cutoff_decays_faster_than_power_law():
     ratio_small = cutoff.pmf([2])[0] / plain.pmf([2])[0]
     ratio_large = cutoff.pmf([200])[0] / plain.pmf([200])[0]
     assert ratio_large < ratio_small
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.3])
+def test_heavy_tail_samples_stay_integers_at_or_above_xmin(alpha):
+    # The continuous tail passes the int64 range for alpha near 1; before
+    # the cap the invalid cast turned such draws into -9.2e18.
+    for dist in (
+        PowerLaw(alpha=alpha, xmin=3),
+        PowerLawWithCutoff(alpha=alpha, cutoff_rate=1e-9, xmin=3),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = dist.sample(200_000, np.random.default_rng(0))
+        assert samples.dtype == np.int64
+        assert samples.min() >= 3
+        assert samples.max() <= 2 ** 62
 
 
 def test_power_law_with_cutoff_sampling():
