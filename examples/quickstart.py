@@ -58,9 +58,10 @@ def main() -> None:
     )
     workload = build_workload(config, rng=42, snapshot_count=8)
     series = crawl_evolution(workload.evolution, workload.snapshot_days)
-    # Freeze the finished snapshot: same read API, but metrics now run on
-    # CSR numpy arrays instead of per-node dict walks (see docs/architecture.md).
-    final = series.last().freeze()
+    # Crawled snapshots are frozen SANs: the read API of the mutable SAN, but
+    # metrics run on CSR numpy arrays instead of per-node dict walks (see
+    # docs/architecture.md).
+    final = series.last()
     print(format_report(san_metric_report(final, rng=2), title="Final crawled snapshot (frozen backend)"))
     print()
 

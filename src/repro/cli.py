@@ -67,10 +67,10 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .crawler import crawl_evolution
-from .graph import SAN, load_san_tsv, save_san_tsv
+from .graph import SAN, FrozenSAN, load_san_tsv, save_san_tsv
 from .metrics import format_report, frozen_san_report, san_metric_report
 from .metrics.evolution import PhaseBoundaries
 from .models import (
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _save(san: SAN, prefix: str) -> None:
+def _save(san: Union[SAN, FrozenSAN], prefix: str) -> None:
     save_san_tsv(san, f"{prefix}.social.tsv", f"{prefix}.attrs.tsv")
     print(f"wrote {prefix}.social.tsv ({san.number_of_social_edges()} social links)")
     print(f"wrote {prefix}.attrs.tsv ({san.number_of_attribute_edges()} attribute links)")

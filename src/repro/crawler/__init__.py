@@ -1,16 +1,14 @@
-"""Crawler substrate: privacy model, BFS crawler, daily snapshot series."""
+"""Crawler substrate: privacy model, array BFS crawl, daily snapshot series."""
 
-from .crawler import BFSCrawler, CrawlResult, crawl_snapshot
+from .crawler import CrawlResult, crawl_snapshot
 from .privacy import FULLY_PUBLIC, PrivacyModel
-from .snapshots import DailyCrawler, SnapshotSeries, crawl_evolution
+from .snapshots import SnapshotSeries, crawl_evolution
 
 __all__ = [
-    "BFSCrawler",
     "CrawlResult",
     "crawl_snapshot",
     "FULLY_PUBLIC",
     "PrivacyModel",
-    "DailyCrawler",
     "SnapshotSeries",
     "crawl_evolution",
 ]

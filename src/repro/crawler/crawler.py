@@ -1,4 +1,4 @@
-"""BFS crawler over a ground-truth SAN.
+"""Breadth-first crawl of a ground-truth SAN, on CSR arrays.
 
 Reproduces the paper's data-collection methodology (Section 2.2): starting
 from seed users, breadth-first search expands over *both* the outgoing list
@@ -12,14 +12,26 @@ The crawler sees:
 * the links of every visited user whose lists are public (plus links of
   private users that are visible from the public endpoint),
 * the declared attributes of visited users who do not hide them.
+
+Because a visited public user's whole neighbourhood is visited, the crawl
+is a set computation rather than a queue.  The visited users are the seeds
+plus everything :func:`~repro.algorithms.traversal.frontier_bfs_levels`
+reaches over the undirected social CSR with the rows of link-hiding users
+emptied (they are reached but never expanded).  The crawled SAN keeps the
+social links with a visited public endpoint, the attribute links of visited
+users who show their attributes, and the attribute nodes left with at least
+one link, in the ground truth's compact-id order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence, Set
+from typing import Hashable, Iterable, Optional, Set, Tuple, Union
 
+import numpy as np
+
+from ..algorithms.traversal import frontier_bfs_levels
+from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
 from .privacy import FULLY_PUBLIC, PrivacyModel
 
@@ -30,96 +42,100 @@ Node = Hashable
 class CrawlResult:
     """The crawled SAN plus bookkeeping about coverage."""
 
-    san: SAN
-    visited: Set[Node]
+    san: FrozenSAN
     ground_truth_social_nodes: int
+
+    @property
+    def visited(self) -> Set[Node]:
+        """The users the crawl reached (every one of them is in the crawl)."""
+        return set(self.san.social_nodes())
 
     @property
     def coverage(self) -> float:
         """Fraction of ground-truth social nodes reached by the crawl."""
         if self.ground_truth_social_nodes == 0:
             return 0.0
-        return len(self.visited) / self.ground_truth_social_nodes
+        return self.san.number_of_social_nodes() / self.ground_truth_social_nodes
 
 
-class BFSCrawler:
-    """Breadth-first crawler with access to both in- and out-link lists."""
+def default_seed(truth: FrozenSAN) -> np.ndarray:
+    """The compact id of the user with the smallest ``str`` label (none if empty)."""
+    labels = truth.social.labels()
+    if not labels:
+        return np.empty(0, dtype=np.int64)
+    return np.array([min(range(len(labels)), key=lambda i: str(labels[i]))])
 
-    def __init__(self, privacy: Optional[PrivacyModel] = None) -> None:
-        self.privacy = privacy if privacy is not None else FULLY_PUBLIC
 
-    def crawl(
-        self,
-        ground_truth: SAN,
-        seeds: Optional[Iterable[Node]] = None,
-        max_nodes: Optional[int] = None,
-    ) -> CrawlResult:
-        """Crawl ``ground_truth`` starting from ``seeds``.
+def member_ids(truth: FrozenSAN, seeds: Iterable[Node]) -> np.ndarray:
+    """Compact ids of the ``seeds`` that are social nodes of ``truth``."""
+    return np.array(
+        [truth.social.index_of(seed) for seed in seeds if truth.is_social_node(seed)],
+        dtype=np.int64,
+    )
 
-        ``seeds`` defaults to the earliest social node (smallest id).  The
-        crawl visits users in BFS order over the union of visible in/out
-        lists; ``max_nodes`` truncates the crawl (for early-stopped crawls).
-        """
-        crawled = SAN()
-        visited: Set[Node] = set()
-        total_social = ground_truth.number_of_social_nodes()
-        if total_social == 0:
-            return CrawlResult(san=crawled, visited=visited, ground_truth_social_nodes=0)
 
-        if seeds is None:
-            seeds = [min(ground_truth.social_nodes(), key=lambda node: str(node))]
-        frontier = deque()
-        for seed in seeds:
-            if ground_truth.is_social_node(seed) and seed not in visited:
-                visited.add(seed)
-                frontier.append(seed)
+def crawl_frozen(
+    truth: FrozenSAN,
+    seeds: np.ndarray,
+    hides_links: np.ndarray,
+    hides_attributes: np.ndarray,
+) -> Tuple[FrozenSAN, np.ndarray]:
+    """Crawl ``truth`` from the compact ids ``seeds``: the crawl and its users' ids.
 
-        while frontier:
-            user = frontier.popleft()
-            crawled.add_social_node(user)
-            self._collect_profile(ground_truth, crawled, user)
+    ``hides_links`` and ``hides_attributes`` are boolean masks over the
+    social compact ids.  The crawl's users keep the ground truth's id order,
+    so the returned ids (ascending) are the crawl's users in its own order.
+    """
+    social, attributes = truth.social, truth.attributes
+    n = social.number_of_nodes()
+    indptr, indices = social.undirected_csr()
+    rows = np.diff(indptr)
+    expand_indptr = np.zeros_like(indptr)
+    np.cumsum(np.where(hides_links, 0, rows), out=expand_indptr[1:])
+    expand_indices = indices[np.repeat(~hides_links, rows)]
+    visited = np.flatnonzero(frontier_bfs_levels(expand_indptr, expand_indices, seeds) >= 0)
 
-            if self.privacy.hides_links(user):
-                # Private circles: this user's lists are not enumerable, but
-                # the user stays in the crawl (it was discovered from a public
-                # endpoint) and its links may be added from the other side.
-                continue
+    in_crawl = np.zeros(n, dtype=bool)
+    in_crawl[visited] = True
+    public = in_crawl & ~hides_links
+    rank = np.cumsum(in_crawl) - 1
+    sources, targets = social.edge_arrays()
+    seen = public[sources] | public[targets]
 
-            for target in ground_truth.social_out_neighbors(user):
-                crawled.add_social_edge(user, target)
-                self._collect_profile(ground_truth, crawled, target)
-                if target not in visited:
-                    visited.add(target)
-                    frontier.append(target)
-            for source in ground_truth.social_in_neighbors(user):
-                crawled.add_social_edge(source, user)
-                self._collect_profile(ground_truth, crawled, source)
-                if source not in visited:
-                    visited.add(source)
-                    frontier.append(source)
-            if max_nodes is not None and len(visited) >= max_nodes:
-                break
+    sa_indptr, sa_indices = attributes.social_to_attr_csr()
+    link_social = np.repeat(np.arange(n, dtype=np.int64), np.diff(sa_indptr))
+    shown = (in_crawl & ~hides_attributes)[link_social]
+    link_social, link_attr = link_social[shown], sa_indices[shown]
+    attr_labels = attributes.attribute_labels()
+    linked = np.bincount(link_attr, minlength=len(attr_labels)) > 0
+    kept = [attr_labels[i] for i in np.flatnonzero(linked).tolist()]
 
-        return CrawlResult(
-            san=crawled, visited=visited, ground_truth_social_nodes=total_social
-        )
-
-    def _collect_profile(self, ground_truth: SAN, crawled: SAN, user: Node) -> None:
-        """Copy a visited user's public attributes into the crawled SAN."""
-        if self.privacy.hides_attributes(user):
-            return
-        for attribute in ground_truth.attribute_neighbors(user):
-            info = ground_truth.attribute_info(attribute)
-            crawled.add_attribute_edge(
-                user, attribute, attr_type=info.attr_type, value=info.value
-            )
+    labels = social.labels()
+    crawled = FrozenSAN.from_edge_arrays(
+        [labels[i] for i in visited.tolist()],
+        rank[sources[seen]],
+        rank[targets[seen]],
+        kept,
+        [attributes.attribute_info(label) for label in kept],
+        rank[link_social],
+        (np.cumsum(linked) - 1)[link_attr],
+    )
+    return crawled, visited
 
 
 def crawl_snapshot(
-    ground_truth: SAN,
-    seeds: Optional[Sequence[Node]] = None,
+    ground_truth: Union[SAN, FrozenSAN],
+    seeds: Optional[Iterable[Node]] = None,
     privacy: Optional[PrivacyModel] = None,
-    max_nodes: Optional[int] = None,
 ) -> CrawlResult:
-    """One-shot convenience wrapper around :class:`BFSCrawler`."""
-    return BFSCrawler(privacy=privacy).crawl(ground_truth, seeds=seeds, max_nodes=max_nodes)
+    """Crawl one ground-truth SAN (mutable or frozen) from ``seeds``.
+
+    ``seeds`` defaults to the social node with the smallest ``str`` label;
+    seeds that are not social nodes of ``ground_truth`` are ignored.
+    """
+    truth = ground_truth.freeze()
+    labels = truth.social.labels()
+    privacy = privacy if privacy is not None else FULLY_PUBLIC
+    start = default_seed(truth) if seeds is None else member_ids(truth, seeds)
+    crawled, _ = crawl_frozen(truth, start, *privacy.masks(labels))
+    return CrawlResult(san=crawled, ground_truth_social_nodes=len(labels))

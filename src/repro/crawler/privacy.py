@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Sequence, Tuple
+
+import numpy as np
 
 from ..utils.validation import require_probability
 
@@ -27,7 +29,8 @@ class PrivacyModel:
 
     Using a hash of ``(seed, user)`` instead of a live RNG makes privacy
     decisions stable across days, which matters: a user who hides their
-    circles on day 10 also hides them on day 70.
+    circles on day 10 also hides them on day 70.  A rate of 0 hides nobody
+    and a rate of 1 hides everybody, without hashing.
     """
 
     hide_links_probability: float = 0.08
@@ -43,13 +46,23 @@ class PrivacyModel:
         digest = hashlib.blake2b(payload, digest_size=8).digest()
         return int.from_bytes(digest, "little") / 2 ** 64
 
+    def _hides(self, user: Node, salt: str, rate: float) -> bool:
+        return rate >= 1.0 or (rate > 0.0 and self._uniform(user, salt) < rate)
+
     def hides_links(self, user: Node) -> bool:
         """Whether ``user`` keeps both circle lists private."""
-        return self._uniform(user, "links") < self.hide_links_probability
+        return self._hides(user, "links", self.hide_links_probability)
 
     def hides_attributes(self, user: Node) -> bool:
         """Whether ``user`` hides their declared profile fields from the crawler."""
-        return self._uniform(user, "attributes") < self.hide_attributes_probability
+        return self._hides(user, "attributes", self.hide_attributes_probability)
+
+    def masks(self, users: Sequence[Node]) -> Tuple[np.ndarray, np.ndarray]:
+        """Boolean masks over ``users``: ``(hides_links, hides_attributes)``."""
+        count = len(users)
+        links = np.fromiter((self.hides_links(user) for user in users), bool, count)
+        attributes = np.fromiter((self.hides_attributes(user) for user in users), bool, count)
+        return links, attributes
 
 
 #: A privacy model where everything is public (used to measure crawler bias).

@@ -3,6 +3,12 @@
 Mirrors the paper's procedure: the first snapshot is a full BFS crawl; each
 subsequent snapshot expands the crawl starting from the users already known
 from the previous snapshot (plus BFS discovery of newly reachable users).
+
+Each day's ground truth comes from
+:meth:`~repro.synthetic.gplus.GroundTruthEvolution.frozen_snapshots` (one
+pass over the event log), and each crawl is a
+:func:`~repro.crawler.crawler.crawl_frozen` array crawl, so every snapshot
+in the series is a :class:`~repro.graph.frozen.FrozenSAN`.
 """
 
 from __future__ import annotations
@@ -10,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..graph.san import SAN
+from ..graph.frozen import FrozenSAN
 from ..synthetic.gplus import GroundTruthEvolution
-from .crawler import BFSCrawler, CrawlResult
-from .privacy import PrivacyModel
+from .crawler import crawl_frozen, default_seed, member_ids
+from .privacy import FULLY_PUBLIC, PrivacyModel
 
 Node = Hashable
 
@@ -22,24 +28,24 @@ Node = Hashable
 class SnapshotSeries:
     """An ordered sequence of crawled snapshots with coverage bookkeeping."""
 
-    snapshots: List[Tuple[int, SAN]] = field(default_factory=list)
+    snapshots: List[Tuple[int, FrozenSAN]] = field(default_factory=list)
     coverage: Dict[int, float] = field(default_factory=dict)
 
     def days(self) -> List[int]:
         return [day for day, _ in self.snapshots]
 
-    def at(self, day: int) -> SAN:
+    def at(self, day: int) -> FrozenSAN:
         for snapshot_day, san in self.snapshots:
             if snapshot_day == day:
                 return san
         raise KeyError(f"no snapshot crawled for day {day}")
 
-    def last(self) -> SAN:
+    def last(self) -> FrozenSAN:
         if not self.snapshots:
             raise ValueError("the snapshot series is empty")
         return self.snapshots[-1][1]
 
-    def halfway(self) -> SAN:
+    def halfway(self) -> FrozenSAN:
         if not self.snapshots:
             raise ValueError("the snapshot series is empty")
         return self.snapshots[len(self.snapshots) // 2][1]
@@ -54,45 +60,36 @@ class SnapshotSeries:
         return iter(self.snapshots)
 
 
-class DailyCrawler:
-    """Crawl a ground-truth evolution at a set of days, expanding day over day."""
-
-    def __init__(self, privacy: Optional[PrivacyModel] = None) -> None:
-        self.crawler = BFSCrawler(privacy=privacy)
-
-    def crawl_series(
-        self,
-        evolution: GroundTruthEvolution,
-        days: Sequence[int],
-        seeds: Optional[Sequence[Node]] = None,
-    ) -> SnapshotSeries:
-        """Crawl the ground truth at each requested day.
-
-        The seed set of each crawl is the set of users visited by the previous
-        crawl (the paper "expanded the social structure from the previous
-        snapshot"), falling back to the provided ``seeds`` for the first day.
-        """
-        series = SnapshotSeries()
-        previous_visited: Optional[List[Node]] = list(seeds) if seeds else None
-        ground_truth_snapshots = evolution.snapshots(sorted(set(days)))
-        for day, ground_truth in ground_truth_snapshots:
-            crawl_seeds = previous_visited
-            if crawl_seeds is not None:
-                crawl_seeds = [
-                    node for node in crawl_seeds if ground_truth.is_social_node(node)
-                ]
-            result: CrawlResult = self.crawler.crawl(ground_truth, seeds=crawl_seeds or None)
-            series.snapshots.append((day, result.san))
-            series.coverage[day] = result.coverage
-            previous_visited = list(result.visited)
-        return series
-
-
 def crawl_evolution(
     evolution: GroundTruthEvolution,
     days: Sequence[int],
     privacy: Optional[PrivacyModel] = None,
     seeds: Optional[Sequence[Node]] = None,
 ) -> SnapshotSeries:
-    """Convenience wrapper: crawl ``evolution`` at ``days`` with ``privacy``."""
-    return DailyCrawler(privacy=privacy).crawl_series(evolution, days, seeds=seeds)
+    """Crawl the ground truth of ``evolution`` at each of ``days``.
+
+    The seed set of each crawl is the set of users visited by the previous
+    crawl (the paper "expanded the social structure from the previous
+    snapshot"), starting from the members of ``seeds`` on the first day; an
+    empty seed set falls back to the user with the smallest ``str`` label.
+    """
+    series = SnapshotSeries()
+    truths = evolution.frozen_snapshots(days)
+    if not truths:
+        return series
+    # Users are numbered by first appearance in the event log, so every
+    # day's compact ids are a prefix of the last day's: one privacy decision
+    # per user serves the whole series, and the previous day's visited ids
+    # are valid seeds of the next.
+    labels = truths[-1][1].social.labels()
+    privacy = privacy if privacy is not None else FULLY_PUBLIC
+    hides_links, hides_attributes = privacy.masks(labels)
+    start = member_ids(truths[0][1], seeds or ())
+    for day, truth in truths:
+        n = truth.number_of_social_nodes()
+        if not start.size:
+            start = default_seed(truth)
+        crawled, start = crawl_frozen(truth, start, hides_links[:n], hides_attributes[:n])
+        series.snapshots.append((day, crawled))
+        series.coverage[day] = start.size / n if n else 0.0
+    return series

@@ -88,16 +88,30 @@ def _power_law_objective(count: int, log_sum: float, xmin: int) -> Callable[[flo
 def _power_law_alpha(
     data: np.ndarray, negative_log_likelihood: Callable[[float], float], xmin: int
 ) -> float:
-    """The golden-section exponent, searched 0.75 either side of the CSN estimate."""
+    """The golden-section exponent, searched 0.75 either side of the CSN estimate.
+
+    The CSN estimate is poor at small ``xmin`` (at ``xmin = 1`` and alpha =
+    3.2 it is about 2.2), so the optimum can lie outside that bracket.  A
+    search that ends on an edge other than the hard limits 1.01 and 6.0
+    searches again from that edge, one bracket width further, until the
+    optimum is interior.
+    """
     total = float(np.sum(np.log(data / (xmin - 0.5))))
     if total <= 0:
         alpha_hat = 3.5
     else:
         alpha_hat = 1.0 + data.size / total
     alpha_hat = min(max(alpha_hat, 1.01), 6.0)
-    return _golden_section(
-        negative_log_likelihood, max(1.01, alpha_hat - 0.75), min(6.0, alpha_hat + 0.75)
-    )
+    low, high = max(1.01, alpha_hat - 0.75), min(6.0, alpha_hat + 0.75)
+    alpha = _golden_section(negative_log_likelihood, low, high)
+    upward = high - alpha < _TOLERANCE
+    while upward and high < 6.0 and high - alpha < _TOLERANCE:
+        low, high = high, min(6.0, high + 1.5)
+        alpha = _golden_section(negative_log_likelihood, low, high)
+    while not upward and low > 1.01 and alpha - low < _TOLERANCE:
+        low, high = max(1.01, low - 1.5), low
+        alpha = _golden_section(negative_log_likelihood, low, high)
+    return alpha
 
 
 def fit_lognormal(values: Sequence[int], xmin: int = 1) -> FitResult:
@@ -228,7 +242,13 @@ def fit_power_law_exponent_over_time(
     return series
 
 
-def _golden_section(objective, low: float, high: float, tolerance: float = 1e-4) -> float:
+#: Width of the interval at which a golden-section search stops.
+_TOLERANCE = 1e-4
+
+
+def _golden_section(
+    objective, low: float, high: float, tolerance: float = _TOLERANCE
+) -> float:
     """Minimise a unimodal 1-D objective on [low, high] by golden-section search."""
     if high <= low:
         return low

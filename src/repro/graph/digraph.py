@@ -6,7 +6,7 @@ knn, triangle closure) are all O(1) or O(degree) operations.  Nodes may be any
 hashable object; the library conventionally uses integers for social nodes.
 
 ``DiGraph`` is the *mutable* backend, optimised for incremental construction
-(simulators, crawlers, generative models).  Once a graph stops changing, call
+(simulators, generative models).  Once a graph stops changing, call
 :meth:`DiGraph.freeze` to obtain a :class:`repro.graph.frozen.FrozenDiGraph`
 — a read-only, CSR-array-backed snapshot of the same graph on which the
 metrics layer runs vectorized numpy kernels.  Both backends satisfy the

@@ -2,8 +2,8 @@
 
 The mutable :class:`~repro.graph.digraph.DiGraph` /
 :class:`~repro.graph.san.SAN` store adjacency as dictionaries of sets, which
-is ideal for incremental construction (simulators, crawlers, generative
-models) but wasteful for whole-graph measurement: every metric pays Python
+is ideal for incremental construction (simulators, generative models)
+but wasteful for whole-graph measurement: every metric pays Python
 dict/set overhead per node and per edge.
 
 This module provides the measurement-time counterparts:

@@ -18,8 +18,8 @@ layer) and exposes the neighborhood notation used throughout the paper:
 * ``social_neighbors(u)``      — :math:`\\Gamma_s(u)` (union over both link sets)
 * ``attribute_neighbors(u)``   — :math:`\\Gamma_a(u)`
 
-``SAN`` is the *mutable* backend the simulators, crawlers and generative
-models build incrementally.  For measurement, :meth:`SAN.freeze` compacts the
+``SAN`` is the *mutable* backend the simulators and generative models
+build incrementally.  For measurement, :meth:`SAN.freeze` compacts the
 network into a read-only :class:`repro.graph.frozen.FrozenSAN` whose
 adjacency lives in CSR numpy arrays; the hot-path metrics (degrees,
 reciprocity, joint degree, clustering, attribute metrics) detect the frozen

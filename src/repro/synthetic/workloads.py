@@ -8,9 +8,8 @@ workloads documented in EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
 from ..metrics.evolution import PhaseBoundaries
 from ..models.parameters import SANModelParameters
@@ -170,13 +169,6 @@ class EvolutionWorkload:
 
     evolution: GroundTruthEvolution
     snapshot_days: List[int]
-
-    def snapshots(self) -> List[Tuple[int, SAN]]:
-        return self.evolution.snapshots(self.snapshot_days)
-
-    def frozen_snapshots(self) -> List[Tuple[int, FrozenSAN]]:
-        """The standard snapshot days as CSR-backed frozen views (no copies)."""
-        return self.evolution.frozen_snapshots(self.snapshot_days)
 
     def final_san(self) -> SAN:
         return self.evolution.final_san()

@@ -52,15 +52,11 @@ def test_crawl_uses_incoming_lists_too():
 def test_crawl_empty_ground_truth():
     from repro.graph import SAN
 
-    result = crawl_snapshot(SAN())
-    assert result.coverage == 0.0
-    assert result.san.number_of_social_nodes() == 0
-
-
-def test_crawl_max_nodes_truncates(figure1_san):
-    result = crawl_snapshot(figure1_san, seeds=[1], max_nodes=2)
-    assert result.san.number_of_social_nodes() <= figure1_san.number_of_social_nodes()
-    assert len(result.visited) >= 2
+    for ground_truth in (SAN(), SAN().freeze()):
+        result = crawl_snapshot(ground_truth)
+        assert result.coverage == 0.0
+        assert result.visited == set()
+        assert result.san.number_of_social_nodes() == 0
 
 
 def test_private_links_reduce_edge_coverage(tiny_evolution):

@@ -155,7 +155,7 @@ def _sample(distribution) -> np.ndarray:
 
 
 @pytest.mark.parametrize("xmin", [1, 3, 10])
-@pytest.mark.parametrize("alpha", [1.8, 2.2, 2.6])
+@pytest.mark.parametrize("alpha", [1.8, 2.2, 2.6, 3.2, 3.5])
 def test_power_law_recovers_its_exponent(alpha, xmin):
     fit = fit_power_law(_sample(PowerLaw(alpha=alpha, xmin=xmin)), xmin=xmin)
     assert fit.distribution.alpha == pytest.approx(alpha, abs=0.1)
