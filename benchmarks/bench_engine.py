@@ -194,7 +194,7 @@ def test_report_pipeline_freezes_once(backend_pair):
     san, _ = backend_pair
     frozen_start = time.perf_counter()
     report_frozen = san_metric_report(
-        san, include_diameter=True, clustering_samples=500, rng=1, freeze=True
+        san.freeze(), include_diameter=True, clustering_samples=500, rng=1
     )
     frozen_seconds = time.perf_counter() - frozen_start
 

@@ -67,12 +67,10 @@ def main() -> None:
     # 3. Generate synthetic SANs: our model and the Zhel baseline.
     # ------------------------------------------------------------------
     model_run = generate_san(params, rng=23, record_history=False)
-    # The vectorized engine runs the same process on array state (>= 5x at
-    # benchmark scale) and materializes snapshots as frozen CSR views from
-    # delta watermarks instead of per-snapshot copies.
-    fast_run = san_generate(
-        params, rng=23, snapshot_every=max(params.steps // 4, 1), engine="vectorized"
-    )
+    # For attachment.alpha == 1, san_generate runs the same process on array
+    # state (>= 5x at benchmark scale) and materializes snapshots as frozen
+    # CSR views from delta watermarks instead of per-snapshot copies.
+    fast_run = san_generate(params, rng=23, snapshot_every=max(params.steps // 4, 1))
     growth = " -> ".join(
         f"{step}:{view.number_of_social_edges()}e" for step, view in fast_run.snapshots
     )

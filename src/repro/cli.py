@@ -4,8 +4,8 @@ Ten subcommands cover the common workflows without writing any Python:
 
 * ``simulate``  — run the synthetic Google+ evolution and save the final SAN
   (or a chosen day's snapshot) as a TSV pair.
-* ``measure``   — load a SAN from a TSV pair and print the paper's headline
-  metrics (``--frozen`` compacts to the CSR backend first).
+* ``measure``   — load a SAN from a TSV pair straight into the frozen CSR
+  backend and print the paper's headline metrics.
 * ``report``    — the freeze-once pipeline: freeze the SAN a single time and
   run the full metric *and* algorithm battery (headline metrics plus exact
   clustering, triangles, and weak-component structure) on the frozen
@@ -107,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--social", required=True, help="social edge TSV (source<TAB>target)")
     measure.add_argument("--attributes", required=True, help="attribute TSV (user<TAB>type<TAB>value)")
     measure.add_argument("--no-diameter", action="store_true", help="skip the effective-diameter estimate")
-    measure.add_argument(
-        "--frozen",
-        action="store_true",
-        help="compact the SAN to the CSR-backed frozen backend before measuring "
-        "(vectorized metric kernels; recommended for large graphs)",
-    )
     measure.add_argument("--seed", type=int, default=0)
 
     report_help = (
@@ -148,14 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--reference-attributes", default=None)
     generate.add_argument("--no-lapa", action="store_true", help="ablation: classical PA instead of LAPA")
     generate.add_argument("--no-focal-closure", action="store_true", help="ablation: RR instead of RR-SAN")
-    generate.add_argument(
-        "--engine",
-        choices=["auto", "vectorized", "loop"],
-        default="auto",
-        help="generation engine: the array-backed vectorized engine, the "
-        "reference per-node loop, or auto (vectorized whenever its "
-        "alpha = 1 requirement holds)",
-    )
     generate.add_argument("--out-prefix", required=True)
 
     likelihood_help = (
@@ -183,13 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     likelihood.add_argument(
         "--after-attributes", default=None, help="later snapshot: attribute TSV"
-    )
-    likelihood.add_argument(
-        "--engine",
-        choices=["auto", "vectorized", "loop"],
-        default="auto",
-        help="likelihood engine: the array-backed vectorized backend, the "
-        "reference replay loop, or auto (vectorized)",
     )
     likelihood.add_argument(
         "--seed",
@@ -378,12 +357,11 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_measure(args: argparse.Namespace) -> int:
-    san = load_san_tsv(args.social, args.attributes, frozen=args.frozen)
+    san = load_san_tsv(args.social, args.attributes, frozen=True)
     report = san_metric_report(
         san, include_diameter=not args.no_diameter, rng=args.seed
     )
-    backend = "frozen backend" if args.frozen else "mutable backend"
-    print(format_report(report, title=f"SAN metrics ({args.social}, {backend})"))
+    print(format_report(report, title=f"SAN metrics ({args.social}, frozen backend)"))
     return 0
 
 
@@ -435,7 +413,7 @@ def _command_generate(args: argparse.Namespace) -> int:
         params = replace(params, use_lapa=False)
     if args.no_focal_closure:
         params = replace(params, use_focal_closure=False)
-    run = san_generate(params, rng=args.seed, engine=args.engine)
+    run = san_generate(params, rng=args.seed)
     print(f"generated {run.san!r}")
     _save(run.san, args.out_prefix)
     return 0
@@ -489,14 +467,10 @@ def _command_likelihood(args: argparse.Namespace) -> int:
         smoothing=args.smoothing,
         max_links=max_links,
         rng=args.seed,
-        engine=args.engine,
     )
 
     print(f"Figure 15 attachment-model sweep — {source}")
-    print(
-        f"engine={args.engine}  seed={args.seed}  "
-        f"links scored={sweep['num_links_scored']}"
-    )
+    print(f"seed={args.seed}  links scored={sweep['num_links_scored']}")
     print(f"PA improvement over uniform: {sweep['pa_over_uniform']:+.4f}")
     print(f"{'family':<8} {'alpha':>6} {'beta':>8} {'improvement_over_pa':>20}")
     for family in ("papa", "lapa"):
@@ -505,7 +479,6 @@ def _command_likelihood(args: argparse.Namespace) -> int:
     if args.out:
         payload = {
             "source": source,
-            "engine": args.engine,
             "seed": args.seed,
             "num_links_scored": sweep["num_links_scored"],
             "pa_over_uniform": sweep["pa_over_uniform"],

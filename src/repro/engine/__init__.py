@@ -27,7 +27,6 @@ from .registry import (
     list_ops,
     register,
     resolve,
-    select,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "list_ops",
     "register",
     "resolve",
-    "select",
 ]

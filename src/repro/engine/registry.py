@@ -179,23 +179,6 @@ def list_ops() -> List[str]:
     return sorted(_registry)
 
 
-def _select(op: str, backend: str) -> Optional[Kernel]:
-    return _registry.get(op, {}).get(backend)
-
-
-def select(op: str, backend: str) -> Optional[Kernel]:
-    """The kernel registered for ``(op, backend)``, or ``None``.
-
-    Unlike :func:`resolve`, this looks up a backend *by name* instead of
-    inferring it from a graph object, which is what operations with no graph
-    input (e.g. the generative-model engines, registered under the ``"loop"``
-    and ``"vectorized"`` backends) need to pick an implementation.
-    """
-    if op not in _registry:
-        raise UnknownOperationError(op)
-    return _select(op, backend)
-
-
 def resolve(op: str, graph: Any) -> Kernel:
     """The kernel :func:`dispatch` would run for ``graph`` (without running it).
 

@@ -723,28 +723,28 @@ def _build_estimated_parameters(resolver: ArtifactResolver) -> SANModelParameter
     ).parameters
 
 
-@artifact("model_san", needs=("estimated_parameters",))
+@artifact("model_san", needs=("estimated_parameters",), version="2")
 def _build_model_san(resolver: ArtifactResolver):
     """Our model (Algorithm 1) fitted to the reference SAN."""
     params = resolver.artifact("estimated_parameters")
     return generate_san(params, rng=resolver.scenario.seed, record_history=False).san
 
 
-@artifact("model_no_focal_san", needs=("estimated_parameters",))
+@artifact("model_no_focal_san", needs=("estimated_parameters",), version="2")
 def _build_model_no_focal_san(resolver: ArtifactResolver):
     """Ablation: the fitted model without focal closure (RR instead of RR-SAN)."""
     params = replace(resolver.artifact("estimated_parameters"), use_focal_closure=False)
     return generate_san(params, rng=resolver.scenario.seed, record_history=False).san
 
 
-@artifact("model_no_lapa_san", needs=("estimated_parameters",))
+@artifact("model_no_lapa_san", needs=("estimated_parameters",), version="2")
 def _build_model_no_lapa_san(resolver: ArtifactResolver):
     """Ablation: the fitted model with classical PA instead of LAPA."""
     params = replace(resolver.artifact("estimated_parameters"), use_lapa=False)
     return generate_san(params, rng=resolver.scenario.seed, record_history=False).san
 
 
-@artifact("zhel_san", needs=("estimated_parameters",))
+@artifact("zhel_san", needs=("estimated_parameters",), version="2")
 def _build_zhel_san(resolver: ArtifactResolver):
     """The directed Zhel baseline sized to the same number of social nodes."""
     estimated = resolver.artifact("estimated_parameters")

@@ -282,7 +282,6 @@ def figure15_attachment_comparison(
     lapa_betas: Sequence[float] = (0.0, 10.0, 100.0, 200.0, 500.0),
     max_links: int = 1500,
     rng: RngLike = DEFAULT_LIKELIHOOD_SEED,
-    engine: str = "auto",
 ) -> Dict[str, object]:
     return figure15_sweep(
         history,
@@ -291,7 +290,6 @@ def figure15_attachment_comparison(
         lapa_betas=lapa_betas,
         max_links=max_links,
         rng=rng,
-        engine=engine,
     )
 
 

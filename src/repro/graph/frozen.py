@@ -1014,8 +1014,6 @@ class FrozenSAN:
         attr_info: List[AttributeInfo],
         link_social: np.ndarray,
         link_attr: np.ndarray,
-        *,
-        spill: Optional[object] = None,
     ) -> "FrozenSAN":
         """Materialize a FrozenSAN from compact-id edge arrays in one pass.
 
@@ -1026,10 +1024,6 @@ class FrozenSAN:
         append-only edge arrays and call this with array *prefixes* to
         reconstruct the network as of any recorded watermark, instead of
         deep-copying the mutable SAN at every snapshot.
-
-        ``spill`` names a columnar file path: the materialized SAN is written
-        there and re-opened mmap-backed, so the CSR arrays live on disk
-        instead of RAM (the out-of-core path for ``huge``-scale snapshots).
         """
         social = FrozenDiGraph.from_edge_arrays(social_labels, social_src, social_dst)
         num_attrs = len(attr_labels)
@@ -1049,13 +1043,7 @@ class FrozenSAN:
             as_indptr,
             as_indices,
         )
-        san = cls(social, attributes)
-        if spill is not None:
-            from .columnar import save_columnar, open_columnar
-
-            save_columnar(san, spill)
-            return open_columnar(spill, mmap_mode="r")
-        return san
+        return cls(social, attributes)
 
     # ------------------------------------------------------------------
     # Node queries

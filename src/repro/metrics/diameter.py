@@ -1,11 +1,12 @@
 """Effective diameter of the social layer and the attribute layer.
 
 The social effective diameter follows Section 3.3: the (interpolated) 90th
-percentile of directed pairwise distances, approximated with HyperANF.  The
-attribute diameter (Section 4.1) applies the same percentile to attribute
-distances — one plus the minimum social distance between members of two
-attribute nodes, one multi-source BFS per pair — estimated by sampling
-attribute-node pairs.
+percentile of directed pairwise distances, approximated with HyperANF, the
+paper's choice and the only method here.  :func:`distance_distribution` is
+the sampled-BFS histogram of the same distances.  The attribute diameter
+(Section 4.1) applies the same percentile to attribute distances — one plus
+the minimum social distance between members of two attribute nodes, one
+multi-source BFS per pair — estimated by sampling attribute-node pairs.
 
 Every function accepts either SAN backend: the underlying HyperANF iteration
 and BFS sweeps dispatch through the :mod:`repro.engine` registry, so a frozen
@@ -27,28 +28,10 @@ from ..utils.rng import RngLike
 
 
 def social_effective_diameter(
-    san: SANView,
-    method: str = "hyperanf",
-    precision: int = 7,
-    quantile: float = 0.9,
-    num_sources: int = 200,
-    rng: RngLike = None,
+    san: SANView, precision: int = 7, quantile: float = 0.9
 ) -> float:
-    """Effective diameter of the directed social layer.
-
-    ``method="hyperanf"`` uses the HyperANF approximation (the paper's choice);
-    ``method="sampled"`` estimates the pairwise-distance histogram by BFS from
-    a random sample of sources, which is exact in expectation but slower per
-    source.
-    """
-    if method == "hyperanf":
-        return _hyperanf_diameter(san.social, precision=precision, quantile=quantile)
-    if method == "sampled":
-        histogram = sample_distance_distribution(
-            san.social, num_sources=num_sources, rng=rng
-        )
-        return effective_diameter_from_histogram(histogram, quantile=quantile)
-    raise ValueError(f"unknown diameter method {method!r}")
+    """Effective diameter of the directed social layer, by HyperANF."""
+    return _hyperanf_diameter(san.social, precision=precision, quantile=quantile)
 
 
 def attribute_effective_diameter(

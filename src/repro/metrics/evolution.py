@@ -128,7 +128,7 @@ def diameter_series(
     attribute_series: Series = []
     for day, san in ensure_frozen_snapshots(snapshots):
         social_series.append(
-            (day, social_effective_diameter(san, method="hyperanf", precision=precision))
+            (day, social_effective_diameter(san, precision=precision))
         )
         attribute_series.append(
             (

@@ -4,8 +4,8 @@ Two report depths are provided:
 
 * :func:`san_metric_report` — the headline metrics (sizes, degrees,
   reciprocity, densities, assortativities, sampled clustering, effective
-  diameter).  Accepts either SAN backend; pass ``freeze=True`` to compact a
-  mutable input to the frozen CSR backend *once* before measuring.
+  diameter).  Accepts either SAN backend; freeze a mutable input first to
+  measure it on the frozen CSR kernels.
 * :func:`frozen_san_report` — the freeze-once pipeline behind
   ``python -m repro report``: freezes the SAN a single time, then runs the
   full metric *and* algorithm battery (everything above plus exact clustering
@@ -42,18 +42,13 @@ def san_metric_report(
     clustering_samples: int = 4000,
     diameter_precision: int = 6,
     rng: RngLike = None,
-    freeze: bool = False,
 ) -> Dict[str, float]:
     """One-call summary of the headline metrics of a SAN.
 
     Intended for examples, EXPERIMENTS.md tables and quick sanity checks; the
     per-figure benches use the dedicated metric functions directly.  Accepts
-    either backend; with ``freeze=True`` a mutable input is compacted to the
-    frozen backend once up front so every metric dispatches to the vectorized
-    kernels (a no-op when the input is already frozen).
+    either backend; every metric dispatches on the input's own backend.
     """
-    if freeze:
-        san = san.freeze()
     generator = ensure_rng(rng)
     report: Dict[str, float] = {}
     report.update(san.summary())
@@ -78,7 +73,7 @@ def san_metric_report(
     )
     if include_diameter:
         report["social_effective_diameter"] = social_effective_diameter(
-            san, method="hyperanf", precision=diameter_precision
+            san, precision=diameter_precision
         )
     return report
 

@@ -12,9 +12,6 @@ from .attachment import (
 )
 from .estimation import EstimationResult, estimate_parameters, greedy_refine
 from .fast_sim import (
-    LOOP_ENGINE,
-    SAN_GENERATE_OP,
-    VECTORIZED_ENGINE,
     FastSANModelRun,
     SnapshotMark,
     generate_san_fast,
@@ -34,7 +31,6 @@ from .fast_likelihood import (
     evaluate_attachment_models_fast,
 )
 from .likelihood import (
-    ATTACHMENT_LIKELIHOOD_OP,
     DEFAULT_LIKELIHOOD_SEED,
     AttachmentModelSpec,
     LikelihoodResult,
@@ -84,9 +80,6 @@ __all__ = [
     "EstimationResult",
     "estimate_parameters",
     "greedy_refine",
-    "LOOP_ENGINE",
-    "SAN_GENERATE_OP",
-    "VECTORIZED_ENGINE",
     "FastSANModelRun",
     "SnapshotMark",
     "generate_san_fast",
@@ -100,7 +93,6 @@ __all__ = [
     "sample_sleep_time",
     "sample_truncated_normal_lifetime",
     "truncated_normal_moments",
-    "ATTACHMENT_LIKELIHOOD_OP",
     "DEFAULT_LIKELIHOOD_SEED",
     "AttachmentModelSpec",
     "EncodedHistory",

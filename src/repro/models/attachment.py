@@ -216,7 +216,7 @@ def sample_lapa_target_fast(
     # Attribute component: weight beta * a(u, v) * (d_i(v) + smoothing).
     attribute_weights: Dict[Node, float] = {}
     if beta > 0:
-        for attribute in san.attribute_neighbors(source):
+        for attribute in sorted(san.attribute_neighbors(source), key=str):
             type_weight = 1.0
             if params.type_weights is not None:
                 type_weight = params.type_weights.get(san.attribute_type(attribute), 1.0)

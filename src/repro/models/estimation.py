@@ -189,11 +189,10 @@ def greedy_refine(
     reference_summary = _summarise(reference)
 
     def evaluate(params: SANModelParameters) -> float:
-        # Pilot runs ride the engine registry: alpha = 1 pilots (the common
-        # case) run on the vectorized array engine and are summarised
-        # directly on the FrozenSAN it materializes.
+        # alpha = 1 pilots (the common case) run on the array implementation
+        # and are summarised directly on the FrozenSAN it materializes.
         pilot = replace(params, steps=pilot_steps)
-        run = san_generate(pilot, rng=generator.getrandbits(32), engine="auto")
+        run = san_generate(pilot, rng=generator.getrandbits(32))
         return distance(reference_summary, _summarise(run.san))
 
     current = initial

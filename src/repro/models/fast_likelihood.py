@@ -1,6 +1,6 @@
-"""Vectorized attachment-likelihood engine (the ``"vectorized"`` backend).
+"""Vectorized attachment-likelihood evaluation, the implementation Figure 15 runs.
 
-The loop backend in :mod:`repro.models.likelihood` replays every arrival
+The loop reference in :mod:`repro.models.likelihood` replays every arrival
 event through a dict-backed SAN and, for each scored link, walks the members
 of the source's attribute communities in Python — once per (link, spec with
 beta > 0).  At the 50k+-step histories the vectorized generator now produces,
@@ -12,7 +12,7 @@ pipeline.  This module re-derives the same quantities from flat arrays:
   node-id/attribute-id interning idea as the event log in
   :mod:`repro.models.fast_sim`): one record per social-link event carrying
   the source/target degrees and eligibility at its scoring point, a
-  bookkeeping *update stream* mirroring the loop backend's ``register_node``
+  bookkeeping *update stream* mirroring the loop reference's ``register_node``
   / degree-increment order, per-target in-degree gain positions, and a CSR
   attribute-membership layout (node -> attributes, attribute -> members)
   timestamped by event position so any moment's membership is a filter, not
@@ -29,10 +29,10 @@ pipeline.  This module re-derives the same quantities from flat arrays:
   every (kind, alpha, beta) spec's correction reduces with ``np.bincount``
   — no per-member Python loop anywhere.
 
-Both backends consume one uniform variate per social-link event when
+Both implementations consume one uniform variate per social-link event when
 subsampling, so a given seed selects the *identical* scored-link set on
-either engine; per-model log-likelihoods then agree to float round-off
-(the exact-parity gate in ``benchmarks/bench_likelihood.py``).
+either; per-model log-likelihoods then agree to float round-off (the
+exact-parity gate in ``benchmarks/bench_likelihood.py``).
 """
 
 from __future__ import annotations
@@ -42,12 +42,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import registry as engine_registry
 from ..utils.rng import RngLike, ensure_rng
-from .fast_sim import LOOP_ENGINE, VECTORIZED_ENGINE
 from .history import EVENT_ATTRIBUTE, EVENT_SOCIAL, ArrivalHistory
 from .likelihood import (
-    ATTACHMENT_LIKELIHOOD_OP,
     DEFAULT_LIKELIHOOD_SEED,
     AttachmentModelSpec,
     LikelihoodResult,
@@ -82,7 +79,7 @@ class EncodedHistory:
     social_dst_degree: np.ndarray
     social_update_count: np.ndarray  # bookkeeping updates applied before scoring
     # Bookkeeping update stream (-1 = node registration, k >= 0 = a target's
-    # in-degree stepping k -> k + 1), in the loop backend's exact order:
+    # in-degree stepping k -> k + 1), in the loop reference's exact order:
     update_old_degree: np.ndarray
     # Per-target in-degree gains as sorted composite keys target*(E+2)+pos:
     gain_comp: np.ndarray
@@ -118,7 +115,7 @@ def _csr_from_triples(
 def encode_history(history: ArrivalHistory) -> EncodedHistory:
     """One pass over the history producing the arrays the scorer consumes.
 
-    The pass mirrors the loop backend's bookkeeping order exactly — node
+    The pass mirrors the loop reference's bookkeeping order exactly — node
     registrations happen at a node's first appearance in *any* event role,
     degree increments only for links not already present — which is what
     makes the prefix sums reproduce the loop's ``alpha_sums`` values.
@@ -341,13 +338,13 @@ def evaluate_attachment_models_fast(
     max_links: Optional[int] = 2000,
     rng: RngLike = DEFAULT_LIKELIHOOD_SEED,
 ) -> LikelihoodResult:
-    """The ``"vectorized"`` backend of ``evaluate_attachment_models``.
+    """The implementation behind ``evaluate_attachment_models``.
 
     Semantically identical to
     :func:`~repro.models.likelihood.evaluate_attachment_models_loop`
     (same scored-link selection stream, same skip rules for non-positive
     weights); the encoding pass is the only per-event Python left and is
-    charged to this backend in ``benchmarks/bench_likelihood.py``.
+    charged to this implementation in ``benchmarks/bench_likelihood.py``.
     """
     generator = ensure_rng(rng)
     encoded = encode_history(history)
@@ -484,22 +481,16 @@ def evaluate_attachment_models_fast(
         )
         valid = (numerator > 0) & (denominator > 0)
         contribution = float(np.log(numerator[valid] / denominator[valid]).sum())
-        # Accumulate (not assign): the loop backend adds into spec.name, so
+        # Accumulate (not assign): the loop reference adds into spec.name, so
         # duplicate labels must merge identically here.
         log_likelihoods[spec.name] = log_likelihoods.get(spec.name, 0.0) + contribution
 
     return LikelihoodResult(log_likelihoods=log_likelihoods, num_links_scored=num_scored)
 
 
-engine_registry.register(
-    ATTACHMENT_LIKELIHOOD_OP, evaluate_attachment_models_fast, backend=VECTORIZED_ENGINE
-)
-
 __all__ = [
     "EncodedHistory",
-    "LOOP_ENGINE",
     "SCORE_CHUNK",
-    "VECTORIZED_ENGINE",
     "encode_history",
     "evaluate_attachment_models_fast",
 ]

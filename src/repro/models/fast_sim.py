@@ -1,7 +1,7 @@
-"""Vectorized simulation engine for Algorithm 1 (the ``"vectorized"`` backend).
+"""Vectorized implementation of Algorithm 1.
 
-The loop engine in :mod:`repro.models.san_model` mutates a dict-of-sets SAN
-one edge at a time and pays an O(V + E) ``san.copy()`` per snapshot; its LAPA
+The loop implementation in :mod:`repro.models.san_model` mutates a
+dict-of-sets SAN one edge at a time and pays an O(V + E) ``san.copy()`` per snapshot; its LAPA
 sampler additionally scans every member of the source's attribute communities
 per draw.  This module reimplements the same stochastic process on flat
 array-backed state so a 50k+-step run is dominated by O(1) bookkeeping:
@@ -24,7 +24,7 @@ array-backed state so a 50k+-step run is dominated by O(1) bookkeeping:
 * **Bucketed wake queue** — wake events live in per-step buckets (the integer
   ceiling of the continuous wake time) and are processed in batches, with
   intra-step re-wakes looping until the step drains, exactly like the loop
-  engine's heap condition ``wake_time <= step``.
+  implementation's heap condition ``wake_time <= step``.
 * **Delta snapshots** — ``snapshot_every`` records only
   :class:`SnapshotMark` watermarks (node/edge counts) over the append-only
   arrays; :meth:`FastSANModelRun.frozen_at` materializes a
@@ -32,11 +32,11 @@ array-backed state so a 50k+-step run is dominated by O(1) bookkeeping:
   a 100k-step run with 20 snapshots costs one generation pass, not 20 deep
   copies.
 
-Both engines are registered with the dispatch engine under the
-``"san_generate"`` operation (backends ``"loop"`` and ``"vectorized"``);
-:func:`san_generate` is the public entry point that routes between them.  The
-engines do not share a random stream — equality is distributional, enforced
-by the KS parity gate in ``tests/test_models_fast_sim.py``.
+The O(1) LAPA sampler needs ``attachment.alpha == 1``, so
+:func:`san_generate`, the public entry point, runs this implementation for
+that exponent and the loop one for any other.  The two do not share a random
+stream — equality is distributional, enforced by the KS parity gate in
+``tests/test_models_fast_sim.py``.
 """
 
 from __future__ import annotations
@@ -48,24 +48,18 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..engine import registry as engine_registry
 from ..graph.bipartite import AttributeInfo
 from ..graph.builders import complete_seed_san
 from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
 from ..utils.rng import RngLike, ensure_rng
+from ..utils.validation import require_positive
 from .attachment import LAPA_MAX_RETRIES
 from .history import ArrivalEvent, ArrivalHistory
 from .lifetime import truncated_normal_block
 from .parameters import SANModelParameters
-from .san_model import ATTRIBUTE_LINK_RETRIES, SANGenerativeModel, SANModelRun
+from .san_model import ATTRIBUTE_LINK_RETRIES, SANModelRun, generate_san
 from .triangle_closing import CLOSURE_SAMPLE_TRIES
-
-#: Operation name under which both generative engines are registered.
-SAN_GENERATE_OP = "san_generate"
-#: Backend names of the two engines.
-LOOP_ENGINE = "loop"
-VECTORIZED_ENGINE = "vectorized"
 
 #: Event-log kind codes (compact tuples, decoded on ``history()`` access).
 _EVENT_NODE = 0
@@ -231,9 +225,7 @@ class FastSANModelRun:
             self._snapshots = [(mark.step, self.frozen_at(mark)) for mark in self.marks]
         return self._snapshots
 
-    def frozen_at(
-        self, mark: Optional[SnapshotMark], *, spill: Optional[object] = None
-    ) -> FrozenSAN:
+    def frozen_at(self, mark: Optional[SnapshotMark]) -> FrozenSAN:
         """Materialize the network at ``mark`` (``None`` = final state).
 
         The append-only edge log is sorted once (four lexsorts, cached); any
@@ -241,13 +233,8 @@ class FastSANModelRun:
         the sorted order of an edge-log *prefix* is the sorted full order
         restricted to positions below the watermark.  Materializing ``k``
         snapshots therefore costs one sort plus ``k`` linear passes, not
-        ``k`` sorts.
-
-        ``spill`` names a columnar file path: the snapshot is written there
-        and re-opened mmap-backed so its CSR arrays live on disk, which keeps
-        materializing many watermarks of a ``huge``-scale run within a fixed
-        RAM budget.  (``REPRO_MMAP=1`` forces the same round trip through a
-        self-deleting temp file for every snapshot.)
+        ``k`` sorts.  ``REPRO_MMAP=1`` spills every snapshot to a
+        self-deleting columnar file and re-opens it mmap-backed.
         """
         if mark is None:
             n = self.num_social_nodes
@@ -313,15 +300,9 @@ class FastSANModelRun:
             as_indptr,
             as_indices,
         )
-        san = FrozenSAN(social, attributes)
-        if spill is not None:
-            from ..graph.columnar import open_columnar, save_columnar
-
-            save_columnar(san, spill)
-            return open_columnar(spill, mmap_mode="r")
         from ..graph.columnar import maybe_spill
 
-        return maybe_spill(san)
+        return maybe_spill(FrozenSAN(social, attributes))
 
     def to_san(self) -> SAN:
         """Rebuild a mutable :class:`~repro.graph.san.SAN` (thaw-equivalent)."""
@@ -417,22 +398,24 @@ def generate_san_fast(
     snapshot_every: Optional[int] = None,
     record_history: bool = False,
 ) -> FastSANModelRun:
-    """Run Algorithm 1 on the vectorized engine.
+    """Run Algorithm 1 on array state.
 
     Implements the same stochastic process as
     :class:`~repro.models.san_model.SANGenerativeModel` (including the
     bounded attribute-link retries and step-0 seed scheduling) on array
     state; see the module docstring for the data-structure inventory.
     Requires ``params.attachment.alpha == 1`` — the O(1) LAPA sampler relies
-    on the linear-degree decomposition (use the loop engine, or
-    :func:`san_generate` with ``engine="auto"``, for other exponents).
+    on the linear-degree decomposition (:func:`san_generate` runs the loop
+    implementation for other exponents).
     """
     params = params if params is not None else SANModelParameters()
     if params.attachment.alpha != 1.0:
         raise ValueError(
-            "the vectorized engine requires attachment.alpha == 1 "
-            "(the loop engine handles other exponents)"
+            "generate_san_fast requires attachment.alpha == 1 "
+            "(generate_san handles other exponents)"
         )
+    if snapshot_every is not None:
+        require_positive(snapshot_every, "snapshot_every")
     np_gen, uni_rng = _derive_generators(rng)
     blocks = _BlockSampler(np_gen, params)
     uniform = uni_rng.random
@@ -858,52 +841,23 @@ def generate_san_fast(
     )
 
 
-# ----------------------------------------------------------------------
-# Engine-registry routing
-# ----------------------------------------------------------------------
-def _loop_generate(
-    params: SANModelParameters,
-    rng: RngLike = None,
-    snapshot_every: Optional[int] = None,
-    record_history: bool = False,
-) -> SANModelRun:
-    """Portable fallback: the reference per-node loop implementation."""
-    return SANGenerativeModel(params=params, rng=rng).generate(
-        snapshot_every=snapshot_every, record_history=record_history
-    )
-
-
-engine_registry.register(SAN_GENERATE_OP, _loop_generate, backend=LOOP_ENGINE)
-engine_registry.register(SAN_GENERATE_OP, generate_san_fast, backend=VECTORIZED_ENGINE)
-
-
 def san_generate(
     params: Optional[SANModelParameters] = None,
     rng: RngLike = None,
     snapshot_every: Optional[int] = None,
     record_history: bool = False,
-    engine: str = "auto",
 ) -> Union[SANModelRun, FastSANModelRun]:
-    """Generate a SAN with Algorithm 1, routed through the engine registry.
+    """Generate a SAN with Algorithm 1 on the implementation its exponent allows.
 
-    ``engine`` selects the backend registered under the ``"san_generate"``
-    operation: ``"vectorized"`` (array engine, returns
-    :class:`FastSANModelRun`), ``"loop"`` (reference implementation, returns
-    :class:`~repro.models.san_model.SANModelRun`), or ``"auto"`` — the
-    vectorized engine whenever its ``alpha = 1`` requirement holds, the loop
-    engine otherwise.  Unlike :func:`~repro.models.san_model.generate_san`,
+    ``attachment.alpha == 1`` runs :func:`generate_san_fast` (returns a
+    :class:`FastSANModelRun`); any other exponent runs
+    :func:`~repro.models.san_model.generate_san` (returns a
+    :class:`~repro.models.san_model.SANModelRun`).  Unlike ``generate_san``,
     ``record_history`` defaults to ``False`` (generation-scale runs rarely
     want the event log).
     """
     params = params if params is not None else SANModelParameters()
-    if engine == "auto":
-        engine = VECTORIZED_ENGINE if params.attachment.alpha == 1.0 else LOOP_ENGINE
-    kernel = engine_registry.select(SAN_GENERATE_OP, engine)
-    if kernel is None:
-        known = sorted({entry.backend for entry in engine_registry.kernels_for(SAN_GENERATE_OP)})
-        raise engine_registry.NoKernelError(
-            f"unknown generation engine {engine!r}; registered engines: {known}"
-        )
-    return kernel.fn(
+    generate = generate_san_fast if params.attachment.alpha == 1.0 else generate_san
+    return generate(
         params, rng=rng, snapshot_every=snapshot_every, record_history=record_history
     )

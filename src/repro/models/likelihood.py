@@ -7,24 +7,23 @@ sum runs over every social node existing at that moment (excluding ``u``), and
 over classical PA is then ``(l_PA - l_model) / l_PA`` (log-likelihoods are
 negative, so positive numbers mean the model explains the arrivals better).
 
-Like generation, evaluation is an engine-registry operation
-(``"attachment_likelihood"``) with two backends sharing one scored-link
-selection stream (same seed, same scored links):
+There are two implementations, sharing one scored-link selection stream
+(same seed, same scored links):
 
-* ``"loop"`` (this module) — the reference implementation.  It replays the
-  history through a mutable dict-backed SAN while maintaining, for every
-  requested ``alpha``, the running sum ``S_alpha = sum_x (d_i(x) + s)^alpha``,
-  so each evaluated link only needs the attribute-community correction term,
-  iterated per member in Python.
-* ``"vectorized"`` (:mod:`repro.models.fast_likelihood`) — encodes the history
-  into flat int arrays once, reconstructs every ``S_alpha`` prefix with one
-  cumulative sum, and scores the sampled links in batches across the whole
-  (kind, alpha, beta) spec grid via numpy broadcasting over a CSR
-  attribute-membership layout.
+* :func:`evaluate_attachment_models_loop` (this module) — the exact-parity
+  reference.  It replays the history through a mutable dict-backed SAN while
+  maintaining, for every requested ``alpha``, the running sum
+  ``S_alpha = sum_x (d_i(x) + s)^alpha``, so each evaluated link only needs
+  the attribute-community correction term, iterated per member in Python.
+* :func:`~repro.models.fast_likelihood.evaluate_attachment_models_fast` —
+  encodes the history into flat int arrays once, reconstructs every
+  ``S_alpha`` prefix with one cumulative sum, and scores the sampled links in
+  batches across the whole (kind, alpha, beta) spec grid via numpy
+  broadcasting over a CSR attribute-membership layout.
 
-:func:`evaluate_attachment_models` and :func:`figure15_sweep` route between
-them via ``registry.select`` and an ``engine="auto"`` kwarg, exactly like
-:func:`repro.models.san_generate`.
+:func:`evaluate_attachment_models` and :func:`figure15_sweep` always run the
+vectorized one; the tests and ``benchmarks/bench_likelihood.py`` call the
+loop reference by name.
 """
 
 from __future__ import annotations
@@ -33,15 +32,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from ..engine import registry as engine_registry
 from ..graph.san import SAN
 from ..utils.rng import RngLike, ensure_rng
 from .history import EVENT_ATTRIBUTE, EVENT_NODE, ArrivalHistory, apply_event
 
 Node = Hashable
-
-#: Operation name under which both likelihood engines are registered.
-ATTACHMENT_LIKELIHOOD_OP = "attachment_likelihood"
 
 #: Default subsample seed.  The scored-link subsample (``max_links``) must be
 #: reproducible by default — a system-entropy default made every reported
@@ -58,6 +53,12 @@ class AttachmentModelSpec:
     alpha: float
     beta: float = 0.0
     label: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("pa", "papa", "lapa"):
+            raise ValueError(
+                f"AttachmentModelSpec.kind must be 'pa', 'papa' or 'lapa', got {self.kind!r}"
+            )
 
     @property
     def name(self) -> str:
@@ -104,13 +105,13 @@ def evaluate_attachment_models_loop(
     max_links: Optional[int] = 2000,
     rng: RngLike = DEFAULT_LIKELIHOOD_SEED,
 ) -> LikelihoodResult:
-    """The ``"loop"`` backend: replay through a mutable SAN, score per member.
+    """The reference implementation: replay through a mutable SAN, score per member.
 
     ``max_links`` subsamples the scored links uniformly (all links are still
     replayed to keep the state evolution faithful); pass ``None`` to score all.
     One uniform variate is consumed per social-link event, which is the
-    contract that keeps the scored-link set identical across backends for a
-    given seed.
+    contract that keeps the scored-link set identical across implementations
+    for a given seed.
     """
     generator = ensure_rng(rng)
     total_links = history.num_social_links()
@@ -246,7 +247,6 @@ def evaluate_attachment_models(
     smoothing: float = 1.0,
     max_links: Optional[int] = 2000,
     rng: RngLike = DEFAULT_LIKELIHOOD_SEED,
-    engine: str = "auto",
 ) -> LikelihoodResult:
     """Score attachment model specs against the social-link arrivals in ``history``.
 
@@ -255,26 +255,15 @@ def evaluate_attachment_models(
     The subsample is seeded (:data:`DEFAULT_LIKELIHOOD_SEED`) so repeated
     evaluations agree by default.
 
-    ``engine`` selects the backend registered under the
-    ``"attachment_likelihood"`` operation: ``"vectorized"`` (array backend,
-    :mod:`repro.models.fast_likelihood`), ``"loop"`` (reference
-    implementation), or ``"auto"``, which picks the vectorized one.  Both
-    backends draw the scored-link subsample identically, so switching engines
-    never changes *which* links are scored, only how fast they are scored.
+    Runs the vectorized
+    :func:`~repro.models.fast_likelihood.evaluate_attachment_models_fast`;
+    :func:`evaluate_attachment_models_loop` is its exact-parity reference.
     """
-    from . import fast_likelihood  # noqa: F401  (registers the vectorized backend)
+    from .fast_likelihood import evaluate_attachment_models_fast
 
-    if engine == "auto":
-        engine = fast_likelihood.VECTORIZED_ENGINE
-    kernel = engine_registry.select(ATTACHMENT_LIKELIHOOD_OP, engine)
-    if kernel is None:
-        known = sorted(
-            {entry.backend for entry in engine_registry.kernels_for(ATTACHMENT_LIKELIHOOD_OP)}
-        )
-        raise engine_registry.NoKernelError(
-            f"unknown likelihood engine {engine!r}; registered engines: {known}"
-        )
-    return kernel.fn(history, specs, smoothing=smoothing, max_links=max_links, rng=rng)
+    return evaluate_attachment_models_fast(
+        history, specs, smoothing=smoothing, max_links=max_links, rng=rng
+    )
 
 
 def figure15_specs(
@@ -303,7 +292,6 @@ def figure15_sweep(
     smoothing: float = 1.0,
     max_links: Optional[int] = 2000,
     rng: RngLike = DEFAULT_LIKELIHOOD_SEED,
-    engine: str = "auto",
 ) -> Dict[str, Dict[Tuple[float, float], float]]:
     """The full Figure 15 sweep: relative improvement over PA for PAPA and LAPA.
 
@@ -311,12 +299,12 @@ def figure15_sweep(
     "pa_over_uniform": improvement_of_pa_over_uniform,
     "num_links_scored": count}`` where improvements are relative to the PA
     model (alpha = 1, beta = 0), matching the paper's definition.  Same-seed
-    sweeps are bit-identical per engine.
+    sweeps are bit-identical.
     """
     specs = figure15_specs(alphas, papa_betas, lapa_betas)
 
     result = evaluate_attachment_models(
-        history, specs, smoothing=smoothing, max_links=max_links, rng=rng, engine=engine
+        history, specs, smoothing=smoothing, max_links=max_links, rng=rng
     )
     improvements = result.relative_improvement_over("pa_reference")
 
@@ -342,8 +330,3 @@ def _pa_over_uniform(result: LikelihoodResult) -> float:
     if uniform == 0:
         return 0.0
     return (uniform - pa) / uniform
-
-
-engine_registry.register(
-    ATTACHMENT_LIKELIHOOD_OP, evaluate_attachment_models_loop, backend="loop"
-)

@@ -31,11 +31,10 @@ links whose existing-attribute draw collides with an attribute the node
 already holds are re-drawn (bounded by ``ATTRIBUTE_LINK_RETRIES``) so the
 realized attribute degree tracks the sampled lognormal.
 
-This module is the reference *loop* engine — the portable fallback
-registered under the ``san_generate`` operation.  The array-backed
-vectorized engine in :mod:`repro.models.fast_sim` implements the identical
-process at scale; :func:`repro.models.fast_sim.san_generate` routes between
-them.
+This module is the reference *loop* implementation, and the only one for
+attachment exponents other than 1.  The array-backed implementation in
+:mod:`repro.models.fast_sim` runs the identical process at scale;
+:func:`repro.models.fast_sim.san_generate` picks between them by exponent.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from ..graph.builders import complete_seed_san
 from ..graph.san import SAN
 from ..utils.rng import RngLike, ensure_rng
+from ..utils.validation import require_positive
 from .attachment import sample_lapa_target_fast
 from .history import ArrivalHistory
 from .lifetime import sample_sleep_time, sample_truncated_normal_lifetime
@@ -94,7 +94,13 @@ class SANGenerativeModel:
         (plus the final state), producing a snapshot sequence usable by the
         evolution metrics.  ``record_history`` controls whether an
         :class:`ArrivalHistory` (needed by the likelihood analyses) is kept.
+
+        Every draw over a set of attribute labels orders the set by
+        ``str(label)`` first, so the output depends on the seed alone, not on
+        ``PYTHONHASHSEED``.
         """
+        if snapshot_every is not None:
+            require_positive(snapshot_every, "snapshot_every")
         params = self.params
         rng = self._rng
 
@@ -104,7 +110,9 @@ class SANGenerativeModel:
         # Incremental sampling pools.
         node_pool: List[Node] = list(san.social_nodes())
         in_degree_pool: List[Node] = [target for _, target in san.social_edges()]
-        attribute_pool: List[Node] = [attr for _, attr in san.attribute_edges()]
+        attribute_pool: List[Node] = sorted(
+            (attr for _, attr in san.attribute_edges()), key=str
+        )
         next_social_id = max(int(n) for n in node_pool) + 1
         next_attribute_id = 0
 
@@ -262,7 +270,7 @@ class SANGenerativeModel:
             # -------------------- attribute churn --------------------
             if params.attribute_churn_rate and rng.random() < params.attribute_churn_rate:
                 churner = node_pool[rng.randrange(len(node_pool))]
-                held = list(san.attribute_neighbors(churner))
+                held = sorted(san.attribute_neighbors(churner), key=str)
                 if held:
                     dropped = held[rng.randrange(len(held))]
                     san.remove_attribute_edge(churner, dropped)

@@ -117,7 +117,11 @@ class RandomRandomSANClosing(TriangleClosingModel):
 
     def _first_hop_weights(self, san: SAN, source: Node) -> Tuple[List[Node], List[float]]:
         social_hops = list(san.social_neighbors(source))
-        attribute_hops = list(san.attribute_neighbors(source)) if self.attribute_weight > 0 else []
+        attribute_hops = (
+            sorted(san.attribute_neighbors(source), key=str)
+            if self.attribute_weight > 0
+            else []
+        )
         nodes = social_hops + attribute_hops
         weights = [1.0] * len(social_hops) + [self.attribute_weight] * len(attribute_hops)
         return nodes, weights

@@ -31,6 +31,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from ..graph.builders import complete_seed_san
 from ..graph.san import SAN
 from ..utils.rng import RngLike, ensure_rng
+from ..utils.validation import require_positive
 from .history import ArrivalHistory
 from .lifetime import sample_sleep_time
 from .parameters import ZhelModelParameters
@@ -49,7 +50,13 @@ class ZhelGenerativeModel:
     def generate(
         self, snapshot_every: Optional[int] = None, record_history: bool = True
     ) -> SANModelRun:
-        """Run the Zhel process for ``params.steps`` steps."""
+        """Run the Zhel process for ``params.steps`` steps.
+
+        Draws over a set of group labels order it by ``str(label)`` first, so
+        the output does not depend on ``PYTHONHASHSEED``.
+        """
+        if snapshot_every is not None:
+            require_positive(snapshot_every, "snapshot_every")
         params = self.params
         rng = self._rng
 
@@ -58,7 +65,9 @@ class ZhelGenerativeModel:
 
         node_pool: List[Node] = list(san.social_nodes())
         in_degree_pool: List[Node] = [target for _, target in san.social_edges()]
-        group_pool: List[Node] = [attr for _, attr in san.attribute_edges()]
+        group_pool: List[Node] = sorted(
+            (attr for _, attr in san.attribute_edges()), key=str
+        )
         next_social_id = max(int(node) for node in node_pool) + 1
 
         death_time: Dict[Node, float] = {node: float("inf") for node in node_pool}
@@ -120,7 +129,7 @@ class ZhelGenerativeModel:
                 friends = list(san.social_neighbors(node))
                 if friends and rng.random() < params.copy_friend_group_probability:
                     friend = friends[rng.randrange(len(friends))]
-                    friend_groups = list(san.attribute_neighbors(friend))
+                    friend_groups = sorted(san.attribute_neighbors(friend), key=str)
                     if friend_groups:
                         group = friend_groups[rng.randrange(len(friend_groups))]
                 if group is None:

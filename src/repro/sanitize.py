@@ -311,7 +311,7 @@ def checked_dispatch(entry: Any, graph: Any, args: Tuple[Any, ...], kwargs: Dict
         _screen_nonfinite(entry, result)
         if entry.backend != registry.FROZEN:
             return result
-        reference = registry._select(entry.op, registry.MUTABLE)
+        reference = registry._registry[entry.op].get(registry.MUTABLE)
         if reference is None:
             _skip(entry.op, entry.backend, "no-reference-kernel")
             return result

@@ -182,21 +182,14 @@ class TestIntrospection:
         assert social_out_degrees.__wrapped__ is not social_out_degrees
 
     def test_every_op_has_a_portable_kernel(self):
-        """Every operation must have a portable fallback implementation.
-
-        For graph-dispatch operations that is the mutable-backend kernel; for
-        the generative-model operation (which has no input graph) the
-        reference per-node loop engine plays that role.
-        """
-        from repro.models.fast_sim import LOOP_ENGINE
-
+        """Every operation has a portable (mutable) body, and the registry
+        keys graph backends only."""
         for op in list_ops():
             if op.startswith("test."):
                 continue
             backends = {entry.backend for entry in kernels_for(op)}
-            assert MUTABLE in backends or LOOP_ENGINE in backends, (
-                f"{op} has no portable kernel"
-            )
+            assert MUTABLE in backends, f"{op} has no portable kernel"
+            assert backends <= {MUTABLE, FROZEN}, f"{op} registers {backends}"
 
 
 #: Imports the package the way the CLI and the pipeline do, reports every

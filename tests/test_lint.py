@@ -200,7 +200,7 @@ class TestRegistryCoherence:
     def test_healthy_synthetic_registry_passes(self):
         registry = {
             "op.good": {"mutable": _kernel(), "frozen": _kernel()},
-            "op.engine_backends": {"loop": _kernel(), "vectorized": _kernel()},
+            "op.portable_only": {"mutable": _kernel()},
         }
         assert check_registry(registry) == []
 

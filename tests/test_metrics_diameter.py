@@ -1,7 +1,6 @@
 """Tests for social and attribute effective diameters."""
 
-import pytest
-
+from repro.algorithms import effective_diameter_from_histogram
 from repro.metrics import (
     attribute_effective_diameter,
     distance_distribution,
@@ -11,19 +10,17 @@ from repro.metrics import (
 
 
 def test_social_diameter_methods_agree_on_ring(ring_san):
-    hyperanf = social_effective_diameter(ring_san, method="hyperanf", precision=9)
-    sampled = social_effective_diameter(ring_san, method="sampled", num_sources=10, rng=1)
+    """HyperANF against the sampled-BFS histogram of the same distances."""
+    hyperanf = social_effective_diameter(ring_san, precision=9)
+    sampled = effective_diameter_from_histogram(
+        distance_distribution(ring_san, num_sources=10, rng=1)
+    )
     assert abs(hyperanf - sampled) < 1.5
     assert sampled > 5  # 90th percentile of distances 1..9 is ~8
 
 
 def test_social_diameter_clique(clique_san):
-    assert social_effective_diameter(clique_san, method="sampled", rng=1) <= 1.0
-
-
-def test_social_diameter_invalid_method(figure1_san):
-    with pytest.raises(ValueError):
-        social_effective_diameter(figure1_san, method="exactly")
+    assert social_effective_diameter(clique_san) <= 1.0
 
 
 def test_attribute_effective_diameter(figure1_san):

@@ -51,7 +51,7 @@ def test_report_freeze_flag_matches_backend_agnostic_keys(figure1_san):
         figure1_san, include_diameter=False, clustering_samples=500, rng=1
     )
     frozen_report = san_metric_report(
-        figure1_san, include_diameter=False, clustering_samples=500, rng=1, freeze=True
+        figure1_san.freeze(), include_diameter=False, clustering_samples=500, rng=1
     )
     assert set(mutable_report) == set(frozen_report)
     # Deterministic (non-sampled) metrics agree exactly across backends.

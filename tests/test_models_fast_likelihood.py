@@ -1,11 +1,9 @@
-"""Tests for the vectorized attachment-likelihood engine and its routing."""
+"""Tests for the vectorized attachment-likelihood implementation."""
 
 import pytest
 
-from repro.engine import registry as engine_registry
 from repro.graph import SAN
 from repro.models import (
-    ATTACHMENT_LIKELIHOOD_OP,
     ArrivalHistory,
     AttachmentModelSpec,
     SANModelParameters,
@@ -104,32 +102,11 @@ def test_encode_attribute_rich_initial_san_no_key_collisions():
 
 
 # ----------------------------------------------------------------------
-# Engine-registry routing
+# The public entry point runs the vectorized implementation
 # ----------------------------------------------------------------------
-def test_both_backends_registered():
-    backends = {
-        kernel.backend
-        for kernel in engine_registry.kernels_for(ATTACHMENT_LIKELIHOOD_OP)
-    }
-    assert {"loop", "vectorized"} <= backends
-    selected = engine_registry.select(ATTACHMENT_LIKELIHOOD_OP, "vectorized")
-    assert selected is not None and selected.fn is evaluate_attachment_models_fast
-
-
-def test_unknown_engine_raises(generated_history):
-    with pytest.raises(engine_registry.NoKernelError, match="registered engines"):
-        evaluate_attachment_models(
-            generated_history,
-            [AttachmentModelSpec(kind="pa", alpha=1.0)],
-            engine="gpu",
-        )
-
-
 def test_auto_routes_to_vectorized(generated_history):
     specs = [AttachmentModelSpec(kind="lapa", alpha=1.0, beta=50.0, label="m")]
-    auto = evaluate_attachment_models(
-        generated_history, specs, max_links=200, rng=3, engine="auto"
-    )
+    auto = evaluate_attachment_models(generated_history, specs, max_links=200, rng=3)
     fast = evaluate_attachment_models_fast(
         generated_history, specs, max_links=200, rng=3
     )
@@ -172,14 +149,14 @@ def test_different_seeds_select_different_links(generated_history):
 # ----------------------------------------------------------------------
 # Determinism (the seed-threading bugfix)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["loop", "vectorized"])
-def test_same_seed_sweeps_identical(generated_history, engine):
+@pytest.mark.parametrize("implementation", ["vectorized"])
+def test_same_seed_sweeps_identical(generated_history, implementation):
+    """Same-seed sweeps of the one implementation ``figure15_sweep`` runs."""
     kwargs = dict(
         alphas=(0.0, 1.0),
         papa_betas=(0.0, 2.0),
         lapa_betas=(0.0, 100.0),
         max_links=200,
-        engine=engine,
     )
     first = figure15_sweep(generated_history, rng=9, **kwargs)
     second = figure15_sweep(generated_history, rng=9, **kwargs)

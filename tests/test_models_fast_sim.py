@@ -1,7 +1,8 @@
-"""Tests for the vectorized generative engine (fast_sim) and engine routing.
+"""Tests for the vectorized Algorithm 1 implementation (fast_sim) and
+``san_generate``'s choice between it and the loop implementation.
 
-The distributional-parity gate lives here: the loop and vectorized engines
-share no random stream, so equality between them is checked with two-sample
+The distributional-parity gate lives here: the loop and vectorized
+implementations share no random stream, so equality between them is checked with two-sample
 KS tests on the out-degree and attribute-degree distributions at matched
 parameters — the acceptance criterion for the vectorized engine being a
 faithful Algorithm 1 implementation.
@@ -12,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine import NoKernelError, kernels_for, select
 from repro.graph.frozen import FrozenSAN
 from repro.metrics import (
     attribute_degrees_of_social_nodes,
@@ -21,10 +21,7 @@ from repro.metrics import (
 )
 from repro.models import (
     FlashCrowd,
-    LOOP_ENGINE,
     SybilWave,
-    SAN_GENERATE_OP,
-    VECTORIZED_ENGINE,
     FastSANModelRun,
     SANModelParameters,
     SANModelRun,
@@ -37,6 +34,12 @@ from repro.utils import ks_two_sample_threshold, two_sample_ks_statistic
 
 PARITY_STEPS = 2000
 PARITY_SEED = 11
+
+#: Both implementations of Algorithm 1, by the ids the fidelity tests report.
+GENERATORS = [
+    pytest.param(generate_san, id="loop"),
+    pytest.param(generate_san_fast, id="vectorized"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -186,8 +189,8 @@ def _realized_attribute_mean(san, seed_count):
     return sum(degrees) / len(degrees)
 
 
-@pytest.mark.parametrize("engine", ["loop", "vectorized"])
-def test_realized_attribute_degree_matches_sampled_mean(engine):
+@pytest.mark.parametrize("generate", GENERATORS)
+def test_realized_attribute_degree_matches_sampled_mean(generate):
     """Duplicate existing-attribute draws must be retried, not dropped.
 
     With a small new-attribute probability most draws target existing
@@ -201,19 +204,17 @@ def test_realized_attribute_degree_matches_sampled_mean(engine):
         attribute_mu=1.2,
         attribute_sigma=0.6,
     )
-    run = san_generate(params, rng=4, engine=engine)
-    san = run.san if engine == "loop" else run.to_san()
+    san = generate(params, rng=4, record_history=False).san
     realized = _realized_attribute_mean(san, params.seed_social_nodes)
     sampled_mean = math.exp(params.attribute_mu + params.attribute_sigma**2 / 2)
     assert realized == pytest.approx(sampled_mean, rel=0.10)
 
 
-@pytest.mark.parametrize("engine", ["loop", "vectorized"])
-def test_seed_nodes_issue_outgoing_links(engine):
+@pytest.mark.parametrize("generate", GENERATORS)
+def test_seed_nodes_issue_outgoing_links(generate):
     """Seed nodes are scheduled at step 0 and keep linking after seeding."""
     params = SANModelParameters(steps=150)
-    run = san_generate(params, rng=9, engine=engine)
-    san = run.san
+    san = generate(params, rng=9, record_history=False).san
     seed_out = [
         san.social_out_degree(node) for node in range(params.seed_social_nodes)
     ]
@@ -222,38 +223,29 @@ def test_seed_nodes_issue_outgoing_links(engine):
 
 
 # ----------------------------------------------------------------------
-# Engine registry routing
+# san_generate picks the implementation from the attachment exponent
 # ----------------------------------------------------------------------
-def test_both_engines_registered():
-    backends = {entry.backend for entry in kernels_for(SAN_GENERATE_OP)}
-    assert backends == {LOOP_ENGINE, VECTORIZED_ENGINE}
-    assert select(SAN_GENERATE_OP, LOOP_ENGINE) is not None
-    assert select(SAN_GENERATE_OP, VECTORIZED_ENGINE) is not None
-
-
 def test_san_generate_routes_by_engine():
+    """A unit exponent runs the array implementation, seed for seed."""
     params = SANModelParameters(steps=40)
-    loop_result = san_generate(params, rng=1, engine="loop")
-    fast_result = san_generate(params, rng=1, engine="vectorized")
-    assert isinstance(loop_result, SANModelRun)
-    assert isinstance(fast_result, FastSANModelRun)
-    auto_result = san_generate(params, rng=1, engine="auto")
-    assert isinstance(auto_result, FastSANModelRun)
+    routed = san_generate(params, rng=1)
+    assert isinstance(routed, FastSANModelRun)
+    direct = generate_san_fast(params, rng=1)
+    assert np.array_equal(routed.social_src, direct.social_src)
+    assert np.array_equal(routed.social_dst, direct.social_dst)
+    assert np.array_equal(routed.link_attr, direct.link_attr)
 
 
 def test_san_generate_auto_falls_back_for_nonunit_alpha():
     params = SANModelParameters(
         steps=40, attachment=AttachmentParameters(alpha=1.5, beta=10.0)
     )
-    result = san_generate(params, rng=1, engine="auto")
+    result = san_generate(params, rng=1)
     assert isinstance(result, SANModelRun)
+    reference = generate_san(params, rng=1, record_history=False)
+    assert sorted(result.san.social_edges()) == sorted(reference.san.social_edges())
     with pytest.raises(ValueError):
         generate_san_fast(params, rng=1)
-
-
-def test_san_generate_rejects_unknown_engine():
-    with pytest.raises(NoKernelError):
-        san_generate(SANModelParameters(steps=10), engine="gpu")
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tests for the attachment-model likelihood evaluation (Figure 15 machinery).
 
-The semantics tests run against both registered likelihood engines
-(``"loop"`` and ``"vectorized"``) — the contract is that the backends are
-interchangeable: same scored-link set, same per-model log-likelihoods.
+The semantics tests run against both implementations, the loop reference
+and the vectorized ``evaluate_attachment_models`` — the contract is that they
+are interchangeable: same scored-link set, same per-model log-likelihoods.
 """
 
 import math
@@ -15,6 +15,7 @@ from repro.models import (
     AttachmentModelSpec,
     AttachmentParameters,
     evaluate_attachment_models,
+    evaluate_attachment_models_loop,
     figure15_sweep,
 )
 from repro.models.attachment import (
@@ -23,7 +24,11 @@ from repro.models.attachment import (
     PreferentialAttachment,
 )
 
-ENGINES = ("loop", "vectorized")
+#: Both implementations, by the ids the semantics tests report.
+EVALUATORS = [
+    pytest.param(evaluate_attachment_models_loop, id="loop"),
+    pytest.param(evaluate_attachment_models, id="vectorized"),
+]
 
 
 def _toy_history():
@@ -81,33 +86,38 @@ def test_spec_names_and_attribute_factor():
     assert flat_papa.attribute_factor(0.0) == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_evaluate_requires_social_links(engine):
+@pytest.mark.parametrize("kind", ["bogus", "lappa", "PA", "uniform"])
+def test_spec_rejects_an_unknown_kind(kind):
+    """A typo must not be scored silently as plain PA."""
+    with pytest.raises(ValueError, match="kind"):
+        AttachmentModelSpec(kind=kind, alpha=1.0, beta=100.0)
+
+
+@pytest.mark.parametrize("evaluate", EVALUATORS)
+def test_evaluate_requires_social_links(evaluate):
     history = ArrivalHistory()
     history.record_node(1)
     with pytest.raises(ValueError):
-        evaluate_attachment_models(
-            history, [AttachmentModelSpec(kind="pa", alpha=1.0)], engine=engine
-        )
+        evaluate(history, [AttachmentModelSpec(kind="pa", alpha=1.0)])
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_loglikelihoods_are_negative_and_finite(engine):
+@pytest.mark.parametrize("evaluate", EVALUATORS)
+def test_loglikelihoods_are_negative_and_finite(evaluate):
     history = _toy_history()
     specs = [
         AttachmentModelSpec(kind="pa", alpha=1.0, label="pa"),
         AttachmentModelSpec(kind="pa", alpha=0.0, label="uniform"),
         AttachmentModelSpec(kind="lapa", alpha=1.0, beta=100.0, label="lapa"),
     ]
-    result = evaluate_attachment_models(history, specs, max_links=None, engine=engine)
+    result = evaluate(history, specs, max_links=None)
     assert result.num_links_scored == 3
     for value in result.log_likelihoods.values():
         assert value < 0
         assert math.isfinite(value)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_papa_beta_zero_is_exactly_pa(engine):
+@pytest.mark.parametrize("evaluate", EVALUATORS)
+def test_papa_beta_zero_is_exactly_pa(evaluate):
     """PAPA's beta = 0 factor is the constant 2, which cancels in the ratio."""
     history = _toy_history()
     for alpha in (0.0, 0.5, 1.0, 2.0):
@@ -115,16 +125,14 @@ def test_papa_beta_zero_is_exactly_pa(engine):
             AttachmentModelSpec(kind="pa", alpha=alpha, label="pa"),
             AttachmentModelSpec(kind="papa", alpha=alpha, beta=0.0, label="papa0"),
         ]
-        result = evaluate_attachment_models(
-            history, specs, max_links=None, engine=engine
-        )
+        result = evaluate(history, specs, max_links=None)
         assert result.log_likelihoods["papa0"] == pytest.approx(
             result.log_likelihoods["pa"], rel=1e-12, abs=1e-12
         )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_max_links_none_scores_every_eligible_link(engine):
+@pytest.mark.parametrize("evaluate", EVALUATORS)
+def test_max_links_none_scores_every_eligible_link(evaluate):
     """Duplicates, self-loops and not-yet-social targets are never scored;
     everything else is when ``max_links=None``."""
     initial = SAN()
@@ -138,16 +146,13 @@ def test_max_links_none_scores_every_eligible_link(engine):
     history.record_social_link(2, 9)   # 9 became social above -> scored
     history.record_social_link(0, 2)   # scored
     history.record_social_link(0, 2)   # duplicate of an event edge
-    result = evaluate_attachment_models(
-        history,
-        [AttachmentModelSpec(kind="pa", alpha=1.0)],
-        max_links=None,
-        engine=engine,
+    result = evaluate(
+        history, [AttachmentModelSpec(kind="pa", alpha=1.0)], max_links=None
     )
     assert result.num_links_scored == 2
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("evaluate", EVALUATORS)
 @pytest.mark.parametrize(
     "spec, model_factory",
     [
@@ -169,13 +174,11 @@ def test_max_links_none_scores_every_eligible_link(engine):
         ),
     ],
 )
-def test_likelihood_matches_bruteforce(engine, spec, model_factory):
-    """Both engines must agree with a naive O(V)-per-link computation,
+def test_likelihood_matches_bruteforce(evaluate, spec, model_factory):
+    """Both implementations must agree with a naive O(V)-per-link computation,
     including denominators affected by mid-history node arrivals."""
     for history in (_toy_history(), _mid_arrival_history()):
-        result = evaluate_attachment_models(
-            history, [spec], smoothing=1.0, max_links=None, engine=engine
-        )
+        result = evaluate(history, [spec], smoothing=1.0, max_links=None)
 
         model = model_factory()
         expected = 0.0
@@ -198,8 +201,8 @@ def test_likelihood_matches_bruteforce(engine, spec, model_factory):
         assert result.log_likelihoods["m"] == pytest.approx(expected, rel=1e-9)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_pa_beats_uniform_on_preferential_history(engine):
+@pytest.mark.parametrize("evaluate", EVALUATORS)
+def test_pa_beats_uniform_on_preferential_history(evaluate):
     """A history dominated by hub attachment should favour PA over uniform."""
     initial = SAN()
     for node in range(3):
@@ -214,7 +217,7 @@ def test_pa_beats_uniform_on_preferential_history(engine):
         AttachmentModelSpec(kind="pa", alpha=1.0, label="pa"),
         AttachmentModelSpec(kind="pa", alpha=0.0, label="uniform"),
     ]
-    result = evaluate_attachment_models(history, specs, max_links=None, engine=engine)
+    result = evaluate(history, specs, max_links=None)
     assert result.log_likelihoods["pa"] > result.log_likelihoods["uniform"]
     improvements = result.relative_improvement_over("uniform")
     assert improvements["pa"] > 0
@@ -228,8 +231,9 @@ def test_relative_improvement_over_baseline_zero_raises():
         result.relative_improvement_over("a")
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_figure15_sweep_structure(engine):
+@pytest.mark.parametrize("implementation", ["vectorized"])
+def test_figure15_sweep_structure(implementation):
+    """The sweep's grids, on the one implementation ``figure15_sweep`` runs."""
     history = _toy_history()
     sweep = figure15_sweep(
         history,
@@ -238,7 +242,6 @@ def test_figure15_sweep_structure(engine):
         lapa_betas=(0.0, 100.0),
         max_links=None,
         rng=1,
-        engine=engine,
     )
     assert set(sweep) == {"papa", "lapa", "pa_over_uniform", "num_links_scored"}
     assert (1.0, 100.0) in sweep["lapa"]

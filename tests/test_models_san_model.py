@@ -12,6 +12,8 @@ from repro.metrics import (
 from repro.models import (
     SANModelParameters,
     generate_san,
+    generate_san_fast,
+    generate_zhel_san,
     predicted_attribute_social_degree_exponent,
     predicted_outdegree_lognormal,
 )
@@ -132,3 +134,11 @@ def test_parameter_validation():
         SANModelParameters(steps=10, new_attribute_probability=1.5)
     with pytest.raises(ValueError):
         SANModelParameters(steps=10, focal_weight=-0.1)
+
+
+@pytest.mark.parametrize("generate", [generate_san, generate_san_fast, generate_zhel_san])
+@pytest.mark.parametrize("snapshot_every", [0, -3])
+def test_non_positive_snapshot_every_is_a_named_error(generate, snapshot_every):
+    """Zero would divide by zero and a negative value snapshot every |k| steps."""
+    with pytest.raises(ValueError, match="snapshot_every"):
+        generate(rng=1, snapshot_every=snapshot_every)
