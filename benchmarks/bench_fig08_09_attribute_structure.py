@@ -68,8 +68,8 @@ def test_fig09_clustering_distributions_and_subsampling(benchmark, reference_san
     # far less often than shared neighborhoods do, so the attribute curve sits
     # at or below the social one.  (At this workload's scale the very small
     # attribute communities — 2-3 members created by inviter homophily — are
-    # dense, which is why the comparison is made degree-matched; see
-    # EXPERIMENTS.md.)
+    # dense, which is why the comparison is made degree-matched; both curves
+    # are recorded in benchmarks/results/fig09_clustering_distributions.txt.)
     social_by_degree = dict(social)
     attribute_by_degree = dict(attribute)
     shared_degrees = [d for d in social_by_degree if d in attribute_by_degree and d >= 5]

@@ -11,19 +11,42 @@ additionally exposes the counter state as plain numpy: one *register matrix*
 of shape ``(num_counters, 2**precision)`` where row ``i`` is counter ``i``'s
 registers.  :func:`register_parameters` computes the (index, rank) update of
 a single element — shared with :meth:`HyperLogLog.add`, so both backends hash
-identically — :func:`register_matrix_for_items` seeds one row per item, and
-:func:`cardinality_of_register_matrix` evaluates the bias-corrected estimate
-of every row at once.
+identically, and memoized on ``repr(item)``, salt and precision, so a
+snapshot series hashes each label once — :func:`register_matrix_for_items`
+seeds one row per item, and :func:`cardinality_of_register_matrix` evaluates
+the bias-corrected estimate of every row at once, reading each register's
+``2**-rank`` from a lookup table.  Both seeding paths (a counter's
+constructor and the register matrix) check the precision with
+:func:`validate_precision`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
 from typing import Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+#: Smallest and largest supported number of index bits.
+MIN_PRECISION = 4
+MAX_PRECISION = 16
+
+#: ``2**-r`` for every uint8 register value ``r``: the cardinality estimate
+#: gathers from this table instead of computing ``ldexp`` per register.  The
+#: entries are exact powers of two, so the estimate is bit-identical.
+_INVERSE_POWERS = np.ldexp(1.0, -np.arange(256))
+
+
+def validate_precision(precision: int) -> int:
+    """``precision`` if it is a supported index-bit count, else ``ValueError``."""
+    if not MIN_PRECISION <= precision <= MAX_PRECISION:
+        raise ValueError(
+            f"precision must be in [{MIN_PRECISION}, {MAX_PRECISION}], got {precision}"
+        )
+    return precision
 
 
 def _alpha(num_registers: int) -> float:
@@ -37,9 +60,9 @@ def _alpha(num_registers: int) -> float:
     return 0.7213 / (1 + 1.079 / num_registers)
 
 
-def _hash64(item: Hashable, salt: int = 0) -> int:
-    """A stable 64-bit hash of ``item`` independent of PYTHONHASHSEED."""
-    payload = repr(item).encode("utf-8") + struct.pack("<Q", salt)
+def _hash64(text: str, salt: int = 0) -> int:
+    """A stable 64-bit hash of ``text`` (an item's ``repr``), free of PYTHONHASHSEED."""
+    payload = text.encode("utf-8") + struct.pack("<Q", salt)
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
@@ -51,10 +74,17 @@ def register_parameters(
 
     This is the single-element update rule of :meth:`HyperLogLog.add`,
     factored out so the vectorized register-matrix backend seeds rows with
-    bit-identical values.
+    bit-identical values.  The hash reads only ``repr(item)``, so the memo is
+    keyed on it rather than on ``item``: ``1`` and ``True`` are equal dict
+    keys but hash to different registers.
     """
+    return _register_parameters_of_repr(repr(item), precision, salt)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _register_parameters_of_repr(text: str, precision: int, salt: int) -> Tuple[int, int]:
     num_registers = 1 << precision
-    hashed = _hash64(item, salt)
+    hashed = _hash64(text, salt)
     register_index = hashed & (num_registers - 1)
     remaining = hashed >> precision
     # Rank = position of the first set bit in the remaining 64 - b bits.
@@ -75,12 +105,14 @@ def register_matrix_for_items(
     """One-counter-per-item register matrix, each row seeded with its item.
 
     Row ``i`` equals the registers of a fresh :class:`HyperLogLog` after
-    ``add(items[i])``.
+    ``add(items[i])``.  Raises ``ValueError`` for an unsupported precision,
+    even when ``items`` is empty.
     """
+    validate_precision(precision)
     matrix = np.zeros((len(items), 1 << precision), dtype=np.uint8)
-    for i, item in enumerate(items):
-        index, rank = register_parameters(item, precision, salt)
-        matrix[i, index] = rank
+    if len(items):
+        indices, ranks = zip(*(register_parameters(item, precision, salt) for item in items))
+        matrix[np.arange(len(items)), np.asarray(indices)] = ranks
     return matrix
 
 
@@ -95,7 +127,7 @@ def cardinality_of_register_matrix(registers: np.ndarray) -> np.ndarray:
     num_counters, m = registers.shape
     if num_counters == 0:
         return np.zeros(0, dtype=np.float64)
-    harmonic = np.ldexp(1.0, -registers.astype(np.int64)).sum(axis=1)
+    harmonic = _INVERSE_POWERS[registers].sum(axis=1)
     raw = _alpha(m) * m * m / harmonic
     zeros = (registers == 0).sum(axis=1)
     small = (raw <= 2.5 * m) & (zeros > 0)
@@ -121,9 +153,7 @@ class HyperLogLog:
     __slots__ = ("precision", "num_registers", "registers", "salt")
 
     def __init__(self, precision: int = 7, salt: int = 0) -> None:
-        if not 4 <= precision <= 16:
-            raise ValueError(f"precision must be in [4, 16], got {precision}")
-        self.precision = precision
+        self.precision = validate_precision(precision)
         self.num_registers = 1 << precision
         self.registers: List[int] = [0] * self.num_registers
         self.salt = salt

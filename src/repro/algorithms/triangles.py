@@ -9,7 +9,11 @@ All helpers accept either SAN backend; :func:`count_directed_triangles`
 additionally registers a frozen kernel (via the :mod:`repro.engine`
 registry) that counts every triangle at once as a sparse ``trace(A³)/6`` over
 the undirected CSR, instead of the per-node dict walk used on the mutable
-backend.
+backend.  :func:`two_hop_sizes` is the array form of
+``len(two_hop_social_neighbors(san, u))`` for many sources at once — sparse
+products over bounded chunks of sources — which the batched Section 5.2
+kernel (:func:`repro.models.triangle_closing.score_closures`) uses for the
+Baseline model, together with :meth:`ClosureBreakdown.from_flags`.
 """
 
 from __future__ import annotations
@@ -41,6 +45,17 @@ class ClosureBreakdown:
     focal: int = 0
     both: int = 0
     neither: int = 0
+
+    @classmethod
+    def from_flags(cls, triadic: np.ndarray, focal: np.ndarray) -> "ClosureBreakdown":
+        """Counts from per-edge boolean triadic and focal flags."""
+        return cls(
+            total=int(triadic.size),
+            triadic=int(np.count_nonzero(triadic)),
+            focal=int(np.count_nonzero(focal)),
+            both=int(np.count_nonzero(triadic & focal)),
+            neither=int(np.count_nonzero(~triadic & ~focal)),
+        )
 
     @property
     def triadic_fraction(self) -> float:
@@ -92,6 +107,50 @@ def two_hop_san_neighbors(san: SANLike, node: Node) -> Set[Node]:
     result.discard(node)
     result -= san.social_neighbors(node)
     return result
+
+
+#: Bound on the two-hop walks, hence on the entries of the sparse product,
+#: that :func:`two_hop_sizes` materialises per chunk of sources.
+TWO_HOP_CHUNK_WALKS = 1 << 18
+
+
+def two_hop_sizes(
+    indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray
+) -> np.ndarray:
+    """``len(two_hop_social_neighbors(u))`` for every compact id in ``sources``.
+
+    ``(indptr, indices)`` is an undirected CSR without self-loops, as
+    ``FrozenDiGraph.undirected_csr`` returns.  The two-hop set of ``u`` is
+    the support of row ``u`` of ``A @ A`` minus ``u`` (present whenever ``u``
+    has a neighbour) and minus the neighbours of ``u`` it contains.  Sources
+    are processed in chunks of at most :data:`TWO_HOP_CHUNK_WALKS` two-hop
+    walks (a lone source above the bound forms its own chunk), so memory
+    does not grow with ``len(sources) * n``.
+    """
+    sparse = scipy_sparse()
+    n = indptr.size - 1
+    sources = np.asarray(sources, dtype=np.int64)
+    degrees = np.diff(indptr)
+    adjacency = sparse.csr_matrix(
+        (np.ones(indices.size, dtype=np.int64), indices, indptr), shape=(n, n)
+    )
+    walks = np.cumsum((adjacency @ degrees)[sources])
+    sizes = np.empty(sources.size, dtype=np.int64)
+    start = 0
+    while start < sources.size:
+        done = walks[start - 1] if start else 0
+        stop = max(
+            start + 1,
+            int(np.searchsorted(walks, done + TWO_HOP_CHUNK_WALKS, side="right")),
+        )
+        chunk = sources[start:stop]
+        rows = adjacency[chunk]
+        reach = rows @ adjacency
+        sizes[start:stop] = (
+            reach.getnnz(axis=1) - reach.multiply(rows).getnnz(axis=1) - (degrees[chunk] > 0)
+        )
+        start = stop
+    return sizes
 
 
 def is_triadic_closure(san: SANLike, source: Node, target: Node) -> bool:

@@ -2,10 +2,11 @@
 
 Each ``figure*`` / ``section*`` function reproduces the computation behind one
 figure (or in-text result) of the paper's evaluation and returns plain Python
-data (dicts of series / tables) that the benchmark harness prints and
-EXPERIMENTS.md records.  Inputs are the crawled snapshot series and the
-ground-truth evolution produced by the synthetic Google+ substrate, plus
-generated SANs for the model-evaluation figures.
+data (dicts of series / tables) that the benchmarks record under
+``benchmarks/results/*.txt`` and the answer keys under
+``benchmarks/keys/*.json`` check.  Inputs are the crawled snapshot series
+and the ground-truth evolution produced by the synthetic Google+ substrate,
+plus generated SANs for the model-evaluation figures.
 
 Every driver doubles as a pipeline stage: the :func:`~.registry.experiment`
 decorator declares which shared artifacts (:mod:`repro.experiments.artifacts`)
@@ -24,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..applications.anonymity import AnonymityParameters, attack_probability_vs_compromised
 from ..applications.sybil import SybilLimitParameters, sybil_identities_vs_compromised
 from ..algorithms.sampling import subsample_attributes
-from ..algorithms.triangles import classify_closures
 from ..crawler.snapshots import SnapshotSeries
 from ..fitting.mle import (
     fit_lognormal_parameters_over_time,
@@ -59,7 +59,7 @@ from ..metrics.reciprocity import fine_grained_reciprocity
 from ..models.history import ArrivalHistory
 from ..models.likelihood import DEFAULT_LIKELIHOOD_SEED, figure15_sweep
 from ..models.san_model import SANModelRun
-from ..models.triangle_closing import evaluate_closure_models
+from ..models.triangle_closing import score_closures
 from ..synthetic.gplus import GroundTruthEvolution
 from ..utils.rng import RngLike, ensure_rng
 from .registry import experiment
@@ -301,11 +301,18 @@ def section52_closure_comparison(
     focal_weight: float = 1.0,
     rng: RngLike = DEFAULT_FIGURE_SEED,
 ) -> Dict[str, object]:
-    """Closure-type breakdown plus the Baseline / RR / RR-SAN comparison."""
+    """Closure-type breakdown plus the Baseline / RR / RR-SAN comparison.
+
+    The split-day state is a frozen SAN, so classifying every candidate and
+    scoring the sampled closures is one batched :func:`score_closures` call.
+    """
     generator = ensure_rng(rng)
     if split_day is None:
         split_day = evolution.num_days // 2
-    state = evolution.san_at(split_day)
+    states = evolution.frozen_snapshots([split_day])
+    if not states:
+        raise ValueError(f"split_day must be in [1, {evolution.num_days}], got {split_day}")
+    state = states[0][1]
     new_links = evolution.new_social_links_between(split_day, evolution.num_days)
     candidates = [
         (source, target)
@@ -315,24 +322,11 @@ def section52_closure_comparison(
         and not state.has_social_edge(source, target)
         and source != target
     ]
-    breakdown = classify_closures(state, candidates)
+    scores = score_closures(state, candidates, attribute_weight=focal_weight)
+    breakdown = scores.breakdown()
     if len(candidates) > max_edges:
-        candidates = [candidates[i] for i in sorted(generator.sample(range(len(candidates)), max_edges))]
-    from ..models.triangle_closing import (
-        BaselineClosing,
-        RandomRandomClosing,
-        RandomRandomSANClosing,
-    )
-
-    comparison = evaluate_closure_models(
-        state,
-        candidates,
-        models=[
-            BaselineClosing(),
-            RandomRandomClosing(),
-            RandomRandomSANClosing(attribute_weight=focal_weight),
-        ],
-    )
+        scores = scores.take(sorted(generator.sample(range(len(candidates)), max_edges)))
+    comparison = scores.comparison()
     return {
         "breakdown": {
             "total": breakdown.total,

@@ -45,7 +45,7 @@ def san_metric_report(
 ) -> Dict[str, float]:
     """One-call summary of the headline metrics of a SAN.
 
-    Intended for examples, EXPERIMENTS.md tables and quick sanity checks; the
+    Intended for examples, ``repro measure`` and quick sanity checks; the
     per-figure benches use the dedicated metric functions directly.  Accepts
     either backend; every metric dispatches on the input's own backend.
     """

@@ -16,15 +16,42 @@ Besides sampling (used inside the generative model), each model can compute
 the probability it assigns to a specific observed closure edge, which is what
 the Section 5.2 comparison ("RR is 14% better than Baseline, RR-SAN is 36%
 better than RR") needs.
+
+:func:`score_closures` classifies a batch of edges (triadic / focal) and
+scores it under all three models.  Its portable body calls the per-pair
+``target_probability`` methods, which stay the reference.  On a frozen SAN
+the kernel is a few sparse passes over the whole batch.  With ``U`` the
+undirected social CSR (self-loops dropped), ``d`` its degrees, ``M`` the
+social→attribute incidence, ``s`` the attribute member counts and ``fc``
+the attribute weight:
+
+* triadic ⇔ ``U[u]·U[v] > 0`` and focal ⇔ ``M[u]·M[v] > 0``;
+* Baseline = ``1/|two-hop(u)|`` when ``v`` is in the two-hop set, else 0;
+* RR = ``Σ_{w ∈ N(u)∩N(v)} 1/(d_w − 1) / d_u``;
+* RR-SAN = ``(that sum + fc·Σ_{a ∈ A(u)∩A(v)} 1/(s_a − 1)) / (d_u + fc·|A(u)|)``.
+
+The sums run in another order than the per-pair loops, so the
+probabilities agree with them to float rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..algorithms.triangles import two_hop_social_neighbors
+import numpy as np
+
+from ..algorithms.triangles import (
+    ClosureBreakdown,
+    is_focal_closure,
+    is_triadic_closure,
+    two_hop_sizes,
+    two_hop_social_neighbors,
+)
+from ..engine import dispatchable, kernel
+from ..engine.deps import scipy_sparse
+from ..graph.frozen import FrozenSAN, sorted_membership
 from ..graph.san import SAN
 from ..utils.rng import RngLike, ensure_rng
 
@@ -35,6 +62,12 @@ Node = Hashable
 #: falls back to attachment).  Shared with the vectorized engine in
 #: :mod:`repro.models.fast_sim`.
 CLOSURE_SAMPLE_TRIES = 10
+
+
+def _checked_attribute_weight(attribute_weight: float) -> float:
+    if attribute_weight < 0:
+        raise ValueError("attribute_weight must be >= 0")
+    return attribute_weight
 
 
 class TriangleClosingModel:
@@ -111,9 +144,7 @@ class RandomRandomSANClosing(TriangleClosingModel):
     name = "rr_san"
 
     def __init__(self, attribute_weight: float = 1.0) -> None:
-        if attribute_weight < 0:
-            raise ValueError("attribute_weight must be >= 0")
-        self.attribute_weight = attribute_weight
+        self.attribute_weight = _checked_attribute_weight(attribute_weight)
 
     def _first_hop_weights(self, san: SAN, source: Node) -> Tuple[List[Node], List[float]]:
         social_hops = list(san.social_neighbors(source))
@@ -200,7 +231,7 @@ def evaluate_closure_models(
     """
     if models is None:
         models = [BaselineClosing(), RandomRandomClosing(), RandomRandomSANClosing()]
-    totals = {model.name: 0.0 for model in models}
+    probabilities: Dict[str, List[float]] = {model.name: [] for model in models}
     scored = 0
     for source, target in closure_edges:
         if not (san.is_social_node(source) and san.is_social_node(target)):
@@ -209,9 +240,137 @@ def evaluate_closure_models(
             continue
         scored += 1
         for model in models:
-            probability = model.target_probability(san, source, target)
-            totals[model.name] += math.log(max(probability, floor_probability))
+            probabilities[model.name].append(model.target_probability(san, source, target))
+    return _comparison_of(probabilities, scored, floor_probability)
+
+
+def _comparison_of(
+    probabilities: Dict[str, Sequence[float]], scored: int, floor_probability: float
+) -> ClosureModelComparison:
+    """Each model's average ``log(max(p, floor))`` over ``scored`` edges, in order."""
     if scored == 0:
         raise ValueError("no closure edges could be scored against the SAN")
-    averages = {name: total / scored for name, total in totals.items()}
+    averages: Dict[str, float] = {}
+    for name, values in probabilities.items():
+        total = 0.0
+        for probability in values:
+            total += math.log(max(probability, floor_probability))
+        averages[name] = total / scored
     return ClosureModelComparison(average_log_probabilities=averages, num_edges_scored=scored)
+
+
+class ClosureScores(NamedTuple):
+    """Per-edge closure type and model probabilities, from :func:`score_closures`.
+
+    The three probability columns are named after the models' ``name``.
+    """
+
+    triadic: np.ndarray
+    focal: np.ndarray
+    baseline: np.ndarray
+    random_random: np.ndarray
+    rr_san: np.ndarray
+
+    def take(self, positions: Sequence[int]) -> "ClosureScores":
+        """The scores of the edges at ``positions``, in that order."""
+        positions = np.asarray(positions, dtype=np.int64)
+        return ClosureScores(*(column[positions] for column in self))
+
+    def breakdown(self) -> ClosureBreakdown:
+        """Triadic / focal / both / neither counts over every edge."""
+        return ClosureBreakdown.from_flags(self.triadic, self.focal)
+
+    def comparison(self, floor_probability: float = 1e-6) -> ClosureModelComparison:
+        """Average log-probabilities, as :func:`evaluate_closure_models` reports."""
+        probabilities = {
+            name: getattr(self, name).tolist()
+            for name in ("baseline", "random_random", "rr_san")
+        }
+        return _comparison_of(probabilities, int(self.triadic.size), floor_probability)
+
+
+@dispatchable("score_closures")
+def score_closures(
+    san: SAN, edges: Sequence[Tuple[Node, Node]], attribute_weight: float = 1.0
+) -> ClosureScores:
+    """Closure type and Baseline / RR / RR-SAN probability of every edge.
+
+    Both endpoints of every edge must be social nodes of ``san``, the state
+    before the edges were added.  ``attribute_weight`` is RR-SAN's ``fc``.
+    """
+    models = (
+        BaselineClosing(),
+        RandomRandomClosing(),
+        RandomRandomSANClosing(attribute_weight=attribute_weight),
+    )
+    return ClosureScores(
+        np.array([is_triadic_closure(san, u, v) for u, v in edges], dtype=bool),
+        np.array([is_focal_closure(san, u, v) for u, v in edges], dtype=bool),
+        *(
+            np.array([model.target_probability(san, u, v) for u, v in edges], dtype=np.float64)
+            for model in models
+        ),
+    )
+
+
+@kernel("score_closures")
+def _score_closures_frozen(
+    san: FrozenSAN, edges: Sequence[Tuple[Node, Node]], attribute_weight: float = 1.0
+) -> ClosureScores:
+    """The batch as sparse row products over the CSR (module docstring formulas)."""
+    _checked_attribute_weight(attribute_weight)
+    sparse = scipy_sparse()
+    social = san.social
+    n = social.number_of_nodes()
+    index_of = social.index_of
+    sources = np.fromiter((index_of(u) for u, _ in edges), dtype=np.int64, count=len(edges))
+    targets = np.fromiter((index_of(v) for _, v in edges), dtype=np.int64, count=len(edges))
+
+    indptr, indices = social.undirected_csr()
+    degrees = np.diff(indptr)
+    adjacency = sparse.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(n, n)
+    )
+    common = adjacency[sources].multiply(adjacency[targets]).tocsr()
+    triadic = common.getnnz(axis=1) > 0
+    social_sum = common @ _inverse_excess(degrees)
+
+    link_indptr, link_indices = san.attributes.social_to_attr_csr()
+    members = san.attributes.social_degree_array()
+    incidence = sparse.csr_matrix(
+        (np.ones(link_indices.size), link_indices, link_indptr), shape=(n, members.size)
+    )
+    shared = incidence[sources].multiply(incidence[targets]).tocsr()
+    focal = shared.getnnz(axis=1) > 0
+    attribute_sum = shared @ _inverse_excess(members)
+
+    distinct = sources != targets
+    adjacent = sorted_membership(
+        np.repeat(np.arange(n, dtype=np.int64), degrees) * n + indices,
+        sources * n + targets,
+    )
+    in_two_hop = triadic & ~adjacent & distinct
+    unique_sources, source_slot = np.unique(sources[in_two_hop], return_inverse=True)
+    baseline = np.zeros(sources.size)
+    baseline[in_two_hop] = 1.0 / two_hop_sizes(indptr, indices, unique_sources)[source_slot]
+
+    first_hops = degrees[sources]
+    random_random = np.zeros(sources.size)
+    reach = distinct & (first_hops > 0)
+    random_random[reach] = social_sum[reach] / first_hops[reach]
+
+    weight = np.diff(link_indptr)[sources] * attribute_weight + first_hops
+    rr_san = np.zeros(sources.size)
+    reach = distinct & (weight > 0)
+    rr_san[reach] = (
+        social_sum[reach] + attribute_weight * attribute_sum[reach]
+    ) / weight[reach]
+    return ClosureScores(triadic, focal, baseline, random_random, rr_san)
+
+
+def _inverse_excess(counts: np.ndarray) -> np.ndarray:
+    """``1 / (c - 1)`` per count ``c``; 0 where ``c <= 1`` (no second hop)."""
+    inverse = np.zeros(counts.size)
+    several = counts > 1
+    inverse[several] = 1.0 / (counts[several] - 1)
+    return inverse

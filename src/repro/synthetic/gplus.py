@@ -130,7 +130,9 @@ class GroundTruthEvolution:
         One pass over the event log appends compact-id edge arrays and
         records (node count, edge count) watermarks at the requested days;
         each snapshot is then materialized directly into a read-only
-        :class:`~repro.graph.frozen.FrozenSAN` from the array prefixes.  For
+        :class:`~repro.graph.frozen.FrozenSAN` from the array prefixes.  The
+        replay ends at the last requested day, so an early split day (the
+        Section 5.2 state) reads only the events up to it.  For
         measurement pipelines this replaces ``snapshots()``'s O(V + E) deep
         copy per day with one vectorized CSR build per day — and the result
         is already on the backend the metric kernels are fastest on.
@@ -167,7 +169,9 @@ class GroundTruthEvolution:
 
         marks: List[Tuple[int, int, int, int, int, int, int]] = []
         index = 0
-        for day in range(1, self.num_days + 1):
+        # The replay stops after the last requested day.
+        last_day = min(wanted[-1], self.num_days) if wanted else 0
+        for day in range(1, last_day + 1):
             while index < len(self.events) and self.events[index].day <= day:
                 event = self.events[index].event
                 index += 1

@@ -1,8 +1,8 @@
 """Canonical workload configurations shared by tests, examples, and benches.
 
 Every benchmark that needs a synthetic Google+ evolution uses one of these
-presets so results are comparable across benches and reruns (they are also the
-workloads documented in EXPERIMENTS.md).
+presets so results are comparable across benches and reruns; each bench writes
+what it measured on them to ``benchmarks/results/*.txt``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .gplus import (
     simulate_google_plus,
 )
 
-#: Default seed used by the benchmarks (documented in EXPERIMENTS.md).
+#: Default seed used by the benchmarks; the answer keys under ``benchmarks/keys/``
+#: hold at this seed.
 BENCH_SEED = 20120835  # arXiv id of the paper
 
 

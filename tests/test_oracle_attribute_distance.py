@@ -6,7 +6,15 @@ paths minimised over member pairs, and the per-source loop it replaced (one
 BFS per member of the first attribute).  Every backend is checked: the
 mutable SAN, its freeze, an mmap-backed spill of the freeze, and the portable
 body run on the freeze.
+
+``sample_attribute_distance_distribution`` answers 64 sampled pairs per
+bit-parallel sweep on frozen inputs.  Its histogram must equal the one built
+from per-pair ``attribute_distance`` calls on the same draws, and the
+generator must end in the same state.
 """
+
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +22,11 @@ from hypothesis import strategies as st
 
 nx = pytest.importorskip("networkx")
 
-from repro.algorithms import attribute_distance, bfs_distances  # noqa: E402
+from repro.algorithms import (  # noqa: E402
+    attribute_distance,
+    bfs_distances,
+    sample_attribute_distance_distribution,
+)
 from repro.graph import SAN, spill_to_mmap  # noqa: E402
 
 NUM_USERS = 12
@@ -101,3 +113,62 @@ def test_attribute_distance_matches_networkx_and_per_source_loop(edges, membersh
                     assert attribute_distance(graph, *case) == expected, (name, case)
                 portable = attribute_distance.__wrapped__(frozen, *case)
                 assert portable == expected, ("portable-on-frozen", case)
+
+
+def per_pair_histogram(order, answer, num_pairs, generator, max_depth):
+    """The sampled histogram from one ``attribute_distance`` call per drawn pair.
+
+    Pairs are drawn from ``order``'s attribute-node list (the draws depend
+    on its order) and each is answered on ``answer``.
+    """
+    attributes = [
+        node for node in order.attribute_nodes() if order.attribute_social_degree(node) > 0
+    ]
+    if len(attributes) < 2:
+        return {}
+    histogram = Counter()
+    for _ in range(num_pairs):
+        first, second = generator.sample(attributes, 2)
+        distance = attribute_distance(answer, first, second, max_depth=max_depth)
+        if distance is not None:
+            histogram[distance] += 1
+    return dict(sorted(histogram.items()))
+
+
+wide_membership_lists = st.lists(
+    st.tuples(st.integers(0, NUM_USERS - 1), st.integers(0, 7)),
+    min_size=1,
+    max_size=24,
+)
+
+
+@given(
+    edge_lists,
+    wide_membership_lists,
+    st.integers(65, 200),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+# Overlapping members (user 0 holds three values), a stranded member (11)
+# and a two-hop chain: distance 1, reachable, depth-cut and unreachable
+# pairs all occur among 130 draws (three sweeps of up to 64).
+@example(
+    edges=[(0, 1), (1, 2), (2, 3), (5, 4)],
+    memberships=[(0, 0), (0, 1), (0, 2), (3, 1), (3, 2), (4, 3), (11, 4), (2, 5)],
+    num_pairs=130,
+    seed=7,
+)
+def test_batched_sampled_distances_match_per_pair_calls(edges, memberships, num_pairs, seed):
+    san = _build_san(edges, memberships)
+    frozen = san.freeze()
+    for name, graph in {"frozen": frozen, "mmap": spill_to_mmap(frozen)}.items():
+        for max_depth in DEPTHS:
+            batched_rng = random.Random(seed)
+            reference_rng = random.Random(seed)
+            batched = sample_attribute_distance_distribution(
+                graph, num_pairs=num_pairs, rng=batched_rng, max_depth=max_depth
+            )
+            # The mutable SAN's deque BFS answers every pair.
+            expected = per_pair_histogram(graph, san, num_pairs, reference_rng, max_depth)
+            assert batched == expected, (name, max_depth)
+            assert batched_rng.getstate() == reference_rng.getstate(), (name, max_depth)

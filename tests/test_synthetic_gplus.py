@@ -1,5 +1,6 @@
 """Tests for the synthetic Google+ ground-truth simulator."""
 
+import numpy as np
 import pytest
 
 from repro.metrics import (
@@ -7,7 +8,7 @@ from repro.metrics import (
     attribute_declaration_fraction,
     global_reciprocity,
 )
-from repro.synthetic import GooglePlusConfig, simulate_google_plus
+from repro.synthetic import FlashCrowdDay, GooglePlusConfig, SybilWaveDay, simulate_google_plus
 
 
 def test_evolution_basic_counts(tiny_evolution):
@@ -140,6 +141,57 @@ def test_frozen_snapshots_match_copied_snapshots(tiny_evolution):
         for social, attribute in list(san.attribute_edges())[:100]:
             assert view.has_attribute_edge(social, attribute)
             assert view.attribute_info(attribute) == san.attribute_info(attribute)
+
+
+def _frozen_arrays(san):
+    """Every array and label table of a frozen SAN, for exact comparison."""
+    return [
+        list(san.social.labels()),
+        *san.social.out_csr(),
+        *san.social.in_csr(),
+        list(san.attributes.attribute_labels()),
+        [san.attribute_info(label) for label in san.attributes.attribute_labels()],
+        *san.attributes.social_to_attr_csr(),
+        *san.attributes.attr_to_social_csr(),
+    ]
+
+
+def _assert_single_day_replays_match(evolution):
+    days = list(range(1, evolution.num_days + 1))
+    every_day = evolution.frozen_snapshots(days)
+    assert [day for day, _ in every_day] == days
+    for day, san in every_day:
+        (only_day, single), = evolution.frozen_snapshots([day])
+        assert only_day == day
+        for expected, actual in zip(_frozen_arrays(san), _frozen_arrays(single)):
+            if isinstance(expected, np.ndarray):
+                assert np.array_equal(actual, expected), day
+            else:
+                assert actual == expected, day
+
+
+def test_single_day_frozen_snapshot_equals_that_day_of_a_full_call(tiny_evolution):
+    """The replay that stops at the requested day builds the same arrays."""
+    _assert_single_day_replays_match(tiny_evolution)
+
+
+def test_single_day_frozen_snapshot_under_churn_sybils_and_flash_crowds():
+    config = GooglePlusConfig(
+        total_users=200,
+        num_days=24,
+        phases=PhaseBoundaries(phase_one_end=6, phase_two_end=18),
+        attribute_churn_rate=3.0,
+        flash_crowds=(FlashCrowdDay(day=12, arrivals=40),),
+        sybil_waves=(SybilWaveDay(day=15, num_sybils=12, intra_links=10),),
+    )
+    evolution = simulate_google_plus(config, rng=7)
+    assert any(timed.event.kind == "attribute_remove" for timed in evolution.events)
+    _assert_single_day_replays_match(evolution)
+
+
+def test_frozen_snapshots_ignore_days_outside_the_log(tiny_evolution):
+    assert tiny_evolution.frozen_snapshots([0, tiny_evolution.num_days + 1]) == []
+    assert tiny_evolution.frozen_snapshots([]) == []
 
 
 def test_three_phase_growth_visible(tiny_evolution):
