@@ -37,14 +37,10 @@ def test_fig18_building_block_ablations(benchmark, estimated_parameters, write_r
         """
         aggregated = None
         for seed in seeds:
-            full = generate_san(base, rng=seed, record_history=False)
-            no_lapa = generate_san(
-                replace(base, use_lapa=False), rng=seed, record_history=False
-            )
-            no_focal = generate_san(
-                replace(base, use_focal_closure=False), rng=seed, record_history=False
-            )
-            single = figure18_ablations(full, no_lapa.san, no_focal.san)
+            full = generate_san(base, rng=seed).san
+            no_lapa = generate_san(replace(base, use_lapa=False), rng=seed).san
+            no_focal = generate_san(replace(base, use_focal_closure=False), rng=seed).san
+            single = figure18_ablations(full, no_lapa, no_focal)
             if aggregated is None:
                 aggregated = single
                 continue

@@ -1,19 +1,20 @@
-"""Generation-engine benchmark: vectorized vs loop Algorithm 1 at scale.
+"""Generation benchmark: the production Algorithm 1 against the loop reference.
 
-Runs both engines on the canonical generative workload
+Runs :func:`repro.models.generate_san` and the per-event loop reference
+(``tests/model_reference.py``) on the canonical generative workload
 (:func:`repro.synthetic.generative_params`) with snapshots enabled, asserts
-the vectorized engine's speedup bar, re-checks the KS distributional-parity
+the production generator's speedup bar, re-checks the KS distributional-parity
 gate at benchmark scale, and writes both a rendered table and a
 machine-readable timing JSON to ``benchmarks/results/``.
 
-The loop side pays an O(V + E) ``san.copy()`` per snapshot; the vectorized
+The loop side pays an O(V + E) ``san.copy()`` per snapshot; the production
 side records delta watermarks during generation and is charged here with
 materializing *every* snapshot plus the final state — the conservative
 accounting — and must still clear the bar.
 
 ``BENCH_GENERATIVE_STEPS`` scales the workload: the default 50k-step run
 must reach the >= 5x acceptance bar; smaller smoke runs (the CI benchmark
-leg uses 4000 steps) assert a reduced floor because the loop engine's
+leg uses 4000 steps) assert a reduced floor because the loop reference's
 superlinear LAPA community scans have not kicked in yet at toy scale.
 """
 
@@ -23,9 +24,11 @@ import json
 import os
 import time
 
+from model_reference import generate_san_loop
+
 from repro.experiments import format_table
 from repro.metrics import attribute_degrees_of_social_nodes, social_out_degrees
-from repro.models import generate_san, generate_san_fast
+from repro.models import generate_san
 from repro.synthetic import BENCH_SEED, generative_params
 from repro.utils import ks_two_sample_threshold, two_sample_ks_statistic
 
@@ -41,11 +44,11 @@ KS_ALPHA = 0.001
 def test_generative_engine_speedup_and_parity(write_result, results_dir):
     params = generative_params(STEPS)
 
-    # The vectorized engine is timed first: the loop engine leaves a large
-    # dict-of-sets SAN plus per-snapshot copies on the heap, which would
+    # The production generator is timed first: the loop reference leaves a
+    # large dict-of-sets SAN plus per-snapshot copies on the heap, which would
     # otherwise tax the competitor's run with allocator/GC pressure.
     fast_start = time.perf_counter()
-    fast_run = generate_san_fast(params, rng=BENCH_SEED, snapshot_every=SNAPSHOT_EVERY)
+    fast_run = generate_san(params, rng=BENCH_SEED, snapshot_every=SNAPSHOT_EVERY)
     generate_seconds = time.perf_counter() - fast_start
     materialize_start = time.perf_counter()
     fast_snapshots = fast_run.snapshots
@@ -54,9 +57,7 @@ def test_generative_engine_speedup_and_parity(write_result, results_dir):
     fast_seconds = generate_seconds + materialize_seconds
 
     loop_start = time.perf_counter()
-    loop_run = generate_san(
-        params, rng=BENCH_SEED, record_history=False, snapshot_every=SNAPSHOT_EVERY
-    )
+    loop_run = generate_san_loop(params, rng=BENCH_SEED, snapshot_every=SNAPSHOT_EVERY)
     loop_seconds = time.perf_counter() - loop_start
 
     # Measure everything and write the result artifacts *before* asserting,
@@ -95,20 +96,20 @@ def test_generative_engine_speedup_and_parity(write_result, results_dir):
         format_table(
             [
                 {
-                    "engine": "loop",
+                    "engine": "loop reference",
                     "generate_s": round(loop_seconds, 2),
                     "materialize_s": 0.0,
                     "total_s": round(loop_seconds, 2),
                 },
                 {
-                    "engine": "vectorized",
+                    "engine": "production",
                     "generate_s": round(generate_seconds, 2),
                     "materialize_s": round(materialize_seconds, 2),
                     "total_s": round(fast_seconds, 2),
                 },
             ],
             title=(
-                f"Algorithm 1 engines — {STEPS} steps, "
+                f"Algorithm 1, production vs loop reference — {STEPS} steps, "
                 f"{fast_final.number_of_social_edges()} social edges, "
                 f"{len(fast_snapshots)} snapshots, speedup {speedup:.1f}x "
                 f"(KS out {ks_out:.4f} / attr {ks_attr:.4f} < {ks_threshold:.4f})"
@@ -134,7 +135,7 @@ def test_generative_engine_speedup_and_parity(write_result, results_dir):
     )
 
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"vectorized engine: expected >= {REQUIRED_SPEEDUP}x at {STEPS} steps, "
+        f"production generator: expected >= {REQUIRED_SPEEDUP}x at {STEPS} steps, "
         f"got {speedup:.1f}x"
     )
 
@@ -142,7 +143,7 @@ def test_generative_engine_speedup_and_parity(write_result, results_dir):
 def test_delta_snapshots_cheaper_than_copies(write_result):
     """Recording watermarks must be ~free relative to per-snapshot copies.
 
-    Compares the same vectorized run with and without snapshots enabled: the
+    Compares the same production run with and without snapshots enabled: the
     delta design records (step, counts) tuples, so the generation-time
     overhead of 10 snapshots must be within noise (< 20%).
     """
@@ -151,11 +152,11 @@ def test_delta_snapshots_cheaper_than_copies(write_result):
     params = generative_params(steps)
 
     plain_start = time.perf_counter()
-    generate_san_fast(params, rng=BENCH_SEED)
+    generate_san(params, rng=BENCH_SEED)
     plain_seconds = time.perf_counter() - plain_start
 
     marked_start = time.perf_counter()
-    marked = generate_san_fast(params, rng=BENCH_SEED, snapshot_every=every)
+    marked = generate_san(params, rng=BENCH_SEED, snapshot_every=every)
     marked_seconds = time.perf_counter() - marked_start
 
     # Periodic watermarks plus the appended final one when steps % every != 0.

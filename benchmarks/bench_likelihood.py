@@ -1,17 +1,18 @@
-"""Likelihood-engine benchmark: vectorized vs loop Figure 15 scoring at scale.
+"""Likelihood benchmark: the production Figure 15 scorer against the loop reference.
 
-Generates a 50k-step Algorithm 1 history with the vectorized generation
-engine, then scores the full Figure 15 spec grid on both likelihood backends.
-Unlike the generation engines, the two likelihood backends share the
-scored-link selection stream, so the gate here is *exact* parity — the same
-seed must select the identical scored-link set, and every model's
-log-likelihood must agree within 1e-8 — on top of the >= 5x speedup bar.
+Generates a 50k-step Algorithm 1 history with :func:`repro.models.generate_san`,
+then scores the full Figure 15 spec grid with the production scorer and with
+the per-link loop reference (``tests/model_reference.py``).  Unlike the two
+generators, the two scorers share the scored-link selection stream, so the
+gate here is *exact* parity — the same seed must select the identical
+scored-link set, and every model's log-likelihood must agree within 1e-8 — on
+top of the >= 5x speedup bar.
 
-The vectorized side is charged for its full cost including the O(events)
+The production side is charged for its full cost including the O(events)
 encoding pass.  ``BENCH_LIKELIHOOD_STEPS`` scales the workload: the default
 50k-step run must reach >= 5x; smaller smoke runs (the CI benchmark leg uses
-4000 steps) assert a reduced floor because the loop backend's community scans
-have not grown superlinear yet at toy scale.
+4000 steps) assert a reduced floor because the loop reference's community
+scans have not grown superlinear yet at toy scale.
 """
 
 from __future__ import annotations
@@ -40,12 +41,13 @@ def _gc_paused():
     finally:
         gc.enable()
 
+from model_reference import evaluate_attachment_models_loop
+
 from repro.experiments import format_table
 from repro.models import (
     evaluate_attachment_models_fast,
-    evaluate_attachment_models_loop,
     figure15_specs,
-    generate_san_fast,
+    generate_san,
 )
 from repro.synthetic import BENCH_SEED, generative_params
 
@@ -62,12 +64,12 @@ PARITY_TOLERANCE = 1e-8
 
 def test_likelihood_engine_speedup_and_exact_parity(write_result, results_dir):
     params = generative_params(STEPS)
-    run = generate_san_fast(params, rng=BENCH_SEED, record_history=True)
+    run = generate_san(params, rng=BENCH_SEED, record_history=True)
     history = run.history()
     del run  # only the decoded history matters; drop the generator arrays
     specs = figure15_specs()
 
-    # The vectorized backend goes first so the loop backend's replay SAN and
+    # The production scorer goes first so the loop reference's replay SAN and
     # per-link scans don't tax it with allocator pressure.
     with _gc_paused():
         fast_start = time.perf_counter()
@@ -113,11 +115,11 @@ def test_likelihood_engine_speedup_and_exact_parity(write_result, results_dir):
         "bench_likelihood",
         format_table(
             [
-                {"engine": "loop", "seconds": round(loop_seconds, 2)},
-                {"engine": "vectorized", "seconds": round(fast_seconds, 2)},
+                {"engine": "loop reference", "seconds": round(loop_seconds, 2)},
+                {"engine": "production", "seconds": round(fast_seconds, 2)},
             ],
             title=(
-                f"Figure 15 likelihood engines — {STEPS} steps, "
+                f"Figure 15 likelihood, production vs loop reference — {STEPS} steps, "
                 f"{history.num_social_links()} link events, {len(specs)} specs, "
                 f"{loop.num_links_scored} links scored, speedup {speedup:.1f}x, "
                 f"worst relative ll error {worst_error:.2e}"
@@ -133,10 +135,10 @@ def test_likelihood_engine_speedup_and_exact_parity(write_result, results_dir):
         assert math.isfinite(value)
         assert abs(value - fast.log_likelihoods[name]) <= PARITY_TOLERANCE * max(
             1.0, abs(value)
-        ), f"{name}: loop {value} vs vectorized {fast.log_likelihoods[name]}"
+        ), f"{name}: loop reference {value} vs production {fast.log_likelihoods[name]}"
 
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"vectorized likelihood engine: expected >= {REQUIRED_SPEEDUP}x at "
+        f"production likelihood scorer: expected >= {REQUIRED_SPEEDUP}x at "
         f"{STEPS} steps, got {speedup:.1f}x"
     )
 
@@ -146,7 +148,7 @@ def test_figure15_sweep_is_reproducible(write_result):
     from repro.models import figure15_sweep
 
     steps = min(STEPS, 2000)
-    history = generate_san_fast(
+    history = generate_san(
         generative_params(steps), rng=BENCH_SEED, record_history=True
     ).history()
     first = figure15_sweep(history, max_links=500, rng=SUBSAMPLE_SEED)

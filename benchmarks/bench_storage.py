@@ -35,7 +35,7 @@ from repro.algorithms.triangles import count_directed_triangles
 from repro.experiments import format_table
 from repro.graph import load_san_tsv, open_columnar, save_columnar, save_san_tsv
 from repro.metrics.reciprocity import reciprocal_edge_count
-from repro.models import SANModelParameters, generate_san_fast
+from repro.models import SANModelParameters, generate_san
 from repro.synthetic.workloads import BENCH_SEED
 
 #: Acceptance bars, overridable per CI leg through the environment.
@@ -134,7 +134,7 @@ def _subprocess_rss(script: str, *args: str) -> int:
 def storage_workload(tmp_path_factory):
     """The generated SAN written once as a TSV pair and a columnar file."""
     root = tmp_path_factory.mktemp("storage")
-    san = generate_san_fast(
+    san = generate_san(
         SANModelParameters(steps=STORAGE_SCALE), rng=BENCH_SEED
     ).san
     social_tsv = root / "san.social.tsv"

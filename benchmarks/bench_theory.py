@@ -21,7 +21,7 @@ def test_theorem1_outdegree_lognormal(benchmark, write_result):
     params = SANModelParameters(steps=2500)
 
     def run():
-        run_result = generate_san(params, rng=1, record_history=False)
+        run_result = generate_san(params, rng=1)
         degrees = [d for d in social_out_degrees(run_result.san) if d >= 1]
         return fit_lognormal(degrees)
 
@@ -44,7 +44,7 @@ def test_theorem2_attribute_degree_exponent(benchmark, write_result):
         measured = {}
         for p in (0.1, 0.25, 0.5):
             params = SANModelParameters(steps=2000, new_attribute_probability=p)
-            run_result = generate_san(params, rng=2, record_history=False)
+            run_result = generate_san(params, rng=2)
             degrees = [d for d in social_degrees_of_attribute_nodes(run_result.san) if d >= 1]
             measured[p] = fit_power_law(degrees).distribution.alpha
         return measured

@@ -16,6 +16,7 @@ inspectable after a run regardless of pytest output capture.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,6 +25,10 @@ import pytest
 from repro.experiments import ArtifactResolver, get_scenario
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The engine benches compare the production generator and scorer with the
+# loop references that live beside the tests (tests/model_reference.py).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 #: Scenario preset every measurement bench runs under.
 BENCH_SCENARIO = os.environ.get("BENCH_SCENARIO", "small")

@@ -28,7 +28,6 @@ from repro.models import (
     generate_zhel_san,
     predicted_attribute_social_degree_exponent,
     predicted_outdegree_lognormal,
-    san_generate,
 )
 from repro.synthetic import GooglePlusConfig, build_workload
 from repro.metrics.evolution import PhaseBoundaries
@@ -66,22 +65,19 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Generate synthetic SANs: our model and the Zhel baseline.
     # ------------------------------------------------------------------
-    model_run = generate_san(params, rng=23, record_history=False)
-    # For attachment.alpha == 1, san_generate runs the same process on array
-    # state (>= 5x at benchmark scale) and materializes snapshots as frozen
-    # CSR views from delta watermarks instead of per-snapshot copies.
-    fast_run = san_generate(params, rng=23, snapshot_every=max(params.steps // 4, 1))
+    # generate_san runs Algorithm 1 on array state; snapshots are recorded
+    # as watermarks and materialize as frozen CSR views on first access.
+    model_run = generate_san(params, rng=23, snapshot_every=max(params.steps // 4, 1))
     growth = " -> ".join(
-        f"{step}:{view.number_of_social_edges()}e" for step, view in fast_run.snapshots
+        f"{step}:{view.number_of_social_edges()}e" for step, view in model_run.snapshots
     )
-    print(f"\nVectorized engine: {fast_run.san!r}")
-    print(f"  delta-snapshot growth: {growth}")
     zhel_run = generate_zhel_san(
         ZhelModelParameters(steps=params.steps, reciprocation_probability=params.reciprocation_probability),
         rng=23,
         record_history=False,
     )
     print(f"\nOur model   : {model_run.san!r}")
+    print(f"  snapshot growth: {growth}")
     print(f"Zhel baseline: {zhel_run.san!r}")
 
     # ------------------------------------------------------------------

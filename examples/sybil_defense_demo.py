@@ -32,7 +32,7 @@ def main() -> None:
     reference = crawl_evolution(workload.evolution, workload.snapshot_days).last()
 
     params = estimate_parameters(reference, mean_sleep=2.0, beta=200.0).parameters
-    model_san = generate_san(params, rng=31, record_history=False).san
+    model_san = generate_san(params, rng=31).san
     zhel_san = generate_zhel_san(
         ZhelModelParameters(steps=params.steps, reciprocation_probability=params.reciprocation_probability),
         rng=31,

@@ -124,31 +124,3 @@ def reservoir_sample(items: Iterable[T], count: int, rng: RngLike = None) -> Lis
             if slot < count:
                 reservoir[slot] = item
     return reservoir
-
-
-def weighted_choice(
-    items: Sequence[T], weights: Sequence[float], rng: RngLike = None
-) -> T:
-    """Draw one item with probability proportional to its (non-negative) weight.
-
-    Falls back to a uniform draw when every weight is zero.
-    """
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    generator = ensure_rng(rng)
-    total = 0.0
-    for weight in weights:
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        total += weight
-    if total == 0:
-        return items[generator.randrange(len(items))]
-    threshold = generator.random() * total
-    cumulative = 0.0
-    for item, weight in zip(items, weights):
-        cumulative += weight
-        if cumulative >= threshold:
-            return item
-    return items[-1]

@@ -79,8 +79,7 @@ from .models import (
     SANModelParameters,
     estimate_parameters,
     figure15_sweep,
-    generate_san_fast,
-    san_generate,
+    generate_san,
 )
 from .synthetic import GooglePlusConfig, build_workload
 
@@ -395,7 +394,6 @@ def _command_estimate(args: argparse.Namespace) -> int:
     print(f"  attribute_mu             {params.attribute_mu:.4f}")
     print(f"  attribute_sigma          {params.attribute_sigma:.4f}")
     print(f"  new_attribute_probability {params.new_attribute_probability:.4f}")
-    print(f"  attachment.alpha         {params.attachment.alpha:.2f}")
     print(f"  attachment.beta          {params.attachment.beta:.2f}")
     print(f"  reciprocation_probability {params.reciprocation_probability:.4f}")
     return 0
@@ -413,7 +411,7 @@ def _command_generate(args: argparse.Namespace) -> int:
         params = replace(params, use_lapa=False)
     if args.no_focal_closure:
         params = replace(params, use_focal_closure=False)
-    run = san_generate(params, rng=args.seed)
+    run = generate_san(params, rng=args.seed)
     print(f"generated {run.san!r}")
     _save(run.san, args.out_prefix)
     return 0
@@ -440,10 +438,9 @@ def _command_likelihood(args: argparse.Namespace) -> int:
         )
         return 2
     if args.steps is not None:
-        run = generate_san_fast(
+        history = generate_san(
             SANModelParameters(steps=args.steps), rng=args.seed, record_history=True
-        )
-        history = run.history()
+        ).history()
         source = f"generated history ({args.steps} steps, seed {args.seed})"
     elif all(flag is not None for flag in snapshot_flags):
         earlier = load_san_tsv(args.before_social, args.before_attributes)

@@ -586,7 +586,6 @@ def _save_parameters(params: SANModelParameters, path: Path) -> None:
         "attribute_sigma": params.attribute_sigma,
         "new_attribute_probability": params.new_attribute_probability,
         "attachment": {
-            "alpha": params.attachment.alpha,
             "beta": params.attachment.beta,
             "smoothing": params.attachment.smoothing,
             "type_weights": params.attachment.type_weights,
@@ -710,6 +709,7 @@ def _build_arrival_history(resolver: ArtifactResolver) -> ArrivalHistory:
 @artifact(
     "estimated_parameters",
     needs=("reference_san",),
+    version="2",
     save=_save_parameters,
     load=_load_parameters,
 )
@@ -723,25 +723,25 @@ def _build_estimated_parameters(resolver: ArtifactResolver) -> SANModelParameter
     ).parameters
 
 
-@artifact("model_san", needs=("estimated_parameters",), version="2")
+@artifact("model_san", needs=("estimated_parameters",), version="3")
 def _build_model_san(resolver: ArtifactResolver):
     """Our model (Algorithm 1) fitted to the reference SAN."""
     params = resolver.artifact("estimated_parameters")
-    return generate_san(params, rng=resolver.scenario.seed, record_history=False).san
+    return generate_san(params, rng=resolver.scenario.seed).san
 
 
-@artifact("model_no_focal_san", needs=("estimated_parameters",), version="2")
+@artifact("model_no_focal_san", needs=("estimated_parameters",), version="3")
 def _build_model_no_focal_san(resolver: ArtifactResolver):
     """Ablation: the fitted model without focal closure (RR instead of RR-SAN)."""
     params = replace(resolver.artifact("estimated_parameters"), use_focal_closure=False)
-    return generate_san(params, rng=resolver.scenario.seed, record_history=False).san
+    return generate_san(params, rng=resolver.scenario.seed).san
 
 
-@artifact("model_no_lapa_san", needs=("estimated_parameters",), version="2")
+@artifact("model_no_lapa_san", needs=("estimated_parameters",), version="3")
 def _build_model_no_lapa_san(resolver: ArtifactResolver):
     """Ablation: the fitted model with classical PA instead of LAPA."""
     params = replace(resolver.artifact("estimated_parameters"), use_lapa=False)
-    return generate_san(params, rng=resolver.scenario.seed, record_history=False).san
+    return generate_san(params, rng=resolver.scenario.seed).san
 
 
 @artifact("zhel_san", needs=("estimated_parameters",), version="2")
@@ -756,14 +756,13 @@ def _build_zhel_san(resolver: ArtifactResolver):
     return generate_zhel_san(params, rng=resolver.scenario.seed, record_history=False).san
 
 
-# Frozen views of the generated SANs, persisted as columnar files.  The
-# mutable model SANs above are in-memory intermediates of cold builds: no
-# stage reads them, so a warm run never materialises them.  Beyond running
-# the model-evaluation stages on the vectorized kernels, the CSR form is
-# *canonical*, so stages consuming these produce byte-identical payloads
+# Canonical frozen views of the generated SANs, persisted as columnar files.
+# The generated SANs above are in-memory intermediates of cold builds: no
+# stage reads them, so a warm run never materialises them.  The canonical
+# CSR form makes stages consuming these produce byte-identical payloads
 # whether the parent SAN was freshly generated or the view was mmapped from
-# its cache entry — the mutable backend's set-based adjacency does not
-# guarantee that.
+# its cache entry — the Zhel baseline's mutable backend, with its set-based
+# adjacency, does not guarantee that.
 @artifact(
     "frozen_model_san",
     needs=("model_san",),

@@ -20,7 +20,7 @@ sample from entropy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..applications.anonymity import AnonymityParameters, attack_probability_vs_compromised
 from ..applications.sybil import SybilLimitParameters, sybil_identities_vs_compromised
@@ -58,7 +58,6 @@ from ..metrics.joint_degree import attribute_knn, social_knn
 from ..metrics.reciprocity import fine_grained_reciprocity
 from ..models.history import ArrivalHistory
 from ..models.likelihood import DEFAULT_LIKELIHOOD_SEED, figure15_sweep
-from ..models.san_model import SANModelRun
 from ..models.triangle_closing import score_closures
 from ..synthetic.gplus import GroundTruthEvolution
 from ..utils.rng import RngLike, ensure_rng
@@ -406,16 +405,8 @@ def figure17_jdd_and_clustering(model_san: SAN, zhel_san: SAN, reference: SAN) -
 
 
 @experiment("fig18", needs=("frozen_model_san", "frozen_model_no_lapa_san", "frozen_model_no_focal_san"))
-def figure18_ablations(
-    full_run: Union[SANModelRun, SAN], no_lapa_san: SAN, no_focal_san: SAN
-) -> Dict[str, object]:
-    """Effect of removing LAPA (in-degree family) and focal closure (attribute clustering).
-
-    ``full_run`` may be a :class:`~repro.models.san_model.SANModelRun` (the
-    historical signature) or a bare SAN (the pipeline's ``model_san``
-    artifact); only the generated SAN is consulted either way.
-    """
-    full_san = getattr(full_run, "san", full_run)
+def figure18_ablations(full_san: SAN, no_lapa_san: SAN, no_focal_san: SAN) -> Dict[str, object]:
+    """Effect of removing LAPA (in-degree family) and focal closure (attribute clustering)."""
 
     def indegree_fits(san: SAN) -> Dict[str, float]:
         degrees = [d for d in social_in_degrees(san) if d >= 1]

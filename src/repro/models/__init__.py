@@ -1,28 +1,10 @@
-"""Generative models: attachment, triangle closing, Algorithm 1, baselines, theory."""
+"""Generative models: Algorithm 1, triangle closing, likelihoods, the Zhel baseline, theory."""
 
-from .attachment import (
-    AttachmentModel,
-    LinearAttributePreferentialAttachment,
-    PowerAttributePreferentialAttachment,
-    PreferentialAttachment,
-    UniformAttachment,
-    make_attachment_model,
-    sample_lapa_target_fast,
-    shared_attribute_count,
-)
-from .estimation import EstimationResult, estimate_parameters, greedy_refine
-from .fast_sim import (
-    FastSANModelRun,
-    SnapshotMark,
-    generate_san_fast,
-    san_generate,
-)
+from .estimation import EstimationResult, estimate_parameters
 from .history import ArrivalEvent, ArrivalHistory, apply_event
-from .kim_leskovec import expected_degree, generate_mag_san
 from .lifetime import (
     expected_lifetime,
     sample_sleep_time,
-    sample_truncated_normal_lifetime,
     truncated_normal_moments,
 )
 from .fast_likelihood import (
@@ -35,7 +17,6 @@ from .likelihood import (
     AttachmentModelSpec,
     LikelihoodResult,
     evaluate_attachment_models,
-    evaluate_attachment_models_loop,
     figure15_specs,
     figure15_sweep,
 )
@@ -43,12 +24,11 @@ from .parameters import (
     AttachmentParameters,
     FlashCrowd,
     LifetimeParameters,
-    MAGModelParameters,
     SANModelParameters,
     SybilWave,
     ZhelModelParameters,
 )
-from .san_model import SANGenerativeModel, SANModelRun, generate_san
+from .san_model import SANModelRun, SnapshotMark, generate_san
 from .theory import (
     LognormalPrediction,
     harmonic_outdegree_approximation,
@@ -68,32 +48,16 @@ from .triangle_closing import (
     evaluate_closure_models,
     score_closures,
 )
-from .zhel import ZhelGenerativeModel, generate_zhel_san
+from .zhel import ZhelGenerativeModel, ZhelModelRun, generate_zhel_san
 
 __all__ = [
-    "AttachmentModel",
-    "LinearAttributePreferentialAttachment",
-    "PowerAttributePreferentialAttachment",
-    "PreferentialAttachment",
-    "UniformAttachment",
-    "make_attachment_model",
-    "sample_lapa_target_fast",
-    "shared_attribute_count",
     "EstimationResult",
     "estimate_parameters",
-    "greedy_refine",
-    "FastSANModelRun",
-    "SnapshotMark",
-    "generate_san_fast",
-    "san_generate",
     "ArrivalEvent",
     "ArrivalHistory",
     "apply_event",
-    "expected_degree",
-    "generate_mag_san",
     "expected_lifetime",
     "sample_sleep_time",
-    "sample_truncated_normal_lifetime",
     "truncated_normal_moments",
     "DEFAULT_LIKELIHOOD_SEED",
     "AttachmentModelSpec",
@@ -102,18 +66,16 @@ __all__ = [
     "encode_history",
     "evaluate_attachment_models",
     "evaluate_attachment_models_fast",
-    "evaluate_attachment_models_loop",
     "figure15_specs",
     "figure15_sweep",
     "AttachmentParameters",
     "FlashCrowd",
     "LifetimeParameters",
-    "MAGModelParameters",
     "SANModelParameters",
     "SybilWave",
     "ZhelModelParameters",
-    "SANGenerativeModel",
     "SANModelRun",
+    "SnapshotMark",
     "generate_san",
     "LognormalPrediction",
     "harmonic_outdegree_approximation",
@@ -131,5 +93,6 @@ __all__ = [
     "evaluate_closure_models",
     "score_closures",
     "ZhelGenerativeModel",
+    "ZhelModelRun",
     "generate_zhel_san",
 ]

@@ -1,25 +1,24 @@
 """Parameter estimation: fit generative-model parameters to a reference SAN.
 
 The paper uses a "guided greedy search" to choose model parameters that make
-the generated SAN match a Google+ snapshot.  The estimator here follows the
-same spirit:
+the generated SAN match a Google+ snapshot.  The estimator here inverts the
+model's theory in closed form instead:
 
-1. **Closed-form initialisation** — invert the model's theory:
-   * lognormal fit of the reference out-degrees + Theorem 1 → lifetime
-     parameters;
-   * lognormal fit of the reference attribute degrees → (mu_a, sigma_a);
-   * power-law fit of the reference attribute social degrees + Theorem 2 →
-     the new-attribute probability ``p``;
-   * measured reciprocity → the reciprocation probability.
-2. **Greedy refinement** — optionally generate small pilot SANs and nudge one
-   parameter at a time to reduce a weighted distance over summary metrics.
+* lognormal fit of the reference out-degrees + Theorem 1 → lifetime
+  parameters;
+* lognormal fit of the reference attribute degrees → (mu_a, sigma_a);
+* power-law fit of the reference attribute social degrees + Theorem 2 →
+  the new-attribute probability ``p``;
+* measured reciprocity → the reciprocation probability.
+
+The attachment step is LAPA with the caller's ``beta``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..fitting.mle import fit_lognormal, fit_power_law
 from ..graph.san import SAN
@@ -29,8 +28,6 @@ from ..metrics.degrees import (
     social_out_degrees,
 )
 from ..metrics.reciprocity import global_reciprocity
-from ..utils.rng import RngLike, ensure_rng
-from .fast_sim import san_generate
 from .parameters import AttachmentParameters, SANModelParameters
 from .theory import invert_theorem_one, invert_theorem_two
 
@@ -135,91 +132,8 @@ def estimate_parameters(
         attribute_mu=attribute_mu,
         attribute_sigma=attribute_sigma,
         new_attribute_probability=new_attribute_probability,
-        attachment=AttachmentParameters(alpha=1.0, beta=beta),
+        attachment=AttachmentParameters(beta=beta),
         lifetime=lifetime,
         reciprocation_probability=min(max(reciprocity, 0.0), 1.0),
     )
     return EstimationResult(parameters=parameters, diagnostics=diagnostics)
-
-
-def _default_distance(reference_summary: Dict[str, float], candidate_summary: Dict[str, float]) -> float:
-    """Relative-error distance over a few robust summary metrics."""
-    keys = (
-        "mean_out_degree",
-        "mean_attribute_degree",
-        "reciprocity",
-        "social_density",
-        "attribute_density",
-    )
-    distance = 0.0
-    for key in keys:
-        reference_value = reference_summary.get(key, 0.0)
-        candidate_value = candidate_summary.get(key, 0.0)
-        scale = max(abs(reference_value), 1e-9)
-        distance += abs(candidate_value - reference_value) / scale
-    return distance
-
-
-def _summarise(san) -> Dict[str, float]:
-    """Summary metrics for either backend (mutable pilot SANs or FrozenSAN)."""
-    from ..metrics.degrees import degree_summary
-    from ..metrics.density import attribute_density, social_density
-
-    summary = degree_summary(san)
-    summary["reciprocity"] = global_reciprocity(san)
-    summary["social_density"] = social_density(san)
-    summary["attribute_density"] = attribute_density(san)
-    return summary
-
-
-def greedy_refine(
-    reference: SAN,
-    initial: SANModelParameters,
-    pilot_steps: int = 800,
-    iterations: int = 4,
-    rng: RngLike = None,
-    distance: Callable[[Dict[str, float], Dict[str, float]], float] = _default_distance,
-) -> EstimationResult:
-    """Guided greedy search: perturb one parameter at a time, keep improvements.
-
-    Pilot runs use ``pilot_steps`` nodes to keep the search fast; the returned
-    parameters retain the caller's original ``steps``.
-    """
-    generator = ensure_rng(rng)
-    reference_summary = _summarise(reference)
-
-    def evaluate(params: SANModelParameters) -> float:
-        # alpha = 1 pilots (the common case) run on the array implementation
-        # and are summarised directly on the FrozenSAN it materializes.
-        pilot = replace(params, steps=pilot_steps)
-        run = san_generate(pilot, rng=generator.getrandbits(32))
-        return distance(reference_summary, _summarise(run.san))
-
-    current = initial
-    current_score = evaluate(current)
-    history: Dict[str, float] = {"initial_score": current_score}
-
-    perturbations: List[Tuple[str, Callable[[SANModelParameters, float], SANModelParameters]]] = [
-        ("mean_sleep", lambda p, f: replace(
-            p, lifetime=replace(p.lifetime, mean_sleep=max(0.2, p.lifetime.mean_sleep * f)))),
-        ("attribute_mu", lambda p, f: replace(p, attribute_mu=p.attribute_mu * f)),
-        ("new_attribute_probability", lambda p, f: replace(
-            p, new_attribute_probability=min(0.95, max(0.02, p.new_attribute_probability * f)))),
-        ("reciprocation_probability", lambda p, f: replace(
-            p, reciprocation_probability=min(1.0, max(0.0, p.reciprocation_probability * f)))),
-    ]
-
-    for _ in range(iterations):
-        improved = False
-        for name, perturb in perturbations:
-            for factor in (0.8, 1.25):
-                candidate = perturb(current, factor)
-                score = evaluate(candidate)
-                if score < current_score:
-                    current, current_score = candidate, score
-                    history[f"accepted_{name}_{factor}"] = score
-                    improved = True
-        if not improved:
-            break
-    history["final_score"] = current_score
-    return EstimationResult(parameters=current, diagnostics=history)

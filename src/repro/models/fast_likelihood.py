@@ -1,26 +1,26 @@
 """Vectorized attachment-likelihood evaluation, the implementation Figure 15 runs.
 
-The loop reference in :mod:`repro.models.likelihood` replays every arrival
-event through a dict-backed SAN and, for each scored link, walks the members
-of the source's attribute communities in Python — once per (link, spec with
-beta > 0).  At the 50k+-step histories the vectorized generator now produces,
-that replay-and-scan is the last per-event hot path in the Figure 15
-pipeline.  This module re-derives the same quantities from flat arrays:
+Scoring a link needs the normalising sum over every node existing at that
+moment and, for the attribute models, a correction over the members of the
+source's attribute communities.  Replaying every event through a mutable SAN
+and walking those members in Python, once per (link, spec with beta > 0),
+does not scale to 50k+-step histories; this module derives the same
+quantities from flat arrays:
 
 * **Compact encoding** — :func:`encode_history` lowers an
   :class:`~repro.models.history.ArrivalHistory` into int arrays (the same
   node-id/attribute-id interning idea as the event log in
-  :mod:`repro.models.fast_sim`): one record per social-link event carrying
+  :mod:`repro.models.san_model`): one record per social-link event carrying
   the source/target degrees and eligibility at its scoring point, a
-  bookkeeping *update stream* mirroring the loop reference's ``register_node``
-  / degree-increment order, per-target in-degree gain positions, and a CSR
+  bookkeeping *update stream* in replay order (a node registers at its first
+  appearance in any role; a target's in-degree steps up once per new
+  link), per-target in-degree gain positions, and a CSR
   attribute-membership layout (node -> attributes, attribute -> members)
   timestamped by event position so any moment's membership is a filter, not
   a replay.
-* **Prefix ``S_alpha`` sums** — the loop maintains ``S_alpha = sum_x
-  (d_i(x) + s)^alpha`` incrementally; here the whole trajectory is one
-  broadcast delta matrix plus a cumulative sum, and the value *at any scored
-  link* is a row gather.
+* **Prefix ``S_alpha`` sums** — ``S_alpha = sum_x (d_i(x) + s)^alpha`` over
+  the whole trajectory is one broadcast delta matrix plus a cumulative sum,
+  and the value *at any scored link* is a row gather.
 * **Batched community corrections** — scored links are processed in chunks:
   the members of each source's attributes are gathered through the CSR
   layout, shared-attribute counts come from one ``np.unique`` over
@@ -29,10 +29,12 @@ pipeline.  This module re-derives the same quantities from flat arrays:
   every (kind, alpha, beta) spec's correction reduces with ``np.bincount``
   — no per-member Python loop anywhere.
 
-Both implementations consume one uniform variate per social-link event when
-subsampling, so a given seed selects the *identical* scored-link set on
-either; per-model log-likelihoods then agree to float round-off (the
-exact-parity gate in ``benchmarks/bench_likelihood.py``).
+Subsampling consumes one uniform variate per social-link event.  The
+per-link replay in ``tests/model_reference.py`` consumes the same stream, so
+a given seed selects the *identical* scored-link set on both, and per-model
+log-likelihoods agree to float round-off (the exact-parity gates in
+``tests/test_models_fast_likelihood.py`` and
+``benchmarks/bench_likelihood.py``).
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class EncodedHistory:
     social_dst_degree: np.ndarray
     social_update_count: np.ndarray  # bookkeeping updates applied before scoring
     # Bookkeeping update stream (-1 = node registration, k >= 0 = a target's
-    # in-degree stepping k -> k + 1), in the loop reference's exact order:
+    # in-degree stepping k -> k + 1), in replay order:
     update_old_degree: np.ndarray
     # Per-target in-degree gains as sorted composite keys target*(E+2)+pos:
     gain_comp: np.ndarray
@@ -115,10 +117,10 @@ def _csr_from_triples(
 def encode_history(history: ArrivalHistory) -> EncodedHistory:
     """One pass over the history producing the arrays the scorer consumes.
 
-    The pass mirrors the loop reference's bookkeeping order exactly — node
+    The pass follows a replay's bookkeeping order exactly — node
     registrations happen at a node's first appearance in *any* event role,
     degree increments only for links not already present — which is what
-    makes the prefix sums reproduce the loop's ``alpha_sums`` values.
+    makes the prefix sums equal a replay's running ``S_alpha`` values.
     """
     initial = history.initial
     events = history.events
@@ -340,11 +342,11 @@ def evaluate_attachment_models_fast(
 ) -> LikelihoodResult:
     """The implementation behind ``evaluate_attachment_models``.
 
-    Semantically identical to
-    :func:`~repro.models.likelihood.evaluate_attachment_models_loop`
-    (same scored-link selection stream, same skip rules for non-positive
-    weights); the encoding pass is the only per-event Python left and is
-    charged to this implementation in ``benchmarks/bench_likelihood.py``.
+    Semantically identical to the per-link replay in
+    ``tests/model_reference.py`` (same scored-link selection stream, same
+    skip rules for non-positive weights); the encoding pass is the only
+    per-event Python left and is charged to this implementation in
+    ``benchmarks/bench_likelihood.py``.
     """
     generator = ensure_rng(rng)
     encoded = encode_history(history)
@@ -481,8 +483,7 @@ def evaluate_attachment_models_fast(
         )
         valid = (numerator > 0) & (denominator > 0)
         contribution = float(np.log(numerator[valid] / denominator[valid]).sum())
-        # Accumulate (not assign): the loop reference adds into spec.name, so
-        # duplicate labels must merge identically here.
+        # Accumulate (not assign): specs sharing a label add into one total.
         log_likelihoods[spec.name] = log_likelihoods.get(spec.name, 0.0) + contribution
 
     return LikelihoodResult(log_likelihoods=log_likelihoods, num_links_scored=num_scored)

@@ -16,23 +16,6 @@ from ..utils.rng import RngLike, ensure_rng
 from .parameters import LifetimeParameters
 
 
-def sample_truncated_normal_lifetime(
-    params: LifetimeParameters, rng: RngLike = None, max_rejections: int = 1000
-) -> float:
-    """Draw a lifetime from ``Normal(mu, sigma)`` truncated to ``[0, inf)``.
-
-    Rejection sampling is exact and fast for the parameter ranges used by the
-    model (the acceptance probability is ``1 - Phi(-mu/sigma)``); a fallback of
-    ``max(0, draw)`` guards against pathological parameters.
-    """
-    generator = ensure_rng(rng)
-    for _ in range(max_rejections):
-        draw = generator.gauss(params.mu, params.sigma)
-        if draw >= 0:
-            return draw
-    return max(0.0, generator.gauss(params.mu, params.sigma))
-
-
 def truncated_normal_block(
     params: LifetimeParameters, generator, size: int, max_refills: int = 50
 ):
@@ -41,11 +24,9 @@ def truncated_normal_block(
     ``generator`` is a ``numpy.random.Generator``; the returned numpy array
     holds exactly ``size`` draws from ``Normal(mu, sigma)`` truncated to
     ``[0, inf)``, produced by vectorized rejection (draw a block, keep the
-    non-negative entries, repeat).  The vectorized simulation engine consumes
-    lifetimes from these blocks instead of calling
-    :func:`sample_truncated_normal_lifetime` per node.  After ``max_refills``
-    rounds (pathological parameters only) the remainder is filled with
-    zero-clamped draws, mirroring the scalar sampler's fallback.
+    non-negative entries, repeat).  The Algorithm 1 generator consumes its
+    lifetimes from these blocks.  After ``max_refills`` rounds (pathological
+    parameters only) the remainder is filled with zero-clamped draws.
     """
     import numpy as np
 

@@ -7,36 +7,21 @@ sum runs over every social node existing at that moment (excluding ``u``), and
 over classical PA is then ``(l_PA - l_model) / l_PA`` (log-likelihoods are
 negative, so positive numbers mean the model explains the arrivals better).
 
-There are two implementations, sharing one scored-link selection stream
-(same seed, same scored links):
-
-* :func:`evaluate_attachment_models_loop` (this module) — the exact-parity
-  reference.  It replays the history through a mutable dict-backed SAN while
-  maintaining, for every requested ``alpha``, the running sum
-  ``S_alpha = sum_x (d_i(x) + s)^alpha``, so each evaluated link only needs
-  the attribute-community correction term, iterated per member in Python.
-* :func:`~repro.models.fast_likelihood.evaluate_attachment_models_fast` —
-  encodes the history into flat int arrays once, reconstructs every
-  ``S_alpha`` prefix with one cumulative sum, and scores the sampled links in
-  batches across the whole (kind, alpha, beta) spec grid via numpy
-  broadcasting over a CSR attribute-membership layout.
-
-:func:`evaluate_attachment_models` and :func:`figure15_sweep` always run the
-vectorized one; the tests and ``benchmarks/bench_likelihood.py`` call the
-loop reference by name.
+This module holds the model specs, the result type and the Figure 15 sweep;
+the scoring itself runs on flat arrays in
+:func:`~repro.models.fast_likelihood.evaluate_attachment_models_fast`.  A
+per-link, per-member replay through a mutable SAN lives beside the tests
+(``tests/model_reference.py``); it draws the same scored-link subsample, so
+the two must agree to float round-off.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..graph.san import SAN
-from ..utils.rng import RngLike, ensure_rng
-from .history import EVENT_ATTRIBUTE, EVENT_NODE, ArrivalHistory, apply_event
-
-Node = Hashable
+from ..utils.rng import RngLike
+from .history import ArrivalHistory
 
 #: Default subsample seed.  The scored-link subsample (``max_links``) must be
 #: reproducible by default — a system-entropy default made every reported
@@ -98,149 +83,6 @@ class LikelihoodResult:
         }
 
 
-def evaluate_attachment_models_loop(
-    history: ArrivalHistory,
-    specs: Sequence[AttachmentModelSpec],
-    smoothing: float = 1.0,
-    max_links: Optional[int] = 2000,
-    rng: RngLike = DEFAULT_LIKELIHOOD_SEED,
-) -> LikelihoodResult:
-    """The reference implementation: replay through a mutable SAN, score per member.
-
-    ``max_links`` subsamples the scored links uniformly (all links are still
-    replayed to keep the state evolution faithful); pass ``None`` to score all.
-    One uniform variate is consumed per social-link event, which is the
-    contract that keeps the scored-link set identical across implementations
-    for a given seed.
-    """
-    generator = ensure_rng(rng)
-    total_links = history.num_social_links()
-    if total_links == 0:
-        raise ValueError("the arrival history contains no social link events")
-    if max_links is None or max_links >= total_links:
-        score_probability = 1.0
-    else:
-        score_probability = max_links / total_links
-
-    alphas = sorted({spec.alpha for spec in specs})
-    state = history.initial.copy()
-
-    # Running structures: in-degree of each node and sum over nodes of
-    # (d_i + smoothing)^alpha for every requested alpha.
-    in_degree: Dict[Node, int] = {
-        node: state.social_in_degree(node) for node in state.social_nodes()
-    }
-    alpha_sums: Dict[float, float] = {
-        alpha: sum((degree + smoothing) ** alpha for degree in in_degree.values())
-        for alpha in alphas
-    }
-
-    log_likelihoods = {spec.name: 0.0 for spec in specs}
-    scored = 0
-
-    def register_node(node: Node) -> None:
-        if node in in_degree:
-            return
-        in_degree[node] = 0
-        for alpha in alphas:
-            alpha_sums[alpha] += smoothing ** alpha
-
-    def register_social_edge(source: Node, target: Node) -> None:
-        register_node(source)
-        register_node(target)
-        old_degree = in_degree[target]
-        if state.has_social_edge(source, target):
-            return
-        in_degree[target] = old_degree + 1
-        for alpha in alphas:
-            alpha_sums[alpha] += (old_degree + 1 + smoothing) ** alpha - (
-                old_degree + smoothing
-            ) ** alpha
-
-    for event in history.events:
-        if event.kind == EVENT_NODE:
-            register_node(event.first)
-            apply_event(state, event)
-            continue
-        if event.kind == EVENT_ATTRIBUTE:
-            register_node(event.first)
-            apply_event(state, event)
-            continue
-
-        source, target = event.first, event.second
-        register_node(source)
-        register_node(target)
-        if (
-            generator.random() < score_probability
-            and state.is_social_node(target)
-            and not state.has_social_edge(source, target)
-            and source != target
-        ):
-            _score_link(
-                state,
-                source,
-                target,
-                specs,
-                smoothing,
-                in_degree,
-                alpha_sums,
-                log_likelihoods,
-            )
-            scored += 1
-        register_social_edge(source, target)
-        apply_event(state, event)
-
-    if scored == 0:
-        raise ValueError("no social links were scored; increase max_links")
-    return LikelihoodResult(log_likelihoods=log_likelihoods, num_links_scored=scored)
-
-
-def _score_link(
-    state: SAN,
-    source: Node,
-    target: Node,
-    specs: Sequence[AttachmentModelSpec],
-    smoothing: float,
-    in_degree: Dict[Node, int],
-    alpha_sums: Dict[float, float],
-    log_likelihoods: Dict[str, float],
-) -> None:
-    """Add one link's log-probability to every model's running total."""
-    # Shared-attribute counts between the source and every member of its
-    # attribute communities (all other nodes share zero attributes).
-    shared_counts: Dict[Node, int] = {}
-    for attribute in state.attribute_neighbors(source):
-        for member in state.attributes.members_of(attribute):
-            if member == source:
-                continue
-            shared_counts[member] = shared_counts.get(member, 0) + 1
-
-    source_term: Dict[float, float] = {}
-    for spec in specs:
-        alpha = spec.alpha
-        # Denominator base: sum over all nodes except the source itself.
-        if alpha not in source_term:
-            source_term[alpha] = (in_degree.get(source, 0) + smoothing) ** alpha
-        base = alpha_sums[alpha] - source_term[alpha]
-        if spec.kind in ("lapa", "papa") and spec.beta > 0:
-            correction = 0.0
-            for member, shared in shared_counts.items():
-                weight = (in_degree.get(member, 0) + smoothing) ** alpha
-                correction += weight * (spec.attribute_factor(shared) - 1.0)
-            denominator = base + correction
-        elif spec.kind == "papa" and spec.beta == 0:
-            denominator = 2.0 * base
-        else:
-            denominator = base
-        shared_with_target = shared_counts.get(target, 0)
-        numerator = (
-            (in_degree.get(target, 0) + smoothing) ** alpha
-        ) * spec.attribute_factor(float(shared_with_target))
-        if numerator <= 0 or denominator <= 0:
-            continue
-        log_likelihoods[spec.name] += math.log(numerator / denominator)
-
-
 def evaluate_attachment_models(
     history: ArrivalHistory,
     specs: Sequence[AttachmentModelSpec],
@@ -255,9 +97,7 @@ def evaluate_attachment_models(
     The subsample is seeded (:data:`DEFAULT_LIKELIHOOD_SEED`) so repeated
     evaluations agree by default.
 
-    Runs the vectorized
-    :func:`~repro.models.fast_likelihood.evaluate_attachment_models_fast`;
-    :func:`evaluate_attachment_models_loop` is its exact-parity reference.
+    Runs :func:`~repro.models.fast_likelihood.evaluate_attachment_models_fast`.
     """
     from .fast_likelihood import evaluate_attachment_models_fast
 

@@ -1,4 +1,4 @@
-"""Parameter containers for the SAN generative model and its baselines."""
+"""Parameter containers for the SAN generative model and the Zhel baseline."""
 
 from __future__ import annotations
 
@@ -50,24 +50,23 @@ class SybilWave:
 
 @dataclass
 class AttachmentParameters:
-    """Parameters of the attribute-augmented preferential attachment models.
+    """Parameters of the LAPA attachment step of Algorithm 1.
 
-    ``alpha`` is the exponent on the target's social in-degree, ``beta`` the
-    attribute coefficient.  ``alpha = 1, beta = 0`` is classical preferential
-    attachment; ``alpha = beta = 0`` is the uniform model.  ``smoothing`` is
-    added to the in-degree before exponentiation so zero-in-degree nodes remain
-    reachable (the paper's formulation leaves this implementation detail open;
-    the same smoothing is applied to every model being compared, so relative
-    improvements are unaffected).
+    The weight of a link ``u -> v`` is ``(d_i(v) + smoothing) (1 + beta
+    a(u, v))``: linear in the target's social in-degree ``d_i``, as in the
+    paper's model, plus ``beta`` times the (optionally type-weighted, see
+    ``type_weights``) count ``a(u, v)`` of shared attributes.  ``beta = 0`` is
+    classical preferential attachment.  ``smoothing`` keeps zero-in-degree
+    nodes reachable (the paper leaves this detail open).  The Figure 15
+    sweep scores other in-degree exponents through
+    :class:`~repro.models.likelihood.AttachmentModelSpec`.
     """
 
-    alpha: float = 1.0
     beta: float = 0.0
     smoothing: float = 1.0
     type_weights: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:
-        require_non_negative(self.alpha, "alpha")
         require_non_negative(self.beta, "beta")
         require_non_negative(self.smoothing, "smoothing")
 
@@ -143,7 +142,7 @@ class SANModelParameters:
     attribute_sigma: float = 0.8
     new_attribute_probability: float = 0.25
     attachment: AttachmentParameters = field(
-        default_factory=lambda: AttachmentParameters(alpha=1.0, beta=200.0)
+        default_factory=lambda: AttachmentParameters(beta=200.0)
     )
     lifetime: LifetimeParameters = field(default_factory=LifetimeParameters)
     focal_weight: float = 1.0
@@ -214,33 +213,3 @@ class ZhelModelParameters:
         require_probability(self.reciprocation_probability, "reciprocation_probability")
         if self.lifetime_tail_exponent <= 1.0:
             raise ValueError("lifetime_tail_exponent must be > 1")
-
-
-@dataclass
-class MAGModelParameters:
-    """Parameters of the Kim-Leskovec multiplicative attribute graph baseline.
-
-    Every node draws ``num_attributes`` i.i.d. Bernoulli latent attributes; the
-    probability of a directed link is the product over attributes of an
-    affinity matrix entry selected by the endpoint attribute values.  Both the
-    social degrees and attribute degrees it produces are binomial-like, which
-    is the mismatch with real SANs the paper points out.
-    """
-
-    num_nodes: int = 2000
-    num_attributes: int = 4
-    attribute_probability: float = 0.5
-    target_mean_degree: float = 10.0
-    affinity: Dict[str, float] = field(
-        default_factory=lambda: {"11": 0.9, "10": 0.3, "01": 0.3, "00": 0.1}
-    )
-
-    def __post_init__(self) -> None:
-        require_positive(self.num_nodes, "num_nodes")
-        require_positive(self.num_attributes, "num_attributes")
-        require_probability(self.attribute_probability, "attribute_probability")
-        require_positive(self.target_mean_degree, "target_mean_degree")
-        for key in ("11", "10", "01", "00"):
-            if key not in self.affinity:
-                raise ValueError(f"affinity matrix is missing entry {key!r}")
-            require_probability(self.affinity[key], f"affinity[{key}]")

@@ -12,10 +12,11 @@ outgoing link from its two-hop neighborhood:
   ``fc``), so shared attributes can spawn *focal closures* in addition to the
   triadic closures produced by the social first hop.
 
-Besides sampling (used inside the generative model), each model can compute
-the probability it assigns to a specific observed closure edge, which is what
-the Section 5.2 comparison ("RR is 14% better than Baseline, RR-SAN is 36%
-better than RR") needs.
+Each model computes the probability it assigns to a specific observed
+closure edge, which is what the Section 5.2 comparison ("RR is 14% better
+than Baseline, RR-SAN is 36% better than RR") needs.  The generative model
+(:mod:`repro.models.san_model`) samples RR and RR-SAN closures on its own
+array state.
 
 :func:`score_closures` classifies a batch of edges (triadic / focal) and
 scores it under all three models.  Its portable body calls the per-pair
@@ -53,15 +54,8 @@ from ..engine import dispatchable, kernel
 from ..engine.deps import scipy_sparse
 from ..graph.frozen import FrozenSAN, sorted_membership
 from ..graph.san import SAN
-from ..utils.rng import RngLike, ensure_rng
 
 Node = Hashable
-
-#: Bounded attempts at finding a non-empty two-hop candidate set before a
-#: closure sampler gives up and returns ``None`` (the generative model then
-#: falls back to attachment).  Shared with the vectorized engine in
-#: :mod:`repro.models.fast_sim`.
-CLOSURE_SAMPLE_TRIES = 10
 
 
 def _checked_attribute_weight(attribute_weight: float) -> float:
@@ -71,12 +65,9 @@ def _checked_attribute_weight(attribute_weight: float) -> float:
 
 
 class TriangleClosingModel:
-    """Interface: sample a closure target and score observed closures."""
+    """Interface: the probability a model assigns to an observed closure."""
 
     name = "triangle_closing"
-
-    def sample_target(self, san: SAN, source: Node, rng: RngLike = None) -> Optional[Node]:
-        raise NotImplementedError
 
     def target_probability(self, san: SAN, source: Node, target: Node) -> float:
         raise NotImplementedError
@@ -86,13 +77,6 @@ class BaselineClosing(TriangleClosingModel):
     """Uniform choice within the two-hop social neighborhood."""
 
     name = "baseline"
-
-    def sample_target(self, san: SAN, source: Node, rng: RngLike = None) -> Optional[Node]:
-        generator = ensure_rng(rng)
-        candidates = list(two_hop_social_neighbors(san, source))
-        if not candidates:
-            return None
-        return candidates[generator.randrange(len(candidates))]
 
     def target_probability(self, san: SAN, source: Node, target: Node) -> float:
         candidates = two_hop_social_neighbors(san, source)
@@ -105,20 +89,6 @@ class RandomRandomClosing(TriangleClosingModel):
     """Leskovec-style RR closure: uniform neighbor, then uniform neighbor-of-neighbor."""
 
     name = "random_random"
-
-    def sample_target(self, san: SAN, source: Node, rng: RngLike = None) -> Optional[Node]:
-        generator = ensure_rng(rng)
-        first_hops = list(san.social_neighbors(source))
-        if not first_hops:
-            return None
-        for _ in range(CLOSURE_SAMPLE_TRIES):
-            intermediate = first_hops[generator.randrange(len(first_hops))]
-            second_hops = [
-                node for node in san.social_neighbors(intermediate) if node != source
-            ]
-            if second_hops:
-                return second_hops[generator.randrange(len(second_hops))]
-        return None
 
     def target_probability(self, san: SAN, source: Node, target: Node) -> float:
         first_hops = san.social_neighbors(source)
@@ -163,28 +133,6 @@ class RandomRandomSANClosing(TriangleClosingModel):
         else:
             pool = san.attributes.members_of(intermediate)
         return [node for node in pool if node != source]
-
-    def sample_target(self, san: SAN, source: Node, rng: RngLike = None) -> Optional[Node]:
-        generator = ensure_rng(rng)
-        nodes, weights = self._first_hop_weights(san, source)
-        if not nodes:
-            return None
-        total = sum(weights)
-        if total <= 0:
-            return None
-        for _ in range(CLOSURE_SAMPLE_TRIES):
-            threshold = generator.random() * total
-            cumulative = 0.0
-            intermediate = nodes[-1]
-            for node, weight in zip(nodes, weights):
-                cumulative += weight
-                if cumulative >= threshold:
-                    intermediate = node
-                    break
-            second_hops = self._second_hop_candidates(san, intermediate, source)
-            if second_hops:
-                return second_hops[generator.randrange(len(second_hops))]
-        return None
 
     def target_probability(self, san: SAN, source: Node, target: Node) -> float:
         nodes, weights = self._first_hop_weights(san, source)

@@ -26,6 +26,7 @@ Key properties (which the evaluation relies on):
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..graph.builders import complete_seed_san
@@ -35,9 +36,17 @@ from ..utils.validation import require_positive
 from .history import ArrivalHistory
 from .lifetime import sample_sleep_time
 from .parameters import ZhelModelParameters
-from .san_model import SANModelRun
 
 Node = Hashable
+
+
+@dataclass
+class ZhelModelRun:
+    """Output of one Zhel run: the final SAN, its history and its snapshots."""
+
+    san: SAN
+    history: ArrivalHistory
+    snapshots: List[Tuple[int, SAN]] = field(default_factory=list)
 
 
 class ZhelGenerativeModel:
@@ -49,7 +58,7 @@ class ZhelGenerativeModel:
 
     def generate(
         self, snapshot_every: Optional[int] = None, record_history: bool = True
-    ) -> SANModelRun:
+    ) -> ZhelModelRun:
         """Run the Zhel process for ``params.steps`` steps.
 
         Draws over a set of group labels order it by ``str(label)`` first, so
@@ -193,7 +202,7 @@ class ZhelGenerativeModel:
         if snapshot_every is not None and (not snapshots or snapshots[-1][0] != params.steps):
             snapshots.append((params.steps, san.copy()))
 
-        return SANModelRun(san=san, history=history, snapshots=snapshots, parameters=None)
+        return ZhelModelRun(san=san, history=history, snapshots=snapshots)
 
 
 def generate_zhel_san(
@@ -201,7 +210,7 @@ def generate_zhel_san(
     rng: RngLike = None,
     snapshot_every: Optional[int] = None,
     record_history: bool = True,
-) -> SANModelRun:
+) -> ZhelModelRun:
     """Convenience wrapper: build the Zhel baseline model and run it once."""
     return ZhelGenerativeModel(params=params, rng=rng).generate(
         snapshot_every=snapshot_every, record_history=record_history

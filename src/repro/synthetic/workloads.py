@@ -193,8 +193,9 @@ def generative_params(steps: int = 50_000) -> SANModelParameters:
     """Canonical Algorithm 1 parameters for the generation benches.
 
     The paper's defaults at a configurable step count; used by
-    ``benchmarks/bench_generative.py`` and the CI benchmark smoke leg so the
-    loop/vectorized engine comparison always runs the same workload.
+    ``benchmarks/bench_generative.py``, ``benchmarks/bench_likelihood.py``
+    and the CI benchmark smoke leg, so the comparisons of the production code
+    with its loop references always run the same workload.
     """
     return SANModelParameters(steps=steps)
 

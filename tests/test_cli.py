@@ -160,6 +160,14 @@ def test_generate_vectorized_engine(tmp_path, capsys):
     assert san.number_of_attribute_edges() > 0
 
 
+def test_generate_and_likelihood_accept_a_negative_seed(tmp_path):
+    """A negative seed runs as its absolute value, not into numpy's ValueError."""
+    prefix = tmp_path / "negative"
+    argv = ["generate", "--steps", "50", "--seed", "-1", "--out-prefix", str(prefix)]
+    assert main(argv) == 0
+    assert main(["likelihood", "--steps", "50", "--seed", "-1", "--max-links", "0"]) == 0
+
+
 def test_likelihood_from_generated_history(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     exit_code = main(

@@ -97,7 +97,7 @@ def test_figure16_17_drivers(tiny_final_san, model_run, zhel_run):
 
 
 def test_figure18_driver(model_run):
-    result = figure18_ablations(model_run, model_run.san, model_run.san)
+    result = figure18_ablations(model_run.san, model_run.san, model_run.san)
     # Using the same SAN for every variant: the statistics must be identical.
     assert (
         result["full"]["mean_attribute_clustering"]

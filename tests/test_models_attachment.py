@@ -1,13 +1,12 @@
-"""Tests for the attachment models (uniform, PA, PAPA, LAPA)."""
+"""Tests for the reference attachment models (uniform, PA, PAPA, LAPA), the
+decomposed LAPA sampler the loop reference generator uses, and
+:class:`AttachmentParameters`."""
 
 import random
 from collections import Counter
 
 import pytest
-
-from repro.graph import san_from_edge_lists
-from repro.models import (
-    AttachmentParameters,
+from model_reference import (
     LinearAttributePreferentialAttachment,
     PowerAttributePreferentialAttachment,
     PreferentialAttachment,
@@ -16,6 +15,9 @@ from repro.models import (
     sample_lapa_target_fast,
     shared_attribute_count,
 )
+
+from repro.graph import san_from_edge_lists
+from repro.models import AttachmentParameters
 
 
 @pytest.fixture
@@ -52,8 +54,7 @@ def test_shared_attribute_count_and_type_weights(attachment_san):
 
 
 def test_lapa_weight_combines_degree_and_attributes(attachment_san):
-    params = AttachmentParameters(alpha=1.0, beta=10.0)
-    model = LinearAttributePreferentialAttachment(params)
+    model = LinearAttributePreferentialAttachment(alpha=1.0, beta=10.0)
     # Target 6 shares the employer with source 5: (0+1) * (1 + 10).
     assert model.weight(attachment_san, 5, 6) == pytest.approx(11.0)
     # Target 0 has in-degree 7 but shares nothing: 8 * 1.
@@ -61,14 +62,13 @@ def test_lapa_weight_combines_degree_and_attributes(attachment_san):
 
 
 def test_papa_weight(attachment_san):
-    params = AttachmentParameters(alpha=1.0, beta=2.0)
-    model = PowerAttributePreferentialAttachment(params)
+    model = PowerAttributePreferentialAttachment(alpha=1.0, beta=2.0)
     # shared = 1 -> factor 1 + 1^2 = 2.
     assert model.weight(attachment_san, 5, 6) == pytest.approx(2.0)
     # shared = 0, beta > 0 -> factor 1.
     assert model.weight(attachment_san, 5, 0) == pytest.approx(8.0)
     # beta = 0 reduces to 2 * PA weight.
-    flat = PowerAttributePreferentialAttachment(AttachmentParameters(alpha=1.0, beta=0.0))
+    flat = PowerAttributePreferentialAttachment(alpha=1.0, beta=0.0)
     assert flat.weight(attachment_san, 5, 0) == pytest.approx(16.0)
 
 
@@ -96,8 +96,8 @@ def test_sample_target_empty_candidates(attachment_san):
 
 def test_sample_lapa_target_fast_matches_distribution(attachment_san):
     """The fast decomposed sampler should match the exact LAPA distribution."""
-    params = AttachmentParameters(alpha=1.0, beta=50.0, smoothing=1.0)
-    exact_model = LinearAttributePreferentialAttachment(params)
+    params = AttachmentParameters(beta=50.0, smoothing=1.0)
+    exact_model = LinearAttributePreferentialAttachment(alpha=1.0, beta=50.0, smoothing=1.0)
     source = 5
     candidates = [node for node in attachment_san.social_nodes() if node != source]
     weights = {c: exact_model.weight(attachment_san, source, c) for c in candidates}
@@ -116,7 +116,7 @@ def test_sample_lapa_target_fast_matches_distribution(attachment_san):
 
 
 def test_sample_lapa_target_fast_excludes_source_and_exclusions(attachment_san):
-    params = AttachmentParameters(alpha=1.0, beta=0.0)
+    params = AttachmentParameters(beta=0.0)
     generator = random.Random(3)
     for _ in range(100):
         target = sample_lapa_target_fast(
@@ -125,14 +125,11 @@ def test_sample_lapa_target_fast_excludes_source_and_exclusions(attachment_san):
         assert target not in (0, 1, 2, 3)
 
 
-def test_sample_lapa_target_fast_nonunit_alpha_falls_back(attachment_san):
-    params = AttachmentParameters(alpha=0.5, beta=5.0)
-    target = sample_lapa_target_fast(attachment_san, 5, params, rng=7)
-    assert target is not None and target != 5
-
-
 def test_attachment_parameters_validation():
     with pytest.raises(ValueError):
-        AttachmentParameters(alpha=-1.0)
+        AttachmentParameters(smoothing=-1.0)
     with pytest.raises(ValueError):
         AttachmentParameters(beta=-0.1)
+    # The in-degree exponent is 1 by construction, not a parameter.
+    with pytest.raises(TypeError):
+        AttachmentParameters(alpha=1.5)

@@ -9,7 +9,6 @@ from repro.models import (
     SANModelParameters,
     estimate_parameters,
     generate_san,
-    greedy_refine,
     invert_theorem_two,
 )
 
@@ -39,15 +38,6 @@ def test_estimate_parameters_small_reference(figure1_san):
     params = result.parameters
     assert 0.0 <= params.new_attribute_probability <= 1.0
     assert params.steps >= 200
-
-
-def test_greedy_refine_improves_or_keeps_score(tiny_final_san):
-    initial = estimate_parameters(tiny_final_san).parameters
-    result = greedy_refine(
-        tiny_final_san, initial, pilot_steps=150, iterations=1, rng=5
-    )
-    assert result.diagnostics["final_score"] <= result.diagnostics["initial_score"] + 1e-9
-    assert result.parameters.steps == initial.steps
 
 
 def test_theorem_two_cross_check_on_generated_san():

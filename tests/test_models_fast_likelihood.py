@@ -1,6 +1,8 @@
-"""Tests for the vectorized attachment-likelihood implementation."""
+"""Tests for the vectorized attachment-likelihood implementation, against the
+loop reference in ``model_reference.py``."""
 
 import pytest
+from model_reference import evaluate_attachment_models_loop, generate_san_loop
 
 from repro.graph import SAN
 from repro.models import (
@@ -10,26 +12,24 @@ from repro.models import (
     encode_history,
     evaluate_attachment_models,
     evaluate_attachment_models_fast,
-    evaluate_attachment_models_loop,
     figure15_specs,
     figure15_sweep,
     generate_san,
-    generate_san_fast,
 )
 
 
 @pytest.fixture(scope="module")
 def generated_history():
-    """A model-generated history with realistic attribute communities."""
-    return generate_san(
+    """The loop reference generator's history, recorded on a mutable SAN."""
+    return generate_san_loop(
         SANModelParameters(steps=350), rng=17, record_history=True
     ).history
 
 
 @pytest.fixture(scope="module")
 def fast_generated_history():
-    """The vectorized generator's decoded event log (integer labels)."""
-    return generate_san_fast(
+    """The production generator's decoded event log (integer labels)."""
+    return generate_san(
         SANModelParameters(steps=300), rng=23, record_history=True
     ).history()
 

@@ -1,17 +1,18 @@
-"""Tests for the vectorized Algorithm 1 implementation (fast_sim) and
-``san_generate``'s choice between it and the loop implementation.
+"""Tests for the array Algorithm 1 (``repro.models.san_model.generate_san``).
 
-The distributional-parity gate lives here: the loop and vectorized
-implementations share no random stream, so equality between them is checked with two-sample
-KS tests on the out-degree and attribute-degree distributions at matched
-parameters — the acceptance criterion for the vectorized engine being a
-faithful Algorithm 1 implementation.
+The distributional-parity gate lives here: the production generator and the
+loop reference in ``model_reference.py`` share no random stream, so equality
+between them is checked with two-sample KS tests on the out-degree and
+attribute-degree distributions at matched parameters — the acceptance
+criterion for the array generator being a faithful Algorithm 1
+implementation.
 """
 
 import math
 
 import numpy as np
 import pytest
+from model_reference import generate_san_loop
 
 from repro.graph.frozen import FrozenSAN
 from repro.metrics import (
@@ -22,23 +23,19 @@ from repro.metrics import (
 from repro.models import (
     FlashCrowd,
     SybilWave,
-    FastSANModelRun,
     SANModelParameters,
-    SANModelRun,
     generate_san,
-    generate_san_fast,
-    san_generate,
 )
-from repro.models.parameters import AttachmentParameters
 from repro.utils import ks_two_sample_threshold, two_sample_ks_statistic
 
 PARITY_STEPS = 2000
 PARITY_SEED = 11
 
-#: Both implementations of Algorithm 1, by the ids the fidelity tests report.
+#: The loop reference and the production generator, by the ids the fidelity
+#: tests report.
 GENERATORS = [
-    pytest.param(generate_san, id="loop"),
-    pytest.param(generate_san_fast, id="vectorized"),
+    pytest.param(generate_san_loop, id="loop"),
+    pytest.param(generate_san, id="vectorized"),
 ]
 
 
@@ -49,14 +46,12 @@ def parity_params():
 
 @pytest.fixture(scope="module")
 def fast_run(parity_params):
-    return generate_san_fast(parity_params, rng=PARITY_SEED, snapshot_every=500)
+    return generate_san(parity_params, rng=PARITY_SEED, snapshot_every=500)
 
 
 @pytest.fixture(scope="module")
 def loop_run(parity_params):
-    return generate_san(
-        parity_params, rng=PARITY_SEED, record_history=False, snapshot_every=500
-    )
+    return generate_san_loop(parity_params, rng=PARITY_SEED, snapshot_every=500)
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +125,7 @@ def test_snapshot_prefixes_are_nested(fast_run):
 
 
 def test_no_snapshot_every_means_no_marks():
-    run = generate_san_fast(SANModelParameters(steps=50), rng=2)
+    run = generate_san(SANModelParameters(steps=50), rng=2)
     assert run.marks == []
     assert run.snapshots == []
 
@@ -139,8 +134,12 @@ def test_no_snapshot_every_means_no_marks():
 # Determinism
 # ----------------------------------------------------------------------
 def test_fast_engine_deterministic_given_seed(parity_params):
-    first = generate_san_fast(SANModelParameters(steps=150), rng=123)
-    second = generate_san_fast(SANModelParameters(steps=150), rng=123)
+    first = generate_san(SANModelParameters(steps=150), rng=123)
+    second = generate_san(SANModelParameters(steps=150), rng=123)
+    _assert_same_run(first, second)
+
+
+def _assert_same_run(first, second):
     assert np.array_equal(first.social_src, second.social_src)
     assert np.array_equal(first.social_dst, second.social_dst)
     assert np.array_equal(first.link_social, second.link_social)
@@ -148,8 +147,14 @@ def test_fast_engine_deterministic_given_seed(parity_params):
     assert first.attribute_labels == second.attribute_labels
 
 
+def test_negative_seed_runs_as_its_absolute_value():
+    """numpy rejects negative seeds; ``random.Random`` takes ``abs(seed)``."""
+    params = SANModelParameters(steps=60)
+    _assert_same_run(generate_san(params, rng=-3), generate_san(params, rng=3))
+
+
 # ----------------------------------------------------------------------
-# Distributional parity gate (loop vs vectorized)
+# Distributional parity gate (loop reference vs production)
 # ----------------------------------------------------------------------
 def test_ks_parity_out_degree(fast_run, loop_run):
     fast_degrees = list(social_out_degrees(fast_run.san))
@@ -178,7 +183,7 @@ def test_edge_counts_agree_within_run_noise(fast_run, loop_run):
 
 
 # ----------------------------------------------------------------------
-# Algorithm 1 fidelity regressions (both engines)
+# Algorithm 1 fidelity regressions (reference and production)
 # ----------------------------------------------------------------------
 def _realized_attribute_mean(san, seed_count):
     degrees = [
@@ -204,7 +209,7 @@ def test_realized_attribute_degree_matches_sampled_mean(generate):
         attribute_mu=1.2,
         attribute_sigma=0.6,
     )
-    san = generate(params, rng=4, record_history=False).san
+    san = generate(params, rng=4).san
     realized = _realized_attribute_mean(san, params.seed_social_nodes)
     sampled_mean = math.exp(params.attribute_mu + params.attribute_sigma**2 / 2)
     assert realized == pytest.approx(sampled_mean, rel=0.10)
@@ -214,7 +219,7 @@ def test_realized_attribute_degree_matches_sampled_mean(generate):
 def test_seed_nodes_issue_outgoing_links(generate):
     """Seed nodes are scheduled at step 0 and keep linking after seeding."""
     params = SANModelParameters(steps=150)
-    san = generate(params, rng=9, record_history=False).san
+    san = generate(params, rng=9).san
     seed_out = [
         san.social_out_degree(node) for node in range(params.seed_social_nodes)
     ]
@@ -223,37 +228,11 @@ def test_seed_nodes_issue_outgoing_links(generate):
 
 
 # ----------------------------------------------------------------------
-# san_generate picks the implementation from the attachment exponent
-# ----------------------------------------------------------------------
-def test_san_generate_routes_by_engine():
-    """A unit exponent runs the array implementation, seed for seed."""
-    params = SANModelParameters(steps=40)
-    routed = san_generate(params, rng=1)
-    assert isinstance(routed, FastSANModelRun)
-    direct = generate_san_fast(params, rng=1)
-    assert np.array_equal(routed.social_src, direct.social_src)
-    assert np.array_equal(routed.social_dst, direct.social_dst)
-    assert np.array_equal(routed.link_attr, direct.link_attr)
-
-
-def test_san_generate_auto_falls_back_for_nonunit_alpha():
-    params = SANModelParameters(
-        steps=40, attachment=AttachmentParameters(alpha=1.5, beta=10.0)
-    )
-    result = san_generate(params, rng=1)
-    assert isinstance(result, SANModelRun)
-    reference = generate_san(params, rng=1, record_history=False)
-    assert sorted(result.san.social_edges()) == sorted(reference.san.social_edges())
-    with pytest.raises(ValueError):
-        generate_san_fast(params, rng=1)
-
-
-# ----------------------------------------------------------------------
 # History recording and ablations
 # ----------------------------------------------------------------------
 def test_fast_engine_records_replayable_history():
     params = SANModelParameters(steps=120)
-    run = generate_san_fast(params, rng=6, record_history=True)
+    run = generate_san(params, rng=6, record_history=True)
     history = run.history()
     assert history.num_node_joins() == params.steps
     replayed = history.final_san()
@@ -262,7 +241,7 @@ def test_fast_engine_records_replayable_history():
 
 
 def test_fast_engine_without_history_is_empty():
-    run = generate_san_fast(SANModelParameters(steps=30), rng=6)
+    run = generate_san(SANModelParameters(steps=30), rng=6)
     history = run.history()
     assert history.events == []
 
@@ -278,7 +257,7 @@ def test_fast_engine_without_history_is_empty():
 )
 def test_fast_engine_ablations_run(kwargs):
     params = SANModelParameters(steps=120, **kwargs)
-    run = generate_san_fast(params, rng=5)
+    run = generate_san(params, rng=5)
     expected_nodes = params.seed_social_nodes + 120 * params.arrivals_per_step
     assert run.num_social_nodes == expected_nodes
     assert run.summary()["social_edges"] > expected_nodes
@@ -306,13 +285,13 @@ REGIME_PARAMS = {
 @pytest.fixture(scope="module", params=sorted(REGIME_PARAMS))
 def regime_runs(request):
     params = SANModelParameters(steps=1200, **REGIME_PARAMS[request.param])
-    fast = generate_san_fast(params, rng=PARITY_SEED)
-    loop = generate_san(params, rng=PARITY_SEED, record_history=False)
+    fast = generate_san(params, rng=PARITY_SEED)
+    loop = generate_san_loop(params, rng=PARITY_SEED)
     return request.param, params, fast, loop
 
 
 def test_ks_parity_out_degree_under_regimes(regime_runs):
-    """The vectorized engine must track the loop engine inside every regime."""
+    """The array generator must track the loop reference inside every regime."""
     name, _, fast, loop = regime_runs
     fast_degrees = list(social_out_degrees(fast.san))
     loop_degrees = list(social_out_degrees(loop.san))
@@ -335,7 +314,7 @@ def test_ks_parity_attribute_degree_under_regimes(regime_runs):
 
 
 def test_regime_structural_counts_agree(regime_runs):
-    """Deterministic regime bookkeeping must match exactly across engines."""
+    """Deterministic regime bookkeeping must match the loop reference exactly."""
     name, params, fast, loop = regime_runs
     assert len(fast.sybil_nodes) == len(loop.sybil_nodes) == sum(
         wave.num_sybils for wave in params.sybil_waves

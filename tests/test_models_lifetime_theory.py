@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.models import (
@@ -16,24 +17,24 @@ from repro.models import (
     predicted_attribute_social_degree_exponent,
     predicted_outdegree_lognormal,
     sample_sleep_time,
-    sample_truncated_normal_lifetime,
     truncated_normal_moments,
 )
+from repro.models.lifetime import truncated_normal_block
 
 
 def test_lifetime_samples_nonnegative():
     params = LifetimeParameters(mu=-1.0, sigma=2.0, mean_sleep=1.0)
-    generator = random.Random(1)
-    samples = [sample_truncated_normal_lifetime(params, rng=generator) for _ in range(500)]
-    assert all(sample >= 0 for sample in samples)
+    samples = truncated_normal_block(params, np.random.default_rng(1), 500)
+    assert samples.shape == (500,)
+    assert (samples >= 0).all()
 
 
 def test_lifetime_mean_matches_truncated_normal():
     params = LifetimeParameters(mu=3.0, sigma=2.5, mean_sleep=2.0)
-    generator = random.Random(2)
-    samples = [sample_truncated_normal_lifetime(params, rng=generator) for _ in range(4000)]
+    samples = truncated_normal_block(params, np.random.default_rng(2), 4000)
     expected_mean, expected_variance = truncated_normal_moments(3.0, 2.5)
-    assert sum(samples) / len(samples) == pytest.approx(expected_mean, rel=0.05)
+    assert samples.mean() == pytest.approx(expected_mean, rel=0.05)
+    assert samples.var() == pytest.approx(expected_variance, rel=0.1)
     assert expected_lifetime(params) == pytest.approx(expected_mean)
 
 

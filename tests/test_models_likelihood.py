@@ -1,30 +1,30 @@
 """Tests for the attachment-model likelihood evaluation (Figure 15 machinery).
 
-The semantics tests run against both implementations, the loop reference
-and the vectorized ``evaluate_attachment_models`` — the contract is that they
+The semantics tests run against the production ``evaluate_attachment_models``
+and the loop reference in ``model_reference.py`` — the contract is that they
 are interchangeable: same scored-link set, same per-model log-likelihoods.
 """
 
 import math
 
 import pytest
+from model_reference import (
+    LinearAttributePreferentialAttachment,
+    PowerAttributePreferentialAttachment,
+    PreferentialAttachment,
+    evaluate_attachment_models_loop,
+)
 
 from repro.graph import SAN
 from repro.models import (
     ArrivalHistory,
     AttachmentModelSpec,
-    AttachmentParameters,
     evaluate_attachment_models,
-    evaluate_attachment_models_loop,
     figure15_sweep,
 )
-from repro.models.attachment import (
-    LinearAttributePreferentialAttachment,
-    PowerAttributePreferentialAttachment,
-    PreferentialAttachment,
-)
 
-#: Both implementations, by the ids the semantics tests report.
+#: The loop reference and the production scorer, by the ids the semantics
+#: tests report.
 EVALUATORS = [
     pytest.param(evaluate_attachment_models_loop, id="loop"),
     pytest.param(evaluate_attachment_models, id="vectorized"),
@@ -158,15 +158,11 @@ def test_max_links_none_scores_every_eligible_link(evaluate):
     [
         (
             AttachmentModelSpec(kind="lapa", alpha=1.0, beta=50.0, label="m"),
-            lambda: LinearAttributePreferentialAttachment(
-                AttachmentParameters(alpha=1.0, beta=50.0, smoothing=1.0)
-            ),
+            lambda: LinearAttributePreferentialAttachment(alpha=1.0, beta=50.0, smoothing=1.0),
         ),
         (
             AttachmentModelSpec(kind="papa", alpha=0.5, beta=2.0, label="m"),
-            lambda: PowerAttributePreferentialAttachment(
-                AttachmentParameters(alpha=0.5, beta=2.0, smoothing=1.0)
-            ),
+            lambda: PowerAttributePreferentialAttachment(alpha=0.5, beta=2.0, smoothing=1.0),
         ),
         (
             AttachmentModelSpec(kind="pa", alpha=2.0, label="m"),

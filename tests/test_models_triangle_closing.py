@@ -1,17 +1,17 @@
-"""Tests for the triangle-closing models (Baseline, RR, RR-SAN)."""
+"""Tests for the triangle-closing models (Baseline, RR, RR-SAN).
+
+The models come from ``model_reference.py``: the production classes plus the
+``sample_target`` draws of the loop reference generator.
+"""
 
 import random
 from collections import Counter
 
 import pytest
+from model_reference import BaselineClosing, RandomRandomClosing, RandomRandomSANClosing
 
 from repro.graph import SAN, san_from_edge_lists
-from repro.models import (
-    BaselineClosing,
-    RandomRandomClosing,
-    RandomRandomSANClosing,
-    evaluate_closure_models,
-)
+from repro.models import evaluate_closure_models
 
 
 @pytest.fixture

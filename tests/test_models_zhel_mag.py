@@ -1,4 +1,4 @@
-"""Tests for the Zhel and MAG baseline generators."""
+"""Tests for the Zhel baseline generator."""
 
 import pytest
 
@@ -8,13 +8,7 @@ from repro.metrics import (
     global_reciprocity,
     social_out_degrees,
 )
-from repro.models import (
-    MAGModelParameters,
-    ZhelModelParameters,
-    expected_degree,
-    generate_mag_san,
-    generate_zhel_san,
-)
+from repro.models import ZhelModelParameters, generate_zhel_san
 
 
 def test_zhel_run_basic_structure(zhel_run):
@@ -70,29 +64,3 @@ def test_zhel_parameter_validation():
         ZhelModelParameters(steps=0)
     with pytest.raises(ValueError):
         ZhelModelParameters(steps=10, triangle_probability=1.2)
-
-
-def test_mag_generates_expected_scale():
-    params = MAGModelParameters(num_nodes=300)
-    san = generate_mag_san(params, rng=11)
-    assert san.number_of_social_nodes() == 300
-    assert san.number_of_social_edges() > 0
-    # Latent attributes become attribute nodes.
-    assert san.number_of_attribute_nodes() <= params.num_attributes
-    assert expected_degree(params) > 0
-
-
-def test_mag_degrees_are_binomial_like():
-    """MAG degrees concentrate around the mean (no heavy tail) — the paper's
-    stated mismatch with real SANs."""
-    san = generate_mag_san(MAGModelParameters(num_nodes=400), rng=13)
-    degrees = social_out_degrees(san)
-    mean = sum(degrees) / len(degrees)
-    assert max(degrees) < mean * 6 + 10
-
-
-def test_mag_parameter_validation():
-    with pytest.raises(ValueError):
-        MAGModelParameters(num_nodes=0)
-    with pytest.raises(ValueError):
-        MAGModelParameters(num_nodes=10, affinity={"11": 0.5})

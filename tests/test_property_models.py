@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fitting import DiscreteLognormal, PowerLaw
+from model_reference import LinearAttributePreferentialAttachment
+
 from repro.models import (
     ArrivalHistory,
-    AttachmentParameters,
-    LinearAttributePreferentialAttachment,
     predicted_attribute_social_degree_exponent,
     SANModelParameters,
     truncated_normal_moments,
@@ -65,8 +65,8 @@ def test_lapa_weights_nonnegative_and_monotone_in_beta(edges, beta):
             san.add_social_edge(source, target)
     san.add_attribute_edge(0, "a")
     san.add_attribute_edge(1, "a")
-    low = LinearAttributePreferentialAttachment(AttachmentParameters(alpha=1.0, beta=0.0))
-    high = LinearAttributePreferentialAttachment(AttachmentParameters(alpha=1.0, beta=beta))
+    low = LinearAttributePreferentialAttachment(alpha=1.0, beta=0.0)
+    high = LinearAttributePreferentialAttachment(alpha=1.0, beta=beta)
     weight_low = low.weight(san, 0, 1)
     weight_high = high.weight(san, 0, 1)
     assert weight_low > 0 and weight_high > 0
