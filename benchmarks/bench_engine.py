@@ -45,7 +45,7 @@ TOP_K = 100
 def backend_pair():
     """A ~50k-edge synthetic Google+ SAN in both backends."""
     config = GooglePlusConfig(total_users=6000, num_days=98)
-    san = simulate_google_plus(config, rng=BENCH_SEED).final_san()
+    san = simulate_google_plus(config, rng=BENCH_SEED).final_san().thaw()
     assert san.number_of_social_edges() >= MIN_EDGES
     return san, san.freeze()
 

@@ -8,8 +8,10 @@ gate here is *exact* parity — the same seed must select the identical
 scored-link set, and every model's log-likelihood must agree within 1e-8 — on
 top of the >= 5x speedup bar.
 
-The production side is charged for its full cost including the O(events)
-encoding pass.  ``BENCH_LIKELIHOOD_STEPS`` scales the workload: the default
+The production side reads the run's compact event log as int columns
+(``SANModelRun.history_columns``) and is charged for its full cost, the
+encoding pass included; the loop reference reads the decoded event objects
+(``SANModelRun.history``).  ``BENCH_LIKELIHOOD_STEPS`` scales the workload: the default
 50k-step run must reach >= 5x; smaller smoke runs (the CI benchmark leg uses
 4000 steps) assert a reduced floor because the loop reference's community
 scans have not grown superlinear yet at toy scale.
@@ -65,19 +67,20 @@ PARITY_TOLERANCE = 1e-8
 def test_likelihood_engine_speedup_and_exact_parity(write_result, results_dir):
     params = generative_params(STEPS)
     run = generate_san(params, rng=BENCH_SEED, record_history=True)
-    history = run.history()
-    del run  # only the decoded history matters; drop the generator arrays
     specs = figure15_specs()
 
     # The production scorer goes first so the loop reference's replay SAN and
-    # per-link scans don't tax it with allocator pressure.
+    # per-link scans don't tax it with allocator pressure.  It reads the
+    # run's compact log as columns; the loop reference reads event objects.
     with _gc_paused():
         fast_start = time.perf_counter()
         fast = evaluate_attachment_models_fast(
-            history, specs, max_links=MAX_LINKS, rng=SUBSAMPLE_SEED
+            run.history_columns(), specs, max_links=MAX_LINKS, rng=SUBSAMPLE_SEED
         )
         fast_seconds = time.perf_counter() - fast_start
 
+    history = run.history()
+    del run  # the loop reference needs only the decoded history
     with _gc_paused():
         loop_start = time.perf_counter()
         loop = evaluate_attachment_models_loop(
@@ -150,7 +153,7 @@ def test_figure15_sweep_is_reproducible(write_result):
     steps = min(STEPS, 2000)
     history = generate_san(
         generative_params(steps), rng=BENCH_SEED, record_history=True
-    ).history()
+    ).history_columns()
     first = figure15_sweep(history, max_links=500, rng=SUBSAMPLE_SEED)
     second = figure15_sweep(history, max_links=500, rng=SUBSAMPLE_SEED)
     assert first == second

@@ -440,7 +440,7 @@ def _command_likelihood(args: argparse.Namespace) -> int:
     if args.steps is not None:
         history = generate_san(
             SANModelParameters(steps=args.steps), rng=args.seed, record_history=True
-        ).history()
+        ).history_columns()
         source = f"generated history ({args.steps} steps, seed {args.seed})"
     elif all(flag is not None for flag in snapshot_flags):
         earlier = load_san_tsv(args.before_social, args.before_attributes)

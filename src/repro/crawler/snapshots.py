@@ -5,8 +5,8 @@ subsequent snapshot expands the crawl starting from the users already known
 from the previous snapshot (plus BFS discovery of newly reachable users).
 
 Each day's ground truth comes from
-:meth:`~repro.synthetic.gplus.GroundTruthEvolution.frozen_snapshots` (one
-pass over the event log), and each crawl is a
+:meth:`~repro.synthetic.gplus.GroundTruthEvolution.frozen_snapshots` (that
+day's prefix of the event log's int columns), and each crawl is a
 :func:`~repro.crawler.crawler.crawl_frozen` array crawl, so every snapshot
 in the series is a :class:`~repro.graph.frozen.FrozenSAN`.
 """
@@ -77,7 +77,7 @@ def crawl_evolution(
     truths = evolution.frozen_snapshots(days)
     if not truths:
         return series
-    # Users are numbered by first appearance in the event log, so every
+    # Users are numbered in join order in the event log, so every
     # day's compact ids are a prefix of the last day's: one privacy decision
     # per user serves the whole series, and the previous day's visited ids
     # are valid seeds of the next.

@@ -22,18 +22,21 @@ therefore re-keys — and rebuilds — everything downstream, while a warm cache
 reruns the full figure suite without recomputing a single artifact.
 
 The store holds one graph format.  Every persisted SAN is written once, as a
-canonical :mod:`repro.graph.columnar` file that warm hits serve as
-``np.memmap`` views: the crawled snapshots (one file per day inside
-``snapshot_series``) and the frozen views of the generated model SANs.
-Everything else that persists is a small JSON document (the evolution's
-event log and the estimated parameters).  The snapshot list, the reference
-and halfway SANs and their frozen aliases are memory views of the series,
-the arrival history is a memory view of the evolution, and the mutable model
-SANs are in-memory intermediates of cold builds.  Every stored graph goes
+:mod:`repro.graph.columnar` file that warm hits serve as ``np.memmap``
+views: the crawled snapshots (one file per day inside ``snapshot_series``),
+the frozen views of the generated model SANs, and the evolution — its final
+ground truth, with the event log's day, kind, first and second columns
+attached as extra sections, so a warm hit parses no JSON and builds no event
+objects.  The estimated parameters are the one small JSON document.  The
+snapshot list, the reference and halfway SANs and their frozen aliases are
+memory views of the series, the arrival history is a memory view (a window
+of the evolution's columns), and the mutable model SANs are in-memory
+intermediates of cold builds.  Every stored crawled or generated graph goes
 through :func:`canonical_frozen` — a CSR relabel that makes the frozen view
 a pure function of the graph's *content* rather than of the source object's
-insertion history — so cold, warm, and naive (per-figure re-derivation) runs
-of the same scenario are byte-identical, stage for stage.
+insertion history — and the evolution keeps the ids its log assigns in
+arrival order, so cold, warm, and naive (per-figure re-derivation) runs of
+the same scenario are byte-identical, stage for stage.
 """
 
 from __future__ import annotations
@@ -51,10 +54,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Un
 import numpy as np
 
 from ..crawler.snapshots import SnapshotSeries, crawl_evolution
-from ..graph.columnar import maybe_spill, open_columnar, save_columnar
+from ..graph.columnar import load_columnar_extras, maybe_spill, open_columnar, save_columnar
+from ..graph.errors import ColumnarFormatError
 from ..graph.frozen import FrozenSAN
 from ..models.estimation import estimate_parameters
-from ..models.history import ArrivalEvent, ArrivalHistory
+from ..models.history import (
+    EVENT_KINDS,
+    KIND_NODE,
+    KIND_SOCIAL,
+    KIND_SOCIAL_REMOVE,
+    HistoryColumns,
+)
 from ..models.parameters import (
     AttachmentParameters,
     LifetimeParameters,
@@ -63,7 +73,7 @@ from ..models.parameters import (
 )
 from ..models.san_model import generate_san
 from ..models.zhel import generate_zhel_san
-from ..synthetic.gplus import GroundTruthEvolution, TimedEvent, simulate_google_plus
+from ..synthetic.gplus import GroundTruthEvolution, simulate_google_plus
 from ..metrics.evolution import PhaseBoundaries
 
 PathLike = Union[str, Path]
@@ -499,60 +509,72 @@ def _load_frozen_san(path: Path):
     return open_columnar(path / "san.col", mmap_mode="r")
 
 
-def _event_to_json(event: ArrivalEvent) -> Dict[str, Any]:
-    return {
-        "kind": event.kind,
-        "first": event.first,
-        "second": event.second,
-        "attr_type": event.attr_type,
-        "value": event.value,
-    }
-
-
-def _event_from_json(record: Dict[str, Any]) -> ArrivalEvent:
-    return ArrivalEvent(
-        kind=record["kind"],
-        first=record["first"],
-        second=record["second"],
-        attr_type=record.get("attr_type", "generic"),
-        value=record.get("value"),
-    )
-
-
 def _save_evolution(evolution: GroundTruthEvolution, path: Path) -> None:
-    document = {
-        "num_days": evolution.num_days,
-        "phases": {
-            "phase_one_end": evolution.phases.phase_one_end,
-            "phase_two_end": evolution.phases.phase_two_end,
+    # One columnar file: the final ground truth (its attribute table is the
+    # log's, memberless nodes included) with the log's columns as extras.
+    phases = evolution.phases
+    save_columnar(
+        evolution.final_san(),
+        path / "evolution.col",
+        extras={
+            "day": evolution.day.astype(np.int32),
+            "kind": evolution.kind.astype(np.int8),
+            "first": evolution.first.astype(np.int32),
+            "second": evolution.second.astype(np.int32),
+            "sybil": evolution.sybil.astype(np.int32),
+            "calendar": np.array(
+                [evolution.num_days, phases.phase_one_end, phases.phase_two_end],
+                dtype=np.int64,
+            ),
         },
-        # Lists of pairs (not JSON objects) so integer node ids survive the
-        # round trip without a string conversion.
-        "join_day": [[node, day] for node, day in evolution.join_day.items()],
-        "profiles": [[node, profile] for node, profile in evolution.profiles.items()],
-        "sybil_nodes": list(evolution.sybil_nodes),
-        "events": [
-            {"day": timed.day, **_event_to_json(timed.event)}
-            for timed in evolution.events
-        ],
-    }
-    (path / "evolution.json").write_text(
-        json.dumps(document), encoding="utf-8"
     )
+
+
+#: The evolution file's extra sections, each one int column.
+_EVOLUTION_COLUMNS = ("day", "kind", "first", "second", "sybil", "calendar")
 
 
 def _load_evolution(path: Path) -> GroundTruthEvolution:
-    document = json.loads((path / "evolution.json").read_text(encoding="utf-8"))
+    """Open the evolution file; a malformed log is a :class:`ColumnarFormatError`."""
+    file = path / "evolution.col"
+    final = open_columnar(file, mmap_mode="r")
+    extras = load_columnar_extras(file, mmap_mode=None)
+    if any(
+        name not in extras or extras[name].ndim != 1 or extras[name].dtype.kind not in "iu"
+        for name in _EVOLUTION_COLUMNS
+    ):
+        raise ColumnarFormatError(file, "the event-log columns are missing or malformed")
+    columns = {name: extras[name].astype(np.int64) for name in _EVOLUTION_COLUMNS}
+    if columns["calendar"].size != 3:
+        raise ColumnarFormatError(file, "the calendar column is malformed")
+    num_days, phase_one_end, phase_two_end = columns["calendar"].tolist()
+    day, kind, first, second = (columns[name] for name in ("day", "kind", "first", "second"))
+    users = final.number_of_social_nodes()
+    labels = final.attributes.attribute_labels()
+    targets = np.where(
+        (kind == KIND_SOCIAL) | (kind == KIND_SOCIAL_REMOVE), users, len(labels)
+    )
+    if not (
+        day.size == kind.size == first.size == second.size
+        and np.all((day >= 1) & (day <= num_days))
+        and np.all(np.diff(day) >= 0)
+        and np.all((kind >= 0) & (kind < len(EVENT_KINDS)))
+        and np.all((first >= 0) & (first < users))
+        and np.all(np.where(kind == KIND_NODE, second == -1, (second >= 0) & (second < targets)))
+        and np.all((columns["sybil"] >= 0) & (columns["sybil"] < users))
+    ):
+        raise ColumnarFormatError(file, "the event-log columns are inconsistent")
     return GroundTruthEvolution(
-        events=[
-            TimedEvent(day=record["day"], event=_event_from_json(record))
-            for record in document["events"]
-        ],
-        num_days=document["num_days"],
-        join_day={node: day for node, day in document["join_day"]},
-        profiles={node: profile for node, profile in document["profiles"]},
-        phases=PhaseBoundaries(**document["phases"]),
-        sybil_nodes=list(document.get("sybil_nodes", [])),
+        day=day,
+        kind=kind,
+        first=first,
+        second=second,
+        attribute_labels=list(labels),
+        attribute_info=[final.attribute_info(label) for label in labels],
+        num_days=num_days,
+        phases=PhaseBoundaries(phase_one_end, phase_two_end),
+        sybil=columns["sybil"],
+        _final=final,
     )
 
 
@@ -617,7 +639,7 @@ def _load_parameters(path: Path) -> SANModelParameters:
 # ----------------------------------------------------------------------
 # The artifact DAG
 # ----------------------------------------------------------------------
-@artifact("evolution", version="1", save=_save_evolution, load=_load_evolution)
+@artifact("evolution", version="2", save=_save_evolution, load=_load_evolution)
 def _build_evolution(resolver: ArtifactResolver) -> GroundTruthEvolution:
     """The simulated Google+ ground truth of the scenario."""
     scenario = resolver.scenario
@@ -695,11 +717,11 @@ def _build_halfway_san(resolver: ArtifactResolver):
 
 
 @artifact("arrival_history", needs=("evolution",))
-def _build_arrival_history(resolver: ArtifactResolver) -> ArrivalHistory:
+def _build_arrival_history(resolver: ArtifactResolver) -> HistoryColumns:
     """Link arrivals over the crawl's later days (the Figure 15 input).
 
-    A memory view: replaying the evolution's event log is cheaper than
-    parsing a stored copy of the same events.
+    A memory view: a window of the evolution's event columns, which the
+    Figure 15 encoder reads as they are.
     """
     evolution = resolver.artifact("evolution")
     start_day = evolution.num_days // resolver.scenario.history_start_divisor

@@ -20,7 +20,7 @@ sample from entropy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..applications.anonymity import AnonymityParameters, attack_probability_vs_compromised
 from ..applications.sybil import SybilLimitParameters, sybil_identities_vs_compromised
@@ -31,6 +31,7 @@ from ..fitting.mle import (
     fit_power_law_exponent_over_time,
 )
 from ..fitting.model_selection import compare_distributions
+from ..graph.frozen import sorted_membership
 from ..graph.san import SAN
 from ..metrics.attribute_metrics import (
     attribute_clustering_by_type,
@@ -56,7 +57,7 @@ from ..metrics.evolution import (
 from ..metrics.influence import degree_by_top_attribute_values, reciprocity_boost_from_attributes
 from ..metrics.joint_degree import attribute_knn, social_knn
 from ..metrics.reciprocity import fine_grained_reciprocity
-from ..models.history import ArrivalHistory
+from ..models.history import ArrivalHistory, HistoryColumns
 from ..models.likelihood import DEFAULT_LIKELIHOOD_SEED, figure15_sweep
 from ..models.triangle_closing import score_closures
 from ..synthetic.gplus import GroundTruthEvolution
@@ -275,7 +276,7 @@ def figure14_degree_by_attribute_value(san: SAN, top_values: int = 4) -> Dict[st
 # ----------------------------------------------------------------------
 @experiment("fig15", needs=("arrival_history",))
 def figure15_attachment_comparison(
-    history: ArrivalHistory,
+    history: Union[ArrivalHistory, HistoryColumns],
     alphas: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
     papa_betas: Sequence[float] = (0.0, 2.0, 4.0, 6.0, 8.0),
     lapa_betas: Sequence[float] = (0.0, 10.0, 100.0, 200.0, 500.0),
@@ -304,6 +305,8 @@ def section52_closure_comparison(
 
     The split-day state is a frozen SAN, so classifying every candidate and
     scoring the sampled closures is one batched :func:`score_closures` call.
+    The candidates are the later links between users of that state that it
+    does not already hold.
     """
     generator = ensure_rng(rng)
     if split_day is None:
@@ -312,15 +315,15 @@ def section52_closure_comparison(
     if not states:
         raise ValueError(f"split_day must be in [1, {evolution.num_days}], got {split_day}")
     state = states[0][1]
-    new_links = evolution.new_social_links_between(split_day, evolution.num_days)
-    candidates = [
-        (source, target)
-        for source, target in new_links
-        if state.is_social_node(source)
-        and state.is_social_node(target)
-        and not state.has_social_edge(source, target)
-        and source != target
-    ]
+    # Users are ids 0..n-1 in join order: a masked slice of the log's columns.
+    sources, targets = evolution.new_social_links_between(split_day, evolution.num_days)
+    n = state.number_of_social_nodes()
+    state_sources, state_targets = state.social.edge_arrays()
+    keep = (sources < n) & (targets < n) & (sources != targets)
+    keep[keep] = ~sorted_membership(
+        state_sources * n + state_targets, sources[keep] * n + targets[keep]
+    )
+    candidates = list(zip(sources[keep].tolist(), targets[keep].tolist()))
     scores = score_closures(state, candidates, attribute_weight=focal_weight)
     breakdown = scores.breakdown()
     if len(candidates) > max_edges:

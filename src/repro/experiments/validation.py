@@ -22,22 +22,23 @@ gate:
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-import math
+import numpy as np
 
-from ..synthetic.gplus import GroundTruthEvolution
-from ..graph.san import SAN
+from ..graph.frozen import FrozenSAN
 from ..models.history import (
-    EVENT_ATTRIBUTE,
-    EVENT_ATTRIBUTE_REMOVE,
-    EVENT_NODE,
-    EVENT_SOCIAL,
-    EVENT_SOCIAL_REMOVE,
+    EVENT_KINDS,
+    KIND_ATTRIBUTE,
+    KIND_ATTRIBUTE_REMOVE,
+    KIND_NODE,
+    KIND_SOCIAL_REMOVE,
 )
+from ..synthetic.gplus import GroundTruthEvolution
 from .answer_keys import (
     AnswerKey,
     AssertionResult,
@@ -50,7 +51,6 @@ from .registry import experiment
 from .runner import PipelineResult, canonical_payload, run_pipeline
 from .scenarios import Scenario, get_scenario
 
-Node = Hashable
 PathLike = Union[str, Path]
 
 #: Trusted seeds of the ranking probe (the paper's crawl also used a handful
@@ -68,9 +68,7 @@ def _median(values: Sequence[float]) -> Optional[float]:
     return (ordered[middle - 1] + ordered[middle]) / 2.0
 
 
-def _trust_ranking(
-    final: SAN, honest: Sequence[Node], sybil_set
-) -> Dict[str, Optional[float]]:
+def _trust_ranking(final: FrozenSAN, is_sybil: np.ndarray) -> Dict[str, Optional[float]]:
     """Degree-normalised trust from early-terminated propagation (SybilRank).
 
     Trust mass starts on the highest-degree honest seeds and spreads over the
@@ -78,17 +76,26 @@ def _trust_ranking(
     squeeze through the thin attack-edge band into the Sybil region.  The
     degree-normalised landing probability then ranks honest users above
     Sybils; the probe is fully deterministic (power iteration, no sampling).
-    """
-    nodes = list(final.social_nodes())
-    index = {node: position for position, node in enumerate(nodes)}
-    adjacency: List[List[int]] = [[] for _ in nodes]
-    for source, target in final.social_edges():
-        adjacency[index[source]].append(index[target])
-        adjacency[index[target]].append(index[source])
-    degree = [len(neighbors) for neighbors in adjacency]
 
-    seeds = sorted(honest, key=lambda node: (-degree[index[node]], str(node)))
-    seeds = [node for node in seeds if degree[index[node]] > 0][:_TRUST_SEEDS]
+    The undirected adjacency counts every link from both ends, so a
+    reciprocal pair (or a self-loop) appears twice.  Its entries are sorted
+    by (row, column) and stay unsummed, so each round's ``np.bincount``
+    adds a user's incoming shares in ascending order of the sharing user:
+    the same float sums, term for term, as a per-user loop.
+    """
+    social = final.social
+    n = social.number_of_nodes()
+    sources, targets = social.edge_arrays()
+    rows = np.concatenate([sources, targets])
+    columns = np.concatenate([targets, sources])
+    order = np.lexsort((columns, rows))
+    rows, columns = rows[order], columns[order]
+    degree = np.bincount(rows, minlength=n)
+
+    labels = social.labels()
+    honest = np.flatnonzero(~is_sybil & (degree > 0)).tolist()
+    seeds = sorted(honest, key=lambda node: (-degree[node], str(labels[node])))
+    seeds = seeds[:_TRUST_SEEDS]
     if not seeds:
         return {
             "honest_trust_median": None,
@@ -96,27 +103,16 @@ def _trust_ranking(
             "ranking_separation": None,
             "sybil_tail_fraction": None,
         }
-    trust = [0.0] * len(nodes)
-    for seed in seeds:
-        trust[index[seed]] = 1.0 / len(seeds)
-    for _ in range(max(2, int(math.log2(max(len(nodes), 2))))):
-        spread = [0.0] * len(nodes)
-        for position, neighbors in enumerate(adjacency):
-            if trust[position] and neighbors:
-                share = trust[position] / len(neighbors)
-                for neighbor in neighbors:
-                    spread[neighbor] += share
-        trust = spread
-    score = [
-        trust[position] / degree[position] if degree[position] else 0.0
-        for position in range(len(nodes))
-    ]
+    trust = np.zeros(n)
+    trust[seeds] = 1.0 / len(seeds)
+    connected = degree > 0
+    for _ in range(max(2, int(math.log2(max(n, 2))))):
+        share = np.divide(trust, degree, out=np.zeros(n), where=connected)
+        trust = np.bincount(columns, weights=share[rows], minlength=n)
+    score = np.divide(trust, degree, out=np.zeros(n), where=connected)
 
-    honest_scores = [score[index[node]] for node in honest if degree[index[node]]]
-    sybil_scores = [
-        score[index[node]] for node in nodes
-        if node in sybil_set and degree[index[node]]
-    ]
+    honest_scores = score[~is_sybil & connected].tolist()
+    sybil_scores = score[is_sybil & connected].tolist()
     honest_median = _median(honest_scores)
     sybil_median = _median(sybil_scores)
     separation = None
@@ -124,12 +120,13 @@ def _trust_ranking(
         separation = honest_median / sybil_median if sybil_median > 0 else math.inf
     tail_fraction = None
     if sybil_scores:
-        # Fraction of Sybils the ranking pushes into the bottom |S| positions.
-        ranked = sorted(range(len(nodes)), key=lambda position: score[position])
-        tail = set(ranked[: len(sybil_scores)])
-        tail_fraction = (
-            sum(1 for node in sybil_set if index[node] in tail) / len(sybil_scores)
-        )
+        # Fraction of Sybils the ranking pushes into the bottom |S| positions,
+        # ranked over the users with a link: the population the medians and
+        # |S| count (isolated users score 0 and would crowd the tail).
+        reachable = np.flatnonzero(connected)
+        ranked = reachable[np.argsort(score[reachable], kind="stable")]
+        tail = ranked[: len(sybil_scores)]
+        tail_fraction = int(np.count_nonzero(is_sybil[tail])) / len(sybil_scores)
     return {
         "honest_trust_median": honest_median,
         "sybil_trust_median": sybil_median,
@@ -145,54 +142,45 @@ def _trust_ranking(
 )
 def fidelity_metrics(
     evolution: GroundTruthEvolution,
-    reference: SAN,
+    reference: FrozenSAN,
 ) -> Dict[str, object]:
     """Adversarial/churn/crawl fidelity signals of one simulated scenario.
 
     The payload is the metric surface the answer keys assert on: Sybil
     attack-edge structure plus the trust-ranking separation, removal event
     counts (attribute churn), arrival burstiness, and the crawler's edge
-    coverage of the ground truth.  Fully deterministic — no sampling.
+    coverage of the ground truth.  Fully deterministic — no sampling.  It
+    reads the evolution's final ground truth and its event columns: a Sybil
+    mask over the final CSR classifies the links, and ``np.bincount`` over
+    the kind and day columns counts the events.
     """
     final = evolution.final_san()
-    sybils = [node for node in evolution.sybil_nodes if final.is_social_node(node)]
-    sybil_set = set(sybils)
-    honest = [node for node in final.social_nodes() if node not in sybil_set]
+    n = final.number_of_social_nodes()
+    sybils = evolution.sybil[(evolution.sybil >= 0) & (evolution.sybil < n)]
+    is_sybil = np.zeros(n, dtype=bool)
+    is_sybil[sybils] = True
 
-    attack_edges = intra_sybil_edges = honest_edges = 0
-    for source, target in final.social_edges():
-        source_sybil = source in sybil_set
-        target_sybil = target in sybil_set
-        if source_sybil and target_sybil:
-            intra_sybil_edges += 1
-        elif source_sybil or target_sybil:
-            attack_edges += 1
-        else:
-            honest_edges += 1
-    total_edges = attack_edges + intra_sybil_edges + honest_edges
+    sources, targets = final.social.edge_arrays()
+    source_sybil = is_sybil[sources]
+    target_sybil = is_sybil[targets]
+    intra_sybil_edges = int(np.count_nonzero(source_sybil & target_sybil))
+    attack_edges = int(np.count_nonzero(source_sybil ^ target_sybil))
+    total_edges = int(sources.size)
 
-    ranking = _trust_ranking(final, honest, sybil_set)
+    ranking = _trust_ranking(final, is_sybil)
 
-    node_adds = attribute_adds = social_adds = 0
-    attribute_removals = social_removals = 0
-    daily_arrivals = {day: 0 for day in range(1, evolution.num_days + 1)}
-    for timed in evolution.events:
-        kind = timed.event.kind
-        if kind == EVENT_NODE:
-            node_adds += 1
-            daily_arrivals[timed.day] = daily_arrivals.get(timed.day, 0) + 1
-        elif kind == EVENT_SOCIAL:
-            social_adds += 1
-        elif kind == EVENT_ATTRIBUTE:
-            attribute_adds += 1
-        elif kind == EVENT_ATTRIBUTE_REMOVE:
-            attribute_removals += 1
-        elif kind == EVENT_SOCIAL_REMOVE:
-            social_removals += 1
+    counts = np.bincount(evolution.kind, minlength=len(EVENT_KINDS)).tolist()
+    node_adds = counts[KIND_NODE]
+    attribute_adds = counts[KIND_ATTRIBUTE]
+    attribute_removals = counts[KIND_ATTRIBUTE_REMOVE]
+    social_removals = counts[KIND_SOCIAL_REMOVE]
+    joins = evolution.day[evolution.kind == KIND_NODE]
+    daily = np.bincount(joins, minlength=evolution.num_days + 1).tolist()
+    daily_arrivals = list(enumerate(daily))[1:]
 
-    counts = sorted(daily_arrivals.values())
-    peak = counts[-1] if counts else 0
-    median = counts[len(counts) // 2] if counts else 0
+    ordered = sorted(count for _, count in daily_arrivals)
+    peak = ordered[-1] if ordered else 0
+    median = ordered[len(ordered) // 2] if ordered else 0
     peak_to_median = peak / median if median else float(peak)
 
     true_social = final.number_of_social_edges()
@@ -202,8 +190,8 @@ def fidelity_metrics(
 
     return {
         "sybil": {
-            "num_sybils": len(sybils),
-            "num_honest": len(honest),
+            "num_sybils": int(sybils.size),
+            "num_honest": n - int(np.count_nonzero(is_sybil)),
             "attack_edges": attack_edges,
             "intra_sybil_edges": intra_sybil_edges,
             "attack_edge_fraction": attack_edges / total_edges if total_edges else 0.0,
@@ -222,7 +210,7 @@ def fidelity_metrics(
         },
         "arrivals": {
             "total": node_adds,
-            "daily": sorted((day, count) for day, count in daily_arrivals.items()),
+            "daily": daily_arrivals,
             "peak_to_median": peak_to_median,
         },
         "crawl": {

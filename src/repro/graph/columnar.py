@@ -50,6 +50,7 @@ to prove the whole suite runs out-of-core.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -137,26 +138,33 @@ def _encode_object_table(
 def _decode_object_table(
     path: object, kinds: np.ndarray, offsets: np.ndarray, blob: np.ndarray
 ) -> List[object]:
+    if kinds.ndim != 1 or offsets.shape != (kinds.size + 1,) or blob.ndim != 1:
+        raise ColumnarFormatError(path, "object table sections disagree in length")
     # Bulk-materialize the three sections up front: per-element indexing on
     # an np.memmap is a syscall-free but slow scalar read, and this loop
     # touches every offset twice.
     raw = blob.tobytes()
     bounds = offsets.tolist()
+    if bounds[0] != 0 or bounds[-1] != len(raw) or np.any(np.diff(offsets) < 0):
+        raise ColumnarFormatError(path, "object table offsets are out of order")
+    if np.any((kinds < _KIND_INT) | (kinds > _KIND_NONE)):
+        raise ColumnarFormatError(path, "unknown object-table kind code")
     out: List[object] = []
-    for i, kind in enumerate(kinds.tolist()):
-        data = raw[bounds[i] : bounds[i + 1]]
-        if kind == _KIND_INT:
-            out.append(int(data))
-        elif kind == _KIND_STR:
-            out.append(data.decode("utf-8"))
-        elif kind == _KIND_FLOAT:
-            out.append(float(data))
-        elif kind == _KIND_BOOL:
-            out.append(data == b"1")
-        elif kind == _KIND_NONE:
-            out.append(None)
-        else:
-            raise ColumnarFormatError(path, f"unknown object-table kind code {kind}")
+    try:
+        for i, kind in enumerate(kinds.tolist()):
+            data = raw[bounds[i] : bounds[i + 1]]
+            if kind == _KIND_INT:
+                out.append(int(data))
+            elif kind == _KIND_STR:
+                out.append(data.decode("utf-8"))
+            elif kind == _KIND_FLOAT:
+                out.append(float(data))
+            elif kind == _KIND_BOOL:
+                out.append(data == b"1")
+            else:
+                out.append(None)
+    except ValueError as exc:  # int()/float() of a corrupted entry, or bad UTF-8
+        raise ColumnarFormatError(path, f"object table entry {i} is invalid: {exc}") from None
     return out
 
 
@@ -180,7 +188,7 @@ def _label_sections(
 
 def _decode_labels(
     path: object,
-    encoding: str,
+    encoding: object,
     count: int,
     prefix: str,
     arrays: Dict[str, np.ndarray],
@@ -188,15 +196,21 @@ def _decode_labels(
     if encoding == "identity":
         return IdentityLabels(count)
     if encoding == "int64":
-        return arrays[f"{prefix}_i64"].tolist()
-    if encoding == "table":
-        return _decode_object_table(
+        labels = _section(path, arrays, f"{prefix}_i64").tolist()
+    elif encoding == "table":
+        labels = _decode_object_table(
             path,
-            arrays[f"{prefix}_kinds"],
-            arrays[f"{prefix}_offsets"],
-            arrays[f"{prefix}_blob"],
+            _section(path, arrays, f"{prefix}_kinds"),
+            _section(path, arrays, f"{prefix}_offsets"),
+            _section(path, arrays, f"{prefix}_blob"),
         )
-    raise ColumnarFormatError(path, f"unknown label encoding {encoding!r}")
+    else:
+        raise ColumnarFormatError(path, f"unknown label encoding {encoding!r}")
+    if len(labels) != count:
+        raise ColumnarFormatError(
+            path, f"{prefix} holds {len(labels)} labels, the header says {count}"
+        )
+    return labels
 
 
 # ----------------------------------------------------------------------
@@ -364,6 +378,13 @@ def save_columnar(
 # Reader
 # ----------------------------------------------------------------------
 def _read_header(path) -> Dict[str, object]:
+    """Parse and check the preamble and header JSON of a columnar file.
+
+    Every field a later read is sized from is checked here against the file
+    size: the header length, the data start, and each section's offset,
+    shape and dtype (a plain little-endian bool, int, uint or float dtype).
+    A section spec comes back as ``(offset, shape tuple, dtype)``.
+    """
     path = os.fspath(path)
     file_size = os.path.getsize(path)
     with open(path, "rb") as handle:
@@ -391,23 +412,85 @@ def _read_header(path) -> Dict[str, object]:
             raise ColumnarTruncatedError(
                 path, "file ends inside the header JSON"
             )
+        if not _PREAMBLE.size + header_len <= data_start <= file_size:
+            raise ColumnarFormatError(
+                path, f"data start {data_start} lies outside the file's data region"
+            )
         raw_header = handle.read(header_len)
     try:
         header = json.loads(raw_header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise ColumnarFormatError(path, f"header JSON is invalid: {exc}") from exc
-    if not isinstance(header, dict) or "kind" not in header or "sections" not in header:
+    if (
+        not isinstance(header, dict)
+        or not isinstance(header.get("kind"), str)
+        or not isinstance(header.get("sections"), dict)
+        or not isinstance(header.get("meta", {}), dict)
+    ):
         raise ColumnarFormatError(path, "header JSON is missing kind/sections")
     header["data_start"] = data_start
     header["version"] = version
     header["file_size"] = file_size
-    for name, (rel_offset, shape, dtype_str) in header["sections"].items():
-        nbytes = int(np.dtype(dtype_str).itemsize) * int(np.prod(shape, dtype=np.int64))
-        if data_start + rel_offset + nbytes > file_size:
-            raise ColumnarTruncatedError(
-                path, f"section {name!r} extends past end of file"
-            )
+    header["sections"] = {
+        name: _checked_section(path, name, spec, data_start, file_size)
+        for name, spec in header["sections"].items()
+    }
     return header
+
+
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _checked_section(
+    path: str, name: str, spec: object, data_start: int, file_size: int
+) -> Tuple[int, Tuple[int, ...], np.dtype]:
+    """One section's ``(offset, shape, dtype)``, checked to lie inside the file."""
+    if not (isinstance(spec, list) and len(spec) == 3):
+        raise ColumnarFormatError(path, f"section {name!r} has a malformed spec")
+    rel_offset, shape, dtype_str = spec
+    if not (
+        _is_count(rel_offset)
+        and isinstance(shape, list)
+        and all(_is_count(dim) and dim <= file_size for dim in shape)
+        and isinstance(dtype_str, str)
+    ):
+        raise ColumnarFormatError(path, f"section {name!r} has a malformed spec")
+    try:
+        dtype = np.dtype(dtype_str)
+    except TypeError:
+        dtype = None
+    if dtype is None or dtype.str != dtype_str or dtype.kind not in "biuf" or (
+        dtype.str[0] not in "<|"
+    ):
+        raise ColumnarFormatError(
+            path, f"section {name!r} has unsupported dtype {dtype_str!r}"
+        )
+    nbytes = dtype.itemsize * math.prod(shape)
+    if data_start + rel_offset + nbytes > file_size:
+        raise ColumnarTruncatedError(
+            path, f"section {name!r} extends past end of file"
+        )
+    return rel_offset, tuple(shape), dtype
+
+
+def _section(path: object, arrays: Dict[str, np.ndarray], name: str) -> np.ndarray:
+    """The 1-D integer section ``name`` (a named error if missing or malformed)."""
+    array = arrays.get(name)
+    if array is None or array.ndim != 1 or array.dtype.kind not in "iu":
+        raise ColumnarFormatError(path, f"section {name!r} is missing or not a 1-D int array")
+    return array
+
+
+def _checked_csr(
+    path: object, arrays: Dict[str, np.ndarray], prefix: str, rows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the CSR ``prefix``, its shape checked against ``rows``."""
+    indptr = _section(path, arrays, f"{prefix}_indptr")
+    indices = _section(path, arrays, f"{prefix}_indices")
+    if indptr.size != rows + 1 or int(indptr[0]) != 0 or int(indptr[-1]) != indices.size:
+        raise ColumnarFormatError(path, f"CSR {prefix!r} does not fit its {rows} rows")
+    return indptr, indices
 
 
 def _load_sections(
@@ -418,10 +501,8 @@ def _load_sections(
     data_start = header["data_start"]
     arrays: Dict[str, np.ndarray] = {}
     if mmap_mode == "r":
-        for name, (rel_offset, shape, dtype_str) in header["sections"].items():
-            shape = tuple(shape)
-            dtype = np.dtype(dtype_str)
-            if int(np.prod(shape, dtype=np.int64)) == 0:
+        for name, (rel_offset, shape, dtype) in header["sections"].items():
+            if math.prod(shape) == 0:
                 arrays[name] = np.empty(shape, dtype=dtype)
             else:
                 arrays[name] = np.memmap(
@@ -430,12 +511,11 @@ def _load_sections(
                 )
         return arrays
     with open(path, "rb") as handle:
-        for name, (rel_offset, shape, dtype_str) in header["sections"].items():
-            shape = tuple(shape)
-            dtype = np.dtype(dtype_str)
-            count = int(np.prod(shape, dtype=np.int64))
+        for name, (rel_offset, shape, dtype) in header["sections"].items():
             handle.seek(data_start + rel_offset)
-            arrays[name] = np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
+            arrays[name] = np.fromfile(
+                handle, dtype=dtype, count=math.prod(shape)
+            ).reshape(shape)
     return arrays
 
 
@@ -456,61 +536,62 @@ def open_columnar(
     meta = header.get("meta", {})
     kind = header["kind"]
     if kind == "san":
-        social_spec = meta["social_labels"]
-        social_labels = _decode_labels(
-            path, social_spec["encoding"], social_spec["count"], "social_labels", arrays
-        )
-        social = FrozenDiGraph(
-            social_labels,
-            arrays["social_out_indptr"],
-            arrays["social_out_indices"],
-            arrays["social_in_indptr"],
-            arrays["social_in_indices"],
-        )
-        attr_spec = meta["attr_labels"]
-        attr_labels = _decode_labels(
-            path, attr_spec["encoding"], attr_spec["count"], "attr_labels", arrays
-        )
-        type_names = meta["attr_type_names"]
+        encoding, social_count = _label_spec(path, meta, "social_labels")
+        social_labels = _decode_labels(path, encoding, social_count, "social_labels", arrays)
+        out_indptr, out_indices = _checked_csr(path, arrays, "social_out", social_count)
+        in_indptr, in_indices = _checked_csr(path, arrays, "social_in", social_count)
+        social = FrozenDiGraph(social_labels, out_indptr, out_indices, in_indptr, in_indices)
+        encoding, attr_count = _label_spec(path, meta, "attr_labels")
+        attr_labels = _decode_labels(path, encoding, attr_count, "attr_labels", arrays)
+        sa_indptr, sa_indices = _checked_csr(path, arrays, "sa", social_count)
+        as_indptr, as_indices = _checked_csr(path, arrays, "as", attr_count)
+        type_names = meta.get("attr_type_names")
+        if not isinstance(type_names, list) or not all(
+            isinstance(name, str) for name in type_names
+        ):
+            raise ColumnarFormatError(path, "attribute type names are malformed")
         values = _decode_object_table(
             path,
-            arrays["attr_value_kinds"],
-            arrays["attr_value_offsets"],
-            arrays["attr_value_blob"],
+            _section(path, arrays, "attr_value_kinds"),
+            _section(path, arrays, "attr_value_offsets"),
+            _section(path, arrays, "attr_value_blob"),
         )
-        try:
-            attr_info = [
-                AttributeInfo(type_names[code], value)
-                for code, value in zip(arrays["attr_type_codes"].tolist(), values)
-            ]
-        except IndexError:
-            raise ColumnarFormatError(
-                path, "attribute type code out of range"
-            ) from None
+        codes = _section(path, arrays, "attr_type_codes").tolist()
+        if len(codes) != attr_count or len(values) != attr_count:
+            raise ColumnarFormatError(path, "attribute info does not fit the labels")
+        if codes and not 0 <= min(codes) <= max(codes) < len(type_names):
+            raise ColumnarFormatError(path, "attribute type code out of range")
+        attr_info = [
+            AttributeInfo(type_names[code], value) for code, value in zip(codes, values)
+        ]
         attributes = FrozenBipartiteAttributeGraph(
             social.labels(),
             social._index,
             attr_labels,
             attr_info,
-            arrays["sa_indptr"],
-            arrays["sa_indices"],
-            arrays["as_indptr"],
-            arrays["as_indices"],
+            sa_indptr,
+            sa_indices,
+            as_indptr,
+            as_indices,
         )
         return FrozenSAN(social, attributes)
     if kind == "digraph":
-        label_spec = meta["labels"]
-        labels = _decode_labels(
-            path, label_spec["encoding"], label_spec["count"], "labels", arrays
-        )
+        encoding, count = _label_spec(path, meta, "labels")
+        labels = _decode_labels(path, encoding, count, "labels", arrays)
         return FrozenDiGraph(
             labels,
-            arrays["out_indptr"],
-            arrays["out_indices"],
-            arrays["in_indptr"],
-            arrays["in_indices"],
+            *_checked_csr(path, arrays, "out", count),
+            *_checked_csr(path, arrays, "in", count),
         )
     raise ColumnarFormatError(path, f"unknown graph kind {kind!r}")
+
+
+def _label_spec(path: object, meta: Dict[str, object], key: str) -> Tuple[object, int]:
+    """``(encoding, node count)`` of the label spec ``meta[key]``."""
+    spec = meta.get(key)
+    if not isinstance(spec, dict) or not _is_count(spec.get("count")):
+        raise ColumnarFormatError(path, f"label spec {key!r} is missing or malformed")
+    return spec.get("encoding"), spec["count"]
 
 
 def load_columnar_extras(
@@ -520,6 +601,10 @@ def load_columnar_extras(
     path = os.fspath(path)
     header = _read_header(path)
     names = header.get("meta", {}).get("extras", [])
+    if not isinstance(names, list) or not all(
+        isinstance(name, str) and f"extra:{name}" in header["sections"] for name in names
+    ):
+        raise ColumnarFormatError(path, "extra sections are missing or malformed")
     sections = {
         f"extra:{name}": header["sections"][f"extra:{name}"] for name in names
     }
@@ -538,8 +623,8 @@ def columnar_info(path) -> Dict[str, object]:
         "file_size": header["file_size"],
         "data_start": header["data_start"],
         "sections": {
-            name: {"offset": spec[0], "shape": spec[1], "dtype": spec[2]}
-            for name, spec in header["sections"].items()
+            name: {"offset": offset, "shape": list(shape), "dtype": dtype.str}
+            for name, (offset, shape, dtype) in header["sections"].items()
         },
         "meta": header.get("meta", {}),
     }

@@ -1,7 +1,7 @@
 """Generative models: Algorithm 1, triangle closing, likelihoods, the Zhel baseline, theory."""
 
 from .estimation import EstimationResult, estimate_parameters
-from .history import ArrivalEvent, ArrivalHistory, apply_event
+from .history import ArrivalEvent, ArrivalHistory, HistoryColumns, apply_event
 from .lifetime import (
     expected_lifetime,
     sample_sleep_time,
@@ -55,6 +55,7 @@ __all__ = [
     "estimate_parameters",
     "ArrivalEvent",
     "ArrivalHistory",
+    "HistoryColumns",
     "apply_event",
     "expected_lifetime",
     "sample_sleep_time",

@@ -7,17 +7,20 @@ and walking those members in Python, once per (link, spec with beta > 0),
 does not scale to 50k+-step histories; this module derives the same
 quantities from flat arrays:
 
-* **Compact encoding** — :func:`encode_history` lowers an
-  :class:`~repro.models.history.ArrivalHistory` into int arrays (the same
-  node-id/attribute-id interning idea as the event log in
-  :mod:`repro.models.san_model`): one record per social-link event carrying
+* **Compact encoding** — :func:`encode_history` lowers a history's int
+  columns (:class:`~repro.models.history.HistoryColumns`: a window of the
+  simulator's event log, an Algorithm 1 run's compact log, or an object
+  :class:`~repro.models.history.ArrivalHistory` interned by its
+  ``columns()`` adapter) into arrays, with whole-array sorts and searches
+  and no per-event Python: one record per social-link event carrying
   the source/target degrees and eligibility at its scoring point, a
   bookkeeping *update stream* in replay order (a node registers at its first
   appearance in any role; a target's in-degree steps up once per new
   link), per-target in-degree gain positions, and a CSR
   attribute-membership layout (node -> attributes, attribute -> members)
   timestamped by event position so any moment's membership is a filter, not
-  a replay.
+  a replay.  The per-event encoder it replaced is kept as its oracle in
+  ``tests/model_reference.py``.
 * **Prefix ``S_alpha`` sums** — ``S_alpha = sum_x (d_i(x) + s)^alpha`` over
   the whole trajectory is one broadcast delta matrix plus a cumulative sum,
   and the value *at any scored link* is a row gather.
@@ -40,12 +43,13 @@ log-likelihoods agree to float round-off (the exact-parity gates in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..graph.frozen import sorted_membership
 from ..utils.rng import RngLike, ensure_rng
-from .history import EVENT_ATTRIBUTE, EVENT_SOCIAL, ArrivalHistory
+from .history import KIND_ATTRIBUTE, KIND_SOCIAL, ArrivalHistory, HistoryColumns
 from .likelihood import (
     DEFAULT_LIKELIHOOD_SEED,
     AttachmentModelSpec,
@@ -59,7 +63,7 @@ SCORE_CHUNK = 128
 
 @dataclass
 class EncodedHistory:
-    """An :class:`ArrivalHistory` lowered to flat arrays (see module docs).
+    """An arrival history lowered to flat arrays (see module docs).
 
     Positions are *shifted* event indices: 0 means "present in the initial
     SAN", ``i + 1`` means "created by event ``i``" — so membership or a
@@ -97,196 +101,143 @@ class EncodedHistory:
 
 
 def _csr_from_triples(
-    rows: List[int], cols: List[int], pos: List[int], num_rows: int
+    rows: np.ndarray, cols: np.ndarray, pos: np.ndarray, num_rows: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group (row, col, position) triples into a CSR keyed by ``row``.
 
     The stable sort preserves arrival order within a row, so per-row
     positions stay ascending.
     """
-    row_arr = np.asarray(rows, dtype=np.int64)
-    order = np.argsort(row_arr, kind="stable")
-    counts = np.bincount(row_arr, minlength=num_rows).astype(np.int64)
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=num_rows).astype(np.int64)
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    col_arr = np.asarray(cols, dtype=np.int64)[order]
-    pos_arr = np.asarray(pos, dtype=np.int64)[order]
-    return indptr, col_arr, pos_arr
+    return indptr, cols[order], pos[order]
 
 
-def encode_history(history: ArrivalHistory) -> EncodedHistory:
-    """One pass over the history producing the arrays the scorer consumes.
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Boolean mask of the entries whose key has not occurred before."""
+    mask = np.zeros(keys.size, dtype=bool)
+    mask[np.unique(keys, return_index=True)[1]] = True
+    return mask
 
-    The pass follows a replay's bookkeeping order exactly — node
-    registrations happen at a node's first appearance in *any* event role,
-    degree increments only for links not already present — which is what
+
+def encode_history(history: Union[ArrivalHistory, HistoryColumns]) -> EncodedHistory:
+    """Lower a history into the arrays the scorer consumes, on its int columns.
+
+    An :class:`ArrivalHistory` goes through :meth:`ArrivalHistory.columns`
+    first.  The arrays follow a replay's bookkeeping order exactly: a node
+    registers at its first appearance in *any* role (an event's ``first``,
+    or a social link's ``second``), source before target, and a target's
+    in-degree steps up only for a link not already present — which is what
     makes the prefix sums equal a replay's running ``S_alpha`` values.
+    Removals register their ``first`` and change nothing else.  Each event
+    owns three update slots (first's registration, second's registration,
+    the degree step), so the update stream is those slots in row-major order.
     """
-    initial = history.initial
-    events = history.events
-    node_ids: Dict[object, int] = {}
-    attr_ids: Dict[object, int] = {}
-    initial_degrees: List[int] = []
-    for node in initial.social_nodes():
-        node_ids[node] = len(node_ids)
-        initial_degrees.append(initial.social_in_degree(node))
-    num_initial = len(node_ids)
-    for attribute in initial.attribute_nodes():
-        attr_ids[attribute] = len(attr_ids)
+    columns = history.columns() if isinstance(history, ArrivalHistory) else history
+    kind = np.asarray(columns.kind, dtype=np.int64)
+    first = np.asarray(columns.first, dtype=np.int64)
+    second = np.asarray(columns.second, dtype=np.int64)
+    initial_src = np.asarray(columns.initial_src, dtype=np.int64)
+    initial_dst = np.asarray(columns.initial_dst, dtype=np.int64)
+    num_events = int(kind.size)
+    num_initial = int(columns.num_initial_nodes)
+    social = kind == KIND_SOCIAL
 
-    # Dense id-indexed state: ids are assigned consecutively, so flag
-    # bytearrays and int-keyed dedup sets beat hashing labels/tuples in the
-    # per-event hot loop below.  Social and attribute ids live in separate
-    # namespaces, so membership keys need their own (attribute-id) stride.
-    max_ids = num_initial + 2 * len(events) + 1
-    edge_stride = max_ids
-    attr_stride = len(attr_ids) + len(events) + 1
-    edges = set()
-    for source, target in initial.social_edges():
-        edges.add(node_ids[source] * edge_stride + node_ids[target])
+    # Registrations: the first appearance of every non-initial node.
+    roles = np.stack([first, np.where(social, second, -1)], axis=1).ravel()
+    num_nodes = max(num_initial, int(roles.max()) + 1 if roles.size else 0)
+    candidates = np.flatnonzero(roles >= num_initial)
+    registrations = candidates[_first_occurrences(roles[candidates])]
+    slots = np.zeros((num_events, 3), dtype=bool)
+    slots[registrations // 2, registrations % 2] = True
+    appeared = np.full(num_nodes, -1, dtype=np.int64)  # -1: in the initial SAN
+    appeared[roles[registrations]] = registrations // 2
 
-    member_rows: List[int] = []  # attribute id per membership
-    member_cols: List[int] = []  # member (social) id
-    member_pos: List[int] = []
-    memberships = set()
-    for social, attribute in initial.attribute_edges():
-        key = node_ids[social] * attr_stride + attr_ids[attribute]
-        if key not in memberships:
-            memberships.add(key)
-            member_cols.append(node_ids[social])
-            member_rows.append(attr_ids[attribute])
-            member_pos.append(0)
-
-    degree: List[int] = list(initial_degrees)
-    registered = bytearray(max_ids)
-    san_social = bytearray(max_ids)
-    for ident in range(num_initial):
-        registered[ident] = 1
-        san_social[ident] = 1
-    updates: List[int] = []
-
-    src_list: List[int] = []
-    dst_list: List[int] = []
-    pos_list: List[int] = []
-    eligible_list: List[bool] = []
-    src_deg_list: List[int] = []
-    dst_deg_list: List[int] = []
-    upd_list: List[int] = []
-    gain_targets: List[int] = []
-    gain_pos: List[int] = []
-
-    node_get = node_ids.get
-    attr_get = attr_ids.get
-    updates_append = updates.append
-    degree_append = degree.append
-    src_append = src_list.append
-    dst_append = dst_list.append
-    pos_append = pos_list.append
-    eligible_append = eligible_list.append
-    src_deg_append = src_deg_list.append
-    dst_deg_append = dst_deg_list.append
-    upd_append = upd_list.append
-    gain_target_append = gain_targets.append
-    gain_pos_append = gain_pos.append
-    edges_add = edges.add
-    num_updates = 0
-
-    for index, event in enumerate(events):
-        kind = event.kind
-        if kind == EVENT_SOCIAL:
-            source = node_get(event.first)
-            if source is None:
-                source = node_ids[event.first] = len(node_ids)
-                degree_append(0)
-            target = node_get(event.second)
-            if target is None:
-                target = node_ids[event.second] = len(node_ids)
-                degree_append(0)
-            if not registered[source]:
-                registered[source] = 1
-                updates_append(-1)
-                num_updates += 1
-            if not registered[target]:
-                registered[target] = 1
-                updates_append(-1)
-                num_updates += 1
-            src_append(source)
-            dst_append(target)
-            pos_append(index)
-            target_degree = degree[target]
-            src_deg_append(degree[source])
-            dst_deg_append(target_degree)
-            upd_append(num_updates)
-            edge_key = source * edge_stride + target
-            if edge_key not in edges:
-                eligible_append(san_social[target] == 1 and source != target)
-                edges_add(edge_key)
-                updates_append(target_degree)
-                num_updates += 1
-                degree[target] = target_degree + 1
-                gain_target_append(target)
-                gain_pos_append(index + 1)
-            else:
-                eligible_append(False)
-            san_social[source] = 1
-            san_social[target] = 1
-            continue
-
-        ident = node_get(event.first)
-        if ident is None:
-            ident = node_ids[event.first] = len(node_ids)
-            degree_append(0)
-        if not registered[ident]:
-            registered[ident] = 1
-            updates_append(-1)
-            num_updates += 1
-        if kind == EVENT_ATTRIBUTE:
-            attribute = attr_get(event.second)
-            if attribute is None:
-                attribute = attr_ids[event.second] = len(attr_ids)
-            key = ident * attr_stride + attribute
-            if key not in memberships:
-                memberships.add(key)
-                member_cols.append(ident)
-                member_rows.append(attribute)
-                member_pos.append(index + 1)
-        san_social[ident] = 1
-
-    num_nodes = len(node_ids)
-    num_events = len(history.events)
-    d0 = np.zeros(num_nodes, dtype=np.int64)
-    d0[:num_initial] = np.asarray(initial_degrees, dtype=np.int64)
-
-    stride = num_events + 2
-    target_arr = np.asarray(gain_targets, dtype=np.int64)
-    gpos_arr = np.asarray(gain_pos, dtype=np.int64)
-    order = np.argsort(target_arr, kind="stable")  # positions ascend per target
-    gain_comp = target_arr[order] * stride + gpos_arr[order]
-    gain_counts = np.bincount(target_arr, minlength=num_nodes).astype(np.int64)
+    # Social links: a link is new unless present initially or seen before.
+    link_events = np.flatnonzero(social)
+    sources = first[link_events]
+    targets = second[link_events]
+    stride = max(num_nodes, 1)
+    keys = sources * stride + targets
+    new = _first_occurrences(keys) & ~sorted_membership(
+        np.unique(initial_src * stride + initial_dst), keys
+    )
+    initial_degree = np.bincount(initial_dst, minlength=num_nodes).astype(np.int64)
+    gain_targets = targets[new]
+    gain_events = link_events[new]
+    order = np.argsort(gain_targets, kind="stable")  # events ascend per target
+    sorted_targets = gain_targets[order]
+    old_degree = np.empty(order.size, dtype=np.int64)
+    old_degree[order] = (
+        initial_degree[sorted_targets]
+        + np.arange(order.size, dtype=np.int64)
+        - np.searchsorted(sorted_targets, sorted_targets)
+    )
+    position_stride = num_events + 2
+    gain_comp = sorted_targets * position_stride + gain_events[order] + 1
+    gain_counts = np.bincount(gain_targets, minlength=num_nodes).astype(np.int64)
     gain_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(gain_counts, out=gain_indptr[1:])
 
+    def degree_before(nodes: np.ndarray) -> np.ndarray:
+        """In-degree of ``nodes`` over the gains of events before each link."""
+        gains = np.searchsorted(gain_comp, nodes * position_stride + link_events, side="right")
+        return initial_degree[nodes] + gains - gain_indptr[nodes]
+
+    slots[gain_events, 2] = True
+    values = np.full((num_events, 3), -1, dtype=np.int64)
+    values[gain_events, 2] = old_degree
+    per_event = slots.sum(axis=1)
+    updates_before = np.cumsum(per_event) - per_event
+    update_count = (
+        updates_before[link_events]
+        + slots[link_events, 0]
+        + slots[link_events, 1]
+    )
+    eligible = new & (sources != targets) & (appeared[targets] < link_events)
+
+    # Attribute memberships: initial links at position 0, then every first
+    # link of a (member, attribute) pair at its event's shifted position.
+    attribute_events = np.flatnonzero(kind == KIND_ATTRIBUTE)
+    linked = second[attribute_events]
+    num_attributes = max(
+        int(columns.num_initial_attributes), int(linked.max()) + 1 if linked.size else 0
+    )
+    initial_member = np.asarray(columns.initial_member, dtype=np.int64)
+    initial_attribute = np.asarray(columns.initial_attribute, dtype=np.int64)
+    attr_stride = max(num_attributes, 1)
+    link_keys = first[attribute_events] * attr_stride + linked
+    fresh = _first_occurrences(link_keys) & ~sorted_membership(
+        np.unique(initial_member * attr_stride + initial_attribute), link_keys
+    )
+    member_cols = np.concatenate([initial_member, first[attribute_events[fresh]]])
+    member_rows = np.concatenate([initial_attribute, linked[fresh]])
+    member_pos = np.concatenate(
+        [np.zeros(initial_member.size, dtype=np.int64), attribute_events[fresh] + 1]
+    )
     node_attr_indptr, node_attr_ids, node_attr_pos = _csr_from_triples(
         member_cols, member_rows, member_pos, num_nodes
     )
     attr_member_indptr, attr_member_ids, attr_member_pos = _csr_from_triples(
-        member_rows, member_cols, member_pos, len(attr_ids)
+        member_rows, member_cols, member_pos, num_attributes
     )
 
     return EncodedHistory(
         num_nodes=num_nodes,
         num_initial_nodes=num_initial,
-        num_attributes=len(attr_ids),
+        num_attributes=num_attributes,
         num_events=num_events,
-        initial_in_degree=d0,
-        social_src=np.asarray(src_list, dtype=np.int64),
-        social_dst=np.asarray(dst_list, dtype=np.int64),
-        social_pos=np.asarray(pos_list, dtype=np.int64),
-        social_eligible=np.asarray(eligible_list, dtype=bool),
-        social_src_degree=np.asarray(src_deg_list, dtype=np.int64),
-        social_dst_degree=np.asarray(dst_deg_list, dtype=np.int64),
-        social_update_count=np.asarray(upd_list, dtype=np.int64),
-        update_old_degree=np.asarray(updates, dtype=np.int64),
+        initial_in_degree=initial_degree,
+        social_src=sources,
+        social_dst=targets,
+        social_pos=link_events,
+        social_eligible=eligible,
+        social_src_degree=degree_before(sources),
+        social_dst_degree=degree_before(targets),
+        social_update_count=update_count.astype(np.int64),
+        update_old_degree=values[slots],
         gain_comp=gain_comp,
         gain_indptr=gain_indptr,
         node_attr_indptr=node_attr_indptr,
@@ -334,7 +285,7 @@ def _attribute_factors(spec: AttachmentModelSpec, shared: np.ndarray) -> np.ndar
 
 
 def evaluate_attachment_models_fast(
-    history: ArrivalHistory,
+    history: Union[ArrivalHistory, HistoryColumns],
     specs: Sequence[AttachmentModelSpec],
     smoothing: float = 1.0,
     max_links: Optional[int] = 2000,
@@ -344,9 +295,9 @@ def evaluate_attachment_models_fast(
 
     Semantically identical to the per-link replay in
     ``tests/model_reference.py`` (same scored-link selection stream, same
-    skip rules for non-positive weights); the encoding pass is the only
-    per-event Python left and is charged to this implementation in
-    ``benchmarks/bench_likelihood.py``.
+    skip rules for non-positive weights).  ``history`` is either form of
+    :mod:`repro.models.history`; the encoding pass is charged to this
+    implementation in ``benchmarks/bench_likelihood.py``.
     """
     generator = ensure_rng(rng)
     encoded = encode_history(history)

@@ -6,20 +6,24 @@ SAN just before the link appeared.  An :class:`ArrivalHistory` captures that
 as an initial SAN plus an ordered list of events (node joins, attribute link
 additions, social link additions) and supports replay.
 
-Histories come from two sources:
-
-* the synthetic Google+ simulator and the generative models record them
-  natively while generating;
-* :meth:`ArrivalHistory.from_snapshots` reconstructs one by diffing two
-  snapshots (arrival order within the gap is unknown, so new nodes and their
-  attributes are applied before the new links — the same approximation one
-  has to make with real daily crawls).
+A history comes in two forms.  :class:`HistoryColumns` holds it as int
+columns, the form the Figure 15 encoder reads: the synthetic Google+
+evolution cuts it as a window of its own event log and an Algorithm 1 run
+lowers its compact log into it.  :class:`ArrivalHistory` holds label-keyed
+event objects; it comes from :meth:`ArrivalHistory.from_snapshots`, which
+reconstructs one by diffing two snapshots (arrival order within the gap is
+unknown, so new nodes and their attributes are applied before the new links
+— the same approximation one has to make with real daily crawls), from the
+Zhel baseline, and from an Algorithm 1 run's :meth:`history`.
+:meth:`ArrivalHistory.columns` lowers it into the column form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..graph.san import SAN
 
@@ -31,13 +35,16 @@ EVENT_SOCIAL = "social"
 EVENT_ATTRIBUTE_REMOVE = "attribute_remove"
 EVENT_SOCIAL_REMOVE = "social_remove"
 
-_EVENT_KINDS = (
+#: Every event kind; a kind's position is its code in the column form.
+EVENT_KINDS = (
     EVENT_NODE,
     EVENT_ATTRIBUTE,
     EVENT_SOCIAL,
     EVENT_ATTRIBUTE_REMOVE,
     EVENT_SOCIAL_REMOVE,
 )
+KIND_NODE, KIND_ATTRIBUTE, KIND_SOCIAL, KIND_ATTRIBUTE_REMOVE, KIND_SOCIAL_REMOVE = range(5)
+_KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -59,10 +66,43 @@ class ArrivalEvent:
     value: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _EVENT_KINDS:
+        if self.kind not in _KIND_CODE:
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.kind != EVENT_NODE and self.second is None:
             raise ValueError(f"{self.kind} events need a second endpoint")
+
+
+@dataclass(frozen=True)
+class HistoryColumns:
+    """An arrival history as int columns (the Figure 15 encoder's input).
+
+    Social nodes are ids ``0 .. n - 1`` and attribute nodes are ids into an
+    attribute table the producer keeps.  The initial state holds social
+    nodes ``0 .. num_initial_nodes - 1``, attribute ids
+    ``0 .. num_initial_attributes - 1``, the social edges ``initial_src[k] ->
+    initial_dst[k]`` and the attribute links ``(initial_member[k],
+    initial_attribute[k])``, each listed once.  Event ``i`` has kind code
+    ``kind[i]`` (a position in :data:`EVENT_KINDS`); ``first[i]`` is a
+    social node and ``second[i]`` is the target of a social link or removal,
+    the attribute of an attribute link or removal, or -1 for a join.
+    """
+
+    num_initial_nodes: int
+    num_initial_attributes: int
+    initial_src: np.ndarray
+    initial_dst: np.ndarray
+    initial_member: np.ndarray
+    initial_attribute: np.ndarray
+    kind: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+
+    @property
+    def num_events(self) -> int:
+        return int(self.kind.size)
+
+    def num_social_links(self) -> int:
+        return int(np.count_nonzero(self.kind == KIND_SOCIAL))
 
 
 @dataclass
@@ -105,6 +145,62 @@ class ArrivalHistory:
 
     def num_node_joins(self) -> int:
         return sum(1 for event in self.events if event.kind == EVENT_NODE)
+
+    def columns(self) -> HistoryColumns:
+        """This history as :class:`HistoryColumns`, interning labels as ids.
+
+        Initial social nodes take ids in ``initial.social_nodes()`` order and
+        every later node the next id where it first appears: as an event's
+        ``first``, or as a social link's ``second``.  Attribute nodes take
+        ids in ``initial.attribute_nodes()`` order, then in order of their
+        first attribute link.  A removal's ``second`` is looked up, never
+        interned (-1 when unseen).
+        """
+        initial = self.initial
+        nodes: Dict[Node, int] = {}
+        for node in initial.social_nodes():
+            nodes[node] = len(nodes)
+        attributes: Dict[Node, int] = {}
+        for attribute in initial.attribute_nodes():
+            attributes[attribute] = len(attributes)
+        num_initial_nodes, num_initial_attributes = len(nodes), len(attributes)
+        edges = [(nodes[s], nodes[t]) for s, t in initial.social_edges()]
+        links = [(nodes[s], attributes[a]) for s, a in initial.attribute_edges()]
+        kinds: List[int] = []
+        firsts: List[int] = []
+        seconds: List[int] = []
+        for event in self.events:
+            code = _KIND_CODE[event.kind]
+            kinds.append(code)
+            firsts.append(nodes.setdefault(event.first, len(nodes)))
+            if code == KIND_SOCIAL:
+                seconds.append(nodes.setdefault(event.second, len(nodes)))
+            elif code == KIND_ATTRIBUTE:
+                seconds.append(attributes.setdefault(event.second, len(attributes)))
+            elif code == KIND_SOCIAL_REMOVE:
+                seconds.append(nodes.get(event.second, -1))
+            elif code == KIND_ATTRIBUTE_REMOVE:
+                seconds.append(attributes.get(event.second, -1))
+            else:
+                seconds.append(-1)
+
+        def pair_columns(pairs: List[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+            array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+            return array[:, 0].copy(), array[:, 1].copy()
+
+        initial_src, initial_dst = pair_columns(edges)
+        initial_member, initial_attribute = pair_columns(links)
+        return HistoryColumns(
+            num_initial_nodes=num_initial_nodes,
+            num_initial_attributes=num_initial_attributes,
+            initial_src=initial_src,
+            initial_dst=initial_dst,
+            initial_member=initial_member,
+            initial_attribute=initial_attribute,
+            kind=np.asarray(kinds, dtype=np.int64),
+            first=np.asarray(firsts, dtype=np.int64),
+            second=np.asarray(seconds, dtype=np.int64),
+        )
 
     # ------------------------------------------------------------------
     # Replay

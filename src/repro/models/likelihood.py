@@ -18,10 +18,10 @@ the two must agree to float round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..utils.rng import RngLike
-from .history import ArrivalHistory
+from .history import ArrivalHistory, HistoryColumns
 
 #: Default subsample seed.  The scored-link subsample (``max_links``) must be
 #: reproducible by default — a system-entropy default made every reported
@@ -84,7 +84,7 @@ class LikelihoodResult:
 
 
 def evaluate_attachment_models(
-    history: ArrivalHistory,
+    history: Union[ArrivalHistory, HistoryColumns],
     specs: Sequence[AttachmentModelSpec],
     smoothing: float = 1.0,
     max_links: Optional[int] = 2000,
@@ -125,7 +125,7 @@ def figure15_specs(
 
 
 def figure15_sweep(
-    history: ArrivalHistory,
+    history: Union[ArrivalHistory, HistoryColumns],
     alphas: Iterable[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
     papa_betas: Iterable[float] = (0.0, 2.0, 4.0, 6.0, 8.0),
     lapa_betas: Iterable[float] = (0.0, 10.0, 100.0, 200.0, 500.0),

@@ -81,7 +81,15 @@ from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
 from ..utils.rng import RngLike, ensure_rng
 from ..utils.validation import require_positive
-from .history import ArrivalEvent, ArrivalHistory
+from .history import (
+    KIND_ATTRIBUTE,
+    KIND_ATTRIBUTE_REMOVE,
+    KIND_NODE,
+    KIND_SOCIAL,
+    ArrivalEvent,
+    ArrivalHistory,
+    HistoryColumns,
+)
 from .lifetime import truncated_normal_block
 from .parameters import SANModelParameters
 
@@ -97,12 +105,6 @@ LAPA_MAX_RETRIES = 20
 #: Bounded attempts at a non-empty two-hop candidate set before the closure
 #: step gives up and the node links by attachment instead.
 CLOSURE_SAMPLE_TRIES = 10
-
-#: Event-log kind codes (compact tuples, decoded on ``history()`` access).
-_EVENT_NODE = 0
-_EVENT_ATTRIBUTE = 1
-_EVENT_SOCIAL = 2
-_EVENT_ATTRIBUTE_REMOVE = 3
 
 
 class GrowableIntArray:
@@ -243,7 +245,8 @@ class SANModelRun:
     )
     #: Node ids injected by Sybil waves (empty without the regime).
     sybil_nodes: List[int] = field(default_factory=list)
-    _event_log: Optional[List[Tuple[int, int, int]]] = None
+    #: The compact event log, flat: ``kind, first, second`` per event.
+    _event_log: Optional[List[int]] = None
     _final: Optional[FrozenSAN] = None
     _snapshots: Optional[List[Tuple[int, FrozenSAN]]] = None
     _orders: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
@@ -366,14 +369,51 @@ class SANModelRun:
             )
         return san
 
+    def _event_columns(self) -> Optional[np.ndarray]:
+        """The compact event log as an ``(events, 3)`` array (``None`` unrecorded)."""
+        if self._event_log is None:
+            return None
+        return np.asarray(self._event_log, dtype=np.int64).reshape(-1, 3)
+
+    def history_columns(self) -> HistoryColumns:
+        """Arrival history of the run as int columns (the Figure 15 encoder's input).
+
+        The initial state is the complete seed network and the events are
+        the compact log as recorded, with the run's own node and attribute
+        ids.  Like :meth:`history`, it is empty unless ``record_history``
+        was set.
+        """
+        log = self._event_columns()
+        if log is None:
+            return ArrivalHistory().columns()
+        params = self.parameters
+        seeds = params.seed_social_nodes
+        seed_attributes = params.seed_attribute_nodes
+        ordered = np.arange(seeds, dtype=np.int64)
+        sources, targets = np.repeat(ordered, seeds), np.tile(ordered, seeds)
+        proper = sources != targets
+        return HistoryColumns(
+            num_initial_nodes=seeds,
+            num_initial_attributes=seed_attributes,
+            initial_src=sources[proper],
+            initial_dst=targets[proper],
+            initial_member=np.repeat(ordered, seed_attributes),
+            initial_attribute=np.tile(np.arange(seed_attributes, dtype=np.int64), seeds),
+            kind=log[:, 0].copy(),
+            first=log[:, 1].copy(),
+            second=log[:, 2].copy(),
+        )
+
     def history(self) -> ArrivalHistory:
-        """Arrival history of the run (empty unless ``record_history`` was set).
+        """Arrival history of the run as event objects (empty unless recorded).
 
         The initial SAN is the complete seed network; events decode the
         compact log into :class:`~repro.models.history.ArrivalEvent` objects
-        in arrival order, the input of the Figure 15 likelihood analyses.
+        in arrival order.  The loop references read this form; the Figure 15
+        scorer reads :meth:`history_columns`.
         """
-        if self._event_log is None:
+        log = self._event_columns()
+        if log is None:
             return ArrivalHistory()
         params = self.parameters
         history = ArrivalHistory(
@@ -383,14 +423,14 @@ class SANModelRun:
         )
         labels = self.attribute_labels
         events = history.events
-        for kind, first, second in self._event_log:
-            if kind == _EVENT_NODE:
+        for kind, first, second in log.tolist():
+            if kind == KIND_NODE:
                 events.append(ArrivalEvent("node", first))
-            elif kind == _EVENT_ATTRIBUTE:
+            elif kind == KIND_ATTRIBUTE:
                 events.append(
                     ArrivalEvent("attribute", first, labels[second], attr_type="model")
                 )
-            elif kind == _EVENT_ATTRIBUTE_REMOVE:
+            elif kind == KIND_ATTRIBUTE_REMOVE:
                 events.append(ArrivalEvent("attribute_remove", first, labels[second]))
             else:
                 events.append(ArrivalEvent("social", first, second))
@@ -440,8 +480,9 @@ def generate_san(
 
     ``snapshot_every`` records a watermark every that many steps, plus the
     final state, for :attr:`SANModelRun.snapshots`.  ``record_history``
-    keeps the event log that :meth:`SANModelRun.history` decodes for the
-    likelihood analyses.  The output is a pure function of the seed.
+    keeps the compact event log that :meth:`SANModelRun.history_columns`
+    hands to the likelihood analyses.  The output is a pure function of the
+    seed.
     """
     params = params if params is not None else SANModelParameters()
     if snapshot_every is not None:
@@ -504,7 +545,7 @@ def generate_san(
     degree_pool: List[List[int]] = []  # member per in-link gained while a member
     edge_keys = set()
     buckets: List[List[Tuple[float, int]]] = [[] for _ in range(steps + 2)]
-    event_log: Optional[List[Tuple[int, int, int]]] = [] if record_history else None
+    event_log: Optional[List[int]] = [] if record_history else None
 
     # ------------------------------------------------------------------
     # Seed: the complete SAN of Section 5.3's initialization
@@ -569,7 +610,7 @@ def generate_san(
             for attr_id in node_attrs[target]:
                 degree_pool[attr_id].append(target)
         if event_log is not None:
-            event_log.append((_EVENT_SOCIAL, source, target))
+            event_log.extend((KIND_SOCIAL, source, target))
         return True
 
     def sample_lapa(source: int) -> Optional[int]:
@@ -660,7 +701,7 @@ def generate_san(
             num_nodes += 1
             honest.append(node)
             if event_log is not None:
-                event_log.append((_EVENT_NODE, node, 0))
+                event_log.extend((KIND_NODE, node, -1))
 
             # ---------------- attribute degree & linking ----------------
             my_attrs = node_attrs[node]
@@ -702,7 +743,7 @@ def generate_san(
                 members[chosen_attr].append(node)
                 my_attrs.append(chosen_attr)
                 if event_log is not None:
-                    event_log.append((_EVENT_ATTRIBUTE, node, chosen_attr))
+                    event_log.extend((KIND_ATTRIBUTE, node, chosen_attr))
 
             # ---------------- first outgoing link (LAPA) ----------------
             target = sample_lapa(node)
@@ -731,7 +772,7 @@ def generate_san(
                 sybil_nodes.append(sybil)
                 wave_members.append(sybil)
                 if event_log is not None:
-                    event_log.append((_EVENT_NODE, sybil, 0))
+                    event_log.extend((KIND_NODE, sybil, -1))
                 for _ in range(wave.attack_edges_per_sybil):
                     victim = honest[int(uniform() * len(honest))]
                     add_edge(sybil, victim)
@@ -793,7 +834,7 @@ def generate_san(
                         member for member in degree_pool[dropped] if member != churner
                     ]
                 if event_log is not None:
-                    event_log.append((_EVENT_ATTRIBUTE_REMOVE, churner, dropped))
+                    event_log.extend((KIND_ATTRIBUTE_REMOVE, churner, dropped))
                 replacement = -1
                 for _attempt in range(ATTRIBUTE_LINK_RETRIES):
                     pool_size = link_attr.size
@@ -829,7 +870,7 @@ def generate_san(
                             [churner] * in_degree[churner]
                         )
                     if event_log is not None:
-                        event_log.append((_EVENT_ATTRIBUTE, churner, replacement))
+                        event_log.extend((KIND_ATTRIBUTE, churner, replacement))
 
         if snapshot_every is not None and step % snapshot_every == 0:
             marks.append(

@@ -18,11 +18,14 @@ network with
   types, with inviter homophily and an early-adopter tech tilt (the Figure 14
   signal).
 
-The simulator emits a :class:`GroundTruthEvolution` — a day-stamped event log
-from which a SAN "as of day d" (or a whole snapshot sequence) can be
-reconstructed, plus per-user profiles and join days.  The crawler substrate
-consumes this object to produce the crawled snapshots every measurement bench
-runs on.
+The simulator emits a :class:`GroundTruthEvolution`: a day-stamped event log
+kept as four int columns (day, kind, first, second) plus the attribute table
+its ids index.  The ground truth "as of day d", a whole snapshot sequence, an
+arrival-history window, join days and profiles are all cut from those
+columns with array operations; nothing replays the log into a mutable SAN.
+The crawler substrate consumes this object to produce the crawled snapshots
+every measurement bench runs on.  The simulator itself still grows one live
+mutable SAN, whose queries drive its draws.
 """
 
 from __future__ import annotations
@@ -30,25 +33,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..graph.bipartite import AttributeInfo
 from ..graph.builders import attribute_node_id
+from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
 from ..metrics.evolution import PhaseBoundaries
-from ..models.history import ArrivalEvent, ArrivalHistory, apply_event
+from ..models.history import (
+    KIND_ATTRIBUTE,
+    KIND_ATTRIBUTE_REMOVE,
+    KIND_NODE,
+    KIND_SOCIAL,
+    HistoryColumns,
+)
 from ..utils.rng import RngLike, ensure_rng
 from ..utils.validation import require_non_negative, require_positive, require_probability
 from .arrival import three_phase_schedule
 from .attributes import ProfileModel, build_vocabulary
 
 Node = Hashable
-
-
-@dataclass(frozen=True)
-class TimedEvent:
-    """A growth event stamped with the simulation day it happened on."""
-
-    day: int
-    event: ArrivalEvent
 
 
 @dataclass(frozen=True)
@@ -88,198 +92,167 @@ class FlashCrowdDay:
 
 @dataclass
 class GroundTruthEvolution:
-    """Day-stamped event log of a simulated Google+-like network."""
+    """Day-stamped event log of a simulated Google+-like network, as int columns.
 
-    events: List[TimedEvent]
+    Event ``i`` happened on day ``day[i]`` (non-decreasing) and has kind
+    code ``kind[i]`` (a position in :data:`~repro.models.history.EVENT_KINDS`).
+    Users are numbered ``0 .. n - 1`` in join order.  ``first[i]`` is a
+    user; ``second[i]`` is the target user of a social link, the attribute
+    of an attribute link or removal — an id into ``attribute_labels`` and
+    ``attribute_info``, numbered in order of first use — or -1 for a join.
+    Every view below is cut from these columns with array operations; none
+    replays the log into a mutable SAN.
+    """
+
+    day: np.ndarray
+    kind: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    attribute_labels: List[str]
+    attribute_info: List[AttributeInfo]
     num_days: int
-    join_day: Dict[Node, int] = field(default_factory=dict)
-    profiles: Dict[Node, Dict[str, str]] = field(default_factory=dict)
     phases: PhaseBoundaries = field(default_factory=PhaseBoundaries)
     #: User ids injected by Sybil waves (empty without the adversarial regime).
-    sybil_nodes: List[Node] = field(default_factory=list)
+    sybil: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    #: The final ground truth (built on first use unless the store held it).
+    _final: Optional[FrozenSAN] = field(default=None, repr=False, compare=False)
+    _successor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    def san_at(self, day: int) -> SAN:
-        """The ground-truth SAN at the end of ``day``."""
-        san = SAN()
-        for timed in self.events:
-            if timed.day > day:
-                break
-            apply_event(san, timed.event)
-        return san
+    @property
+    def num_events(self) -> int:
+        return int(self.kind.size)
 
-    def final_san(self) -> SAN:
-        return self.san_at(self.num_days)
+    @property
+    def join_day(self) -> Dict[int, int]:
+        """``{user: day}`` of every join."""
+        joins = self.kind == KIND_NODE
+        return dict(zip(self.first[joins].tolist(), self.day[joins].tolist()))
 
-    def snapshots(self, days: Sequence[int]) -> List[Tuple[int, SAN]]:
-        """Ground-truth SAN copies at each requested day (single replay pass)."""
-        wanted = sorted(set(days))
-        snapshots: List[Tuple[int, SAN]] = []
-        san = SAN()
-        index = 0
-        for day in range(1, self.num_days + 1):
-            while index < len(self.events) and self.events[index].day <= day:
-                apply_event(san, self.events[index].event)
-                index += 1
-            if day in wanted:
-                snapshots.append((day, san.copy()))
-        return snapshots
+    @property
+    def profiles(self) -> Dict[int, Dict[str, str]]:
+        """Every user's declared ``{attribute type: value}`` at the end of the log."""
+        final = self.final_san()
+        indptr, indices = final.attributes.social_to_attr_csr()
+        info = self.attribute_info
+        return {
+            user: {info[a].attr_type: info[a].value for a in indices[start:stop].tolist()}
+            for user, (start, stop) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
+        }
 
-    def frozen_snapshots(self, days: Sequence[int]) -> List[Tuple[int, "FrozenSAN"]]:
-        """CSR-backed snapshots at each requested day, without per-day copies.
+    def _prefix(self, day: int) -> int:
+        """Number of events on days ``<= day``."""
+        return int(np.searchsorted(self.day, day, side="right"))
 
-        One pass over the event log appends compact-id edge arrays and
-        records (node count, edge count) watermarks at the requested days;
-        each snapshot is then materialized directly into a read-only
-        :class:`~repro.graph.frozen.FrozenSAN` from the array prefixes.  The
-        replay ends at the last requested day, so an early split day (the
-        Section 5.2 state) reads only the events up to it.  For
-        measurement pipelines this replaces ``snapshots()``'s O(V + E) deep
-        copy per day with one vectorized CSR build per day — and the result
-        is already on the backend the metric kernels are fastest on.
+    def _live(self, prefix: int, add_kind: int) -> np.ndarray:
+        """Positions of the ``add_kind`` links the first ``prefix`` events leave alive.
+
+        A link is alive after a prefix when no later event of the prefix
+        touches the same pair: the removal that would follow it.
         """
-        import numpy as np
+        if self._successor is None:
+            self._successor = _next_same_link(self.kind, self.first, self.second)
+        adds = np.flatnonzero(self.kind[:prefix] == add_kind)
+        return adds[self._successor[adds] >= prefix]
 
-        from ..graph.frozen import FrozenSAN
+    def _node_count(self, prefix: int) -> int:
+        return int(np.count_nonzero(self.kind[:prefix] == KIND_NODE))
 
-        wanted = sorted(set(days))
-        social_index: Dict[Node, int] = {}
-        social_labels: List[Node] = []
-        attr_index: Dict[Node, int] = {}
-        attr_labels: List[Node] = []
-        attr_info: List[object] = []
-        edge_src: List[int] = []
-        edge_dst: List[int] = []
-        link_social: List[int] = []
-        link_attr: List[int] = []
-        # Churn support: the arrays stay append-only; removals tombstone the
-        # link's position (tracked via the alive pair -> position map) and the
-        # per-day marks carry a removal-log watermark.
-        link_position: Dict[Tuple[int, int], int] = {}
-        removed_links: List[int] = []
-        edge_position: Dict[Tuple[int, int], int] = {}
-        removed_edges: List[int] = []
+    def _attribute_count(self, prefix: int) -> int:
+        linked = self.second[:prefix][self.kind[:prefix] == KIND_ATTRIBUTE]
+        return int(linked.max()) + 1 if linked.size else 0
 
-        def social_id(node: Node) -> int:
-            compact = social_index.get(node)
-            if compact is None:
-                compact = len(social_labels)
-                social_index[node] = compact
-                social_labels.append(node)
-            return compact
+    def _state_at(self, prefix: int) -> FrozenSAN:
+        """The ground truth after the first ``prefix`` events."""
+        edges = self._live(prefix, KIND_SOCIAL)
+        links = self._live(prefix, KIND_ATTRIBUTE)
+        num_attributes = self._attribute_count(prefix)
+        return FrozenSAN.from_edge_arrays(
+            list(range(self._node_count(prefix))),
+            self.first[edges],
+            self.second[edges],
+            self.attribute_labels[:num_attributes],
+            self.attribute_info[:num_attributes],
+            self.first[links],
+            self.second[links],
+        )
 
-        marks: List[Tuple[int, int, int, int, int, int, int]] = []
-        index = 0
-        # The replay stops after the last requested day.
-        last_day = min(wanted[-1], self.num_days) if wanted else 0
-        for day in range(1, last_day + 1):
-            while index < len(self.events) and self.events[index].day <= day:
-                event = self.events[index].event
-                index += 1
-                if event.kind == "node":
-                    social_id(event.first)
-                elif event.kind == "social":
-                    pair = (social_id(event.first), social_id(event.second))
-                    edge_position[pair] = len(edge_src)
-                    edge_src.append(pair[0])
-                    edge_dst.append(pair[1])
-                elif event.kind == "social_remove":
-                    pair = (social_id(event.first), social_id(event.second))
-                    removed_edges.append(edge_position.pop(pair))
-                elif event.kind == "attribute_remove":
-                    pair = (social_id(event.first), attr_index[event.second])
-                    removed_links.append(link_position.pop(pair))
-                else:
-                    attr_id = attr_index.get(event.second)
-                    if attr_id is None:
-                        attr_id = len(attr_labels)
-                        attr_index[event.second] = attr_id
-                        attr_labels.append(event.second)
-                        attr_info.append(
-                            AttributeInfo(attr_type=event.attr_type, value=event.value)
-                        )
-                    pair = (social_id(event.first), attr_id)
-                    link_position[pair] = len(link_social)
-                    link_social.append(social_id(event.first))
-                    link_attr.append(attr_id)
-            if day in wanted:
-                marks.append(
-                    (
-                        day,
-                        len(social_labels),
-                        len(edge_src),
-                        len(attr_labels),
-                        len(link_social),
-                        len(removed_edges),
-                        len(removed_links),
-                    )
-                )
+    def final_san(self) -> FrozenSAN:
+        """The ground truth at the end of the log (every attribute node kept)."""
+        if self._final is None:
+            self._final = self._state_at(self.num_events)
+        return self._final
 
-        src = np.asarray(edge_src, dtype=np.int64)
-        dst = np.asarray(edge_dst, dtype=np.int64)
-        lsoc = np.asarray(link_social, dtype=np.int64)
-        lattr = np.asarray(link_attr, dtype=np.int64)
-        removed_edge_log = np.asarray(removed_edges, dtype=np.int64)
-        removed_link_log = np.asarray(removed_links, dtype=np.int64)
+    def frozen_snapshots(self, days: Sequence[int]) -> List[Tuple[int, FrozenSAN]]:
+        """The ground truth at the end of each requested day in ``[1, num_days]``.
 
-        def prefix(full: np.ndarray, count: int, log: np.ndarray, dead: int) -> np.ndarray:
-            if not dead:
-                return full[:count]
-            keep = np.ones(count, dtype=bool)
-            keep[log[:dead]] = False
-            return full[:count][keep]
-
-        return [
-            (
-                day,
-                FrozenSAN.from_edge_arrays(
-                    social_labels[:n],
-                    prefix(src, m, removed_edge_log, me),
-                    prefix(dst, m, removed_edge_log, me),
-                    attr_labels[:na],
-                    attr_info[:na],
-                    prefix(lsoc, ma, removed_link_log, ml),
-                    prefix(lattr, ma, removed_link_log, ml),
-                ),
-            )
-            for day, n, m, na, ma, me, ml in marks
-        ]
+        Each day's state is the log prefix ``np.searchsorted`` cuts at it:
+        the users who joined by then, the links alive after the prefix, and
+        the attribute nodes used by then (including ones churn left without
+        members), built straight into a :class:`FrozenSAN`.
+        """
+        wanted = sorted({day for day in days if 1 <= day <= self.num_days})
+        return [(day, self._state_at(self._prefix(day))) for day in wanted]
 
     def arrival_history(
         self, start_day: int = 1, end_day: Optional[int] = None
-    ) -> ArrivalHistory:
-        """Arrival history covering days ``(start_day, end_day]``.
+    ) -> HistoryColumns:
+        """Arrival history covering days ``[start_day, end_day]``, as a window of the log.
 
-        The initial SAN is the state at the end of ``start_day - 1``; events on
-        later days (up to ``end_day``) become the history's ordered events.
-        Used by the Figure 15 and Section 5.2 likelihood analyses.
+        The initial state is the ground truth at the end of ``start_day - 1``;
+        the events of the later days (up to ``end_day``) are the window's
+        columns.  Users and attributes keep their ids.  Used by the Figure 15
+        likelihood analysis.
         """
         if end_day is None:
             end_day = self.num_days
-        history = ArrivalHistory(initial=self.san_at(start_day - 1))
-        for timed in self.events:
-            if timed.day < start_day:
-                continue
-            if timed.day > end_day:
-                break
-            history.events.append(timed.event)
-        return history
+        start = self._prefix(start_day - 1)
+        end = max(start, self._prefix(end_day))
+        edges = self._live(start, KIND_SOCIAL)
+        links = self._live(start, KIND_ATTRIBUTE)
+        return HistoryColumns(
+            num_initial_nodes=self._node_count(start),
+            num_initial_attributes=self._attribute_count(start),
+            initial_src=self.first[edges],
+            initial_dst=self.second[edges],
+            initial_member=self.first[links],
+            initial_attribute=self.second[links],
+            kind=self.kind[start:end],
+            first=self.first[start:end],
+            second=self.second[start:end],
+        )
 
     def new_social_links_between(
         self, after_day: int, up_to_day: int
-    ) -> List[Tuple[Node, Node]]:
-        """Directed social links created strictly after ``after_day`` and by ``up_to_day``."""
-        links: List[Tuple[Node, Node]] = []
-        for timed in self.events:
-            if timed.day <= after_day:
-                continue
-            if timed.day > up_to_day:
-                break
-            if timed.event.kind == "social":
-                links.append((timed.event.first, timed.event.second))
-        return links
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sources, targets)`` of the social links created after ``after_day``, by ``up_to_day``."""
+        start = self._prefix(after_day)
+        end = max(start, self._prefix(up_to_day))
+        links = start + np.flatnonzero(self.kind[start:end] == KIND_SOCIAL)
+        return self.first[links], self.second[links]
 
-    def users_joining_by(self, day: int) -> List[Node]:
-        return [node for node, joined in self.join_day.items() if joined <= day]
+
+def _next_same_link(kind: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """For every event, the position of the next event on the same link (or the log's length).
+
+    Social links and removals share one pair space, attribute links and
+    removals another; joins have no successor.
+    """
+    count = int(kind.size)
+    successor = np.full(count, count, dtype=np.int64)
+    events = np.flatnonzero(kind != KIND_NODE)
+    if events.size < 2:
+        return successor
+    family = np.isin(kind[events], (KIND_ATTRIBUTE, KIND_ATTRIBUTE_REMOVE))
+    heads, tails = first[events], second[events]
+    order = np.lexsort((events, tails, heads, family))
+    ordered = events[order]
+    same = (
+        (family[order][1:] == family[order][:-1])
+        & (heads[order][1:] == heads[order][:-1])
+        & (tails[order][1:] == tails[order][:-1])
+    )
+    successor[ordered[:-1][same]] = ordered[1:][same]
+    return successor
 
 
 @dataclass
@@ -387,7 +360,7 @@ class GooglePlusSimulator:
     # Public API
     # ------------------------------------------------------------------
     def run(self) -> GroundTruthEvolution:
-        """Run the full simulation and return the timed event log."""
+        """Run the full simulation and return its event log as columns."""
         config = self.config
         rng = self._rng
         schedule = three_phase_schedule(
@@ -405,9 +378,16 @@ class GooglePlusSimulator:
             inviter_copy_probability=config.inviter_copy_probability,
         )
 
-        evolution = GroundTruthEvolution(
-            events=[], num_days=config.num_days, phases=config.phases
-        )
+        # The event log's columns, and the attribute table its ids index.
+        days: List[int] = []
+        kinds: List[int] = []
+        firsts: List[int] = []
+        seconds: List[int] = []
+        attribute_ids: Dict[str, int] = {}
+        attribute_labels: List[str] = []
+        attribute_info: List[AttributeInfo] = []
+        profiles: Dict[Node, Dict[str, str]] = {}
+        sybil_nodes: List[Node] = []
         san = SAN()  # live state mirroring the event log
         next_user_id = 0
         # Per-day buckets of scheduled outgoing-link events (source node ids)
@@ -426,16 +406,33 @@ class GooglePlusSimulator:
         for wave in config.sybil_waves:
             waves_by_day.setdefault(wave.day, []).append(wave)
 
-        def emit(day: int, event: ArrivalEvent) -> None:
-            evolution.events.append(TimedEvent(day=day, event=event))
-            apply_event(san, event)
+        def emit(day: int, kind: int, first: Node, second: int = -1) -> None:
+            days.append(day)
+            kinds.append(kind)
+            firsts.append(first)
+            seconds.append(second)
+
+        def join(day: int, user: Node) -> None:
+            emit(day, KIND_NODE, user)
+            san.add_social_node(user)
+
+        def link_attribute(day: int, user: Node, attr_type: str, value: str) -> None:
+            label = attribute_node_id(attr_type, value)
+            attribute = attribute_ids.get(label)
+            if attribute is None:
+                attribute = attribute_ids[label] = len(attribute_labels)
+                attribute_labels.append(label)
+                attribute_info.append(AttributeInfo(attr_type=attr_type, value=value))
+            emit(day, KIND_ATTRIBUTE, user, attribute)
+            san.add_attribute_edge(user, label, attr_type=attr_type, value=value)
 
         sybil_users: Set[Node] = set()
 
         def add_social_link(day: int, source: Node, target: Node) -> bool:
             if source == target or san.has_social_edge(source, target):
                 return False
-            emit(day, ArrivalEvent("social", source, target))
+            emit(day, KIND_SOCIAL, source, target)
+            san.add_social_edge(source, target)
             # Sybil targets never enter the preferential-attachment pool:
             # intra-wave links must not make fake identities attractive to
             # honest users (only triadic closure can organically reach them).
@@ -466,30 +463,18 @@ class GooglePlusSimulator:
             for _ in range(schedule.arrivals_on(day) + flash_extra.get(day, 0)):
                 user = next_user_id
                 next_user_id += 1
-                evolution.join_day[user] = day
-                emit(day, ArrivalEvent("node", user))
+                join(day, user)
 
                 inviter = self._pick_inviter(all_users, in_degree_pool, phase, rng)
-                inviter_profile = (
-                    evolution.profiles.get(inviter) if inviter is not None else None
-                )
+                inviter_profile = profiles.get(inviter) if inviter is not None else None
                 profile = profile_model.sample_profile(
                     rng=rng, inviter_profile=inviter_profile, tech_tilt=tech_tilt
                 )
-                evolution.profiles[user] = profile
+                profiles[user] = profile
                 if profile:
                     profiled_users.append(user)
                 for attr_type, value in profile.items():
-                    emit(
-                        day,
-                        ArrivalEvent(
-                            "attribute",
-                            user,
-                            attribute_node_id(attr_type, value),
-                            attr_type=attr_type,
-                            value=value,
-                        ),
-                    )
+                    link_attribute(day, user, attr_type, value)
 
                 all_users.append(user)
 
@@ -513,12 +498,11 @@ class GooglePlusSimulator:
                 for _ in range(wave.num_sybils):
                     sybil = next_user_id
                     next_user_id += 1
-                    evolution.join_day[sybil] = day
-                    evolution.profiles[sybil] = {}
-                    evolution.sybil_nodes.append(sybil)
+                    profiles[sybil] = {}
+                    sybil_nodes.append(sybil)
                     sybil_users.add(sybil)
                     wave_members.append(sybil)
-                    emit(day, ArrivalEvent("node", sybil))
+                    join(day, sybil)
                     for _ in range(wave.attack_edges_per_sybil):
                         if not all_users:
                             break
@@ -561,18 +545,13 @@ class GooglePlusSimulator:
                     if not profiled_users:
                         break
                     user = profiled_users[rng.randrange(len(profiled_users))]
-                    profile = evolution.profiles[user]
+                    profile = profiles[user]
                     attr_types = list(profile)
                     attr_type = attr_types[rng.randrange(len(attr_types))]
                     old_value = profile[attr_type]
-                    emit(
-                        day,
-                        ArrivalEvent(
-                            "attribute_remove",
-                            user,
-                            attribute_node_id(attr_type, old_value),
-                        ),
-                    )
+                    label = attribute_node_id(attr_type, old_value)
+                    emit(day, KIND_ATTRIBUTE_REMOVE, user, attribute_ids[label])
+                    san.remove_attribute_edge(user, label)
                     vocabulary = vocabularies[attr_type]
                     new_value = old_value
                     for _attempt in range(10):
@@ -585,18 +564,19 @@ class GooglePlusSimulator:
                             profiled_users.remove(user)
                         continue
                     profile[attr_type] = new_value
-                    emit(
-                        day,
-                        ArrivalEvent(
-                            "attribute",
-                            user,
-                            attribute_node_id(attr_type, new_value),
-                            attr_type=attr_type,
-                            value=new_value,
-                        ),
-                    )
+                    link_attribute(day, user, attr_type, new_value)
 
-        return evolution
+        return GroundTruthEvolution(
+            day=np.asarray(days, dtype=np.int64),
+            kind=np.asarray(kinds, dtype=np.int64),
+            first=np.asarray(firsts, dtype=np.int64),
+            second=np.asarray(seconds, dtype=np.int64),
+            attribute_labels=attribute_labels,
+            attribute_info=attribute_info,
+            num_days=config.num_days,
+            phases=config.phases,
+            sybil=np.asarray(sybil_nodes, dtype=np.int64),
+        )
 
     # ------------------------------------------------------------------
     # Internals

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..graph.san import SAN
+from ..graph.frozen import FrozenSAN
 from ..metrics.evolution import PhaseBoundaries
 from ..models.parameters import SANModelParameters
 from ..utils.rng import RngLike
@@ -171,7 +171,7 @@ class EvolutionWorkload:
     evolution: GroundTruthEvolution
     snapshot_days: List[int]
 
-    def final_san(self) -> SAN:
+    def final_san(self) -> FrozenSAN:
         return self.evolution.final_san()
 
     def halfway_day(self) -> int:

@@ -17,6 +17,10 @@ independently written version of the same process:
   the two must agree exactly (``tests/test_models_likelihood.py``,
   ``tests/test_models_fast_likelihood.py`` and
   ``benchmarks/bench_likelihood.py``).
+* :func:`encode_history_loop` lowers an object history into the scorer's
+  arrays one event at a time; :func:`repro.models.fast_likelihood.encode_history`
+  derives the same arrays from the history's int columns
+  (``tests/test_models_fast_likelihood.py``).
 * The samplers only these two use: the attachment weight models and the
   decomposed LAPA sampler, :func:`weighted_choice`, the scalar
   truncated-normal lifetime, and the closure models' ``sample_target``.
@@ -34,11 +38,20 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+import numpy as np
+
 from repro.algorithms.triangles import two_hop_social_neighbors
 from repro.graph.builders import complete_seed_san
 from repro.graph.san import SAN
 from repro.models import triangle_closing as closing
-from repro.models.history import EVENT_ATTRIBUTE, EVENT_NODE, ArrivalHistory, apply_event
+from repro.models.fast_likelihood import EncodedHistory
+from repro.models.history import (
+    EVENT_ATTRIBUTE,
+    EVENT_NODE,
+    EVENT_SOCIAL,
+    ArrivalHistory,
+    apply_event,
+)
 from repro.models.likelihood import (
     DEFAULT_LIKELIHOOD_SEED,
     AttachmentModelSpec,
@@ -709,3 +722,211 @@ def _score_link(
         if numerator <= 0 or denominator <= 0:
             continue
         log_likelihoods[spec.name] += math.log(numerator / denominator)
+
+
+# ----------------------------------------------------------------------
+# Figure 15 encoding: the per-event pass over event objects
+# ----------------------------------------------------------------------
+def _csr_from_lists(
+    rows: List[int], cols: List[int], pos: List[int], num_rows: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group (row, col, position) triples into a CSR keyed by ``row``.
+
+    The stable sort preserves arrival order within a row, so per-row
+    positions stay ascending.
+    """
+    row_arr = np.asarray(rows, dtype=np.int64)
+    order = np.argsort(row_arr, kind="stable")
+    counts = np.bincount(row_arr, minlength=num_rows).astype(np.int64)
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    col_arr = np.asarray(cols, dtype=np.int64)[order]
+    pos_arr = np.asarray(pos, dtype=np.int64)[order]
+    return indptr, col_arr, pos_arr
+
+
+def encode_history_loop(history: ArrivalHistory) -> EncodedHistory:
+    """The per-event encoder: one pass over the event objects.
+
+    The oracle of :func:`repro.models.fast_likelihood.encode_history`, which
+    derives the same arrays from a history's int columns.
+
+    The pass follows a replay's bookkeeping order exactly — node
+    registrations happen at a node's first appearance in *any* event role,
+    degree increments only for links not already present — which is what
+    makes the prefix sums equal a replay's running ``S_alpha`` values.
+    """
+    initial = history.initial
+    events = history.events
+    node_ids: Dict[object, int] = {}
+    attr_ids: Dict[object, int] = {}
+    initial_degrees: List[int] = []
+    for node in initial.social_nodes():
+        node_ids[node] = len(node_ids)
+        initial_degrees.append(initial.social_in_degree(node))
+    num_initial = len(node_ids)
+    for attribute in initial.attribute_nodes():
+        attr_ids[attribute] = len(attr_ids)
+
+    # Dense id-indexed state: ids are assigned consecutively, so flag
+    # bytearrays and int-keyed dedup sets beat hashing labels/tuples in the
+    # per-event hot loop below.  Social and attribute ids live in separate
+    # namespaces, so membership keys need their own (attribute-id) stride.
+    max_ids = num_initial + 2 * len(events) + 1
+    edge_stride = max_ids
+    attr_stride = len(attr_ids) + len(events) + 1
+    edges = set()
+    for source, target in initial.social_edges():
+        edges.add(node_ids[source] * edge_stride + node_ids[target])
+
+    member_rows: List[int] = []  # attribute id per membership
+    member_cols: List[int] = []  # member (social) id
+    member_pos: List[int] = []
+    memberships = set()
+    for social, attribute in initial.attribute_edges():
+        key = node_ids[social] * attr_stride + attr_ids[attribute]
+        if key not in memberships:
+            memberships.add(key)
+            member_cols.append(node_ids[social])
+            member_rows.append(attr_ids[attribute])
+            member_pos.append(0)
+
+    degree: List[int] = list(initial_degrees)
+    registered = bytearray(max_ids)
+    san_social = bytearray(max_ids)
+    for ident in range(num_initial):
+        registered[ident] = 1
+        san_social[ident] = 1
+    updates: List[int] = []
+
+    src_list: List[int] = []
+    dst_list: List[int] = []
+    pos_list: List[int] = []
+    eligible_list: List[bool] = []
+    src_deg_list: List[int] = []
+    dst_deg_list: List[int] = []
+    upd_list: List[int] = []
+    gain_targets: List[int] = []
+    gain_pos: List[int] = []
+
+    node_get = node_ids.get
+    attr_get = attr_ids.get
+    updates_append = updates.append
+    degree_append = degree.append
+    src_append = src_list.append
+    dst_append = dst_list.append
+    pos_append = pos_list.append
+    eligible_append = eligible_list.append
+    src_deg_append = src_deg_list.append
+    dst_deg_append = dst_deg_list.append
+    upd_append = upd_list.append
+    gain_target_append = gain_targets.append
+    gain_pos_append = gain_pos.append
+    edges_add = edges.add
+    num_updates = 0
+
+    for index, event in enumerate(events):
+        kind = event.kind
+        if kind == EVENT_SOCIAL:
+            source = node_get(event.first)
+            if source is None:
+                source = node_ids[event.first] = len(node_ids)
+                degree_append(0)
+            target = node_get(event.second)
+            if target is None:
+                target = node_ids[event.second] = len(node_ids)
+                degree_append(0)
+            if not registered[source]:
+                registered[source] = 1
+                updates_append(-1)
+                num_updates += 1
+            if not registered[target]:
+                registered[target] = 1
+                updates_append(-1)
+                num_updates += 1
+            src_append(source)
+            dst_append(target)
+            pos_append(index)
+            target_degree = degree[target]
+            src_deg_append(degree[source])
+            dst_deg_append(target_degree)
+            upd_append(num_updates)
+            edge_key = source * edge_stride + target
+            if edge_key not in edges:
+                eligible_append(san_social[target] == 1 and source != target)
+                edges_add(edge_key)
+                updates_append(target_degree)
+                num_updates += 1
+                degree[target] = target_degree + 1
+                gain_target_append(target)
+                gain_pos_append(index + 1)
+            else:
+                eligible_append(False)
+            san_social[source] = 1
+            san_social[target] = 1
+            continue
+
+        ident = node_get(event.first)
+        if ident is None:
+            ident = node_ids[event.first] = len(node_ids)
+            degree_append(0)
+        if not registered[ident]:
+            registered[ident] = 1
+            updates_append(-1)
+            num_updates += 1
+        if kind == EVENT_ATTRIBUTE:
+            attribute = attr_get(event.second)
+            if attribute is None:
+                attribute = attr_ids[event.second] = len(attr_ids)
+            key = ident * attr_stride + attribute
+            if key not in memberships:
+                memberships.add(key)
+                member_cols.append(ident)
+                member_rows.append(attribute)
+                member_pos.append(index + 1)
+        san_social[ident] = 1
+
+    num_nodes = len(node_ids)
+    num_events = len(history.events)
+    d0 = np.zeros(num_nodes, dtype=np.int64)
+    d0[:num_initial] = np.asarray(initial_degrees, dtype=np.int64)
+
+    stride = num_events + 2
+    target_arr = np.asarray(gain_targets, dtype=np.int64)
+    gpos_arr = np.asarray(gain_pos, dtype=np.int64)
+    order = np.argsort(target_arr, kind="stable")  # positions ascend per target
+    gain_comp = target_arr[order] * stride + gpos_arr[order]
+    gain_counts = np.bincount(target_arr, minlength=num_nodes).astype(np.int64)
+    gain_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(gain_counts, out=gain_indptr[1:])
+
+    node_attr_indptr, node_attr_ids, node_attr_pos = _csr_from_lists(
+        member_cols, member_rows, member_pos, num_nodes
+    )
+    attr_member_indptr, attr_member_ids, attr_member_pos = _csr_from_lists(
+        member_rows, member_cols, member_pos, len(attr_ids)
+    )
+
+    return EncodedHistory(
+        num_nodes=num_nodes,
+        num_initial_nodes=num_initial,
+        num_attributes=len(attr_ids),
+        num_events=num_events,
+        initial_in_degree=d0,
+        social_src=np.asarray(src_list, dtype=np.int64),
+        social_dst=np.asarray(dst_list, dtype=np.int64),
+        social_pos=np.asarray(pos_list, dtype=np.int64),
+        social_eligible=np.asarray(eligible_list, dtype=bool),
+        social_src_degree=np.asarray(src_deg_list, dtype=np.int64),
+        social_dst_degree=np.asarray(dst_deg_list, dtype=np.int64),
+        social_update_count=np.asarray(upd_list, dtype=np.int64),
+        update_old_degree=np.asarray(updates, dtype=np.int64),
+        gain_comp=gain_comp,
+        gain_indptr=gain_indptr,
+        node_attr_indptr=node_attr_indptr,
+        node_attr_ids=node_attr_ids,
+        node_attr_pos=node_attr_pos,
+        attr_member_indptr=attr_member_indptr,
+        attr_member_ids=attr_member_ids,
+        attr_member_pos=attr_member_pos,
+    )

@@ -471,3 +471,31 @@ class TestFailureCollection:
         assert result.failures() == {"fig02_03": "ValueError: intentional boom"}
         for name in ("sec22", "fig05"):
             assert result.stages[name].error is None
+
+
+@pytest.mark.parametrize("name", ["tiny", "churn"])
+def test_warm_run_builds_no_event_objects_or_mutable_sans(name, tmp_path, monkeypatch):
+    """A warm run reads the event log and every graph as arrays.
+
+    With the mutable ``SAN`` and ``ArrivalEvent`` constructors refusing to
+    run, every stage of a warm run over a filled store must still pass and
+    render the cold run's payload.
+    """
+    from repro.graph.san import SAN
+    from repro.models.history import ArrivalEvent
+
+    scenario = get_scenario(name)
+    cold = run_pipeline(scenario, cache_dir=tmp_path)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on the warm path")
+
+    monkeypatch.setattr(SAN, "__init__", refuse)
+    monkeypatch.setattr(ArrivalEvent, "__init__", refuse)
+    warm = run_pipeline(scenario, cache_dir=tmp_path)
+    assert set(warm.stages) == set(experiment_names())
+    for stage_name, stage in warm.stages.items():
+        assert stage.error is None, stage_name
+        assert canonical_json(stage.payload) == canonical_json(
+            cold.stages[stage_name].payload
+        ), stage_name

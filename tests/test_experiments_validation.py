@@ -396,7 +396,7 @@ def test_evolution_artifact_is_byte_identical_across_builds(name, tmp_path):
     for attempt in ("first", "second"):
         cache = tmp_path / attempt
         ArtifactResolver(get_scenario(name), cache_dir=cache).artifact("evolution")
-        files = sorted(cache.glob("**/evolution.json"))
+        files = sorted(cache.glob("**/evolution.col"))
         assert len(files) == 1
         payloads.append(files[0].read_bytes())
     assert payloads[0] == payloads[1], f"scenario {name} evolution is unstable"

@@ -5,6 +5,7 @@ the benchmark harness; here we assert the qualitative orderings on
 session-scoped runs so the suite stays fast.
 """
 
+from evolution_reference import san_at
 
 from repro.applications import (
     AnonymityParameters,
@@ -56,8 +57,11 @@ def test_closure_models_ordering_on_crawl(tiny_evolution):
     """RR-SAN should explain observed closures at least as well as RR, and RR
     at least as well as the two-hop Baseline (Section 5.2 ordering)."""
     halfway = tiny_evolution.num_days // 2
-    state = tiny_evolution.san_at(halfway)
-    new_links = tiny_evolution.new_social_links_between(halfway, tiny_evolution.num_days)
+    state = san_at(tiny_evolution, halfway)
+    sources, targets = tiny_evolution.new_social_links_between(
+        halfway, tiny_evolution.num_days
+    )
+    new_links = zip(sources.tolist(), targets.tolist())
     closures = [
         (source, target)
         for source, target in new_links
@@ -75,8 +79,11 @@ def test_closure_breakdown_triadic_dominates(tiny_evolution):
     """Most observed closures involve a common friend, a smaller share a common
     attribute (paper: 84% / 18%)."""
     halfway = tiny_evolution.num_days // 2
-    state = tiny_evolution.san_at(halfway)
-    new_links = tiny_evolution.new_social_links_between(halfway, tiny_evolution.num_days)
+    state = san_at(tiny_evolution, halfway)
+    sources, targets = tiny_evolution.new_social_links_between(
+        halfway, tiny_evolution.num_days
+    )
+    new_links = zip(sources.tolist(), targets.tolist())
     candidates = [
         (s, t)
         for s, t in new_links

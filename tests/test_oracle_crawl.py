@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 nx = pytest.importorskip("networkx")
 
+import evolution_reference  # noqa: E402
 from repro.crawler import FULLY_PUBLIC, PrivacyModel, crawl_evolution, crawl_snapshot  # noqa: E402
 from repro.experiments.artifacts import (  # noqa: E402
     _PRIVACY_CRAWL_SEEDS,
@@ -174,7 +175,7 @@ def reference_daily_crawl(evolution, days, privacy, seeds):
     privacy = privacy if privacy is not None else FULLY_PUBLIC
     snapshots, coverage = [], {}
     previous = list(seeds) if seeds else None
-    for day, ground_truth in evolution.snapshots(sorted(set(days))):
+    for day, ground_truth in evolution_reference.snapshots(evolution, sorted(set(days))):
         crawl_seeds = previous
         if crawl_seeds is not None:
             crawl_seeds = [node for node in crawl_seeds if ground_truth.is_social_node(node)]

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from evolution_reference import san_at, snapshots
 
 from repro.metrics import (
     PhaseBoundaries,
     attribute_declaration_fraction,
     global_reciprocity,
 )
+from repro.models.history import KIND_ATTRIBUTE_REMOVE
 from repro.synthetic import FlashCrowdDay, GooglePlusConfig, SybilWaveDay, simulate_google_plus
 
 
@@ -21,14 +23,14 @@ def test_evolution_basic_counts(tiny_evolution):
 
 
 def test_events_are_day_ordered(tiny_evolution):
-    days = [timed.day for timed in tiny_evolution.events]
+    days = tiny_evolution.day.tolist()
     assert days == sorted(days)
     assert days[0] >= 1 and days[-1] <= tiny_evolution.num_days
 
 
 def test_san_at_is_monotone(tiny_evolution):
-    early = tiny_evolution.san_at(10)
-    late = tiny_evolution.san_at(30)
+    early = san_at(tiny_evolution, 10)
+    late = san_at(tiny_evolution, 30)
     assert early.number_of_social_nodes() < late.number_of_social_nodes()
     assert early.number_of_social_edges() < late.number_of_social_edges()
     # Every early edge persists.
@@ -37,10 +39,10 @@ def test_san_at_is_monotone(tiny_evolution):
 
 
 def test_snapshots_match_san_at(tiny_evolution):
-    snapshots = tiny_evolution.snapshots([10, 30])
-    assert [day for day, _ in snapshots] == [10, 30]
-    for day, san in snapshots:
-        direct = tiny_evolution.san_at(day)
+    copies = snapshots(tiny_evolution, [10, 30])
+    assert [day for day, _ in copies] == [10, 30]
+    for day, san in copies:
+        direct = san_at(tiny_evolution, day)
         assert san.number_of_social_edges() == direct.number_of_social_edges()
         assert san.number_of_attribute_edges() == direct.number_of_attribute_edges()
 
@@ -49,7 +51,7 @@ def test_join_days_respect_arrival_schedule(tiny_evolution):
     for user, day in tiny_evolution.join_day.items():
         assert 1 <= day <= tiny_evolution.num_days
     final = tiny_evolution.final_san()
-    users_by_day20 = tiny_evolution.users_joining_by(20)
+    users_by_day20 = [user for user, day in tiny_evolution.join_day.items() if day <= 20]
     assert 0 < len(users_by_day20) < final.number_of_social_nodes()
 
 
@@ -75,16 +77,21 @@ def test_reciprocity_in_plausible_range(tiny_evolution):
 
 def test_arrival_history_between_days(tiny_evolution):
     history = tiny_evolution.arrival_history(start_day=21, end_day=40)
-    assert history.initial.number_of_social_nodes() == tiny_evolution.san_at(20).number_of_social_nodes()
-    final = history.final_san()
-    expected = tiny_evolution.san_at(40)
-    assert final.number_of_social_edges() == expected.number_of_social_edges()
+    initial = san_at(tiny_evolution, 20)
+    assert history.num_initial_nodes == initial.number_of_social_nodes()
+    assert history.initial_src.size == initial.number_of_social_edges()
+    assert history.initial_member.size == initial.number_of_attribute_edges()
+    expected = san_at(tiny_evolution, 40)
+    assert history.initial_src.size + history.num_social_links() == (
+        expected.number_of_social_edges()
+    )
 
 
 def test_new_social_links_between(tiny_evolution):
-    links = tiny_evolution.new_social_links_between(20, 40)
-    early = tiny_evolution.san_at(20)
-    late = tiny_evolution.san_at(40)
+    sources, targets = tiny_evolution.new_social_links_between(20, 40)
+    links = list(zip(sources.tolist(), targets.tolist()))
+    early = san_at(tiny_evolution, 20)
+    late = san_at(tiny_evolution, 40)
     assert len(links) == late.number_of_social_edges() - early.number_of_social_edges()
     for source, target in links[:50]:
         assert not early.has_social_edge(source, target)
@@ -104,7 +111,8 @@ def test_simulation_deterministic_given_seed():
     )
     first = simulate_google_plus(config, rng=42)
     second = simulate_google_plus(config, rng=42)
-    assert len(first.events) == len(second.events)
+    for column in ("day", "kind", "first", "second"):
+        assert np.array_equal(getattr(first, column), getattr(second, column))
     assert first.final_san().number_of_social_edges() == second.final_san().number_of_social_edges()
 
 
@@ -131,7 +139,7 @@ def test_simulation_serialized_determinism(tmp_path):
 def test_frozen_snapshots_match_copied_snapshots(tiny_evolution):
     """Delta-materialized frozen snapshots equal the replay-copy snapshots."""
     days = [10, 25, 40]
-    copied = tiny_evolution.snapshots(days)
+    copied = snapshots(tiny_evolution, days)
     frozen = tiny_evolution.frozen_snapshots(days)
     assert [day for day, _ in frozen] == [day for day, _ in copied]
     for (day, san), (_, view) in zip(copied, frozen):
@@ -185,7 +193,7 @@ def test_single_day_frozen_snapshot_under_churn_sybils_and_flash_crowds():
         sybil_waves=(SybilWaveDay(day=15, num_sybils=12, intra_links=10),),
     )
     evolution = simulate_google_plus(config, rng=7)
-    assert any(timed.event.kind == "attribute_remove" for timed in evolution.events)
+    assert np.any(evolution.kind == KIND_ATTRIBUTE_REMOVE)
     _assert_single_day_replays_match(evolution)
 
 
@@ -197,9 +205,9 @@ def test_frozen_snapshots_ignore_days_outside_the_log(tiny_evolution):
 def test_three_phase_growth_visible(tiny_evolution):
     """Node growth accelerates again in phase III (public release)."""
     phases = tiny_evolution.phases
-    nodes_phase2_end = tiny_evolution.san_at(phases.phase_two_end).number_of_social_nodes()
-    nodes_mid_phase2 = tiny_evolution.san_at(
-        (phases.phase_one_end + phases.phase_two_end) // 2
+    nodes_phase2_end = san_at(tiny_evolution, phases.phase_two_end).number_of_social_nodes()
+    nodes_mid_phase2 = san_at(
+        tiny_evolution, (phases.phase_one_end + phases.phase_two_end) // 2
     ).number_of_social_nodes()
     nodes_final = tiny_evolution.final_san().number_of_social_nodes()
     phase2_rate = (nodes_phase2_end - nodes_mid_phase2) / max(
