@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..graph.frozen import FrozenSAN
+from ..graph.frozen import FrozenSAN, pair_order
 from ..models.history import (
     EVENT_KINDS,
     KIND_ATTRIBUTE,
@@ -88,7 +88,7 @@ def _trust_ranking(final: FrozenSAN, is_sybil: np.ndarray) -> Dict[str, Optional
     sources, targets = social.edge_arrays()
     rows = np.concatenate([sources, targets])
     columns = np.concatenate([targets, sources])
-    order = np.lexsort((columns, rows))
+    order = pair_order(rows, columns)
     rows, columns = rows[order], columns[order]
     degree = np.bincount(rows, minlength=n)
 

@@ -34,6 +34,7 @@ from .errors import (
     GraphError,
     InvalidNodeKindError,
     NodeNotFoundError,
+    PackedKeyError,
     SerializationError,
 )
 from .frozen import (
@@ -82,6 +83,7 @@ __all__ = [
     "DuplicateNodeError",
     "InvalidNodeKindError",
     "SerializationError",
+    "PackedKeyError",
     "FrozenGraphError",
     "ColumnarFormatError",
     "ColumnarMagicError",

@@ -483,14 +483,46 @@ def _section(path: object, arrays: Dict[str, np.ndarray], name: str) -> np.ndarr
 
 
 def _checked_csr(
-    path: object, arrays: Dict[str, np.ndarray], prefix: str, rows: int
+    path: object, arrays: Dict[str, np.ndarray], prefix: str, rows: int, columns: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` of the CSR ``prefix``, its shape checked against ``rows``."""
+    """``(indptr, indices)`` of the CSR ``prefix``, its shape checked against ``rows``.
+
+    Under ``REPRO_SANITIZE=1`` the arrays are read in full as well: every
+    row must hold strictly increasing column ids below ``columns``.  The
+    packed-key sorts downstream would file an out-of-range id silently
+    under another row.
+    """
+    # The engine layer sits above this one, so its switch is read at call time.
+    from ..engine.deps import sanitize_enabled
+
     indptr = _section(path, arrays, f"{prefix}_indptr")
     indices = _section(path, arrays, f"{prefix}_indices")
     if indptr.size != rows + 1 or int(indptr[0]) != 0 or int(indptr[-1]) != indices.size:
         raise ColumnarFormatError(path, f"CSR {prefix!r} does not fit its {rows} rows")
+    if sanitize_enabled() and not _csr_content_ok(indptr, indices, columns):
+        raise ColumnarFormatError(
+            path, f"CSR {prefix!r} has a column id out of range or a row out of order"
+        )
     return indptr, indices
+
+
+def _csr_content_ok(indptr: np.ndarray, indices: np.ndarray, columns: int) -> bool:
+    """Whether every row of the CSR holds strictly increasing ids in ``[0, columns)``.
+
+    ``indptr`` already starts at 0 and ends at ``indices.size``.  Elementwise
+    comparisons rather than ``np.diff`` keep unsigned sections from wrapping.
+    """
+    if np.any(indptr[1:] < indptr[:-1]):
+        return False
+    if indices.size == 0:
+        return True
+    if int(indices.min()) < 0 or int(indices.max()) >= columns:
+        return False
+    rising = indices[1:] > indices[:-1]
+    # The step onto each row's first entry crosses from the row before.
+    starts = indptr[1:-1].astype(np.int64)
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    return bool(rising.all())
 
 
 def _load_sections(
@@ -528,7 +560,8 @@ def open_columnar(
     ``np.memmap`` view of the file — opening is O(header + labels), not
     O(edges), and the kernel pages adjacency in on demand.  With
     ``mmap_mode=None`` the arrays are read fully into RAM (bit-identical
-    either way).
+    either way).  Under ``REPRO_SANITIZE=1`` every CSR's content is checked
+    too (column ids in range, rows strictly increasing), at O(edges).
     """
     path = os.fspath(path)
     header = _read_header(path)
@@ -538,13 +571,17 @@ def open_columnar(
     if kind == "san":
         encoding, social_count = _label_spec(path, meta, "social_labels")
         social_labels = _decode_labels(path, encoding, social_count, "social_labels", arrays)
-        out_indptr, out_indices = _checked_csr(path, arrays, "social_out", social_count)
-        in_indptr, in_indices = _checked_csr(path, arrays, "social_in", social_count)
+        out_indptr, out_indices = _checked_csr(
+            path, arrays, "social_out", social_count, social_count
+        )
+        in_indptr, in_indices = _checked_csr(
+            path, arrays, "social_in", social_count, social_count
+        )
         social = FrozenDiGraph(social_labels, out_indptr, out_indices, in_indptr, in_indices)
         encoding, attr_count = _label_spec(path, meta, "attr_labels")
         attr_labels = _decode_labels(path, encoding, attr_count, "attr_labels", arrays)
-        sa_indptr, sa_indices = _checked_csr(path, arrays, "sa", social_count)
-        as_indptr, as_indices = _checked_csr(path, arrays, "as", attr_count)
+        sa_indptr, sa_indices = _checked_csr(path, arrays, "sa", social_count, attr_count)
+        as_indptr, as_indices = _checked_csr(path, arrays, "as", attr_count, social_count)
         type_names = meta.get("attr_type_names")
         if not isinstance(type_names, list) or not all(
             isinstance(name, str) for name in type_names
@@ -580,8 +617,8 @@ def open_columnar(
         labels = _decode_labels(path, encoding, count, "labels", arrays)
         return FrozenDiGraph(
             labels,
-            *_checked_csr(path, arrays, "out", count),
-            *_checked_csr(path, arrays, "in", count),
+            *_checked_csr(path, arrays, "out", count, count),
+            *_checked_csr(path, arrays, "in", count, count),
         )
     raise ColumnarFormatError(path, f"unknown graph kind {kind!r}")
 

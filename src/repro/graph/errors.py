@@ -87,6 +87,14 @@ class ColumnarEndiannessError(ColumnarFormatError):
     """The file's byte-order sentinel does not decode as little-endian."""
 
 
+class PackedKeyError(GraphError, ValueError):
+    """Int pairs cannot be packed into one int64 key each.
+
+    The ids must be non-negative, and ``row * stride + col`` must fit in
+    int64 for the largest row.
+    """
+
+
 class FrozenGraphError(GraphError, TypeError):
     """A mutating operation was attempted on a frozen (read-only) graph."""
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from .bipartite import AttributeInfo, BipartiteAttributeGraph
 from .digraph import DiGraph
-from .errors import FrozenGraphError, NodeNotFoundError
+from .errors import FrozenGraphError, NodeNotFoundError, PackedKeyError
 from .san import SAN
 
 Node = Hashable
@@ -84,6 +84,50 @@ def build_csr(rows: List[Iterable[int]]) -> Tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+def pack_pairs(rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``(keys, stride)``: each ``(row, col)`` pair packed as ``row * stride + col``.
+
+    ``stride`` is one past the largest column id, so a column can never
+    spill into the next row: the int64 keys order exactly as the pairs do
+    lexicographically, and ``np.divmod(keys, stride)`` gives them back.
+    Raises :class:`~repro.graph.errors.PackedKeyError` for a negative id or
+    a key past int64.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if cols.size == 0:
+        return np.empty(0, dtype=np.int64), 1
+    stride = int(cols.max()) + 1
+    if int(rows.min()) < 0 or int(cols.min()) < 0:
+        raise PackedKeyError("cannot pack negative ids")
+    if (int(rows.max()) + 1) * stride > 2**63:
+        raise PackedKeyError(
+            f"rows up to {int(rows.max())} at stride {stride} overflow int64 keys"
+        )
+    keys = rows * stride
+    keys += cols
+    return keys, stride
+
+
+def sorted_pair_keys(
+    rows: np.ndarray, cols: np.ndarray, unique: bool = False
+) -> Tuple[np.ndarray, int]:
+    """:func:`pack_pairs`, sorted in place; with ``unique``, the first key of each run only."""
+    keys, stride = pack_pairs(rows, cols)
+    keys.sort()
+    if unique and keys.size:
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+    return keys, stride
+
+
+def pair_order(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((cols, rows))``: a stable argsort of the packed keys."""
+    return np.argsort(pack_pairs(rows, cols)[0], kind="stable")
+
+
 def csr_from_edge_arrays(
     src: np.ndarray, dst: np.ndarray, num_rows: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -93,15 +137,16 @@ def csr_from_edge_arrays(
     caller's responsibility — the generative engines emit deduplicated edge
     streams).  Unlike :func:`build_csr` this never loops in Python, so it is
     the builder of choice when the adjacency already lives in numpy arrays
-    (delta-snapshot materialization, event-log replays).
+    (delta-snapshot materialization, event-log replays).  The rows come out
+    of one sort of the packed ``(src, dst)`` keys.
     """
     src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
     counts = np.bincount(src, minlength=num_rows).astype(np.int64)
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    order = np.lexsort((dst, src))
-    return indptr, dst[order]
+    keys, stride = sorted_pair_keys(src, dst)
+    keys %= stride
+    return indptr, keys
 
 
 def gather_rows(
@@ -387,18 +432,16 @@ class FrozenDiGraph:
         """CSR of the undirected projection, self-loops removed (lazy, cached)."""
         if self._und_indptr is None:
             n = self.number_of_nodes()
-            stride = max(n, 1)
             src, dst = self.edge_arrays()
             proper = src != dst
             forward = src[proper]
             backward = dst[proper]
-            keys = np.unique(
-                np.concatenate(
-                    [forward * stride + backward, backward * stride + forward]
-                )
+            keys, stride = sorted_pair_keys(
+                np.concatenate([forward, backward]),
+                np.concatenate([backward, forward]),
+                unique=True,
             )
-            und_src = keys // stride
-            und_dst = keys % stride
+            und_src, und_dst = np.divmod(keys, stride)
             counts = np.bincount(und_src, minlength=n).astype(np.int64)
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
@@ -885,7 +928,7 @@ class FrozenBipartiteAttributeGraph:
         np.cumsum(as_counts, out=as_indptr[1:])
 
         # social -> attr CSR: transpose the surviving link pairs.
-        order = np.lexsort((attr_new, members_new))
+        order = pair_order(members_new, attr_new)
         sa_counts = np.bincount(
             members_new, minlength=len(new_social_labels)
         ).astype(np.int64)

@@ -26,6 +26,7 @@ import numpy as np
 from .bipartite import AttributeInfo
 from .builders import attribute_node_id
 from .errors import InvalidNodeKindError, SerializationError
+from .frozen import sorted_pair_keys
 from .san import SAN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -100,16 +101,11 @@ def load_san_tsv(
     return san
 
 
-def _dedup_edge_arrays(
-    src: np.ndarray, dst: np.ndarray, dst_space: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _dedup_edge_arrays(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Drop duplicate ``(src, dst)`` pairs; output order is irrelevant because
     the CSR builder re-sorts every row."""
-    if src.size == 0:
-        return src, dst
-    stride = max(dst_space, 1)
-    keys = np.unique(src * stride + dst)
-    return keys // stride, keys % stride
+    keys, stride = sorted_pair_keys(src, dst, unique=True)
+    return np.divmod(keys, stride)
 
 
 def _stream_frozen_san_tsv(social_path: Path, attribute_path: Path) -> "FrozenSAN":
@@ -194,12 +190,10 @@ def _stream_frozen_san_tsv(social_path: Path, attribute_path: Path) -> "FrozenSA
     src, dst = _dedup_edge_arrays(
         np.frombuffer(social_src, dtype=np.int64),
         np.frombuffer(social_dst, dtype=np.int64),
-        num_social,
     )
     ls, la = _dedup_edge_arrays(
         np.frombuffer(link_social, dtype=np.int64),
         np.frombuffer(link_attr, dtype=np.int64),
-        num_attrs,
     )
 
     out_indptr, out_indices = csr_from_edge_arrays(src, dst, num_social)

@@ -77,7 +77,7 @@ import numpy as np
 
 from ..graph.bipartite import AttributeInfo
 from ..graph.builders import complete_seed_san
-from ..graph.frozen import FrozenSAN
+from ..graph.frozen import FrozenSAN, pair_order
 from ..graph.san import SAN
 from ..utils.rng import RngLike, ensure_rng
 from ..utils.validation import require_positive
@@ -268,13 +268,14 @@ class SANModelRun:
     def frozen_at(self, mark: Optional[SnapshotMark]) -> FrozenSAN:
         """Materialize the network at ``mark`` (``None`` = final state).
 
-        The append-only edge log is sorted once (four lexsorts, cached); any
-        watermark's CSR arrays then follow from a stable position filter —
-        the sorted order of an edge-log *prefix* is the sorted full order
-        restricted to positions below the watermark.  Materializing ``k``
-        snapshots therefore costs one sort plus ``k`` linear passes, not
-        ``k`` sorts.  ``REPRO_MMAP=1`` spills every snapshot to a
-        self-deleting columnar file and re-opens it mmap-backed.
+        The append-only edge log is sorted once (four stable sorts of packed
+        ``(row, column)`` keys, cached); any watermark's CSR arrays then
+        follow from a stable position filter — the sorted order of an
+        edge-log *prefix* is the sorted full order restricted to positions
+        below the watermark.  Materializing ``k`` snapshots therefore costs
+        one sort plus ``k`` linear passes, not ``k`` sorts.  ``REPRO_MMAP=1``
+        spills every snapshot to a self-deleting columnar file and re-opens
+        it mmap-backed.
         """
         if mark is None:
             n = self.num_social_nodes
@@ -295,10 +296,10 @@ class SANModelRun:
             alive[self.link_removed_positions[:removed]] = False
         if self._orders is None:
             self._orders = (
-                np.lexsort((self.social_dst, self.social_src)),
-                np.lexsort((self.social_src, self.social_dst)),
-                np.lexsort((self.link_attr, self.link_social)),
-                np.lexsort((self.link_social, self.link_attr)),
+                pair_order(self.social_src, self.social_dst),
+                pair_order(self.social_dst, self.social_src),
+                pair_order(self.link_social, self.link_attr),
+                pair_order(self.link_attr, self.link_social),
             )
         out_order, in_order, sa_order, as_order = self._orders
 

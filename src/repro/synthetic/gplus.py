@@ -24,8 +24,10 @@ its ids index.  The ground truth "as of day d", a whole snapshot sequence, an
 arrival-history window, join days and profiles are all cut from those
 columns with array operations; nothing replays the log into a mutable SAN.
 The crawler substrate consumes this object to produce the crawled snapshots
-every measurement bench runs on.  The simulator itself still grows one live
-mutable SAN, whose queries drive its draws.
+every measurement bench runs on.  While it runs, the simulator keeps the
+network so far as plain sets (per-user successors, predecessors and
+attributes, per-attribute members); its target pickers walk and probe
+those sets directly.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ import numpy as np
 
 from ..graph.bipartite import AttributeInfo
 from ..graph.builders import attribute_node_id
-from ..graph.frozen import FrozenSAN
-from ..graph.san import SAN
+from ..graph.frozen import FrozenSAN, pack_pairs
 from ..metrics.evolution import PhaseBoundaries
 from ..models.history import (
     KIND_ATTRIBUTE,
@@ -243,14 +244,13 @@ def _next_same_link(kind: np.ndarray, first: np.ndarray, second: np.ndarray) -> 
     if events.size < 2:
         return successor
     family = np.isin(kind[events], (KIND_ATTRIBUTE, KIND_ATTRIBUTE_REMOVE))
-    heads, tails = first[events], second[events]
-    order = np.lexsort((events, tails, heads, family))
+    # One key per (family, head, tail) link; the stable sort keeps each
+    # link's events in log order.
+    links, _ = pack_pairs(pack_pairs(family, first[events])[0], second[events])
+    order = np.argsort(links, kind="stable")
     ordered = events[order]
-    same = (
-        (family[order][1:] == family[order][:-1])
-        & (heads[order][1:] == heads[order][:-1])
-        & (tails[order][1:] == tails[order][:-1])
-    )
+    links = links[order]
+    same = links[1:] == links[:-1]
     successor[ordered[:-1][same]] = ordered[1:][same]
     return successor
 
@@ -349,6 +349,30 @@ class GooglePlusConfig:
                 raise ValueError(f"sybil wave day {wave.day} exceeds num_days")
 
 
+class _LiveNetwork:
+    """The simulated network so far, as plain sets in lists.
+
+    Users are ids ``0 .. n - 1`` in join order and attributes are ids in
+    order of first use, so ``successors[u]``, ``predecessors[u]`` and
+    ``attributes[u]`` (attribute ids) hold user ``u``'s state and
+    ``members[a]`` attribute ``a``'s users; ``labels`` and ``info`` are the
+    event log's attribute table.  The pickers iterate these sets, so their
+    iteration order is part of every draw.  It is fixed by each set's
+    ``add``/``discard`` history alone, which makes the simulation a pure
+    function of its seed.
+    """
+
+    __slots__ = ("successors", "predecessors", "attributes", "members", "labels", "info")
+
+    def __init__(self, labels: List[str], info: List[AttributeInfo]) -> None:
+        self.successors: List[Set[int]] = []
+        self.predecessors: List[Set[int]] = []
+        self.attributes: List[Set[int]] = []
+        self.members: List[Set[int]] = []
+        self.labels = labels
+        self.info = info
+
+
 class GooglePlusSimulator:
     """Simulate the growth of a Google+-like SAN, day by day."""
 
@@ -388,7 +412,9 @@ class GooglePlusSimulator:
         attribute_info: List[AttributeInfo] = []
         profiles: Dict[Node, Dict[str, str]] = {}
         sybil_nodes: List[Node] = []
-        san = SAN()  # live state mirroring the event log
+        live = _LiveNetwork(attribute_labels, attribute_info)
+        successors, predecessors = live.successors, live.predecessors
+        attributes_of, members = live.attributes, live.members
         next_user_id = 0
         # Per-day buckets of scheduled outgoing-link events (source node ids)
         # and of delayed reciprocation events (explicit directed pairs).
@@ -414,7 +440,9 @@ class GooglePlusSimulator:
 
         def join(day: int, user: Node) -> None:
             emit(day, KIND_NODE, user)
-            san.add_social_node(user)
+            successors.append(set())
+            predecessors.append(set())
+            attributes_of.append(set())
 
         def link_attribute(day: int, user: Node, attr_type: str, value: str) -> None:
             label = attribute_node_id(attr_type, value)
@@ -423,16 +451,20 @@ class GooglePlusSimulator:
                 attribute = attribute_ids[label] = len(attribute_labels)
                 attribute_labels.append(label)
                 attribute_info.append(AttributeInfo(attr_type=attr_type, value=value))
+                members.append(set())
             emit(day, KIND_ATTRIBUTE, user, attribute)
-            san.add_attribute_edge(user, label, attr_type=attr_type, value=value)
+            attributes_of[user].add(attribute)
+            members[attribute].add(user)
 
         sybil_users: Set[Node] = set()
 
         def add_social_link(day: int, source: Node, target: Node) -> bool:
-            if source == target or san.has_social_edge(source, target):
+            out = successors[source]
+            if source == target or target in out:
                 return False
             emit(day, KIND_SOCIAL, source, target)
-            san.add_social_edge(source, target)
+            out.add(target)
+            predecessors[target].add(source)
             # Sybil targets never enter the preferential-attachment pool:
             # intra-wave links must not make fake identities attractive to
             # honest users (only triadic closure can organically reach them).
@@ -446,7 +478,7 @@ class GooglePlusSimulator:
                 add_social_link(day, target, source)
                 return
             delayed = config.delayed_reciprocation_probability
-            if san.common_attributes(source, target):
+            if not attributes_of[source].isdisjoint(attributes_of[target]):
                 delayed *= config.shared_attribute_reciprocation_boost
             if rng.random() < min(0.9, delayed):
                 offset = int(rng.expovariate(1.0 / config.delayed_reciprocation_mean_days)) + 1
@@ -519,9 +551,7 @@ class GooglePlusSimulator:
 
             # ---------------------- scheduled link creation ----------------------
             for source in pending_links[day]:
-                if not san.is_social_node(source):
-                    continue
-                target = self._pick_link_target(san, source, in_degree_pool, all_users, rng)
+                target = self._pick_link_target(live, source, in_degree_pool, all_users, rng)
                 if target is None:
                     continue
                 if add_social_link(day, source, target):
@@ -529,8 +559,7 @@ class GooglePlusSimulator:
 
             # ---------------------- delayed reciprocations ----------------------
             for source, target in pending_reciprocations[day]:
-                if san.is_social_node(source) and san.is_social_node(target):
-                    add_social_link(day, source, target)
+                add_social_link(day, source, target)
 
             # ---------------------- attribute churn ----------------------
             # A profiled user drops one declared attribute and redeclares a
@@ -549,9 +578,10 @@ class GooglePlusSimulator:
                     attr_types = list(profile)
                     attr_type = attr_types[rng.randrange(len(attr_types))]
                     old_value = profile[attr_type]
-                    label = attribute_node_id(attr_type, old_value)
-                    emit(day, KIND_ATTRIBUTE_REMOVE, user, attribute_ids[label])
-                    san.remove_attribute_edge(user, label)
+                    attribute = attribute_ids[attribute_node_id(attr_type, old_value)]
+                    emit(day, KIND_ATTRIBUTE_REMOVE, user, attribute)
+                    attributes_of[user].discard(attribute)
+                    members[attribute].discard(user)
                     vocabulary = vocabularies[attr_type]
                     new_value = old_value
                     for _attempt in range(10):
@@ -631,8 +661,8 @@ class GooglePlusSimulator:
 
     def _pick_link_target(
         self,
-        san: SAN,
-        source: Node,
+        live: _LiveNetwork,
+        source: int,
         in_degree_pool: List[Node],
         all_users: List[Node],
         rng,
@@ -641,42 +671,47 @@ class GooglePlusSimulator:
         config = self.config
         roll = rng.random()
         if roll < config.triadic_probability:
-            target = self._triadic_target(san, source, rng)
+            target = self._triadic_target(live, source, rng)
             if target is not None:
                 return target
         elif roll < config.triadic_probability + config.focal_probability:
-            target = self._focal_target(san, source, rng)
+            target = self._focal_target(live, source, rng)
             if target is not None:
                 return target
-        return self._attachment_target(san, source, in_degree_pool, all_users, rng)
+        return self._attachment_target(live, source, in_degree_pool, all_users, rng)
 
-    def _triadic_target(self, san: SAN, source: Node, rng) -> Optional[Node]:
-        neighbors = list(san.social_neighbors(source))
+    def _triadic_target(self, live: _LiveNetwork, source: int, rng) -> Optional[Node]:
+        successors, predecessors = live.successors, live.predecessors
+        # A user's social neighbours: successors | predecessors (never the
+        # user itself, since self-links are refused).
+        neighbors = list(successors[source] | predecessors[source])
         if not neighbors:
             return None
+        out = successors[source]
         for _ in range(5):
             intermediate = neighbors[rng.randrange(len(neighbors))]
             second = [
                 node
-                for node in san.social_neighbors(intermediate)
-                if node != source and not san.has_social_edge(source, node)
+                for node in successors[intermediate] | predecessors[intermediate]
+                if node != source and node not in out
             ]
             if second:
                 return second[rng.randrange(len(second))]
         return None
 
-    def _weighted_attribute_of(self, san: SAN, source: Node, rng) -> Optional[Node]:
+    def _weighted_attribute_of(self, live: _LiveNetwork, source: int, rng) -> Optional[int]:
         """Pick one of the source's attributes weighted by its type's focal weight.
 
-        The neighbor set holds string attribute ids, whose set-iteration order
-        varies with ``PYTHONHASHSEED``; sorting pins the cumulative-weight draw
-        so the simulation is a pure function of its RNG seed.
+        The attributes are taken in label order, so the cumulative-weight
+        draw does not depend on how the id set iterates.
         """
-        attributes = sorted(san.attribute_neighbors(source))
+        labels = live.labels
+        attributes = sorted(live.attributes[source], key=labels.__getitem__)
         if not attributes:
             return None
+        info = live.info
         weights = [
-            self.config.focal_type_weights.get(san.attribute_type(attribute), 1.0)
+            self.config.focal_type_weights.get(info[attribute].attr_type, 1.0)
             for attribute in attributes
         ]
         total = sum(weights)
@@ -690,21 +725,23 @@ class GooglePlusSimulator:
                 return attribute
         return attributes[-1]
 
-    def _member_of_attribute(self, san: SAN, attribute: Node, source: Node, rng) -> Optional[Node]:
+    def _member_of_attribute(
+        self, live: _LiveNetwork, attribute: int, source: int, rng
+    ) -> Optional[Node]:
         """Pick a community member with probability ∝ (in-degree + 1).
 
         Weighting by degree keeps the within-community choice consistent with
         LAPA's ``d_i(v) * (1 + beta a(u, v))`` form, which is what makes
         ``alpha = 1`` the best-fitting exponent in the Figure 15 sweep.
         """
+        out = live.successors[source]
         members = [
-            node
-            for node in san.attributes.members_of(attribute)
-            if node != source and not san.has_social_edge(source, node)
+            node for node in live.members[attribute] if node != source and node not in out
         ]
         if not members:
             return None
-        weights = [san.social_in_degree(node) + 1.0 for node in members]
+        predecessors = live.predecessors
+        weights = [len(predecessors[node]) + 1.0 for node in members]
         total = sum(weights)
         threshold = rng.random() * total
         cumulative = 0.0
@@ -714,20 +751,20 @@ class GooglePlusSimulator:
                 return node
         return members[-1]
 
-    def _focal_target(self, san: SAN, source: Node, rng) -> Optional[Node]:
+    def _focal_target(self, live: _LiveNetwork, source: int, rng) -> Optional[Node]:
         for _ in range(5):
-            attribute = self._weighted_attribute_of(san, source, rng)
+            attribute = self._weighted_attribute_of(live, source, rng)
             if attribute is None:
                 return None
-            target = self._member_of_attribute(san, attribute, source, rng)
+            target = self._member_of_attribute(live, attribute, source, rng)
             if target is not None:
                 return target
         return None
 
     def _attachment_target(
         self,
-        san: SAN,
-        source: Node,
+        live: _LiveNetwork,
+        source: int,
         in_degree_pool: List[Node],
         all_users: List[Node],
         rng,
@@ -742,22 +779,20 @@ class GooglePlusSimulator:
         config = self.config
         if not all_users:
             return None
-        if (
-            san.attribute_degree(source) > 0
-            and rng.random() < config.attachment_lapa_share
-        ):
-            attribute = self._weighted_attribute_of(san, source, rng)
+        if live.attributes[source] and rng.random() < config.attachment_lapa_share:
+            attribute = self._weighted_attribute_of(live, source, rng)
             if attribute is not None:
-                target = self._member_of_attribute(san, attribute, source, rng)
+                target = self._member_of_attribute(live, attribute, source, rng)
                 if target is not None:
                     return target
+        out = live.successors[source]
         for _ in range(15):
             total = len(in_degree_pool) + len(all_users)
             if in_degree_pool and rng.random() * total < len(in_degree_pool):
                 candidate = in_degree_pool[rng.randrange(len(in_degree_pool))]
             else:
                 candidate = all_users[rng.randrange(len(all_users))]
-            if candidate != source and not san.has_social_edge(source, candidate):
+            if candidate != source and candidate not in out:
                 return candidate
         return None
 

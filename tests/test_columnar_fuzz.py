@@ -14,6 +14,12 @@ truth with the event-log columns as extras).  Raw mutations flip, truncate
 and splice bytes; structured mutations rewrite one value of the header JSON
 and keep the preamble consistent, which reaches the checks behind the JSON
 parse.
+
+The reader checks a CSR's content (column ids in range, rows strictly
+increasing) only under ``REPRO_SANITIZE=1``: without it, a flipped index
+inside ``social_out_indices`` opens and then breaks a kernel.  One case
+flips such bytes with the sanitizer armed and runs a kernel on whatever
+opens.
 """
 
 import json
@@ -21,6 +27,7 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,7 +36,7 @@ from repro.experiments.artifacts import _load_evolution, _save_evolution
 from repro.graph import SAN
 from repro.graph.columnar import load_columnar_extras, open_columnar, save_columnar
 from repro.graph.errors import GraphError
-from repro.metrics import PhaseBoundaries
+from repro.metrics import PhaseBoundaries, global_reciprocity
 from repro.synthetic import GooglePlusConfig, SybilWaveDay, simulate_google_plus
 
 _PREAMBLE = struct.Struct("<8sIIQQ")
@@ -188,3 +195,30 @@ def test_preamble_lengths_are_checked_before_use(field, value):
     fields[field] = value
     data = _PREAMBLE.pack(magic, version, bom, fields["header_len"], fields["data_start"])
     assert_fails_only_by_name(data + FILES["san"][_PREAMBLE.size :])
+
+
+@st.composite
+def flipped_social_out_indices(draw):
+    """The SAN file with up to four bytes inside ``social_out_indices`` rewritten."""
+    preamble, header, _ = _split(FILES["san"])
+    offset, shape, dtype = header["sections"]["social_out_indices"]
+    start = preamble[3] + offset
+    stop = start + shape[0] * np.dtype(dtype).itemsize
+    data = bytearray(FILES["san"])
+    for position in draw(st.lists(st.integers(start, stop - 1), min_size=1, max_size=4)):
+        data[position] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@given(flipped_social_out_indices())
+@_FUZZ
+def test_flipped_csr_indices_fail_only_with_named_errors_under_the_sanitizer(data):
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_SANITIZE", "1")
+        path = Path(directory) / "san.col"
+        path.write_bytes(data)
+        try:
+            for mode in ("r", None):
+                global_reciprocity(open_columnar(path, mmap_mode=mode))
+        except GraphError:
+            pass

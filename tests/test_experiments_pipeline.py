@@ -36,6 +36,7 @@ from repro.experiments import (
     register_artifact,
     register_experiment,
     run_pipeline,
+    run_validation,
     scenario_names,
     select_stages,
     unregister_artifact,
@@ -475,11 +476,14 @@ class TestFailureCollection:
 
 @pytest.mark.parametrize("name", ["tiny", "churn"])
 def test_warm_run_builds_no_event_objects_or_mutable_sans(name, tmp_path, monkeypatch):
-    """A warm run reads the event log and every graph as arrays.
+    """A warm run and a cold validation read the event log and every graph as arrays.
 
     With the mutable ``SAN`` and ``ArrivalEvent`` constructors refusing to
     run, every stage of a warm run over a filled store must still pass and
-    render the cold run's payload.
+    render the cold run's payload.  So must a cold ``run_validation`` into an
+    empty store: the simulator keeps its live state in plain sets, and the
+    crawl and the snapshot freeze work on arrays, so every answer-key
+    assertion still holds.
     """
     from repro.graph.san import SAN
     from repro.models.history import ArrivalEvent
@@ -488,7 +492,7 @@ def test_warm_run_builds_no_event_objects_or_mutable_sans(name, tmp_path, monkey
     cold = run_pipeline(scenario, cache_dir=tmp_path)
 
     def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built on the warm path")
+        raise AssertionError(f"{type(self).__name__} built on an array-only path")
 
     monkeypatch.setattr(SAN, "__init__", refuse)
     monkeypatch.setattr(ArrivalEvent, "__init__", refuse)
@@ -499,3 +503,8 @@ def test_warm_run_builds_no_event_objects_or_mutable_sans(name, tmp_path, monkey
         assert canonical_json(stage.payload) == canonical_json(
             cold.stages[stage_name].payload
         ), stage_name
+
+    validation = run_validation(scenario, cache_dir=tmp_path / "cold-validate")
+    assert validation.pipeline.manifest()["cache"]["hits"] == 0
+    assert validation.pipeline.failures() == {}
+    assert validation.passed, [result.assertion.name for result in validation.failures()]
