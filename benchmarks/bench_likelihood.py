@@ -47,7 +47,7 @@ from model_reference import evaluate_attachment_models_loop
 
 from repro.experiments import format_table
 from repro.models import (
-    evaluate_attachment_models_fast,
+    evaluate_attachment_models,
     figure15_specs,
     generate_san,
 )
@@ -74,7 +74,7 @@ def test_likelihood_engine_speedup_and_exact_parity(write_result, results_dir):
     # run's compact log as columns; the loop reference reads event objects.
     with _gc_paused():
         fast_start = time.perf_counter()
-        fast = evaluate_attachment_models_fast(
+        fast = evaluate_attachment_models(
             run.history_columns(), specs, max_links=MAX_LINKS, rng=SUBSAMPLE_SEED
         )
         fast_seconds = time.perf_counter() - fast_start

@@ -731,7 +731,7 @@ def _build_arrival_history(resolver: ArtifactResolver) -> HistoryColumns:
 @artifact(
     "estimated_parameters",
     needs=("reference_san",),
-    version="2",
+    version="3",
     save=_save_parameters,
     load=_load_parameters,
 )

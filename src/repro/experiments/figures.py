@@ -41,6 +41,7 @@ from ..metrics.attribute_metrics import (
 from ..metrics.degrees import (
     attribute_degrees_of_social_nodes,
     log_binned_degree_distribution,
+    positive_degrees,
     social_degrees_of_attribute_nodes,
     social_in_degrees,
     social_out_degrees,
@@ -58,7 +59,8 @@ from ..metrics.influence import degree_by_top_attribute_values, reciprocity_boos
 from ..metrics.joint_degree import attribute_knn, social_knn
 from ..metrics.reciprocity import fine_grained_reciprocity
 from ..models.history import ArrivalHistory, HistoryColumns
-from ..models.likelihood import DEFAULT_LIKELIHOOD_SEED, figure15_sweep
+from ..models.fast_likelihood import DEFAULT_LIKELIHOOD_SEED
+from ..models.likelihood import figure15_sweep
 from ..models.triangle_closing import score_closures
 from ..synthetic.gplus import GroundTruthEvolution
 from ..utils.rng import RngLike, ensure_rng
@@ -122,7 +124,7 @@ def figure5_degree_distributions(san: SAN) -> Dict[str, object]:
         ("outdegree", social_out_degrees(san)),
         ("indegree", social_in_degrees(san)),
     ):
-        positive = [d for d in degrees if d >= 1]
+        positive = positive_degrees(degrees)
         comparison = compare_distributions(positive, compute_ks=False)
         lognormal, power = comparison.fits["lognormal"], comparison.fits["power_law"]
         result[name] = {
@@ -204,8 +206,8 @@ def figure9_clustering_distributions(
 # ----------------------------------------------------------------------
 @experiment("fig10", needs=("frozen_reference",))
 def figure10_attribute_degrees(san: SAN) -> Dict[str, object]:
-    attribute_degrees = [d for d in attribute_degrees_of_social_nodes(san) if d >= 1]
-    attribute_social = [d for d in social_degrees_of_attribute_nodes(san) if d >= 1]
+    attribute_degrees = positive_degrees(attribute_degrees_of_social_nodes(san))
+    attribute_social = positive_degrees(social_degrees_of_attribute_nodes(san))
     degree_comparison = compare_distributions(attribute_degrees, compute_ks=False)
     social_comparison = compare_distributions(attribute_social, compute_ks=False)
     lognormal = degree_comparison.fits["lognormal"]
@@ -358,8 +360,8 @@ def _degree_fit_summary(san: SAN) -> Dict[str, object]:
         ("attribute_degree", attribute_degrees_of_social_nodes(san)),
         ("attribute_social_degree", social_degrees_of_attribute_nodes(san)),
     ):
-        positive = [d for d in degrees if d >= 1]
-        if len(positive) < 10:
+        positive = positive_degrees(degrees)
+        if positive.size < 10:
             summary[name] = {"best_fit": "insufficient_data"}
             continue
         comparison = compare_distributions(positive, compute_ks=False)
@@ -412,7 +414,7 @@ def figure18_ablations(full_san: SAN, no_lapa_san: SAN, no_focal_san: SAN) -> Di
     """Effect of removing LAPA (in-degree family) and focal closure (attribute clustering)."""
 
     def indegree_fits(san: SAN) -> Dict[str, float]:
-        degrees = [d for d in social_in_degrees(san) if d >= 1]
+        degrees = positive_degrees(social_in_degrees(san))
         comparison = compare_distributions(degrees, compute_ks=False)
         lognormal, power = comparison.fits["lognormal"], comparison.fits["power_law"]
         return {

@@ -4,17 +4,29 @@ Each ``fit_*`` function takes an integer sample (degrees >= xmin are used, the
 rest discarded) and returns the fitted distribution object together with its
 log-likelihood so the model-selection layer can compare candidates.
 
-Every negative log-likelihood depends on the sample only through a few
-sufficient statistics: the count n, the sum of ``ln k``, and the sum of ``k``
-(the lognormal also takes the spread of ``ln k`` about its mean).  They are
-computed once per fit, so each golden-section iterate costs one normaliser
-evaluation (see :mod:`repro.fitting.distributions`), not a pass over the
-sample.  The exponential family needs no search: its maximum is the
-closed-form geometric estimate.
+The power law, the lognormal and the power law with cutoff are exponential
+families on ``{xmin, xmin+1, ...}``, with sufficient statistics ``ln k``,
+``(ln k, (ln k)^2)`` and ``(ln k, k)``.  Each negative log-likelihood is
+therefore convex in the family's natural parameters, its gradient is n times
+the gap between the statistics' model and sample means, and its Hessian is n
+times their model covariance.  The sample is reduced to those statistics
+once; each iterate of the damped Newton solver :func:`_newton` then costs one
+pass of the family's ``_moments`` (see :mod:`repro.fitting.distributions`),
+which yields the normaliser, the means and the covariance together.  The
+solver returns the optimum over a documented box of parameters:
+
+* power law: ``1.01 <= alpha <= 6``;
+* lognormal: ``|mu - m| <= 4.5`` around the sample mean ``m`` of ``ln k``,
+  and ``sigma >= 0.05``;
+* power law with cutoff: ``alpha >= 0.05`` and ``lambda >= 1e-7``.
+
+The exponential family needs no search: its maximum is the closed-form
+geometric estimate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -27,6 +39,15 @@ from .distributions import (
     PowerLaw,
     PowerLawWithCutoff,
 )
+
+#: The power-law exponent's box.
+ALPHA_RANGE = (1.01, 6.0)
+#: The lognormal's box: mu within this of the sample mean of ln k ...
+MU_REACH = 4.5
+#: ... and sigma at least this.
+SIGMA_MIN = 0.05
+#: The cutoff's lower bounds on alpha and lambda.
+CUTOFF_MIN = (0.05, 1e-7)
 
 
 @dataclass(frozen=True)
@@ -59,138 +80,121 @@ def _clean(values: Sequence[int], xmin: int) -> np.ndarray:
     return data
 
 
-def fit_power_law(values: Sequence[int], xmin: int = 1) -> FitResult:
-    """MLE power-law exponent via the discrete Clauset-Shalizi-Newman estimator.
+def _csn_exponent(data: np.ndarray, xmin: int) -> float:
+    """The Clauset-Shalizi-Newman estimate ``alpha = 1 + n / sum(ln(k / (xmin - 0.5)))``."""
+    total = float(np.sum(np.log(data / (xmin - 0.5))))
+    return 1.0 + data.size / total if total > 0 else 3.5
 
-    Uses the standard approximation ``alpha = 1 + n / sum(ln(k / (xmin - 0.5)))``
-    followed by a golden-section refinement of the exact discrete likelihood.
+
+def fit_power_law(values: Sequence[int], xmin: int = 1) -> FitResult:
+    """MLE power-law exponent, on the exact discrete likelihood.
+
+    ``-ln L = alpha sum ln k + n ln zeta(alpha, xmin)``, minimised over
+    :data:`ALPHA_RANGE` from the Clauset-Shalizi-Newman estimate.
     """
     data = _clean(values, xmin)
+    count = data.size
     log_sum = float(np.sum(np.log(data)))
-    negative_log_likelihood = _power_law_objective(data.size, log_sum, xmin)
-    alpha_best = _power_law_alpha(data, negative_log_likelihood, xmin)
-    return FitResult(
-        PowerLaw(alpha=alpha_best, xmin=xmin),
-        -negative_log_likelihood(alpha_best),
-        data.size,
-    )
 
+    def evaluate(theta: Vector):
+        (alpha,) = theta
+        log_z, moments = PowerLaw(alpha=alpha, xmin=xmin)._moments(statistics=True)
+        mean, square = map(float, moments)
+        variance = square - mean * mean
+        return alpha * log_sum + count * log_z, (log_sum - count * mean,), ((count * variance,),)
 
-def _power_law_objective(count: int, log_sum: float, xmin: int) -> Callable[[float], float]:
-    """``alpha -> -ln L`` of a power law: ``alpha * sum ln k + n ln zeta(alpha, xmin)``."""
-
-    def negative_log_likelihood(alpha: float) -> float:
-        return alpha * log_sum + count * math.log(PowerLaw(alpha=alpha, xmin=xmin)._normaliser())
-
-    return negative_log_likelihood
-
-
-def _power_law_alpha(
-    data: np.ndarray, negative_log_likelihood: Callable[[float], float], xmin: int
-) -> float:
-    """The golden-section exponent, searched 0.75 either side of the CSN estimate.
-
-    The CSN estimate is poor at small ``xmin`` (at ``xmin = 1`` and alpha =
-    3.2 it is about 2.2), so the optimum can lie outside that bracket.  A
-    search that ends on an edge other than the hard limits 1.01 and 6.0
-    searches again from that edge, one bracket width further, until the
-    optimum is interior.
-    """
-    total = float(np.sum(np.log(data / (xmin - 0.5))))
-    if total <= 0:
-        alpha_hat = 3.5
-    else:
-        alpha_hat = 1.0 + data.size / total
-    alpha_hat = min(max(alpha_hat, 1.01), 6.0)
-    low, high = max(1.01, alpha_hat - 0.75), min(6.0, alpha_hat + 0.75)
-    alpha = _golden_section(negative_log_likelihood, low, high)
-    upward = high - alpha < _TOLERANCE
-    while upward and high < 6.0 and high - alpha < _TOLERANCE:
-        low, high = high, min(6.0, high + 1.5)
-        alpha = _golden_section(negative_log_likelihood, low, high)
-    while not upward and low > 1.01 and alpha - low < _TOLERANCE:
-        low, high = max(1.01, low - 1.5), low
-        alpha = _golden_section(negative_log_likelihood, low, high)
-    return alpha
+    low, high = ALPHA_RANGE
+    start = min(max(_csn_exponent(data, xmin), low), high)
+    (alpha,), value = _newton(evaluate, (start,), ((1.0,), (-1.0,)), (high, -low))
+    return FitResult(PowerLaw(alpha=alpha, xmin=xmin), -value, count)
 
 
 def fit_lognormal(values: Sequence[int], xmin: int = 1) -> FitResult:
     """MLE fit of the discrete lognormal (mu, sigma).
 
-    Initialised at the moments of ``ln k`` and refined by coordinate-wise
-    golden-section search on the exact discrete likelihood.  The likelihood
-    depends on the sample only through n, the sum of ``ln k`` and the spread
-    of ``ln k`` about its mean, so each iterate costs one normaliser.
+    With ``d = ln k - m`` centred on the sample mean ``m`` of ``ln k``, the
+    log weight is ``-ln k + theta_1 d + theta_2 d^2`` up to a constant, for
+    natural parameters ``theta_1 = (mu - m) / sigma^2`` and ``theta_2 = -1 /
+    (2 sigma^2)``, and the likelihood depends on the sample only through n,
+    the sum of ``ln k`` and the spread of ``ln k`` about ``m``.  The box
+    ``sigma >= 0.05``, ``|mu - m| <= 4.5`` is three half-planes in theta.
+    The search starts at the moments of ``ln k``.
     """
     data = _clean(values, xmin)
     logs = np.log(data)
-    mu_hat = float(np.mean(logs))
-    sigma_hat = float(np.std(logs))
-    sigma_hat = max(sigma_hat, 0.05)
     count = data.size
+    center = float(np.mean(logs))
     log_sum = float(np.sum(logs))
-    spread = float(np.sum((logs - mu_hat) ** 2))
+    spread = float(np.sum((logs - center) ** 2))
 
-    def negative_log_likelihood(mu: float, sigma: float) -> float:
+    def evaluate(theta: Vector):
+        linear, quadratic = theta
+        if not quadratic < 0:
+            return math.inf, None, None
+        variance = -0.5 / quadratic
+        offset = linear * variance
+        log_z, moments = DiscreteLognormal(
+            mu=center + offset, sigma=math.sqrt(variance), xmin=xmin
+        )._moments(center=center, order=4)
+        m1, m2, m3, m4 = map(float, moments)
         # -sum(log_pmf) = sum ln k + sum (ln k - mu)^2 / (2 sigma^2) + n ln Z.
-        dist = DiscreteLognormal(mu=mu, sigma=sigma, xmin=xmin)
-        squares = spread + count * (mu_hat - mu) ** 2
-        return log_sum + squares / (2 * sigma ** 2) + count * dist._log_normaliser()
+        value = log_sum + (spread + count * offset ** 2) / (2 * variance) + count * log_z
+        gradient = (count * m1, count * m2 - spread)
+        covariance = count * (m3 - m1 * m2)
+        hessian = ((count * (m2 - m1 * m1), covariance), (covariance, count * (m4 - m2 * m2)))
+        return value, gradient, hessian
 
-    mu_best, sigma_best = mu_hat, sigma_hat
-    for _ in range(3):
-        mu_best = _golden_section(
-            lambda m: negative_log_likelihood(m, sigma_best),
-            mu_best - 1.5,
-            mu_best + 1.5,
-        )
-        sigma_best = _golden_section(
-            lambda s: negative_log_likelihood(mu_best, s),
-            max(0.05, sigma_best * 0.4),
-            sigma_best * 2.5 + 0.1,
-        )
-    distribution = DiscreteLognormal(mu=mu_best, sigma=sigma_best, xmin=xmin)
-    return FitResult(distribution, -negative_log_likelihood(mu_best, sigma_best), count)
+    sigma = max(float(np.std(logs)), SIGMA_MIN)
+    (linear, quadratic), value = _newton(
+        evaluate,
+        (0.0, -0.5 / sigma ** 2),
+        ((0.0, -1.0), (1.0, 2 * MU_REACH), (-1.0, 2 * MU_REACH)),
+        (0.5 / SIGMA_MIN ** 2, 0.0, 0.0),
+    )
+    variance = -0.5 / quadratic
+    distribution = DiscreteLognormal(
+        mu=center + linear * variance, sigma=math.sqrt(variance), xmin=xmin
+    )
+    return FitResult(distribution, -value, count)
 
 
 def fit_power_law_with_cutoff(values: Sequence[int], xmin: int = 1) -> FitResult:
     """MLE fit of the power law with exponential cutoff (alpha, lambda).
 
-    The search starts from the pure power law's exponent, which is computed
-    from the same sufficient statistics.
+    ``(alpha, lambda)`` are the natural parameters of the statistics
+    ``(-ln k, -k)``: ``-ln L = alpha sum ln k + lambda sum k + n ln Z``.  The
+    search starts from the Clauset-Shalizi-Newman exponent and ``lambda = 1 /
+    max k``: from a faster cutoff, Newton's first step overshoots towards
+    ``lambda = 0``, where the support's far end dominates the curvature and
+    each step gains only a factor of about e in lambda.  The pure power law
+    is the edge ``lambda = 1e-7`` of the box, so the fit is never worse than
+    it.
     """
     data = _clean(values, xmin)
     count = data.size
     log_sum = float(np.sum(np.log(data)))
     value_sum = float(np.sum(data))
-    initial_alpha = _power_law_alpha(data, _power_law_objective(count, log_sum, xmin), xmin)
-    initial_rate = 1.0 / max(value_sum / count, 1.0)
 
-    def negative_log_likelihood(alpha: float, rate: float) -> float:
-        # -sum(log_pmf) = alpha sum ln k + lambda sum k + n ln Z.
-        dist = PowerLawWithCutoff(alpha=alpha, cutoff_rate=rate, xmin=xmin)
-        return alpha * log_sum + rate * value_sum + count * dist._log_normaliser()
+    def evaluate(theta: Vector):
+        alpha, rate = theta
+        log_z, moments = PowerLawWithCutoff(
+            alpha=alpha, cutoff_rate=rate, xmin=xmin
+        )._moments(statistics=True)
+        t, k, tt, tk, kk = map(float, moments)
+        value = alpha * log_sum + rate * value_sum + count * log_z
+        covariance = count * (tk - t * k)
+        hessian = ((count * (tt - t * t), covariance), (covariance, count * (kk - k * k)))
+        return value, (log_sum - count * t, value_sum - count * k), hessian
 
-    alpha_best, rate_best = initial_alpha, initial_rate
-    for _ in range(5):
-        alpha_best = _golden_section(
-            lambda a: negative_log_likelihood(a, rate_best),
-            max(0.05, alpha_best - 1.0),
-            alpha_best + 1.0,
-        )
-        rate_best = _golden_section(
-            lambda r: negative_log_likelihood(alpha_best, r),
-            1e-7,
-            rate_best * 10 + 1e-4,
-        )
-    # The pure power law is the rate -> 0 limit; never report a worse fit than it.
-    scored = [
-        (negative_log_likelihood(*pair), pair)
-        for pair in ((alpha_best, rate_best), (initial_alpha, 1e-7))
-    ]
-    best_value, (alpha, rate) = min(scored, key=lambda item: item[0])
+    start = (max(_csn_exponent(data, xmin), CUTOFF_MIN[0]), max(1.0 / data.max(), CUTOFF_MIN[1]))
+    (alpha, rate), value = _newton(
+        evaluate,
+        start,
+        ((-1.0, 0.0), (0.0, -1.0)),
+        (-CUTOFF_MIN[0], -CUTOFF_MIN[1]),
+    )
     distribution = PowerLawWithCutoff(alpha=alpha, cutoff_rate=rate, xmin=xmin)
-    return FitResult(distribution, -best_value, count)
+    return FitResult(distribution, -value, count)
 
 
 def fit_exponential(values: Sequence[int], xmin: int = 1) -> FitResult:
@@ -220,8 +224,9 @@ def fit_lognormal_parameters_over_time(
     """Fit a lognormal per snapshot, returning ``(day, mu, sigma)`` (Figures 6 / 11a)."""
     series = []
     for day, degrees in degree_sequences:
-        positive = [d for d in degrees if d >= xmin]
-        if len(positive) < 10:
+        degrees = np.asarray(degrees)
+        positive = degrees[degrees >= xmin]
+        if positive.size < 10:
             continue
         fit = fit_lognormal(positive, xmin=xmin)
         series.append((day, fit.distribution.mu, fit.distribution.sigma))
@@ -234,38 +239,134 @@ def fit_power_law_exponent_over_time(
     """Fit a power law per snapshot, returning ``(day, alpha)`` (Figure 11b)."""
     series = []
     for day, degrees in degree_sequences:
-        positive = [d for d in degrees if d >= xmin]
-        if len(positive) < 10:
+        degrees = np.asarray(degrees)
+        positive = degrees[degrees >= xmin]
+        if positive.size < 10:
             continue
         fit = fit_power_law(positive, xmin=xmin)
         series.append((day, fit.distribution.alpha))
     return series
 
 
-#: Width of the interval at which a golden-section search stops.
-_TOLERANCE = 1e-4
+#: Newton stops once its quadratic model promises less than this share of
+#: the objective, about the resolution of the objective itself.
+_DECREMENT = 1e-12
+_MAX_STEPS = 100
+_MAX_HALVINGS = 50
+#: Armijo's sufficient-decrease share of the model's directional derivative.
+_ARMIJO = 1e-4
+
+#: A point, a gradient or a step (one or two floats), and a matrix as its rows.
+Vector = Tuple[float, ...]
+Matrix = Sequence[Vector]
 
 
-def _golden_section(
-    objective, low: float, high: float, tolerance: float = _TOLERANCE
-) -> float:
-    """Minimise a unimodal 1-D objective on [low, high] by golden-section search."""
-    if high <= low:
-        return low
-    inverse_phi = (math.sqrt(5) - 1) / 2
-    left = high - inverse_phi * (high - low)
-    right = low + inverse_phi * (high - low)
-    value_left = objective(left)
-    value_right = objective(right)
-    for _ in range(200):
-        if high - low < tolerance:
+def _newton(
+    evaluate: Callable, start: Vector, bounds: Matrix, limits: Vector
+) -> Tuple[Vector, float]:
+    """``(theta, value)`` minimising a convex objective over ``{bounds @ theta <= limits}``.
+
+    ``evaluate(theta)`` returns the value, gradient and Hessian, or an
+    infinite value outside the objective's domain.  Each step moves towards
+    the minimum of the local quadratic model over the feasible polyhedron
+    (:func:`_model_step`), halving until Armijo's sufficient decrease holds;
+    the iterates stay feasible because the polyhedron is convex.  With one or
+    two parameters, plain floats beat numpy's per-call overhead.
+    """
+    theta = tuple(float(x) for x in start)
+    value, gradient, hessian = evaluate(theta)
+    for _ in range(_MAX_STEPS):
+        step = _model_step(theta, gradient, hessian, bounds, limits)
+        slope = _dot(gradient, step)
+        promised = -(slope + 0.5 * _dot(step, _apply(hessian, step)))
+        if not promised > _DECREMENT * max(1.0, abs(value)):
             break
-        if value_left < value_right:
-            high, right, value_right = right, left, value_left
-            left = high - inverse_phi * (high - low)
-            value_left = objective(left)
+        scale = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = tuple(x + scale * dx for x, dx in zip(theta, step))
+            result = evaluate(trial)
+            if result[0] <= value + _ARMIJO * scale * slope:
+                break
+            scale /= 2
         else:
-            low, left, value_left = left, right, value_right
-            right = low + inverse_phi * (high - low)
-            value_right = objective(right)
-    return (low + high) / 2
+            break
+        theta = trial
+        value, gradient, hessian = result
+    return theta, value
+
+
+def _model_step(
+    theta: Vector, gradient: Vector, hessian: Matrix, bounds: Matrix, limits: Vector
+) -> Vector:
+    """The step to the minimum of ``g.p + p.H.p / 2`` with ``theta + p`` feasible.
+
+    A convex quadratic's minimum over a polyhedron is the minimum over one
+    of its faces, so with one or two parameters every face is tried: the
+    interior (the Newton step itself, taken as it is when feasible), each
+    constraint's line and each vertex.  The feasible candidate with the
+    lowest model value wins.
+    """
+    slack = [limit - _dot(row, theta) for row, limit in zip(bounds, limits)]
+    tolerance = [
+        1e-9 * (sum(abs(a * x) for a, x in zip(row, theta)) + abs(limit) + 1.0)
+        for row, limit in zip(bounds, limits)
+    ]
+    best, best_model = tuple(0.0 for _ in theta), 0.0
+    for size in range(len(theta) + 1):
+        for active in itertools.combinations(range(len(limits)), size):
+            step = _face_step(
+                gradient, hessian, [bounds[i] for i in active], [slack[i] for i in active]
+            )
+            if step is None or any(
+                _dot(row, step) > room + margin
+                for row, room, margin in zip(bounds, slack, tolerance)
+            ):
+                continue
+            model = _dot(gradient, step) + 0.5 * _dot(step, _apply(hessian, step))
+            if model < best_model:
+                best, best_model = step, model
+        if size == 0 and best_model < 0:
+            break
+    return best
+
+
+def _face_step(gradient: Vector, hessian: Matrix, rows: Matrix, targets: Vector):
+    """The model's minimiser on the face ``rows @ p = targets``, or None if degenerate."""
+    if len(rows) == len(gradient):  # a vertex, or in one dimension a bound
+        return _solve(rows, targets)
+    if not rows:
+        return _solve(hessian, tuple(-g for g in gradient))
+    # A line in the plane: p = base + tau * along.
+    (a, b), target = rows[0], targets[0]
+    base = (a * target / (a * a + b * b), b * target / (a * a + b * b))
+    along = (-b, a)
+    curvature = _dot(along, _apply(hessian, along))
+    if not curvature > 0:
+        return None
+    pull = _apply(hessian, base)
+    tau = -(along[0] * (gradient[0] + pull[0]) + along[1] * (gradient[1] + pull[1])) / curvature
+    return (base[0] + tau * along[0], base[1] + tau * along[1])
+
+
+def _solve(matrix: Matrix, vector: Vector):
+    """``matrix^-1 vector`` for a 1x1 or 2x2 system by Cramer's rule, None if singular."""
+    if len(vector) == 1:
+        solution = (vector[0] / matrix[0][0],) if matrix[0][0] != 0 else None
+    else:
+        (a, b), (c, d) = matrix
+        determinant = a * d - b * c
+        if determinant == 0:
+            return None
+        solution = (
+            (d * vector[0] - b * vector[1]) / determinant,
+            (a * vector[1] - c * vector[0]) / determinant,
+        )
+    return solution if solution is not None and all(map(math.isfinite, solution)) else None
+
+
+def _dot(first: Vector, second: Vector) -> float:
+    return sum(x * y for x, y in zip(first, second))
+
+
+def _apply(matrix: Matrix, vector: Vector) -> Vector:
+    return tuple(_dot(row, vector) for row in matrix)

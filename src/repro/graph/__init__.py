@@ -31,6 +31,7 @@ from .errors import (
     DuplicateNodeError,
     EdgeNotFoundError,
     FrozenGraphError,
+    FrozenIdRangeError,
     GraphError,
     InvalidNodeKindError,
     NodeNotFoundError,
@@ -85,6 +86,7 @@ __all__ = [
     "SerializationError",
     "PackedKeyError",
     "FrozenGraphError",
+    "FrozenIdRangeError",
     "ColumnarFormatError",
     "ColumnarMagicError",
     "ColumnarVersionError",

@@ -105,3 +105,19 @@ class FrozenGraphError(GraphError, TypeError):
         )
         self.operation = operation
         self.type_name = type_name
+
+
+class FrozenIdRangeError(GraphError, ValueError):
+    """Edge arrays hold a node id outside the graph's ``0..n-1``.
+
+    The CSR builders check the largest packed key's row and the key stride
+    against the node counts right after their sort, before any array is
+    sized from the ids, so a corrupt id fails here instead of asking for one
+    slot per id up to it.
+    """
+
+    def __init__(self, operation: str, node_id: int, count: int) -> None:
+        super().__init__(f"{operation}(): node id {node_id} is outside 0..{count - 1}")
+        self.operation = operation
+        self.node_id = node_id
+        self.count = count

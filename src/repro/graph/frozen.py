@@ -54,7 +54,7 @@ import numpy as np
 
 from .bipartite import AttributeInfo, BipartiteAttributeGraph
 from .digraph import DiGraph
-from .errors import FrozenGraphError, NodeNotFoundError, PackedKeyError
+from .errors import FrozenGraphError, FrozenIdRangeError, NodeNotFoundError, PackedKeyError
 from .san import SAN
 
 Node = Hashable
@@ -129,7 +129,7 @@ def pair_order(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def csr_from_edge_arrays(
-    src: np.ndarray, dst: np.ndarray, num_rows: int
+    src: np.ndarray, dst: np.ndarray, num_rows: int, num_cols: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pack parallel edge arrays into sorted-row CSR form, fully vectorized.
 
@@ -138,15 +138,38 @@ def csr_from_edge_arrays(
     streams).  Unlike :func:`build_csr` this never loops in Python, so it is
     the builder of choice when the adjacency already lives in numpy arrays
     (delta-snapshot materialization, event-log replays).  The rows come out
-    of one sort of the packed ``(src, dst)`` keys.
+    of one sort of the packed ``(src, dst)`` keys.  Rows must lie below
+    ``num_rows`` and columns below ``num_cols`` (``num_rows`` when omitted:
+    a square adjacency); :func:`check_pair_range` enforces it after the
+    sort, before the row counts are sized from the ids.
     """
     src = np.asarray(src, dtype=np.int64)
+    keys, stride = sorted_pair_keys(src, dst)
+    if num_cols is None:
+        num_cols = num_rows
+    check_pair_range(keys, stride, num_rows, num_cols, "csr_from_edge_arrays")
     counts = np.bincount(src, minlength=num_rows).astype(np.int64)
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    keys, stride = sorted_pair_keys(src, dst)
     keys %= stride
     return indptr, keys
+
+
+def check_pair_range(
+    keys: np.ndarray, stride: int, num_rows: int, num_cols: int, operation: str
+) -> None:
+    """Raise :class:`~repro.graph.errors.FrozenIdRangeError` unless every sorted pair fits.
+
+    The last of the sorted :func:`pack_pairs` keys holds the largest row,
+    and the stride is one past the largest column, so the check is O(1).
+    """
+    if keys.size == 0:
+        return
+    row = int(keys[-1]) // stride
+    if row >= num_rows:
+        raise FrozenIdRangeError(operation, row, num_rows)
+    if stride > num_cols:
+        raise FrozenIdRangeError(operation, stride - 1, num_cols)
 
 
 def gather_rows(
@@ -441,6 +464,7 @@ class FrozenDiGraph:
                 np.concatenate([backward, forward]),
                 unique=True,
             )
+            check_pair_range(keys, stride, n, n, "undirected_csr")
             und_src, und_dst = np.divmod(keys, stride)
             counts = np.bincount(und_src, minlength=n).astype(np.int64)
             indptr = np.zeros(n + 1, dtype=np.int64)
@@ -1071,10 +1095,10 @@ class FrozenSAN:
         social = FrozenDiGraph.from_edge_arrays(social_labels, social_src, social_dst)
         num_attrs = len(attr_labels)
         sa_indptr, sa_indices = csr_from_edge_arrays(
-            link_social, link_attr, len(social_labels)
+            link_social, link_attr, len(social_labels), num_attrs
         )
         as_indptr, as_indices = csr_from_edge_arrays(
-            link_attr, link_social, num_attrs
+            link_attr, link_social, num_attrs, len(social_labels)
         )
         attributes = FrozenBipartiteAttributeGraph(
             social.labels(),

@@ -202,8 +202,8 @@ def _stream_frozen_san_tsv(social_path: Path, attribute_path: Path) -> "FrozenSA
         social_labels, out_indptr, out_indices, in_indptr, in_indices,
         index=social_index,
     )
-    sa_indptr, sa_indices = csr_from_edge_arrays(ls, la, num_social)
-    as_indptr, as_indices = csr_from_edge_arrays(la, ls, num_attrs)
+    sa_indptr, sa_indices = csr_from_edge_arrays(ls, la, num_social, num_attrs)
+    as_indptr, as_indices = csr_from_edge_arrays(la, ls, num_attrs, num_social)
     attributes = FrozenBipartiteAttributeGraph(
         social.labels(),
         social_index,

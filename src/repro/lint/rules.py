@@ -133,15 +133,14 @@ class ScipyContainment(Rule):
 
     scipy is required but slow to import, so importing :mod:`repro` must
     never import it eagerly.  That only holds while every scipy access goes
-    through the lazy accessors ``scipy_sparse()``/``scipy_csgraph()``/
-    ``scipy_special()``.
+    through the lazy accessors ``scipy_sparse()``/``scipy_csgraph()``.
     """
 
     rule_id = "R002"
     name = "scipy-containment"
     description = (
         "scipy may only be imported in engine/deps.py; elsewhere use the "
-        "lazy accessors deps.scipy_sparse()/scipy_csgraph()/scipy_special()"
+        "lazy accessors deps.scipy_sparse()/scipy_csgraph()"
     )
 
     def check(self, module: ModuleContext) -> Iterable[Finding]:
@@ -175,8 +174,7 @@ class ScipyContainment(Rule):
                 module,
                 node,
                 f"direct import of {target!r} outside engine/deps.py; go "
-                "through repro.engine.deps (scipy_sparse()/scipy_csgraph()/"
-                "scipy_special())",
+                "through repro.engine.deps (scipy_sparse()/scipy_csgraph())",
             )
 
 

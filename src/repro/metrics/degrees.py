@@ -27,7 +27,9 @@ Examples
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple, Union
+from typing import Dict, Hashable, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..engine import dispatchable, kernel
 from ..graph.frozen import FrozenSAN
@@ -91,6 +93,12 @@ def social_degrees_of_attribute_nodes(san: SANLike) -> List[int]:
 @kernel("social_degrees_of_attribute_nodes")
 def _social_degrees_of_attributes_frozen(san: FrozenSAN) -> List[int]:
     return san.attributes.social_degree_array().tolist()
+
+
+def positive_degrees(degrees: Sequence[int]) -> np.ndarray:
+    """The degrees >= 1, as the array the degree-distribution fits read."""
+    degrees = np.asarray(degrees)
+    return degrees[degrees >= 1]
 
 
 def degree_distribution(degrees: List[int]) -> Dict[int, float]:

@@ -8,18 +8,14 @@ from .lifetime import (
     truncated_normal_moments,
 )
 from .fast_likelihood import (
-    EncodedHistory,
-    encode_history,
-    evaluate_attachment_models_fast,
-)
-from .likelihood import (
     DEFAULT_LIKELIHOOD_SEED,
     AttachmentModelSpec,
+    EncodedHistory,
     LikelihoodResult,
+    encode_history,
     evaluate_attachment_models,
-    figure15_specs,
-    figure15_sweep,
 )
+from .likelihood import figure15_specs, figure15_sweep
 from .parameters import (
     AttachmentParameters,
     FlashCrowd,
@@ -66,7 +62,6 @@ __all__ = [
     "LikelihoodResult",
     "encode_history",
     "evaluate_attachment_models",
-    "evaluate_attachment_models_fast",
     "figure15_specs",
     "figure15_sweep",
     "AttachmentParameters",

@@ -24,6 +24,7 @@ from ..fitting.mle import fit_lognormal, fit_power_law
 from ..graph.san import SAN
 from ..metrics.degrees import (
     attribute_degrees_of_social_nodes,
+    positive_degrees,
     social_degrees_of_attribute_nodes,
     social_out_degrees,
 )
@@ -47,11 +48,9 @@ def estimate_parameters(
     steps: Optional[int] = None,
 ) -> EstimationResult:
     """Closed-form initial estimate of the generative-model parameters."""
-    out_degrees = [d for d in social_out_degrees(reference) if d >= 1]
-    attribute_degrees = [d for d in attribute_degrees_of_social_nodes(reference) if d >= 1]
-    attribute_social_degrees = [
-        d for d in social_degrees_of_attribute_nodes(reference) if d >= 1
-    ]
+    out_degrees = positive_degrees(social_out_degrees(reference))
+    attribute_degrees = positive_degrees(attribute_degrees_of_social_nodes(reference))
+    attribute_social_degrees = positive_degrees(social_degrees_of_attribute_nodes(reference))
     diagnostics: Dict[str, float] = {}
 
     if len(out_degrees) >= 10:

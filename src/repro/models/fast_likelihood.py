@@ -1,5 +1,9 @@
 """Vectorized attachment-likelihood evaluation, the implementation Figure 15 runs.
 
+The module holds the model specs (:class:`AttachmentModelSpec`), the result
+type and the scorer, :func:`evaluate_attachment_models`;
+:mod:`repro.models.likelihood` builds the Figure 15 sweep on them.
+
 Scoring a link needs the normalising sum over every node existing at that
 moment and, for the attribute models, a correction over the members of the
 source's attribute communities.  Replaying every event through a mutable SAN
@@ -50,11 +54,66 @@ import numpy as np
 from ..graph.frozen import sorted_membership
 from ..utils.rng import RngLike, ensure_rng
 from .history import KIND_ATTRIBUTE, KIND_SOCIAL, ArrivalHistory, HistoryColumns
-from .likelihood import (
-    DEFAULT_LIKELIHOOD_SEED,
-    AttachmentModelSpec,
-    LikelihoodResult,
-)
+
+#: Default subsample seed.  The scored-link subsample (``max_links``) must be
+#: reproducible by default — a system-entropy default made every reported
+#: improvement number drift run to run.  Pass ``random.Random()`` explicitly
+#: for non-deterministic subsampling.
+DEFAULT_LIKELIHOOD_SEED = 15
+
+
+@dataclass(frozen=True)
+class AttachmentModelSpec:
+    """A (family, alpha, beta) triple to score against the arrival history."""
+
+    kind: str  # "pa", "papa", or "lapa" ("pa" ignores beta)
+    alpha: float
+    beta: float = 0.0
+    label: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("pa", "papa", "lapa"):
+            raise ValueError(
+                f"AttachmentModelSpec.kind must be 'pa', 'papa' or 'lapa', got {self.kind!r}"
+            )
+
+    @property
+    def name(self) -> str:
+        if self.label is not None:
+            return self.label
+        # Include the family even when beta == 0 so every spec in a sweep has a
+        # distinct log-likelihood slot (PAPA and LAPA with beta = 0 are both
+        # proportional to PA, but they are separate grid entries).
+        return f"{self.kind}(alpha={self.alpha:g}, beta={self.beta:g})"
+
+    def attribute_factor(self, shared: float) -> float:
+        """The model's multiplicative attribute term ``1 + g(a(u, v))``."""
+        if self.kind == "lapa":
+            return 1.0 + self.beta * shared
+        if self.kind == "papa":
+            if self.beta == 0:
+                return 2.0
+            return 1.0 + (shared ** self.beta if shared > 0 else 0.0)
+        return 1.0
+
+
+@dataclass
+class LikelihoodResult:
+    """Total log-likelihood of each model plus the number of scored links."""
+
+    log_likelihoods: Dict[str, float]
+    num_links_scored: int
+
+    def relative_improvement_over(self, baseline_name: str) -> Dict[str, float]:
+        """``(l_baseline - l_model) / l_baseline`` for every model (Figure 15)."""
+        baseline = self.log_likelihoods[baseline_name]
+        if baseline == 0:
+            raise ValueError("baseline log-likelihood is zero; cannot normalise")
+        return {
+            name: (baseline - value) / baseline
+            for name, value in self.log_likelihoods.items()
+        }
+
 
 #: Scored links are batched in chunks of this many for the community-
 #: correction gathers (bounds peak memory of the member concatenation).
@@ -284,14 +343,19 @@ def _attribute_factors(spec: AttachmentModelSpec, shared: np.ndarray) -> np.ndar
     return np.ones(shared.shape)
 
 
-def evaluate_attachment_models_fast(
+def evaluate_attachment_models(
     history: Union[ArrivalHistory, HistoryColumns],
     specs: Sequence[AttachmentModelSpec],
     smoothing: float = 1.0,
     max_links: Optional[int] = 2000,
     rng: RngLike = DEFAULT_LIKELIHOOD_SEED,
 ) -> LikelihoodResult:
-    """The implementation behind ``evaluate_attachment_models``.
+    """Score attachment model specs against the social-link arrivals in ``history``.
+
+    ``max_links`` subsamples the scored links uniformly (all links are still
+    replayed to keep the state evolution faithful); pass ``None`` to score all.
+    The subsample is seeded (:data:`DEFAULT_LIKELIHOOD_SEED`) so repeated
+    evaluations agree by default.
 
     Semantically identical to the per-link replay in
     ``tests/model_reference.py`` (same scored-link selection stream, same
@@ -441,8 +505,11 @@ def evaluate_attachment_models_fast(
 
 
 __all__ = [
+    "DEFAULT_LIKELIHOOD_SEED",
+    "AttachmentModelSpec",
     "EncodedHistory",
+    "LikelihoodResult",
     "SCORE_CHUNK",
     "encode_history",
-    "evaluate_attachment_models_fast",
+    "evaluate_attachment_models",
 ]

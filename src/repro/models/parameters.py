@@ -59,7 +59,7 @@ class AttachmentParameters:
     classical preferential attachment.  ``smoothing`` keeps zero-in-degree
     nodes reachable (the paper leaves this detail open).  The Figure 15
     sweep scores other in-degree exponents through
-    :class:`~repro.models.likelihood.AttachmentModelSpec`.
+    :class:`~repro.models.fast_likelihood.AttachmentModelSpec`.
     """
 
     beta: float = 0.0

@@ -44,18 +44,18 @@ from repro.algorithms.triangles import two_hop_social_neighbors
 from repro.graph.builders import complete_seed_san
 from repro.graph.san import SAN
 from repro.models import triangle_closing as closing
-from repro.models.fast_likelihood import EncodedHistory
+from repro.models.fast_likelihood import (
+    DEFAULT_LIKELIHOOD_SEED,
+    AttachmentModelSpec,
+    EncodedHistory,
+    LikelihoodResult,
+)
 from repro.models.history import (
     EVENT_ATTRIBUTE,
     EVENT_NODE,
     EVENT_SOCIAL,
     ArrivalHistory,
     apply_event,
-)
-from repro.models.likelihood import (
-    DEFAULT_LIKELIHOOD_SEED,
-    AttachmentModelSpec,
-    LikelihoodResult,
 )
 from repro.models.lifetime import sample_sleep_time
 from repro.models.parameters import (

@@ -19,7 +19,9 @@ The reader checks a CSR's content (column ids in range, rows strictly
 increasing) only under ``REPRO_SANITIZE=1``: without it, a flipped index
 inside ``social_out_indices`` opens and then breaks a kernel.  One case
 flips such bytes with the sanitizer armed and runs a kernel on whatever
-opens.
+opens.  Without the sanitizer, the CSR builders still check the ids' range
+in O(1) before they size an array from them: another case writes an id just
+past the node count and builds the undirected projection.
 """
 
 import json
@@ -35,7 +37,7 @@ from hypothesis import strategies as st
 from repro.experiments.artifacts import _load_evolution, _save_evolution
 from repro.graph import SAN
 from repro.graph.columnar import load_columnar_extras, open_columnar, save_columnar
-from repro.graph.errors import GraphError
+from repro.graph.errors import FrozenGraphError, FrozenIdRangeError, GraphError
 from repro.metrics import PhaseBoundaries, global_reciprocity
 from repro.synthetic import GooglePlusConfig, SybilWaveDay, simulate_google_plus
 
@@ -222,3 +224,33 @@ def test_flipped_csr_indices_fail_only_with_named_errors_under_the_sanitizer(dat
                 global_reciprocity(open_columnar(path, mmap_mode=mode))
         except GraphError:
             pass
+
+
+@pytest.mark.parametrize("position", [0, -1])
+def test_an_index_past_the_node_count_fails_by_name_without_the_sanitizer(position):
+    # The id n is one past the last node: small, so a missing check shows as
+    # an unnamed numpy error or an indptr of the wrong length, not as a
+    # huge allocation.
+    preamble, header, _ = _split(FILES["san"])
+    offset, shape, dtype = header["sections"]["social_out_indices"]
+    indices = np.frombuffer(
+        FILES["san"], dtype=dtype, count=shape[0], offset=preamble[3] + offset
+    ).copy()
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_SANITIZE", raising=False)
+        path = Path(directory) / "san.col"
+        path.write_bytes(FILES["san"])
+        n = open_columnar(path).social.number_of_nodes()
+        indices[position] = n
+        data = bytearray(FILES["san"])
+        start = preamble[3] + offset
+        data[start : start + indices.nbytes] = indices.tobytes()
+        path.write_bytes(bytes(data))
+        for mode in ("r", None):
+            with pytest.raises(FrozenIdRangeError) as caught:
+                open_columnar(path, mmap_mode=mode).social.undirected_csr()
+            # Corrupt data, not an attempted mutation of a read-only graph.
+            assert isinstance(caught.value, ValueError)
+            assert not isinstance(caught.value, FrozenGraphError)
+            with pytest.raises(GraphError):
+                global_reciprocity(open_columnar(path, mmap_mode=mode))

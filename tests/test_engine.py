@@ -192,6 +192,21 @@ class TestIntrospection:
             assert backends <= {MUTABLE, FROZEN}, f"{op} registers {backends}"
 
 
+#: Runs every stage of a cold ``tiny`` pipeline and reports which scipy
+#: packages it loaded.
+_NO_SPECIAL_SCRIPT = """
+import json, sys, tempfile
+from repro.experiments import run_pipeline
+with tempfile.TemporaryDirectory() as directory:
+    stages = len(run_pipeline("tiny", cache_dir=directory).stages)
+print(json.dumps({
+    "stages": stages,
+    "scipy": "scipy" in sys.modules,
+    "special": "scipy.special" in sys.modules,
+}))
+"""
+
+
 #: Imports the package the way the CLI and the pipeline do, reports every
 #: loaded scipy module, then runs one frozen kernel that needs scipy.
 _LAZY_SCIPY_SCRIPT = """
@@ -209,18 +224,30 @@ print(json.dumps({
 """
 
 
-def test_importing_the_package_loads_no_scipy():
-    """The runtime twin of lint rule R002: scipy is required but lazy."""
+def _run_with_the_package(script: str) -> dict:
     env = dict(os.environ)
     source_root = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (source_root, env.get("PYTHONPATH")) if part
     )
     result = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_a_cold_pipeline_never_imports_scipy_special():
+    """The degree fits sum the Hurwitz zeta themselves; no stage needs scipy.special."""
+    report = _run_with_the_package(_NO_SPECIAL_SCRIPT)
+    assert report["stages"] == 20
+    assert report["scipy"]
+    assert not report["special"]
+
+
+def test_importing_the_package_loads_no_scipy():
+    """The runtime twin of lint rule R002: scipy is required but lazy."""
+    report = _run_with_the_package(_LAZY_SCIPY_SCRIPT)
     assert report["loaded_at_import"] == []
     assert report["components"] == [[1, 2], [3]]
     assert report["csgraph_loaded_on_use"]

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from repro.fitting import (
     DiscreteExponential,
@@ -64,6 +65,21 @@ def test_lognormal_sampling_statistics():
     assert samples.min() >= 1
     log_mean = float(np.mean(np.log(samples)))
     assert log_mean == pytest.approx(1.5, abs=0.15)
+
+
+@pytest.mark.parametrize("mu,sigma", [(1.0, 1.5), (3.0, 0.8)])
+def test_lognormal_sample_frequencies_follow_the_pmf(mu, sigma):
+    # Pearson's chi-square over every k whose expected count is at least 5,
+    # the rest pooled.  Rounded continuous draws would put 34.7% of them on
+    # k = 1 at (1.0, 1.5), where the pmf has 24.7%.
+    dist = DiscreteLognormal(mu=mu, sigma=sigma)
+    draws = dist.sample(200_000, np.random.default_rng(5))
+    expected = dist.pmf(np.arange(1, 5001)) * draws.size
+    bins = int(np.flatnonzero(expected >= 5)[-1]) + 1
+    expected = np.append(expected[:bins], draws.size - expected[:bins].sum())
+    observed = np.bincount(np.minimum(draws, bins + 1), minlength=bins + 2)[1:]
+    statistic = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2.sf(statistic, bins) > 1e-3, (statistic, bins)
 
 
 def test_power_law_with_cutoff_decays_faster_than_power_law():

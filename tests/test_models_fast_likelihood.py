@@ -11,7 +11,6 @@ from repro.models import (
     SANModelParameters,
     encode_history,
     evaluate_attachment_models,
-    evaluate_attachment_models_fast,
     figure15_specs,
     figure15_sweep,
     generate_san,
@@ -95,23 +94,10 @@ def test_encode_attribute_rich_initial_san_no_key_collisions():
 
     spec = AttachmentModelSpec(kind="lapa", alpha=1.0, beta=100.0, label="m")
     loop = evaluate_attachment_models_loop(history, [spec], max_links=None)
-    fast = evaluate_attachment_models_fast(history, [spec], max_links=None)
+    fast = evaluate_attachment_models(history, [spec], max_links=None)
     assert fast.log_likelihoods["m"] == pytest.approx(
         loop.log_likelihoods["m"], rel=1e-12
     )
-
-
-# ----------------------------------------------------------------------
-# The public entry point runs the vectorized implementation
-# ----------------------------------------------------------------------
-def test_auto_routes_to_vectorized(generated_history):
-    specs = [AttachmentModelSpec(kind="lapa", alpha=1.0, beta=50.0, label="m")]
-    auto = evaluate_attachment_models(generated_history, specs, max_links=200, rng=3)
-    fast = evaluate_attachment_models_fast(
-        generated_history, specs, max_links=200, rng=3
-    )
-    assert auto.log_likelihoods == fast.log_likelihoods
-    assert auto.num_links_scored == fast.num_links_scored
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +111,7 @@ def test_subsampled_parity_between_backends(history_fixture, request):
         alphas=(0.0, 0.5, 1.0, 2.0), papa_betas=(0.0, 2.0), lapa_betas=(0.0, 100.0)
     )
     loop = evaluate_attachment_models_loop(history, specs, max_links=250, rng=41)
-    fast = evaluate_attachment_models_fast(history, specs, max_links=250, rng=41)
+    fast = evaluate_attachment_models(history, specs, max_links=250, rng=41)
     assert loop.num_links_scored == fast.num_links_scored
     assert set(loop.log_likelihoods) == set(fast.log_likelihoods)
     for name, value in loop.log_likelihoods.items():
@@ -134,10 +120,10 @@ def test_subsampled_parity_between_backends(history_fixture, request):
 
 def test_different_seeds_select_different_links(generated_history):
     specs = [AttachmentModelSpec(kind="pa", alpha=1.0)]
-    first = evaluate_attachment_models_fast(
+    first = evaluate_attachment_models(
         generated_history, specs, max_links=200, rng=1
     )
-    second = evaluate_attachment_models_fast(
+    second = evaluate_attachment_models(
         generated_history, specs, max_links=200, rng=2
     )
     assert (

@@ -220,7 +220,7 @@ def test_pa_beats_uniform_on_preferential_history(evaluate):
 
 
 def test_relative_improvement_over_baseline_zero_raises():
-    from repro.models.likelihood import LikelihoodResult
+    from repro.models.fast_likelihood import LikelihoodResult
 
     result = LikelihoodResult(log_likelihoods={"a": 0.0, "b": -1.0}, num_links_scored=1)
     with pytest.raises(ValueError):
