@@ -17,6 +17,7 @@ from repro.fitting import best_fit_name, fit_lognormal
 from repro.graph import SAN
 from repro.metrics import (
     format_report,
+    positive_degrees,
     san_metric_report,
     social_out_degrees,
 )
@@ -65,7 +66,7 @@ def main() -> None:
     print(format_report(san_metric_report(final, rng=2), title="Final crawled snapshot (frozen backend)"))
     print()
 
-    degrees = [d for d in social_out_degrees(final) if d >= 1]
+    degrees = positive_degrees(social_out_degrees(final))
     fit = fit_lognormal(degrees)
     print(
         "Out-degree best-fit family:",

@@ -4,9 +4,9 @@ The package is organised as:
 
 * :mod:`repro.graph` — the SAN data structure (directed social layer plus an
   undirected social-to-attribute bipartite layer);
-* :mod:`repro.engine` — the backend-dispatch engine: a kernel registry keyed
-  by (operation, backend) that routes each call to the portable or the
-  vectorized frozen/scipy implementation;
+* :mod:`repro.engine` — the dispatch engine: a kernel registry with one
+  vectorized frozen/scipy kernel per operation, which freezes a mutable
+  input once before calling it;
 * :mod:`repro.algorithms` — graph algorithms (BFS, WCC, HyperANF, clustering
   coefficients including the paper's constant-time approximation, sampling,
   random walks);

@@ -17,10 +17,10 @@ stream across many estimates (a figure's snapshot series) keep sharing it.
 Endpoints are read from the sorted rows of the undirected social CSR (social
 centers) or the attribute-membership CSR (attribute centers), and both link
 directions of every endpoint pair are scored with one batched binary search
-over the sorted directed edge keys ``src * n + dst``.  A mutable SAN runs the
-same kernel on its cached freeze, so both backends give the same estimate for
-the same seed, and no draw depends on set-iteration order (which follows
-``PYTHONHASHSEED`` for string labels).
+over the sorted directed edge keys ``src * n + dst``.  A mutable SAN is frozen
+at dispatch, so both backends give the same estimate for the same seed, and no
+draw depends on set-iteration order (which follows ``PYTHONHASHSEED`` for
+string labels).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import dispatchable, frozen_view, kernel
+from ..engine import dispatchable
 from ..graph.frozen import FrozenSAN, sorted_membership
 from ..graph.protocol import SANView
 from ..utils.rng import RngLike, ensure_rng
@@ -56,7 +56,7 @@ def triple_score(san: SANView, first: Node, second: Node) -> int:
 
 @dispatchable("approximate_average_clustering")
 def approximate_average_clustering(
-    san: SANView,
+    san: FrozenSAN,
     population: Optional[Sequence[Node]] = None,
     epsilon: float = 0.002,
     nu: float = 100.0,
@@ -80,20 +80,6 @@ def approximate_average_clustering(
     ``c(u) = 0`` and contributes a zero-scored triple, exactly as in the exact
     definition, so the estimate always averages exactly ``K`` triples.
     """
-    return _approximate_average_clustering_frozen(
-        frozen_view(san), population, epsilon, nu, num_samples, rng
-    )
-
-
-@kernel("approximate_average_clustering")
-def _approximate_average_clustering_frozen(
-    san: FrozenSAN,
-    population: Optional[Sequence[Node]] = None,
-    epsilon: float = 0.002,
-    nu: float = 100.0,
-    num_samples: Optional[int] = None,
-    rng: RngLike = None,
-) -> float:
     samples = num_samples if num_samples is not None else required_samples(epsilon, nu)
     if population is not None:
         population = list(population)

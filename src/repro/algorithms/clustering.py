@@ -14,9 +14,10 @@ The average social clustering coefficient ``C_s`` averages ``c(u)`` over
 social nodes and the average attribute clustering coefficient ``C_a`` over
 attribute nodes (Sections 3.4 and 4.1).
 
-Every public function dispatches through the :mod:`repro.engine` registry.
-On a frozen backend (:class:`~repro.graph.frozen.FrozenSAN`) the inner
-``L(u)`` count is vectorized: the successor lists of all of ``u``'s neighbors
+Every public function dispatches through the :mod:`repro.engine` registry
+to a kernel on the frozen backend (:class:`~repro.graph.frozen.FrozenSAN`;
+a mutable SAN is frozen at dispatch).  The inner ``L(u)`` count is
+vectorized: the successor lists of all of ``u``'s neighbors
 are gathered from the CSR arrays in one shot and membership in the (sorted)
 neighborhood is resolved with a single batched binary search, instead of one
 Python set probe per candidate link.  Whole-graph averages and per-degree
@@ -29,46 +30,26 @@ Examples
 --------
 >>> from repro.graph import san_from_edge_lists
 >>> san = san_from_edge_lists([(1, 2), (2, 1), (1, 3), (3, 2)])
->>> node_clustering_coefficient(san, 2) == node_clustering_coefficient(san.freeze(), 2)
-True
+>>> node_clustering_coefficient(san, 2)
+0.5
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 import numpy as np
 
-from ..engine import dispatchable, kernel
+from ..engine import dispatchable
 from ..engine.deps import scipy_sparse
 from ..graph.frozen import FrozenSAN, gather_rows, sorted_membership
-from ..graph.san import SAN
 
 Node = Hashable
-SANLike = Union[SAN, FrozenSAN]
 
 
 @dispatchable("directed_links_among")
-def directed_links_among(san: SANLike, nodes: Iterable[Node]) -> int:
+def directed_links_among(san: FrozenSAN, nodes: Iterable[Node]) -> int:
     """Count directed social links between members of ``nodes`` (``L(u)``)."""
-    members = [node for node in nodes if san.social.has_node(node)]
-    member_set = set(members)
-    count = 0
-    for node in members:
-        successors = san.social.successors(node)
-        if len(successors) <= len(member_set):
-            count += sum(1 for target in successors if target in member_set and target != node)
-        else:
-            count += sum(
-                1
-                for target in member_set
-                if target != node and target in successors
-            )
-    return count
-
-
-@kernel("directed_links_among")
-def _directed_links_among_frozen(san: FrozenSAN, nodes: Iterable[Node]) -> int:
     member_ids = np.array(
         sorted(
             san.social.index_of(node)
@@ -178,18 +159,8 @@ def _build_attribute_clustering_array(san: FrozenSAN) -> np.ndarray:
 
 
 @dispatchable("node_clustering_coefficient")
-def node_clustering_coefficient(san: SANLike, node: Node) -> float:
+def node_clustering_coefficient(san: FrozenSAN, node: Node) -> float:
     """The paper's ``c(u)`` for a social or attribute node."""
-    neighbors = san.social_neighbors(node)
-    k = len(neighbors)
-    if k < 2:
-        return 0.0
-    links = directed_links_among(san, neighbors)
-    return links / (k * (k - 1))
-
-
-@kernel("node_clustering_coefficient")
-def _node_clustering_coefficient_frozen(san: FrozenSAN, node: Node) -> float:
     neighborhood = _neighborhood_ids(san, node)
     k = int(neighborhood.size)
     if k < 2:
@@ -198,65 +169,17 @@ def _node_clustering_coefficient_frozen(san: FrozenSAN, node: Node) -> float:
 
 
 @dispatchable("average_social_clustering_coefficient")
-def average_social_clustering_coefficient(san: SANLike) -> float:
+def average_social_clustering_coefficient(san: FrozenSAN) -> float:
     """Exact ``C_s``: mean clustering coefficient over all social nodes."""
-    nodes = list(san.social_nodes())
-    if not nodes:
-        return 0.0
-    return sum(node_clustering_coefficient(san, node) for node in nodes) / len(nodes)
-
-
-@kernel("average_social_clustering_coefficient")
-def _average_social_clustering_frozen(san: FrozenSAN) -> float:
     coefficients = _social_clustering_array(san)
     return float(coefficients.mean()) if coefficients.size else 0.0
 
 
 @dispatchable("average_attribute_clustering_coefficient")
-def average_attribute_clustering_coefficient(san: SANLike) -> float:
+def average_attribute_clustering_coefficient(san: FrozenSAN) -> float:
     """Exact ``C_a``: mean clustering coefficient over all attribute nodes."""
-    nodes = list(san.attribute_nodes())
-    if not nodes:
-        return 0.0
-    return sum(node_clustering_coefficient(san, node) for node in nodes) / len(nodes)
-
-
-@kernel("average_attribute_clustering_coefficient")
-def _average_attribute_clustering_frozen(san: FrozenSAN) -> float:
     coefficients = _attribute_clustering_array(san)
     return float(coefficients.mean()) if coefficients.size else 0.0
-
-
-@dispatchable("clustering_by_degree")
-def clustering_by_degree(
-    san: SANLike, kind: str = "social"
-) -> List[Tuple[int, float]]:
-    """Average clustering coefficient as a function of node degree (Figure 9a).
-
-    ``kind="social"`` groups social nodes by their social degree (number of
-    distinct social neighbors); ``kind="attribute"`` groups attribute nodes by
-    their social degree (number of members).
-    """
-    _require_kind(kind)
-    if kind == "social":
-        nodes = list(san.social_nodes())
-        degree_of = lambda node: len(san.social.neighbors(node))
-    else:
-        nodes = list(san.attribute_nodes())
-        degree_of = lambda node: san.attribute_social_degree(node)
-
-    sums: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for node in nodes:
-        degree = degree_of(node)
-        if degree < 2:
-            continue
-        coefficient = node_clustering_coefficient(san, node)
-        sums[degree] = sums.get(degree, 0.0) + coefficient
-        counts[degree] = counts.get(degree, 0) + 1
-    return sorted(
-        (degree, sums[degree] / counts[degree]) for degree in sums
-    )
 
 
 def _require_kind(kind: str) -> None:
@@ -264,10 +187,17 @@ def _require_kind(kind: str) -> None:
         raise ValueError(f"kind must be 'social' or 'attribute', got {kind!r}")
 
 
-@kernel("clustering_by_degree")
-def _clustering_by_degree_frozen_sparse(
+@dispatchable("clustering_by_degree")
+def clustering_by_degree(
     san: FrozenSAN, kind: str = "social"
 ) -> List[Tuple[int, float]]:
+    """Average clustering coefficient as a function of node degree (Figure 9a).
+
+    ``kind="social"`` groups social nodes by their social degree (number of
+    distinct social neighbors); ``kind="attribute"`` groups attribute nodes by
+    their social degree (number of members).  Nodes of degree below two are
+    left out.
+    """
     _require_kind(kind)
     if kind == "social":
         degrees = san.social.undirected_degree_array()
@@ -285,22 +215,13 @@ def _clustering_by_degree_frozen_sparse(
 
 
 @dispatchable("average_clustering_by_attribute_type")
-def average_clustering_by_attribute_type(san: SANLike) -> Dict[str, float]:
+def average_clustering_by_attribute_type(san: FrozenSAN) -> Dict[str, float]:
     """Average attribute clustering coefficient for every attribute type.
 
     Equivalent to calling :func:`average_clustering_for_attribute_type` per
-    type (keys sorted), but on the frozen backend the whole-graph ``c(a)``
-    array is computed once and grouped by the interned type codes, instead of
-    once per type.
+    type (keys sorted), but the whole-graph ``c(a)`` array is computed once
+    and grouped by the interned type codes, instead of once per type.
     """
-    return {
-        attr_type: average_clustering_for_attribute_type(san, attr_type)
-        for attr_type in sorted(san.attributes.attribute_types())
-    }
-
-
-@kernel("average_clustering_by_attribute_type")
-def _average_clustering_by_attribute_type_frozen(san: FrozenSAN) -> Dict[str, float]:
     coefficients = _attribute_clustering_array(san)
     codes = san.attributes.type_codes()
     type_names = san.attributes.type_names()  # already sorted
@@ -313,22 +234,12 @@ def _average_clustering_by_attribute_type_frozen(san: FrozenSAN) -> Dict[str, fl
 
 
 @dispatchable("average_clustering_for_attribute_type")
-def average_clustering_for_attribute_type(san: SANLike, attr_type: str) -> float:
+def average_clustering_for_attribute_type(san: FrozenSAN, attr_type: str) -> float:
     """Average attribute clustering coefficient restricted to one attribute type.
 
     This is the quantity behind Figure 13b (Employer vs School vs Major vs
     City community-forming power).
     """
-    nodes = list(san.attributes.attribute_nodes_of_type(attr_type))
-    if not nodes:
-        return 0.0
-    return sum(node_clustering_coefficient(san, node) for node in nodes) / len(nodes)
-
-
-@kernel("average_clustering_for_attribute_type")
-def _average_clustering_for_attribute_type_frozen(
-    san: FrozenSAN, attr_type: str
-) -> float:
     sparse = scipy_sparse()
     type_names = san.attributes.type_names()
     if attr_type not in type_names:

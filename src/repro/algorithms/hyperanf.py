@@ -12,16 +12,20 @@ read off ``N(d)`` as the (interpolated) 90th-percentile distance, exactly as
 the paper does for Figure 4c.
 
 :func:`neighbourhood_function` dispatches through the :mod:`repro.engine`
-registry: on a frozen graph (:class:`~repro.graph.frozen.FrozenDiGraph`) the
-per-node counters live in one ``(n, 2**precision)`` register matrix, seeded
-once per label through a memoized hash.  Before iterating, the kernel builds
+registry to a kernel on the frozen graph
+(:class:`~repro.graph.frozen.FrozenDiGraph`; a mutable graph is frozen at
+dispatch).  The per-node HyperLogLog counters live in one
+``(n, 2**precision)`` register matrix, seeded once per label through a
+memoized hash.  Before iterating, the kernel builds
 a plan from the CSR out-adjacency: rows grouped by out-degree rounded up to
 a power of two, each group's successor lists padded to that width with a
 sentinel row of zero registers.  Every HyperANF iteration is then one
 ``np.take(registers, padded, axis=0).max(axis=1)`` per group — a dense
 gather and reduce with no Python loop per node or register — and the
 totals come from a lookup-table cardinality.  Registers only ever grow by
-``max``, so they are bit-identical to the portable per-node counters'.
+``max``, so they are bit-identical to per-node
+:class:`~repro.algorithms.hyperloglog.HyperLogLog` counters merged with
+``union_update``.
 
 Recomputing only the rows whose successors changed does not pay: on
 paper-default's final snapshot (3,846 nodes) 3,839, 3,842, 3,842, 3,842,
@@ -35,57 +39,13 @@ from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..engine import dispatchable, kernel
+from ..engine import dispatchable
 from ..graph.digraph import DiGraph
 from ..graph.frozen import FrozenDiGraph
-from .hyperloglog import (
-    HyperLogLog,
-    cardinality_of_register_matrix,
-    register_matrix_for_items,
-)
+from .hyperloglog import cardinality_of_register_matrix, register_matrix_for_items
 
 Node = Hashable
 GraphLike = Union[DiGraph, FrozenDiGraph]
-
-
-@dispatchable("neighbourhood_function")
-def neighbourhood_function(
-    graph: GraphLike,
-    precision: int = 7,
-    max_iterations: int = 64,
-    salt: int = 0,
-) -> List[float]:
-    """Approximate neighbourhood function ``[N(0), N(1), ..., N(D)]``.
-
-    Iteration stops when the total estimate stops growing (within a relative
-    tolerance), which happens once every counter has stabilised.
-    """
-    counters: Dict[Node, HyperLogLog] = {}
-    for node in graph.nodes():
-        counter = HyperLogLog(precision=precision, salt=salt)
-        counter.add(node)
-        counters[node] = counter
-
-    totals: List[float] = [sum(c.cardinality() for c in counters.values())]
-    for _ in range(max_iterations):
-        new_counters: Dict[Node, HyperLogLog] = {}
-        changed_any = False
-        for node in graph.nodes():
-            merged = counters[node].copy()
-            for successor in graph.successors(node):
-                if merged.union_update(counters[successor]):
-                    changed_any = True
-            new_counters[node] = merged
-        counters = new_counters
-        totals.append(sum(c.cardinality() for c in counters.values()))
-        if not changed_any:
-            break
-        # Convergence check on the totals as a secondary stop condition.
-        if len(totals) >= 2 and totals[-2] > 0:
-            relative_growth = (totals[-1] - totals[-2]) / totals[-2]
-            if relative_growth < 1e-4:
-                break
-    return totals
 
 
 def _bucketed_successor_plan(
@@ -115,18 +75,19 @@ def _bucketed_successor_plan(
     return plan
 
 
-@kernel("neighbourhood_function")
-def _neighbourhood_function_frozen(
+@dispatchable("neighbourhood_function")
+def neighbourhood_function(
     graph: FrozenDiGraph,
     precision: int = 7,
     max_iterations: int = 64,
     salt: int = 0,
 ) -> List[float]:
-    """Register-matrix HyperANF: one padded gather-max per degree group.
+    """Approximate neighbourhood function ``[N(0), N(1), ..., N(D)]``.
 
-    Registers are integers updated with ``max``, so the estimates match the
-    portable per-node counters exactly (up to float summation order in the
-    totals).
+    Iteration stops when the total estimate stops growing (within a relative
+    tolerance), which happens once every counter has stabilised.  The
+    counters are one register matrix, each iteration one padded gather-max
+    per degree group (see :func:`_bucketed_successor_plan`).
     """
     seeded = register_matrix_for_items(graph.labels(), precision, salt)
     n = seeded.shape[0]

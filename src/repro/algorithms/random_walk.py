@@ -6,32 +6,31 @@ undirected projection of the social graph, optionally with a degree cap as the
 paper imposes (bound of 100).
 
 The batch entry point :func:`random_walks` dispatches through the
-:mod:`repro.engine` registry: on a frozen graph
-(:class:`~repro.graph.frozen.FrozenDiGraph`) all walks advance together, one
-vectorized step per hop over a (possibly degree-capped) CSR adjacency, with
-a numpy ``Generator`` seeded from the caller's ``random.Random`` stream.
-:func:`capped_undirected_adjacency` likewise carries a frozen kernel that
-slices neighbor lists straight out of the undirected CSR rows.
+:mod:`repro.engine` registry to a kernel on the frozen graph
+(:class:`~repro.graph.frozen.FrozenDiGraph`; a mutable graph is frozen at
+dispatch): all walks advance together, one vectorized step per hop over a
+(possibly degree-capped) CSR adjacency, with a numpy ``Generator`` seeded
+from the caller's ``random.Random`` stream.
+:func:`capped_undirected_adjacency` likewise slices neighbor lists straight
+out of the undirected CSR rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import dispatchable, kernel
-from ..graph.digraph import DiGraph
+from ..engine import dispatchable
 from ..graph.frozen import FrozenDiGraph
 from ..utils.rng import RngLike, ensure_rng
 
 Node = Hashable
-GraphLike = Union[DiGraph, FrozenDiGraph]
 
 
 @dispatchable("capped_undirected_adjacency")
 def capped_undirected_adjacency(
-    graph: GraphLike, degree_cap: Optional[int] = None, rng: RngLike = None
+    graph: FrozenDiGraph, degree_cap: Optional[int] = None, rng: RngLike = None
 ) -> Dict[Node, List[Node]]:
     """Undirected adjacency lists with each node's neighbor list capped.
 
@@ -39,21 +38,8 @@ def capped_undirected_adjacency(
     uniform subset of its neighbors of exactly ``degree_cap`` is retained.  The
     cap is applied per endpoint, so the resulting structure may be asymmetric
     (as in the deployed protocol where each node selects its own edges).
+    Neighbor lists keep the frozen graph's node order.
     """
-    generator = ensure_rng(rng)
-    adjacency: Dict[Node, List[Node]] = {}
-    for node in graph.nodes():
-        neighbors = list(graph.neighbors(node))
-        if degree_cap is not None and len(neighbors) > degree_cap:
-            neighbors = generator.sample(neighbors, degree_cap)
-        adjacency[node] = neighbors
-    return adjacency
-
-
-@kernel("capped_undirected_adjacency")
-def _capped_undirected_adjacency_frozen(
-    graph: FrozenDiGraph, degree_cap: Optional[int] = None, rng: RngLike = None
-) -> Dict[Node, List[Node]]:
     indptr, indices = capped_undirected_csr(graph, degree_cap=degree_cap, rng=rng)
     labels = graph.labels()
     return {
@@ -65,7 +51,7 @@ def _capped_undirected_adjacency_frozen(
 def capped_undirected_csr(
     graph: FrozenDiGraph, degree_cap: Optional[int] = None, rng: RngLike = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Degree-capped undirected CSR of a frozen graph (frozen-kernel helper).
+    """Degree-capped undirected CSR of a frozen graph (kernel helper).
 
     Nodes within the cap keep their CSR row as-is; rows over the cap retain a
     uniform sample of exactly ``degree_cap`` neighbors.  Like the adjacency
@@ -117,27 +103,6 @@ def random_walk(
     return path
 
 
-@dispatchable("random_walks")
-def random_walks(
-    graph: GraphLike,
-    starts: Sequence[Node],
-    length: int,
-    degree_cap: Optional[int] = None,
-    rng: RngLike = None,
-) -> List[List[Node]]:
-    """Batch of random walks over the (optionally capped) undirected projection.
-
-    Returns one visited-node path per start, each including its start node and
-    stopping early at dead ends — the batched counterpart of calling
-    :func:`random_walk` per start on :func:`capped_undirected_adjacency`.  On
-    the frozen backend all walks advance together, one vectorized step per
-    hop.
-    """
-    generator = ensure_rng(rng)
-    adjacency = capped_undirected_adjacency(graph, degree_cap=degree_cap, rng=generator)
-    return [random_walk(adjacency, start, length, rng=generator) for start in starts]
-
-
 def batched_walk_ids(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -180,7 +145,7 @@ def batched_walk_ids(
     return paths
 
 
-#: Walks per RNG chunk of the batched frozen kernel.  Chunk ``i`` draws from
+#: Walks per RNG chunk of the batched kernel.  Chunk ``i`` draws from
 #: ``default_rng([base_seed, i])``, so the chunk size and the per-chunk
 #: streams together fix the paths a given seed produces.
 WALK_CHUNK_SIZE = 2048
@@ -209,14 +174,23 @@ def _chunked_walk_ids(
     return np.concatenate(paths) if len(paths) > 1 else paths[0]
 
 
-@kernel("random_walks")
-def _random_walks_frozen(
+@dispatchable("random_walks")
+def random_walks(
     graph: FrozenDiGraph,
     starts: Sequence[Node],
     length: int,
     degree_cap: Optional[int] = None,
     rng: RngLike = None,
 ) -> List[List[Node]]:
+    """Batch of random walks over the (optionally capped) undirected projection.
+
+    Returns one visited-node path per start, each including its start node and
+    stopping early at dead ends — the batched counterpart of calling
+    :func:`random_walk` per start on :func:`capped_undirected_adjacency`.
+    All walks advance together, one vectorized step per hop, in chunks of
+    :data:`WALK_CHUNK_SIZE` walks with one numpy stream each, seeded from
+    ``rng``.
+    """
     generator = ensure_rng(rng)
     indptr, indices = capped_undirected_csr(graph, degree_cap=degree_cap, rng=generator)
     start_ids = np.fromiter(
@@ -251,7 +225,7 @@ def random_walk_on_san(
     """Convenience wrapper: random walk on a SAN's undirected social projection.
 
     Accepts either SAN backend; the single walk goes through
-    :func:`random_walks` so frozen inputs use the batched kernel.
+    :func:`random_walks` and its batched kernel.
     """
     return random_walks(san.social, [start], length, degree_cap=degree_cap, rng=rng)[0]
 

@@ -12,7 +12,7 @@ from typing import Hashable, Iterable, List, Sequence, TypeVar, Union
 
 import numpy as np
 
-from ..engine import dispatchable, kernel
+from ..engine import dispatchable
 from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
 from ..utils.rng import RngLike, ensure_rng
@@ -34,22 +34,14 @@ def sample_nodes(san: SANLike, count: int, rng: RngLike = None) -> List[Node]:
 
 @dispatchable("sample_social_edges")
 def sample_social_edges(
-    san: SANLike, count: int, rng: RngLike = None
-) -> List[tuple]:
-    """Uniform sample (without replacement) of directed social edges."""
-    generator = ensure_rng(rng)
-    edges = list(san.social_edges())
-    if count >= len(edges):
-        return edges
-    return generator.sample(edges, count)
-
-
-@kernel("sample_social_edges")
-def _sample_social_edges_frozen(
     san: FrozenSAN, count: int, rng: RngLike = None
 ) -> List[tuple]:
-    """Sample edge positions from the CSR edge arrays, never materializing
-    the full edge list."""
+    """Uniform sample (without replacement) of directed social edges.
+
+    Edge positions are drawn with ``rng.sample`` over the CSR edge order, so
+    the full edge list is never materialized; with ``count`` at or above
+    the edge count every edge is returned in that order.
+    """
     generator = ensure_rng(rng)
     num_edges = san.social.number_of_edges()
     sources, targets = san.social.edge_arrays()

@@ -9,15 +9,15 @@ multi-source BFS seeded with every member of the first.
 :func:`bfs_distances`, :func:`attribute_distance`,
 :func:`sample_distance_distribution` and
 :func:`sample_attribute_distance_distribution` dispatch through the
-:mod:`repro.engine` registry.  On a frozen graph
+:mod:`repro.engine` registry to kernels on the frozen graph
 (:class:`~repro.graph.frozen.FrozenDiGraph` or
-:class:`~repro.graph.frozen.FrozenSAN`) the BFS runs as a frontier-array
-sweep over the CSR arrays — each level expands every frontier node's
-successor list in one ``gather_rows`` call — instead of a Python deque loop,
-and the sampled distance histogram accumulates with ``np.bincount``.  The
-sampled attribute distances are bit-parallel: after drawing every pair in
-the portable body's order, the kernel answers 64 pairs per multi-source BFS,
-one bit of a uint64 mask per pair, each level one ``np.bitwise_or.reduceat``
+:class:`~repro.graph.frozen.FrozenSAN`; a mutable graph is frozen at
+dispatch).  The BFS runs as a frontier-array sweep over the CSR arrays —
+each level expands every frontier node's successor list in one
+``gather_rows`` call — and the sampled distance histogram accumulates with
+``np.bincount``.  The sampled attribute distances are bit-parallel: after
+drawing every pair, the kernel answers 64 pairs per multi-source BFS, one
+bit of a uint64 mask per pair, each level one ``np.bitwise_or.reduceat``
 over the in-CSR (after Then et al., "The More the Merrier", VLDB 2014).
 """
 
@@ -28,37 +28,13 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
-from ..engine import dispatchable, kernel
+from ..engine import dispatchable
 from ..graph.digraph import DiGraph
 from ..graph.frozen import FrozenDiGraph, FrozenSAN, gather_rows
-from ..graph.protocol import SANView
 from ..utils.rng import RngLike, ensure_rng
 
 Node = Hashable
 GraphLike = Union[DiGraph, FrozenDiGraph]
-
-
-@dispatchable("bfs_distances")
-def bfs_distances(
-    graph: GraphLike, source: Node, max_depth: Optional[int] = None
-) -> Dict[Node, int]:
-    """Directed BFS distances from ``source`` to every reachable node.
-
-    ``max_depth`` truncates the search, which keeps distance-distribution
-    sampling cheap on large graphs.
-    """
-    distances: Dict[Node, int] = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        depth = distances[node]
-        if max_depth is not None and depth >= max_depth:
-            continue
-        for neighbor in graph.successors(node):
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                frontier.append(neighbor)
-    return distances
 
 
 def frontier_bfs_levels(
@@ -96,10 +72,15 @@ def frontier_bfs_levels(
     return distances
 
 
-@kernel("bfs_distances")
-def _bfs_distances_frozen(
+@dispatchable("bfs_distances")
+def bfs_distances(
     graph: FrozenDiGraph, source: Node, max_depth: Optional[int] = None
 ) -> Dict[Node, int]:
+    """Directed BFS distances from ``source`` to every reachable node.
+
+    ``max_depth`` truncates the search, which keeps distance-distribution
+    sampling cheap on large graphs.
+    """
     indptr, indices = graph.out_csr()
     distances = frontier_bfs_levels(
         indptr, indices, graph.index_of(source), max_depth=max_depth
@@ -147,7 +128,7 @@ def shortest_path_length(graph: GraphLike, source: Node, target: Node) -> Option
 
 @dispatchable("sample_distance_distribution")
 def sample_distance_distribution(
-    graph: GraphLike,
+    graph: FrozenDiGraph,
     num_sources: int = 200,
     rng: RngLike = None,
     max_depth: Optional[int] = None,
@@ -159,30 +140,6 @@ def sample_distance_distribution(
     sample BFS sources uniformly at random, which yields an unbiased estimate
     of the distance histogram restricted to reachable pairs.
     """
-    generator = ensure_rng(rng)
-    nodes = list(graph.nodes())
-    if not nodes:
-        return {}
-    if num_sources >= len(nodes):
-        sources = nodes
-    else:
-        sources = generator.sample(nodes, num_sources)
-    histogram: Dict[int, int] = {}
-    for source in sources:
-        for node, distance in bfs_distances(graph, source, max_depth=max_depth).items():
-            if node == source:
-                continue
-            histogram[distance] = histogram.get(distance, 0) + 1
-    return dict(sorted(histogram.items()))
-
-
-@kernel("sample_distance_distribution")
-def _sample_distance_distribution_frozen(
-    graph: FrozenDiGraph,
-    num_sources: int = 200,
-    rng: RngLike = None,
-    max_depth: Optional[int] = None,
-) -> Dict[int, int]:
     generator = ensure_rng(rng)
     nodes = graph.labels()
     if not nodes:
@@ -244,7 +201,7 @@ def effective_diameter_from_histogram(
 
 @dispatchable("attribute_distance")
 def attribute_distance(
-    san: SANView, attribute_a: Node, attribute_b: Node, max_depth: Optional[int] = None
+    san: FrozenSAN, attribute_a: Node, attribute_b: Node, max_depth: Optional[int] = None
 ) -> Optional[int]:
     """The paper's attribute distance (Section 4.1).
 
@@ -254,35 +211,9 @@ def attribute_distance(
     reachable from any member of ``a`` within ``max_depth`` hops.
 
     The minimum over members is one multi-source BFS seeded with every
-    member of ``a`` that returns at the first level touching a member of
-    ``b``.  On frozen inputs it runs as a frontier-array sweep.
+    member of ``a`` that stops at the first level touching a member of
+    ``b``, run as a frontier-array sweep.
     """
-    members_a = san.attributes.members_of(attribute_a)
-    members_b = san.attributes.members_of(attribute_b)
-    if not members_a or not members_b:
-        return None
-    if not members_a.isdisjoint(members_b):
-        return 1
-    distances: Dict[Node, int] = dict.fromkeys(members_a, 0)
-    frontier = deque(members_a)
-    while frontier:
-        node = frontier.popleft()
-        depth = distances[node]
-        if max_depth is not None and depth >= max_depth:
-            break  # the deque is in level order: every later node is as deep
-        for neighbor in san.social.successors(node):
-            if neighbor not in distances:
-                if neighbor in members_b:
-                    return depth + 2
-                distances[neighbor] = depth + 1
-                frontier.append(neighbor)
-    return None
-
-
-@kernel("attribute_distance")
-def _attribute_distance_frozen(
-    san: FrozenSAN, attribute_a: Node, attribute_b: Node, max_depth: Optional[int] = None
-) -> Optional[int]:
     members_a = san.attributes.member_indices_of(attribute_a)
     members_b = san.attributes.member_indices_of(attribute_b)
     if members_a.size == 0 or members_b.size == 0:
@@ -297,48 +228,24 @@ def _attribute_distance_frozen(
     return int(reached.min()) + 1 if reached.size else None
 
 
-@dispatchable("sample_attribute_distance_distribution")
-def sample_attribute_distance_distribution(
-    san: SANView,
-    num_pairs: int = 100,
-    rng: RngLike = None,
-    max_depth: Optional[int] = None,
-) -> Dict[int, int]:
-    """Histogram of attribute distances over random attribute-node pairs."""
-    generator = ensure_rng(rng)
-    attributes = [
-        node
-        for node in san.attribute_nodes()
-        if san.attribute_social_degree(node) > 0
-    ]
-    if len(attributes) < 2:
-        return {}
-    histogram: Dict[int, int] = {}
-    for _ in range(num_pairs):
-        first, second = generator.sample(attributes, 2)
-        distance = attribute_distance(san, first, second, max_depth=max_depth)
-        if distance is not None:
-            histogram[distance] = histogram.get(distance, 0) + 1
-    return dict(sorted(histogram.items()))
-
-
 #: Attribute pairs answered per bit-parallel sweep: one bit of a uint64 each.
 _PAIRS_PER_SWEEP = 64
 
 
-@kernel("sample_attribute_distance_distribution")
-def _sample_attribute_distance_distribution_frozen(
+@dispatchable("sample_attribute_distance_distribution")
+def sample_attribute_distance_distribution(
     san: FrozenSAN,
     num_pairs: int = 100,
     rng: RngLike = None,
     max_depth: Optional[int] = None,
 ) -> Dict[int, int]:
-    """The same draws, answered 64 pairs per multi-source BFS sweep.
+    """Histogram of attribute distances over random attribute-node pairs.
 
-    All pairs are drawn first, in the portable body's order, so the
-    generator ends in the same state.  Pair ``j`` of a sweep owns bit ``j``
-    of per-node uint64 frontier, visited and target masks; see
-    :func:`_attribute_distances_bit_parallel`.
+    Each pair is two distinct attribute nodes with at least one member, drawn
+    with ``rng.sample`` over those nodes in id order.  All pairs are drawn
+    first, then answered 64 per multi-source BFS sweep: pair ``j`` of a
+    sweep owns bit ``j`` of per-node uint64 frontier, visited and target
+    masks; see :func:`_attribute_distances_bit_parallel`.
     """
     generator = ensure_rng(rng)
     eligible = np.nonzero(san.attributes.social_degree_array() > 0)[0].tolist()

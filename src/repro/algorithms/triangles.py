@@ -6,10 +6,9 @@ edge as a *triadic* closure (the endpoints share a social neighbor), a *focal*
 closure (they share an attribute), both, or neither.
 
 All helpers accept either SAN backend; :func:`count_directed_triangles`
-additionally registers a frozen kernel (via the :mod:`repro.engine`
-registry) that counts every triangle at once as a sparse ``trace(A³)/6`` over
-the undirected CSR, instead of the per-node dict walk used on the mutable
-backend.  :func:`two_hop_sizes` is the array form of
+dispatches through the :mod:`repro.engine` registry to a kernel that counts
+every triangle at once as a sparse ``trace(A³)/6`` over the undirected CSR.
+:func:`two_hop_sizes` is the array form of
 ``len(two_hop_social_neighbors(san, u))`` for many sources at once — sparse
 products over bounded chunks of sources — which the batched Section 5.2
 kernel (:func:`repro.models.triangle_closing.score_closures`) uses for the
@@ -23,7 +22,7 @@ from typing import Hashable, Iterable, Set, Tuple, Union
 
 import numpy as np
 
-from ..engine import dispatchable, kernel
+from ..engine import dispatchable
 from ..engine.deps import scipy_sparse
 from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
@@ -186,29 +185,14 @@ def classify_closures(
 
 
 @dispatchable("count_directed_triangles")
-def count_directed_triangles(san: SANLike) -> int:
+def count_directed_triangles(san: FrozenSAN) -> int:
     """Number of (unordered) connected triples forming a triangle in the
     undirected projection of the social layer.
 
-    Used by tests as an independent cross-check of the clustering machinery.
+    Counted as ``trace(A^3) / 6 = sum((A @ A) ⊙ A) / 6`` over the sparse
+    undirected adjacency ``A``.  Used by tests as an independent
+    cross-check of the clustering machinery.
     """
-    adjacency = san.social.to_undirected_adjacency()
-    count = 0
-    for node, neighbors in adjacency.items():
-        for first in neighbors:
-            if first <= node if _comparable(first, node) else repr(first) <= repr(node):
-                continue
-            for second in neighbors:
-                if not _ordered(first, second):
-                    continue
-                if second in adjacency[first]:
-                    count += 1
-    return count
-
-
-@kernel("count_directed_triangles")
-def _count_triangles_frozen_sparse(san: FrozenSAN) -> int:
-    """Sparse triangle count: ``trace(A^3) / 6 = sum((A @ A) ⊙ A) / 6``."""
     sparse = scipy_sparse()
     indptr, indices = san.social.undirected_csr()
     n = san.social.number_of_nodes()
@@ -217,17 +201,3 @@ def _count_triangles_frozen_sparse(san: FrozenSAN) -> int:
     )
     closed_wedges = (adjacency @ adjacency).multiply(adjacency).sum()
     return int(closed_wedges) // 6
-
-
-def _comparable(first, second) -> bool:
-    try:
-        first < second  # noqa: B015 - probing comparability only
-        return True
-    except TypeError:
-        return False
-
-
-def _ordered(first, second) -> bool:
-    if _comparable(first, second):
-        return first < second
-    return repr(first) < repr(second)

@@ -16,13 +16,8 @@ from typing import Hashable, List, Sequence, Set, Union
 
 import numpy as np
 
-from ..algorithms.random_walk import (
-    batched_walk_ids,
-    capped_undirected_adjacency,
-    capped_undirected_csr,
-    random_walk,
-)
-from ..engine import dispatchable, kernel
+from ..algorithms.random_walk import batched_walk_ids, capped_undirected_csr
+from ..engine import dispatchable
 from ..graph.frozen import FrozenSAN, sorted_membership
 from ..graph.san import SAN
 from ..utils.rng import RngLike, ensure_rng
@@ -50,49 +45,19 @@ class AnonymityResult:
 
 @dispatchable("anonymity.end_to_end_attack_probability")
 def end_to_end_attack_probability(
-    san: SANLike,
+    san: FrozenSAN,
     compromised: Set[Node],
     params: AnonymityParameters = AnonymityParameters(),
     rng: RngLike = None,
 ) -> float:
     """Monte-Carlo probability that a circuit's first and last relays are compromised.
 
-    Circuits are built by a random walk of ``circuit_length`` hops starting at
-    a uniformly random honest initiator; the first relay is the first hop and
-    the last relay the final hop of the walk.
+    Circuits are built by a random walk of ``circuit_length`` hops over the
+    degree-capped topology, starting at a uniformly random honest
+    initiator; the first relay is the first hop and the last relay the
+    final hop of the walk.  Circuits that reach a dead end are not built
+    and do not count.  All circuits advance together as one batched walk.
     """
-    generator = ensure_rng(rng)
-    adjacency = capped_undirected_adjacency(
-        san.social, degree_cap=params.degree_bound, rng=generator
-    )
-    nodes = [node for node in adjacency if node not in compromised]
-    if not nodes:
-        return 0.0
-    attacks = 0
-    built = 0
-    for _ in range(params.num_circuits):
-        initiator = nodes[generator.randrange(len(nodes))]
-        path = random_walk(adjacency, initiator, params.circuit_length, rng=generator)
-        if len(path) < params.circuit_length + 1:
-            continue
-        built += 1
-        first_relay = path[1]
-        last_relay = path[-1]
-        if first_relay in compromised and last_relay in compromised:
-            attacks += 1
-    if built == 0:
-        return 0.0
-    return attacks / built
-
-
-@kernel("anonymity.end_to_end_attack_probability")
-def _end_to_end_attack_probability_frozen(
-    san: FrozenSAN,
-    compromised: Set[Node],
-    params: AnonymityParameters = AnonymityParameters(),
-    rng: RngLike = None,
-) -> float:
-    """All Monte-Carlo circuits advance together as one batched walk."""
     generator = ensure_rng(rng)
     indptr, indices = capped_undirected_csr(
         san.social, degree_cap=params.degree_bound, rng=generator

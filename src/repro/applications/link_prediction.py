@@ -14,12 +14,13 @@ that claim can be demonstrated end-to-end:
   prediction tasks built from two snapshots.
 
 All feature extraction is *batched* and dispatches through the
-:mod:`repro.engine` registry: :func:`pair_features_batch`,
+:mod:`repro.engine` registry to kernels on the frozen SAN (a mutable SAN is
+frozen at dispatch): :func:`pair_features_batch`,
 :func:`common_neighbor_counts` and :func:`adamic_adar_scores` accept a list
-of candidate pairs.  On a frozen SAN the common-neighbor and Adamic-Adar
-scores of a large batch come from memoized scipy sparse products (``A @ A``
-and ``A @ diag(1/log deg) @ A`` indexed at the pair positions), and those of
-a small batch from sorted CSR-row intersections, unless the products are
+of candidate pairs.  The common-neighbor and Adamic-Adar scores of a large
+batch come from memoized scipy sparse products (``A @ A`` and
+``A @ diag(1/log deg) @ A`` indexed at the pair positions), and those of a
+small batch from sorted CSR-row intersections, unless the products are
 already built; degrees and reverse-link membership tests are plain array
 lookups.  The dataset builders accept either backend and feed every
 candidate pair through the batched path.
@@ -33,7 +34,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..engine import dispatchable, kernel
+from ..engine import dispatchable
 from ..engine.deps import scipy_sparse
 from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
@@ -82,20 +83,6 @@ def pair_features(san: SANLike, source: Node, target: Node) -> Dict[str, float]:
         "common_attributes": float(len(common_attrs)),
         "common_employer_or_school": float(strong_common),
     }
-
-
-@dispatchable("link_prediction.pair_features_batch")
-def pair_features_batch(
-    san: SANLike, pairs: Sequence[Pair]
-) -> List[Dict[str, float]]:
-    """Feature dictionaries for a batch of candidate pairs.
-
-    Equivalent to ``[pair_features(san, s, t) for s, t in pairs]``; the frozen
-    kernel computes every feature column vectorized (sparse matmuls for the
-    neighborhood scores, array indexing for the degree features) before
-    assembling the per-pair dictionaries.
-    """
-    return [pair_features(san, source, target) for source, target in pairs]
 
 
 def _pair_id_arrays(san: FrozenSAN, pairs: Sequence[Pair]):
@@ -181,10 +168,17 @@ def _pairwise_row_intersections(
     return counts, sums
 
 
-@kernel("link_prediction.pair_features_batch")
-def _pair_features_batch_frozen(
+@dispatchable("link_prediction.pair_features_batch")
+def pair_features_batch(
     san: FrozenSAN, pairs: Sequence[Pair]
 ) -> List[Dict[str, float]]:
+    """Feature dictionaries for a batch of candidate pairs.
+
+    Equivalent to ``[pair_features(san, s, t) for s, t in pairs]``; every
+    feature column is computed vectorized (sparse matmuls for the
+    neighborhood scores, array indexing for the degree features) before
+    assembling the per-pair dictionaries.
+    """
     if not pairs:
         return []
     sources, targets = _pair_id_arrays(san, pairs)
@@ -290,15 +284,8 @@ def _neighborhood_scores(
 
 
 @dispatchable("link_prediction.common_neighbor_counts")
-def common_neighbor_counts(san: SANLike, pairs: Sequence[Pair]) -> List[int]:
+def common_neighbor_counts(san: FrozenSAN, pairs: Sequence[Pair]) -> List[int]:
     """Number of shared (undirected) social neighbors per candidate pair."""
-    return [
-        len(san.common_social_neighbors(source, target)) for source, target in pairs
-    ]
-
-
-@kernel("link_prediction.common_neighbor_counts")
-def _common_neighbor_counts_frozen(san: FrozenSAN, pairs: Sequence[Pair]) -> List[int]:
     if not pairs:
         return []
     sources, targets = _pair_id_arrays(san, pairs)
@@ -307,69 +294,13 @@ def _common_neighbor_counts_frozen(san: FrozenSAN, pairs: Sequence[Pair]) -> Lis
 
 
 @dispatchable("link_prediction.adamic_adar_scores")
-def adamic_adar_scores(san: SANLike, pairs: Sequence[Pair]) -> List[float]:
+def adamic_adar_scores(san: FrozenSAN, pairs: Sequence[Pair]) -> List[float]:
     """Adamic-Adar score (sum of ``1/log deg`` over shared neighbors) per pair."""
-    scores: List[float] = []
-    for source, target in pairs:
-        score = 0.0
-        for neighbor in san.common_social_neighbors(source, target):
-            degree = len(san.social.neighbors(neighbor))
-            if degree > 1:
-                score += 1.0 / math.log(degree)
-        scores.append(score)
-    return scores
-
-
-@kernel("link_prediction.adamic_adar_scores")
-def _adamic_adar_scores_frozen(san: FrozenSAN, pairs: Sequence[Pair]) -> List[float]:
     if not pairs:
         return []
     sources, targets = _pair_id_arrays(san, pairs)
     _, adamic = _neighborhood_scores(san, sources, targets, need_counts=False)
     return [float(score) for score in adamic]
-
-
-@dispatchable("link_prediction.rank_candidate_pairs")
-def rank_candidate_pairs(
-    san: SANLike, top_k: int = 100, metric: str = "common_neighbors"
-) -> List[Tuple[Node, Node, float]]:
-    """Top-k non-linked 2-hop pairs ranked by a neighborhood score.
-
-    The whole-graph candidate-generation step of link prediction: every
-    unordered pair of distinct social nodes sharing at least one undirected
-    neighbor but no direct link is scored by ``metric`` —
-    ``"common_neighbors"`` (shared-neighbor count) or ``"adamic_adar"``
-    (``sum 1/log deg`` over shared neighbors) — and the ``top_k`` pairs are
-    returned as ``(source, target, score)``, score-descending with ties
-    broken by node insertion order.  On a frozen SAN this is the
-    sparse-matmul workload the CSR backend exists for: one memoized
-    ``A @ A`` (or ``A @ diag(w) @ A``) product scores every candidate at
-    once, where the portable implementation walks each wedge in Python.
-    """
-    _require_metric(metric)
-    order = {node: position for position, node in enumerate(san.social_nodes())}
-    labels = list(order)
-    neighbor_sets = {node: san.social.neighbors(node) for node in labels}
-    scores: Dict[Tuple[int, int], float] = {}
-    for center, neighbors in neighbor_sets.items():
-        degree = len(neighbors)
-        if degree < 2:
-            continue
-        weight = 1.0 if metric == "common_neighbors" else (
-            1.0 / math.log(degree) if degree > 1 else 0.0
-        )
-        ranked = sorted(neighbors, key=order.__getitem__)
-        for left_position, left in enumerate(ranked):
-            left_neighbors = neighbor_sets[left]
-            for right in ranked[left_position + 1 :]:
-                if right in left_neighbors:
-                    continue  # already linked
-                key = (order[left], order[right])
-                scores[key] = scores.get(key, 0.0) + weight
-    ranked_pairs = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return [
-        (labels[i], labels[j], score) for (i, j), score in ranked_pairs[:top_k]
-    ]
 
 
 def _require_metric(metric: str) -> None:
@@ -379,10 +310,22 @@ def _require_metric(metric: str) -> None:
         )
 
 
-@kernel("link_prediction.rank_candidate_pairs")
-def _rank_candidate_pairs_frozen(
+@dispatchable("link_prediction.rank_candidate_pairs")
+def rank_candidate_pairs(
     san: FrozenSAN, top_k: int = 100, metric: str = "common_neighbors"
 ) -> List[Tuple[Node, Node, float]]:
+    """Top-k non-linked 2-hop pairs ranked by a neighborhood score.
+
+    The whole-graph candidate-generation step of link prediction: every
+    unordered pair of distinct social nodes sharing at least one undirected
+    neighbor but no direct link is scored by ``metric`` —
+    ``"common_neighbors"`` (shared-neighbor count) or ``"adamic_adar"``
+    (``sum 1/log deg`` over shared neighbors) — and the ``top_k`` pairs are
+    returned as ``(source, target, score)``, score-descending with ties
+    broken by node insertion order.  This is the sparse-matmul workload the
+    CSR backend exists for: one memoized ``A @ A`` (or ``A @ diag(w) @ A``)
+    product scores every candidate at once.
+    """
     _require_metric(metric)
     sparse = scipy_sparse()
     if metric == "common_neighbors":

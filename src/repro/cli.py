@@ -31,11 +31,11 @@ Ten subcommands cover the common workflows without writing any Python:
   inspects existing columnar files (``--info``).
 * ``lint``      — the invariant regression gate: run the AST-based rule
   catalog (seeded RNG, scipy containment, registry dispatch,
-  content-derived caches, registry coherence, cache-token soundness,
-  seed-stream discipline, storage hygiene) over the library source and
+  content-derived caches, cache-token soundness, seed-stream discipline,
+  storage hygiene) over the library source and
   fail on any unsuppressed finding.  The runtime counterpart is
   ``pipeline --sanitize`` (or ``REPRO_SANITIZE=1`` around any entry
-  point), which checks backend parity, NaN/Inf outputs, and artifact
+  point), which checks NaN/Inf outputs, CSR content and artifact
   integrity on the live run.
 
 Examples
@@ -240,10 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize",
         action="store_true",
         help="arm the runtime sanitizer (REPRO_SANITIZE=1) for this run: "
-        "dispatch-time backend-parity re-execution, read-only worker "
-        "views, NaN/Inf screening, and artifact integrity re-hashing; "
-        "roughly doubles kernel time and writes sanitizer_report.json "
-        "next to the manifest when --out is set",
+        "NaN/Inf screening of every kernel output, CSR content checks on "
+        "columnar opens, and artifact integrity re-hashing; writes "
+        "sanitizer_report.json next to the manifest when --out is set",
     )
     pipeline.add_argument(
         "--list",
@@ -560,11 +559,8 @@ def _command_pipeline(args: argparse.Namespace) -> int:
         from . import sanitize
 
         report = sanitize.report()
-        parity = report["parity"]
         print(
-            f"sanitizer: {parity['checked']} parity check(s), "
-            f"{sum(parity['skipped'].values())} skipped, "
-            f"{len(parity['divergences'])} divergence(s); "
+            f"sanitizer: {report['nonfinite']['checked']} output(s) screened; "
             f"{report['artifacts']['verified']} artifact(s) verified"
         )
         if result.out_dir is not None:

@@ -1,12 +1,11 @@
-"""Backend-dispatch engine: one kernel per (operation, backend).
+"""Dispatch engine: one vectorised kernel per operation.
 
 The engine is the only place in the library that inspects a graph's backend.
-Metric and algorithm modules declare a portable implementation with
-:func:`dispatchable` and attach a vectorized frozen kernel with
-:func:`kernel`; callers keep calling plain functions.  A frozen graph runs
-its frozen kernel, or the portable body when there is none; a mutable graph
-runs the portable body.  See :mod:`repro.engine.registry` for the dispatch
-rules and :mod:`repro.engine.deps` for the lazy scipy import point.
+Metric and algorithm modules declare each operation's kernel with
+:func:`dispatchable`; callers keep calling plain functions.  The kernel runs
+on the frozen CSR backend: a frozen graph goes straight to it, and a mutable
+graph is frozen once first.  See :mod:`repro.engine.registry` for the
+dispatch rules and :mod:`repro.engine.deps` for the lazy scipy import point.
 """
 
 from . import deps
@@ -16,14 +15,12 @@ from .registry import (
     DuplicateKernelError,
     EngineError,
     Kernel,
-    NoKernelError,
+    UnfreezableGraphError,
     UnknownOperationError,
     backend_of,
     dispatch,
     dispatchable,
     frozen_view,
-    kernel,
-    kernels_for,
     list_ops,
     register,
     resolve,
@@ -35,15 +32,13 @@ __all__ = [
     "DuplicateKernelError",
     "EngineError",
     "Kernel",
-    "NoKernelError",
+    "UnfreezableGraphError",
     "UnknownOperationError",
     "backend_of",
     "deps",
     "dispatch",
     "dispatchable",
     "frozen_view",
-    "kernel",
-    "kernels_for",
     "list_ops",
     "register",
     "resolve",

@@ -29,8 +29,8 @@ def scipy_csgraph() -> ModuleType:
 
 
 #: Environment variable that arms the runtime sanitizer
-#: (:mod:`repro.sanitize`): backend-parity re-execution at dispatch time,
-#: NaN/Inf screening, artifact integrity re-hashing.
+#: (:mod:`repro.sanitize`): NaN/Inf screening of kernel outputs, CSR content
+#: checks on columnar opens, artifact integrity re-hashing.
 #: Defined here (not in ``repro.sanitize``) so the engine and artifact layers
 #: can probe it without importing the sanitizer.
 SANITIZE_ENV_VAR = "REPRO_SANITIZE"

@@ -1,38 +1,37 @@
-"""Backend-dispatch engine: a kernel registry keyed by (operation, backend).
+"""Dispatch engine: one vectorised kernel per operation.
 
 Metric and algorithm modules never inspect a graph's backend themselves;
-they register implementations here instead:
+they register their kernels here instead:
 
 * an *operation* is a named measurement/algorithm entry point whose first
   positional argument is the graph (``"social_knn"``,
   ``"weakly_connected_components"``, ``"random_walks"``, ...);
-* a *kernel* is the one implementation of an operation for one backend,
-  registered with the :func:`kernel` decorator.  A second, different
-  function for an occupied (operation, backend) slot raises
+* its *kernel* is the one implementation, written against the CSR arrays of
+  the frozen backend and registered with :func:`dispatchable`.  A second,
+  different function for an occupied operation raises
   :class:`DuplicateKernelError`;
-* :func:`dispatch` looks up the kernel of the input graph's backend and
-  calls it.  A frozen graph with no frozen kernel runs the portable
-  (mutable-backend) implementation, which every frozen graph can run because
-  it satisfies the read-only :class:`~repro.graph.protocol.SANView` /
-  ``DiGraphView`` surface.  A mutable graph always runs the portable body.
+* :func:`dispatch` runs the kernel.  A frozen input goes straight to it; a
+  mutable ``SAN`` or ``DiGraph`` is frozen once first, through the cached
+  :func:`frozen_view`, so both backends give the same answer by
+  construction.  Independent oracles (networkx, closed forms, brute-force
+  counters in ``tests/test_oracle_*.py``) check the kernels.
 
-Public entry points keep their normal Python signatures via
-:func:`dispatchable`, which registers the decorated function as the portable
-kernel and replaces it with a thin wrapper that calls :func:`dispatch`:
+Public entry points keep their normal Python signatures: the decorated
+kernel *is* the public function, replaced by a thin wrapper that calls
+:func:`dispatch` and keeps its name, signature and docstring:
 
 >>> from repro.graph import san_from_edge_lists
 >>> san = san_from_edge_lists([(1, 2), (2, 1)])
 >>> from repro.metrics.reciprocity import reciprocal_edge_count
 >>> reciprocal_edge_count(san) == reciprocal_edge_count(san.freeze())
 True
->>> resolve("reciprocal_edge_count", san.freeze()).backend
+>>> resolve("reciprocal_edge_count").backend
 'frozen'
->>> resolve("reciprocal_edge_count", san).backend
-'mutable'
 
-Callers that want the frozen kernels freeze explicitly, once, up front (see
-``repro.metrics.summary.frozen_san_report`` and the ``python -m repro
-report`` subcommand); :func:`frozen_view` caches that freeze per graph state.
+Callers that dispatch many operations on one mutable graph may freeze it
+once up front (see ``repro.metrics.summary.frozen_san_report``); the cache
+in :func:`frozen_view` makes repeated dispatches on an unchanged graph
+freeze it only once either way.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..graph.frozen import FrozenBipartiteAttributeGraph, FrozenDiGraph, FrozenSAN
 from . import deps
 
-#: Canonical backend names.
+#: Canonical backend names: every kernel runs on ``FROZEN`` inputs.
 MUTABLE = "mutable"
 FROZEN = "frozen"
 
@@ -61,32 +60,31 @@ class UnknownOperationError(EngineError, KeyError):
     """No kernel has been registered under the requested operation name."""
 
 
-class NoKernelError(EngineError, LookupError):
-    """The operation exists but no kernel is available for the input backend."""
+class UnfreezableGraphError(EngineError, TypeError):
+    """The input graph is neither frozen nor has a ``freeze()`` method."""
 
 
 class DuplicateKernelError(EngineError, ValueError):
-    """A second function was registered for an occupied (operation, backend).
+    """A second function was registered for an occupied operation.
 
-    Each (operation, backend) holds exactly one kernel, so a second
-    registration would silently replace the first, and which one ran would
-    depend on import order.  Raised at import time so the collision is named
-    where it happens.  Registering the *same* function object again is a
-    no-op.
+    Each operation holds exactly one kernel, so a second registration would
+    silently replace the first, and which one ran would depend on import
+    order.  Raised at import time so the collision is named where it
+    happens.  Registering the *same* function object again is a no-op.
     """
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """The implementation of an operation on one backend."""
+    """The implementation of an operation (it runs on the frozen backend)."""
 
     op: str
-    backend: str
     fn: Callable[..., Any]
+    backend: str = FROZEN
 
 
-#: op -> backend -> kernel.
-_registry: Dict[str, Dict[str, Kernel]] = {}
+#: op -> kernel.
+_registry: Dict[str, Kernel] = {}
 
 
 def _describe(fn: Callable[..., Any]) -> str:
@@ -95,52 +93,39 @@ def _describe(fn: Callable[..., Any]) -> str:
     return f"{module}.{qualname}"
 
 
-def register(op: str, fn: Callable[..., Any], backend: str = FROZEN) -> Kernel:
-    """Register ``fn`` as the ``(op, backend)`` kernel (functional :func:`kernel`).
+def register(op: str, fn: Callable[..., Any]) -> Kernel:
+    """Register ``fn`` as the kernel of ``op`` (functional :func:`dispatchable`).
 
     Raises :class:`DuplicateKernelError` when a *different* function already
-    holds the slot.  Registering the same function object again returns the
-    existing entry.
+    holds the operation.  Registering the same function object again returns
+    the existing entry.
     """
-    backends = _registry.setdefault(op, {})
-    existing = backends.get(backend)
+    existing = _registry.get(op)
     if existing is not None:
         if existing.fn is fn:
             return existing
         raise DuplicateKernelError(
-            f"duplicate kernel registration for operation {op!r} on backend "
-            f"{backend!r}: {_describe(existing.fn)} is already registered and "
+            f"duplicate kernel registration for operation {op!r}: "
+            f"{_describe(existing.fn)} is already registered and "
             f"{_describe(fn)} would replace it"
         )
-    entry = Kernel(op=op, backend=backend, fn=fn)
-    backends[backend] = entry
+    entry = Kernel(op=op, fn=fn)
+    _registry[op] = entry
     return entry
 
 
-def kernel(
-    op: str, backend: str = FROZEN
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Decorator: register the function as the ``(op, backend)`` kernel."""
-
-    def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
-        register(op, fn, backend=backend)
-        return fn
-
-    return decorator
-
-
 def dispatchable(op: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Decorator for public entry points: portable kernel + dispatch wrapper.
+    """Decorator for public entry points: register the kernel, return a dispatcher.
 
-    The decorated function *is* the portable (mutable-backend) implementation;
-    it is registered under ``backend="mutable"`` and replaced by a wrapper
-    that routes every call through :func:`dispatch`.  The wrapper keeps the
-    original name, signature and docstring, and exposes the operation name as
-    ``wrapper.op`` plus the portable body as ``wrapper.__wrapped__``.
+    The decorated function is the operation's kernel; it receives the graph
+    frozen.  It is registered under ``op`` and replaced by a wrapper that
+    routes every call through :func:`dispatch`.  The wrapper keeps the
+    kernel's name, signature and docstring, and exposes the operation name
+    as ``wrapper.op`` and the kernel as ``wrapper.__wrapped__``.
     """
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
-        register(op, fn, backend=MUTABLE)
+        register(op, fn)
         graph_parameter = next(iter(inspect.signature(fn).parameters))
 
         @functools.wraps(fn)
@@ -166,43 +151,23 @@ def backend_of(graph: Any) -> str:
     return FROZEN if isinstance(graph, _FROZEN_TYPES) else MUTABLE
 
 
-def kernels_for(op: str) -> List[Kernel]:
-    """Every registered kernel of ``op``, one per backend."""
-    try:
-        return list(_registry[op].values())
-    except KeyError:
-        raise UnknownOperationError(op) from None
-
-
 def list_ops() -> List[str]:
     """Sorted names of every registered operation."""
     return sorted(_registry)
 
 
-def resolve(op: str, graph: Any) -> Kernel:
-    """The kernel :func:`dispatch` would run for ``graph`` (without running it).
-
-    The kernel of the graph's own backend; for a frozen input without one,
-    the portable mutable kernel, which runs unchanged on the frozen
-    read-only API.
-    """
+def resolve(op: str) -> Kernel:
+    """The kernel :func:`dispatch` runs for ``op`` (without running it)."""
     try:
-        backends = _registry[op]
+        return _registry[op]
     except KeyError:
         raise UnknownOperationError(op) from None
-    backend = backend_of(graph)
-    entry = backends.get(backend)
-    if entry is None and backend == FROZEN:
-        entry = backends.get(MUTABLE)
-    if entry is None:
-        raise NoKernelError(f"no kernel for operation {op!r} on backend {backend!r}")
-    return entry
 
 
 #: Freeze cache: mutable graph -> (version at freeze time, frozen view).
 #: Weakly keyed so caching never extends a graph's lifetime; validated by the
-#: graph's mutation counter, so a stale frozen view is never served.
-_frozen_views: "weakref.WeakKeyDictionary[Any, Tuple[int, Any]]" = (
+#: graph's version stamp, so a stale frozen view is never served.
+_frozen_views: "weakref.WeakKeyDictionary[Any, Tuple[Any, Any]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -238,13 +203,13 @@ def frozen_view(graph: Any) -> Optional[Any]:
 
 
 def _run(entry: Kernel, graph: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Any:
-    """Invoke a resolved kernel, detouring through the sanitizer when armed.
+    """Invoke a kernel, detouring through the sanitizer when armed.
 
     ``REPRO_SANITIZE=1`` routes the call through
-    :func:`repro.sanitize.checked_dispatch`, which also runs the portable
-    body on the same inputs and asserts parity (see the module docstring of
-    :mod:`repro.sanitize`).  The import is deferred: the sanitizer is never
-    loaded — and costs one env lookup per dispatch — unless armed.
+    :func:`repro.sanitize.checked_dispatch`, which screens the result for
+    NaN/Inf (see the module docstring of :mod:`repro.sanitize`).  The import
+    is deferred: the sanitizer is never loaded — and costs one env lookup
+    per dispatch — unless armed.
     """
     if deps.sanitize_enabled():
         from .. import sanitize
@@ -254,9 +219,17 @@ def _run(entry: Kernel, graph: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any
 
 
 def dispatch(op: str, graph: Any, *args: Any, **kwargs: Any) -> Any:
-    """Run the kernel :func:`resolve` picks for ``op`` on ``graph``.
+    """Run the kernel of ``op`` on ``graph``, frozen first if it is mutable.
 
     The graph is always passed to the kernel as the first positional
     argument; remaining arguments are forwarded untouched.
     """
-    return _run(resolve(op, graph), graph, args, kwargs)
+    if not isinstance(graph, _FROZEN_TYPES):
+        frozen = frozen_view(graph)
+        if frozen is None:
+            raise UnfreezableGraphError(
+                f"operation {op!r} needs a frozen graph or one with freeze(); "
+                f"got {type(graph).__name__}"
+            )
+        graph = frozen
+    return _run(resolve(op), graph, args, kwargs)

@@ -233,11 +233,12 @@ class DiscreteLognormal:
         return self._log_weights_from_logs(np.log(values))
 
     def _support_end(self) -> int:
-        """The last support point: ``e^(mu + 8 sigma)``, clamped to ``[1000, 10^6]``."""
+        """The last support point: ``e^(mu + 8 sigma)``, clamped to ``xmin - 1 + [1000, 10^6]``."""
         top = self.mu + 8 * self.sigma
-        if top >= math.log(DEFAULT_SUPPORT_MAX):
-            return DEFAULT_SUPPORT_MAX
-        return max(1000, int(math.exp(top)))
+        last = self.xmin - 1 + DEFAULT_SUPPORT_MAX
+        if top >= math.log(last):
+            return last
+        return max(self.xmin + 999, int(math.exp(top)))
 
     def _moments(self, center: float = 0.0, order: int = 0) -> Moments:
         """``(log Z, [E (ln k - center)^j for j = 1..order])`` in one pass.
@@ -381,8 +382,8 @@ class PowerLawWithCutoff:
     def _moments(self, statistics: bool = False) -> Moments:
         """``(log Z, [E ln k, E k, E (ln k)^2, E k ln k, E k^2])`` in one pass.
 
-        The support ends where e^(-lambda k) has fallen by e^-20, clamped to
-        [1000, DEFAULT_SUPPORT_MAX].  Its first EXACT_HEAD points are summed
+        The support ends where e^(-lambda k) has fallen by e^-20 from xmin,
+        that fall clamped to [1000, DEFAULT_SUPPORT_MAX] points.  Its first EXACT_HEAD points are summed
         term by term; the rest is Euler-Maclaurin, with the integrals taken
         over ``t = ln k`` by :data:`_QUADRATURE`.  A tail exists only for
         lambda < 20 / EXACT_HEAD, where the log weight's slope alpha / k +
@@ -390,8 +391,8 @@ class PowerLawWithCutoff:
         slope^3 / 720 of f(first) <= head / 2048, is below 1e-11 of the sum.
         Without a cutoff (lambda = 0) the support is summed whole.
         """
-        cutoff = max(1000, int(20 / max(self.cutoff_rate, 1e-6)))
-        cutoff = min(cutoff, DEFAULT_SUPPORT_MAX)
+        fall = min(max(1000, int(20 / max(self.cutoff_rate, 1e-6))), DEFAULT_SUPPORT_MAX)
+        cutoff = self.xmin - 1 + fall
         split = min(cutoff, self.xmin + EXACT_HEAD - 1)
         if self.cutoff_rate <= 0:
             split = cutoff

@@ -17,8 +17,14 @@ solver returns the optimum over a documented box of parameters:
 
 * power law: ``1.01 <= alpha <= 6``;
 * lognormal: ``|mu - m| <= 4.5`` around the sample mean ``m`` of ``ln k``,
-  and ``sigma >= 0.05``;
-* power law with cutoff: ``alpha >= 0.05`` and ``lambda >= 1e-7``.
+  and ``0.05 <= sigma <= 10``;
+* power law with cutoff: ``0.05 <= alpha <= 20`` and
+  ``1e-7 <= lambda <= 20``.
+
+A sample whose likelihood keeps growing towards infinity (all values at
+xmin, or two values decades apart) ends on the box's far edge.  The upper
+edges lie well above every fit of the keyed scenario presets (at most
+alpha 2.10, lambda 0.68 and sigma 2.74 at ``BENCH_SEED``).
 
 The exponential family needs no search: its maximum is the closed-form
 geometric estimate.
@@ -44,10 +50,15 @@ from .distributions import (
 ALPHA_RANGE = (1.01, 6.0)
 #: The lognormal's box: mu within this of the sample mean of ln k ...
 MU_REACH = 4.5
-#: ... and sigma at least this.
+#: ... and sigma at least this ...
 SIGMA_MIN = 0.05
-#: The cutoff's lower bounds on alpha and lambda.
+#: ... and at most this (``ln k`` of a degree spans at most about 14).
+SIGMA_MAX = 10.0
+#: The cutoff's lower bounds on alpha and lambda ...
 CUTOFF_MIN = (0.05, 1e-7)
+#: ... and its upper bounds: the cutoff's tail sum assumes alpha <= 20, and
+#: past lambda = 20 all but e^-20 of the mass sits on xmin.
+CUTOFF_MAX = (20.0, 20.0)
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,8 @@ def fit_lognormal(values: Sequence[int], xmin: int = 1) -> FitResult:
     natural parameters ``theta_1 = (mu - m) / sigma^2`` and ``theta_2 = -1 /
     (2 sigma^2)``, and the likelihood depends on the sample only through n,
     the sum of ``ln k`` and the spread of ``ln k`` about ``m``.  The box
-    ``sigma >= 0.05``, ``|mu - m| <= 4.5`` is three half-planes in theta.
+    ``0.05 <= sigma <= 10``, ``|mu - m| <= 4.5`` is four half-planes in
+    theta.
     The search starts at the moments of ``ln k``.
     """
     data = _clean(values, xmin)
@@ -144,12 +156,12 @@ def fit_lognormal(values: Sequence[int], xmin: int = 1) -> FitResult:
         hessian = ((count * (m2 - m1 * m1), covariance), (covariance, count * (m4 - m2 * m2)))
         return value, gradient, hessian
 
-    sigma = max(float(np.std(logs)), SIGMA_MIN)
+    sigma = min(max(float(np.std(logs)), SIGMA_MIN), SIGMA_MAX)
     (linear, quadratic), value = _newton(
         evaluate,
         (0.0, -0.5 / sigma ** 2),
-        ((0.0, -1.0), (1.0, 2 * MU_REACH), (-1.0, 2 * MU_REACH)),
-        (0.5 / SIGMA_MIN ** 2, 0.0, 0.0),
+        ((0.0, -1.0), (0.0, 1.0), (1.0, 2 * MU_REACH), (-1.0, 2 * MU_REACH)),
+        (0.5 / SIGMA_MIN ** 2, -0.5 / SIGMA_MAX ** 2, 0.0, 0.0),
     )
     variance = -0.5 / quadratic
     distribution = DiscreteLognormal(
@@ -168,7 +180,7 @@ def fit_power_law_with_cutoff(values: Sequence[int], xmin: int = 1) -> FitResult
     ``lambda = 0``, where the support's far end dominates the curvature and
     each step gains only a factor of about e in lambda.  The pure power law
     is the edge ``lambda = 1e-7`` of the box, so the fit is never worse than
-    it.
+    it; the box's far edges are :data:`CUTOFF_MAX`.
     """
     data = _clean(values, xmin)
     count = data.size
@@ -186,12 +198,17 @@ def fit_power_law_with_cutoff(values: Sequence[int], xmin: int = 1) -> FitResult
         hessian = ((count * (tt - t * t), covariance), (covariance, count * (kk - k * k)))
         return value, (log_sum - count * t, value_sum - count * k), hessian
 
-    start = (max(_csn_exponent(data, xmin), CUTOFF_MIN[0]), max(1.0 / data.max(), CUTOFF_MIN[1]))
+    start = tuple(
+        min(max(guess, low), high)
+        for guess, low, high in zip(
+            (_csn_exponent(data, xmin), 1.0 / data.max()), CUTOFF_MIN, CUTOFF_MAX
+        )
+    )
     (alpha, rate), value = _newton(
         evaluate,
         start,
-        ((-1.0, 0.0), (0.0, -1.0)),
-        (-CUTOFF_MIN[0], -CUTOFF_MIN[1]),
+        ((-1.0, 0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)),
+        (-CUTOFF_MIN[0], -CUTOFF_MIN[1], *CUTOFF_MAX),
     )
     distribution = PowerLawWithCutoff(alpha=alpha, cutoff_rate=rate, xmin=xmin)
     return FitResult(distribution, -value, count)

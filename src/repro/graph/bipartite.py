@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, Set, Tuple
 
+from .digraph import VERSION_STAMPS
 from .errors import NodeNotFoundError
 
 SocialNode = Hashable
@@ -53,10 +54,10 @@ class BipartiteAttributeGraph:
         self._attr_to_socials: Dict[AttributeNode, Set[SocialNode]] = {}
         self._attr_info: Dict[AttributeNode, AttributeInfo] = {}
         self._num_links = 0
-        self._version = 0
+        self._version = next(VERSION_STAMPS)
 
     def version(self) -> int:
-        """Mutation counter: bumped by every state-changing call."""
+        """Version stamp: a fresh process-wide value after every state change."""
         return self._version
 
     # ------------------------------------------------------------------
@@ -65,7 +66,7 @@ class BipartiteAttributeGraph:
     def add_social_node(self, node: SocialNode) -> None:
         if node not in self._social_to_attrs:
             self._social_to_attrs[node] = set()
-            self._version += 1
+            self._version = next(VERSION_STAMPS)
 
     def add_attribute_node(
         self,
@@ -78,7 +79,7 @@ class BipartiteAttributeGraph:
             self._attr_info[node] = AttributeInfo(
                 attr_type=attr_type, value=str(node) if value is None else value
             )
-            self._version += 1
+            self._version = next(VERSION_STAMPS)
 
     def has_social_node(self, node: SocialNode) -> bool:
         return node in self._social_to_attrs
@@ -115,7 +116,7 @@ class BipartiteAttributeGraph:
             self._attr_to_socials[attr].discard(node)
         self._num_links -= len(self._social_to_attrs[node])
         del self._social_to_attrs[node]
-        self._version += 1
+        self._version = next(VERSION_STAMPS)
 
     # ------------------------------------------------------------------
     # Link management
@@ -133,7 +134,7 @@ class BipartiteAttributeGraph:
         self._social_to_attrs[social].add(attribute)
         self._attr_to_socials[attribute].add(social)
         self._num_links += 1
-        self._version += 1
+        self._version = next(VERSION_STAMPS)
         return True
 
     def remove_link(self, social: SocialNode, attribute: AttributeNode) -> None:
@@ -147,7 +148,7 @@ class BipartiteAttributeGraph:
         self._social_to_attrs[social].discard(attribute)
         self._attr_to_socials[attribute].discard(social)
         self._num_links -= 1
-        self._version += 1
+        self._version = next(VERSION_STAMPS)
 
     def has_link(self, social: SocialNode, attribute: AttributeNode) -> bool:
         attrs = self._social_to_attrs.get(social)

@@ -38,8 +38,8 @@ machine fails loudly (:class:`~repro.graph.errors.ColumnarEndiannessError`)
 instead of decoding garbage.
 
 The arrays returned by :func:`open_columnar` are bit-identical to the ones
-the in-RAM freeze produces, so every engine kernel and the sanitizer's
-parity checks work unchanged on an mmap-backed graph.
+the in-RAM freeze produces, so every engine kernel works unchanged on an
+mmap-backed graph.
 
 ``REPRO_MMAP=1`` (see :func:`mmap_forced` / :func:`maybe_spill`) reroutes the
 frozen-graph producers through a spill-to-columnar round trip, forcing every

@@ -20,12 +20,19 @@ purpose-built substrate, not a general graph library.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Hashable, Iterable, Iterator, Set, Tuple
 
 from .errors import NodeNotFoundError
 
 Node = Hashable
 Edge = Tuple[Node, Node]
+
+#: Version stamps shared by every mutable graph in the process: each
+#: mutation takes the next one, so two graphs (or two states of one) never
+#: carry the same version, and a SAN whose layer was swapped for another
+#: graph cannot match a frozen view cached for the old layer.
+VERSION_STAMPS = itertools.count(1)
 
 
 class DiGraph:
@@ -50,17 +57,18 @@ class DiGraph:
         self._succ: Dict[Node, Set[Node]] = {}
         self._pred: Dict[Node, Set[Node]] = {}
         self._num_edges = 0
-        self._version = 0
+        self._version = next(VERSION_STAMPS)
         if edges is not None:
             for source, target in edges:
                 self.add_edge(source, target)
 
     def version(self) -> int:
-        """Mutation counter: bumped by every state-changing call.
+        """Version stamp: a fresh process-wide value after every state change.
 
         Lets caches of derived products (e.g. the dispatch engine's
         frozen-view cache) validate that the graph has not changed since the
-        product was built.
+        product was built.  Stamps come from :data:`VERSION_STAMPS`, so no
+        two graphs share one.
         """
         return self._version
 
@@ -72,7 +80,7 @@ class DiGraph:
         if node not in self._succ:
             self._succ[node] = set()
             self._pred[node] = set()
-            self._version += 1
+            self._version = next(VERSION_STAMPS)
 
     def remove_node(self, node: Node) -> None:
         """Remove ``node`` and every incident edge."""
@@ -89,7 +97,7 @@ class DiGraph:
         self._num_edges -= removed
         del self._succ[node]
         del self._pred[node]
-        self._version += 1
+        self._version = next(VERSION_STAMPS)
 
     def has_node(self, node: Node) -> bool:
         return node in self._succ
@@ -124,7 +132,7 @@ class DiGraph:
         self._succ[source].add(target)
         self._pred[target].add(source)
         self._num_edges += 1
-        self._version += 1
+        self._version = next(VERSION_STAMPS)
         return True
 
     def remove_edge(self, source: Node, target: Node) -> None:
@@ -135,7 +143,7 @@ class DiGraph:
         self._succ[source].discard(target)
         self._pred[target].discard(source)
         self._num_edges -= 1
-        self._version += 1
+        self._version = next(VERSION_STAMPS)
 
     def has_edge(self, source: Node, target: Node) -> bool:
         succ = self._succ.get(source)

@@ -1,11 +1,13 @@
 """Read-only graph protocols shared by the mutable and frozen backends.
 
-Every measurement in the library consumes graphs through a small read-only
-surface: node/edge membership, iteration, neighborhoods, and degrees.  This
-module names that surface explicitly so that code can be written against *any*
-backend — the mutable dict-of-sets :class:`repro.graph.digraph.DiGraph` /
-:class:`repro.graph.san.SAN`, or the CSR-backed
-:class:`repro.graph.frozen.FrozenDiGraph` / :class:`repro.graph.frozen.FrozenSAN`.
+Both backends answer one small read-only surface: node/edge membership,
+iteration, neighborhoods, and degrees.  This module names that surface
+explicitly so that code which walks a graph node by node — the dataset
+builders, the closure classifiers, the evolution helpers — can be written
+against *any* backend: the mutable dict-of-sets
+:class:`repro.graph.digraph.DiGraph` / :class:`repro.graph.san.SAN`, or the
+CSR-backed :class:`repro.graph.frozen.FrozenDiGraph` /
+:class:`repro.graph.frozen.FrozenSAN`.
 
 The protocols are ``runtime_checkable`` so backends can be validated with
 ``isinstance``; structural typing means a backend never needs to inherit from
@@ -20,10 +22,10 @@ True
 >>> isinstance(SAN().freeze(), SANView)
 True
 
-Metric functions dispatch on the *concrete* frozen types when they have a
-vectorized kernel for them and otherwise fall back to per-node code that only
-touches the protocol methods below — so any object satisfying the protocol is
-a valid metrics input.
+The dispatched operations (:mod:`repro.engine`) are narrower: each has one
+kernel that reads the frozen backend's CSR arrays, and the engine freezes a
+mutable input before calling it — so their inputs are graphs with a
+``freeze()`` method, not any object satisfying the protocol.
 """
 
 from __future__ import annotations

@@ -67,9 +67,13 @@ class SAN:
         self.social = DiGraph()
         self.attributes = BipartiteAttributeGraph()
 
-    def version(self) -> int:
-        """Mutation counter over both layers (see :meth:`DiGraph.version`)."""
-        return self.social.version() + self.attributes.version()
+    def version(self) -> Tuple[int, int]:
+        """The version stamps of both layers (see :meth:`DiGraph.version`).
+
+        A pair, not a sum: stamps are unique per graph state, so the pair
+        changes when either layer changes or is replaced.
+        """
+        return self.social.version(), self.attributes.version()
 
     # ------------------------------------------------------------------
     # Node management

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -68,37 +68,40 @@ def load_san_tsv(
 
         return maybe_spill(_stream_frozen_san_tsv(Path(social_path), Path(attribute_path)))
     san = SAN()
-    social_path = Path(social_path)
-    attribute_path = Path(attribute_path)
-    with social_path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SerializationError(
-                    f"{social_path}:{line_number}: expected 2 fields, got {len(parts)}"
-                )
-            san.add_social_edge(_parse_node(parts[0]), _parse_node(parts[1]))
-    with attribute_path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SerializationError(
-                    f"{attribute_path}:{line_number}: expected 3 fields, got {len(parts)}"
-                )
-            social, attr_type, value = parts
-            san.add_attribute_edge(
-                _parse_node(social),
-                attribute_node_id(attr_type, value),
-                attr_type=attr_type,
-                value=value,
-            )
+    for source, target in _tsv_rows(Path(social_path), 2):
+        san.add_social_edge(_parse_node(source), _parse_node(target))
+    for social, attr_type, value in _tsv_rows(Path(attribute_path), 3):
+        san.add_attribute_edge(
+            _parse_node(social),
+            attribute_node_id(attr_type, value),
+            attr_type=attr_type,
+            value=value,
+        )
     return san
+
+
+def _tsv_rows(path: Path, width: int) -> Iterator[List[str]]:
+    """The ``width`` tab-separated fields of each non-empty line of ``path``.
+
+    A line with another field count, or bytes that are not UTF-8, raise
+    :class:`~repro.graph.errors.SerializationError` naming the file.
+    """
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != width:
+                    raise SerializationError(
+                        f"{path}:{line_number}: expected {width} fields, got {len(parts)}"
+                    )
+                yield parts
+    except UnicodeDecodeError as exc:
+        raise SerializationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def _dedup_edge_arrays(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -154,36 +157,15 @@ def _stream_frozen_san_tsv(social_path: Path, attribute_path: Path) -> "FrozenSA
 
     social_src = array("q")
     social_dst = array("q")
-    with social_path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SerializationError(
-                    f"{social_path}:{line_number}: expected 2 fields, got {len(parts)}"
-                )
-            social_src.append(intern_social(_parse_node(parts[0])))
-            social_dst.append(intern_social(_parse_node(parts[1])))
+    for source, target in _tsv_rows(social_path, 2):
+        social_src.append(intern_social(_parse_node(source)))
+        social_dst.append(intern_social(_parse_node(target)))
 
     link_social = array("q")
     link_attr = array("q")
-    with attribute_path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SerializationError(
-                    f"{attribute_path}:{line_number}: expected 3 fields, got {len(parts)}"
-                )
-            social, attr_type, value = parts
-            link_social.append(intern_social(_parse_node(social)))
-            link_attr.append(
-                intern_attr(attribute_node_id(attr_type, value), attr_type, value)
-            )
+    for social, attr_type, value in _tsv_rows(attribute_path, 3):
+        link_social.append(intern_social(_parse_node(social)))
+        link_attr.append(intern_attr(attribute_node_id(attr_type, value), attr_type, value))
 
     num_social = len(social_labels)
     num_attrs = len(attr_labels)

@@ -4,10 +4,11 @@ An AST-based rule engine that turns the repository's load-bearing
 conventions into a machine-checked gate: seeded-by-default RNG (R001),
 scipy contained behind :mod:`repro.engine.deps` (R002), backend dispatch
 through the kernel registry instead of ``isinstance(Frozen*)`` (R003),
-content-derived cache keys (R004), a coherent kernel registry (R006), sound
-cache tokens (R007), seed-stream discipline (R009), and storage hygiene
-(R010).  R005 and R008 guarded the removed shared-memory kernel tier; their
-ids stay unused so that no rule is renumbered.
+content-derived cache keys (R004), sound cache tokens (R007), seed-stream
+discipline (R009), and storage hygiene (R010).  R005 and R008 guarded the
+removed shared-memory kernel tier, and R006 the portable body behind every
+frozen kernel, which went when each operation kept one kernel; their ids
+stay unused so that no rule is renumbered.
 
 See ``docs/architecture.md`` ("Invariant catalog") for the rule-by-rule
 story and how to add a rule; :mod:`repro.lint.core` for the framework;
@@ -34,7 +35,6 @@ from .core import (
     select_rules,
 )
 from .reporters import render_json, render_text
-from .rules import check_registry, load_full_registry
 
 __all__ = [
     "FRAMEWORK_RULE",
@@ -47,10 +47,8 @@ __all__ = [
     "Suppression",
     "UnknownRuleError",
     "all_rules",
-    "check_registry",
     "iter_python_files",
     "load_baseline",
-    "load_full_registry",
     "parse_suppressions",
     "register_rule",
     "relativize",

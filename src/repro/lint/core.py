@@ -9,7 +9,7 @@ module turns the catalog into a static-analysis gate:
 * a :class:`Rule` visits a parsed module (:class:`ModuleContext`) and yields
   :class:`Finding` objects carrying file/line/rule-id/message;
 * a :class:`ProjectRule` checks whole-project state once per run (used by
-  R006, which loads the live kernel registry);
+  R007, which follows scenario reads across modules);
 * ``# repro: lint-ignore[R001] -- reason`` suppresses a finding on its line
   (a comment-only line suppresses the next line).  The reason is mandatory:
   a suppression without one is itself a finding (``R000``), and a
@@ -236,10 +236,9 @@ class Rule:
 class ProjectRule(Rule):
     """A rule evaluated once per lint run instead of once per module.
 
-    Used for hybrid static+import checks (R006 loads the live kernel
-    registry).  ``check_project`` receives every parsed module of the run;
-    findings may point at files outside that set (e.g. at a registering
-    module resolved through :mod:`inspect`).
+    Used for cross-module checks (R007 follows scenario reads through the
+    modules it is given).  ``check_project`` receives every parsed module of
+    the run.
     """
 
     def check(self, module: ModuleContext) -> Iterable[Finding]:

@@ -11,8 +11,7 @@ variables that merely *mention* a pattern never fire.
 from __future__ import annotations
 
 import ast
-import inspect
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import Finding, ModuleContext, ProjectRule, Rule, register_rule
 
@@ -190,8 +189,8 @@ class NoBackendIsinstance(Rule):
 
     ``isinstance(x, Frozen*)`` branches outside the engine and graph layers
     reintroduce the scattered PR-1 idiom the registry replaced; they bypass
-    the registry's one-kernel-per-backend lookup and the sanitizer's parity
-    checks.
+    the registry, which freezes every input once and runs the operation's
+    one kernel.
     """
 
     rule_id = "R003"
@@ -230,7 +229,7 @@ class NoBackendIsinstance(Rule):
                         node,
                         f"{node.func.id}(..., {name}) dispatches on a "
                         "backend class outside engine//graph/; add a kernel "
-                        "via repro.engine (dispatchable/kernel) instead",
+                        "via repro.engine.dispatchable instead",
                     )
                     break
 
@@ -255,7 +254,6 @@ _WALLCLOCK = {
 #: Decorators that mark a function as a kernel body, artifact builder, or
 #: registered experiment stage.
 _CACHED_PATH_DECORATORS = {
-    "kernel",
     "dispatchable",
     "artifact",
     "register_artifact",
@@ -306,7 +304,7 @@ class NoWallclockInCachedPaths(Rule):
     rule_id = "R004"
     name = "no-wallclock-in-cached-paths"
     description = (
-        "no time.time/perf_counter/datetime.now inside @kernel/@dispatchable/"
+        "no time.time/perf_counter/datetime.now inside @dispatchable/"
         "@artifact/@experiment bodies, cache-token code, or "
         "experiments/artifacts.py; cache keys must be content-derived"
     )
@@ -328,91 +326,6 @@ class NoWallclockInCachedPaths(Rule):
                 "be content-derived (derive identity from inputs, or move "
                 "timing out of the builder)",
             )
-
-
-# -- R006: registry coherence ---------------------------------------------
-
-#: Backends with special meaning to the coherence checks.
-_MUTABLE, _FROZEN = "mutable", "frozen"
-
-
-def _kernel_location(fn: Any) -> Tuple[str, int]:
-    """(file, line) of a registered kernel function, best effort."""
-    try:
-        target = inspect.unwrap(fn)
-        path = inspect.getsourcefile(target)
-        line = inspect.getsourcelines(target)[1]
-        if path:
-            return path, line
-    except (TypeError, OSError):
-        pass
-    return "<registry>", 1
-
-
-def check_registry(registry: Mapping[str, Mapping[str, Any]]) -> List[Finding]:
-    """Pure coherence check over a registry mapping (op -> backend -> kernel).
-
-    Kernels only need an ``fn`` attribute, so tests can feed synthetic
-    registries.  Every operation with a ``frozen`` kernel must also register
-    a portable (``mutable``) body — the fallback
-    :func:`repro.engine.registry.resolve` relies on.  (A second kernel for
-    one ``(operation, backend)`` cannot be registered at all:
-    ``engine.register`` raises ``DuplicateKernelError``.)
-    """
-    findings: List[Finding] = []
-    for op in sorted(registry):
-        backends = registry[op]
-        frozen = backends.get(_FROZEN)
-        if frozen is not None and _MUTABLE not in backends:
-            path, line = _kernel_location(frozen.fn)
-            findings.append(
-                Finding(
-                    path=path,
-                    line=line,
-                    rule="R006",
-                    message=(
-                        f"operation {op!r} registers a frozen kernel but no "
-                        "portable (mutable) body; frozen inputs would have no "
-                        "fallback"
-                    ),
-                )
-            )
-    return findings
-
-
-def load_full_registry() -> Mapping[str, Mapping[str, Any]]:
-    """Import every ``repro`` submodule, then return the live registry.
-
-    Kernel registration happens at import time, so the coherence check must
-    pull in the whole package (metrics, algorithms, applications, models,
-    experiments) before reading ``repro.engine.registry._registry``.
-
-    Only kernels whose function lives in a ``repro`` module are audited:
-    R006 guards what the package ships, not registrations a host process
-    (a test suite, a downstream extension) may have added to the live
-    registry.
-    """
-    import importlib
-    import pkgutil
-
-    import repro
-
-    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        if info.name == "repro.__main__":
-            continue
-        importlib.import_module(info.name)
-    from repro.engine import registry as engine_registry
-
-    def _shipped(kernel: Any) -> bool:
-        module = getattr(kernel.fn, "__module__", "") or ""
-        return module == "repro" or module.startswith("repro.")
-
-    filtered: Dict[str, Dict[str, Any]] = {}
-    for operation, backends in engine_registry._registry.items():
-        kept = {backend: kernel for backend, kernel in backends.items() if _shipped(kernel)}
-        if kept:
-            filtered[operation] = kept
-    return filtered
 
 
 # -- R007: cache-token soundness ------------------------------------------
@@ -821,21 +734,3 @@ class SeedStreamDiscipline(Rule):
                     "compose a sequence instead: "
                     f"{dotted.rsplit('.', 1)[-1]}([base, index])",
                 )
-
-
-@register_rule
-class RegistryCoherence(ProjectRule):
-    """The kernel registry stays dispatchable (PR 2/7).
-
-    A static+import hybrid: loads the live registry (importing every
-    ``repro`` submodule so registration side effects run) and asserts the
-    portable-fallback invariant.  Findings point at the registering
-    function's definition.
-    """
-
-    rule_id = "R006"
-    name = "registry-coherence"
-    description = "every frozen kernel shadows a registered portable body"
-
-    def check_project(self, modules: Sequence[ModuleContext]) -> Iterable[Finding]:
-        return check_registry(load_full_registry())

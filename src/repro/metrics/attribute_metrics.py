@@ -5,8 +5,8 @@ attribute clustering coefficient, attribute degree distributions, plus helpers
 used by the Figure 9 and Figure 13b analyses.
 
 Every function accepts either SAN backend and dispatches through the
-:mod:`repro.engine` registry.  On a frozen backend
-(:class:`~repro.graph.frozen.FrozenSAN`) the per-type aggregations run as
+:mod:`repro.engine` registry to a kernel on the frozen backend
+(:class:`~repro.graph.frozen.FrozenSAN`).  The per-type aggregations run as
 ``np.bincount`` over the interned attribute-type codes and the top-k ranking
 as a stable ``argsort`` over the CSR degree array; the clustering-based
 functions inherit the vectorized ``L(u)`` kernel of
@@ -21,8 +21,8 @@ Examples
 ... )
 >>> attribute_type_counts(san)
 {'employer': 1, 'city': 1}
->>> attribute_type_counts(san.freeze()) == attribute_type_counts(san)
-True
+>>> attribute_link_counts_by_type(san)
+{'employer': 2, 'city': 1}
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..algorithms.clustering import (
     clustering_by_degree,
     node_clustering_coefficient,
 )
-from ..engine import dispatchable, kernel
+from ..engine import dispatchable
 from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
 from ..utils.rng import RngLike
@@ -87,28 +87,12 @@ def exact_attribute_clustering_coefficient(san: SANLike) -> float:
 
 @dispatchable("top_attribute_nodes")
 def top_attribute_nodes(
-    san: SANLike, attr_type: Optional[str] = None, count: int = 10
+    san: FrozenSAN, attr_type: Optional[str] = None, count: int = 10
 ) -> List[Tuple[Node, int]]:
     """Attribute nodes with the most members, optionally restricted to one type.
 
-    Ties are broken by attribute-node insertion order on both backends.
+    Ties are broken by attribute-node insertion order.
     """
-    if attr_type is None:
-        candidates = list(san.attribute_nodes())
-    else:
-        candidates = list(san.attributes.attribute_nodes_of_type(attr_type))
-    ranked = sorted(
-        ((node, san.attribute_social_degree(node)) for node in candidates),
-        key=lambda pair: pair[1],
-        reverse=True,
-    )
-    return ranked[:count]
-
-
-@kernel("top_attribute_nodes")
-def _top_attribute_nodes_frozen(
-    san: FrozenSAN, attr_type: Optional[str] = None, count: int = 10
-) -> List[Tuple[Node, int]]:
     degrees = san.attributes.social_degree_array()
     labels = san.attributes.attribute_labels()
     if attr_type is None:
@@ -125,34 +109,16 @@ def _top_attribute_nodes_frozen(
 
 
 @dispatchable("attribute_type_counts")
-def attribute_type_counts(san: SANLike) -> Dict[str, int]:
+def attribute_type_counts(san: FrozenSAN) -> Dict[str, int]:
     """Number of distinct attribute nodes per attribute type."""
-    counts: Dict[str, int] = {}
-    for node in san.attribute_nodes():
-        attr_type = san.attribute_type(node)
-        counts[attr_type] = counts.get(attr_type, 0) + 1
-    return counts
-
-
-@kernel("attribute_type_counts")
-def _attribute_type_counts_frozen(san: FrozenSAN) -> Dict[str, int]:
     type_names = san.attributes.type_names()
     counts = np.bincount(san.attributes.type_codes(), minlength=len(type_names))
     return _per_type_dict(san, type_names, counts)
 
 
 @dispatchable("attribute_link_counts_by_type")
-def attribute_link_counts_by_type(san: SANLike) -> Dict[str, int]:
+def attribute_link_counts_by_type(san: FrozenSAN) -> Dict[str, int]:
     """Number of attribute links per attribute type."""
-    counts: Dict[str, int] = {}
-    for _, attribute in san.attribute_edges():
-        attr_type = san.attribute_type(attribute)
-        counts[attr_type] = counts.get(attr_type, 0) + 1
-    return counts
-
-
-@kernel("attribute_link_counts_by_type")
-def _attribute_link_counts_by_type_frozen(san: FrozenSAN) -> Dict[str, int]:
     type_names = san.attributes.type_names()
     link_counts = np.bincount(
         san.attributes.type_codes(),
@@ -168,12 +134,7 @@ def _per_type_dict(
     values: np.ndarray,
     skip_zero: bool = False,
 ) -> Dict[str, int]:
-    """Assemble a per-type dict in first-seen attribute-node order.
-
-    Dict *contents* match the mutable backend exactly (``==`` holds); key
-    order may differ for the link counts, whose mutable accumulation order
-    follows per-user set iteration rather than attribute-node insertion.
-    """
+    """Assemble a per-type dict in first-seen attribute-node order."""
     codes = san.attributes.type_codes()
     present, first_seen = np.unique(codes, return_index=True)
     result: Dict[str, int] = {}

@@ -9,19 +9,18 @@ Four degree notions appear in the paper:
   (Figure 10b, power-law).
 
 Every public function accepts either backend of the SAN and routes through
-the :mod:`repro.engine` kernel registry: on the mutable
-:class:`~repro.graph.san.SAN` the portable per-node implementation runs; on
-the frozen :class:`~repro.graph.frozen.FrozenSAN` the registered kernels read
-the degree sequences straight off the CSR ``indptr`` arrays in one vectorized
-operation.
+the :mod:`repro.engine` kernel registry, which freezes a mutable
+:class:`~repro.graph.san.SAN` once; the kernels read the degree sequences
+straight off the CSR ``indptr`` arrays of the
+:class:`~repro.graph.frozen.FrozenSAN` and return them as int64 arrays.
 
 Examples
 --------
 >>> from repro.graph import san_from_edge_lists
 >>> san = san_from_edge_lists([(1, 2), (2, 1), (1, 3)])
->>> social_out_degrees(san)
+>>> social_out_degrees(san).tolist()
 [2, 1, 0]
->>> social_out_degrees(san.freeze())
+>>> social_out_degrees(san.freeze()).tolist()
 [2, 1, 0]
 """
 
@@ -31,7 +30,7 @@ from typing import Dict, Hashable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..engine import dispatchable, kernel
+from ..engine import dispatchable
 from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
 from ..utils.stats import empirical_pmf, log_binned_histogram
@@ -41,58 +40,33 @@ SANLike = Union[SAN, FrozenSAN]
 
 
 @dispatchable("social_out_degrees")
-def social_out_degrees(san: SANLike) -> List[int]:
+def social_out_degrees(san: FrozenSAN) -> np.ndarray:
     """Out-degree of every social node (in social-node iteration order)."""
-    return [san.social_out_degree(node) for node in san.social_nodes()]
-
-
-@kernel("social_out_degrees")
-def _social_out_degrees_frozen(san: FrozenSAN) -> List[int]:
-    return san.social.out_degree_array().tolist()
+    return san.social.out_degree_array()
 
 
 @dispatchable("social_in_degrees")
-def social_in_degrees(san: SANLike) -> List[int]:
+def social_in_degrees(san: FrozenSAN) -> np.ndarray:
     """In-degree of every social node (in social-node iteration order)."""
-    return [san.social_in_degree(node) for node in san.social_nodes()]
-
-
-@kernel("social_in_degrees")
-def _social_in_degrees_frozen(san: FrozenSAN) -> List[int]:
-    return san.social.in_degree_array().tolist()
+    return san.social.in_degree_array()
 
 
 @dispatchable("social_total_degrees")
-def social_total_degrees(san: SANLike) -> List[int]:
+def social_total_degrees(san: FrozenSAN) -> np.ndarray:
     """Number of distinct social neighbors of every social node."""
-    return [len(san.social.neighbors(node)) for node in san.social_nodes()]
-
-
-@kernel("social_total_degrees")
-def _social_total_degrees_frozen(san: FrozenSAN) -> List[int]:
-    return san.social.undirected_degree_array().tolist()
+    return san.social.undirected_degree_array()
 
 
 @dispatchable("attribute_degrees_of_social_nodes")
-def attribute_degrees_of_social_nodes(san: SANLike) -> List[int]:
+def attribute_degrees_of_social_nodes(san: FrozenSAN) -> np.ndarray:
     """Attribute degree (number of declared attributes) of every social node."""
-    return [san.attribute_degree(node) for node in san.social_nodes()]
-
-
-@kernel("attribute_degrees_of_social_nodes")
-def _attribute_degrees_frozen(san: FrozenSAN) -> List[int]:
-    return san.attributes.attribute_degree_array().tolist()
+    return san.attributes.attribute_degree_array()
 
 
 @dispatchable("social_degrees_of_attribute_nodes")
-def social_degrees_of_attribute_nodes(san: SANLike) -> List[int]:
+def social_degrees_of_attribute_nodes(san: FrozenSAN) -> np.ndarray:
     """Social degree (number of members) of every attribute node."""
-    return [san.attribute_social_degree(node) for node in san.attribute_nodes()]
-
-
-@kernel("social_degrees_of_attribute_nodes")
-def _social_degrees_of_attributes_frozen(san: FrozenSAN) -> List[int]:
-    return san.attributes.social_degree_array().tolist()
+    return san.attributes.social_degree_array()
 
 
 def positive_degrees(degrees: Sequence[int]) -> np.ndarray:
@@ -117,40 +91,29 @@ def degree_summary(san: SANLike) -> Dict[str, float]:
     """Mean degrees of the four degree notions, for quick reports."""
     out_degrees = social_out_degrees(san)
     in_degrees = social_in_degrees(san)
-    attr_degrees = attribute_degrees_of_social_nodes(san)
-    attr_social_degrees = social_degrees_of_attribute_nodes(san)
 
-    def _mean(values: List[int]) -> float:
-        return sum(values) / len(values) if values else 0.0
+    def _mean(values: np.ndarray) -> float:
+        return int(values.sum()) / values.size if values.size else 0.0
+
+    def _max(values: np.ndarray) -> int:
+        return int(values.max()) if values.size else 0
 
     return {
         "mean_out_degree": _mean(out_degrees),
         "mean_in_degree": _mean(in_degrees),
-        "max_out_degree": max(out_degrees) if out_degrees else 0,
-        "max_in_degree": max(in_degrees) if in_degrees else 0,
-        "mean_attribute_degree": _mean(attr_degrees),
-        "mean_attribute_social_degree": _mean(attr_social_degrees),
+        "max_out_degree": _max(out_degrees),
+        "max_in_degree": _max(in_degrees),
+        "mean_attribute_degree": _mean(attribute_degrees_of_social_nodes(san)),
+        "mean_attribute_social_degree": _mean(social_degrees_of_attribute_nodes(san)),
     }
 
 
 @dispatchable("out_degrees_for_attribute_value")
-def out_degrees_for_attribute_value(san: SANLike, attribute_node: Node) -> List[int]:
+def out_degrees_for_attribute_value(san: FrozenSAN, attribute_node: Node) -> List[int]:
     """Social out-degrees of the users holding a specific attribute node.
 
     Figure 14 plots percentiles of these per Employer / Major value.
     """
-    if not san.is_attribute_node(attribute_node):
-        return []
-    return [
-        san.social_out_degree(member)
-        for member in san.attributes.members_of(attribute_node)
-    ]
-
-
-@kernel("out_degrees_for_attribute_value")
-def _out_degrees_for_attribute_value_frozen(
-    san: FrozenSAN, attribute_node: Node
-) -> List[int]:
     if not san.is_attribute_node(attribute_node):
         return []
     members = san.attributes.member_indices_of(attribute_node)

@@ -11,12 +11,12 @@ social members of attribute nodes with ``k`` members, and the attribute
 assortativity is the Pearson correlation of (social degree of the attribute
 node, attribute degree of the member) over attribute links.
 
-Every function dispatches through the :mod:`repro.engine` registry: on a
-frozen backend (:class:`~repro.graph.frozen.FrozenSAN`) the registered
-kernels are fully vectorized — per-node neighbor sums come from a
-cumulative-sum difference over the CSR ``indices`` array, per-degree
-averages from ``np.bincount``, and the assortativity coefficients from
-degree arrays indexed by the CSR edge list.
+Every function dispatches through the :mod:`repro.engine` registry to a
+kernel on the frozen backend (:class:`~repro.graph.frozen.FrozenSAN`; a
+mutable SAN is frozen at dispatch).  The kernels are fully vectorized —
+per-node neighbor sums come from a cumulative-sum difference over the CSR
+``indices`` array, per-degree averages from ``np.bincount``, and the
+assortativity coefficients from degree arrays indexed by the CSR edge list.
 
 Examples
 --------
@@ -31,39 +31,19 @@ Examples
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Tuple, Union
+from typing import Hashable, List, Tuple
 
 import numpy as np
 
-from ..engine import dispatchable, kernel
+from ..engine import dispatchable
 from ..graph.frozen import FrozenSAN
-from ..graph.san import SAN
 
 Node = Hashable
-SANLike = Union[SAN, FrozenSAN]
 
 
 @dispatchable("social_knn")
-def social_knn(san: SANLike) -> List[Tuple[int, float]]:
+def social_knn(san: FrozenSAN) -> List[Tuple[int, float]]:
     """Average in-degree of out-neighbors as a function of out-degree (Figure 7a)."""
-    sums: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for node in san.social_nodes():
-        out_degree = san.social_out_degree(node)
-        if out_degree == 0:
-            continue
-        neighbor_in_degrees = [
-            san.social_in_degree(neighbor)
-            for neighbor in san.social_out_neighbors(node)
-        ]
-        average = sum(neighbor_in_degrees) / len(neighbor_in_degrees)
-        sums[out_degree] = sums.get(out_degree, 0.0) + average
-        counts[out_degree] = counts.get(out_degree, 0) + 1
-    return sorted((degree, sums[degree] / counts[degree]) for degree in sums)
-
-
-@kernel("social_knn")
-def _social_knn_frozen(san: FrozenSAN) -> List[Tuple[int, float]]:
     indptr, indices = san.social.out_csr()
     out_degrees = san.social.out_degree_array()
     neighbor_in_degrees = san.social.in_degree_array()[indices]
@@ -71,23 +51,13 @@ def _social_knn_frozen(san: FrozenSAN) -> List[Tuple[int, float]]:
 
 
 @dispatchable("social_assortativity")
-def social_assortativity(san: SANLike) -> float:
+def social_assortativity(san: FrozenSAN) -> float:
     """Degree assortativity over directed social links (Figure 7b).
 
     Computed as the Pearson correlation between the out-degree of the source
     and the in-degree of the target over all directed links — the directed
     analogue used for publisher/subscriber style networks.
     """
-    xs: List[float] = []
-    ys: List[float] = []
-    for source, target in san.social_edges():
-        xs.append(float(san.social_out_degree(source)))
-        ys.append(float(san.social_in_degree(target)))
-    return _pearson(xs, ys)
-
-
-@kernel("social_assortativity")
-def _social_assortativity_frozen(san: FrozenSAN) -> float:
     sources, targets = san.social.edge_arrays()
     return _pearson_arrays(
         san.social.out_degree_array()[sources],
@@ -96,52 +66,25 @@ def _social_assortativity_frozen(san: FrozenSAN) -> float:
 
 
 @dispatchable("undirected_degree_assortativity")
-def undirected_degree_assortativity(san: SANLike) -> float:
+def undirected_degree_assortativity(san: FrozenSAN) -> float:
     """Assortativity of total (undirected) social degree across links.
 
     Provided as the classical Newman coefficient for comparison against the
     Flickr / LiveJournal / Orkut values the paper cites.
     """
-    xs: List[float] = []
-    ys: List[float] = []
-    for source, target in san.social_edges():
-        xs.append(float(len(san.social.neighbors(source))))
-        ys.append(float(len(san.social.neighbors(target))))
-    return _pearson(xs, ys)
-
-
-@kernel("undirected_degree_assortativity")
-def _undirected_degree_assortativity_frozen(san: FrozenSAN) -> float:
     sources, targets = san.social.edge_arrays()
     undirected_degrees = san.social.undirected_degree_array()
     return _pearson_arrays(undirected_degrees[sources], undirected_degrees[targets])
 
 
 @dispatchable("attribute_knn")
-def attribute_knn(san: SANLike) -> List[Tuple[int, float]]:
+def attribute_knn(san: FrozenSAN) -> List[Tuple[int, float]]:
     """Attribute-node knn (Figure 12a).
 
     For each social degree ``k`` (number of members of an attribute node), the
     average attribute degree of the members of attribute nodes having exactly
     ``k`` members.
     """
-    sums: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for attribute in san.attribute_nodes():
-        members = san.attributes.members_of(attribute)
-        k = len(members)
-        if k == 0:
-            continue
-        average_member_attribute_degree = sum(
-            san.attribute_degree(member) for member in members
-        ) / k
-        sums[k] = sums.get(k, 0.0) + average_member_attribute_degree
-        counts[k] = counts.get(k, 0) + 1
-    return sorted((degree, sums[degree] / counts[degree]) for degree in sums)
-
-
-@kernel("attribute_knn")
-def _attribute_knn_frozen(san: FrozenSAN) -> List[Tuple[int, float]]:
     indptr, indices = san.attributes.attr_to_social_csr()
     member_counts = san.attributes.social_degree_array()
     member_attr_degrees = san.attributes.attribute_degree_array()[indices]
@@ -149,22 +92,12 @@ def _attribute_knn_frozen(san: FrozenSAN) -> List[Tuple[int, float]]:
 
 
 @dispatchable("attribute_assortativity")
-def attribute_assortativity(san: SANLike) -> float:
+def attribute_assortativity(san: FrozenSAN) -> float:
     """Attribute assortativity coefficient (Figure 12b).
 
     Pearson correlation over attribute links between the social degree of the
     attribute endpoint and the attribute degree of the social endpoint.
     """
-    xs: List[float] = []
-    ys: List[float] = []
-    for social, attribute in san.attribute_edges():
-        xs.append(float(san.attribute_social_degree(attribute)))
-        ys.append(float(san.attribute_degree(social)))
-    return _pearson(xs, ys)
-
-
-@kernel("attribute_assortativity")
-def _attribute_assortativity_frozen(san: FrozenSAN) -> float:
     sa_indptr, sa_indices = san.attributes.social_to_attr_csr()
     social_sources = np.repeat(
         np.arange(san.number_of_social_nodes(), dtype=np.int64),
@@ -212,24 +145,3 @@ def _pearson_arrays(xs: np.ndarray, ys: np.ndarray) -> float:
     if var_x <= 0 or var_y <= 0:
         return 0.0
     return float(np.dot(dx, dy) / math.sqrt(var_x * var_y))
-
-
-def _pearson(xs: List[float], ys: List[float]) -> float:
-    """Pearson correlation coefficient; 0.0 for degenerate inputs."""
-    n = len(xs)
-    if n == 0 or n != len(ys):
-        return 0.0
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = 0.0
-    var_x = 0.0
-    var_y = 0.0
-    for x, y in zip(xs, ys):
-        dx = x - mean_x
-        dy = y - mean_y
-        cov += dx * dy
-        var_x += dx * dx
-        var_y += dy * dy
-    if var_x <= 0 or var_y <= 0:
-        return 0.0
-    return cov / math.sqrt(var_x * var_y)

@@ -7,15 +7,16 @@ probability that the reverse link exists by a later snapshot, stratified by
 the number of common social neighbors ``s`` and common attribute neighbors
 ``a`` of the endpoints at the earlier snapshot.
 
-On a frozen backend (:class:`~repro.graph.frozen.FrozenSAN`) the global
-reciprocity needs no per-edge membership test at all: for every node,
+Both run on the frozen backend (:class:`~repro.graph.frozen.FrozenSAN`; a
+mutable SAN is frozen at dispatch).  The global reciprocity needs no
+per-edge membership test at all: for every node,
 ``|succ(v) ∩ pred(v)| = outdeg(v) + indeg(v) - |succ(v) ∪ pred(v)|`` and the
 union sizes are exactly the undirected-projection degrees, so the mutual-link
 count is one vectorized sum over three degree arrays (self-loops, which count
-as mutual, are added back separately).  The fine-grained reciprocity's frozen
-kernel finds the one-way links with one membership test over sorted edge
-keys and counts both kinds of common neighbors with row-wise sparse
-products, instead of intersecting two neighbor sets per link.
+as mutual, are added back separately).  The fine-grained reciprocity finds
+the one-way links with one membership test over sorted edge keys and counts
+both kinds of common neighbors with row-wise sparse products, instead of
+intersecting two neighbor sets per link.
 
 Examples
 --------
@@ -34,7 +35,7 @@ from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..engine import deps, dispatchable, frozen_view, kernel
+from ..engine import deps, dispatchable, frozen_view
 from ..graph.frozen import FrozenSAN, sorted_membership
 from ..graph.san import SAN
 
@@ -49,19 +50,8 @@ def global_reciprocity(san: SANLike) -> float:
 
 
 @dispatchable("reciprocal_edge_count")
-def reciprocal_edge_count(san: SANLike) -> Tuple[int, int]:
+def reciprocal_edge_count(san: FrozenSAN) -> Tuple[int, int]:
     """Return ``(mutual_links, total_links)`` over the directed social layer."""
-    total = 0
-    mutual = 0
-    for source, target in san.social_edges():
-        total += 1
-        if san.social.has_edge(target, source):
-            mutual += 1
-    return mutual, total
-
-
-@kernel("reciprocal_edge_count")
-def _reciprocal_edge_count_frozen(san: FrozenSAN) -> Tuple[int, int]:
     total = san.social.number_of_edges()
     if total == 0:
         return 0, 0
@@ -131,46 +121,6 @@ def attribute_bucket(num_common_attributes: int) -> int:
     return 2
 
 
-@dispatchable("fine_grained_reciprocity")
-def fine_grained_reciprocity(
-    earlier: SANLike,
-    later: SANLike,
-    max_common_social: int = 50,
-    max_links: Optional[int] = None,
-) -> FineGrainedReciprocity:
-    """Compute the Section 4.2 fine-grained reciprocity.
-
-    For every one-directional link ``u -> v`` present in ``earlier`` (i.e. the
-    reverse link is absent there), determine whether ``v -> u`` exists in
-    ``later``, and stratify by the endpoints' common social neighbors and
-    common attribute bucket *measured on the earlier snapshot*.  Either
-    snapshot may be mutable or frozen; a frozen ``earlier`` runs a
-    vectorized kernel.  ``max_links`` keeps only the first ``max_links``
-    one-way links in ``earlier.social_edges()`` order.
-    """
-    result = FineGrainedReciprocity()
-    processed = 0
-    for source, target in earlier.social_edges():
-        if max_links is not None and processed >= max_links:
-            break
-        if earlier.social.has_edge(target, source):
-            continue  # already mutual at the earlier snapshot
-        common_social = len(earlier.common_social_neighbors(source, target))
-        if common_social > max_common_social:
-            common_social = max_common_social
-        bucket = attribute_bucket(len(earlier.common_attributes(source, target)))
-        reciprocated = int(
-            later.is_social_node(target)
-            and later.is_social_node(source)
-            and later.social.has_edge(target, source)
-        )
-        key = (common_social, bucket)
-        previous = result.counts.get(key, (0, 0))
-        result.counts[key] = (previous[0] + reciprocated, previous[1] + 1)
-        processed += 1
-    return result
-
-
 def _row_overlaps(indptr: np.ndarray, indices: np.ndarray, num_columns: int, first, second):
     """``|row(first[k]) ∩ row(second[k])|`` of a 0/1 CSR, for every ``k``."""
     sparse = deps.scipy_sparse()
@@ -181,13 +131,23 @@ def _row_overlaps(indptr: np.ndarray, indices: np.ndarray, num_columns: int, fir
     return np.asarray(matrix[first].multiply(matrix[second]).sum(axis=1)).ravel()
 
 
-@kernel("fine_grained_reciprocity")
-def _fine_grained_reciprocity_frozen(
+@dispatchable("fine_grained_reciprocity")
+def fine_grained_reciprocity(
     earlier: FrozenSAN,
     later: SANLike,
     max_common_social: int = 50,
     max_links: Optional[int] = None,
 ) -> FineGrainedReciprocity:
+    """Compute the Section 4.2 fine-grained reciprocity.
+
+    For every one-directional link ``u -> v`` present in ``earlier`` (i.e. the
+    reverse link is absent there), determine whether ``v -> u`` exists in
+    ``later``, and stratify by the endpoints' common social neighbors and
+    common attribute bucket *measured on the earlier snapshot*.  Either
+    snapshot may be mutable or frozen.  ``max_links`` keeps only the first
+    ``max_links`` one-way links in the frozen ``earlier``'s
+    ``social_edges()`` order.
+    """
     social = earlier.social
     n = social.number_of_nodes()
     sources, targets = social.edge_arrays()

@@ -19,9 +19,9 @@ than Baseline, RR-SAN is 36% better than RR") needs.  The generative model
 array state.
 
 :func:`score_closures` classifies a batch of edges (triadic / focal) and
-scores it under all three models.  Its portable body calls the per-pair
-``target_probability`` methods, which stay the reference.  On a frozen SAN
-the kernel is a few sparse passes over the whole batch.  With ``U`` the
+scores it under all three models, as a few sparse passes over the whole
+batch on the frozen SAN (a mutable SAN is frozen at dispatch); the per-pair
+``target_probability`` methods stay the reference.  With ``U`` the
 undirected social CSR (self-loops dropped), ``d`` its degrees, ``M`` the
 social→attribute incidence, ``s`` the attribute member counts and ``fc``
 the attribute weight:
@@ -43,14 +43,8 @@ from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..algorithms.triangles import (
-    ClosureBreakdown,
-    is_focal_closure,
-    is_triadic_closure,
-    two_hop_sizes,
-    two_hop_social_neighbors,
-)
-from ..engine import dispatchable, kernel
+from ..algorithms.triangles import ClosureBreakdown, two_hop_sizes, two_hop_social_neighbors
+from ..engine import dispatchable
 from ..engine.deps import scipy_sparse
 from ..graph.frozen import FrozenSAN, sorted_membership
 from ..graph.san import SAN
@@ -239,33 +233,15 @@ class ClosureScores(NamedTuple):
 
 @dispatchable("score_closures")
 def score_closures(
-    san: SAN, edges: Sequence[Tuple[Node, Node]], attribute_weight: float = 1.0
+    san: FrozenSAN, edges: Sequence[Tuple[Node, Node]], attribute_weight: float = 1.0
 ) -> ClosureScores:
     """Closure type and Baseline / RR / RR-SAN probability of every edge.
 
     Both endpoints of every edge must be social nodes of ``san``, the state
     before the edges were added.  ``attribute_weight`` is RR-SAN's ``fc``.
+    The batch is scored with sparse row products over the CSR (see the
+    module docstring for the formulas).
     """
-    models = (
-        BaselineClosing(),
-        RandomRandomClosing(),
-        RandomRandomSANClosing(attribute_weight=attribute_weight),
-    )
-    return ClosureScores(
-        np.array([is_triadic_closure(san, u, v) for u, v in edges], dtype=bool),
-        np.array([is_focal_closure(san, u, v) for u, v in edges], dtype=bool),
-        *(
-            np.array([model.target_probability(san, u, v) for u, v in edges], dtype=np.float64)
-            for model in models
-        ),
-    )
-
-
-@kernel("score_closures")
-def _score_closures_frozen(
-    san: FrozenSAN, edges: Sequence[Tuple[Node, Node]], attribute_weight: float = 1.0
-) -> ClosureScores:
-    """The batch as sparse row products over the CSR (module docstring formulas)."""
     _checked_attribute_weight(attribute_weight)
     sparse = scipy_sparse()
     social = san.social

@@ -3,14 +3,9 @@
 (Parsed by the linter only; importing it would register throwaway kernels.)
 """
 
-from repro.engine import dispatchable, kernel
+from repro.engine import dispatchable
 
 
 @dispatchable("fixture.degree_sum")
 def degree_sum(graph):
-    return sum(graph.degree(node) for node in graph.nodes())
-
-
-@kernel("fixture.degree_sum", backend="frozen")
-def degree_sum_frozen(graph):
-    return int(graph.social_out_degrees().sum())
+    return int(graph.out_degree_array().sum())

@@ -4,10 +4,10 @@ import hashlib
 import json
 import time
 
-from repro.engine import kernel
+from repro.engine import dispatchable
 
 
-@kernel("fixture.triangles_clean", backend="frozen")
+@dispatchable("fixture.triangles_clean")
 def triangle_count(graph):
     return 0
 

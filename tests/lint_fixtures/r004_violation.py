@@ -3,10 +3,10 @@
 import time
 from datetime import datetime
 
-from repro.engine import dispatchable, kernel
+from repro.engine import dispatchable
 
 
-@kernel("fixture.triangles", backend="frozen")
+@dispatchable("fixture.triangles")
 def triangle_count(graph):
     started = time.perf_counter()  # expect[R004]
     del started

@@ -1,10 +1,13 @@
-"""Tests for the backend-dispatch engine: registry semantics, backend
-resolution, the cached frozen view, and introspection."""
+"""Tests for the dispatch engine: registry semantics, freezing at dispatch,
+the cached frozen view, and introspection."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +19,11 @@ from repro import engine
 from repro.engine.registry import (
     FROZEN,
     MUTABLE,
-    NoKernelError,
+    UnfreezableGraphError,
     UnknownOperationError,
     backend_of,
     dispatch,
     frozen_view,
-    kernels_for,
     list_ops,
     resolve,
 )
@@ -41,17 +43,27 @@ class TestBackendResolution:
         assert backend_of(small_san.freeze()) == FROZEN
         assert backend_of(small_san.social) == MUTABLE
         assert backend_of(small_san.freeze().social) == FROZEN
-        assert backend_of(object()) == MUTABLE  # unknown objects act portable
+        assert backend_of(object()) == MUTABLE  # anything not frozen
 
-    def test_resolve_picks_backend_kernel(self, small_san):
-        assert resolve("reciprocal_edge_count", small_san).backend == MUTABLE
-        assert resolve("reciprocal_edge_count", small_san.freeze()).backend == FROZEN
+    def test_resolve_picks_backend_kernel(self):
+        from repro.metrics.reciprocity import reciprocal_edge_count
 
-    def test_frozen_input_falls_back_to_portable(self, small_san):
-        # "sybil.acceptance_probability" has a frozen kernel; pick an op that
-        # does not: register a throwaway portable-only op.
-        engine.register("test.portable_only", lambda graph: "portable", backend=MUTABLE)
-        assert dispatch("test.portable_only", small_san.freeze()) == "portable"
+        # One kernel per operation, and it runs on the frozen backend.
+        entry = resolve("reciprocal_edge_count")
+        assert entry.backend == FROZEN
+        assert entry.fn is reciprocal_edge_count.__wrapped__
+
+    def test_mutable_input_is_frozen_once_at_dispatch(self, small_san):
+        seen = []
+        engine.register("test.sees_frozen", lambda graph: seen.append(graph) or len(seen))
+        dispatch("test.sees_frozen", small_san)
+        dispatch("test.sees_frozen", small_san)
+        dispatch("test.sees_frozen", small_san.social)
+        assert backend_of(seen[0]) == FROZEN and seen[1] is seen[0]
+        assert backend_of(seen[2]) == FROZEN
+        small_san.add_social_edge(3, 1)
+        dispatch("test.sees_frozen", small_san)
+        assert seen[3] is not seen[0] and seen[3].has_social_edge(3, 1)
 
 
 class TestRegistryErrors:
@@ -59,15 +71,12 @@ class TestRegistryErrors:
         with pytest.raises(UnknownOperationError):
             dispatch("no.such.op", small_san)
         with pytest.raises(UnknownOperationError):
-            resolve("no.such.op", small_san)
-        with pytest.raises(UnknownOperationError):
-            kernels_for("no.such.op")
+            resolve("no.such.op")
 
-    def test_no_kernel_for_backend(self, small_san):
-        engine.register("test.frozen_only", lambda graph: "frozen", backend=FROZEN)
-        with pytest.raises(NoKernelError):
-            dispatch("test.frozen_only", small_san)
-        assert dispatch("test.frozen_only", small_san.freeze()) == "frozen"
+    def test_unfreezable_input_raises_named_error(self):
+        engine.register("test.needs_graph", lambda graph: "ran")
+        with pytest.raises(UnfreezableGraphError, match="test.needs_graph"):
+            dispatch("test.needs_graph", object())
 
     def test_duplicate_registration_raises_named_error(self, small_san):
         def first(graph):
@@ -76,35 +85,34 @@ class TestRegistryErrors:
         def shadower(graph):
             return "shadower"
 
-        engine.register("test.duplicate", first, backend=FROZEN)
+        engine.register("test.duplicate", first)
         with pytest.raises(engine.DuplicateKernelError) as excinfo:
-            engine.register("test.duplicate", shadower, backend=FROZEN)
+            engine.register("test.duplicate", shadower)
         message = str(excinfo.value)
-        assert "test.duplicate" in message and "'frozen'" in message
+        assert "test.duplicate" in message
         assert "first" in message and "shadower" in message
-        # The registry is unchanged: the original kernel still dispatches.
+        # The registry is unchanged: the original kernel still dispatches,
+        # from either backend.
         assert dispatch("test.duplicate", small_san.freeze()) == "first"
-        # Another backend is another slot.
-        engine.register("test.duplicate", shadower, backend=MUTABLE)
-        assert dispatch("test.duplicate", small_san) == "shadower"
+        assert dispatch("test.duplicate", small_san) == "first"
 
     def test_same_function_reregistration_replaces(self, small_san):
         def body(graph):
             return "one"
 
-        entry = engine.register("test.rereg", body, backend=FROZEN)
+        entry = engine.register("test.rereg", body)
         assert entry.fn is body
         # Registering the same function object again is a no-op.
-        assert engine.register("test.rereg", body, backend=FROZEN) is entry
-        assert [k.fn for k in kernels_for("test.rereg")] == [body]
+        assert engine.register("test.rereg", body) is entry
+        assert resolve("test.rereg") is entry
         assert dispatch("test.rereg", small_san.freeze()) == "one"
 
     def test_distinct_functions_with_one_name_collide(self, small_san):
         # Two lambdas, or two closures from one factory, share a module and a
         # qualname but are different kernels: neither may replace the other.
-        engine.register("test.lambdas", lambda graph: "first", backend=FROZEN)
+        engine.register("test.lambdas", lambda graph: "first")
         with pytest.raises(engine.DuplicateKernelError):
-            engine.register("test.lambdas", lambda graph: "second", backend=FROZEN)
+            engine.register("test.lambdas", lambda graph: "second")
         assert dispatch("test.lambdas", small_san.freeze()) == "first"
 
         def make(tag):
@@ -113,9 +121,9 @@ class TestRegistryErrors:
 
             return body
 
-        engine.register("test.closures", make("one"), backend=FROZEN)
+        engine.register("test.closures", make("one"))
         with pytest.raises(engine.DuplicateKernelError):
-            engine.register("test.closures", make("two"), backend=FROZEN)
+            engine.register("test.closures", make("two"))
         assert dispatch("test.closures", small_san.freeze()) == "one"
 
 
@@ -148,6 +156,17 @@ class TestFrozenView:
         assert frozen_view(small_san) is after
         assert len(freezes) == 2
 
+    def test_replacing_a_layer_causes_a_new_freeze(self):
+        from repro.graph import DiGraph
+        from repro.metrics import reciprocal_edge_count
+
+        san = san_from_edge_lists([(1, 2), (2, 1), (2, 3)])
+        assert reciprocal_edge_count(san) == (2, 3)
+        # A layer with as many mutations as the old one: a per-graph counter
+        # would match the cached view's version and serve the old layer.
+        san.social = DiGraph([(1, 2), (2, 3), (3, 1)])
+        assert reciprocal_edge_count(san) == (0, 3)
+
     def test_frozen_input_is_returned_as_is(self, small_san):
         frozen = small_san.freeze()
         assert frozen_view(frozen) is frozen
@@ -171,25 +190,47 @@ class TestIntrospection:
         ):
             assert expected in ops
 
-    def test_kernels_for_reports_backends(self):
-        backends = {entry.backend for entry in kernels_for("count_directed_triangles")}
-        assert backends == {MUTABLE, FROZEN}
-
     def test_dispatchable_exposes_op_and_wrapped(self):
         from repro.metrics.degrees import social_out_degrees
 
         assert social_out_degrees.op == "social_out_degrees"
         assert social_out_degrees.__wrapped__ is not social_out_degrees
+        assert resolve("social_out_degrees").fn is social_out_degrees.__wrapped__
 
-    def test_every_op_has_a_portable_kernel(self):
-        """Every operation has a portable (mutable) body, and the registry
-        keys graph backends only."""
+    def test_every_op_has_one_frozen_kernel(self):
+        """Each operation holds one kernel, and it runs on the frozen backend."""
         for op in list_ops():
-            if op.startswith("test."):
-                continue
-            backends = {entry.backend for entry in kernels_for(op)}
-            assert MUTABLE in backends, f"{op} has no portable kernel"
-            assert backends <= {MUTABLE, FROZEN}, f"{op} registers {backends}"
+            entry = resolve(op)
+            assert entry.op == op and entry.backend == FROZEN and callable(entry.fn)
+
+    def test_oracles_cover_every_op(self):
+        """Every operation the package registers has an independent oracle.
+
+        Each ``tests/test_oracle_*.py`` declares the operations it checks in
+        a module-level ``ORACLE_OPS`` tuple; their union must be exactly the
+        operations registered once every ``repro`` module is imported.
+        """
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+            if info.name != "repro.__main__":
+                importlib.import_module(info.name)
+        shipped = {op for op in list_ops() if resolve(op).fn.__module__.startswith("repro.")}
+        declared = {}
+        for path in sorted(Path(__file__).parent.glob("test_oracle_*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            values = [
+                node.value
+                for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["ORACLE_OPS"]
+            ]
+            assert len(values) == 1, f"{path.name} declares no ORACLE_OPS"
+            for op in ast.literal_eval(values[0]):
+                declared.setdefault(op, []).append(path.name)
+        assert set(declared) == shipped, {
+            "without an oracle": sorted(shipped - set(declared)),
+            "not registered": sorted(set(declared) - shipped),
+        }
+        assert len(shipped) == 43
 
 
 #: Runs every stage of a cold ``tiny`` pipeline and reports which scipy

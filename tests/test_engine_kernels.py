@@ -1,7 +1,8 @@
-"""Edge-case and parity tests for the kernels added with the dispatch engine:
+"""Edge-case tests for the kernels added with the dispatch engine:
 traversal, components, HyperANF, random walks, sampling, link prediction, and
 the application drivers — on degenerate SANs (empty, single node, isolated
-attribute-only component) for both backends."""
+attribute-only component) given mutable or frozen.  The independent oracles
+for these operations are in ``tests/test_oracle_*.py``."""
 
 from __future__ import annotations
 
@@ -30,54 +31,7 @@ from repro.applications.link_prediction import (
 )
 from repro.applications.sybil import sybil_identities_vs_compromised
 from repro.graph import SAN, san_from_edge_lists
-
-ATTRIBUTE_TYPES = ["employer", "school", "major", "city"]
-
-
-def random_san(seed: int, num_social: int = 60, num_edges: int = 240) -> SAN:
-    rng = random.Random(seed)
-    san = SAN()
-    for node in range(num_social):
-        san.add_social_node(node)
-    for _ in range(num_edges):
-        source = rng.randrange(num_social)
-        target = rng.randrange(num_social)
-        if source == target:
-            continue
-        san.add_social_edge(source, target)
-        if rng.random() < 0.4:
-            san.add_social_edge(target, source)
-    for _ in range(70):
-        social = rng.randrange(num_social)
-        attr_type = rng.choice(ATTRIBUTE_TYPES)
-        value = f"v{rng.randrange(8)}"
-        san.add_attribute_edge(
-            social, f"{attr_type}:{value}", attr_type=attr_type, value=value
-        )
-    return san
-
-
-def empty_san() -> SAN:
-    return SAN()
-
-
-def single_node_san() -> SAN:
-    san = SAN()
-    san.add_social_node(1)
-    return san
-
-
-def isolated_attribute_component_san() -> SAN:
-    """Two social nodes joined *only* through a shared attribute, next to a
-    separate social component: the attribute layer must not leak into the
-    social connectivity kernels."""
-    san = san_from_edge_lists([(1, 2), (2, 3)])
-    san.add_attribute_edge(10, "city:SF", attr_type="city", value="SF")
-    san.add_attribute_edge(11, "city:SF", attr_type="city", value="SF")
-    return san
-
-
-EDGE_CASES = [empty_san, single_node_san, isolated_attribute_component_san]
+from san_cases import EDGE_CASES, isolated_attribute_component_san, random_san, single_node_san
 
 
 @pytest.fixture(params=["scipy"])
@@ -302,15 +256,15 @@ class TestLinkPredictionKernels:
         assert len(pairs) < frozen.number_of_social_nodes()
 
         frozen_rows = pair_features_batch(frozen, pairs)
-        for frozen_row, mutable_row in zip(frozen_rows, pair_features_batch(san, pairs)):
-            assert frozen_row.keys() == mutable_row.keys()
-            for key, value in mutable_row.items():
-                assert math.isclose(frozen_row[key], value, rel_tol=1e-9, abs_tol=1e-12)
-        assert common_neighbor_counts(frozen, pairs) == common_neighbor_counts(san, pairs)
-        for left, right in zip(
-            adamic_adar_scores(frozen, pairs), adamic_adar_scores(san, pairs)
-        ):
-            assert math.isclose(left, right, rel_tol=1e-9, abs_tol=1e-12)
+        counts = common_neighbor_counts(frozen, pairs)
+        scores = adamic_adar_scores(frozen, pairs)
+        for (source, target), row, count, score in zip(pairs, frozen_rows, counts, scores):
+            expected = pair_features(san, source, target)
+            assert row.keys() == expected.keys()
+            for key, value in expected.items():
+                assert math.isclose(row[key], value, rel_tol=1e-9, abs_tol=1e-12)
+            assert count == expected["common_social_neighbors"]
+            assert math.isclose(score, expected["adamic_adar"], rel_tol=1e-9, abs_tol=1e-12)
         assert not frozen.has_derived("common_neighbor_matrix")
         assert not frozen.has_derived("adamic_adar_matrix")
         assert len(calls) == 3

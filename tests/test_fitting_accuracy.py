@@ -33,7 +33,7 @@ from repro.fitting.distributions import (
     DiscreteExponential,
     PowerLawWithCutoff,
 )
-from repro.fitting.mle import ALPHA_RANGE, CUTOFF_MIN
+from repro.fitting.mle import ALPHA_RANGE, CUTOFF_MAX, CUTOFF_MIN
 
 #: |delta log Z| <= NORMALISER_RTOL * max(1, |log Z|).
 NORMALISER_RTOL = 1e-10
@@ -92,17 +92,18 @@ CUTOFF_RATES = (1e-7, 1e-5, 1e-4, 1e-3, 0.005, 0.0097, 0.05)
 
 
 def _cutoff_support_end(rate: float) -> int:
+    """The number of support points: the weight's e^-20 fall from xmin, clamped."""
     return min(DEFAULT_SUPPORT_MAX, max(1000, int(20 / max(rate, 1e-6))))
 
 
 @functools.lru_cache(maxsize=1)  # one 8 MB array; each test uses one xmin
 def _support(xmin: int) -> np.ndarray:
-    return np.arange(xmin, DEFAULT_SUPPORT_MAX + 1, dtype=float)
+    return np.arange(xmin, xmin + DEFAULT_SUPPORT_MAX, dtype=float)
 
 
 def cutoff_reference_log_normaliser(alpha: float, rate: float, xmin: int) -> float:
     """log of the weights summed term by term over the whole support."""
-    ks = _support(xmin)[: _cutoff_support_end(rate) - xmin + 1]
+    ks = _support(xmin)[: _cutoff_support_end(rate)]
     log_weights = -alpha * np.log(ks) - rate * ks
     peak = float(np.max(log_weights))
     return peak + math.log(float(np.sum(np.exp(log_weights - peak))))
@@ -182,7 +183,10 @@ def test_cutoff_fit_reaches_the_oracle_optimum(name):
         )
 
     # L-BFGS-B over (alpha, log10 lambda) from two starts, then a Nelder-Mead polish.
-    bounds = [(CUTOFF_MIN[0], None), (math.log10(CUTOFF_MIN[1]), 2.0)]
+    bounds = [
+        (CUTOFF_MIN[0], CUTOFF_MAX[0]),
+        (math.log10(CUTOFF_MIN[1]), math.log10(CUTOFF_MAX[1])),
+    ]
     results = [
         minimize(negative_log_likelihood, start, method="L-BFGS-B", bounds=bounds)
         for start in ((2.0, -2.0), (1.5, -5.0))
@@ -205,6 +209,7 @@ def test_cutoff_fit_reaches_the_oracle_optimum(name):
         negative_log_likelihood((alpha, math.log10(rate))), rel=1e-10
     )
     assert alpha >= CUTOFF_MIN[0] * (1 - 1e-12) and rate >= CUTOFF_MIN[1] * (1 - 1e-12)
+    assert alpha <= CUTOFF_MAX[0] * (1 + 1e-12) and rate <= CUTOFF_MAX[1] * (1 + 1e-12)
 
 
 # ----------------------------------------------------------------------

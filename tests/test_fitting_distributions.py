@@ -14,6 +14,12 @@ from repro.fitting import (
     PowerLawWithCutoff,
     truncated_normal_mean_variance,
 )
+from repro.fitting.mle import (
+    CUTOFF_MAX,
+    SIGMA_MAX,
+    fit_lognormal,
+    fit_power_law_with_cutoff,
+)
 
 
 RNG = np.random.default_rng(7)
@@ -141,3 +147,28 @@ def test_truncated_normal_mean_variance():
     assert variance0 < 4.0
     with pytest.raises(ValueError):
         truncated_normal_mean_variance(1.0, 0.0)
+
+
+def test_supports_start_from_a_large_xmin():
+    # Each support's end is measured from xmin, so a sample far past the
+    # default ends (1000 points, e^(mu + 8 sigma)) still has a support.
+    normaliser = DiscreteLognormal(1.0, 0.1, xmin=5000)._log_normaliser()
+    assert math.isfinite(normaliser)
+    lognormal = fit_lognormal([5000] * 50, xmin=5000)
+    cutoff = fit_power_law_with_cutoff([5000] * 50, xmin=5000)
+    for fit in (lognormal, cutoff):
+        assert fit.distribution.xmin == 5000
+        assert math.isfinite(fit.log_likelihood)
+    # All the mass the cutoff's box allows sits on the one observed value.
+    assert cutoff.log_likelihood == pytest.approx(0.0, abs=1e-6)
+    assert cutoff.distribution.cutoff_rate == CUTOFF_MAX[1]
+
+
+def test_fits_whose_optimum_is_at_infinity_stop_on_the_box_edge():
+    # Thirty equal values: the likelihood grows without bound in both of the
+    # cutoff's parameters, so the fit ends on the box's far corner.
+    cutoff = fit_power_law_with_cutoff([3] * 30, xmin=3).distribution
+    assert (cutoff.alpha, cutoff.cutoff_rate) == pytest.approx(CUTOFF_MAX, rel=1e-9)
+    # Two values six decades apart: the lognormal widens without bound.
+    lognormal = fit_lognormal([1, 10 ** 6]).distribution
+    assert lognormal.sigma == pytest.approx(SIGMA_MAX, rel=1e-9)

@@ -22,7 +22,7 @@ from repro.fitting.distributions import (
     DiscreteLognormal,
     PowerLaw,
 )
-from repro.fitting.mle import MU_REACH, SIGMA_MIN, fit_lognormal
+from repro.fitting.mle import MU_REACH, SIGMA_MAX, SIGMA_MIN, fit_lognormal
 
 #: |delta log Z| <= NORMALISER_RTOL * max(1, |log Z|).
 NORMALISER_RTOL = 1e-10
@@ -31,18 +31,20 @@ MUS = np.round(np.arange(-1.0, 9.01, 0.5), 2)
 SIGMAS = (0.05, 0.1, 0.2, 0.35, 0.5, 0.8, 1.2, 2.0, 3.0)
 
 
-def _cutoff(mu: float, sigma: float) -> int:
-    return min(DEFAULT_SUPPORT_MAX, max(1000, int(math.exp(min(mu + 8 * sigma, 20.0)))))
+def _cutoff(mu: float, sigma: float, xmin: int = 1) -> int:
+    """The last support point: e^(mu + 8 sigma), clamped to xmin - 1 + [1000, 10^6]."""
+    top = int(math.exp(min(mu + 8 * sigma, 20.0)))
+    return min(xmin - 1 + DEFAULT_SUPPORT_MAX, max(xmin + 999, top))
 
 
 @functools.lru_cache(maxsize=1)  # one 8 MB array; each test uses one xmin
 def _support_logs(xmin: int) -> np.ndarray:
-    return np.log(np.arange(xmin, DEFAULT_SUPPORT_MAX + 1, dtype=float))
+    return np.log(np.arange(xmin, xmin + DEFAULT_SUPPORT_MAX, dtype=float))
 
 
 def full_support_log_normaliser(mu: float, sigma: float, xmin: int) -> float:
     """log of the weights summed term by term over the whole support."""
-    logs = _support_logs(xmin)[: _cutoff(mu, sigma) - xmin + 1]
+    logs = _support_logs(xmin)[: _cutoff(mu, sigma, xmin) - xmin + 1]
     log_weights = -logs - (logs - mu) ** 2 / (2 * sigma ** 2)
     peak = float(np.max(log_weights))
     return peak + math.log(float(np.sum(np.exp(log_weights - peak))))
@@ -81,7 +83,7 @@ def test_log_normaliser_with_the_cap_below_the_median(mu, sigma):
 
 def test_log_normaliser_without_a_tail_is_the_plain_sum():
     for mu, sigma, xmin in ((1.0, 0.5, 1), (2.0, 0.6, 2), (-1.0, 1.0, 5)):
-        assert _cutoff(mu, sigma) < xmin + EXACT_HEAD
+        assert _cutoff(mu, sigma, xmin) < xmin + EXACT_HEAD
         actual = DiscreteLognormal(mu=mu, sigma=sigma, xmin=xmin)._log_normaliser()
         assert actual == full_support_log_normaliser(mu, sigma, xmin)
 
@@ -104,14 +106,14 @@ def _nll(data: np.ndarray, xmin: int):
 def oracle_fit(data: np.ndarray, xmin: int):
     """``(nll, (mu, sigma))``: scipy's optimum of the per-sample objective over the box.
 
-    L-BFGS-B within ``|mu - m| <= 4.5`` and ``sigma >= 0.05`` from the moments
+    L-BFGS-B within ``|mu - m| <= 4.5`` and ``0.05 <= sigma <= 10`` from the moments
     of ``ln k``, then a Nelder-Mead polish; neither shares code with the fit.
     """
     negative_log_likelihood = _nll(data, xmin)
     logs = np.log(data)
     center = float(np.mean(logs))
-    bounds = [(center - MU_REACH, center + MU_REACH), (SIGMA_MIN, None)]
-    start = [center, max(float(np.std(logs)), SIGMA_MIN)]
+    bounds = [(center - MU_REACH, center + MU_REACH), (SIGMA_MIN, SIGMA_MAX)]
+    start = [center, min(max(float(np.std(logs)), SIGMA_MIN), SIGMA_MAX)]
     first = minimize(negative_log_likelihood, start, method="L-BFGS-B", bounds=bounds)
     polished = minimize(
         negative_log_likelihood,
@@ -133,7 +135,8 @@ def _assert_at_the_oracle_optimum(data: np.ndarray, xmin: int) -> None:
     mu, sigma = fit.distribution.mu, fit.distribution.sigma
     assert -fit.log_likelihood == pytest.approx(_nll(data, xmin)((mu, sigma)), rel=1e-10)
     center = float(np.mean(np.log(data)))
-    assert sigma >= SIGMA_MIN * (1 - 1e-12) and abs(mu - center) <= MU_REACH * (1 + 1e-12)
+    assert SIGMA_MIN * (1 - 1e-12) <= sigma <= SIGMA_MAX * (1 + 1e-12)
+    assert abs(mu - center) <= MU_REACH * (1 + 1e-12)
 
 
 @pytest.mark.parametrize(

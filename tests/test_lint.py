@@ -9,7 +9,7 @@ Three layers of coverage:
   a reasonless one is itself a finding, and ``--report-stale`` flags
   directives whose rule no longer fires;
 * the gate itself — the full catalog over ``src/repro`` yields zero
-  unsuppressed findings, and the live kernel registry passes R006.
+  unsuppressed findings.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -28,8 +27,6 @@ from repro.lint import (
     LintError,
     UnknownRuleError,
     all_rules,
-    check_registry,
-    load_full_registry,
     parse_suppressions,
     render_json,
     render_text,
@@ -165,7 +162,7 @@ class TestRuleSelection:
 
     def test_catalog_is_complete(self):
         assert sorted(all_rules()) == [
-            "R001", "R002", "R003", "R004", "R006", "R007", "R009", "R010",
+            "R001", "R002", "R003", "R004", "R007", "R009", "R010",
         ]
         for rule in all_rules().values():
             assert rule.name and rule.description
@@ -173,36 +170,6 @@ class TestRuleSelection:
     def test_missing_path_is_usage_error(self):
         with pytest.raises(LintError):
             run_lint([Path("/no/such/dir/anywhere")], rule_ids=["R001"])
-
-
-def _kernel():
-    return SimpleNamespace(fn=lambda graph: None)
-
-
-class TestRegistryCoherence:
-    def test_live_registry_is_coherent(self):
-        registry = load_full_registry()
-        assert len(registry) >= 40
-        assert check_registry(registry) == []
-
-    def test_live_registry_holds_one_kernel_per_backend(self):
-        for backends in load_full_registry().values():
-            for backend, entry in backends.items():
-                assert entry.backend == backend and callable(entry.fn)
-
-    def test_missing_portable_body_flagged(self):
-        registry = {"op.frozen_only": {"frozen": _kernel()}}
-        findings = check_registry(registry)
-        assert len(findings) == 1
-        assert "portable" in findings[0].message
-        assert findings[0].rule == "R006"
-
-    def test_healthy_synthetic_registry_passes(self):
-        registry = {
-            "op.good": {"mutable": _kernel(), "frozen": _kernel()},
-            "op.portable_only": {"mutable": _kernel()},
-        }
-        assert check_registry(registry) == []
 
 
 class TestRepositoryGate:
@@ -374,7 +341,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R001", "R006"):
+        for rule_id in ("R001", "R007"):
             assert rule_id in out
 
     def test_default_target_is_the_package_and_clean(self, capsys):

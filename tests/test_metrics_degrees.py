@@ -24,7 +24,7 @@ def test_out_and_in_degrees(figure1_san):
 
 
 def test_total_degrees(clique_san):
-    assert social_total_degrees(clique_san) == [5] * 6
+    assert social_total_degrees(clique_san).tolist() == [5] * 6
 
 
 def test_attribute_degree_sequences(figure1_san):

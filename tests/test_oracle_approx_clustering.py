@@ -26,6 +26,12 @@ from repro.algorithms import (
 )
 from repro.graph import SAN, spill_to_mmap
 
+#: The dispatched operations this oracle checks (see
+#: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
+ORACLE_OPS = (
+    "approximate_average_clustering",
+)
+
 NUM_USERS = 12
 SAMPLES = 2000
 NU = 1e6

@@ -4,8 +4,7 @@
 small SANs it must agree with two independent references: networkx shortest
 paths minimised over member pairs, and the per-source loop it replaced (one
 BFS per member of the first attribute).  Every backend is checked: the
-mutable SAN, its freeze, an mmap-backed spill of the freeze, and the portable
-body run on the freeze.
+mutable SAN, its freeze, and an mmap-backed spill of the freeze.
 
 ``sample_attribute_distance_distribution`` answers 64 sampled pairs per
 bit-parallel sweep on frozen inputs.  Its histogram must equal the one built
@@ -28,6 +27,13 @@ from repro.algorithms import (  # noqa: E402
     sample_attribute_distance_distribution,
 )
 from repro.graph import SAN, spill_to_mmap  # noqa: E402
+
+#: The dispatched operations this oracle checks (see
+#: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
+ORACLE_OPS = (
+    "attribute_distance",
+    "sample_attribute_distance_distribution",
+)
 
 NUM_USERS = 12
 DEPTHS = (None, 0, 1, 2)
@@ -111,8 +117,6 @@ def test_attribute_distance_matches_networkx_and_per_source_loop(edges, membersh
                 assert per_source_attribute_distance(san, *case) == expected
                 for name, graph in graphs.items():
                     assert attribute_distance(graph, *case) == expected, (name, case)
-                portable = attribute_distance.__wrapped__(frozen, *case)
-                assert portable == expected, ("portable-on-frozen", case)
 
 
 def per_pair_histogram(order, answer, num_pairs, generator, max_depth):

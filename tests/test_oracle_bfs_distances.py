@@ -6,8 +6,8 @@ isolated nodes, int or str labels, and nodes inserted in shuffled order —
 ``nx.single_source_shortest_path_length(graph, source, cutoff=max_depth)``
 from every source, with and without a depth cutoff.
 
-Every backend is checked: the mutable graph, its freeze, an mmap-backed
-spill of the freeze, and the portable body run on the freeze.
+Every backend is checked: the mutable graph, its freeze, and an
+mmap-backed spill of the freeze.
 """
 
 import pytest
@@ -18,6 +18,12 @@ nx = pytest.importorskip("networkx")
 
 from repro.algorithms.traversal import bfs_distances  # noqa: E402
 from repro.graph import DiGraph, spill_to_mmap  # noqa: E402
+
+#: The dispatched operations this oracle checks (see
+#: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
+ORACLE_OPS = (
+    "bfs_distances",
+)
 
 MAX_NODES = 12
 
@@ -59,13 +65,11 @@ def test_bfs_distances_match_networkx(spec):
         "mutable": bfs_distances,
         "frozen": bfs_distances,
         "mmap": bfs_distances,
-        "portable-on-frozen": bfs_distances.__wrapped__,
     }
     graphs = {
         "mutable": graph,
         "frozen": frozen,
         "mmap": spill_to_mmap(frozen),
-        "portable-on-frozen": frozen,
     }
     for source in graph.nodes():
         for max_depth in {None, cutoff}:

@@ -7,8 +7,8 @@ methods, ``is_triadic_closure`` / ``is_focal_closure`` and
 ``classify_closures``, run on the mutable SAN.  Flags and counts must match
 exactly; probabilities to 1e-12 relative, since the batched sums run in
 another order.  Every ordered pair of users is scored (self-pairs included),
-on the frozen SAN, an mmap-backed spill of it, and through the portable
-body, at ``fc`` in {0, 0.5, 1}.
+on the frozen SAN, an mmap-backed spill of it, and the mutable SAN, at
+``fc`` in {0, 0.5, 1}.
 """
 
 import math
@@ -27,6 +27,12 @@ from repro.models import (
     RandomRandomSANClosing,
     evaluate_closure_models,
     score_closures,
+)
+
+#: The dispatched operations this oracle checks (see
+#: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
+ORACLE_OPS = (
+    "score_closures",
 )
 
 NUM_USERS = 10
@@ -88,7 +94,7 @@ def test_batched_scores_match_per_pair_models(edges, memberships):
         runs = {
             "frozen": score_closures(frozen, pairs, attribute_weight=weight),
             "mmap": score_closures(spill_to_mmap(frozen), pairs, attribute_weight=weight),
-            "portable": score_closures(san, pairs, attribute_weight=weight),
+            "mutable": score_closures(san, pairs, attribute_weight=weight),
         }
         for name, scores in runs.items():
             assert np.array_equal(scores.triadic, expected.triadic), name

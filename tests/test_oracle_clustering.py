@@ -12,8 +12,8 @@ digraph without its self-loops and ``U`` its undirected projection; then
 * the averages and the per-degree curves are the plain and per-degree means
   of those values (degrees below 2 are left out of the curves).
 
-Every backend is checked: the mutable SAN, its freeze, an mmap-backed spill
-of the freeze, and the portable bodies run on the freeze.
+Every backend is checked: the mutable SAN, its freeze, and an mmap-backed
+spill of the freeze.
 """
 
 import math
@@ -32,6 +32,16 @@ from repro.algorithms.clustering import (  # noqa: E402
 )
 from repro.algorithms.triangles import count_directed_triangles  # noqa: E402
 from repro.graph import SAN, spill_to_mmap  # noqa: E402
+
+#: The dispatched operations this oracle checks (see
+#: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
+ORACLE_OPS = (
+    "count_directed_triangles",
+    "node_clustering_coefficient",
+    "average_social_clustering_coefficient",
+    "average_attribute_clustering_coefficient",
+    "clustering_by_degree",
+)
 
 NUM_USERS = 12
 TOLERANCE = 1e-12
@@ -153,10 +163,3 @@ def test_triangles_and_clustering_match_networkx(edges, memberships):
             social,
             attribute,
         )
-    _check(
-        "portable-on-frozen",
-        lambda fn, *args: fn.__wrapped__(frozen, *args),
-        triangles,
-        social,
-        attribute,
-    )

@@ -42,6 +42,10 @@ from repro.experiments.scenarios import get_scenario  # noqa: E402
 from repro.graph import SAN, FrozenSAN, spill_to_mmap  # noqa: E402
 from repro.synthetic.gplus import simulate_google_plus  # noqa: E402
 
+#: The dispatched operations this oracle checks (none: it checks
+#: the data pipeline, not a kernel).
+ORACLE_OPS = ()
+
 #: Social labels: ints and strs with pairwise distinct ``str()`` forms.
 USERS = [0, 1, 2, 3, 10, "u1", "u2", "x", "y:7"]
 ATTRS = ["city:a", "city:b", "employer:c", 100]

@@ -29,6 +29,10 @@ from repro.synthetic import (
     sybil_wave_config,
 )
 
+#: The dispatched operations this oracle checks (none: it checks
+#: the data pipeline, not a kernel).
+ORACLE_OPS = ()
+
 
 @pytest.fixture(scope="module")
 def regime_evolution():

@@ -26,6 +26,12 @@ from repro.experiments.artifacts import canonical_frozen  # noqa: E402
 from repro.graph import SAN, spill_to_mmap  # noqa: E402
 from repro.metrics.reciprocity import fine_grained_reciprocity  # noqa: E402
 
+#: The dispatched operations this oracle checks (see
+#: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
+ORACLE_OPS = (
+    "fine_grained_reciprocity",
+)
+
 NUM_USERS = 10
 
 users = st.integers(0, NUM_USERS - 1)

@@ -32,6 +32,10 @@ from repro.models import (
 from repro.models.history import ArrivalEvent
 from repro.synthetic import GooglePlusConfig, SybilWaveDay, simulate_google_plus
 
+#: The dispatched operations this oracle checks (none: it checks
+#: the data pipeline, not a kernel).
+ORACLE_OPS = ()
+
 _MEMBERSHIPS = (
     ("node_attr_indptr", "node_attr_ids", "node_attr_pos"),
     ("attr_member_indptr", "attr_member_ids", "attr_member_pos"),

@@ -27,12 +27,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import exact_neighbourhood_function, neighbourhood_function
-from repro.algorithms.hyperanf import _neighbourhood_function_frozen
 from repro.algorithms.hyperloglog import (
     cardinality_of_register_matrix,
     register_matrix_for_items,
 )
 from repro.graph import DiGraph, spill_to_mmap
+
+#: The dispatched operations this oracle checks (see
+#: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
+ORACLE_OPS = (
+    "neighbourhood_function",
+)
 
 NUM_NODES = 12
 PRECISIONS = (4, 5, 6, 7, 8, 9, 10)
@@ -153,7 +158,7 @@ def test_bucketed_kernel_matches_reduceat_on_paper_default_snapshots():
         expected = reduceat_neighbourhood_function(
             san.social, precision=scenario.diameter_precision
         )
-        actual = _neighbourhood_function_frozen(
+        actual = neighbourhood_function(
             san.social, precision=scenario.diameter_precision
         )
         assert actual == expected, day

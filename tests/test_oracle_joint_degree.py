@@ -26,8 +26,8 @@ the node itself, so a node with a self-loop has one less than
 both orientations, so it is not the reference;
 ``test_undirected_degree_leaves_out_the_node_itself`` pins the convention.
 
-Every backend is checked: the mutable SAN, its freeze, an mmap-backed spill
-of the freeze, and the portable body run on the freeze.
+Every backend is checked: the mutable SAN, its freeze, and an mmap-backed
+spill of the freeze.
 """
 
 import math
@@ -46,6 +46,16 @@ from repro.metrics import (  # noqa: E402
     social_assortativity,
     social_knn,
     undirected_degree_assortativity,
+)
+
+#: The dispatched operations this oracle checks (see
+#: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
+ORACLE_OPS = (
+    "social_knn",
+    "social_assortativity",
+    "undirected_degree_assortativity",
+    "attribute_knn",
+    "attribute_assortativity",
 )
 
 MAX_USERS = 12
@@ -146,10 +156,9 @@ def _curve(connectivity):
 def _backends(san: SAN):
     frozen = san.freeze()
     return {
-        "mutable": (san, False),
-        "frozen": (frozen, False),
-        "mmap": (spill_to_mmap(frozen), False),
-        "portable-on-frozen": (frozen, True),
+        "mutable": san,
+        "frozen": frozen,
+        "mmap": spill_to_mmap(frozen),
     }
 
 
@@ -176,10 +185,9 @@ def _assert_close(actual, expected, context):
 def test_knn_and_assortativity_match_networkx(spec):
     san = _build(*spec)
     expected = networkx_oracle(san)
-    for name, (graph, portable) in _backends(san).items():
+    for name, graph in _backends(san).items():
         for function, reference in expected.items():
-            call = function.__wrapped__ if portable else function
-            actual = call(graph)
+            actual = function(graph)
             context = (name, function.__name__)
             if isinstance(reference, list):
                 assert [k for k, _ in actual] == [k for k, _ in reference], context
@@ -203,6 +211,5 @@ def test_undirected_degree_leaves_out_the_node_itself():
     other = _pearson([(with_self[u], with_self[v]) for u, v in edges])
     assert here == pytest.approx(-0.5477, abs=1e-4)
     assert other == pytest.approx(-0.1765, abs=1e-4)
-    for name, (graph, portable) in _backends(san).items():
-        call = undirected_degree_assortativity
-        _assert_close((call.__wrapped__ if portable else call)(graph), here, name)
+    for name, graph in _backends(san).items():
+        _assert_close(undirected_degree_assortativity(graph), here, name)

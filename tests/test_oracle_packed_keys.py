@@ -34,6 +34,10 @@ from repro.graph.frozen import (  # noqa: E402
     sorted_pair_keys,
 )
 
+#: The dispatched operations this oracle checks (none: it checks
+#: the data pipeline, not a kernel).
+ORACLE_OPS = ()
+
 
 @st.composite
 def pair_arrays(draw):

@@ -11,8 +11,8 @@ The mutual count is taken from the edge set, not from
 link (its reverse is itself), networkx counts it as not reciprocated, and
 the test pins this repository's convention.
 
-Every backend is checked: the mutable SAN, its freeze, an mmap-backed spill
-of the freeze, and the portable body run on the freeze.
+Every backend is checked: the mutable SAN, its freeze, and an mmap-backed
+spill of the freeze.
 """
 
 import pytest
@@ -23,6 +23,12 @@ nx = pytest.importorskip("networkx")
 
 from repro.graph import SAN, spill_to_mmap  # noqa: E402
 from repro.metrics import global_reciprocity, reciprocal_edge_count  # noqa: E402
+
+#: The dispatched operations this oracle checks (see
+#: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
+ORACLE_OPS = (
+    "reciprocal_edge_count",
+)
 
 MAX_NODES = 12
 
@@ -53,7 +59,6 @@ def _backends(san: SAN):
         "mutable": (reciprocal_edge_count, san),
         "frozen": (reciprocal_edge_count, frozen),
         "mmap": (reciprocal_edge_count, spill_to_mmap(frozen)),
-        "portable-on-frozen": (reciprocal_edge_count.__wrapped__, frozen),
     }
 
 

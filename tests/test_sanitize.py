@@ -1,13 +1,11 @@
 """Tests for the runtime sanitizer (``repro.sanitize``).
 
-Each injected fault from the PR brief is exercised end to end:
+Each injected fault is exercised end to end:
 
-* a deliberately divergent frozen kernel is caught by the backend-parity
-  check with an error naming the operation and both backends;
 * a tampered artifact cache entry is caught by payload re-hashing;
 * an unexpected NaN output raises unless the operation is allowlisted.
 
-Plus unit coverage of the comparison/hashing primitives and the report.
+Plus unit coverage of the hashing primitive and the report.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import pytest
 
 from repro import sanitize
 from repro.engine import registry
-from repro.engine.registry import FROZEN, MUTABLE, dispatch
+from repro.engine.registry import dispatch
 from repro.experiments.artifacts import (
     ArtifactResolver,
     ArtifactStore,
@@ -43,92 +41,12 @@ def small_frozen():
     return san_from_edge_lists([(1, 2), (2, 1), (2, 3)]).freeze()
 
 
-def _register(op, fn, backend):
-    registry.register(op, fn, backend=backend)
+def _register(op, fn):
+    registry.register(op, fn)
 
 
 def _unregister(op):
     registry._registry.pop(op, None)
-
-
-# ----------------------------------------------------------------------
-# Backend parity at dispatch time
-# ----------------------------------------------------------------------
-class TestBackendParity:
-    def test_divergent_frozen_kernel_is_caught(self, armed, small_frozen):
-        op = "test.sanitize.divergent"
-        _register(op, lambda graph: 2.5, MUTABLE)
-        _register(op, lambda graph: 1.5, FROZEN)
-        try:
-            with pytest.raises(sanitize.BackendParityError) as excinfo:
-                dispatch(op, small_frozen)
-            message = str(excinfo.value)
-            assert op in message
-            assert "'frozen'" in message and "'mutable'" in message
-            assert "1.5" in message and "2.5" in message
-            divergences = sanitize.report()["parity"]["divergences"]
-            assert len(divergences) == 1
-            assert divergences[0]["op"] == op
-        finally:
-            _unregister(op)
-
-    def test_agreeing_kernels_pass_and_tally(self, armed, small_frozen):
-        op = "test.sanitize.agreeing"
-        _register(op, lambda graph: graph.number_of_social_edges(), MUTABLE)
-        _register(op, lambda graph: graph.number_of_social_edges(), FROZEN)
-        try:
-            assert dispatch(op, small_frozen) == 3
-            report = sanitize.report()
-            assert report["parity"]["checked"] == 1
-            assert report["parity"]["divergences"] == []
-            assert report["ops"][op] == {"frozen:parity-vs-mutable": 1}
-        finally:
-            _unregister(op)
-
-    def test_float_roundoff_tolerated_frozen_vs_portable(self, armed, small_frozen):
-        op = "test.sanitize.roundoff"
-        _register(op, lambda graph: 0.1 + 0.2, MUTABLE)
-        _register(op, lambda graph: 0.3, FROZEN)  # differs only in roundoff
-        try:
-            assert dispatch(op, small_frozen) == 0.3
-            assert sanitize.report()["parity"]["divergences"] == []
-        finally:
-            _unregister(op)
-
-    def test_stochastic_frozen_kernel_skipped(self, armed, small_frozen):
-        op = "test.sanitize.stochastic"
-        _register(op, lambda graph, seed=0: seed, MUTABLE)
-        _register(op, lambda graph, seed=0: seed + 1, FROZEN)  # would diverge
-        try:
-            assert dispatch(op, small_frozen, seed=7) == 8
-            skipped = sanitize.report()["parity"]["skipped"]
-            assert skipped.get("stochastic-draw-order") == 1
-        finally:
-            _unregister(op)
-
-    def test_live_rng_argument_skips_parity(self, armed, small_frozen):
-        op = "test.sanitize.live_rng"
-        _register(op, lambda graph, gen: 1.0, MUTABLE)
-        _register(op, lambda graph, gen: 2.0, FROZEN)  # would diverge
-        try:
-            result = dispatch(op, small_frozen, np.random.default_rng(3))
-            assert result == 2.0
-            skipped = sanitize.report()["parity"]["skipped"]
-            assert skipped.get("live-rng-argument") == 1
-        finally:
-            _unregister(op)
-
-    def test_disarmed_dispatch_never_runs_reference(self, monkeypatch, small_frozen):
-        monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
-        calls = []
-        op = "test.sanitize.disarmed"
-        _register(op, lambda graph: calls.append("mutable") or 0, MUTABLE)
-        _register(op, lambda graph: calls.append("frozen") or 0, FROZEN)
-        try:
-            dispatch(op, small_frozen)
-            assert calls == ["frozen"]
-        finally:
-            _unregister(op)
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +55,7 @@ class TestBackendParity:
 class TestNonFiniteScreen:
     def test_unexpected_nan_raises(self, armed, small_frozen):
         op = "test.sanitize.nan_out"
-        _register(op, lambda graph: {"score": float("nan")}, MUTABLE)
+        _register(op, lambda graph: {"score": float("nan")})
         try:
             with pytest.raises(sanitize.NonFiniteOutputError) as excinfo:
                 dispatch(op, san_from_edge_lists([(1, 2)]))
@@ -153,7 +71,7 @@ class TestNonFiniteScreen:
         monkeypatch.setitem(
             sanitize.__dict__, "NONFINITE_ALLOWED", sanitize.NONFINITE_ALLOWED | {op}
         )
-        _register(op, lambda graph: float("-inf"), MUTABLE)
+        _register(op, lambda graph: float("-inf"))
         try:
             assert dispatch(op, san_from_edge_lists([(1, 2)])) == float("-inf")
             assert sanitize.report()["nonfinite"]["allowlisted"] == [op]
@@ -255,63 +173,17 @@ class TestArtifactIntegrity:
 
 
 # ----------------------------------------------------------------------
-# Comparison primitive
-# ----------------------------------------------------------------------
-class TestCompareResults:
-    def test_exact_floats(self):
-        assert sanitize.compare_results(1.5, 1.5) is None
-        found = sanitize.compare_results(1.5, 1.5 * (1 + 10 * sanitize.FLOAT_RTOL))
-        assert found is not None and found.startswith("$")
-
-    def test_close_floats(self):
-        assert sanitize.compare_results(0.1 + 0.2, 0.3) is None
-        assert sanitize.compare_results(0.3, 0.4) is not None
-        close = np.array([0.1 + 0.2, 1.0])
-        assert sanitize.compare_results(close, np.array([0.3, 1.0])) is None
-
-    def test_matching_nans_agree(self):
-        assert sanitize.compare_results(float("nan"), float("nan")) is None
-        left = np.array([1.0, np.nan])
-        assert sanitize.compare_results(left, left.copy()) is None
-
-    def test_array_shape_and_values(self):
-        a = np.arange(4)
-        assert sanitize.compare_results(a, a.copy()) is None
-        found = sanitize.compare_results(a, a[:3])
-        assert "shape mismatch" in found
-        b = a.copy()
-        b[2] = 99
-        assert "1 position(s)" in sanitize.compare_results(a, b)
-
-    def test_nested_containers_report_path(self):
-        left = {"deg": [1, 2, {"mean": 3.0}]}
-        right = {"deg": [1, 2, {"mean": 4.0}]}
-        found = sanitize.compare_results(left, right)
-        assert found == "$['deg'][2]['mean']: 3.0 != 4.0"
-
-    def test_dict_key_mismatch(self):
-        found = sanitize.compare_results({"a": 1}, {"b": 1})
-        assert "dict keys differ" in found
-
-    def test_scalar_mismatch(self):
-        assert sanitize.compare_results(3, 3) is None
-        assert sanitize.compare_results(3, 4) == "$: 3 != 4"
-
-
-# ----------------------------------------------------------------------
 # The report artifact
 # ----------------------------------------------------------------------
 class TestReport:
     def test_write_report_round_trips(self, armed, tmp_path, small_frozen):
         op = "test.sanitize.reported"
-        _register(op, lambda graph: 42, MUTABLE)
-        _register(op, lambda graph: 42, FROZEN)
+        _register(op, lambda graph: 42)
         try:
             dispatch(op, small_frozen)
         finally:
             _unregister(op)
         path = sanitize.write_report(tmp_path / "nested" / "sanitizer_report.json")
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["parity"]["checked"] == 1
         assert payload["nonfinite"]["checked"] == 1
-        assert payload["ops"][op] == {"frozen:parity-vs-mutable": 1}
+        assert payload["ops"][op] == 1
