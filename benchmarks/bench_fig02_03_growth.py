@@ -5,7 +5,7 @@ invitation-only growth, and a renewed surge at the public release.
 """
 
 from repro.experiments import figure2_3_growth, format_series, series_trend
-from repro.metrics import PhaseBoundaries, phase_trends
+from repro.metrics import phase_trends
 
 
 def test_fig02_03_growth(benchmark, snapshots, write_result, evolution):

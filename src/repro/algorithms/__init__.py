@@ -1,27 +1,16 @@
 """Graph algorithms: traversal, components, HyperANF, clustering, sampling, walks."""
 
 from .approx_clustering import (
-    approximate_attribute_clustering,
     approximate_average_clustering,
     approximate_social_clustering,
     required_samples,
-    triple_score,
 )
 from .clustering import (
     average_attribute_clustering_coefficient,
-    average_clustering_for_attribute_type,
     average_social_clustering_coefficient,
     clustering_by_degree,
-    directed_links_among,
-    node_clustering_coefficient,
 )
-from .components import (
-    largest_weakly_connected_component,
-    restrict_san_to_largest_wcc,
-    strongly_connected_components,
-    wcc_fraction,
-    weakly_connected_components,
-)
+from .components import weakly_connected_components
 from .hyperanf import (
     effective_diameter,
     effective_diameter_from_neighbourhood,
@@ -29,34 +18,18 @@ from .hyperanf import (
     neighbourhood_function,
 )
 from .hyperloglog import (
-    HyperLogLog,
     cardinality_of_register_matrix,
     register_matrix_for_items,
     register_parameters,
 )
-from .random_walk import (
-    capped_undirected_adjacency,
-    capped_undirected_csr,
-    random_walk,
-    random_walk_on_san,
-    random_walks,
-    stationary_degree_distribution,
-)
-from .sampling import (
-    drop_users_attributes,
-    reservoir_sample,
-    sample_nodes,
-    sample_social_edges,
-    subsample_attributes,
-)
+from .random_walk import capped_undirected_csr
+from .sampling import subsample_attributes
 from .traversal import (
     attribute_distance,
     bfs_distances,
     effective_diameter_from_histogram,
     sample_attribute_distance_distribution,
     sample_distance_distribution,
-    shortest_path_length,
-    undirected_bfs_distances,
 )
 from .triangles import (
     ClosureBreakdown,
@@ -64,58 +37,35 @@ from .triangles import (
     count_directed_triangles,
     is_focal_closure,
     is_triadic_closure,
-    two_hop_san_neighbors,
     two_hop_social_neighbors,
 )
 
 __all__ = [
-    "HyperLogLog",
-    "approximate_attribute_clustering",
     "approximate_average_clustering",
     "approximate_social_clustering",
     "required_samples",
-    "triple_score",
     "average_attribute_clustering_coefficient",
-    "average_clustering_for_attribute_type",
     "average_social_clustering_coefficient",
     "clustering_by_degree",
-    "directed_links_among",
-    "node_clustering_coefficient",
-    "largest_weakly_connected_component",
-    "restrict_san_to_largest_wcc",
-    "strongly_connected_components",
-    "wcc_fraction",
     "weakly_connected_components",
     "effective_diameter",
     "effective_diameter_from_neighbourhood",
     "exact_neighbourhood_function",
     "neighbourhood_function",
-    "capped_undirected_adjacency",
     "capped_undirected_csr",
     "cardinality_of_register_matrix",
-    "random_walk",
-    "random_walk_on_san",
-    "random_walks",
     "register_matrix_for_items",
     "register_parameters",
-    "stationary_degree_distribution",
-    "drop_users_attributes",
-    "reservoir_sample",
-    "sample_nodes",
-    "sample_social_edges",
     "subsample_attributes",
     "attribute_distance",
     "bfs_distances",
     "effective_diameter_from_histogram",
     "sample_attribute_distance_distribution",
     "sample_distance_distribution",
-    "shortest_path_length",
-    "undirected_bfs_distances",
     "ClosureBreakdown",
     "classify_closures",
     "count_directed_triangles",
     "is_focal_closure",
     "is_triadic_closure",
-    "two_hop_san_neighbors",
     "two_hop_social_neighbors",
 ]

@@ -47,13 +47,6 @@ def required_samples(epsilon: float = 0.002, nu: float = 100.0) -> int:
     return int(math.ceil(math.log(2 * nu) / (2 * epsilon * epsilon)))
 
 
-def triple_score(san: SANView, first: Node, second: Node) -> int:
-    """The mapping ``F`` on a directed SAN: 0, 1, or 2 links between endpoints."""
-    forward = san.social.has_edge(first, second)
-    backward = san.social.has_edge(second, first)
-    return int(forward) + int(backward)
-
-
 @dispatchable("approximate_average_clustering")
 def approximate_average_clustering(
     san: FrozenSAN,
@@ -163,22 +156,4 @@ def approximate_social_clustering(
     """Sampled average *social* clustering coefficient (``Omega = V_s``)."""
     return approximate_average_clustering(
         san, epsilon=epsilon, nu=nu, num_samples=num_samples, rng=rng
-    )
-
-
-def approximate_attribute_clustering(
-    san: SANView,
-    epsilon: float = 0.002,
-    nu: float = 100.0,
-    num_samples: Optional[int] = None,
-    rng: RngLike = None,
-) -> float:
-    """Sampled average *attribute* clustering coefficient (``Omega = V_a``)."""
-    return approximate_average_clustering(
-        san,
-        population=list(san.attribute_nodes()),
-        epsilon=epsilon,
-        nu=nu,
-        num_samples=num_samples,
-        rng=rng,
     )

@@ -16,12 +16,8 @@ attribute nodes (Sections 3.4 and 4.1).
 
 Every public function dispatches through the :mod:`repro.engine` registry
 to a kernel on the frozen backend (:class:`~repro.graph.frozen.FrozenSAN`;
-a mutable SAN is frozen at dispatch).  The inner ``L(u)`` count is
-vectorized: the successor lists of all of ``u``'s neighbors
-are gathered from the CSR arrays in one shot and membership in the (sorted)
-neighborhood is resolved with a single batched binary search, instead of one
-Python set probe per candidate link.  Whole-graph averages and per-degree
-curves go further with scipy sparse products: with neighborhood incidence
+a mutable SAN is frozen at dispatch).  Each kernel computes ``c(u)`` for
+every node at once with scipy sparse products: with neighborhood incidence
 ``A`` (undirected projection or attribute membership) and loop-free directed
 adjacency ``D``, the per-node link counts are ``L = ((A @ D) ⊙ A) · 1`` —
 three sparse operations for the entire graph.
@@ -30,56 +26,21 @@ Examples
 --------
 >>> from repro.graph import san_from_edge_lists
 >>> san = san_from_edge_lists([(1, 2), (2, 1), (1, 3), (3, 2)])
->>> node_clustering_coefficient(san, 2)
-0.5
+>>> round(average_social_clustering_coefficient(san), 4)
+0.6667
+>>> clustering_by_degree(san)
+[(2, 0.6666666666666666)]
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..engine import dispatchable
 from ..engine.deps import scipy_sparse
-from ..graph.frozen import FrozenSAN, gather_rows, sorted_membership
-
-Node = Hashable
-
-
-@dispatchable("directed_links_among")
-def directed_links_among(san: FrozenSAN, nodes: Iterable[Node]) -> int:
-    """Count directed social links between members of ``nodes`` (``L(u)``)."""
-    member_ids = np.array(
-        sorted(
-            san.social.index_of(node)
-            for node in nodes
-            if san.social.has_node(node)
-        ),
-        dtype=np.int64,
-    )
-    return _links_among_frozen(san, member_ids)
-
-
-def _links_among_frozen(san: FrozenSAN, member_ids: np.ndarray) -> int:
-    """``L(u)`` on the frozen backend: ``member_ids`` must be sorted compact ids."""
-    if member_ids.size < 2:
-        return 0
-    indptr, indices = san.social.out_csr()
-    successors, counts = gather_rows(indptr, indices, member_ids)
-    if successors.size == 0:
-        return 0
-    sources = np.repeat(member_ids, counts)
-    hits = sorted_membership(member_ids, successors)
-    hits &= successors != sources  # a self-loop is not a link *among* members
-    return int(np.count_nonzero(hits))
-
-
-def _neighborhood_ids(san: FrozenSAN, node: Node) -> np.ndarray:
-    """Sorted compact social ids of ``Gamma_s(node)`` on the frozen backend."""
-    if san.social.has_node(node):
-        return san.social.undirected_row(san.social.index_of(node))
-    return san.attributes.member_indices_of(node)  # raises NodeNotFoundError
+from ..graph.frozen import FrozenSAN
 
 
 def _loop_free_directed_matrix(san: FrozenSAN):
@@ -158,16 +119,6 @@ def _build_attribute_clustering_array(san: FrozenSAN) -> np.ndarray:
     )
 
 
-@dispatchable("node_clustering_coefficient")
-def node_clustering_coefficient(san: FrozenSAN, node: Node) -> float:
-    """The paper's ``c(u)`` for a social or attribute node."""
-    neighborhood = _neighborhood_ids(san, node)
-    k = int(neighborhood.size)
-    if k < 2:
-        return 0.0
-    return _links_among_frozen(san, neighborhood) / (k * (k - 1))
-
-
 @dispatchable("average_social_clustering_coefficient")
 def average_social_clustering_coefficient(san: FrozenSAN) -> float:
     """Exact ``C_s``: mean clustering coefficient over all social nodes."""
@@ -218,9 +169,10 @@ def clustering_by_degree(
 def average_clustering_by_attribute_type(san: FrozenSAN) -> Dict[str, float]:
     """Average attribute clustering coefficient for every attribute type.
 
-    Equivalent to calling :func:`average_clustering_for_attribute_type` per
-    type (keys sorted), but the whole-graph ``c(a)`` array is computed once
-    and grouped by the interned type codes, instead of once per type.
+    Keys are the attribute types, sorted; each value averages ``c(a)`` over
+    that type's attribute nodes (Figure 13b: Employer vs School vs Major vs
+    City community-forming power).  The whole-graph ``c(a)`` array is
+    computed once and grouped by the interned type codes.
     """
     coefficients = _attribute_clustering_array(san)
     codes = san.attributes.type_codes()
@@ -231,40 +183,3 @@ def average_clustering_by_attribute_type(san: FrozenSAN) -> Dict[str, float]:
         name: float(sums[code] / counts[code]) if counts[code] else 0.0
         for code, name in enumerate(type_names)
     }
-
-
-@dispatchable("average_clustering_for_attribute_type")
-def average_clustering_for_attribute_type(san: FrozenSAN, attr_type: str) -> float:
-    """Average attribute clustering coefficient restricted to one attribute type.
-
-    This is the quantity behind Figure 13b (Employer vs School vs Major vs
-    City community-forming power).
-    """
-    sparse = scipy_sparse()
-    type_names = san.attributes.type_names()
-    if attr_type not in type_names:
-        return 0.0
-    selected = np.nonzero(
-        san.attributes.type_codes() == type_names.index(attr_type)
-    )[0]
-    if selected.size == 0:
-        return 0.0
-    # Restrict the membership matrix to this type's rows so one type's
-    # average costs O(type size), not a whole-graph sparse product; the
-    # all-types path (average_clustering_by_attribute_type) computes and
-    # memoizes the full array in one pass instead.
-    indptr, indices = san.attributes.attr_to_social_csr()
-    members, counts = gather_rows(indptr, indices, selected)
-    sub_indptr = np.zeros(selected.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=sub_indptr[1:])
-    membership = sparse.csr_matrix(
-        (np.ones(members.size, dtype=np.int64), members, sub_indptr),
-        shape=(selected.size, san.social.number_of_nodes()),
-    )
-    links = _links_per_row(membership, _loop_free_directed_matrix(san))
-    degrees = san.attributes.social_degree_array()[selected]
-    pairs = degrees * (degrees - 1)
-    coefficients = np.divide(
-        links, pairs, out=np.zeros(selected.size, dtype=np.float64), where=pairs > 0
-    )
-    return float(coefficients.mean())

@@ -23,9 +23,8 @@ sentinel row of zero registers.  Every HyperANF iteration is then one
 ``np.take(registers, padded, axis=0).max(axis=1)`` per group — a dense
 gather and reduce with no Python loop per node or register — and the
 totals come from a lookup-table cardinality.  Registers only ever grow by
-``max``, so they are bit-identical to per-node
-:class:`~repro.algorithms.hyperloglog.HyperLogLog` counters merged with
-``union_update``.
+``max``, so each row is exactly the HyperLogLog union of the counters of the
+nodes it reaches.
 
 Recomputing only the rows whose successors changed does not pay: on
 paper-default's final snapshot (3,846 nodes) 3,839, 3,842, 3,842, 3,842,
@@ -35,7 +34,7 @@ row-incremental kernel ran slower than the full sweep.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from ..graph.digraph import DiGraph
 from ..graph.frozen import FrozenDiGraph
 from .hyperloglog import cardinality_of_register_matrix, register_matrix_for_items
 
-Node = Hashable
 GraphLike = Union[DiGraph, FrozenDiGraph]
 
 

@@ -1,32 +1,34 @@
-"""HyperLogLog cardinality counters.
+"""HyperLogLog cardinality counters as numpy register matrices.
 
 HyperANF (Boldi, Rosa, Vigna — WWW 2011), which the paper uses to approximate
 the effective diameter of Google+, maintains one HyperLogLog counter per node
 and repeatedly unions each node's counter with its neighbors' counters.  This
-module implements the counter itself: registers, element insertion, union, and
-the bias-corrected cardinality estimate.
+module holds the counters as plain numpy: one *register matrix* of shape
+``(num_counters, 2**precision)`` where row ``i`` is counter ``i``'s
+registers, and the union of counters is ``np.maximum`` over their rows.
+:func:`register_parameters` computes the (index, rank) update of a single
+element, memoized on ``repr(item)``, salt and precision, so a snapshot series
+hashes each label once; :func:`register_matrix_for_items` seeds one row per
+item (checking the precision with :func:`validate_precision`), and
+:func:`cardinality_of_register_matrix` evaluates the bias-corrected estimate
+of every row at once, reading each register's ``2**-rank`` from a lookup
+table.
 
-For the frozen HyperANF kernel (:mod:`repro.algorithms.hyperanf`) the module
-additionally exposes the counter state as plain numpy: one *register matrix*
-of shape ``(num_counters, 2**precision)`` where row ``i`` is counter ``i``'s
-registers.  :func:`register_parameters` computes the (index, rank) update of
-a single element — shared with :meth:`HyperLogLog.add`, so both backends hash
-identically, and memoized on ``repr(item)``, salt and precision, so a
-snapshot series hashes each label once — :func:`register_matrix_for_items`
-seeds one row per item, and :func:`cardinality_of_register_matrix` evaluates
-the bias-corrected estimate of every row at once, reading each register's
-``2**-rank`` from a lookup table.  Both seeding paths (a counter's
-constructor and the register matrix) check the precision with
-:func:`validate_precision`.
+Examples
+--------
+>>> import numpy as np
+>>> registers = register_matrix_for_items(["a", "b", "c", "a"], precision=8)
+>>> union = np.maximum.reduce(registers)[np.newaxis, :]
+>>> round(float(cardinality_of_register_matrix(union)[0]), 2)
+3.02
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import struct
-from typing import Hashable, Iterable, List, Sequence, Tuple
+from typing import Hashable, Sequence, Tuple
 
 import numpy as np
 
@@ -72,11 +74,10 @@ def register_parameters(
 ) -> Tuple[int, int]:
     """``(register_index, rank)`` produced by inserting ``item``.
 
-    This is the single-element update rule of :meth:`HyperLogLog.add`,
-    factored out so the vectorized register-matrix backend seeds rows with
-    bit-identical values.  The hash reads only ``repr(item)``, so the memo is
-    keyed on it rather than on ``item``: ``1`` and ``True`` are equal dict
-    keys but hash to different registers.
+    The register at ``register_index`` becomes ``max(register, rank)``.  The
+    hash reads only ``repr(item)``, so the memo is keyed on it rather than on
+    ``item``: ``1`` and ``True`` are equal dict keys but hash to different
+    registers.
     """
     return _register_parameters_of_repr(repr(item), precision, salt)
 
@@ -104,9 +105,9 @@ def register_matrix_for_items(
 ) -> np.ndarray:
     """One-counter-per-item register matrix, each row seeded with its item.
 
-    Row ``i`` equals the registers of a fresh :class:`HyperLogLog` after
-    ``add(items[i])``.  Raises ``ValueError`` for an unsupported precision,
-    even when ``items`` is empty.
+    Row ``i`` holds the one register that ``items[i]`` sets.  Raises
+    ``ValueError`` for an unsupported precision, even when ``items`` is
+    empty.
     """
     validate_precision(precision)
     matrix = np.zeros((len(items), 1 << precision), dtype=np.uint8)
@@ -119,8 +120,9 @@ def register_matrix_for_items(
 def cardinality_of_register_matrix(registers: np.ndarray) -> np.ndarray:
     """Bias-corrected cardinality estimate of every row of a register matrix.
 
-    Vectorized counterpart of :meth:`HyperLogLog.cardinality`, including the
-    small-range linear-counting correction.
+    The raw estimate is ``alpha_m * m**2 / sum(2**-register)``; a row whose
+    raw estimate is at most ``2.5 m`` and which still has empty registers
+    takes the small-range linear-counting estimate ``m ln(m / zeros)``.
     """
     if registers.ndim != 2:
         raise ValueError("expected a 2-D (counters, registers) matrix")
@@ -135,69 +137,3 @@ def cardinality_of_register_matrix(registers: np.ndarray) -> np.ndarray:
         corrected = m * np.log(m / np.where(zeros > 0, zeros, 1))
         raw = np.where(small, corrected, raw)
     return raw
-
-
-class HyperLogLog:
-    """A HyperLogLog counter with ``2**precision`` registers.
-
-    Parameters
-    ----------
-    precision:
-        Number of index bits ``b``; the counter uses ``m = 2**b`` registers and
-        has a relative standard error of roughly ``1.04 / sqrt(m)``.
-    salt:
-        Optional hash salt, letting independent counter families be built for
-        repeated experiments.
-    """
-
-    __slots__ = ("precision", "num_registers", "registers", "salt")
-
-    def __init__(self, precision: int = 7, salt: int = 0) -> None:
-        self.precision = validate_precision(precision)
-        self.num_registers = 1 << precision
-        self.registers: List[int] = [0] * self.num_registers
-        self.salt = salt
-
-    def add(self, item: Hashable) -> None:
-        """Insert ``item`` into the counter."""
-        register_index, rank = register_parameters(item, self.precision, self.salt)
-        if rank > self.registers[register_index]:
-            self.registers[register_index] = rank
-
-    def update(self, items: Iterable[Hashable]) -> None:
-        for item in items:
-            self.add(item)
-
-    def union_update(self, other: "HyperLogLog") -> bool:
-        """In-place union with ``other``; returns ``True`` if any register grew."""
-        if other.precision != self.precision:
-            raise ValueError("cannot union HyperLogLog counters of different precision")
-        changed = False
-        own = self.registers
-        theirs = other.registers
-        for index in range(self.num_registers):
-            if theirs[index] > own[index]:
-                own[index] = theirs[index]
-                changed = True
-        return changed
-
-    def copy(self) -> "HyperLogLog":
-        clone = HyperLogLog(self.precision, self.salt)
-        clone.registers = list(self.registers)
-        return clone
-
-    def cardinality(self) -> float:
-        """Bias-corrected cardinality estimate (with small-range correction)."""
-        m = self.num_registers
-        raw = _alpha(m) * m * m / sum(2.0 ** -register for register in self.registers)
-        if raw <= 2.5 * m:
-            zeros = self.registers.count(0)
-            if zeros:
-                return m * math.log(m / zeros)
-        return raw
-
-    def __len__(self) -> int:
-        return int(round(self.cardinality()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HyperLogLog(precision={self.precision}, estimate={self.cardinality():.1f})"

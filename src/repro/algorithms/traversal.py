@@ -23,18 +23,15 @@ over the in-CSR (after Then et al., "The More the Merrier", VLDB 2014).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..engine import dispatchable
-from ..graph.digraph import DiGraph
 from ..graph.frozen import FrozenDiGraph, FrozenSAN, gather_rows
 from ..utils.rng import RngLike, ensure_rng
 
 Node = Hashable
-GraphLike = Union[DiGraph, FrozenDiGraph]
 
 
 def frontier_bfs_levels(
@@ -88,42 +85,6 @@ def bfs_distances(
     labels = graph.labels()
     reached = np.nonzero(distances >= 0)[0]
     return {labels[i]: int(distances[i]) for i in reached}
-
-
-def undirected_bfs_distances(
-    adjacency: Dict[Node, Set[Node]], source: Node, max_depth: Optional[int] = None
-) -> Dict[Node, int]:
-    """BFS distances over a prebuilt undirected adjacency map."""
-    distances: Dict[Node, int] = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        depth = distances[node]
-        if max_depth is not None and depth >= max_depth:
-            continue
-        for neighbor in adjacency.get(node, ()):
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                frontier.append(neighbor)
-    return distances
-
-
-def shortest_path_length(graph: GraphLike, source: Node, target: Node) -> Optional[int]:
-    """Directed shortest-path length, or ``None`` when ``target`` is unreachable."""
-    if source == target:
-        return 0
-    distances: Dict[Node, int] = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        depth = distances[node]
-        for neighbor in graph.successors(node):
-            if neighbor == target:
-                return depth + 1
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                frontier.append(neighbor)
-    return None
 
 
 @dispatchable("sample_distance_distribution")

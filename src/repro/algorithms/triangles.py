@@ -88,26 +88,6 @@ def two_hop_social_neighbors(san: SANLike, node: Node) -> Set[Node]:
     return result
 
 
-def two_hop_san_neighbors(san: SANLike, node: Node) -> Set[Node]:
-    """Two-hop neighborhood through *either* social or attribute links.
-
-    This is the candidate set of the RR-SAN closure: a first step to a social
-    or attribute neighbor, then a second step to one of that neighbor's social
-    neighbors.
-    """
-    first_hop: Set[Node] = set(san.social_neighbors(node))
-    first_hop.update(san.attribute_neighbors(node))
-    result: Set[Node] = set()
-    for intermediate in first_hop:
-        if san.is_social_node(intermediate):
-            result.update(san.social_neighbors(intermediate))
-        else:
-            result.update(san.attributes.members_of(intermediate))
-    result.discard(node)
-    result -= san.social_neighbors(node)
-    return result
-
-
 #: Bound on the two-hop walks, hence on the entries of the sparse product,
 #: that :func:`two_hop_sizes` materialises per chunk of sources.
 TWO_HOP_CHUNK_WALKS = 1 << 18

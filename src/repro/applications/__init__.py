@@ -11,21 +11,16 @@ from .link_prediction import (
     STRUCTURE_FEATURES,
     LogisticPredictor,
     PredictionDataset,
-    adamic_adar_scores,
     auc_score,
     build_link_prediction_dataset,
     build_reciprocity_dataset,
-    common_neighbor_counts,
     compare_predictors,
     pair_features,
     pair_features_batch,
-    rank_candidate_pairs,
 )
 from .sybil import (
     SybilDefenseResult,
     SybilLimitParameters,
-    acceptance_probability,
-    count_attack_edges,
     sybil_identities_vs_compromised,
 )
 
@@ -38,18 +33,13 @@ __all__ = [
     "STRUCTURE_FEATURES",
     "LogisticPredictor",
     "PredictionDataset",
-    "adamic_adar_scores",
     "auc_score",
     "build_link_prediction_dataset",
     "build_reciprocity_dataset",
-    "common_neighbor_counts",
     "compare_predictors",
     "pair_features",
     "pair_features_batch",
-    "rank_candidate_pairs",
     "SybilDefenseResult",
     "SybilLimitParameters",
-    "acceptance_probability",
-    "count_attack_edges",
     "sybil_identities_vs_compromised",
 ]

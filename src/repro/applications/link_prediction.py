@@ -13,24 +13,24 @@ that claim can be demonstrated end-to-end:
 * ranking-based evaluation (AUC) for link prediction and reciprocity
   prediction tasks built from two snapshots.
 
-All feature extraction is *batched* and dispatches through the
-:mod:`repro.engine` registry to kernels on the frozen SAN (a mutable SAN is
-frozen at dispatch): :func:`pair_features_batch`,
-:func:`common_neighbor_counts` and :func:`adamic_adar_scores` accept a list
-of candidate pairs.  The common-neighbor and Adamic-Adar scores of a large
-batch come from memoized scipy sparse products (``A @ A`` and
+All feature extraction is *batched*: :func:`pair_features_batch` takes a
+list of candidate pairs and dispatches through the :mod:`repro.engine`
+registry to a kernel on the frozen SAN (a mutable SAN is frozen at
+dispatch).  The common-neighbor and Adamic-Adar scores of a large batch come
+from memoized scipy sparse products (``A @ A`` and
 ``A @ diag(1/log deg) @ A`` indexed at the pair positions), and those of a
 small batch from sorted CSR-row intersections, unless the products are
 already built; degrees and reverse-link membership tests are plain array
 lookups.  The dataset builders accept either backend and feed every
-candidate pair through the batched path.
+candidate pair through the batched path; :func:`pair_features` is the
+per-pair definition the batch reproduces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -153,9 +153,9 @@ def _pairwise_row_intersections(
     indices: np.ndarray,
     sources: np.ndarray,
     targets: np.ndarray,
-    weights: Optional[np.ndarray] = None,
+    weights: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-pair sorted-row intersection sizes (and optional weight sums)."""
+    """Per-pair sorted-row intersection sizes and weight sums."""
     counts = np.zeros(sources.size, dtype=np.int64)
     sums = np.zeros(sources.size, dtype=np.float64)
     for position in range(sources.size):
@@ -163,7 +163,7 @@ def _pairwise_row_intersections(
         row_v = indices[indptr[targets[position]] : indptr[targets[position] + 1]]
         shared = np.intersect1d(row_u, row_v, assume_unique=True)
         counts[position] = shared.size
-        if weights is not None and shared.size:
+        if shared.size:
             sums[position] = float(weights[shared].sum())
     return counts, sums
 
@@ -238,117 +238,26 @@ def pair_features_batch(
 
 
 def _neighborhood_scores(
-    san: FrozenSAN,
-    sources: np.ndarray,
-    targets: np.ndarray,
-    need_counts: bool = True,
-    need_adamic: bool = True,
+    san: FrozenSAN, sources: np.ndarray, targets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(common-neighbor counts, Adamic-Adar scores) for id pairs.
 
-    Small batches intersect the two sorted CSR rows per pair.  When every
-    *requested* whole-graph sparse product is already memoized (a
-    candidate-ranking pass built it) or the batch is large enough to
-    amortize its construction, the scores are a single fancy-indexing
-    lookup instead.  Only the requested score arrays are computed; the
-    other is returned as zeros.
+    Small batches intersect the two sorted CSR rows per pair.  When both
+    whole-graph sparse products are already memoized or the batch is large
+    enough to amortize their construction, the scores are a single
+    fancy-indexing lookup instead.
     """
-    amortized = sources.size >= san.number_of_social_nodes()
-    counts_via_matrix = not need_counts or (
-        amortized or san.has_derived("common_neighbor_matrix")
-    )
-    adamic_via_matrix = not need_adamic or (
-        amortized or san.has_derived("adamic_adar_matrix")
-    )
-    if counts_via_matrix and adamic_via_matrix:
-        zeros = np.zeros(sources.size)
-        counts = (
-            np.asarray(_common_neighbor_matrix(san)[sources, targets]).ravel()
-            if need_counts
-            else zeros
-        )
-        adamic = (
-            np.asarray(_adamic_adar_matrix(san)[sources, targets]).ravel()
-            if need_adamic
-            else zeros
-        )
+    if sources.size >= san.number_of_social_nodes() or (
+        san.has_derived("common_neighbor_matrix")
+        and san.has_derived("adamic_adar_matrix")
+    ):
+        counts = np.asarray(_common_neighbor_matrix(san)[sources, targets]).ravel()
+        adamic = np.asarray(_adamic_adar_matrix(san)[sources, targets]).ravel()
         return counts.astype(np.int64), adamic
     indptr, indices = san.social.undirected_csr()
     return _pairwise_row_intersections(
-        indptr,
-        indices,
-        sources,
-        targets,
-        weights=_adamic_adar_weights(san) if need_adamic else None,
+        indptr, indices, sources, targets, _adamic_adar_weights(san)
     )
-
-
-@dispatchable("link_prediction.common_neighbor_counts")
-def common_neighbor_counts(san: FrozenSAN, pairs: Sequence[Pair]) -> List[int]:
-    """Number of shared (undirected) social neighbors per candidate pair."""
-    if not pairs:
-        return []
-    sources, targets = _pair_id_arrays(san, pairs)
-    counts, _ = _neighborhood_scores(san, sources, targets, need_adamic=False)
-    return [int(count) for count in counts]
-
-
-@dispatchable("link_prediction.adamic_adar_scores")
-def adamic_adar_scores(san: FrozenSAN, pairs: Sequence[Pair]) -> List[float]:
-    """Adamic-Adar score (sum of ``1/log deg`` over shared neighbors) per pair."""
-    if not pairs:
-        return []
-    sources, targets = _pair_id_arrays(san, pairs)
-    _, adamic = _neighborhood_scores(san, sources, targets, need_counts=False)
-    return [float(score) for score in adamic]
-
-
-def _require_metric(metric: str) -> None:
-    if metric not in ("common_neighbors", "adamic_adar"):
-        raise ValueError(
-            f"metric must be 'common_neighbors' or 'adamic_adar', got {metric!r}"
-        )
-
-
-@dispatchable("link_prediction.rank_candidate_pairs")
-def rank_candidate_pairs(
-    san: FrozenSAN, top_k: int = 100, metric: str = "common_neighbors"
-) -> List[Tuple[Node, Node, float]]:
-    """Top-k non-linked 2-hop pairs ranked by a neighborhood score.
-
-    The whole-graph candidate-generation step of link prediction: every
-    unordered pair of distinct social nodes sharing at least one undirected
-    neighbor but no direct link is scored by ``metric`` —
-    ``"common_neighbors"`` (shared-neighbor count) or ``"adamic_adar"``
-    (``sum 1/log deg`` over shared neighbors) — and the ``top_k`` pairs are
-    returned as ``(source, target, score)``, score-descending with ties
-    broken by node insertion order.  This is the sparse-matmul workload the
-    CSR backend exists for: one memoized ``A @ A`` (or ``A @ diag(w) @ A``)
-    product scores every candidate at once.
-    """
-    _require_metric(metric)
-    sparse = scipy_sparse()
-    if metric == "common_neighbors":
-        product = _common_neighbor_matrix(san)
-    else:
-        product = _adamic_adar_matrix(san)
-    # Keep each unordered pair once (strict upper triangle, which also drops
-    # the diagonal), then remove pairs that are already linked.
-    candidates = sparse.triu(product, k=1).tocsr()
-    linked = candidates.multiply(_undirected_matrix(san))
-    candidates = (candidates - linked).tocoo()
-    mask = candidates.data > 0
-    rows = candidates.row[mask]
-    cols = candidates.col[mask]
-    data = candidates.data[mask]
-    if data.size == 0:
-        return []
-    ranked = np.lexsort((cols, rows, -data))[:top_k]
-    labels = san.social.labels()
-    return [
-        (labels[rows[position]], labels[cols[position]], float(data[position]))
-        for position in ranked
-    ]
 
 
 def feature_vector(features: Dict[str, float], names: Sequence[str]) -> List[float]:

@@ -13,32 +13,25 @@ length parameter (set to 10).  The comparison is then between the values this
 yields on the real Google+ topology and on synthetic topologies from the
 generative models.
 
-This module implements that experiment faithfully — including the degree cap —
-plus the random-route machinery itself (so the acceptance bound can also be
-exercised directly in tests).
-
-Both experiment drivers dispatch through the :mod:`repro.engine` registry to
-kernels on the frozen SAN (a mutable SAN is frozen at dispatch): the
-degree-capped topology is a capped CSR, the attack-edge count per compromise
-level is one gather + sorted-membership pass over the compromised rows, and
-the random routes of the acceptance experiment advance as one batched
-vectorized walk instead of one Python walk per route.
+This module implements that experiment faithfully, including the degree cap.
+:func:`sybil_identities_vs_compromised` dispatches through the
+:mod:`repro.engine` registry to a kernel on the frozen SAN (a mutable SAN is
+frozen at dispatch): the degree-capped topology is a capped CSR, and the
+attack-edge count per compromise level is one gather + sorted-membership
+pass over the compromised rows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..algorithms.random_walk import batched_walk_ids, capped_undirected_csr
+from ..algorithms.random_walk import capped_undirected_csr
 from ..engine import dispatchable
 from ..graph.frozen import FrozenSAN, gather_rows, sorted_membership
 from ..utils.rng import RngLike, ensure_rng
-
-Node = Hashable
 
 
 @dataclass(frozen=True)
@@ -66,18 +59,6 @@ class SybilDefenseResult:
     num_compromised: int
     num_attack_edges: int
     num_sybil_identities: float
-
-
-def count_attack_edges(
-    adjacency: Dict[Node, List[Node]], compromised: Set[Node]
-) -> int:
-    """Number of (undirected) edges between compromised and honest nodes."""
-    attack_edges = 0
-    for node in compromised:
-        for neighbor in adjacency.get(node, ()):  # capped adjacency
-            if neighbor not in compromised:
-                attack_edges += 1
-    return attack_edges
 
 
 @dispatchable("sybil.identities_vs_compromised")
@@ -123,55 +104,3 @@ def sybil_identities_vs_compromised(
             )
         )
     return results
-
-
-@dispatchable("sybil.acceptance_probability")
-def acceptance_probability(
-    san: FrozenSAN,
-    verifier: Node,
-    suspect: Node,
-    params: SybilLimitParameters = SybilLimitParameters(),
-    num_routes: Optional[int] = None,
-    rng: RngLike = None,
-) -> float:
-    """Estimated probability that a verifier accepts a suspect via tail intersection.
-
-    Each node sends ``num_routes`` random routes of ``walk_length`` hops over
-    the degree-capped topology; a route's tail is its last edge, and the
-    estimate is the share of the suspect's tails that match a verifier tail
-    in either direction.  ``num_routes`` defaults to ``sqrt(|E|)`` (the
-    SybilLimit guideline).  This is used by tests to confirm the protocol
-    machinery behaves sensibly (honest suspects in the same region are
-    almost always accepted).
-    """
-    generator = ensure_rng(rng)
-    indptr, indices = capped_undirected_csr(
-        san.social, degree_cap=params.degree_bound, rng=generator
-    )
-    num_edges = int(indices.size) // 2
-    routes = num_routes if num_routes is not None else max(4, int(math.sqrt(max(num_edges, 1))))
-    np_rng = np.random.default_rng(generator.getrandbits(64))
-
-    def tails_of(node: Node) -> List[Tuple[int, int]]:
-        start_ids = np.full(routes, san.social.index_of(node), dtype=np.int64)
-        paths = batched_walk_ids(indptr, indices, start_ids, params.walk_length, np_rng)
-        # A route contributes its last edge only if it survived >= 1 step.
-        tails: List[Tuple[int, int]] = []
-        for row in paths:
-            walk = row[row >= 0]
-            if walk.size >= 2:
-                tails.append((int(walk[-2]), int(walk[-1])))
-        return tails
-
-    verifier_tails = set(tails_of(verifier))
-    if not verifier_tails:
-        return 0.0
-    suspect_tails = tails_of(suspect)
-    if not suspect_tails:
-        return 0.0
-    intersections = sum(
-        1
-        for tail in suspect_tails
-        if tail in verifier_tails or tail[::-1] in verifier_tails
-    )
-    return intersections / len(suspect_tails)

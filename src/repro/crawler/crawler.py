@@ -25,37 +25,14 @@ one link, in the ground truth's compact-id order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Set, Tuple, Union
+from typing import Hashable, Iterable, Tuple
 
 import numpy as np
 
 from ..algorithms.traversal import frontier_bfs_levels
 from ..graph.frozen import FrozenSAN
-from ..graph.san import SAN
-from .privacy import FULLY_PUBLIC, PrivacyModel
 
 Node = Hashable
-
-
-@dataclass
-class CrawlResult:
-    """The crawled SAN plus bookkeeping about coverage."""
-
-    san: FrozenSAN
-    ground_truth_social_nodes: int
-
-    @property
-    def visited(self) -> Set[Node]:
-        """The users the crawl reached (every one of them is in the crawl)."""
-        return set(self.san.social_nodes())
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of ground-truth social nodes reached by the crawl."""
-        if self.ground_truth_social_nodes == 0:
-            return 0.0
-        return self.san.number_of_social_nodes() / self.ground_truth_social_nodes
 
 
 def default_seed(truth: FrozenSAN) -> np.ndarray:
@@ -121,21 +98,3 @@ def crawl_frozen(
         (np.cumsum(linked) - 1)[link_attr],
     )
     return crawled, visited
-
-
-def crawl_snapshot(
-    ground_truth: Union[SAN, FrozenSAN],
-    seeds: Optional[Iterable[Node]] = None,
-    privacy: Optional[PrivacyModel] = None,
-) -> CrawlResult:
-    """Crawl one ground-truth SAN (mutable or frozen) from ``seeds``.
-
-    ``seeds`` defaults to the social node with the smallest ``str`` label;
-    seeds that are not social nodes of ``ground_truth`` are ignored.
-    """
-    truth = ground_truth.freeze()
-    labels = truth.social.labels()
-    privacy = privacy if privacy is not None else FULLY_PUBLIC
-    start = default_seed(truth) if seeds is None else member_ids(truth, seeds)
-    crawled, _ = crawl_frozen(truth, start, *privacy.masks(labels))
-    return CrawlResult(san=crawled, ground_truth_social_nodes=len(labels))

@@ -5,7 +5,7 @@ they register their kernels here instead:
 
 * an *operation* is a named measurement/algorithm entry point whose first
   positional argument is the graph (``"social_knn"``,
-  ``"weakly_connected_components"``, ``"random_walks"``, ...);
+  ``"weakly_connected_components"``, ``"bfs_distances"``, ...);
 * its *kernel* is the one implementation, written against the CSR arrays of
   the frozen backend and registered with :func:`dispatchable`.  A second,
   different function for an occupied operation raises

@@ -48,7 +48,6 @@ from .registry import (
     unregister_experiment,
 )
 from .report import (
-    format_distribution,
     format_series,
     format_table,
     render_payload,
@@ -115,7 +114,6 @@ __all__ = sorted(_DRIVER_NAMES) + [
     "experiment",
     "experiment_names",
     "experiment_stages",
-    "format_distribution",
     "format_series",
     "format_table",
     "get_experiment",

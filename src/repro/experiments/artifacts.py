@@ -433,10 +433,6 @@ class ArtifactResolver:
         self._memory[name] = value
         return value
 
-    def resolve_all(self, names: Sequence[str]) -> Dict[str, Any]:
-        """Materialise ``names`` (and their dependencies) in topological order."""
-        return {name: self.artifact(name) for name in artifact_topological_order(names)}
-
 
 def _canonical_order(labels) -> np.ndarray:
     """Positions of ``labels`` in ``(str(label), type name)`` order.

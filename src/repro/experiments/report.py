@@ -60,16 +60,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_distribution(
-    points: Sequence[Tuple[float, float]],
-    title: Optional[str] = None,
-    x_label: str = "degree",
-    y_label: str = "probability",
-) -> str:
-    """Render a (log-binned) distribution as a table."""
-    return format_series(points, x_label=x_label, y_label=y_label, title=title, precision=6)
-
-
 def _is_numeric_pair_series(value: object) -> bool:
     return (
         isinstance(value, (list, tuple))

@@ -5,11 +5,9 @@ from .distributions import (
     DiscreteLognormal,
     PowerLaw,
     PowerLawWithCutoff,
-    truncated_normal_mean_variance,
 )
 from .goodness_of_fit import (
     LikelihoodRatioResult,
-    bootstrap_p_value,
     empirical_cdf,
     ks_statistic,
     likelihood_ratio_test,
@@ -26,7 +24,6 @@ from .mle import (
 from .model_selection import (
     DEFAULT_CANDIDATES,
     ModelComparison,
-    best_fit,
     best_fit_name,
     compare_distributions,
     lognormal_vs_power_law,
@@ -37,9 +34,7 @@ __all__ = [
     "DiscreteLognormal",
     "PowerLaw",
     "PowerLawWithCutoff",
-    "truncated_normal_mean_variance",
     "LikelihoodRatioResult",
-    "bootstrap_p_value",
     "empirical_cdf",
     "ks_statistic",
     "likelihood_ratio_test",
@@ -52,7 +47,6 @@ __all__ = [
     "fit_power_law_with_cutoff",
     "DEFAULT_CANDIDATES",
     "ModelComparison",
-    "best_fit",
     "best_fit_name",
     "compare_distributions",
     "lognormal_vs_power_law",

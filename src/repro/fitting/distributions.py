@@ -522,23 +522,3 @@ class DiscreteExponential:
 
     def parameters(self) -> Dict[str, float]:
         return {"rate": self.rate, "xmin": self.xmin}
-
-
-def truncated_normal_mean_variance(mu: float, sigma: float) -> tuple:
-    """Mean and variance of a normal truncated to ``[0, inf)``.
-
-    Used by Theorem 1: with ``gamma = -mu/sigma``, ``g(gamma) = phi / (1-Phi)``
-    and ``delta = g (g - gamma)``, the truncated mean is ``mu + sigma g`` and
-    the variance ``sigma^2 (1 - delta)``.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    gamma = -mu / sigma
-    phi = math.exp(-gamma * gamma / 2) / math.sqrt(2 * math.pi)
-    capital_phi = 0.5 * (1 + math.erf(gamma / math.sqrt(2)))
-    survival = 1 - capital_phi
-    if survival <= 0:
-        return mu, sigma ** 2
-    g = phi / survival
-    delta = g * (g - gamma)
-    return mu + sigma * g, sigma ** 2 * (1 - delta)

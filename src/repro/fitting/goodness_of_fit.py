@@ -1,16 +1,15 @@
 """Goodness-of-fit and model-comparison statistics.
 
 Provides the Kolmogorov-Smirnov distance between an empirical sample and a
-fitted discrete distribution, a parametric-bootstrap p-value in the style of
-Clauset-Shalizi-Newman, and the Vuong-corrected log-likelihood-ratio test used
-to compare two candidate distributions on the same data.
+fitted discrete distribution, and the Vuong-corrected log-likelihood-ratio
+test used to compare two candidate distributions on the same data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -82,32 +81,3 @@ def likelihood_ratio_test(
     normalised = ratio / math.sqrt(n * variance)
     p_value = math.erfc(abs(normalised) / math.sqrt(2))
     return LikelihoodRatioResult(ratio=ratio, normalised_ratio=normalised, p_value=p_value)
-
-
-def bootstrap_p_value(
-    values: Sequence[int],
-    fit_function,
-    num_bootstraps: int = 50,
-    rng: Optional[np.random.Generator] = None,
-    xmin: int = 1,
-) -> float:
-    """Parametric-bootstrap goodness-of-fit p-value (Clauset et al. procedure).
-
-    Fit the sample, record its KS distance, then repeatedly (i) sample a
-    synthetic dataset of the same size from the fitted model, (ii) refit and
-    (iii) record the synthetic KS distance.  The p-value is the fraction of
-    synthetic KS distances at least as large as the observed one; small values
-    reject the candidate family.
-    """
-    generator = rng if rng is not None else np.random.default_rng(0)
-    data = [int(v) for v in values if v >= xmin]
-    observed_fit = fit_function(data, xmin=xmin)
-    observed_ks = ks_statistic(data, observed_fit.distribution)
-    exceed = 0
-    for _ in range(num_bootstraps):
-        synthetic = observed_fit.distribution.sample(len(data), generator)
-        synthetic_fit = fit_function(synthetic, xmin=xmin)
-        synthetic_ks = ks_statistic(synthetic, synthetic_fit.distribution)
-        if synthetic_ks >= observed_ks:
-            exceed += 1
-    return exceed / num_bootstraps

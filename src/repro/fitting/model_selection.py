@@ -4,8 +4,8 @@ Mirrors the paper's use of the Clauset-Shalizi-Newman toolchain: fit each
 candidate family by maximum likelihood, then rank by log-likelihood (with the
 pairwise Vuong test available for significance statements).  The headline
 results in the paper — Google+ social degrees are lognormal, the social degree
-of attribute nodes is power-law — correspond to :func:`best_fit` returning the
-corresponding family name.
+of attribute nodes is power-law — correspond to :func:`best_fit_name` returning
+the corresponding family name.
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ def compare_distributions(
     if not comparison.fits:
         raise ValueError("no candidate distribution could be fitted to the sample")
     return comparison
-
-
-def best_fit(values: Sequence[int], xmin: int = 1) -> FitResult:
-    """The single best-fitting candidate by log-likelihood."""
-    return compare_distributions(values, xmin=xmin, compute_ks=False).best_fit
 
 
 def best_fit_name(values: Sequence[int], xmin: int = 1) -> str:

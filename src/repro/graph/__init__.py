@@ -5,10 +5,7 @@ from .bipartite import AttributeInfo, BipartiteAttributeGraph
 from .builders import (
     attribute_node_id,
     complete_seed_san,
-    merge_sans,
-    relabel_social_nodes,
     san_from_edge_lists,
-    san_from_profiles,
 )
 from .columnar import (
     FORMAT_VERSION,
@@ -28,7 +25,6 @@ from .errors import (
     ColumnarMagicError,
     ColumnarTruncatedError,
     ColumnarVersionError,
-    DuplicateNodeError,
     EdgeNotFoundError,
     FrozenGraphError,
     FrozenIdRangeError,
@@ -70,10 +66,7 @@ __all__ = [
     "is_mmap_backed",
     "attribute_node_id",
     "complete_seed_san",
-    "merge_sans",
-    "relabel_social_nodes",
     "san_from_edge_lists",
-    "san_from_profiles",
     "load_san_json",
     "load_san_tsv",
     "save_san_json",
@@ -81,7 +74,6 @@ __all__ = [
     "GraphError",
     "NodeNotFoundError",
     "EdgeNotFoundError",
-    "DuplicateNodeError",
     "InvalidNodeKindError",
     "SerializationError",
     "PackedKeyError",

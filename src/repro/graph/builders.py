@@ -1,8 +1,8 @@
-"""Helpers for constructing SANs from edge lists, profiles, and seed shapes."""
+"""Helpers for constructing SANs from edge lists and seed shapes."""
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import Hashable, Iterable, Tuple
 
 from .san import SAN
 
@@ -39,28 +39,6 @@ def san_from_edge_lists(
     return san
 
 
-def san_from_profiles(
-    social_edges: Iterable[SocialEdge],
-    profiles: Mapping[Hashable, Mapping[str, Sequence[str]]],
-) -> SAN:
-    """Build a SAN from an edge list plus per-user profile dictionaries.
-
-    ``profiles`` maps a social node to ``{attr_type: [values, ...]}``, which is
-    the natural shape of a crawled user profile (a user can declare several
-    schools or employers).
-    """
-    records = []
-    for social, profile in profiles.items():
-        for attr_type, values in profile.items():
-            for value in values:
-                records.append((social, attr_type, value))
-    san = san_from_edge_lists(social_edges, records)
-    # Ensure users with a profile but no social edges still appear.
-    for social in profiles:
-        san.add_social_node(social)
-    return san
-
-
 def complete_seed_san(num_social: int = 5, num_attributes: int = 5) -> SAN:
     """The paper's initialization: a complete SAN with a few nodes of each kind.
 
@@ -83,53 +61,3 @@ def complete_seed_san(num_social: int = 5, num_attributes: int = 5) -> SAN:
                 social, attribute, attr_type="seed", value=str(index)
             )
     return san
-
-
-def directed_graph_edges_from_undirected(
-    undirected_edges: Iterable[SocialEdge],
-) -> Iterable[SocialEdge]:
-    """Expand undirected edges to both directed orientations.
-
-    Used when adapting undirected baseline models (e.g. the original Zheleva
-    et al. model) to the directed SAN setting.
-    """
-    for first, second in undirected_edges:
-        yield (first, second)
-        yield (second, first)
-
-
-def merge_sans(base: SAN, other: SAN) -> SAN:
-    """Union of two SANs (node/edge sets merged); neither input is modified."""
-    merged = base.copy()
-    for source, target in other.social_edges():
-        merged.add_social_edge(source, target)
-    for node in other.social_nodes():
-        merged.add_social_node(node)
-    for social, attribute in other.attribute_edges():
-        info = other.attribute_info(attribute)
-        merged.add_attribute_edge(
-            social, attribute, attr_type=info.attr_type, value=info.value
-        )
-    return merged
-
-
-def relabel_social_nodes(san: SAN, mapping: Dict[Hashable, Hashable]) -> SAN:
-    """Return a copy of ``san`` with social node ids replaced via ``mapping``.
-
-    Nodes absent from ``mapping`` keep their identity.  Attribute node ids are
-    preserved.
-    """
-    relabeled = SAN()
-    for node in san.social_nodes():
-        relabeled.add_social_node(mapping.get(node, node))
-    for source, target in san.social_edges():
-        relabeled.add_social_edge(mapping.get(source, source), mapping.get(target, target))
-    for social, attribute in san.attribute_edges():
-        info = san.attribute_info(attribute)
-        relabeled.add_attribute_edge(
-            mapping.get(social, social),
-            attribute,
-            attr_type=info.attr_type,
-            value=info.value,
-        )
-    return relabeled

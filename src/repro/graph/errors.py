@@ -28,14 +28,6 @@ class EdgeNotFoundError(GraphError, KeyError):
         self.target = target
 
 
-class DuplicateNodeError(GraphError, ValueError):
-    """A node was added twice where duplicates are not permitted."""
-
-    def __init__(self, node: object) -> None:
-        super().__init__(f"node {node!r} already exists")
-        self.node = node
-
-
 class InvalidNodeKindError(GraphError, TypeError):
     """A social-node operation received an attribute node, or vice versa."""
 

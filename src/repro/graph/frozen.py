@@ -440,9 +440,6 @@ class FrozenDiGraph:
         except KeyError:
             raise NodeNotFoundError(node) from None
 
-    def label_of(self, index: int) -> Node:
-        return self._labels[index]
-
     def out_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of the out-adjacency (rows sorted)."""
         return self._out_indptr, self._out_indices

@@ -27,7 +27,6 @@ from .core import (
     UnknownRuleError,
     all_rules,
     iter_python_files,
-    load_baseline,
     parse_suppressions,
     register_rule,
     relativize,
@@ -48,7 +47,6 @@ __all__ = [
     "UnknownRuleError",
     "all_rules",
     "iter_python_files",
-    "load_baseline",
     "parse_suppressions",
     "register_rule",
     "relativize",

@@ -2,7 +2,7 @@
 
 Exit codes follow the usual linter contract: ``0`` clean, ``1`` findings
 (or stale suppressions under ``--report-stale``), ``2`` usage errors
-(unknown rule ids, unreadable paths/baselines).  The argparse wiring lives
+(unknown rule ids, unreadable paths).  The argparse wiring lives
 in :func:`add_parser` so :mod:`repro.cli` stays a thin dispatcher.
 """
 
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .core import LintError, all_rules, load_baseline, relativize, run_lint
+from .core import LintError, all_rules, relativize, run_lint
 from .reporters import render_json, render_text
 
 
@@ -48,19 +48,7 @@ def add_parser(subparsers: argparse._SubParsersAction) -> argparse.ArgumentParse
         "--format",
         choices=("text", "json"),
         default="text",
-        help="report format (json is the schema CI uploads and "
-        "--baseline consumes)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="JSON findings report whose entries are accepted (not failed); "
-        "matched by (path, rule, message), line-insensitive",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        help="write the current findings as a baseline JSON and exit 0",
+        help="report format (json is the schema CI uploads)",
     )
     parser.add_argument(
         "--report-stale",
@@ -96,28 +84,12 @@ def run(args: argparse.Namespace) -> int:
     paths = [Path(item) for item in args.paths] if args.paths else [default_target()]
 
     try:
-        baseline = load_baseline(Path(args.baseline)) if args.baseline else None
-        result = run_lint(
-            paths,
-            rule_ids=rule_ids,
-            report_stale=args.report_stale,
-            baseline=baseline,
-        )
+        result = run_lint(paths, rule_ids=rule_ids, report_stale=args.report_stale)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     result = relativize(result)
-
-    if args.write_baseline:
-        payload = render_json(result)
-        Path(args.write_baseline).write_text(payload, encoding="utf-8")
-        print(
-            f"wrote baseline {args.write_baseline} "
-            f"({len(result.findings)} finding(s))"
-        )
-        return 0
-
     rendered = render_json(result) if args.format == "json" else render_text(result)
     print(rendered, end="" if rendered.endswith("\n") else "\n")
     if args.out:

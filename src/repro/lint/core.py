@@ -27,7 +27,6 @@ from __future__ import annotations
 import ast
 import dataclasses
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -86,10 +85,6 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
         }
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-number-insensitive identity used by ``--baseline`` matching."""
-        return (self.path, self.rule, self.message)
 
 
 @dataclass(frozen=True)
@@ -408,15 +403,13 @@ def parse_suppressions(
 class LintResult:
     """Outcome of one lint run (pre-rendering)."""
 
-    #: Unsuppressed findings (after baseline filtering), sorted.
+    #: Unsuppressed findings, sorted.
     findings: List[Finding] = field(default_factory=list)
     #: Stale-suppression reports (``R000``); fail the run only under
     #: ``report_stale``.
     stale: List[Finding] = field(default_factory=list)
     #: Findings silenced by a well-formed suppression.
     suppressed: List[Finding] = field(default_factory=list)
-    #: Findings silenced by the baseline file.
-    baselined: List[Finding] = field(default_factory=list)
     files: int = 0
     rules: List[str] = field(default_factory=list)
     report_stale: bool = False
@@ -437,7 +430,6 @@ class LintResult:
                 "findings": len(self.findings),
                 "stale": len(self.stale),
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
                 "passed": not self.failures,
             },
         }
@@ -459,44 +451,10 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
     return sorted(found)
 
 
-def _baseline_path(path: str) -> str:
-    """Normalise a finding path for baseline matching.
-
-    Reports written by ``--write-baseline`` store cwd-relative paths while
-    in-flight findings carry whatever the caller passed (often absolute);
-    resolving both against the cwd makes the match spelling-insensitive.
-    """
-    resolved = Path(path).resolve()
-    base = Path.cwd().resolve()
-    try:
-        return resolved.relative_to(base).as_posix()
-    except ValueError:
-        return resolved.as_posix()
-
-
-def load_baseline(path: Path) -> Set[Tuple[str, str, str]]:
-    """Accepted-findings baseline: the ``findings`` array of a JSON report."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LintError(f"cannot read baseline {path}: {exc}") from exc
-    records = payload.get("findings", payload) if isinstance(payload, dict) else payload
-    if not isinstance(records, list):
-        raise LintError(f"baseline {path} is not a findings list")
-    keys: Set[Tuple[str, str, str]] = set()
-    for record in records:
-        try:
-            keys.add((_baseline_path(record["path"]), record["rule"], record["message"]))
-        except (TypeError, KeyError) as exc:
-            raise LintError(f"baseline {path} has a malformed record: {record!r}") from exc
-    return keys
-
-
 def run_lint(
     paths: Sequence[Path],
     rule_ids: Optional[Sequence[str]] = None,
     report_stale: bool = False,
-    baseline: Optional[Set[Tuple[str, str, str]]] = None,
 ) -> LintResult:
     """Lint every Python file under ``paths`` with the selected rules."""
     rules = select_rules(rule_ids)
@@ -548,7 +506,6 @@ def run_lint(
     # -- apply suppressions ----------------------------------------------
     active_rules = set(result.rules)
     used: Dict[Tuple[str, int, str], bool] = {}
-    baselined_rules: Set[Tuple[str, str]] = set()
     for finding in raw:
         resolved = str(Path(finding.path).resolve())
         silenced = False
@@ -561,11 +518,6 @@ def run_lint(
                 silenced = True
         if silenced:
             result.suppressed.append(finding)
-        elif baseline and (
-            (_baseline_path(finding.path), finding.rule, finding.message) in baseline
-        ):
-            result.baselined.append(finding)
-            baselined_rules.add((resolved, finding.rule))
         else:
             result.findings.append(finding)
 
@@ -576,14 +528,6 @@ def run_lint(
                 if rule_id not in active_rules:
                     continue  # rule not in this run: cannot judge staleness
                 if not used.get((suppression.path, suppression.line, rule_id)):
-                    resolved = str(Path(suppression.path).resolve())
-                    if (resolved, rule_id) in baselined_rules:
-                        # The rule still fires in this file but the finding
-                        # was absorbed by the baseline (it drifted off the
-                        # covered line).  One underlying issue must yield one
-                        # report, not one per mechanism: the baseline already
-                        # accounts for it, so the directive is not stale.
-                        continue
                     result.stale.append(
                         Finding(
                             path=suppression.path,
@@ -620,5 +564,4 @@ def relativize(result: LintResult, root: Optional[Path] = None) -> LintResult:
         findings=[rewrite(item) for item in result.findings],
         stale=[rewrite(item) for item in result.stale],
         suppressed=[rewrite(item) for item in result.suppressed],
-        baselined=[rewrite(item) for item in result.baselined],
     )

@@ -2,7 +2,7 @@
 
 Text is for humans at a terminal (one ``path:line: RULE message`` row per
 finding, grep-friendly); JSON is the machine surface CI uploads as an
-artifact and ``--baseline`` consumes.
+artifact.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ def render_text(result: LintResult) -> str:
     extras = []
     if result.suppressed:
         extras.append(f"{len(result.suppressed)} suppressed")
-    if result.baselined:
-        extras.append(f"{len(result.baselined)} baselined")
     if result.report_stale:
         extras.append(f"{len(result.stale)} stale suppression(s)")
     if extras:

@@ -33,7 +33,7 @@ import numpy as np
 from ..engine import dispatchable
 from ..graph.frozen import FrozenSAN
 from ..graph.san import SAN
-from ..utils.stats import empirical_pmf, log_binned_histogram
+from ..utils.stats import log_binned_histogram
 
 Node = Hashable
 SANLike = Union[SAN, FrozenSAN]
@@ -49,12 +49,6 @@ def social_out_degrees(san: FrozenSAN) -> np.ndarray:
 def social_in_degrees(san: FrozenSAN) -> np.ndarray:
     """In-degree of every social node (in social-node iteration order)."""
     return san.social.in_degree_array()
-
-
-@dispatchable("social_total_degrees")
-def social_total_degrees(san: FrozenSAN) -> np.ndarray:
-    """Number of distinct social neighbors of every social node."""
-    return san.social.undirected_degree_array()
 
 
 @dispatchable("attribute_degrees_of_social_nodes")
@@ -73,11 +67,6 @@ def positive_degrees(degrees: Sequence[int]) -> np.ndarray:
     """The degrees >= 1, as the array the degree-distribution fits read."""
     degrees = np.asarray(degrees)
     return degrees[degrees >= 1]
-
-
-def degree_distribution(degrees: List[int]) -> Dict[int, float]:
-    """Empirical probability mass function of a degree sequence."""
-    return empirical_pmf(degrees)
 
 
 def log_binned_degree_distribution(

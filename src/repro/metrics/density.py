@@ -28,18 +28,6 @@ def attribute_density(san: SANView) -> float:
     return san.number_of_attribute_edges() / nodes
 
 
-def graph_theoretic_social_density(san: SANView) -> float:
-    """Fraction of existing directed links among all possible ordered pairs.
-
-    Provided for comparison with the classical definition the paper's footnote
-    distinguishes from the links-per-node ratio.
-    """
-    nodes = san.number_of_social_nodes()
-    if nodes < 2:
-        return 0.0
-    return san.number_of_social_edges() / (nodes * (nodes - 1))
-
-
 def attribute_declaration_fraction(san: SANView) -> float:
     """Fraction of social nodes declaring at least one attribute.
 

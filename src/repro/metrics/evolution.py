@@ -206,21 +206,3 @@ def phase_trends(series: Series, phases: PhaseBoundaries = PhaseBoundaries()) ->
         else:
             trends[phase] = 0.0
     return trends
-
-
-def subsample_snapshots(
-    snapshots: Sequence[Snapshot], max_snapshots: int
-) -> List[Snapshot]:
-    """Evenly thin a snapshot sequence to at most ``max_snapshots`` entries.
-
-    Keeps the first and last snapshots so phase boundaries stay visible.
-    """
-    if max_snapshots <= 0:
-        raise ValueError("max_snapshots must be positive")
-    if len(snapshots) <= max_snapshots:
-        return list(snapshots)
-    if max_snapshots == 1:
-        return [snapshots[-1]]
-    step = (len(snapshots) - 1) / (max_snapshots - 1)
-    indices = sorted({int(round(index * step)) for index in range(max_snapshots)})
-    return [snapshots[index] for index in indices]

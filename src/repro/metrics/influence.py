@@ -14,13 +14,13 @@ Three analyses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional
 
 from ..graph.san import SAN
 from ..utils.stats import percentile
-from .attribute_metrics import attribute_clustering_by_type, top_attribute_nodes
+from .attribute_metrics import top_attribute_nodes
 from .degrees import out_degrees_for_attribute_value
-from .reciprocity import FineGrainedReciprocity, fine_grained_reciprocity
+from .reciprocity import FineGrainedReciprocity
 
 Node = Hashable
 
@@ -67,26 +67,6 @@ def degree_by_top_attribute_values(
         if entry is not None:
             stats.append(entry)
     return stats
-
-
-def attribute_influence_report(
-    earlier: SAN,
-    later: SAN,
-    attr_types_for_degrees: Tuple[str, ...] = ("employer", "major"),
-    top_values: int = 4,
-) -> Dict[str, object]:
-    """Bundle of the three Section 4.2 analyses, used by the influence bench."""
-    reciprocity = fine_grained_reciprocity(earlier, later)
-    clustering_by_type = attribute_clustering_by_type(later)
-    degree_tables = {
-        attr_type: degree_by_top_attribute_values(later, attr_type, count=top_values)
-        for attr_type in attr_types_for_degrees
-    }
-    return {
-        "fine_grained_reciprocity": reciprocity,
-        "clustering_by_type": clustering_by_type,
-        "degree_by_attribute_value": degree_tables,
-    }
 
 
 def reciprocity_boost_from_attributes(reciprocity: FineGrainedReciprocity) -> Optional[float]:

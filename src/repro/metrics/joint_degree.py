@@ -31,14 +31,12 @@ Examples
 from __future__ import annotations
 
 import math
-from typing import Hashable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..engine import dispatchable
 from ..graph.frozen import FrozenSAN
-
-Node = Hashable
 
 
 @dispatchable("social_knn")
@@ -63,18 +61,6 @@ def social_assortativity(san: FrozenSAN) -> float:
         san.social.out_degree_array()[sources],
         san.social.in_degree_array()[targets],
     )
-
-
-@dispatchable("undirected_degree_assortativity")
-def undirected_degree_assortativity(san: FrozenSAN) -> float:
-    """Assortativity of total (undirected) social degree across links.
-
-    Provided as the classical Newman coefficient for comparison against the
-    Flickr / LiveJournal / Orkut values the paper cites.
-    """
-    sources, targets = san.social.edge_arrays()
-    undirected_degrees = san.social.undirected_degree_array()
-    return _pearson_arrays(undirected_degrees[sources], undirected_degrees[targets])
 
 
 @dispatchable("attribute_knn")

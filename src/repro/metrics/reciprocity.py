@@ -31,7 +31,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from ..engine import deps, dispatchable, frozen_view
 from ..graph.frozen import FrozenSAN, sorted_membership
 from ..graph.san import SAN
 
-Node = Hashable
 SANLike = Union[SAN, FrozenSAN]
 
 
@@ -208,16 +207,3 @@ def fine_grained_reciprocity(
         cell = int(cells[position])
         result.counts[(cell // 3, cell % 3)] = (int(hits[position]), int(totals[position]))
     return result
-
-
-def reciprocity_by_common_attributes(
-    earlier: SANLike, later: SANLike
-) -> Dict[int, float]:
-    """Reciprocation rate as a function of the common-attribute bucket only."""
-    fine = fine_grained_reciprocity(earlier, later)
-    rates: Dict[int, float] = {}
-    for bucket in (0, 1, 2):
-        rate = fine.average_rate_for_attribute_bucket(bucket)
-        if rate is not None:
-            rates[bucket] = rate
-    return rates

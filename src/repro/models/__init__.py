@@ -3,7 +3,6 @@
 from .estimation import EstimationResult, estimate_parameters
 from .history import ArrivalEvent, ArrivalHistory, HistoryColumns, apply_event
 from .lifetime import (
-    expected_lifetime,
     sample_sleep_time,
     truncated_normal_moments,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "ArrivalHistory",
     "HistoryColumns",
     "apply_event",
-    "expected_lifetime",
     "sample_sleep_time",
     "truncated_normal_moments",
     "DEFAULT_LIKELIHOOD_SEED",

@@ -131,9 +131,6 @@ class ArrivalHistory:
     def record_attribute_removal(self, social: Node, attribute: Node) -> None:
         self.events.append(ArrivalEvent(EVENT_ATTRIBUTE_REMOVE, social, attribute))
 
-    def record_social_removal(self, source: Node, target: Node) -> None:
-        self.events.append(ArrivalEvent(EVENT_SOCIAL_REMOVE, source, target))
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -76,9 +76,3 @@ def truncated_normal_moments(mu: float, sigma: float) -> Tuple[float, float]:
     g = phi / survival
     delta = g * (g - gamma)
     return mu + sigma * g, sigma * sigma * (1 - delta)
-
-
-def expected_lifetime(params: LifetimeParameters) -> float:
-    """Expected truncated-normal lifetime under ``params``."""
-    mean, _ = truncated_normal_moments(params.mu, params.sigma)
-    return mean

@@ -78,7 +78,6 @@ import numpy as np
 from ..graph.bipartite import AttributeInfo
 from ..graph.builders import complete_seed_san
 from ..graph.frozen import FrozenSAN, pair_order
-from ..graph.san import SAN
 from ..utils.rng import RngLike, ensure_rng
 from ..utils.validation import require_positive
 from .history import (
@@ -344,31 +343,6 @@ class SANModelRun:
         from ..graph.columnar import maybe_spill
 
         return maybe_spill(FrozenSAN(social, attributes))
-
-    def to_san(self) -> SAN:
-        """Rebuild a mutable :class:`~repro.graph.san.SAN` (thaw-equivalent)."""
-        san = SAN()
-        for node in range(self.num_social_nodes):
-            san.add_social_node(node)
-        for source, target in zip(self.social_src.tolist(), self.social_dst.tolist()):
-            san.add_social_edge(source, target)
-        labels = self.attribute_labels
-        infos = self.attribute_info
-        # Attribute nodes are added explicitly so one fully churned out of its
-        # last member still exists (matching the frozen views' node pools).
-        for label, info in zip(labels, infos):
-            san.add_attribute_node(label, attr_type=info.attr_type, value=info.value)
-        dead = set(self.link_removed_positions.tolist())
-        for position, (social, attr) in enumerate(
-            zip(self.link_social.tolist(), self.link_attr.tolist())
-        ):
-            if position in dead:
-                continue
-            info = infos[attr]
-            san.add_attribute_edge(
-                social, labels[attr], attr_type=info.attr_type, value=info.value
-            )
-        return san
 
     def _event_columns(self) -> Optional[np.ndarray]:
         """The compact event log as an ``(events, 3)`` array (``None`` unrecorded)."""

@@ -85,11 +85,3 @@ def three_phase_schedule(
         share = phase_shares[phase] * weight / phase_weight_totals[phase]
         daily.append(max(1, int(round(share * total_users))))
     return ArrivalSchedule(daily_arrivals=daily)
-
-
-def constant_schedule(total_users: int, num_days: int) -> ArrivalSchedule:
-    """Uniform arrivals; useful as a null model in tests."""
-    base = total_users // num_days
-    remainder = total_users - base * num_days
-    daily = [base + (1 if day < remainder else 0) for day in range(num_days)]
-    return ArrivalSchedule(daily_arrivals=daily)

@@ -91,16 +91,6 @@ def build_vocabulary(
     )
 
 
-def default_vocabularies(
-    num_values: int = 200, zipf_exponent: float = 1.1
-) -> Dict[str, AttributeVocabulary]:
-    """The four Google+ attribute-type vocabularies used by the simulator."""
-    return {
-        attr_type: build_vocabulary(attr_type, num_values=num_values, zipf_exponent=zipf_exponent)
-        for attr_type in ("employer", "school", "major", "city")
-    }
-
-
 @dataclass
 class ProfileModel:
     """Sampler for a new user's declared attributes.

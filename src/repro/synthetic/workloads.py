@@ -174,9 +174,6 @@ class EvolutionWorkload:
     def final_san(self) -> FrozenSAN:
         return self.evolution.final_san()
 
-    def halfway_day(self) -> int:
-        return self.snapshot_days[len(self.snapshot_days) // 2]
-
 
 def standard_snapshot_days(num_days: int, count: int = 14) -> List[int]:
     """Evenly spaced snapshot days including the first and last day."""

@@ -1,29 +1,22 @@
 """Shared utilities: statistics helpers, RNG management, validation."""
 
-from .rng import ensure_rng, spawn_rngs
+from .rng import ensure_rng
 from .stats import (
-    ccdf,
-    empirical_pmf,
     ks_two_sample_threshold,
     log_binned_average,
     log_binned_histogram,
     percentile,
-    summarize,
     two_sample_ks_statistic,
 )
 from .validation import require_non_negative, require_positive, require_probability
 
 __all__ = [
     "ensure_rng",
-    "spawn_rngs",
-    "ccdf",
-    "empirical_pmf",
     "ks_two_sample_threshold",
     "two_sample_ks_statistic",
     "log_binned_average",
     "log_binned_histogram",
     "percentile",
-    "summarize",
     "require_non_negative",
     "require_positive",
     "require_probability",

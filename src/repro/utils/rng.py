@@ -9,7 +9,7 @@ deterministically derives the generators used by each sub-component.
 from __future__ import annotations
 
 import random
-from typing import List, Union
+from typing import Union
 
 RngLike = Union[int, random.Random, None]
 
@@ -30,13 +30,3 @@ def ensure_rng(rng: RngLike = None) -> random.Random:
     if isinstance(rng, int):
         return random.Random(rng)
     raise TypeError(f"cannot interpret {rng!r} as a random number generator")
-
-
-def spawn_rngs(rng: RngLike, count: int) -> List[random.Random]:
-    """Derive ``count`` independent child generators from ``rng``.
-
-    Children are seeded with draws from the parent so that components consuming
-    them do not interleave their random streams.
-    """
-    parent = ensure_rng(rng)
-    return [random.Random(parent.getrandbits(64)) for _ in range(count)]

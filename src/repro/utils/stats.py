@@ -8,36 +8,7 @@ package uses numpy where vectorisation matters.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-
-def empirical_pmf(values: Iterable[int]) -> Dict[int, float]:
-    """Empirical probability mass function of integer samples.
-
-    Returns a dict mapping value -> fraction of samples equal to that value.
-    """
-    counts = Counter(values)
-    total = sum(counts.values())
-    if total == 0:
-        return {}
-    return {value: count / total for value, count in sorted(counts.items())}
-
-
-def ccdf(values: Iterable[float]) -> List[Tuple[float, float]]:
-    """Complementary CDF points ``(x, P[X >= x])`` for the observed values."""
-    ordered = sorted(values)
-    total = len(ordered)
-    if total == 0:
-        return []
-    points: List[Tuple[float, float]] = []
-    index = 0
-    while index < total:
-        value = ordered[index]
-        points.append((value, (total - index) / total))
-        while index < total and ordered[index] == value:
-            index += 1
-    return points
+from typing import Iterable, List, Sequence, Tuple
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -56,23 +27,6 @@ def percentile(values: Sequence[float], q: float) -> float:
         return float(ordered[low])
     weight = rank - low
     return float(ordered[low] * (1 - weight) + ordered[high] * weight)
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """Mean / std / min / median / max summary of a numeric sequence."""
-    if not values:
-        return {"count": 0, "mean": 0.0, "std": 0.0, "min": 0.0, "median": 0.0, "max": 0.0}
-    count = len(values)
-    mean = sum(values) / count
-    variance = sum((value - mean) ** 2 for value in values) / count
-    return {
-        "count": count,
-        "mean": mean,
-        "std": math.sqrt(variance),
-        "min": float(min(values)),
-        "median": percentile(values, 50),
-        "max": float(max(values)),
-    }
 
 
 def two_sample_ks_statistic(

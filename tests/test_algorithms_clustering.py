@@ -10,27 +10,24 @@ import pytest
 
 import repro
 from repro.algorithms import (
-    approximate_attribute_clustering,
     approximate_average_clustering,
     approximate_social_clustering,
     average_attribute_clustering_coefficient,
-    average_clustering_for_attribute_type,
     average_social_clustering_coefficient,
     clustering_by_degree,
-    directed_links_among,
-    node_clustering_coefficient,
     required_samples,
-    triple_score,
+)
+from repro.algorithms.clustering import (
+    _attribute_clustering_array,
+    average_clustering_by_attribute_type,
 )
 from repro.graph import SAN, san_from_edge_lists
 
 
 def test_clique_clustering_is_one(clique_san):
-    for node in clique_san.social_nodes():
-        assert node_clustering_coefficient(clique_san, node) == pytest.approx(1.0)
+    # c(u) <= 1, so an average of 1 means every node's coefficient is 1.
     assert average_social_clustering_coefficient(clique_san) == pytest.approx(1.0)
     # The shared attribute node's neighborhood is the whole clique.
-    assert node_clustering_coefficient(clique_san, "employer:Acme") == pytest.approx(1.0)
     assert average_attribute_clustering_coefficient(clique_san) == pytest.approx(1.0)
 
 
@@ -39,35 +36,41 @@ def test_ring_clustering_is_zero(ring_san):
 
 
 def test_node_clustering_with_one_way_links():
-    # Triangle where only one directed link exists among the two neighbors of 1.
+    # Triangle with one directed link among each node's two neighbors:
+    # neighbors of 1 are {2, 3}, one link among them over 2 ordered pairs,
+    # and likewise for 2 ({1, 3}: 1->3) and 3 ({1, 2}: 1->2).
     san = san_from_edge_lists([(1, 2), (1, 3), (2, 3)])
-    # Neighbors of 1 are {2, 3}; one directed link among them over 2 ordered pairs.
-    assert node_clustering_coefficient(san, 1) == pytest.approx(0.5)
+    assert clustering_by_degree(san) == [(2, pytest.approx(0.5))]
+    assert average_social_clustering_coefficient(san) == pytest.approx(0.5)
 
 
 def test_node_clustering_degree_below_two_is_zero():
     san = san_from_edge_lists([(1, 2)])
-    assert node_clustering_coefficient(san, 1) == 0.0
-
-
-def test_directed_links_among(figure1_san):
-    # Among {1, 2, 3}: 1<->2, 2<->3, 1->3 = 5 directed links.
-    assert directed_links_among(figure1_san, [1, 2, 3]) == 5
+    assert clustering_by_degree(san) == []
+    assert average_social_clustering_coefficient(san) == 0.0
 
 
 def test_attribute_node_clustering(figure1_san):
+    frozen = figure1_san.freeze()
+    coefficients = dict(
+        zip(frozen.attributes.attribute_labels(), _attribute_clustering_array(frozen))
+    )
     # employer:Google members {1, 2} linked reciprocally -> c = 2/(2*1) = 1.
-    assert node_clustering_coefficient(figure1_san, "employer:Google") == pytest.approx(1.0)
+    assert coefficients["employer:Google"] == pytest.approx(1.0)
     # major:CS members {4, 5} are not linked.
-    assert node_clustering_coefficient(figure1_san, "major:Computer Science") == 0.0
+    assert coefficients["major:Computer Science"] == 0.0
 
 
 def test_average_clustering_for_attribute_type(figure1_san):
-    employer = average_clustering_for_attribute_type(figure1_san, "employer")
-    major = average_clustering_for_attribute_type(figure1_san, "major")
-    assert employer == pytest.approx(1.0)
-    assert major == pytest.approx(0.0)
-    assert average_clustering_for_attribute_type(figure1_san, "unknown") == 0.0
+    # Each attribute type of figure1_san has one attribute node, so the
+    # per-type average is that node's c(a); a type absent from the SAN has
+    # no entry.
+    assert average_clustering_by_attribute_type(figure1_san) == {
+        "city": pytest.approx(1.0),
+        "employer": pytest.approx(1.0),
+        "major": 0.0,
+        "school": pytest.approx(1.0),
+    }
 
 
 def test_clustering_by_degree_social(clique_san):
@@ -90,12 +93,6 @@ def test_required_samples_formula():
         required_samples(0.1, 0)
 
 
-def test_triple_score(figure1_san):
-    assert triple_score(figure1_san, 1, 2) == 2  # reciprocal
-    assert triple_score(figure1_san, 1, 3) == 1  # one-way
-    assert triple_score(figure1_san, 1, 6) == 0  # unconnected
-
-
 def test_approximate_matches_exact_on_clique(clique_san):
     approx = approximate_social_clustering(clique_san, num_samples=2000, rng=5)
     assert approx == pytest.approx(1.0, abs=0.05)
@@ -109,7 +106,12 @@ def test_approximate_matches_exact_on_figure1(figure1_san):
 
 def test_approximate_attribute_clustering(figure1_san):
     exact = average_attribute_clustering_coefficient(figure1_san)
-    approx = approximate_attribute_clustering(figure1_san, num_samples=20000, rng=2)
+    approx = approximate_average_clustering(
+        figure1_san,
+        population=list(figure1_san.attribute_nodes()),
+        num_samples=20000,
+        rng=2,
+    )
     assert approx == pytest.approx(exact, abs=0.07)
 
 

@@ -1,13 +1,8 @@
 """Tests for connected-component algorithms."""
 
-from repro.algorithms import (
-    largest_weakly_connected_component,
-    restrict_san_to_largest_wcc,
-    strongly_connected_components,
-    wcc_fraction,
-    weakly_connected_components,
-)
-from repro.graph import DiGraph, san_from_edge_lists
+from repro.algorithms import weakly_connected_components
+from repro.graph import SAN, DiGraph, san_from_edge_lists
+from repro.metrics import frozen_san_report
 
 
 def test_wcc_single_component(ring_san):
@@ -21,49 +16,20 @@ def test_wcc_multiple_components():
     components = weakly_connected_components(graph)
     assert len(components) == 2
     assert len(components[0]) == 3  # largest first
-    assert largest_weakly_connected_component(graph) == {3, 4, 5}
+    assert components[0] == {3, 4, 5}
 
 
 def test_wcc_fraction():
-    graph = DiGraph([(1, 2), (3, 4), (4, 5)])
-    assert wcc_fraction(graph) == 3 / 5
-    assert wcc_fraction(DiGraph()) == 0.0
+    # The `repro report` battery's share of users in the largest component.
+    san = san_from_edge_lists([(1, 2), (3, 4), (4, 5)])
+    for graph, fraction in ((san, 3 / 5), (SAN(), 0.0)):
+        report = frozen_san_report(
+            graph, include_diameter=False, clustering_samples=10, rng=1
+        )
+        assert report["wcc_fraction"] == fraction
 
 
 def test_wcc_isolated_node():
     graph = DiGraph()
     graph.add_node("solo")
     assert weakly_connected_components(graph) == [{"solo"}]
-
-
-def test_restrict_san_to_largest_wcc():
-    san = san_from_edge_lists(
-        [(1, 2), (2, 3), (10, 11)],
-        [(1, "city", "A"), (10, "city", "B")],
-    )
-    restricted = restrict_san_to_largest_wcc(san)
-    assert restricted.number_of_social_nodes() == 3
-    assert restricted.is_attribute_node("city:A")
-    assert not restricted.is_attribute_node("city:B")
-
-
-def test_scc_on_cycle_and_chain():
-    graph = DiGraph([(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)])
-    components = strongly_connected_components(graph)
-    sizes = sorted(len(component) for component in components)
-    assert sizes == [1, 1, 3]
-    assert {1, 2, 3} in components
-
-
-def test_scc_reciprocal_pair():
-    graph = DiGraph([(1, 2), (2, 1), (2, 3)])
-    components = strongly_connected_components(graph)
-    assert {1, 2} in components
-    assert {3} in components
-
-
-def test_scc_counts_every_node_once():
-    graph = DiGraph([(i, i + 1) for i in range(20)])
-    components = strongly_connected_components(graph)
-    total = sum(len(component) for component in components)
-    assert total == graph.number_of_nodes()

@@ -1,51 +1,34 @@
-"""Tests for random walks and the degree-capped adjacency."""
+"""Tests for the batched random walks and the degree-capped CSR."""
 
-from repro.algorithms import (
-    capped_undirected_adjacency,
-    random_walk,
-    random_walk_on_san,
-    stationary_degree_distribution,
-)
-from repro.graph import san_from_edge_lists
+import numpy as np
+
+from repro.algorithms.random_walk import batched_walk_ids, capped_undirected_csr
 
 
 def test_capped_adjacency_respects_cap(clique_san):
-    adjacency = capped_undirected_adjacency(clique_san.social, degree_cap=3, rng=1)
-    assert all(len(neighbors) <= 3 for neighbors in adjacency.values())
-    uncapped = capped_undirected_adjacency(clique_san.social, degree_cap=None)
-    assert all(len(neighbors) == 5 for neighbors in uncapped.values())
+    graph = clique_san.freeze().social
+    indptr, _ = capped_undirected_csr(graph, degree_cap=3, rng=1)
+    assert (np.diff(indptr) == 3).all()
+    uncapped, _ = capped_undirected_csr(graph, degree_cap=None)
+    assert (np.diff(uncapped) == 5).all()
 
 
 def test_random_walk_length_and_adjacency(clique_san):
-    adjacency = capped_undirected_adjacency(clique_san.social)
-    path = random_walk(adjacency, 0, 10, rng=2)
-    assert len(path) == 11
-    for previous, current in zip(path, path[1:]):
-        assert current in adjacency[previous]
+    indptr, indices = capped_undirected_csr(clique_san.freeze().social)
+    paths = batched_walk_ids(
+        indptr, indices, np.zeros(4, dtype=np.int64), 10, np.random.default_rng(2)
+    )
+    assert paths.shape == (4, 11)
+    assert (paths[:, 0] == 0).all() and (paths >= 0).all()
+    for path in paths.tolist():
+        for previous, current in zip(path, path[1:]):
+            assert current in indices[indptr[previous] : indptr[previous + 1]]
 
 
 def test_random_walk_stops_at_dead_end():
-    san = san_from_edge_lists([(1, 2)])
-    adjacency = {1: [2], 2: []}
-    path = random_walk(adjacency, 1, 5, rng=3)
-    assert path == [1, 2]
-
-
-def test_random_walk_on_san(figure1_san):
-    path = random_walk_on_san(figure1_san, 1, 4, rng=4)
-    assert path[0] == 1
-    assert len(path) >= 2
-
-
-def test_stationary_distribution_proportional_to_degree():
-    adjacency = {1: [2, 3], 2: [1], 3: [1]}
-    stationary = stationary_degree_distribution(adjacency)
-    assert stationary[1] == 0.5
-    assert stationary[2] == 0.25
-    assert sum(stationary.values()) == 1.0
-
-
-def test_stationary_distribution_empty_graph():
-    assert stationary_degree_distribution({}) == {}
-    uniform = stationary_degree_distribution({1: [], 2: []})
-    assert uniform[1] == 0.5
+    # One directed edge 0 -> 1 as a CSR: node 1 has no neighbors.
+    indptr, indices = np.array([0, 1, 1]), np.array([1])
+    paths = batched_walk_ids(
+        indptr, indices, np.array([0]), 5, np.random.default_rng(3)
+    )
+    assert paths.tolist() == [[0, 1, -1, -1, -1, -1]]

@@ -1,30 +1,10 @@
-"""Tests for sampling utilities (attribute subsampling, reservoirs) and the
-reference generator's weighted choice."""
+"""Tests for attribute subsampling and the reference generator's weighted
+choice."""
 
 import pytest
 from model_reference import weighted_choice
 
-from repro.algorithms import (
-    drop_users_attributes,
-    reservoir_sample,
-    sample_nodes,
-    sample_social_edges,
-    subsample_attributes,
-)
-
-
-def test_sample_nodes_without_replacement(figure1_san):
-    nodes = sample_nodes(figure1_san, 3, rng=1)
-    assert len(nodes) == 3
-    assert len(set(nodes)) == 3
-    assert sample_nodes(figure1_san, 100, rng=1) == list(figure1_san.social_nodes())
-
-
-def test_sample_social_edges(figure1_san):
-    edges = sample_social_edges(figure1_san, 4, rng=2)
-    assert len(edges) == 4
-    for source, target in edges:
-        assert figure1_san.has_social_edge(source, target)
+from repro.algorithms import subsample_attributes
 
 
 def test_subsample_attributes_keeps_social_layer(figure1_san):
@@ -43,22 +23,6 @@ def test_subsample_attributes_extremes(figure1_san):
 def test_subsample_attributes_validates_probability(figure1_san):
     with pytest.raises(ValueError):
         subsample_attributes(figure1_san, keep_probability=1.5)
-
-
-def test_drop_users_attributes_all_or_nothing(figure1_san):
-    dropped = drop_users_attributes(figure1_san, keep_probability=0.5, rng=5)
-    for node in dropped.social_nodes():
-        original = figure1_san.attribute_degree(node)
-        kept = dropped.attribute_degree(node)
-        assert kept in (0, original)
-
-
-def test_reservoir_sample_uniformity_and_size():
-    sample = reservoir_sample(range(1000), 10, rng=7)
-    assert len(sample) == 10
-    assert len(set(sample)) == 10
-    short = reservoir_sample(range(3), 10, rng=7)
-    assert sorted(short) == [0, 1, 2]
 
 
 def test_weighted_choice_respects_weights():

@@ -7,9 +7,8 @@ from repro.algorithms import (
     effective_diameter_from_histogram,
     sample_attribute_distance_distribution,
     sample_distance_distribution,
-    shortest_path_length,
-    undirected_bfs_distances,
 )
+from repro.algorithms.traversal import frontier_bfs_levels
 from repro.graph import san_from_edge_lists
 
 
@@ -27,24 +26,22 @@ def test_bfs_distances_max_depth(ring_san):
 
 
 def test_undirected_bfs_distances(ring_san):
-    adjacency = ring_san.social.to_undirected_adjacency()
-    distances = undirected_bfs_distances(adjacency, 0)
+    # The crawl's sweep over the undirected CSR (ring ids are the labels).
+    distances = frontier_bfs_levels(*ring_san.freeze().social.undirected_csr(), 0)
     assert distances[9] == 1
     assert distances[5] == 5
 
 
 def test_shortest_path_length(figure1_san):
-    assert shortest_path_length(figure1_san.social, 1, 2) == 1
-    assert shortest_path_length(figure1_san.social, 1, 5) == 2  # 1 -> 3 -> 5
-    assert shortest_path_length(figure1_san.social, 4, 4) == 0
-    assert shortest_path_length(figure1_san.social, 5, 1) is None or isinstance(
-        shortest_path_length(figure1_san.social, 5, 1), int
-    )
+    assert bfs_distances(figure1_san.social, 1)[2] == 1
+    assert bfs_distances(figure1_san.social, 1)[5] == 2  # 1 -> 3 -> 5
+    assert bfs_distances(figure1_san.social, 4)[4] == 0
+    assert bfs_distances(figure1_san.social, 5)[1] == 4  # 5 -> 6 -> 4 -> 2 -> 1
 
 
 def test_shortest_path_unreachable():
     san = san_from_edge_lists([(1, 2), (3, 4)])
-    assert shortest_path_length(san.social, 1, 4) is None
+    assert 4 not in bfs_distances(san.social, 1)
 
 
 def test_sample_distance_distribution_counts_pairs(ring_san):

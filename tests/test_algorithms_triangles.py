@@ -8,7 +8,6 @@ from repro.algorithms import (
     count_directed_triangles,
     is_focal_closure,
     is_triadic_closure,
-    two_hop_san_neighbors,
     two_hop_social_neighbors,
 )
 from repro.graph import san_from_edge_lists
@@ -22,20 +21,10 @@ def test_two_hop_social_neighbors(figure1_san):
     assert 2 not in hops  # direct neighbor
 
 
-def test_two_hop_san_neighbors_includes_attribute_paths(figure1_san):
-    # Node 1 shares employer:Google with 2 (already direct) and can reach
-    # school:UC Berkeley members only via social paths; 6 shares city with 5.
-    hops = two_hop_san_neighbors(figure1_san, 6)
-    assert 5 not in hops  # direct neighbor
-    # via city:San Francisco -> member 5 (direct), via 4 -> 2, via 5 -> 3, 6 excluded.
-    assert 2 in hops or 3 in hops
-
-
 def test_two_hop_neighbors_isolated_node():
     san = san_from_edge_lists([(1, 2)])
     san.add_social_node(99)
     assert two_hop_social_neighbors(san, 99) == set()
-    assert two_hop_san_neighbors(san, 99) == set()
 
 
 def test_is_triadic_and_focal_closure(figure1_san):

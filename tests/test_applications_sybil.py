@@ -1,14 +1,6 @@
 """Tests for the SybilLimit-based Sybil-defense experiment."""
 
-
-
-from repro.algorithms import capped_undirected_adjacency
-from repro.applications import (
-    SybilLimitParameters,
-    acceptance_probability,
-    count_attack_edges,
-    sybil_identities_vs_compromised,
-)
+from repro.applications import SybilLimitParameters, sybil_identities_vs_compromised
 
 
 def test_parameters_defaults():
@@ -21,11 +13,9 @@ def test_parameters_defaults():
 
 
 def test_count_attack_edges_clique(clique_san):
-    adjacency = capped_undirected_adjacency(clique_san.social)
-    compromised = {0, 1}
-    # Each compromised node has 4 honest neighbors.
-    assert count_attack_edges(adjacency, compromised) == 8
-    assert count_attack_edges(adjacency, set()) == 0
+    # On the 6-clique any 2 compromised users have 4 honest neighbors each.
+    results = sybil_identities_vs_compromised(clique_san, [2, 0], rng=1)
+    assert [result.num_attack_edges for result in results] == [8, 0]
 
 
 def test_sybil_identities_scale_with_compromised_nodes(tiny_final_san):
@@ -54,21 +44,3 @@ def test_degree_bound_limits_attack_edges(tiny_final_san):
         tiny_final_san, [30], params=SybilLimitParameters(degree_bound=5), rng=7
     )[0]
     assert bounded.num_attack_edges <= unlimited.num_attack_edges
-
-
-def test_acceptance_probability_honest_nodes(clique_san):
-    probability = acceptance_probability(
-        clique_san, 0, 3, params=SybilLimitParameters(walk_length=3), num_routes=50, rng=5
-    )
-    # In a well-connected honest region the tails intersect nearly always.
-    assert probability > 0.5
-
-
-def test_acceptance_probability_disconnected_nodes():
-    from repro.graph import san_from_edge_lists
-
-    san = san_from_edge_lists([(1, 2), (2, 1), (3, 4), (4, 3)])
-    probability = acceptance_probability(
-        san, 1, 3, params=SybilLimitParameters(walk_length=4), num_routes=30, rng=6
-    )
-    assert probability == 0.0

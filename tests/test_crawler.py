@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.crawler import (
-    FULLY_PUBLIC,
-    PrivacyModel,
-    crawl_evolution,
-    crawl_snapshot,
-)
-from repro.graph import san_from_edge_lists
+from repro.crawler import FULLY_PUBLIC, PrivacyModel, crawl_evolution
+from repro.crawler.crawler import crawl_frozen, default_seed, member_ids
+from repro.graph import SAN, san_from_edge_lists
 
 
 def test_privacy_model_is_deterministic_per_user():
@@ -28,50 +24,61 @@ def test_privacy_model_extremes():
 
 
 def test_full_crawl_recovers_connected_ground_truth(figure1_san):
-    result = crawl_snapshot(figure1_san, seeds=[1])
-    assert result.coverage == 1.0
-    assert result.san.number_of_social_edges() == figure1_san.number_of_social_edges()
-    assert result.san.number_of_attribute_edges() == figure1_san.number_of_attribute_edges()
+    truth = figure1_san.freeze()
+    crawled, visited = crawl_frozen(
+        truth, member_ids(truth, [1]), *FULLY_PUBLIC.masks(truth.social.labels())
+    )
+    assert visited.size == truth.number_of_social_nodes()
+    assert crawled.number_of_social_edges() == figure1_san.number_of_social_edges()
+    assert crawled.number_of_attribute_edges() == figure1_san.number_of_attribute_edges()
 
 
 def test_crawl_only_reaches_weakly_connected_component():
-    ground_truth = san_from_edge_lists([(1, 2), (2, 3), (10, 11)])
-    result = crawl_snapshot(ground_truth, seeds=[1])
-    assert result.san.number_of_social_nodes() == 3
-    assert result.coverage == pytest.approx(3 / 5)
-    assert not result.san.is_social_node(10)
+    truth = san_from_edge_lists([(1, 2), (2, 3), (10, 11)]).freeze()
+    crawled, visited = crawl_frozen(
+        truth, member_ids(truth, [1]), *FULLY_PUBLIC.masks(truth.social.labels())
+    )
+    assert crawled.number_of_social_nodes() == 3
+    assert visited.size / truth.number_of_social_nodes() == pytest.approx(3 / 5)
+    assert not crawled.is_social_node(10)
 
 
 def test_crawl_uses_incoming_lists_too():
     # Seed 3 has no outgoing links; it is discoverable only via incoming lists.
-    ground_truth = san_from_edge_lists([(1, 3), (2, 3), (1, 2)])
-    result = crawl_snapshot(ground_truth, seeds=[3])
-    assert result.san.number_of_social_nodes() == 3
+    truth = san_from_edge_lists([(1, 3), (2, 3), (1, 2)]).freeze()
+    crawled, _ = crawl_frozen(
+        truth, member_ids(truth, [3]), *FULLY_PUBLIC.masks(truth.social.labels())
+    )
+    assert crawled.number_of_social_nodes() == 3
 
 
 def test_crawl_empty_ground_truth():
-    from repro.graph import SAN
-
     for ground_truth in (SAN(), SAN().freeze()):
-        result = crawl_snapshot(ground_truth)
-        assert result.coverage == 0.0
-        assert result.visited == set()
-        assert result.san.number_of_social_nodes() == 0
+        truth = ground_truth.freeze()
+        assert default_seed(truth).size == 0
+        crawled, visited = crawl_frozen(
+            truth, default_seed(truth), *FULLY_PUBLIC.masks(truth.social.labels())
+        )
+        assert visited.size == 0
+        assert crawled.number_of_social_nodes() == 0
 
 
 def test_private_links_reduce_edge_coverage(tiny_evolution):
-    ground_truth = tiny_evolution.final_san()
-    public = crawl_snapshot(ground_truth)
-    private = crawl_snapshot(
-        ground_truth, privacy=PrivacyModel(hide_links_probability=0.5, seed=1)
-    )
-    assert private.san.number_of_social_edges() <= public.san.number_of_social_edges()
+    truth = tiny_evolution.final_san()
+    labels = truth.social.labels()
+    public, _ = crawl_frozen(truth, default_seed(truth), *FULLY_PUBLIC.masks(labels))
+    privacy = PrivacyModel(hide_links_probability=0.5, seed=1)
+    private, _ = crawl_frozen(truth, default_seed(truth), *privacy.masks(labels))
+    assert private.number_of_social_edges() <= public.number_of_social_edges()
 
 
 def test_hidden_attributes_are_not_collected(figure1_san):
+    truth = figure1_san.freeze()
     privacy = PrivacyModel(hide_attributes_probability=1.0)
-    result = crawl_snapshot(figure1_san, seeds=[1], privacy=privacy)
-    assert result.san.number_of_attribute_edges() == 0
+    crawled, _ = crawl_frozen(
+        truth, member_ids(truth, [1]), *privacy.masks(truth.social.labels())
+    )
+    assert crawled.number_of_attribute_edges() == 0
 
 
 def test_crawl_series_expands_and_covers(tiny_evolution, tiny_snapshot_days, tiny_snapshots):
@@ -148,21 +155,24 @@ def test_hiding_decisions_are_monotone_in_the_rate():
 
 def test_visibility_sweep_monotonically_shrinks_the_crawl(tiny_evolution):
     """More hiding can only cost the crawler edges, never gain them."""
-    ground_truth = tiny_evolution.final_san()
-    seeds = sorted(ground_truth.social_nodes(), key=str)[:10]
+    truth = tiny_evolution.final_san()
+    seeds = member_ids(truth, sorted(truth.social_nodes(), key=str)[:10])
     edge_counts = []
     for rate in (0.0, 0.2, 0.5, 0.8, 1.0):
         privacy = PrivacyModel(hide_links_probability=rate, seed=7)
-        result = crawl_snapshot(ground_truth, seeds=seeds, privacy=privacy)
-        edge_counts.append(result.san.number_of_social_edges())
+        crawled, _ = crawl_frozen(truth, seeds, *privacy.masks(truth.social.labels()))
+        edge_counts.append(crawled.number_of_social_edges())
     assert edge_counts == sorted(edge_counts, reverse=True)
     assert edge_counts[0] > edge_counts[-1]
 
 
 def test_everyone_hiding_links_strands_the_crawl_at_its_seeds(figure1_san):
+    truth = figure1_san.freeze()
     privacy = PrivacyModel(hide_links_probability=1.0)
-    seeds = sorted(figure1_san.social_nodes(), key=str)[:2]
-    result = crawl_snapshot(figure1_san, seeds=seeds, privacy=privacy)
+    seeds = sorted(truth.social_nodes(), key=str)[:2]
+    crawled, _ = crawl_frozen(
+        truth, member_ids(truth, seeds), *privacy.masks(truth.social.labels())
+    )
     # No user exposes a circle list, so BFS can never leave the seed set.
-    assert set(result.visited) == set(seeds)
-    assert result.san.number_of_social_edges() == 0
+    assert set(crawled.social_nodes()) == set(seeds)
+    assert crawled.number_of_social_edges() == 0

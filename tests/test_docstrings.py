@@ -13,6 +13,7 @@ import doctest
 import pytest
 
 import repro.algorithms.clustering
+import repro.algorithms.hyperloglog
 import repro.algorithms.triangles
 import repro.engine.registry
 import repro.graph.bipartite
@@ -38,6 +39,7 @@ AUDITED_MODULES = [
     repro.metrics.joint_degree,
     repro.metrics.attribute_metrics,
     repro.algorithms.clustering,
+    repro.algorithms.hyperloglog,
     repro.algorithms.triangles,
     repro.engine.registry,
 ]

@@ -184,7 +184,6 @@ class TestIntrospection:
             "social_knn",
             "weakly_connected_components",
             "neighbourhood_function",
-            "random_walks",
             "link_prediction.pair_features_batch",
             "sybil.identities_vs_compromised",
         ):
@@ -230,7 +229,7 @@ class TestIntrospection:
             "without an oracle": sorted(shipped - set(declared)),
             "not registered": sorted(set(declared) - shipped),
         }
-        assert len(shipped) == 43
+        assert len(shipped) == 28
 
 
 #: Runs every stage of a cold ``tiny`` pipeline and reports which scipy

@@ -1,6 +1,6 @@
 """Tests for the plain-text experiment reporting helpers."""
 
-from repro.experiments import format_distribution, format_series, format_table, series_trend
+from repro.experiments import format_series, format_table, series_trend
 
 
 def test_format_series_contains_rows_and_labels():
@@ -22,11 +22,6 @@ def test_format_table_alignment_and_missing_cells():
 def test_format_table_empty():
     assert format_table([], title="nothing") == "nothing"
     assert format_table([]) == "(empty table)"
-
-
-def test_format_distribution_delegates_to_series():
-    text = format_distribution([(1, 0.9)], title="dist")
-    assert "dist" in text and "degree" in text
 
 
 def test_series_trend():

@@ -12,7 +12,6 @@ from repro.fitting import (
     DiscreteLognormal,
     PowerLaw,
     PowerLawWithCutoff,
-    truncated_normal_mean_variance,
 )
 from repro.fitting.mle import (
     CUTOFF_MAX,
@@ -20,6 +19,7 @@ from repro.fitting.mle import (
     fit_lognormal,
     fit_power_law_with_cutoff,
 )
+from repro.models.lifetime import truncated_normal_moments
 
 
 RNG = np.random.default_rng(7)
@@ -138,15 +138,15 @@ def test_parameters_and_names():
 
 def test_truncated_normal_mean_variance():
     # With mu >> sigma truncation is negligible.
-    mean, variance = truncated_normal_mean_variance(10.0, 1.0)
+    mean, variance = truncated_normal_moments(10.0, 1.0)
     assert mean == pytest.approx(10.0, abs=0.01)
     assert variance == pytest.approx(1.0, abs=0.01)
     # With mu = 0 the truncated mean is sigma * sqrt(2/pi).
-    mean0, variance0 = truncated_normal_mean_variance(0.0, 2.0)
+    mean0, variance0 = truncated_normal_moments(0.0, 2.0)
     assert mean0 == pytest.approx(2.0 * math.sqrt(2 / math.pi), rel=1e-3)
     assert variance0 < 4.0
     with pytest.raises(ValueError):
-        truncated_normal_mean_variance(1.0, 0.0)
+        truncated_normal_moments(1.0, 0.0)
 
 
 def test_supports_start_from_a_large_xmin():

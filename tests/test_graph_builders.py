@@ -1,15 +1,6 @@
 """Unit tests for SAN construction helpers."""
 
-
-from repro.graph import (
-    attribute_node_id,
-    complete_seed_san,
-    merge_sans,
-    relabel_social_nodes,
-    san_from_edge_lists,
-    san_from_profiles,
-)
-from repro.graph.builders import directed_graph_edges_from_undirected
+from repro.graph import attribute_node_id, complete_seed_san, san_from_edge_lists
 
 
 def test_attribute_node_id_format():
@@ -26,20 +17,6 @@ def test_san_from_edge_lists():
     assert san.attribute_type("city:SF") == "city"
 
 
-def test_san_from_profiles_includes_isolated_users():
-    san = san_from_profiles(
-        [(1, 2)],
-        {
-            1: {"employer": ["Google"]},
-            3: {"school": ["MIT", "Stanford"]},
-        },
-    )
-    assert san.is_social_node(3)
-    assert san.attribute_degree(3) == 2
-    assert san.attribute_degree(1) == 1
-    assert san.attribute_degree(2) == 0
-
-
 def test_complete_seed_san_structure():
     seed = complete_seed_san(num_social=4, num_attributes=3)
     assert seed.number_of_social_nodes() == 4
@@ -49,31 +26,3 @@ def test_complete_seed_san_structure():
     assert seed.number_of_attribute_edges() == 4 * 3
     for node in seed.social_nodes():
         assert seed.attribute_degree(node) == 3
-
-
-def test_directed_edges_from_undirected():
-    edges = list(directed_graph_edges_from_undirected([(1, 2), (3, 4)]))
-    assert (1, 2) in edges and (2, 1) in edges
-    assert (3, 4) in edges and (4, 3) in edges
-    assert len(edges) == 4
-
-
-def test_merge_sans_unions_nodes_and_edges(figure1_san):
-    other = san_from_edge_lists([(10, 11)], [(10, "employer", "Google")])
-    merged = merge_sans(figure1_san, other)
-    assert merged.has_social_edge(10, 11)
-    assert merged.has_social_edge(1, 2)
-    # The shared attribute node gains a new member.
-    assert merged.attribute_social_degree("employer:Google") == 3
-    # Inputs untouched.
-    assert not figure1_san.is_social_node(10)
-    assert other.attribute_social_degree("employer:Google") == 1
-
-
-def test_relabel_social_nodes(figure1_san):
-    relabeled = relabel_social_nodes(figure1_san, {1: 100, 2: 200})
-    assert relabeled.has_social_edge(100, 200)
-    assert relabeled.has_social_edge(200, 100)
-    assert not relabeled.is_social_node(1)
-    assert relabeled.has_attribute_edge(100, "employer:Google")
-    assert relabeled.number_of_social_edges() == figure1_san.number_of_social_edges()

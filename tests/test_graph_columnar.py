@@ -32,7 +32,6 @@ from repro.graph import (
 )
 from repro.graph.columnar import (
     FORMAT_VERSION,
-    MAGIC,
     SECTION_ALIGNMENT,
     _collect_sections,
 )

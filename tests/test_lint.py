@@ -236,90 +236,31 @@ class TestCli:
         assert main(["lint", fixture, "--rules", "R001", "--report-stale"]) == 1
         assert "stale suppression" in capsys.readouterr().out
 
-    def test_baseline_workflow(self, tmp_path, capsys):
-        fixture = str(FIXTURES / "r001_violation.py")
-        baseline = tmp_path / "baseline.json"
-        code = main(
-            ["lint", fixture, "--rules", "R001", "--write-baseline", str(baseline)]
-        )
-        assert code == 0
-        assert json.loads(baseline.read_text())["findings"]
-        capsys.readouterr()
-        code = main(
-            ["lint", fixture, "--rules", "R001", "--baseline", str(baseline)]
-        )
-        assert code == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_baselined_drifted_suppression_reported_once(self, tmp_path, capsys):
-        # Regression: a finding that drifted off its suppression's covered
-        # line and was then accepted into the baseline is ONE underlying
-        # issue.  It must surface once (as baselined), not once per
-        # mechanism — the directive is not reported stale on top.
-        target = tmp_path / "drift.py"
-        target.write_text(
-            "import numpy as np\n"
-            "\n"
-            "# repro: lint-ignore[R001] -- entropy opt-in for the demo\n"
-            "x = 1\n"
-            "rng = np.random.default_rng()\n"
-        )
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            ["lint", str(target), "--rules", "R001", "--write-baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-        # Without the baseline the drift is two failures (finding + stale).
-        assert main(["lint", str(target), "--rules", "R001", "--report-stale"]) == 1
-        capsys.readouterr()
-        # With it: zero failures, and no stale report for the directive.
-        code = main(
-            [
-                "lint", str(target), "--rules", "R001",
-                "--baseline", str(baseline), "--report-stale",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "stale suppression:" not in out  # the R000 message marker
-        assert "0 stale suppression(s)" in out
-        assert "baselined" in out
-
-    def test_genuinely_stale_suppression_still_fails_under_baseline(
+    def test_stale_suppression_fails_beside_another_files_finding(
         self, tmp_path, capsys
     ):
-        # The satellite fix must not swallow real staleness: a directive
-        # whose rule fires nowhere in the file stays a failure even when a
-        # baseline (for some other file's finding) is in force.
+        # A directive whose rule fires nowhere in its own file is stale,
+        # even when the same rule fires in another file of the run.
         noisy = tmp_path / "noisy.py"
         noisy.write_text(
             "import numpy as np\n"
             "rng = np.random.default_rng()\n"
         )
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            ["lint", str(noisy), "--rules", "R001", "--write-baseline", str(baseline)]
-        ) == 0
         stale_only = tmp_path / "stale_only.py"
         stale_only.write_text(
             "# repro: lint-ignore[R001] -- nothing here draws entropy\n"
             "x = 1\n"
         )
-        capsys.readouterr()
         code = main(
             [
-                "lint", str(stale_only), "--rules", "R001",
-                "--baseline", str(baseline), "--report-stale",
+                "lint", str(noisy), str(stale_only), "--rules", "R001",
+                "--report-stale",
             ]
         )
+        out = capsys.readouterr().out
         assert code == 1
-        assert "stale suppression" in capsys.readouterr().out
-
-    def test_baseline_missing_file_is_usage_error(self, capsys):
-        code = main(
-            ["lint", str(FIXTURES), "--baseline", "/no/such/baseline.json"]
-        )
-        assert code == 2
+        assert "noisy.py:2: R001" in out
+        assert "stale_only.py:1: R000 stale suppression" in out
 
     def test_out_writes_report_even_on_failure(self, tmp_path, capsys):
         report = tmp_path / "lint" / "findings.json"

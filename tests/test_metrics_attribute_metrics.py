@@ -2,12 +2,10 @@
 
 import pytest
 
+from repro.algorithms import approximate_average_clustering
 from repro.metrics import (
-    approximate_attribute_clustering_coefficient,
     attribute_clustering_by_type,
     attribute_clustering_distribution,
-    attribute_link_counts_by_type,
-    attribute_type_counts,
     exact_attribute_clustering_coefficient,
     social_clustering_distribution,
     top_attribute_nodes,
@@ -32,8 +30,11 @@ def test_clustering_distributions(figure1_san):
 
 def test_exact_and_approximate_attribute_clustering(figure1_san):
     exact = exact_attribute_clustering_coefficient(figure1_san)
-    approx = approximate_attribute_clustering_coefficient(
-        figure1_san, num_samples=20000, rng=1
+    approx = approximate_average_clustering(
+        figure1_san,
+        population=list(figure1_san.attribute_nodes()),
+        num_samples=20000,
+        rng=1,
     )
     assert approx == pytest.approx(exact, abs=0.05)
 
@@ -46,19 +47,8 @@ def test_top_attribute_nodes(figure1_san):
     assert top_employers == [("employer:Google", 2)]
 
 
-def test_attribute_type_counts(figure1_san):
-    counts = attribute_type_counts(figure1_san)
-    assert counts == {"employer": 1, "school": 1, "major": 1, "city": 1}
-
-
-def test_attribute_link_counts_by_type(figure1_san):
-    counts = attribute_link_counts_by_type(figure1_san)
-    assert counts == {"employer": 2, "school": 2, "major": 2, "city": 2}
-
-
 def test_attribute_metrics_empty():
     from repro.graph import SAN
 
     assert attribute_clustering_by_type(SAN()) == {}
-    assert attribute_type_counts(SAN()) == {}
     assert top_attribute_nodes(SAN()) == []

@@ -4,14 +4,12 @@ import pytest
 
 from repro.metrics import (
     attribute_degrees_of_social_nodes,
-    degree_distribution,
     degree_summary,
     log_binned_degree_distribution,
     out_degrees_for_attribute_value,
     social_degrees_of_attribute_nodes,
     social_in_degrees,
     social_out_degrees,
-    social_total_degrees,
 )
 
 
@@ -24,7 +22,8 @@ def test_out_and_in_degrees(figure1_san):
 
 
 def test_total_degrees(clique_san):
-    assert social_total_degrees(clique_san).tolist() == [5] * 6
+    # Distinct social neighbors per user, as the clustering kernels read them.
+    assert clique_san.freeze().social.undirected_degree_array().tolist() == [5] * 6
 
 
 def test_attribute_degree_sequences(figure1_san):
@@ -32,11 +31,6 @@ def test_attribute_degree_sequences(figure1_san):
     assert sorted(attr_degrees) == [1, 1, 1, 1, 2, 2]
     attr_social = social_degrees_of_attribute_nodes(figure1_san)
     assert sorted(attr_social) == [2, 2, 2, 2]
-
-
-def test_degree_distribution_sums_to_one(figure1_san):
-    pmf = degree_distribution(social_out_degrees(figure1_san))
-    assert sum(pmf.values()) == pytest.approx(1.0)
 
 
 def test_log_binned_degree_distribution(figure1_san):

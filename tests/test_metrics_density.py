@@ -6,7 +6,6 @@ from repro.graph import SAN, san_from_edge_lists
 from repro.metrics import (
     attribute_declaration_fraction,
     attribute_density,
-    graph_theoretic_social_density,
     social_density,
 )
 
@@ -22,17 +21,6 @@ def test_attribute_density(figure1_san):
 def test_densities_empty():
     assert social_density(SAN()) == 0.0
     assert attribute_density(SAN()) == 0.0
-    assert graph_theoretic_social_density(SAN()) == 0.0
-
-
-def test_graph_theoretic_density(clique_san):
-    assert graph_theoretic_social_density(clique_san) == pytest.approx(1.0)
-
-
-def test_graph_theoretic_density_single_node():
-    san = SAN()
-    san.add_social_node(1)
-    assert graph_theoretic_social_density(san) == 0.0
 
 
 def test_attribute_declaration_fraction(figure1_san):

@@ -14,7 +14,6 @@ from repro.metrics import (
     phase_trends,
     reciprocity_series,
     social_density_series,
-    subsample_snapshots,
 )
 from repro.metrics.density import social_density
 
@@ -101,14 +100,3 @@ def test_phase_averages_empty_phase():
     averages = phase_averages(series)
     assert averages[1] == 1.0
     assert averages[2] != averages[2]  # NaN for empty phases
-
-
-def test_subsample_snapshots():
-    snapshots = [(day, None) for day in range(1, 21)]
-    thinned = subsample_snapshots(snapshots, 5)
-    assert len(thinned) == 5
-    assert thinned[0][0] == 1 and thinned[-1][0] == 20
-    assert subsample_snapshots(snapshots, 50) == snapshots
-    assert subsample_snapshots(snapshots, 1) == [snapshots[-1]]
-    with pytest.raises(ValueError):
-        subsample_snapshots(snapshots, 0)

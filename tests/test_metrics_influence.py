@@ -4,7 +4,6 @@ import pytest
 
 from repro.graph import san_from_edge_lists
 from repro.metrics import (
-    attribute_influence_report,
     degree_by_top_attribute_values,
     degree_stats_for_attribute,
     reciprocity_boost_from_attributes,
@@ -26,13 +25,6 @@ def test_degree_by_top_attribute_values(figure1_san):
     table = degree_by_top_attribute_values(figure1_san, "employer", count=3)
     assert len(table) == 1
     assert table[0].value == "Google"
-
-
-def test_attribute_influence_report_keys(figure1_san):
-    report = attribute_influence_report(figure1_san, figure1_san)
-    assert "fine_grained_reciprocity" in report
-    assert "clustering_by_type" in report
-    assert set(report["degree_by_attribute_value"]) == {"employer", "major"}
 
 
 def _influence_pair():

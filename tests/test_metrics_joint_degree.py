@@ -8,7 +8,6 @@ from repro.metrics import (
     attribute_knn,
     social_assortativity,
     social_knn,
-    undirected_degree_assortativity,
 )
 
 
@@ -38,11 +37,6 @@ def test_social_assortativity_range(figure1_san, clique_san):
 def test_social_assortativity_star_is_negative():
     san = san_from_edge_lists([(0, i) for i in range(1, 8)] + [(i, 0) for i in range(1, 8)])
     assert social_assortativity(san) < 0
-
-
-def test_undirected_degree_assortativity(figure1_san):
-    value = undirected_degree_assortativity(figure1_san)
-    assert -1.0 <= value <= 1.0
 
 
 def test_attribute_knn(figure1_san):

@@ -8,7 +8,6 @@ from repro.metrics import (
     fine_grained_reciprocity,
     global_reciprocity,
     reciprocal_edge_count,
-    reciprocity_by_common_attributes,
 )
 
 
@@ -74,7 +73,8 @@ def test_fine_grained_reciprocity_max_links():
 
 def test_reciprocity_by_common_attributes():
     earlier, later = _make_snapshot_pair()
-    rates = reciprocity_by_common_attributes(earlier, later)
+    result = fine_grained_reciprocity(earlier, later)
+    rates = {bucket: result.average_rate_for_attribute_bucket(bucket) for bucket in (0, 1)}
     assert rates[1] > rates[0]
 
 

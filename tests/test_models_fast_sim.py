@@ -67,8 +67,6 @@ def test_fast_run_final_is_frozen_and_consistent(fast_run):
     frozen = fast_run.san
     assert isinstance(frozen, FrozenSAN)
     assert frozen.summary() == fast_run.summary()
-    # to_san rebuilds the identical network on the mutable backend.
-    assert fast_run.to_san().summary() == fast_run.summary()
 
 
 def test_fast_run_tsv_round_trip_preserves_attributes(fast_run, tmp_path):

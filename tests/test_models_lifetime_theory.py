@@ -9,7 +9,6 @@ import pytest
 from repro.models import (
     LifetimeParameters,
     SANModelParameters,
-    expected_lifetime,
     harmonic_outdegree_approximation,
     invert_theorem_one,
     invert_theorem_two,
@@ -35,7 +34,6 @@ def test_lifetime_mean_matches_truncated_normal():
     expected_mean, expected_variance = truncated_normal_moments(3.0, 2.5)
     assert samples.mean() == pytest.approx(expected_mean, rel=0.05)
     assert samples.var() == pytest.approx(expected_variance, rel=0.1)
-    assert expected_lifetime(params) == pytest.approx(expected_mean)
 
 
 def test_truncated_normal_moments_no_truncation_limit():

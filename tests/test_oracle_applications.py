@@ -1,6 +1,6 @@
 """Closed-form oracles for the Sybil and anonymity applications (Figure 19).
 
-The three operations are Monte-Carlo or random-compromise experiments, so
+The two operations are Monte-Carlo or random-compromise experiments, so
 each is checked where its answer is known in closed form, exactly or in
 distribution (Monte-Carlo estimates within five standard errors):
 
@@ -11,12 +11,6 @@ distribution (Monte-Carlo estimates within five standard errors):
   On any uncapped graph with ``m`` undirected links the mean over uniform
   compromise sets is ``2 m c (n - c) / (n (n - 1))``.  The identities are
   ``attack edges * w``.
-* ``sybil.acceptance_probability`` — a route's tail is its last edge, and
-  tails match in either direction: on one edge every suspect is accepted.
-  On a star with one-hop routes two distinct leaves never accept each
-  other, a leaf accepts itself, and a leaf accepts the centre with
-  probability ``1 / L`` over ``L`` leaves; with two-hop routes, enough of
-  them, and on the path 0-1-2, the ends accept each other.
 * ``anonymity.end_to_end_attack_probability`` — without a cap, the share of
   built circuits whose first and last relays are compromised is exact from
   the walk's transition matrix ``P``: with ``h`` uniform over honest users,
@@ -34,18 +28,13 @@ import pytest
 from san_cases import all_cases
 
 from repro.applications.anonymity import AnonymityParameters, end_to_end_attack_probability
-from repro.applications.sybil import (
-    SybilLimitParameters,
-    acceptance_probability,
-    sybil_identities_vs_compromised,
-)
+from repro.applications.sybil import SybilLimitParameters, sybil_identities_vs_compromised
 from repro.graph import san_from_edge_lists, spill_to_mmap
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
 ORACLE_OPS = (
     "sybil.identities_vs_compromised",
-    "sybil.acceptance_probability",
     "anonymity.end_to_end_attack_probability",
 )
 
@@ -129,61 +118,6 @@ def test_sybil_attack_edge_mean_over_compromise_sets(name, san):
             samples.append(result.num_attack_edges)
         expected = 2 * links * c * (n - c) / (n * (n - 1)) if n > 1 else 0.0
         _assert_mean(samples, expected, backend)
-
-
-# ----------------------------------------------------------------------
-# Sybil acceptance
-# ----------------------------------------------------------------------
-def test_acceptance_on_one_edge_and_on_a_path():
-    edge = san_from_edge_lists([(1, 2)])
-    path = san_from_edge_lists([(0, 1), (1, 2)])
-    for walk_length in (1, 2, 5):
-        params = SybilLimitParameters(walk_length=walk_length)
-        for backend, graph in _backends(edge).items():
-            for seed in range(3):
-                assert acceptance_probability(graph, 1, 2, params=params, rng=seed) == 1.0, backend
-    params = SybilLimitParameters(walk_length=2)
-    for backend, graph in _backends(path).items():
-        for seed in range(3):
-            accepted = acceptance_probability(graph, 0, 2, params=params, num_routes=64, rng=seed)
-            assert accepted == 1.0, backend
-
-
-def test_acceptance_on_a_star():
-    leaves = 6
-    graph_star = star(leaves)
-    one_hop = SybilLimitParameters(walk_length=1)
-    two_hops = SybilLimitParameters(walk_length=2)
-    routes = 4000
-    error = math.sqrt((1 / leaves) * (1 - 1 / leaves) / routes)
-    for backend, graph in _backends(graph_star).items():
-        for seed in range(3):
-            # One hop: a leaf's only tail is (leaf, centre).
-            assert acceptance_probability(graph, 1, 2, params=one_hop, rng=seed) == 0.0
-            assert acceptance_probability(graph, 3, 3, params=one_hop, rng=seed) == 1.0
-            share = acceptance_probability(
-                graph, 1, 0, params=one_hop, num_routes=routes, rng=seed
-            )
-            assert abs(share - 1 / leaves) <= Z * error, (backend, share)
-            # Two hops: 4,000 routes from a leaf end on every (centre, leaf)
-            # edge, so every other leaf's tails match one.
-            accepted = acceptance_probability(
-                graph, 1, 2, params=two_hops, num_routes=routes, rng=seed
-            )
-            assert accepted == 1.0, backend
-
-
-@pytest.mark.parametrize("name,san", CASES, ids=IDS)
-def test_acceptance_is_zero_without_a_shared_component(name, san):
-    users, neighbours = _undirected(san)
-    isolated = [u for u in users if not neighbours[u]]
-    for backend, graph in _backends(san).items():
-        for user in users[:5]:
-            for lonely in isolated[:2]:
-                assert acceptance_probability(graph, lonely, user, rng=1) == 0.0, backend
-                assert acceptance_probability(graph, user, lonely, rng=1) == 0.0, backend
-            share = acceptance_probability(graph, user, users[-1], rng=2)
-            assert 0.0 <= share <= 1.0, backend
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Differential oracle for triangles and clustering (Sections 3.4, 4.1, 5.2).
 
 On hypothesis-generated small SANs, with self-loops allowed, the triangle
-count, ``c(u)``, ``c(a)``, both average coefficients and
-``clustering_by_degree`` must agree with networkx.  Let ``D`` be the social
-digraph without its self-loops and ``U`` its undirected projection; then
+count, both average coefficients and ``clustering_by_degree`` must agree
+with networkx.  Let ``D`` be the social digraph without its self-loops and
+``U`` its undirected projection; then
 
 * the triangle count is ``sum(nx.triangles(U).values()) // 3``;
 * ``c(u)`` is the edge count of ``D`` restricted to ``U[u]`` over
@@ -28,7 +28,6 @@ from repro.algorithms.clustering import (  # noqa: E402
     average_attribute_clustering_coefficient,
     average_social_clustering_coefficient,
     clustering_by_degree,
-    node_clustering_coefficient,
 )
 from repro.algorithms.triangles import count_directed_triangles  # noqa: E402
 from repro.graph import SAN, spill_to_mmap  # noqa: E402
@@ -37,7 +36,6 @@ from repro.graph import SAN, spill_to_mmap  # noqa: E402
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
 ORACLE_OPS = (
     "count_directed_triangles",
-    "node_clustering_coefficient",
     "average_social_clustering_coefficient",
     "average_attribute_clustering_coefficient",
     "clustering_by_degree",
@@ -122,8 +120,6 @@ def _assert_curve(actual, expected, context):
 
 def _check(name, call, triangles, social, attribute):
     assert call(count_directed_triangles) == triangles, name
-    for node, (_, coefficient) in {**social, **attribute}.items():
-        _assert_close(call(node_clustering_coefficient, node), coefficient, (name, node))
     _assert_close(
         call(average_social_clustering_coefficient),
         _mean(c for _, c in social.values()),

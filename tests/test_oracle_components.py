@@ -1,10 +1,9 @@
-"""Differential oracle for weak and strong components (Section 2.2).
+"""Differential oracle for weak components (Section 2.2).
 
 On hypothesis-generated digraphs of at most 12 nodes — with self-loops,
 isolated nodes, int or str labels, and nodes inserted in shuffled order —
-``weakly_connected_components`` and ``strongly_connected_components`` must
-return the same node sets as ``nx.weakly_connected_components`` and
-``nx.strongly_connected_components``.  The list order is part of the
+``weakly_connected_components`` must return the same node sets as
+``nx.weakly_connected_components``.  The list order is part of the
 contract too: size descending, ties broken by the earliest member in
 node-iteration order.
 
@@ -18,18 +17,12 @@ from hypothesis import strategies as st
 
 nx = pytest.importorskip("networkx")
 
-from repro.algorithms.components import (  # noqa: E402
-    strongly_connected_components,
-    weakly_connected_components,
-)
+from repro.algorithms.components import weakly_connected_components  # noqa: E402
 from repro.graph import DiGraph, spill_to_mmap  # noqa: E402
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
-ORACLE_OPS = (
-    "weakly_connected_components",
-    "strongly_connected_components",
-)
+ORACLE_OPS = ("weakly_connected_components",)
 
 MAX_NODES = 12
 
@@ -55,14 +48,11 @@ def _build(order, edges, string_labels) -> DiGraph:
 
 
 def networkx_oracle(graph):
-    """(weak, strong) components as sets of frozen node sets."""
+    """The weak components as a set of frozen node sets."""
     reference = nx.DiGraph()
     reference.add_nodes_from(graph.nodes())
     reference.add_edges_from(graph.edges())
-    return (
-        {frozenset(c) for c in nx.weakly_connected_components(reference)},
-        {frozenset(c) for c in nx.strongly_connected_components(reference)},
-    )
+    return {frozenset(c) for c in nx.weakly_connected_components(reference)}
 
 
 def _assert_matches(name, components, expected, order):
@@ -87,11 +77,10 @@ def _assert_matches(name, components, expected, order):
 )
 def test_components_match_networkx(spec):
     graph = _build(*spec)
-    weak, strong = networkx_oracle(graph)
+    weak = networkx_oracle(graph)
     order = list(graph.nodes())
     frozen = graph.freeze()
     graphs = {"mutable": graph, "frozen": frozen, "mmap": spill_to_mmap(frozen)}
     for name, candidate in graphs.items():
         assert list(candidate.nodes()) == order, name
         _assert_matches(name, weakly_connected_components(candidate), weak, order)
-        _assert_matches(name, strongly_connected_components(candidate), strong, order)

@@ -1,6 +1,8 @@
 """Differential oracle for the Section 2.2 crawl.
 
-``crawl_snapshot`` runs the array crawl.  On hypothesis SANs — int and str
+``crawl_frozen`` runs the array crawl from the seeds ``default_seed`` or
+``member_ids`` picks, with ``PrivacyModel.masks`` marking the users who hide
+their links or attributes.  On hypothesis SANs — int and str
 labels, self-loops, isolated users, attribute nodes with no member at all
 and attribute nodes whose every member hides their attributes — it must
 agree with two references on the visited users, the social links, the
@@ -32,7 +34,8 @@ from hypothesis import strategies as st
 nx = pytest.importorskip("networkx")
 
 import evolution_reference  # noqa: E402
-from repro.crawler import FULLY_PUBLIC, PrivacyModel, crawl_evolution, crawl_snapshot  # noqa: E402
+from repro.crawler import FULLY_PUBLIC, PrivacyModel, crawl_evolution  # noqa: E402
+from repro.crawler.crawler import crawl_frozen, default_seed, member_ids  # noqa: E402
 from repro.experiments.artifacts import (  # noqa: E402
     _PRIVACY_CRAWL_SEEDS,
     _earliest_joiners,
@@ -130,7 +133,7 @@ def networkx_oracle(san: SAN, seeds, privacy: PrivacyModel):
 
 
 def reference_crawl(ground_truth: SAN, seeds, privacy: PrivacyModel):
-    """The queue-based crawl over the mutable SAN (what ``crawl_snapshot`` was)."""
+    """The queue-based crawl over the mutable SAN that the array crawl replaced."""
     crawled = SAN()
     visited = set()
     total = ground_truth.number_of_social_nodes()
@@ -233,14 +236,17 @@ def test_crawl_matches_networkx_and_the_queue_crawler(case):
         "frozen": frozen,
         "mmap": spill_to_mmap(frozen),
     }.items():
-        result = crawl_snapshot(ground_truth, seeds=seeds, privacy=privacy)
-        assert isinstance(result.san, FrozenSAN), backend
-        assert result.visited == visited, backend
-        assert _observed(result.san) == (visited, want_edges, want_links, want_attrs), backend
-        assert result.san.number_of_attribute_nodes() == len(want_attrs), backend
-        assert result.coverage == want_coverage, backend
+        truth = ground_truth.freeze()
+        labels = truth.social.labels()
+        start = default_seed(truth) if seeds is None else member_ids(truth, seeds)
+        crawled, ids = crawl_frozen(truth, start, *privacy.masks(labels))
+        assert isinstance(crawled, FrozenSAN), backend
+        assert {labels[i] for i in ids.tolist()} == visited, backend
+        assert _observed(crawled) == (visited, want_edges, want_links, want_attrs), backend
+        assert crawled.number_of_attribute_nodes() == len(want_attrs), backend
+        assert (ids.size / len(labels) if labels else 0.0) == want_coverage, backend
         # The crawl keeps the ground truth's user order.
-        assert list(result.san.social_nodes()) == [
+        assert list(crawled.social_nodes()) == [
             user for user in san.social_nodes() if user in visited
         ], backend
 

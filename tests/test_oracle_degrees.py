@@ -1,4 +1,4 @@
-"""Differential oracle for the six degree operations (Figures 5, 10 and 14).
+"""Differential oracle for the five degree operations (Figures 5, 10 and 14).
 
 On hypothesis SANs of at most 12 users and 6 attributes — with self-loops,
 reciprocal pairs, isolated users, attributes without members, int or str
@@ -7,8 +7,6 @@ match networkx:
 
 * ``social_out_degrees`` / ``social_in_degrees``: the out- and in-degrees of
   the social ``nx.DiGraph`` (a self-loop counts once in each);
-* ``social_total_degrees``: the number of distinct neighbours, i.e. the
-  degree in the undirected projection with self-loops removed;
 * ``attribute_degrees_of_social_nodes`` / ``social_degrees_of_attribute_nodes``:
   the degrees of the two sides of the social–attribute ``nx.Graph``;
 * ``out_degrees_for_attribute_value``: the social out-degrees of an
@@ -37,7 +35,6 @@ from repro.metrics import (  # noqa: E402
     social_degrees_of_attribute_nodes,
     social_in_degrees,
     social_out_degrees,
-    social_total_degrees,
 )
 
 #: The dispatched operations this oracle checks (see
@@ -45,7 +42,6 @@ from repro.metrics import (  # noqa: E402
 ORACLE_OPS = (
     "social_out_degrees",
     "social_in_degrees",
-    "social_total_degrees",
     "attribute_degrees_of_social_nodes",
     "social_degrees_of_attribute_nodes",
     "out_degrees_for_attribute_value",
@@ -54,11 +50,10 @@ ORACLE_OPS = (
 MAX_NODES = 12
 MAX_ATTRIBUTES = 6
 
-#: The five operations that return one degree per node.
+#: The four operations that return one degree per node.
 PER_NODE_OPS = (
     social_out_degrees,
     social_in_degrees,
-    social_total_degrees,
     attribute_degrees_of_social_nodes,
     social_degrees_of_attribute_nodes,
 )
@@ -136,10 +131,6 @@ def _expected(op, graph, social, bipartite):
         return [social.out_degree(node) for node in users]
     if op is social_in_degrees:
         return [social.in_degree(node) for node in users]
-    if op is social_total_degrees:
-        undirected = nx.Graph(social)
-        undirected.remove_edges_from(list(nx.selfloop_edges(undirected)))
-        return [undirected.degree(node) for node in users]
     if op is attribute_degrees_of_social_nodes:
         return [bipartite.degree(("social", node)) for node in users]
     return [bipartite.degree(("attribute", node)) for node in graph.attribute_nodes()]

@@ -12,18 +12,17 @@ social digraph and ``B`` the undirected user-attribute graph; then
   x="out", y="in")``;
 * ``attribute_knn`` is ``nx.average_degree_connectivity(B, nodes=<the
   attribute nodes>)`` without its degree-0 entry;
-* ``undirected_degree_assortativity`` and ``attribute_assortativity`` are
-  the Pearson correlation (``statistics.correlation``) over one (x, y) pair
-  per link, built from networkx degrees.
+* ``attribute_assortativity`` is the Pearson correlation
+  (``statistics.correlation``) over one (x, y) pair per attribute link,
+  built from networkx degrees.
 
 Where a correlation is undefined — fewer than two links, or one side's
 degree constant — networkx and ``statistics`` give NaN or raise, and this
 repository gives 0.0; the test pins 0.0.
 
-The undirected degree is this repository's: distinct neighbours other than
-the node itself, so a node with a self-loop has one less than
-``|succ ∪ pred|``.  networkx's undirected coefficient counts each link in
-both orientations, so it is not the reference;
+The undirected degree, which the clustering kernels group users by, is
+this repository's: distinct neighbours other than the node itself, so a
+node with a self-loop has one less than ``|succ ∪ pred|``;
 ``test_undirected_degree_leaves_out_the_node_itself`` pins the convention.
 
 Every backend is checked: the mutable SAN, its freeze, and an mmap-backed
@@ -45,7 +44,6 @@ from repro.metrics import (  # noqa: E402
     attribute_knn,
     social_assortativity,
     social_knn,
-    undirected_degree_assortativity,
 )
 
 #: The dispatched operations this oracle checks (see
@@ -53,7 +51,6 @@ from repro.metrics import (  # noqa: E402
 ORACLE_OPS = (
     "social_knn",
     "social_assortativity",
-    "undirected_degree_assortativity",
     "attribute_knn",
     "attribute_assortativity",
 )
@@ -130,7 +127,6 @@ def networkx_oracle(san):
         if _defined(out_in_pairs)
         else 0.0
     )
-    undirected = _undirected_degrees(directed)
     member_pairs = [
         (bipartite.degree[attribute], bipartite.degree[member])
         for attribute in attributes
@@ -142,9 +138,6 @@ def networkx_oracle(san):
         ),
         social_assortativity: social_r,
         attribute_knn: _curve(nx.average_degree_connectivity(bipartite, nodes=attributes)),
-        undirected_degree_assortativity: _pearson(
-            [(undirected[u], undirected[v]) for u, v in directed.edges()]
-        ),
         attribute_assortativity: _pearson(member_pairs),
     }
 
@@ -207,9 +200,7 @@ def test_undirected_degree_leaves_out_the_node_itself():
         node: len(set(directed.successors(node)) | set(directed.predecessors(node)))
         for node in directed
     }
-    here = _pearson([(without_self[u], without_self[v]) for u, v in edges])
-    other = _pearson([(with_self[u], with_self[v]) for u, v in edges])
-    assert here == pytest.approx(-0.5477, abs=1e-4)
-    assert other == pytest.approx(-0.1765, abs=1e-4)
+    assert (without_self[2], with_self[2]) == (3, 4)
     for name, graph in _backends(san).items():
-        _assert_close(undirected_degree_assortativity(graph), here, name)
+        degrees = graph.freeze().social.undirected_degree_array().tolist()
+        assert degrees == [without_self[u] for u in graph.social_nodes()], name

@@ -1,17 +1,12 @@
-"""Networkx oracle for the four link-prediction operations (Section 4.2).
+"""Networkx oracle for the batched link-prediction features (Section 4.2).
 
 Let ``U`` be the undirected projection of the social digraph ``D`` without
-self-loops, as an ``nx.Graph``.  For every ordered pair of distinct users:
-
-* ``common_neighbor_counts``: ``len(nx.common_neighbors(U, u, v))``;
-* ``adamic_adar_scores``: ``nx.adamic_adar_index`` on ``U``;
-* ``pair_features_batch``: those two, plus ``log1p(in(v) * max(out(u), 1))``
-  from ``D``'s degrees, whether ``v -> u`` is in ``D``, and the shared
-  attributes (and those of type employer or school) from the
-  social–attribute ``nx.Graph``;
-* ``rank_candidate_pairs``: every unordered pair ``i < j`` (in user order)
-  not adjacent in ``U`` with at least one common neighbour, scored by the
-  count or by Adamic–Adar, score-descending with ties by ``(i, j)``.
+self-loops, as an ``nx.Graph``.  For every ordered pair of distinct users,
+``pair_features_batch`` must give ``len(nx.common_neighbors(U, u, v))``,
+``nx.adamic_adar_index`` on ``U``, ``log1p(in(v) * max(out(u), 1))`` from
+``D``'s degrees, whether ``v -> u`` is in ``D``, and the shared attributes
+(and those of type employer or school) from the social–attribute
+``nx.Graph``.
 
 Counts must match exactly and scores to 1e-12 relative.  The inputs are the
 random SANs and edge cases of ``tests/san_cases.py``, each given mutable,
@@ -28,21 +23,13 @@ nx = pytest.importorskip("networkx")
 
 from repro.applications.link_prediction import (  # noqa: E402
     STRONG_ATTRIBUTE_TYPES,
-    adamic_adar_scores,
-    common_neighbor_counts,
     pair_features_batch,
-    rank_candidate_pairs,
 )
 from repro.graph import spill_to_mmap  # noqa: E402
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
-ORACLE_OPS = (
-    "link_prediction.pair_features_batch",
-    "link_prediction.common_neighbor_counts",
-    "link_prediction.adamic_adar_scores",
-    "link_prediction.rank_candidate_pairs",
-)
+ORACLE_OPS = ("link_prediction.pair_features_batch",)
 
 CASES = [(name, san) for name, san in all_cases() if san.number_of_social_nodes() >= 2]
 IDS = [name for name, _ in CASES]
@@ -114,15 +101,9 @@ def test_pair_scores_match_networkx(name, san):
     for backend, graph in _backends(san).items():
         for batch in _batches(pairs):
             size = len(batch)
-            counts = common_neighbor_counts(graph, batch)
-            scores = adamic_adar_scores(graph, batch)
             features = pair_features_batch(graph, batch)
             for position, want in enumerate(expected[:size]):
                 context = (backend, size, batch[position])
-                assert counts[position] == want["common_social_neighbors"], context
-                assert math.isclose(
-                    scores[position], want["adamic_adar"], rel_tol=TOLERANCE, abs_tol=TOLERANCE
-                ), context
                 row = features[position]
                 assert row.keys() == want.keys(), context
                 for key, value in want.items():
@@ -131,51 +112,11 @@ def test_pair_scores_match_networkx(name, san):
                     ), (*context, key)
 
 
-def _expected_ranking(san, metric):
-    _, undirected, _ = _graphs(san)
-    users = list(san.social_nodes())
-    candidates = []
-    for i, u in enumerate(users):
-        for j in range(i + 1, len(users)):
-            v = users[j]
-            if undirected.has_edge(u, v):
-                continue
-            common = list(nx.common_neighbors(undirected, u, v))
-            if not common:
-                continue
-            if metric == "common_neighbors":
-                score = float(len(common))
-            else:
-                score = sum(1.0 / math.log(undirected.degree(w)) for w in common)
-            candidates.append((-score, i, j, u, v))
-    candidates.sort()
-    return [(u, v, -negative) for negative, _, _, u, v in candidates]
-
-
-@pytest.mark.parametrize("name,san", CASES, ids=IDS)
-def test_candidate_ranking_matches_networkx(name, san):
-    for metric in ("common_neighbors", "adamic_adar"):
-        expected = _expected_ranking(san, metric)
-        for backend, graph in _backends(san).items():
-            for top_k in (1, 5, len(expected) + 10):
-                ranked = rank_candidate_pairs(graph, top_k=top_k, metric=metric)
-                context = (backend, metric, top_k)
-                assert len(ranked) == min(top_k, len(expected)), context
-                if metric == "common_neighbors":
-                    assert ranked == expected[:top_k], context
-                    continue
-                # Adamic-Adar sums run in another order: compare scores to
-                # rounding, and the pairs as a set within each score level.
-                scores = [score for _, _, score in ranked]
-                assert scores == sorted(scores, reverse=True), context
-                want = {(u, v): score for u, v, score in expected}
-                for u, v, score in ranked:
-                    assert math.isclose(score, want[(u, v)], rel_tol=TOLERANCE), context
-                cutoff = scores[-1] if scores else math.inf
-                above = {pair for pair, score in want.items() if score > cutoff * (1 + 1e-9)}
-                assert above <= {(u, v) for u, v, _ in ranked}, context
-
-
 def test_the_sweep_reaches_scored_candidates():
-    """Guard the oracle's power: the sweep ranks real candidates."""
-    assert sum(len(_expected_ranking(san, "adamic_adar")) for _, san in CASES) > 100
+    """Guard the oracle's power: many swept pairs share a neighbour."""
+    shared = sum(
+        row["common_social_neighbors"] > 0
+        for _, san in CASES
+        for row in _expected_features(san, _pairs(san))
+    )
+    assert shared > 100

@@ -1,20 +1,18 @@
-"""Oracles for the sampling operations: walks, edge samples, distance samples.
+"""Oracles for the sampling code: capped rows, walks, distance samples.
 
-Each operation draws at random, so each is checked exactly where it is
-deterministic and in distribution elsewhere (empirical shares within five
-standard errors of the exact ones).  ``U`` is the loop-free undirected
-projection of the social links and ``D`` the social digraph, in networkx.
+Each draws at random, so each is checked exactly where it is deterministic
+and in distribution elsewhere (empirical shares within five standard errors
+of the exact ones).  ``U`` is the loop-free undirected projection of the
+social links and ``D`` the social digraph, in networkx.
 
-* ``capped_undirected_adjacency`` — uncapped (or capped at or above every
-  degree), each user's list is its ``U`` neighbours in user order; capped
-  at ``d``, a longer list keeps exactly ``d`` of them, in order, each
+* ``capped_undirected_csr`` — uncapped (or capped at or above every
+  degree), each user's row is its ``U`` neighbours in user order; capped
+  at ``d``, a longer row keeps exactly ``d`` of them, in order, each
   neighbour kept with probability ``d / degree``.
-* ``random_walks`` — each walk starts at its start, steps along ``U``, and
-  stops only at an isolated start; the position after ``t`` steps is
-  distributed as row ``s`` of ``P^t``, ``P`` the walk's transition matrix.
-* ``sample_social_edges`` — ``count`` distinct links of ``D``, or every link
-  when ``count`` reaches their number; each link is drawn with probability
-  ``count / m``.
+* ``batched_walk_ids`` over that CSR (the walks of the Sybil and anonymity
+  kernels) — each walk starts at its start, steps along ``U``, and stops
+  only at an isolated start; the position after ``t`` steps is distributed
+  as row ``s`` of ``P^t``, ``P`` the walk's transition matrix.
 * ``sample_distance_distribution`` — with ``num_sources >= n`` it is the
   exact histogram of ``nx.all_pairs_shortest_path_length`` over distinct
   pairs, honouring ``max_depth``; with ``k < n`` sources its mean is ``k / n``
@@ -34,21 +32,15 @@ from san_cases import all_cases, random_san
 nx = pytest.importorskip("networkx")
 
 from repro.algorithms.random_walk import (  # noqa: E402
-    capped_undirected_adjacency,
-    random_walks,
+    batched_walk_ids,
+    capped_undirected_csr,
 )
-from repro.algorithms.sampling import sample_social_edges  # noqa: E402
 from repro.algorithms.traversal import sample_distance_distribution  # noqa: E402
 from repro.graph import san_from_edge_lists, spill_to_mmap  # noqa: E402
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).
-ORACLE_OPS = (
-    "capped_undirected_adjacency",
-    "random_walks",
-    "sample_social_edges",
-    "sample_distance_distribution",
-)
+ORACLE_OPS = ("sample_distance_distribution",)
 
 CASES = all_cases()
 IDS = [name for name, _ in CASES]
@@ -77,8 +69,32 @@ def star(leaves):
     return san_from_edge_lists([(0, leaf) for leaf in range(1, leaves + 1)])
 
 
+def capped_rows(graph, cap, seed):
+    """``{user: kept neighbours}`` of a SAN's capped undirected CSR, as labels."""
+    social = graph.freeze().social
+    labels = social.labels()
+    indptr, indices = capped_undirected_csr(social, cap, rng=seed)
+    return {
+        user: [labels[j] for j in indices[indptr[i] : indptr[i + 1]].tolist()]
+        for i, user in enumerate(labels)
+    }
+
+
+def walks(graph, starts, length, seed, cap=None):
+    """Label paths of walks from ``starts`` over the capped undirected CSR.
+
+    A walk that stops at a dead end is cut at its first -1.
+    """
+    social = graph.freeze().social
+    labels = social.labels()
+    indptr, indices = capped_undirected_csr(social, cap, rng=seed)
+    start_ids = np.array([social.index_of(start) for start in starts], dtype=np.int64)
+    paths = batched_walk_ids(indptr, indices, start_ids, length, np.random.default_rng(seed))
+    return [[labels[i] for i in row if i >= 0] for row in paths.tolist()]
+
+
 # ----------------------------------------------------------------------
-# capped_undirected_adjacency
+# capped_undirected_csr
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name,san", CASES, ids=IDS)
 def test_capped_adjacency_keeps_ordered_neighbour_subsets(name, san):
@@ -88,9 +104,9 @@ def test_capped_adjacency_keeps_ordered_neighbour_subsets(name, san):
     widest = max((len(row) for row in full.values()), default=0)
     for backend, graph in _backends(san).items():
         for cap in (None, widest, widest + 3):
-            assert capped_undirected_adjacency(graph.social, cap, rng=1) == full, backend
+            assert capped_rows(graph, cap, seed=1) == full, backend
         for cap in (0, 1, 3):
-            capped = capped_undirected_adjacency(graph.social, cap, rng=2)
+            capped = capped_rows(graph, cap, seed=2)
             assert list(capped) == users, backend
             for user, kept in capped.items():
                 row = full[user]
@@ -103,22 +119,22 @@ def test_capped_adjacency_keeps_each_neighbour_with_the_cap_share():
     for backend, graph in _backends(star(leaves)).items():
         kept = Counter()
         for seed in range(trials):
-            kept.update(capped_undirected_adjacency(graph.social, cap, rng=seed)[0])
+            kept.update(capped_rows(graph, cap, seed=seed)[0])
         for leaf in range(1, leaves + 1):
             _assert_share(kept[leaf], trials, cap / leaves, (backend, leaf))
 
 
 # ----------------------------------------------------------------------
-# random_walks
+# batched_walk_ids
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name,san", CASES, ids=IDS)
 def test_walks_follow_the_projection(name, san):
     undirected = _undirected(san)
     starts = list(san.social_nodes()) * 2
     for backend, graph in _backends(san).items():
-        walks = random_walks(graph.social, starts, 6, rng=4)
-        assert len(walks) == len(starts), backend
-        for start, walk in zip(starts, walks):
+        paths = walks(graph, starts, 6, seed=4)
+        assert len(paths) == len(starts), backend
+        for start, walk in zip(starts, paths):
             assert walk[0] == start, backend
             assert len(walk) == (7 if undirected.degree(start) else 1), (backend, start)
             for here, there in zip(walk, walk[1:]):
@@ -135,45 +151,18 @@ def test_walk_positions_follow_the_transition_matrix():
     start = max(users, key=undirected.degree)
     walks_per_start, steps = 20_000, 8
     for backend, graph in _backends(san).items():
-        walks = random_walks(graph.social, [start] * walks_per_start, steps, rng=9)
+        paths = walks(graph, [start] * walks_per_start, steps, seed=9)
         for step in (1, 3, steps):
             exact = np.linalg.matrix_power(transition, step)[index[start]]
-            seen = Counter(walk[step] for walk in walks)
+            seen = Counter(walk[step] for walk in paths)
             for user, probability in zip(users, exact):
                 _assert_share(seen[user], walks_per_start, probability, (backend, step, user))
 
 
 def test_capped_walks_leave_a_hub_through_at_most_cap_neighbours():
     for backend, graph in _backends(star(10)).items():
-        walks = random_walks(graph.social, [0] * 500, 1, degree_cap=3, rng=6)
-        assert len({walk[1] for walk in walks}) == 3, backend
-
-
-# ----------------------------------------------------------------------
-# sample_social_edges
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name,san", CASES, ids=IDS)
-def test_edge_samples_are_distinct_links(name, san):
-    links = set(san.social_edges())
-    m = len(links)
-    for backend, graph in _backends(san).items():
-        for count in (0, 1, m // 2, m, m + 3):
-            sampled = sample_social_edges(graph, count, rng=3)
-            assert len(sampled) == min(count, m), (backend, count)
-            assert len(set(sampled)) == len(sampled), (backend, count)
-            assert set(sampled) <= links, (backend, count)
-
-
-def test_each_link_is_sampled_with_the_count_share():
-    san = random_san(202, num_social=12, num_edges=30)
-    links = list(san.social_edges())
-    count, trials = 5, 3000
-    for backend, graph in _backends(san).items():
-        drawn = Counter()
-        for seed in range(trials):
-            drawn.update(sample_social_edges(graph, count, rng=seed))
-        for link in links:
-            _assert_share(drawn[link], trials, count / len(links), (backend, link))
+        paths = walks(graph, [0] * 500, 1, seed=6, cap=3)
+        assert len({walk[1] for walk in paths}) == 3, backend
 
 
 # ----------------------------------------------------------------------

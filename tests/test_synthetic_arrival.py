@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics import PhaseBoundaries
-from repro.synthetic import constant_schedule, three_phase_schedule
+from repro.synthetic import three_phase_schedule
 
 
 def test_three_phase_schedule_total_and_length():
@@ -42,10 +42,3 @@ def test_three_phase_validation():
         three_phase_schedule(
             total_users=1000, num_days=98, phase_one_share=0.5, phase_two_share=0.5, phase_three_share=0.5
         )
-
-
-def test_constant_schedule():
-    schedule = constant_schedule(100, 7)
-    assert schedule.total_users == 100
-    assert schedule.num_days == 7
-    assert max(schedule.daily_arrivals) - min(schedule.daily_arrivals) <= 1

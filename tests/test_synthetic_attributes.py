@@ -10,8 +10,13 @@ from repro.synthetic import (
     AttributeVocabulary,
     ProfileModel,
     build_vocabulary,
-    default_vocabularies,
 )
+
+ATTRIBUTE_TYPES = ("employer", "school", "major", "city")
+
+
+def vocabularies(num_values):
+    return {t: build_vocabulary(t, num_values=num_values) for t in ATTRIBUTE_TYPES}
 
 
 def test_build_vocabulary_has_named_heads():
@@ -46,31 +51,25 @@ def test_vocabulary_tech_tilt_boosts_tech_values():
     assert tilted_share > untilted_share
 
 
-def test_default_vocabularies_cover_the_four_types():
-    vocabularies = default_vocabularies(num_values=30)
-    assert set(vocabularies) == {"employer", "school", "major", "city"}
-    assert all(len(v) == 30 for v in vocabularies.values())
-
-
 def test_profile_model_declaration_rate():
-    model = ProfileModel(vocabularies=default_vocabularies(50), declare_probability=0.22)
+    model = ProfileModel(vocabularies=vocabularies(50), declare_probability=0.22)
     generator = random.Random(3)
     declared = sum(1 for _ in range(3000) if model.sample_profile(rng=generator))
     assert declared / 3000 == pytest.approx(0.22, abs=0.03)
 
 
 def test_profile_model_declares_known_types():
-    model = ProfileModel(vocabularies=default_vocabularies(50), declare_probability=1.0)
+    model = ProfileModel(vocabularies=vocabularies(50), declare_probability=1.0)
     generator = random.Random(4)
     profile = {}
     while not profile:
         profile = model.sample_profile(rng=generator)
-    assert set(profile) <= {"employer", "school", "major", "city"}
+    assert set(profile) <= set(ATTRIBUTE_TYPES)
 
 
 def test_profile_model_inviter_copy():
     model = ProfileModel(
-        vocabularies=default_vocabularies(50),
+        vocabularies=vocabularies(50),
         declare_probability=1.0,
         inviter_copy_probability=1.0,
         type_probabilities={"employer": 1.0, "school": 0.0, "major": 0.0, "city": 0.0},

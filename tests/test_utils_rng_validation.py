@@ -9,7 +9,6 @@ from repro.utils import (
     require_non_negative,
     require_positive,
     require_probability,
-    spawn_rngs,
 )
 
 
@@ -31,17 +30,6 @@ def test_ensure_rng_none_gives_generator():
 def test_ensure_rng_rejects_bad_type():
     with pytest.raises(TypeError):
         ensure_rng("seed")
-
-
-def test_spawn_rngs_independent_and_deterministic():
-    children_a = spawn_rngs(5, 3)
-    children_b = spawn_rngs(5, 3)
-    assert len(children_a) == 3
-    for a, b in zip(children_a, children_b):
-        assert a.random() == b.random()
-    # Distinct children produce different streams.
-    fresh = spawn_rngs(5, 2)
-    assert fresh[0].random() != fresh[1].random()
 
 
 def test_require_positive():

@@ -1,41 +1,12 @@
 """Unit tests for the statistics helpers."""
 
-import math
-
 import pytest
 
 from repro.utils import (
-    ccdf,
-    empirical_pmf,
     log_binned_average,
     log_binned_histogram,
     percentile,
-    summarize,
 )
-
-
-def test_empirical_pmf_sums_to_one():
-    pmf = empirical_pmf([1, 1, 2, 3, 3, 3])
-    assert pmf[1] == pytest.approx(2 / 6)
-    assert pmf[3] == pytest.approx(3 / 6)
-    assert sum(pmf.values()) == pytest.approx(1.0)
-
-
-def test_empirical_pmf_empty():
-    assert empirical_pmf([]) == {}
-
-
-def test_ccdf_monotone_decreasing():
-    points = ccdf([1, 2, 2, 5])
-    values = [p for _, p in points]
-    assert values == sorted(values, reverse=True)
-    assert points[0] == (1, 1.0)
-    assert points[-1][0] == 5
-    assert points[-1][1] == pytest.approx(0.25)
-
-
-def test_ccdf_empty():
-    assert ccdf([]) == []
 
 
 def test_percentile_interpolation():
@@ -52,19 +23,6 @@ def test_percentile_validation():
         percentile([], 50)
     with pytest.raises(ValueError):
         percentile([1], 150)
-
-
-def test_summarize():
-    summary = summarize([2, 4, 6])
-    assert summary["count"] == 3
-    assert summary["mean"] == pytest.approx(4.0)
-    assert summary["median"] == pytest.approx(4.0)
-    assert summary["min"] == 2 and summary["max"] == 6
-    assert summary["std"] == pytest.approx(math.sqrt(8 / 3))
-
-
-def test_summarize_empty():
-    assert summarize([])["count"] == 0
 
 
 def test_log_binned_histogram_density_positive():
