@@ -15,11 +15,11 @@ from repro.experiments import (
 
 
 def test_fig16_degree_distribution_families(
-    benchmark, reference_san, model_run, zhel_run, write_result
+    benchmark, reference_san, model_run, zhel_san, write_result
 ):
     result = benchmark.pedantic(
         figure16_model_degree_distributions,
-        args=(reference_san, model_run.san, zhel_run.san),
+        args=(reference_san, model_run.san, zhel_san),
         rounds=1,
         iterations=1,
     )
@@ -63,11 +63,11 @@ def test_fig16_degree_distribution_families(
 
 
 def test_fig17_jdd_and_clustering_match(
-    benchmark, reference_san, model_run, zhel_run, write_result
+    benchmark, reference_san, model_run, zhel_san, write_result
 ):
     result = benchmark.pedantic(
         figure17_jdd_and_clustering,
-        args=(model_run.san, zhel_run.san, reference_san),
+        args=(model_run.san, zhel_san, reference_san),
         rounds=1,
         iterations=1,
     )

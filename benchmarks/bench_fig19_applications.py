@@ -10,11 +10,11 @@ from repro.experiments import figure19_applications, format_table
 
 
 def test_fig19_application_fidelity(
-    benchmark, reference_san, model_run, model_run_no_focal, zhel_run, write_result
+    benchmark, reference_san, model_run, model_run_no_focal, zhel_san, write_result
 ):
     result = benchmark.pedantic(
         figure19_applications,
-        args=(reference_san, model_run.san, zhel_run.san),
+        args=(reference_san, model_run.san, zhel_san),
         kwargs={"model_no_focal_san": model_run_no_focal.san, "rng": 19},
         rounds=1,
         iterations=1,

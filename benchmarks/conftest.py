@@ -113,6 +113,6 @@ def model_run_no_lapa(artifacts):
 
 
 @pytest.fixture(scope="session")
-def zhel_run(artifacts):
+def zhel_san(artifacts):
     """The directed Zhel baseline sized to the same number of social nodes."""
-    return SimpleNamespace(san=artifacts.artifact("zhel_san"))
+    return artifacts.artifact("zhel_san")

@@ -71,19 +71,18 @@ def main() -> None:
     growth = " -> ".join(
         f"{step}:{view.number_of_social_edges()}e" for step, view in model_run.snapshots
     )
-    zhel_run = generate_zhel_san(
+    zhel_san = generate_zhel_san(
         ZhelModelParameters(steps=params.steps, reciprocation_probability=params.reciprocation_probability),
         rng=23,
-        record_history=False,
     )
     print(f"\nOur model   : {model_run.san!r}")
     print(f"  snapshot growth: {growth}")
-    print(f"Zhel baseline: {zhel_run.san!r}")
+    print(f"Zhel baseline: {zhel_san!r}")
 
     # ------------------------------------------------------------------
     # 4. Compare on network metrics (the Figure 16 analysis).
     # ------------------------------------------------------------------
-    fits = figure16_model_degree_distributions(reference, model_run.san, zhel_run.san)
+    fits = figure16_model_degree_distributions(reference, model_run.san, zhel_san)
     rows = []
     for network, per_quantity in fits.items():
         for quantity, entry in per_quantity.items():
@@ -99,7 +98,7 @@ def main() -> None:
     print(format_table(rows, title="Degree-distribution families (Figure 16)"))
 
     summary_rows = []
-    for name, san in (("reference", reference), ("san_model", model_run.san), ("zhel", zhel_run.san)):
+    for name, san in (("reference", reference), ("san_model", model_run.san), ("zhel", zhel_san)):
         summary_rows.append(
             {
                 "network": name,

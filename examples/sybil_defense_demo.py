@@ -36,8 +36,7 @@ def main() -> None:
     zhel_san = generate_zhel_san(
         ZhelModelParameters(steps=params.steps, reciprocation_probability=params.reciprocation_probability),
         rng=31,
-        record_history=False,
-    ).san
+    )
 
     topologies = {"google_plus (reference)": reference, "san_model": model_san, "zhel": zhel_san}
     size = reference.number_of_social_nodes()

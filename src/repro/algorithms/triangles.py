@@ -68,10 +68,6 @@ class ClosureBreakdown:
     def both_fraction(self) -> float:
         return self.both / self.total if self.total else 0.0
 
-    @property
-    def neither_fraction(self) -> float:
-        return self.neither / self.total if self.total else 0.0
-
 
 def two_hop_social_neighbors(san: SANLike, node: Node) -> Set[Node]:
     """Social nodes reachable via one intermediate social neighbor.

@@ -70,7 +70,14 @@ import sys
 from typing import List, Optional, Union
 
 from .crawler import crawl_evolution
-from .graph import SAN, FrozenSAN, load_san_tsv, save_san_tsv
+from .graph import (
+    SAN,
+    ColumnarFormatError,
+    FrozenSAN,
+    SerializationError,
+    load_san_tsv,
+    save_san_tsv,
+)
 from .metrics import format_report, frozen_san_report, san_metric_report
 from .metrics.evolution import PhaseBoundaries
 from .models import (
@@ -737,10 +744,19 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    An input file that cannot be read, a malformed TSV or JSON graph and a
+    damaged columnar file each end the command with one ``error:`` line and
+    exit code 2, like the other usage errors.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, SerializationError, ColumnarFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

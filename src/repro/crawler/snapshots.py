@@ -50,9 +50,6 @@ class SnapshotSeries:
             raise ValueError("the snapshot series is empty")
         return self.snapshots[len(self.snapshots) // 2][1]
 
-    def halfway_day(self) -> int:
-        return self.snapshots[len(self.snapshots) // 2][0]
-
     def __len__(self) -> int:
         return len(self.snapshots)
 

@@ -712,6 +712,11 @@ def _build_halfway_san(resolver: ArtifactResolver):
     return resolver.artifact("snapshot_series").halfway()
 
 
+#: The arrival history scored by Figure 15 starts at
+#: ``num_days // HISTORY_START_DIVISOR`` (the benches' convention).
+HISTORY_START_DIVISOR = 3
+
+
 @artifact("arrival_history", needs=("evolution",))
 def _build_arrival_history(resolver: ArtifactResolver) -> HistoryColumns:
     """Link arrivals over the crawl's later days (the Figure 15 input).
@@ -720,7 +725,7 @@ def _build_arrival_history(resolver: ArtifactResolver) -> HistoryColumns:
     Figure 15 encoder reads as they are.
     """
     evolution = resolver.artifact("evolution")
-    start_day = evolution.num_days // resolver.scenario.history_start_divisor
+    start_day = evolution.num_days // HISTORY_START_DIVISOR
     return evolution.arrival_history(start_day=start_day)
 
 
@@ -732,13 +737,12 @@ def _build_arrival_history(resolver: ArtifactResolver) -> HistoryColumns:
     load=_load_parameters,
 )
 def _build_estimated_parameters(resolver: ArtifactResolver) -> SANModelParameters:
-    """Generative-model parameters estimated from the reference SAN."""
-    scenario = resolver.scenario
-    return estimate_parameters(
-        resolver.artifact("reference_san"),
-        mean_sleep=scenario.mean_sleep,
-        beta=scenario.beta,
-    ).parameters
+    """Generative-model parameters estimated from the reference SAN.
+
+    ``estimate_parameters``' defaults (mean sleep 2.0, LAPA beta 200) are
+    the estimation hyper-parameters of every scenario.
+    """
+    return estimate_parameters(resolver.artifact("reference_san")).parameters
 
 
 @artifact("model_san", needs=("estimated_parameters",), version="3")
@@ -771,7 +775,7 @@ def _build_zhel_san(resolver: ArtifactResolver):
         reciprocation_probability=estimated.reciprocation_probability,
         mean_groups_per_node=2.0,
     )
-    return generate_zhel_san(params, rng=resolver.scenario.seed, record_history=False).san
+    return generate_zhel_san(params, rng=resolver.scenario.seed)
 
 
 # Canonical frozen views of the generated SANs, persisted as columnar files.

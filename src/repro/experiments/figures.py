@@ -90,11 +90,15 @@ def section22_crawl_coverage(series: SnapshotSeries) -> Dict[int, float]:
 # ----------------------------------------------------------------------
 # Figure 4: reciprocity, density, diameter, clustering evolution
 # ----------------------------------------------------------------------
+#: HyperANF register precision of the Figure 4c diameter series.
+DIAMETER_PRECISION = 6
+
+
 @experiment("fig04", needs=("frozen_snapshots",))
 def figure4_evolution(
     snapshots: Snapshots,
     clustering_samples: int = 4000,
-    diameter_precision: int = 6,
+    diameter_precision: int = DIAMETER_PRECISION,
     rng: RngLike = DEFAULT_FIGURE_SEED,
 ) -> Dict[str, object]:
     """The four Figure 4 panels plus the Section 3.3 distance distribution."""

@@ -3,8 +3,8 @@
 A :class:`Scenario` bundles everything the artifact DAG needs to reproduce the
 paper's full evaluation — the synthetic Google+ regime
 (:class:`~repro.synthetic.gplus.GooglePlusConfig`), the simulation seed, the
-snapshot schedule, the estimation hyper-parameters, and the per-figure
-sampling options — under one name.  The same DAG then reruns unchanged under
+snapshot schedule, the crawler's privacy regime, and the per-figure sampling
+options — under one name.  The same DAG then reruns unchanged under
 diverse regimes (``repro pipeline --scenario dense``), and the scenario's
 :meth:`~Scenario.cache_token` is what keys the content-addressed artifact
 cache: change any field and every downstream artifact is rebuilt.
@@ -13,10 +13,8 @@ Presets
 -------
 ``paper-default``
     The standard benchmark workload (~4k users over 98 days).
-``tiny`` / ``small`` / ``large`` / ``huge``
-    The canonical workload sizes from :mod:`repro.synthetic.workloads`;
-    ``huge`` (~5M users) is the out-of-core regime served by the columnar
-    storage tier and is not part of the CI validate matrix.
+``tiny`` / ``small`` / ``large``
+    The canonical workload sizes from :mod:`repro.synthetic.workloads`.
 ``sparse`` / ``dense`` / ``high-reciprocity``
     Stress regimes far from the Google+ operating point (low density, high
     density, mutual-link-heavy).
@@ -24,7 +22,9 @@ Presets
     Adversarial and churn regimes (tiny scale): Sybil infiltration waves,
     attribute churn/deletion, arrival bursts breaking the three-phase
     schedule, and a crawler visibility sweep with heavy privacy settings.
-    These are the workloads ``repro validate`` gates against answer keys.
+
+Every preset has a checked-in answer key that ``repro validate`` gates
+against.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from ..synthetic.workloads import (
     dense_config,
     flash_crowd_config,
     high_reciprocity_config,
-    huge_config,
     large_config,
     small_config,
     sparse_config,
@@ -81,18 +80,10 @@ class Scenario:
     seed: int = BENCH_SEED
     #: Number of crawled snapshots (evenly spaced, first and last day kept).
     snapshot_count: int = 14
-    #: The arrival history scored by Figure 15 starts at
-    #: ``num_days // history_start_divisor`` (the benches' convention).
-    history_start_divisor: int = 3
-    #: Estimation hyper-parameters (``estimate_parameters`` keywords).
-    mean_sleep: float = 2.0
-    beta: float = 200.0
     #: Seed threaded into every sampled figure estimator.
     figure_seed: int = DEFAULT_FIGURE_SEED
     #: Sample count of the Appendix-A clustering estimator (Figures 4d/8b).
     clustering_samples: int = 4000
-    #: HyperANF register precision of the diameter series (Figure 4c).
-    diameter_precision: int = 6
     #: Scored-link budget of the Figure 15 likelihood sweep.
     max_links: int = 1500
     #: Scored-edge budget of the Section 5.2 closure comparison.
@@ -103,11 +94,6 @@ class Scenario:
     #: deterministic per scenario.
     privacy_hide_links: float = 0.0
     privacy_hide_attributes: float = 0.0
-    #: Whether the preset ships a checked-in answer key and runs in the CI
-    #: validate matrix.  ``False`` only for regimes too large to calibrate a
-    #: key against (``huge``); never entered in ``cache_token`` — it changes
-    #: what CI runs, not what any artifact contains.
-    validated: bool = True
     description: str = ""
 
     def snapshot_days(self) -> List[int]:
@@ -130,8 +116,8 @@ class Scenario:
         Covers exactly the fields the artifact builders consume, so two
         scenarios with equal tokens produce byte-identical artifacts and may
         share a cache regardless of what they are called.  Stage-only
-        options (``figure_seed``, ``clustering_samples``,
-        ``diameter_precision``, ``max_links``, ``max_edges``) are excluded:
+        options (``figure_seed``, ``clustering_samples``, ``max_links``,
+        ``max_edges``) are excluded:
         changing them re-runs stages — which are never cached — without
         discarding any artifact.
         """
@@ -139,9 +125,6 @@ class Scenario:
             "config": asdict(self.config),
             "seed": self.seed,
             "snapshot_count": self.snapshot_count,
-            "history_start_divisor": self.history_start_divisor,
-            "mean_sleep": self.mean_sleep,
-            "beta": self.beta,
             "privacy": {
                 "hide_links": self.privacy_hide_links,
                 "hide_attributes": self.privacy_hide_attributes,
@@ -157,7 +140,6 @@ class Scenario:
         options: Dict[str, Dict[str, object]] = {
             "fig04": {
                 "clustering_samples": self.clustering_samples,
-                "diameter_precision": self.diameter_precision,
                 "rng": self.figure_seed,
             },
             "fig08": {
@@ -230,20 +212,6 @@ register_scenario(
         name="large",
         config=large_config(),
         description="~10k users — more statistical resolution",
-    ),
-)
-register_scenario(
-    "huge",
-    lambda: Scenario(
-        name="huge",
-        config=huge_config(),
-        snapshot_count=6,
-        clustering_samples=1500,
-        max_links=600,
-        max_edges=600,
-        validated=False,
-        description="~5M users — the out-of-core regime; run with REPRO_MMAP=1 "
-        "so frozen graphs spill to mmap-backed columnar files",
     ),
 )
 register_scenario(

@@ -57,10 +57,6 @@ class LikelihoodRatioResult:
     def favours_first(self) -> bool:
         return self.ratio > 0
 
-    @property
-    def significant(self) -> bool:
-        return self.p_value < 0.1
-
 
 def likelihood_ratio_test(
     values: Sequence[int], first_distribution, second_distribution

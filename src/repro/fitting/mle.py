@@ -76,12 +76,6 @@ class FitResult:
     def parameters(self) -> Dict[str, float]:
         return self.distribution.parameters()
 
-    @property
-    def aic(self) -> float:
-        """Akaike information criterion (2k - 2 lnL) with k free parameters."""
-        num_parameters = len(self.distribution.parameters()) - 1  # xmin is fixed
-        return 2 * num_parameters - 2 * self.log_likelihood
-
 
 def _clean(values: Sequence[int], xmin: int) -> np.ndarray:
     data = np.asarray(values)

@@ -42,18 +42,9 @@ class ModelComparison:
     def best_name(self) -> str:
         return max(self.fits, key=lambda name: self.fits[name].log_likelihood)
 
-    @property
-    def best_fit(self) -> FitResult:
-        return self.fits[self.best_name]
-
     def ranked(self) -> List[str]:
         return sorted(
             self.fits, key=lambda name: self.fits[name].log_likelihood, reverse=True
-        )
-
-    def compare(self, values: Sequence[int], first: str, second: str) -> LikelihoodRatioResult:
-        return likelihood_ratio_test(
-            values, self.fits[first].distribution, self.fits[second].distribution
         )
 
 

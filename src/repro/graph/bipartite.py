@@ -81,9 +81,6 @@ class BipartiteAttributeGraph:
             )
             self._version = next(VERSION_STAMPS)
 
-    def has_social_node(self, node: SocialNode) -> bool:
-        return node in self._social_to_attrs
-
     def has_attribute_node(self, node: AttributeNode) -> bool:
         return node in self._attr_to_socials
 
@@ -107,16 +104,6 @@ class BipartiteAttributeGraph:
 
     def attribute_type(self, node: AttributeNode) -> str:
         return self.attribute_info(node).attr_type
-
-    def remove_social_node(self, node: SocialNode) -> None:
-        """Remove a social node and its incident attribute links."""
-        if node not in self._social_to_attrs:
-            raise NodeNotFoundError(node)
-        for attr in self._social_to_attrs[node]:
-            self._attr_to_socials[attr].discard(node)
-        self._num_links -= len(self._social_to_attrs[node])
-        del self._social_to_attrs[node]
-        self._version = next(VERSION_STAMPS)
 
     # ------------------------------------------------------------------
     # Link management
@@ -181,23 +168,11 @@ class BipartiteAttributeGraph:
         """Number of attributes declared by ``social`` (attribute degree)."""
         return len(self.attributes_of(social))
 
-    def social_degree(self, attribute: AttributeNode) -> int:
-        """Number of users holding ``attribute`` (social degree of an attribute node)."""
-        return len(self.members_of(attribute))
-
     def common_attributes(
         self, first: SocialNode, second: SocialNode
     ) -> Set[AttributeNode]:
         """Attributes shared by two social nodes (the paper's ``a(u, v)``)."""
         return self.attributes_of(first) & self.attributes_of(second)
-
-    def attribute_nodes_of_type(self, attr_type: str) -> Iterator[AttributeNode]:
-        for node, info in self._attr_info.items():
-            if info.attr_type == attr_type:
-                yield node
-
-    def attribute_types(self) -> Set[str]:
-        return {info.attr_type for info in self._attr_info.values()}
 
     # ------------------------------------------------------------------
     # Whole-graph helpers

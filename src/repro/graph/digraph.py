@@ -11,8 +11,7 @@ hashable object; the library conventionally uses integers for social nodes.
 — a read-only, CSR-array-backed snapshot of the same graph on which the
 metrics layer runs vectorized numpy kernels.  Both backends satisfy the
 read-only :class:`repro.graph.protocol.DiGraphView` protocol, so any code
-written against that surface accepts either; ``FrozenDiGraph.thaw()``
-converts back when mutation is needed again.
+written against that surface accepts either.  Freezing is one-way.
 
 Only the features required by the reproduction are implemented — this is a
 purpose-built substrate, not a general graph library.
@@ -45,7 +44,7 @@ class DiGraph:
     True
     >>> g.add_edge(2, 1)
     True
-    >>> g.has_edge(1, 2), g.is_reciprocal(1, 2)
+    >>> g.has_edge(1, 2), g.has_edge(2, 1)
     (True, True)
     >>> g.out_degree(1), g.in_degree(1)
     (1, 1)
@@ -81,23 +80,6 @@ class DiGraph:
             self._succ[node] = set()
             self._pred[node] = set()
             self._version = next(VERSION_STAMPS)
-
-    def remove_node(self, node: Node) -> None:
-        """Remove ``node`` and every incident edge."""
-        if node not in self._succ:
-            raise NodeNotFoundError(node)
-        removed = len(self._succ[node]) + len(self._pred[node])
-        if node in self._succ[node]:
-            removed -= 1  # a self-loop is one edge but appears in both sets
-        for target in self._succ[node]:
-            self._pred[target].discard(node)
-        for source in self._pred[node]:
-            if source in self._succ:
-                self._succ[source].discard(node)
-        self._num_edges -= removed
-        del self._succ[node]
-        del self._pred[node]
-        self._version = next(VERSION_STAMPS)
 
     def has_node(self, node: Node) -> bool:
         return node in self._succ
@@ -148,10 +130,6 @@ class DiGraph:
     def has_edge(self, source: Node, target: Node) -> bool:
         succ = self._succ.get(source)
         return succ is not None and target in succ
-
-    def is_reciprocal(self, source: Node, target: Node) -> bool:
-        """Return ``True`` when both directed edges exist between the pair."""
-        return self.has_edge(source, target) and self.has_edge(target, source)
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over all directed edges as ``(source, target)`` tuples."""
@@ -205,30 +183,6 @@ class DiGraph:
         clone._num_edges = self._num_edges
         return clone
 
-    def subgraph(self, nodes: Iterable[Node]) -> "DiGraph":
-        """Return the induced subgraph on ``nodes`` (edges with both ends inside)."""
-        keep = set(nodes)
-        sub = DiGraph()
-        for node in keep:
-            if node in self._succ:
-                sub.add_node(node)
-        for node in keep:
-            if node not in self._succ:
-                continue
-            for target in self._succ[node]:
-                if target in keep:
-                    sub.add_edge(node, target)
-        return sub
-
-    def to_undirected_adjacency(self) -> Dict[Node, Set[Node]]:
-        """Adjacency map of the undirected projection (used by WCC / diameter)."""
-        adjacency: Dict[Node, Set[Node]] = {node: set() for node in self._succ}
-        for source, targets in self._succ.items():
-            for target in targets:
-                adjacency[source].add(target)
-                adjacency[target].add(source)
-        return adjacency
-
     def reverse(self) -> "DiGraph":
         """Return a new graph with every edge direction flipped."""
         rev = DiGraph()
@@ -251,17 +205,20 @@ class DiGraph:
         --------
         >>> g = DiGraph([(1, 2), (2, 1)])
         >>> frozen = g.freeze()
-        >>> frozen.is_reciprocal(1, 2)
+        >>> frozen.has_edge(2, 1)
         True
         >>> frozen.add_edge(2, 3)
         Traceback (most recent call last):
             ...
         repro.graph.errors.FrozenGraphError: FrozenDiGraph is immutable: \
-add_edge() is not supported; call thaw() to obtain a mutable copy first
+add_edge() is not supported; build a mutable SAN or DiGraph instead
         """
-        from .frozen import FrozenDiGraph
+        from .frozen import FrozenDiGraph, interned_pairs
 
-        return FrozenDiGraph.from_digraph(self)
+        labels = list(self._succ)
+        index = {label: i for i, label in enumerate(labels)}
+        src, dst = interned_pairs(self.edges(), self._num_edges, index, index)
+        return FrozenDiGraph.from_edge_arrays(labels, src, dst)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -93,7 +93,7 @@ class FrozenGraphError(GraphError, TypeError):
     def __init__(self, operation: str, type_name: str) -> None:
         super().__init__(
             f"{type_name} is immutable: {operation}() is not supported; "
-            f"call thaw() to obtain a mutable copy first"
+            f"build a mutable SAN or DiGraph instead"
         )
         self.operation = operation
         self.type_name = type_name

@@ -18,9 +18,10 @@ This module provides the measurement-time counterparts:
   :class:`~repro.graph.san.SAN` (it satisfies
   :class:`repro.graph.protocol.SANView`).
 
-Construction is via ``DiGraph.freeze()`` / ``SAN.freeze()`` (or the
-``from_digraph`` / ``from_san`` classmethods here); ``thaw()`` converts back.
-Mutating methods raise :class:`~repro.graph.errors.FrozenGraphError`.
+Every build from edges goes through ``from_edge_arrays``
+(``DiGraph.freeze()`` and ``SAN.freeze()`` intern their labels and call
+it); there is no way back to a mutable graph.  Mutating methods raise
+:class:`~repro.graph.errors.FrozenGraphError`.
 
 The CSR arrays are exposed through documented accessors (``out_csr()``,
 ``undirected_csr()``, ``edge_arrays()``, ``*_degree_array()`` …) so the
@@ -38,9 +39,9 @@ True
 >>> san.add_social_edge(2, 1)
 True
 >>> frozen = san.freeze()
->>> frozen.has_social_edge(1, 2), frozen.social.is_reciprocal(1, 2)
+>>> frozen.has_social_edge(1, 2), frozen.has_social_edge(2, 1)
 (True, True)
->>> frozen.thaw().number_of_social_edges()
+>>> frozen.number_of_social_edges()
 2
 """
 
@@ -52,10 +53,8 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tupl
 
 import numpy as np
 
-from .bipartite import AttributeInfo, BipartiteAttributeGraph
-from .digraph import DiGraph
+from .bipartite import AttributeInfo
 from .errors import FrozenGraphError, FrozenIdRangeError, NodeNotFoundError, PackedKeyError
-from .san import SAN
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -64,26 +63,6 @@ Edge = Tuple[Node, Node]
 # ----------------------------------------------------------------------
 # CSR helpers (shared by the frozen backends and the metric kernels)
 # ----------------------------------------------------------------------
-def build_csr(rows: List[Iterable[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack per-row column-id iterables into sorted-row CSR arrays.
-
-    Returns ``(indptr, indices)`` with ``indptr`` of length ``len(rows)+1``
-    and every row segment of ``indices`` sorted ascending — the invariant the
-    vectorized kernels rely on for ``searchsorted`` membership tests.
-    """
-    materialized = [sorted(row) for row in rows]
-    counts = np.fromiter(
-        (len(row) for row in materialized), dtype=np.int64, count=len(materialized)
-    )
-    indptr = np.zeros(len(materialized) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for i, row in enumerate(materialized):
-        if row:
-            indices[indptr[i] : indptr[i + 1]] = row
-    return indptr, indices
-
-
 def pack_pairs(rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, int]:
     """``(keys, stride)``: each ``(row, col)`` pair packed as ``row * stride + col``.
 
@@ -135,10 +114,8 @@ def csr_from_edge_arrays(
 
     ``src``/``dst`` list one directed edge per position (duplicates are the
     caller's responsibility — the generative engines emit deduplicated edge
-    streams).  Unlike :func:`build_csr` this never loops in Python, so it is
-    the builder of choice when the adjacency already lives in numpy arrays
-    (delta-snapshot materialization, event-log replays).  The rows come out
-    of one sort of the packed ``(src, dst)`` keys.  Rows must lie below
+    streams).  It never loops in Python: the rows come out of one sort of
+    the packed ``(src, dst)`` keys.  Rows must lie below
     ``num_rows`` and columns below ``num_cols`` (``num_rows`` when omitted:
     a square adjacency); :func:`check_pair_range` enforces it after the
     sort, before the row counts are sized from the ids.
@@ -153,6 +130,26 @@ def csr_from_edge_arrays(
     np.cumsum(counts, out=indptr[1:])
     keys %= stride
     return indptr, keys
+
+
+def interned_pairs(
+    pairs: Iterable[Tuple[Node, Node]],
+    count: int,
+    row_index: Mapping[Node, int],
+    col_index: Mapping[Node, int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``count`` label pairs as id arrays ``(rows, cols)``, for :func:`csr_from_edge_arrays`.
+
+    Each pair ``(a, b)`` becomes ``(row_index[a], col_index[b])``, in
+    iteration order; this is how ``DiGraph.freeze()`` and ``SAN.freeze()``
+    hand their edges to the ``from_edge_arrays`` builders.
+    """
+    flat = np.fromiter(
+        (i for a, b in pairs for i in (row_index[a], col_index[b])),
+        dtype=np.int64,
+        count=2 * count,
+    )
+    return flat[0::2], flat[1::2]
 
 
 def check_pair_range(
@@ -201,25 +198,6 @@ def sorted_membership(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     positions = np.searchsorted(haystack, needles)
     np.minimum(positions, haystack.size - 1, out=positions)
     return haystack[positions] == needles
-
-
-def restrict_csr(
-    indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Induce a CSR on the sorted id subset ``keep`` (rows *and* columns).
-
-    Rows are reordered to ``keep`` order and column ids are remapped to
-    positions within ``keep``; entries pointing outside ``keep`` are dropped.
-    Row sortedness is preserved (filtering keeps order, remapping is
-    monotone), so the result upholds the frozen-backend CSR invariant.
-    """
-    values, counts = gather_rows(indptr, indices, keep)
-    mask = sorted_membership(keep, values)
-    row_of = np.repeat(np.arange(keep.size, dtype=np.int64), counts)[mask]
-    new_counts = np.bincount(row_of, minlength=keep.size).astype(np.int64)
-    new_indptr = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(new_counts, out=new_indptr[1:])
-    return new_indptr, np.searchsorted(keep, values[mask])
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +322,7 @@ class FrozenDiGraph:
     >>> f = g.freeze()
     >>> f.number_of_nodes(), f.number_of_edges()
     (3, 3)
-    >>> f.has_edge(1, 2), f.is_reciprocal(1, 2), f.is_reciprocal(2, 3)
+    >>> f.has_edge(1, 2), f.has_edge(2, 1), f.has_edge(3, 2)
     (True, True, False)
     >>> sorted(f.successors(2))
     [1, 3]
@@ -373,16 +351,13 @@ class FrozenDiGraph:
         out_indices: np.ndarray,
         in_indptr: np.ndarray,
         in_indices: np.ndarray,
-        index: Optional[Dict[Node, int]] = None,
     ) -> None:
         # IdentityLabels (out-of-core graphs) are kept as-is so a 10M-node
         # mmap-backed graph does not pay for a 10M-entry list + index dict.
         self._labels = (
             labels if isinstance(labels, IdentityLabels) else list(labels)
         )
-        if index is not None:
-            self._index = index
-        elif isinstance(self._labels, IdentityLabels):
+        if isinstance(self._labels, IdentityLabels):
             self._index = IdentityIndex(len(self._labels))
         else:
             self._index = {label: i for i, label in enumerate(self._labels)}
@@ -394,21 +369,6 @@ class FrozenDiGraph:
         self._und_indptr: Optional[np.ndarray] = None
         self._und_indices: Optional[np.ndarray] = None
         self._edge_src: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_digraph(cls, graph: DiGraph) -> "FrozenDiGraph":
-        """Compact ``graph`` into CSR form (the body of ``DiGraph.freeze()``)."""
-        labels = list(graph.nodes())
-        index = {label: i for i, label in enumerate(labels)}
-        out_rows = [
-            [index[target] for target in graph.successors(label)] for label in labels
-        ]
-        in_rows = [
-            [index[source] for source in graph.predecessors(label)] for label in labels
-        ]
-        out_indptr, out_indices = build_csr(out_rows)
-        in_indptr, in_indices = build_csr(in_rows)
-        return cls(labels, out_indptr, out_indices, in_indptr, in_indices, index=index)
 
     @classmethod
     def from_edge_arrays(
@@ -541,10 +501,6 @@ class FrozenDiGraph:
         position = int(np.searchsorted(row, j))
         return position < row.size and int(row[position]) == j
 
-    def is_reciprocal(self, source: Node, target: Node) -> bool:
-        """Return ``True`` when both directed edges exist between the pair."""
-        return self.has_edge(source, target) and self.has_edge(target, source)
-
     def edges(self) -> Iterator[Edge]:
         """Iterate over all directed edges as ``(source, target)`` tuples."""
         labels = self._labels
@@ -589,59 +545,15 @@ class FrozenDiGraph:
     # ------------------------------------------------------------------
     # Whole-graph views
     # ------------------------------------------------------------------
-    def to_undirected_adjacency(self) -> Dict[Node, Set[Node]]:
-        """Adjacency map of the undirected projection (used by WCC / diameter)."""
-        labels = self._labels
-        adjacency: Dict[Node, Set[Node]] = {
-            labels[i]: {labels[j] for j in self.undirected_row(i)}
-            for i in range(len(labels))
-        }
-        # The undirected CSR drops self-loops; the mutable backend keeps them.
-        src, dst = self.edge_arrays()
-        for i in src[src == dst]:
-            adjacency[labels[i]].add(labels[i])
-        return adjacency
-
     def reverse(self) -> "FrozenDiGraph":
-        """Return a view-sharing frozen graph with every edge flipped (O(1))."""
+        """Return a frozen graph with every edge flipped, sharing this one's CSR arrays."""
         return FrozenDiGraph(
             self._labels,
             self._in_indptr,
             self._in_indices,
             self._out_indptr,
             self._out_indices,
-            index=self._index,
         )
-
-    def thaw(self) -> DiGraph:
-        """Rebuild a mutable :class:`DiGraph` with the same nodes and edges."""
-        graph = DiGraph()
-        for label in self._labels:
-            graph.add_node(label)
-        for source, target in self.edges():
-            graph.add_edge(source, target)
-        return graph
-
-    def subgraph(self, nodes: Iterable[Node]) -> "FrozenDiGraph":
-        """Induced subgraph on ``nodes``, returned frozen.
-
-        Extracted directly from the CSR arrays — O(subset + its incident
-        edges), never touching the rest of the graph.
-        """
-        keep = np.array(
-            sorted({self._index[node] for node in nodes if node in self._index}),
-            dtype=np.int64,
-        )
-        return self._subgraph_of_ids(keep)
-
-    def _subgraph_of_ids(self, keep: np.ndarray) -> "FrozenDiGraph":
-        """Induced subgraph on a *sorted* compact-id array."""
-        labels = [self._labels[i] for i in keep]
-        out_indptr, out_indices = restrict_csr(
-            self._out_indptr, self._out_indices, keep
-        )
-        in_indptr, in_indices = restrict_csr(self._in_indptr, self._in_indices, keep)
-        return FrozenDiGraph(labels, out_indptr, out_indices, in_indptr, in_indices)
 
     def copy(self) -> "FrozenDiGraph":
         """Frozen graphs are immutable, so ``copy`` returns ``self``."""
@@ -656,9 +568,6 @@ class FrozenDiGraph:
     # ------------------------------------------------------------------
     def add_node(self, node: Node) -> None:
         raise FrozenGraphError("add_node", "FrozenDiGraph")
-
-    def remove_node(self, node: Node) -> None:
-        raise FrozenGraphError("remove_node", "FrozenDiGraph")
 
     def add_edge(self, source: Node, target: Node) -> bool:
         raise FrozenGraphError("add_edge", "FrozenDiGraph")
@@ -711,16 +620,11 @@ class FrozenBipartiteAttributeGraph:
         sa_indices: np.ndarray,
         as_indptr: np.ndarray,
         as_indices: np.ndarray,
-        attr_index: Optional[Dict[Node, int]] = None,
     ) -> None:
         self._social_labels = social_labels
         self._social_index = social_index
         self._attr_labels = list(attr_labels)
-        self._attr_index = (
-            attr_index
-            if attr_index is not None
-            else {label: i for i, label in enumerate(self._attr_labels)}
-        )
+        self._attr_index = {label: i for i, label in enumerate(self._attr_labels)}
         self._attr_info = list(attr_info)
         self._sa_indptr = sa_indptr
         self._sa_indices = sa_indices
@@ -733,42 +637,6 @@ class FrozenBipartiteAttributeGraph:
             (code_of[info.attr_type] for info in self._attr_info),
             dtype=np.int64,
             count=len(self._attr_info),
-        )
-
-    @classmethod
-    def from_bipartite(
-        cls,
-        bipartite: BipartiteAttributeGraph,
-        social_labels: Optional[List[Node]] = None,
-        social_index: Optional[Dict[Node, int]] = None,
-    ) -> "FrozenBipartiteAttributeGraph":
-        """Compact ``bipartite``; social ids may be imposed by the SAN layer."""
-        if social_labels is None or social_index is None:
-            social_labels = list(bipartite.social_nodes())
-            social_index = {label: i for i, label in enumerate(social_labels)}
-        attr_labels = list(bipartite.attribute_nodes())
-        attr_index = {label: i for i, label in enumerate(attr_labels)}
-        attr_info = [bipartite.attribute_info(label) for label in attr_labels]
-        sa_rows = [
-            [attr_index[attribute] for attribute in bipartite.attributes_of(label)]
-            for label in social_labels
-        ]
-        as_rows = [
-            [social_index[member] for member in bipartite.members_of(label)]
-            for label in attr_labels
-        ]
-        sa_indptr, sa_indices = build_csr(sa_rows)
-        as_indptr, as_indices = build_csr(as_rows)
-        return cls(
-            social_labels,
-            social_index,
-            attr_labels,
-            attr_info,
-            sa_indptr,
-            sa_indices,
-            as_indptr,
-            as_indices,
-            attr_index=attr_index,
         )
 
     # ------------------------------------------------------------------
@@ -823,9 +691,6 @@ class FrozenBipartiteAttributeGraph:
     # ------------------------------------------------------------------
     # Node queries (read-only surface of BipartiteAttributeGraph)
     # ------------------------------------------------------------------
-    def has_social_node(self, node: Node) -> bool:
-        return node in self._social_index
-
     def has_attribute_node(self, node: Node) -> bool:
         return node in self._attr_index
 
@@ -890,9 +755,6 @@ class FrozenBipartiteAttributeGraph:
             return 0
         return int(self._sa_indptr[i + 1] - self._sa_indptr[i])
 
-    def social_degree(self, attribute: Node) -> int:
-        return int(self.member_indices_of(attribute).size)
-
     def common_attributes(self, first: Node, second: Node) -> Set[Node]:
         """Attributes shared by two social nodes (the paper's ``a(u, v)``)."""
         i = self._social_index.get(first)
@@ -905,67 +767,12 @@ class FrozenBipartiteAttributeGraph:
         )
         return {labels[k] for k in shared}
 
-    def attribute_nodes_of_type(self, attr_type: str) -> Iterator[Node]:
-        for label, info in zip(self._attr_labels, self._attr_info):
-            if info.attr_type == attr_type:
-                yield label
-
-    def attribute_types(self) -> Set[str]:
-        return set(self._type_names)
-
     # ------------------------------------------------------------------
     # Whole-graph helpers
     # ------------------------------------------------------------------
     def copy(self) -> "FrozenBipartiteAttributeGraph":
         """Frozen layers are immutable, so ``copy`` returns ``self``."""
         return self
-
-    def _restrict_to_social_ids(
-        self,
-        keep: np.ndarray,
-        new_social_labels: List[Node],
-        new_social_index: Dict[Node, int],
-    ) -> "FrozenBipartiteAttributeGraph":
-        """Induced attribute layer on a *sorted* social compact-id subset.
-
-        Attribute nodes are kept only when at least one retained social node
-        links to them, mirroring ``SAN.social_subgraph``.
-        """
-        num_attrs = self.number_of_attribute_nodes()
-        attr_of = np.repeat(
-            np.arange(num_attrs, dtype=np.int64), np.diff(self._as_indptr)
-        )
-        members = self._as_indices
-        mask = sorted_membership(keep, members)
-        attr_of = attr_of[mask]
-        members_new = np.searchsorted(keep, members[mask])
-        kept_attrs = np.unique(attr_of)
-        attr_new = np.searchsorted(kept_attrs, attr_of)
-
-        # attr -> social CSR: rows arrive grouped by attribute and sorted by
-        # member (row-major order of the source CSR survives the filter).
-        as_counts = np.bincount(attr_new, minlength=kept_attrs.size).astype(np.int64)
-        as_indptr = np.zeros(kept_attrs.size + 1, dtype=np.int64)
-        np.cumsum(as_counts, out=as_indptr[1:])
-
-        # social -> attr CSR: transpose the surviving link pairs.
-        order = pair_order(members_new, attr_new)
-        sa_counts = np.bincount(
-            members_new, minlength=len(new_social_labels)
-        ).astype(np.int64)
-        sa_indptr = np.zeros(len(new_social_labels) + 1, dtype=np.int64)
-        np.cumsum(sa_counts, out=sa_indptr[1:])
-
-        return FrozenBipartiteAttributeGraph(
-            new_social_labels,
-            new_social_index,
-            [self._attr_labels[i] for i in kept_attrs],
-            [self._attr_info[i] for i in kept_attrs],
-            sa_indptr,
-            attr_new[order],
-            as_indptr,
-            members_new,
-        )
 
     # ------------------------------------------------------------------
     # Refused mutations
@@ -975,9 +782,6 @@ class FrozenBipartiteAttributeGraph:
 
     def add_attribute_node(self, node: Node, attr_type: str = "generic", value=None) -> None:
         raise FrozenGraphError("add_attribute_node", "FrozenBipartiteAttributeGraph")
-
-    def remove_social_node(self, node: Node) -> None:
-        raise FrozenGraphError("remove_social_node", "FrozenBipartiteAttributeGraph")
 
     def add_link(self, social: Node, attribute: Node) -> bool:
         raise FrozenGraphError("add_link", "FrozenBipartiteAttributeGraph")
@@ -1058,17 +862,6 @@ class FrozenSAN:
         return key in self._derived
 
     @classmethod
-    def from_san(cls, san: SAN) -> "FrozenSAN":
-        """Compact ``san`` into CSR form (the body of ``SAN.freeze()``)."""
-        social = FrozenDiGraph.from_digraph(san.social)
-        attributes = FrozenBipartiteAttributeGraph.from_bipartite(
-            san.attributes,
-            social_labels=social.labels(),
-            social_index=social._index,  # share, don't rebuild
-        )
-        return cls(social, attributes)
-
-    @classmethod
     def from_edge_arrays(
         cls,
         social_labels: List[Node],
@@ -1084,10 +877,10 @@ class FrozenSAN:
         ``social_src/social_dst`` are the directed social edges and
         ``link_social/link_attr`` the attribute links, all as ids into
         ``social_labels`` / ``attr_labels``; every edge must be unique.  This
-        is the delta-snapshot entry point: the generative engines keep
-        append-only edge arrays and call this with array *prefixes* to
-        reconstruct the network as of any recorded watermark, instead of
-        deep-copying the mutable SAN at every snapshot.
+        is the one way from edges to a frozen SAN: ``SAN.freeze()``, the
+        streaming TSV loader, the crawler, the evolution's snapshot views,
+        attribute subsampling and ``canonical_frozen`` all pass their edges
+        here.
         """
         social = FrozenDiGraph.from_edge_arrays(social_labels, social_src, social_dst)
         num_attrs = len(attr_labels)
@@ -1154,14 +947,6 @@ class FrozenSAN:
     # ------------------------------------------------------------------
     # Neighborhoods (paper notation)
     # ------------------------------------------------------------------
-    def social_out_neighbors(self, node: Node) -> Set[Node]:
-        """:math:`\\Gamma_{s,out}(u)`."""
-        return self.social.successors(node)
-
-    def social_in_neighbors(self, node: Node) -> Set[Node]:
-        """:math:`\\Gamma_{s,in}(u)`."""
-        return self.social.predecessors(node)
-
     def social_neighbors(self, node: Node) -> Set[Node]:
         """:math:`\\Gamma_s(u)` — social neighbors through either layer."""
         if self.social.has_node(node):
@@ -1203,10 +988,6 @@ class FrozenSAN:
         """Number of attributes declared by a social node."""
         return self.attributes.attribute_degree(node)
 
-    def attribute_social_degree(self, attribute: Node) -> int:
-        """Number of social nodes holding ``attribute``."""
-        return self.attributes.social_degree(attribute)
-
     def attribute_type(self, attribute: Node) -> str:
         return self.attributes.attribute_type(attribute)
 
@@ -1241,46 +1022,6 @@ class FrozenSAN:
             "social_density": social_density,
             "attribute_density": attribute_density,
         }
-
-    def social_subgraph(self, nodes: Iterable[Node]) -> "FrozenSAN":
-        """Induced SAN on a subset of social nodes, returned frozen.
-
-        Attribute nodes are kept only if at least one retained social node
-        still links to them (the ``SAN.social_subgraph`` contract).  Both
-        layers are extracted directly from the CSR arrays — O(subset + its
-        incident links).
-        """
-        keep = np.array(
-            sorted(
-                self.social.index_of(node)
-                for node in set(nodes)
-                if self.social.has_node(node)
-            ),
-            dtype=np.int64,
-        )
-        social = self.social._subgraph_of_ids(keep)
-        new_index = {label: i for i, label in enumerate(social.labels())}
-        attributes = self.attributes._restrict_to_social_ids(
-            keep, social.labels(), new_index
-        )
-        return FrozenSAN(social, attributes)
-
-    def thaw(self) -> SAN:
-        """Rebuild a mutable :class:`SAN` with identical content."""
-        san = SAN()
-        for node in self.social_nodes():
-            san.add_social_node(node)
-        for source, target in self.social_edges():
-            san.add_social_edge(source, target)
-        for attribute in self.attribute_nodes():
-            info = self.attribute_info(attribute)
-            san.add_attribute_node(attribute, attr_type=info.attr_type, value=info.value)
-        for social, attribute in self.attribute_edges():
-            info = self.attribute_info(attribute)
-            san.add_attribute_edge(
-                social, attribute, attr_type=info.attr_type, value=info.value
-            )
-        return san
 
     def copy(self) -> "FrozenSAN":
         """Frozen SANs are immutable, so ``copy`` returns ``self``."""

@@ -58,8 +58,6 @@ class DiGraphView(Protocol):
     # -- edge queries --------------------------------------------------
     def has_edge(self, source: Node, target: Node) -> bool: ...
 
-    def is_reciprocal(self, source: Node, target: Node) -> bool: ...
-
     def edges(self) -> Iterator[Edge]: ...
 
     def number_of_edges(self) -> int: ...
@@ -76,8 +74,6 @@ class DiGraphView(Protocol):
     def in_degree(self, node: Node) -> int: ...
 
     def degree(self, node: Node) -> int: ...
-
-    def to_undirected_adjacency(self) -> Dict[Node, Set[Node]]: ...
 
 
 @runtime_checkable
@@ -117,10 +113,6 @@ class SANView(Protocol):
     def number_of_attribute_edges(self) -> int: ...
 
     # -- neighborhoods (paper notation) --------------------------------
-    def social_out_neighbors(self, node: Node) -> Set[Node]: ...
-
-    def social_in_neighbors(self, node: Node) -> Set[Node]: ...
-
     def social_neighbors(self, node: Node) -> Set[Node]: ...
 
     def attribute_neighbors(self, node: Node) -> Set[Node]: ...
@@ -135,8 +127,6 @@ class SANView(Protocol):
     def social_in_degree(self, node: Node) -> int: ...
 
     def attribute_degree(self, node: Node) -> int: ...
-
-    def attribute_social_degree(self, attribute: Node) -> int: ...
 
     # -- whole-graph views ---------------------------------------------
     def densities(self) -> Tuple[float, float]: ...

@@ -13,8 +13,8 @@ This module combines :class:`repro.graph.digraph.DiGraph` (the social layer)
 with :class:`repro.graph.bipartite.BipartiteAttributeGraph` (the attribute
 layer) and exposes the neighborhood notation used throughout the paper:
 
-* ``social_out_neighbors(u)``  — :math:`\\Gamma_{s,out}(u)`
-* ``social_in_neighbors(u)``   — :math:`\\Gamma_{s,in}(u)`
+* ``social.successors(u)``     — :math:`\\Gamma_{s,out}(u)`
+* ``social.predecessors(u)``   — :math:`\\Gamma_{s,in}(u)`
 * ``social_neighbors(u)``      — :math:`\\Gamma_s(u)` (union over both link sets)
 * ``attribute_neighbors(u)``   — :math:`\\Gamma_a(u)`
 
@@ -24,13 +24,13 @@ network into a read-only :class:`repro.graph.frozen.FrozenSAN` whose
 adjacency lives in CSR numpy arrays; the hot-path metrics (degrees,
 reciprocity, joint degree, clustering, attribute metrics) detect the frozen
 backend and switch to vectorized kernels.  Both backends satisfy the
-read-only :class:`repro.graph.protocol.SANView` protocol, and
-``FrozenSAN.thaw()`` converts back to a mutable ``SAN``.
+read-only :class:`repro.graph.protocol.SANView` protocol; freezing is
+one-way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Set, Tuple
+from typing import Dict, Hashable, Iterator, Set, Tuple
 
 from .bipartite import AttributeInfo, BipartiteAttributeGraph
 from .digraph import DiGraph
@@ -165,14 +165,6 @@ class SAN:
     # ------------------------------------------------------------------
     # Neighborhoods (paper notation)
     # ------------------------------------------------------------------
-    def social_out_neighbors(self, node: SocialNode) -> Set[SocialNode]:
-        """:math:`\\Gamma_{s,out}(u)`."""
-        return self.social.successors(node)
-
-    def social_in_neighbors(self, node: SocialNode) -> Set[SocialNode]:
-        """:math:`\\Gamma_{s,in}(u)`."""
-        return self.social.predecessors(node)
-
     def social_neighbors(self, node: Hashable) -> Set[SocialNode]:
         """:math:`\\Gamma_s(u)` — social neighbors through either layer.
 
@@ -214,10 +206,6 @@ class SAN:
         """Number of attributes declared by a social node."""
         return self.attributes.attribute_degree(node)
 
-    def attribute_social_degree(self, attribute: AttributeNode) -> int:
-        """Number of social nodes holding ``attribute``."""
-        return self.attributes.social_degree(attribute)
-
     def attribute_type(self, attribute: AttributeNode) -> str:
         return self.attributes.attribute_type(attribute)
 
@@ -241,28 +229,6 @@ class SAN:
         )
         return social_density, attribute_density
 
-    def social_subgraph(self, nodes: Iterable[SocialNode]) -> "SAN":
-        """Induced SAN on a subset of social nodes.
-
-        Attribute nodes are kept only if at least one retained social node
-        still links to them.
-        """
-        keep = {node for node in nodes if self.social.has_node(node)}
-        sub = SAN()
-        for node in keep:
-            sub.add_social_node(node)
-        for source in keep:
-            for target in self.social.successors(source):
-                if target in keep:
-                    sub.add_social_edge(source, target)
-        for node in keep:
-            for attribute in self.attributes.attributes_of(node):
-                info = self.attributes.attribute_info(attribute)
-                sub.add_attribute_edge(
-                    node, attribute, attr_type=info.attr_type, value=info.value
-                )
-        return sub
-
     def copy(self) -> "SAN":
         clone = SAN()
         clone.social = self.social.copy()
@@ -276,8 +242,8 @@ class SAN:
         social-id space across the social and attribute layers, answers the
         whole read-only :class:`repro.graph.protocol.SANView` surface, and is
         the backend on which the metrics layer runs its vectorized numpy
-        kernels.  Subsequent mutation of ``self`` does not affect the
-        snapshot; use ``thaw()`` on the result to get a mutable copy back.
+        kernels.  Both node kinds keep their insertion order as compact ids.
+        Subsequent mutation of ``self`` does not affect the snapshot.
 
         Examples
         --------
@@ -287,12 +253,30 @@ class SAN:
         >>> frozen = san.freeze()
         >>> frozen.has_social_edge(1, 2)
         True
-        >>> frozen.thaw().summary() == san.summary()
+        >>> frozen.summary() == san.summary()
         True
         """
-        from .frozen import FrozenSAN
+        from .frozen import FrozenSAN, interned_pairs
 
-        return FrozenSAN.from_san(self)
+        social_labels = list(self.social_nodes())
+        attr_labels = list(self.attribute_nodes())
+        social_index = {label: i for i, label in enumerate(social_labels)}
+        attr_index = {label: i for i, label in enumerate(attr_labels)}
+        social_src, social_dst = interned_pairs(
+            self.social_edges(), self.number_of_social_edges(), social_index, social_index
+        )
+        link_social, link_attr = interned_pairs(
+            self.attribute_edges(), self.number_of_attribute_edges(), social_index, attr_index
+        )
+        return FrozenSAN.from_edge_arrays(
+            social_labels,
+            social_src,
+            social_dst,
+            attr_labels,
+            [self.attribute_info(label) for label in attr_labels],
+            link_social,
+            link_attr,
+        )
 
     def summary(self) -> Dict[str, float]:
         """Compact size summary used by the evolution drivers and reports."""

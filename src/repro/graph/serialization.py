@@ -117,16 +117,11 @@ def _stream_frozen_san_tsv(social_path: Path, attribute_path: Path) -> "FrozenSA
     Produces the same network as ``load_san_tsv(..., frozen=False).freeze()``
     — identical node interning order (first appearance in file order),
     duplicate-edge collapsing, and first-seen-wins attribute metadata — but
-    the adjacency only ever exists as growable int64 edge arrays that are
-    packed into CSR form with vectorized sorts, never as Python dicts of
-    sets.
+    the adjacency only ever exists as growable int64 edge arrays that
+    :meth:`FrozenSAN.from_edge_arrays` packs into CSR form, never as Python
+    dicts of sets.
     """
-    from .frozen import (
-        FrozenBipartiteAttributeGraph,
-        FrozenDiGraph,
-        FrozenSAN,
-        csr_from_edge_arrays,
-    )
+    from .frozen import FrozenSAN
 
     social_index: dict = {}
     social_labels: list = []
@@ -167,8 +162,6 @@ def _stream_frozen_san_tsv(social_path: Path, attribute_path: Path) -> "FrozenSA
         link_social.append(intern_social(_parse_node(social)))
         link_attr.append(intern_attr(attribute_node_id(attr_type, value), attr_type, value))
 
-    num_social = len(social_labels)
-    num_attrs = len(attr_labels)
     src, dst = _dedup_edge_arrays(
         np.frombuffer(social_src, dtype=np.int64),
         np.frombuffer(social_dst, dtype=np.int64),
@@ -178,26 +171,9 @@ def _stream_frozen_san_tsv(social_path: Path, attribute_path: Path) -> "FrozenSA
         np.frombuffer(link_attr, dtype=np.int64),
     )
 
-    out_indptr, out_indices = csr_from_edge_arrays(src, dst, num_social)
-    in_indptr, in_indices = csr_from_edge_arrays(dst, src, num_social)
-    social = FrozenDiGraph(
-        social_labels, out_indptr, out_indices, in_indptr, in_indices,
-        index=social_index,
+    return FrozenSAN.from_edge_arrays(
+        social_labels, src, dst, attr_labels, attr_info, ls, la
     )
-    sa_indptr, sa_indices = csr_from_edge_arrays(ls, la, num_social, num_attrs)
-    as_indptr, as_indices = csr_from_edge_arrays(la, ls, num_attrs, num_social)
-    attributes = FrozenBipartiteAttributeGraph(
-        social.labels(),
-        social_index,
-        attr_labels,
-        attr_info,
-        sa_indptr,
-        sa_indices,
-        as_indptr,
-        as_indices,
-        attr_index=attr_index,
-    )
-    return FrozenSAN(social, attributes)
 
 
 def save_san_json(san: SANLike, path: PathLike) -> None:

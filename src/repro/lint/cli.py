@@ -28,9 +28,9 @@ def add_parser(subparsers: argparse._SubParsersAction) -> argparse.ArgumentParse
     """Attach the ``lint`` subcommand to the main ``repro`` parser."""
     lint_help = (
         "run the invariant linter (rules R001-R010: seeded RNG, scipy "
-        "containment, registry dispatch, content-derived caches, registry "
-        "coherence, cache-token soundness, seed-stream discipline, storage "
-        "hygiene) over src/repro or the given paths"
+        "containment, registry dispatch, content-derived caches, cache-token "
+        "soundness, seed-stream discipline, storage hygiene) over src/repro "
+        "or the given paths"
     )
     parser = subparsers.add_parser("lint", help=lint_help, description=lint_help)
     parser.add_argument(

@@ -43,7 +43,7 @@ from .triangle_closing import (
     evaluate_closure_models,
     score_closures,
 )
-from .zhel import ZhelGenerativeModel, ZhelModelRun, generate_zhel_san
+from .zhel import generate_zhel_san
 
 __all__ = [
     "EstimationResult",
@@ -86,7 +86,5 @@ __all__ = [
     "TriangleClosingModel",
     "evaluate_closure_models",
     "score_closures",
-    "ZhelGenerativeModel",
-    "ZhelModelRun",
     "generate_zhel_san",
 ]

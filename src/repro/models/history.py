@@ -4,7 +4,8 @@ The Figure 15 / Section 5.2 evaluations score link-formation models against
 *observed* link arrivals: for every new social link we need the state of the
 SAN just before the link appeared.  An :class:`ArrivalHistory` captures that
 as an initial SAN plus an ordered list of events (node joins, attribute link
-additions, social link additions) and supports replay.
+additions, social link additions); :meth:`ArrivalHistory.final_san` applies
+them all.
 
 A history comes in two forms.  :class:`HistoryColumns` holds it as int
 columns, the form the Figure 15 encoder reads: the synthetic Google+
@@ -13,15 +14,15 @@ lowers its compact log into it.  :class:`ArrivalHistory` holds label-keyed
 event objects; it comes from :meth:`ArrivalHistory.from_snapshots`, which
 reconstructs one by diffing two snapshots (arrival order within the gap is
 unknown, so new nodes and their attributes are applied before the new links
-— the same approximation one has to make with real daily crawls), from the
-Zhel baseline, and from an Algorithm 1 run's :meth:`history`.
+— the same approximation one has to make with real daily crawls), and from
+an Algorithm 1 run's :meth:`history`.
 :meth:`ArrivalHistory.columns` lowers it into the column form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -134,14 +135,8 @@ class ArrivalHistory:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def social_link_events(self) -> List[ArrivalEvent]:
-        return [event for event in self.events if event.kind == EVENT_SOCIAL]
-
     def num_social_links(self) -> int:
         return sum(1 for event in self.events if event.kind == EVENT_SOCIAL)
-
-    def num_node_joins(self) -> int:
-        return sum(1 for event in self.events if event.kind == EVENT_NODE)
 
     def columns(self) -> HistoryColumns:
         """This history as :class:`HistoryColumns`, interning labels as ids.
@@ -198,20 +193,6 @@ class ArrivalHistory:
             first=np.asarray(firsts, dtype=np.int64),
             second=np.asarray(seconds, dtype=np.int64),
         )
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
-    def replay(self) -> Iterator[Tuple[SAN, ArrivalEvent]]:
-        """Yield ``(san_state_before_event, event)`` pairs in arrival order.
-
-        The yielded SAN object is the live replay state (not a copy); callers
-        must not mutate it and must finish reading it before advancing.
-        """
-        state = self.initial.copy()
-        for event in self.events:
-            yield state, event
-            apply_event(state, event)
 
     def final_san(self) -> SAN:
         """The SAN obtained by applying every event to the initial state."""

@@ -51,18 +51,6 @@ def large_config() -> GooglePlusConfig:
     return GooglePlusConfig(total_users=10000, num_days=98)
 
 
-def huge_config() -> GooglePlusConfig:
-    """~5M users — the out-of-core regime the columnar storage tier targets.
-
-    At this scale the CSR arrays no longer fit comfortably in RAM next to a
-    working set, so frozen graphs are expected to live in columnar files and
-    be opened mmap-backed (``REPRO_MMAP=1`` or an explicit
-    ``open_columnar``).  Not part of the CI validate matrix — use
-    ``BENCH_STORAGE_SCALE`` to dial ``bench_storage.py`` towards it.
-    """
-    return GooglePlusConfig(total_users=5_000_000, num_days=98)
-
-
 def sparse_config() -> GooglePlusConfig:
     """A sparse regime: small link budgets, long link spread, few declarations.
 

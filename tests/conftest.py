@@ -108,7 +108,6 @@ def model_run():
 
 
 @pytest.fixture(scope="session")
-def zhel_run():
-    """A small Zhel baseline run (session-scoped)."""
-    params = ZhelModelParameters(steps=700)
-    return generate_zhel_san(params, rng=99, snapshot_every=350)
+def zhel_san():
+    """A small Zhel baseline SAN (session-scoped)."""
+    return generate_zhel_san(ZhelModelParameters(steps=700), rng=99)

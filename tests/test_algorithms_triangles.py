@@ -48,7 +48,6 @@ def test_classify_closures_counts(figure1_san):
     assert breakdown.both == 1      # (4,5)
     assert breakdown.neither == 1   # (1,6)
     assert breakdown.triadic_fraction == pytest.approx(2 / 3)
-    assert breakdown.neither_fraction == pytest.approx(1 / 3)
 
 
 def test_classify_closures_skips_unknown_nodes(figure1_san):

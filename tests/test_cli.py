@@ -348,3 +348,38 @@ def test_convert_rejects_mixed_sources(tmp_path, capsys):
     )
     assert exit_code == 2
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_measure_of_a_missing_file_is_a_one_line_error(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.tsv")
+    argv = ["measure", "--social", missing, "--attributes", missing, "--no-diameter"]
+    assert main(argv) == 2
+    assert "nonexistent.tsv" in _one_line_error(capsys)
+
+
+def test_convert_info_of_a_missing_file_is_a_one_line_error(tmp_path, capsys):
+    assert main(["convert", "--info", str(tmp_path / "nonexistent.col")]) == 2
+    assert "nonexistent.col" in _one_line_error(capsys)
+
+
+def test_a_malformed_tsv_line_is_a_one_line_error(tmp_path, capsys):
+    social, attrs = tmp_path / "social.tsv", tmp_path / "attrs.tsv"
+    social.write_text("1\t2\t3\n", encoding="utf-8")
+    attrs.write_text("", encoding="utf-8")
+    argv = ["measure", "--social", str(social), "--attributes", str(attrs), "--no-diameter"]
+    assert main(argv) == 2
+    assert "expected 2 fields, got 3" in _one_line_error(capsys)
+
+
+def test_a_truncated_columnar_file_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "short.col"
+    path.write_bytes(b"REPROCO")
+    assert main(["convert", "--info", str(path)]) == 2
+    assert "short.col" in _one_line_error(capsys)

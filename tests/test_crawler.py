@@ -96,7 +96,6 @@ def test_snapshot_series_accessors(tiny_snapshots, tiny_snapshot_days):
     with pytest.raises(KeyError):
         tiny_snapshots.at(9999)
     assert tiny_snapshots.last().number_of_social_nodes() >= tiny_snapshots.halfway().number_of_social_nodes()
-    assert tiny_snapshots.halfway_day() in tiny_snapshot_days
 
 
 def test_snapshot_series_empty_errors():

@@ -86,12 +86,12 @@ def test_section22_and_52_drivers(tiny_snapshots, tiny_evolution):
     assert closure["num_edges_scored"] <= 300
 
 
-def test_figure16_17_drivers(tiny_final_san, model_run, zhel_run):
-    fits = figure16_model_degree_distributions(tiny_final_san, model_run.san, zhel_run.san)
+def test_figure16_17_drivers(tiny_final_san, model_run, zhel_san):
+    fits = figure16_model_degree_distributions(tiny_final_san, model_run.san, zhel_san)
     assert set(fits) == {"reference", "san_model", "zhel"}
     for network in fits.values():
         assert "outdegree" in network
-    curves = figure17_jdd_and_clustering(model_run.san, zhel_run.san, tiny_final_san)
+    curves = figure17_jdd_and_clustering(model_run.san, zhel_san, tiny_final_san)
     for network in ("reference", "san_model", "zhel"):
         assert curves[network]["attribute_knn"]
 
@@ -112,11 +112,11 @@ def test_figure18_driver(model_run):
     )
 
 
-def test_figure19_driver(tiny_final_san, model_run, zhel_run):
+def test_figure19_driver(tiny_final_san, model_run, zhel_san):
     result = figure19_applications(
         tiny_final_san,
         model_run.san,
-        zhel_run.san,
+        zhel_san,
         compromised_counts=[5, 20],
         rng=4,
     )

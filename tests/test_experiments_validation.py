@@ -199,13 +199,8 @@ def test_evaluate_answer_key_keeps_assertion_order():
 # ----------------------------------------------------------------------
 # Checked-in keys
 # ----------------------------------------------------------------------
-def test_every_validated_preset_has_a_checked_in_key():
-    validated = {
-        name for name in scenario_names() if get_scenario(name).validated
-    }
-    assert set(answer_key_names()) == validated
-    # Only regimes too large to calibrate a key against may opt out.
-    assert set(scenario_names()) - validated == {"huge"}
+def test_every_preset_has_a_checked_in_key():
+    assert set(answer_key_names()) == set(scenario_names())
 
 
 @pytest.mark.parametrize("name", ["tiny", "sybil-waves", "churn", "flash-crowd",
@@ -373,8 +368,7 @@ def test_cli_validate_list_names_every_key(capsys):
     assert main(["validate", "--list"]) == 0
     output = capsys.readouterr().out
     for name in scenario_names():
-        if get_scenario(name).validated:
-            assert name in output
+        assert name in output
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_compare_distributions_and_best_fit_lognormal_data():
     assert comparison.best_name == "lognormal"
     assert comparison.ranked()[0] == "lognormal"
     assert best_fit_name(samples) == "lognormal"
-    assert comparison.best_fit.name == "lognormal"
+    assert comparison.fits[comparison.best_name].name == "lognormal"
 
 
 def test_compare_distributions_power_law_data():

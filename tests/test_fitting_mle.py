@@ -67,16 +67,6 @@ def test_fit_power_law_with_cutoff_improves_on_pure_power_law_for_cutoff_data():
     assert with_cutoff.log_likelihood >= plain.log_likelihood - 1e-6
 
 
-def test_fit_result_aic_penalises_parameters():
-    true = PowerLaw(alpha=2.2, xmin=1)
-    samples = true.sample(2000, RNG)
-    plain = fit_power_law(samples)
-    with_cutoff = fit_power_law_with_cutoff(samples)
-    # The cutoff model has one more parameter; on pure power-law data its AIC
-    # should not be dramatically better.
-    assert with_cutoff.aic >= plain.aic - 10
-
-
 def test_parameters_over_time_helpers():
     lognormal_sequences = []
     power_sequences = []

@@ -9,7 +9,7 @@ from repro.graph.errors import EdgeNotFoundError, NodeNotFoundError
 def test_add_link_creates_endpoints():
     graph = BipartiteAttributeGraph()
     assert graph.add_link(1, "employer:Google") is True
-    assert graph.has_social_node(1)
+    assert list(graph.social_nodes()) == [1]
     assert graph.has_attribute_node("employer:Google")
     assert graph.number_of_links() == 1
 
@@ -45,8 +45,8 @@ def test_degrees():
     graph.add_link(2, "a")
     assert graph.attribute_degree(1) == 2
     assert graph.attribute_degree(2) == 1
-    assert graph.social_degree("a") == 2
-    assert graph.social_degree("b") == 1
+    assert graph.members_of("a") == {1, 2}
+    assert graph.members_of("b") == {1}
     assert graph.attribute_degree("unknown-user") == 0
 
 
@@ -68,29 +68,6 @@ def test_remove_link():
     assert not graph.has_link(1, "a")
     with pytest.raises(EdgeNotFoundError):
         graph.remove_link(1, "a")
-
-
-def test_remove_social_node():
-    graph = BipartiteAttributeGraph()
-    graph.add_link(1, "a")
-    graph.add_link(1, "b")
-    graph.add_link(2, "a")
-    graph.remove_social_node(1)
-    assert not graph.has_social_node(1)
-    assert graph.number_of_links() == 1
-    assert graph.social_degree("a") == 1
-    with pytest.raises(NodeNotFoundError):
-        graph.remove_social_node(1)
-
-
-def test_attribute_nodes_of_type():
-    graph = BipartiteAttributeGraph()
-    graph.add_attribute_node("employer:Google", attr_type="employer")
-    graph.add_attribute_node("city:SF", attr_type="city")
-    graph.add_attribute_node("employer:IBM", attr_type="employer")
-    employers = set(graph.attribute_nodes_of_type("employer"))
-    assert employers == {"employer:Google", "employer:IBM"}
-    assert graph.attribute_types() == {"employer", "city"}
 
 
 def test_links_iteration_and_counts():

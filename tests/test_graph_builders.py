@@ -13,7 +13,7 @@ def test_san_from_edge_lists():
     )
     assert san.number_of_social_nodes() == 3
     assert san.number_of_social_edges() == 2
-    assert san.attribute_social_degree("city:SF") == 2
+    assert san.attributes.members_of("city:SF") == {1, 3}
     assert san.attribute_type("city:SF") == "city"
 
 

@@ -49,13 +49,6 @@ def test_neighbors_union_excludes_self():
     assert graph.degree(1) == 1
 
 
-def test_is_reciprocal():
-    graph = DiGraph([(1, 2), (2, 1), (2, 3)])
-    assert graph.is_reciprocal(1, 2)
-    assert graph.is_reciprocal(2, 1)
-    assert not graph.is_reciprocal(2, 3)
-
-
 def test_successors_of_missing_node_raises():
     graph = DiGraph()
     with pytest.raises(NodeNotFoundError):
@@ -73,41 +66,12 @@ def test_remove_edge():
         graph.remove_edge(1, 2)
 
 
-def test_remove_node_removes_incident_edges():
-    graph = DiGraph([(1, 2), (2, 3), (3, 1), (2, 1)])
-    graph.remove_node(2)
-    assert not graph.has_node(2)
-    assert graph.number_of_edges() == 1
-    assert graph.has_edge(3, 1)
-
-
-def test_remove_node_with_self_loop_keeps_edge_count_consistent():
-    graph = DiGraph([(1, 1), (1, 2)])
-    graph.remove_node(1)
-    assert graph.number_of_edges() == 0
-    assert graph.number_of_nodes() == 1
-
-
-def test_remove_missing_node_raises():
-    graph = DiGraph()
-    with pytest.raises(NodeNotFoundError):
-        graph.remove_node(7)
-
-
 def test_copy_is_independent():
     graph = DiGraph([(1, 2)])
     clone = graph.copy()
     clone.add_edge(2, 3)
     assert graph.number_of_edges() == 1
     assert clone.number_of_edges() == 2
-
-
-def test_subgraph_keeps_only_internal_edges():
-    graph = DiGraph([(1, 2), (2, 3), (3, 4), (4, 1)])
-    sub = graph.subgraph([1, 2, 3])
-    assert sub.number_of_nodes() == 3
-    assert sub.has_edge(1, 2) and sub.has_edge(2, 3)
-    assert not sub.has_edge(3, 4)
 
 
 def test_reverse_flips_edges():
@@ -117,14 +81,6 @@ def test_reverse_flips_edges():
     assert reversed_graph.has_edge(3, 2)
     assert reversed_graph.number_of_edges() == 2
     assert not reversed_graph.has_edge(1, 2)
-
-
-def test_to_undirected_adjacency_symmetric():
-    graph = DiGraph([(1, 2), (3, 2)])
-    adjacency = graph.to_undirected_adjacency()
-    assert adjacency[1] == {2}
-    assert adjacency[2] == {1, 3}
-    assert adjacency[3] == {2}
 
 
 def test_edge_count_tracks_additions_and_removals():

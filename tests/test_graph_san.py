@@ -11,8 +11,8 @@ def test_add_social_edge_and_neighbors(figure1_san):
     assert san.has_social_edge(1, 2)
     assert san.has_social_edge(2, 1)
     assert not san.has_social_edge(4, 5)
-    assert 2 in san.social_out_neighbors(1)
-    assert 4 in san.social_in_neighbors(2)
+    assert 2 in san.social.successors(1)
+    assert 4 in san.social.predecessors(2)
     assert san.social_neighbors(1) == {2, 3}
 
 
@@ -38,7 +38,7 @@ def test_degrees(figure1_san):
     assert san.social_out_degree(1) == 2
     assert san.social_in_degree(2) == 3
     assert san.attribute_degree(2) == 2
-    assert san.attribute_social_degree("employer:Google") == 2
+    assert san.attributes.members_of("employer:Google") == {1, 2}
 
 
 def test_counts(figure1_san):
@@ -74,22 +74,12 @@ def test_common_social_neighbors(figure1_san):
     assert 2 in figure1_san.common_social_neighbors(1, 4)
 
 
-def test_social_subgraph_keeps_attributes_of_kept_nodes(figure1_san):
-    sub = figure1_san.social_subgraph([1, 2, 3])
-    assert sub.number_of_social_nodes() == 3
-    assert sub.has_social_edge(1, 2)
-    assert not sub.is_social_node(4)
-    assert sub.has_attribute_edge(1, "employer:Google")
-    assert not sub.is_attribute_node("major:Computer Science")
-    assert sub.attribute_info("employer:Google").attr_type == "employer"
-
-
 def test_copy_independent(figure1_san):
     clone = figure1_san.copy()
     clone.add_social_edge(1, 6)
     assert not figure1_san.has_social_edge(1, 6)
     clone.add_attribute_edge(6, "employer:Google")
-    assert figure1_san.attribute_social_degree("employer:Google") == 2
+    assert figure1_san.attributes.members_of("employer:Google") == {1, 2}
 
 
 def test_summary_keys(figure1_san):

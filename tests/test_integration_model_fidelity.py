@@ -26,10 +26,10 @@ from repro.models import (
 from repro.algorithms import classify_closures
 
 
-def test_model_and_zhel_generate_comparable_scale(model_run, zhel_run):
-    assert model_run.san.number_of_social_nodes() == zhel_run.san.number_of_social_nodes()
+def test_model_and_zhel_generate_comparable_scale(model_run, zhel_san):
+    assert model_run.san.number_of_social_nodes() == zhel_san.number_of_social_nodes()
     assert model_run.san.number_of_social_edges() > 500
-    assert zhel_run.san.number_of_social_edges() > 500
+    assert zhel_san.number_of_social_edges() > 500
 
 
 def test_lapa_beats_pa_on_crawled_arrivals(tiny_evolution):
@@ -96,10 +96,10 @@ def test_closure_breakdown_triadic_dominates(tiny_evolution):
     assert 0.0 < breakdown.focal_fraction < 0.6
 
 
-def test_model_reciprocity_closer_to_reference_than_zhel(model_run, zhel_run, tiny_final_san):
+def test_model_reciprocity_closer_to_reference_than_zhel(model_run, zhel_san, tiny_final_san):
     reference = global_reciprocity(tiny_final_san)
     model_error = abs(global_reciprocity(model_run.san) - reference)
-    zhel_error = abs(global_reciprocity(zhel_run.san) - reference)
+    zhel_error = abs(global_reciprocity(zhel_san) - reference)
     # Both models were configured with similar reciprocation, so both should be
     # in a sane band; the SAN model must not be wildly off.
     assert model_error < 0.35
@@ -114,10 +114,10 @@ def test_model_produces_nontrivial_attribute_clustering(model_run):
     assert any(value > 0 for _, value in social_points)
 
 
-def test_sybil_defense_runs_on_generated_topologies(model_run, zhel_run, tiny_final_san):
+def test_sybil_defense_runs_on_generated_topologies(model_run, zhel_san, tiny_final_san):
     counts = [20, 60]
     params = SybilLimitParameters(degree_bound=100)
-    for san in (tiny_final_san, model_run.san, zhel_run.san):
+    for san in (tiny_final_san, model_run.san, zhel_san):
         results = sybil_identities_vs_compromised(san, counts, params=params, rng=5)
         assert results[1].num_sybil_identities >= results[0].num_sybil_identities
 

@@ -108,8 +108,10 @@ def test_tech_attribute_values_have_higher_degree(tiny_final_san):
     assert table
 
     tech_degrees, other_degrees = [], []
-    for attribute in tiny_final_san.attributes.attribute_nodes_of_type("employer"):
+    for attribute in tiny_final_san.attribute_nodes():
         info = tiny_final_san.attribute_info(attribute)
+        if info.attr_type != "employer":
+            continue
         degrees = out_degrees_for_attribute_value(tiny_final_san, attribute)
         if info.value in TECH_VALUES:
             tech_degrees.extend(degrees)

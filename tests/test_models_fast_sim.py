@@ -232,7 +232,7 @@ def test_fast_engine_records_replayable_history():
     params = SANModelParameters(steps=120)
     run = generate_san(params, rng=6, record_history=True)
     history = run.history()
-    assert history.num_node_joins() == params.steps
+    assert [event.kind for event in history.events].count("node") == params.steps
     replayed = history.final_san()
     assert replayed.number_of_social_edges() == run.summary()["social_edges"]
     assert replayed.number_of_attribute_edges() == run.summary()["attribute_edges"]

@@ -28,16 +28,14 @@ from repro.models import (
 )
 params = SANModelParameters(steps=300, attribute_churn_rate=0.5)
 runs = {
-    "model": lambda: generate_san(params, rng=5, record_history=False),
+    "model": lambda: generate_san(params, rng=5, record_history=False).san,
     "no_focal": lambda: generate_san(
         replace(params, use_focal_closure=False), rng=5, record_history=False
-    ),
+    ).san,
     "no_lapa": lambda: generate_san(
         replace(params, use_lapa=False), rng=5, record_history=False
-    ),
-    "zhel": lambda: generate_zhel_san(
-        ZhelModelParameters(steps=300), rng=5, record_history=False
-    ),
+    ).san,
+    "zhel": lambda: generate_zhel_san(ZhelModelParameters(steps=300), rng=5),
 }
 
 
@@ -52,7 +50,7 @@ def fingerprint(san):
     return digest.hexdigest()
 
 
-print(json.dumps({name: fingerprint(run().san) for name, run in runs.items()}))
+print(json.dumps({name: fingerprint(run()) for name, run in runs.items()}))
 """
 
 

@@ -1,4 +1,4 @@
-"""Tests for arrival histories (recording, replay, snapshot diffing)."""
+"""Tests for arrival histories (recording, final state, snapshot diffing)."""
 
 import pytest
 
@@ -21,22 +21,8 @@ def test_record_and_counts():
     history.record_attribute_link(1, "city:SF", attr_type="city", value="SF")
     history.record_social_link(1, 2)
     history.record_social_link(2, 1)
-    assert history.num_node_joins() == 1
+    assert [event.kind for event in history.events].count("node") == 1
     assert history.num_social_links() == 2
-    assert len(history.social_link_events()) == 2
-
-
-def test_replay_yields_state_before_event():
-    history = ArrivalHistory()
-    history.record_node(1)
-    history.record_node(2)
-    history.record_social_link(1, 2)
-    states = []
-    for state, event in history.replay():
-        if event.kind == "social":
-            states.append(state.number_of_social_nodes())
-            assert not state.has_social_edge(1, 2)
-    assert states == [2]
 
 
 def test_final_san_applies_all_events():
@@ -65,7 +51,7 @@ def test_from_snapshots_diff():
     final = history.final_san()
     assert final.number_of_social_edges() == later.number_of_social_edges()
     assert final.number_of_attribute_edges() == later.number_of_attribute_edges()
-    assert history.num_node_joins() == 1
+    assert [event.kind for event in history.events].count("node") == 1
     assert history.num_social_links() == 2
     # New nodes and their attributes come before the new social links.
     kinds = [event.kind for event in history.events]

@@ -19,6 +19,7 @@ from repro.graph import SAN
 from repro.models import (
     ArrivalHistory,
     AttachmentModelSpec,
+    apply_event,
     evaluate_attachment_models,
     figure15_sweep,
 )
@@ -178,22 +179,22 @@ def test_likelihood_matches_bruteforce(evaluate, spec, model_factory):
 
         model = model_factory()
         expected = 0.0
-        for state, event in history.replay():
-            if event.kind != "social":
-                continue
+        state = history.initial.copy()
+        for event in history.events:
             source, target = event.first, event.second
             if (
-                not state.is_social_node(target)
-                or state.has_social_edge(source, target)
-                or source == target
+                event.kind == "social"
+                and state.is_social_node(target)
+                and not state.has_social_edge(source, target)
+                and source != target
             ):
-                continue
-            weights = {
-                node: model.weight(state, source, node)
-                for node in state.social_nodes()
-                if node != source
-            }
-            expected += math.log(weights[target] / sum(weights.values()))
+                weights = {
+                    node: model.weight(state, source, node)
+                    for node in state.social_nodes()
+                    if node != source
+                }
+                expected += math.log(weights[target] / sum(weights.values()))
+            apply_event(state, event)
         assert result.log_likelihoods["m"] == pytest.approx(expected, rel=1e-9)
 
 

@@ -13,7 +13,6 @@ from repro.metrics import (
 from repro.models import (
     SANModelParameters,
     generate_san,
-    generate_zhel_san,
     predicted_attribute_social_degree_exponent,
     predicted_outdegree_lognormal,
 )
@@ -27,7 +26,7 @@ def test_run_produces_expected_node_count(model_run):
 
 def test_run_records_history_and_snapshots(model_run):
     history = model_run.history()
-    assert history.num_node_joins() == model_run.parameters.steps
+    assert [event.kind for event in history.events].count("node") == model_run.parameters.steps
     assert history.num_social_links() > 0
     # Replaying the history reproduces the final SAN exactly.
     replayed = history.final_san()
@@ -145,7 +144,6 @@ def test_parameter_validation():
     [
         pytest.param(generate_san_loop, id="generate_san"),
         pytest.param(generate_san, id="generate_san_fast"),
-        pytest.param(generate_zhel_san, id="generate_zhel_san"),
     ],
 )
 @pytest.mark.parametrize("snapshot_every", [0, -3])

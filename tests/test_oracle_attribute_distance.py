@@ -126,7 +126,7 @@ def per_pair_histogram(order, answer, num_pairs, generator, max_depth):
     on its order) and each is answered on ``answer``.
     """
     attributes = [
-        node for node in order.attribute_nodes() if order.attribute_social_degree(node) > 0
+        node for node in order.attribute_nodes() if order.attributes.members_of(node)
     ]
     if len(attributes) < 2:
         return {}

@@ -162,13 +162,13 @@ def reference_crawl(ground_truth: SAN, seeds, privacy: PrivacyModel):
         collect_profile(user)
         if privacy.hides_links(user):
             continue
-        for target in ground_truth.social_out_neighbors(user):
+        for target in ground_truth.social.successors(user):
             crawled.add_social_edge(user, target)
             collect_profile(target)
             if target not in visited:
                 visited.add(target)
                 frontier.append(target)
-        for source in ground_truth.social_in_neighbors(user):
+        for source in ground_truth.social.predecessors(user):
             crawled.add_social_edge(source, user)
             collect_profile(source)
             if source not in visited:

@@ -150,16 +150,17 @@ def test_bucketed_kernel_matches_reduceat_on_paper_default_snapshots():
     """fig04's 14 crawled snapshots at its precision, bit for bit."""
     from repro.experiments import get_scenario
     from repro.experiments.artifacts import ArtifactResolver
+    from repro.experiments.figures import DIAMETER_PRECISION
 
     scenario = get_scenario("paper-default")
     snapshots = ArtifactResolver(scenario).artifact("frozen_snapshots")
     assert len(snapshots) == 14
     for day, san in snapshots:
         expected = reduceat_neighbourhood_function(
-            san.social, precision=scenario.diameter_precision
+            san.social, precision=DIAMETER_PRECISION
         )
         actual = neighbourhood_function(
-            san.social, precision=scenario.diameter_precision
+            san.social, precision=DIAMETER_PRECISION
         )
         assert actual == expected, day
 

@@ -67,7 +67,7 @@ def test_san_counts_consistent(edges, attributes):
     assert out_sum == in_sum == san.number_of_social_edges()
     attr_degree_sum = sum(san.attribute_degree(node) for node in san.social_nodes())
     attr_social_sum = sum(
-        san.attribute_social_degree(node) for node in san.attribute_nodes()
+        len(san.attributes.members_of(node)) for node in san.attribute_nodes()
     )
     assert attr_degree_sum == attr_social_sum == san.number_of_attribute_edges()
 
@@ -89,14 +89,16 @@ def test_reciprocity_and_density_bounds(edges, attributes):
 
 @given(edge_lists, attribute_lists)
 @settings(max_examples=40, deadline=None)
-def test_copy_and_subgraph_invariants(edges, attributes):
+def test_copy_and_freeze_invariants(edges, attributes):
     san = _build_san(edges, attributes)
     clone = san.copy()
     assert set(clone.social_edges()) == set(san.social_edges())
     assert set(clone.attribute_edges()) == set(san.attribute_edges())
-    nodes = list(san.social_nodes())[: max(1, len(list(san.social_nodes())) // 2)]
-    sub = san.social_subgraph(nodes)
-    kept = set(nodes) & set(san.social_nodes())
-    assert set(sub.social_nodes()) == kept
-    for source, target in sub.social_edges():
-        assert san.has_social_edge(source, target)
+    # Freezing keeps both node orders, every edge and every attribute record.
+    frozen = san.freeze()
+    assert list(frozen.social_nodes()) == list(san.social_nodes())
+    assert list(frozen.attribute_nodes()) == list(san.attribute_nodes())
+    assert set(frozen.social_edges()) == set(san.social_edges())
+    assert set(frozen.attribute_edges()) == set(san.attribute_edges())
+    for attribute in san.attribute_nodes():
+        assert frozen.attribute_info(attribute) == san.attribute_info(attribute)

@@ -10,6 +10,7 @@ from model_reference import LinearAttributePreferentialAttachment
 
 from repro.models import (
     ArrivalHistory,
+    apply_event,
     predicted_attribute_social_degree_exponent,
     SANModelParameters,
     truncated_normal_moments,
@@ -85,9 +86,13 @@ def test_arrival_history_replay_is_consistent(num_nodes):
     final = history.final_san()
     assert final.number_of_social_nodes() == num_nodes
     assert final.number_of_social_edges() == num_nodes - 1
-    # State yielded before each event never contains that event's edge.
-    for state, event in history.replay():
+    # Replayed event by event, the state before each event never contains
+    # that event's edge, and the last state is the final SAN.
+    state = history.initial.copy()
+    for event in history.events:
         if event.kind == "social":
             assert not state.has_social_edge(event.first, event.second)
         if event.kind == "attribute":
             assert not state.has_attribute_edge(event.first, event.second)
+        apply_event(state, event)
+    assert state.summary() == final.summary()

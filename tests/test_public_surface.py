@@ -1,7 +1,7 @@
 """Every public name in ``src/`` earns a caller outside the tests.
 
-A top-level public function or class in ``src/repro`` counts as used when
-any of these holds:
+A top-level public function or class, and a public method or property of
+any class, in ``src/repro`` counts as used when any of these holds:
 
 * its name appears as a name, an attribute or an import alias somewhere in
   ``src/`` outside its own definition (``__init__`` re-exports and
@@ -13,7 +13,9 @@ any of these holds:
   functions by name);
 * it is registered by ``@experiment``, ``@artifact`` or ``@register_rule``.
 
-A name that only tests reach is deleted, unless :data:`KEPT` lists it with a
+Methods are matched by name alone: a method counts as used when its name is
+used as above, whichever class it belongs to.  A name that only tests reach is
+deleted, unless :data:`KEPT` (or :data:`KEPT_METHODS`) lists it with a
 reason the test can check: the file that uses it, or the ROADMAP item that
 will.  A ``KEPT`` entry that is no longer needed fails too, so the list
 cannot go stale.
@@ -55,6 +57,15 @@ KEPT: Dict[str, Tuple[str, str]] = {
     "phase_averages": ("roadmap", "1"),
     "harmonic_outdegree_approximation": ("roadmap", "2"),
     "predicted_attribute_degree_lognormal": ("roadmap", "2"),
+}
+
+#: ``Class.method`` -> (kind, where), the reason a method or property with
+#: no caller stays: ``oracle``: the test file ``tests/<where>`` calls it.
+KEPT_METHODS: Dict[str, Tuple[str, str]] = {
+    # Called by the loop references in tests/model_reference.py that the
+    # Figure 15 scorer and the churn generator are checked against.
+    "AttachmentModelSpec.attribute_factor": ("oracle", "model_reference.py"),
+    "ArrivalHistory.record_attribute_removal": ("oracle", "model_reference.py"),
 }
 
 
@@ -118,9 +129,24 @@ def public_definitions() -> List[Tuple[str, Path, ast.AST]]:
     return found
 
 
+def public_methods() -> List[Tuple[str, str, Path, ast.AST]]:
+    """``(Class.method, method, path, node)`` for every public method or property."""
+    found = []
+    for path in _python_files(SRC):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (f"{node.name}.{item.name}", item.name, path, item)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                )
+    return found
+
+
 @functools.lru_cache(maxsize=None)
-def unused_public_names() -> Dict[str, Path]:
-    """Public names in ``src/`` with no caller outside the tests."""
+def _uses() -> Tuple[Counter, Counter]:
+    """Name counts in ``src/`` and in the caller directories."""
     src_uses: Counter = Counter()
     for path in _python_files(SRC):
         src_uses += _references(
@@ -134,6 +160,19 @@ def unused_public_names() -> Dict[str, Path]:
                 imports=True,
                 strings=directory in STRING_CALLER_DIRS,
             )
+    return src_uses, outside_uses
+
+
+def _has_caller(name: str, node: ast.AST) -> bool:
+    """Whether ``name`` is used outside its definition ``node``."""
+    src_uses, outside_uses = _uses()
+    own = _references(node, imports=True, strings=False)[name]
+    return src_uses[name] - own > 0 or outside_uses[name] > 0
+
+
+@functools.lru_cache(maxsize=None)
+def unused_public_names() -> Dict[str, Path]:
+    """Public names in ``src/`` with no caller outside the tests."""
     unused = {}
     for name, path, node in public_definitions():
         if any(
@@ -141,11 +180,19 @@ def unused_public_names() -> Dict[str, Path]:
             for decorator in getattr(node, "decorator_list", [])
         ):
             continue
-        own = _references(node, imports=True, strings=False)[name]
-        if src_uses[name] - own > 0 or outside_uses[name] > 0:
-            continue
-        unused[name] = path
+        if not _has_caller(name, node):
+            unused[name] = path
     return unused
+
+
+@functools.lru_cache(maxsize=None)
+def unused_public_methods() -> Dict[str, Path]:
+    """``Class.method`` names in ``src/`` with no caller outside the tests."""
+    return {
+        qualified: path
+        for qualified, name, path, node in public_methods()
+        if not _has_caller(name, node)
+    }
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -166,6 +213,39 @@ def test_kept_entries_are_current():
     unused = unused_public_names()
     stale = sorted(name for name in KEPT if name not in unused)
     assert not stale, f"KEPT lists names that are gone or now have callers: {stale}"
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    unexplained = sorted(
+        f"{path.relative_to(ROOT)}: {name}"
+        for name, path in unused_public_methods().items()
+        if name not in KEPT_METHODS
+    )
+    assert not unexplained, (
+        "public methods and properties that only tests reach; delete them, or "
+        "list them in KEPT_METHODS with the oracle that calls them:\n  "
+        + "\n  ".join(unexplained)
+    )
+
+
+def test_kept_method_entries_are_current():
+    unused = unused_public_methods()
+    stale = sorted(name for name in KEPT_METHODS if name not in unused)
+    assert not stale, (
+        f"KEPT_METHODS lists methods that are gone or now have callers: {stale}"
+    )
+
+
+def test_kept_method_reasons_hold():
+    for qualified, (kind, where) in KEPT_METHODS.items():
+        assert kind == "oracle", (qualified, kind)
+        name = qualified.rsplit(".", 1)[-1]
+        called = {
+            node.attr
+            for node in ast.walk(_parse(ROOT / "tests" / where))
+            if isinstance(node, ast.Attribute)
+        }
+        assert name in called, f"tests/{where} does not call .{name}"
 
 
 def _roadmap_item(number: str) -> str:
@@ -212,3 +292,10 @@ def test_the_scan_counts_registrations_and_perfbench_strings():
     live = {"figure4_evolution", "save_san_json", "load_san_json"}
     assert live <= {name for name, _, _ in public_definitions()}
     assert not live & set(unused_public_names())
+
+
+def test_the_method_scan_sees_attribute_calls_and_properties():
+    # ``freeze`` is called as an attribute, ``best_name`` read as a property.
+    live = {"SAN.freeze", "DiGraph.freeze", "ModelComparison.best_name"}
+    assert live <= {qualified for qualified, _, _, _ in public_methods()}
+    assert not live & set(unused_public_methods())
