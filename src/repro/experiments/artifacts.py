@@ -310,14 +310,6 @@ class ArtifactStore:
             raise
         return final
 
-    def entries(self) -> List[Path]:
-        """Every finalised entry directory currently in the store."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            path for path in self.root.iterdir() if (path / _MARKER).is_file()
-        )
-
 
 # ----------------------------------------------------------------------
 # Resolver

@@ -23,13 +23,15 @@ stage names after every surviving result has been written.
 
 Output layout (``out_dir``)::
 
-    manifest.json     run summary (stages, artifacts, timings, scenario)
+    manifest.json     run summary (stages with their payload digests,
+                      artifacts, timings, scenario)
     report.txt        every stage's rendered tables, concatenated
     <stage>.txt       one rendered file per stage (fig04.txt, sec52.txt, ...)
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -395,8 +397,19 @@ def write_outputs(result: PipelineResult, out_dir: Union[str, Path]) -> Path:
     """Write manifest.json, report.txt and per-stage renderings to ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = result.manifest()
+    # Each stage's ``digest`` is the SHA-256 of its canonical JSON payload:
+    # two runs agree on every bit of a payload iff they agree on its digest,
+    # which the 6-digit renderings cannot show.  Computed only here, so a run
+    # without ``out_dir`` pays nothing for it.
+    for entry, stage in zip(manifest["stages"], result.stages.values()):
+        entry["digest"] = (
+            None
+            if stage.error is not None
+            else hashlib.sha256(canonical_json(stage.payload).encode("utf-8")).hexdigest()
+        )
     (out / "manifest.json").write_text(
-        json.dumps(result.manifest(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (out / "report.txt").write_text(result.rendered_report(), encoding="utf-8")
     for stage in result.stages.values():

@@ -11,7 +11,7 @@ the corresponding family name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from .goodness_of_fit import LikelihoodRatioResult, ks_statistic, likelihood_ratio_test
 from .mle import (
@@ -41,11 +41,6 @@ class ModelComparison:
     @property
     def best_name(self) -> str:
         return max(self.fits, key=lambda name: self.fits[name].log_likelihood)
-
-    def ranked(self) -> List[str]:
-        return sorted(
-            self.fits, key=lambda name: self.fits[name].log_likelihood, reverse=True
-        )
 
 
 def compare_distributions(

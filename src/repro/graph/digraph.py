@@ -169,10 +169,6 @@ class DiGraph:
     def in_degree(self, node: Node) -> int:
         return len(self.predecessors(node))
 
-    def degree(self, node: Node) -> int:
-        """Number of distinct neighbors (undirected view)."""
-        return len(self.neighbors(node))
-
     # ------------------------------------------------------------------
     # Convenience / whole-graph views
     # ------------------------------------------------------------------
@@ -182,14 +178,6 @@ class DiGraph:
         clone._pred = {node: set(sources) for node, sources in self._pred.items()}
         clone._num_edges = self._num_edges
         return clone
-
-    def reverse(self) -> "DiGraph":
-        """Return a new graph with every edge direction flipped."""
-        rev = DiGraph()
-        rev._succ = {node: set(sources) for node, sources in self._pred.items()}
-        rev._pred = {node: set(targets) for node, targets in self._succ.items()}
-        rev._num_edges = self._num_edges
-        return rev
 
     def freeze(self) -> "FrozenDiGraph":
         """Compact this graph into a read-only, CSR-backed snapshot.

@@ -538,23 +538,9 @@ class FrozenDiGraph:
         i = self.index_of(node)
         return int(self._in_indptr[i + 1] - self._in_indptr[i])
 
-    def degree(self, node: Node) -> int:
-        """Number of distinct neighbors (undirected view)."""
-        return int(self.undirected_row(self.index_of(node)).size)
-
     # ------------------------------------------------------------------
     # Whole-graph views
     # ------------------------------------------------------------------
-    def reverse(self) -> "FrozenDiGraph":
-        """Return a frozen graph with every edge flipped, sharing this one's CSR arrays."""
-        return FrozenDiGraph(
-            self._labels,
-            self._in_indptr,
-            self._in_indices,
-            self._out_indptr,
-            self._out_indices,
-        )
-
     def copy(self) -> "FrozenDiGraph":
         """Frozen graphs are immutable, so ``copy`` returns ``self``."""
         return self

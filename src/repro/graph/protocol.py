@@ -73,8 +73,6 @@ class DiGraphView(Protocol):
 
     def in_degree(self, node: Node) -> int: ...
 
-    def degree(self, node: Node) -> int: ...
-
 
 @runtime_checkable
 class SANView(Protocol):

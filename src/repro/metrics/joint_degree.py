@@ -16,7 +16,8 @@ kernel on the frozen backend (:class:`~repro.graph.frozen.FrozenSAN`; a
 mutable SAN is frozen at dispatch).  The kernels are fully vectorized —
 per-node neighbor sums come from a cumulative-sum difference over the CSR
 ``indices`` array, per-degree averages from ``np.bincount``, and the
-assortativity coefficients from degree arrays indexed by the CSR edge list.
+assortativity coefficients from exact integer moments of degree arrays
+indexed by the CSR edge list (no floating-point dot product, so no BLAS call).
 
 Examples
 --------
@@ -37,6 +38,9 @@ import numpy as np
 
 from ..engine import dispatchable
 from ..graph.frozen import FrozenSAN
+
+#: Bound on every int64 moment sum of :func:`_pearson_arrays`.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dispatchable("social_knn")
@@ -121,13 +125,40 @@ def _knn_curve(
 
 
 def _pearson_arrays(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Pearson correlation over numpy arrays; 0.0 for degenerate inputs."""
-    if xs.size == 0 or xs.size != ys.size:
+    """Pearson correlation of two integer arrays; 0.0 for degenerate inputs.
+
+    The moments n, Σx, Σy, Σx², Σy² and Σxy are exact integers: int64 sums
+    over chunks short enough that no sum can pass 2^63, added as Python ints
+    (values whose squares would pass it are summed as Python ints outright).
+    So the result depends neither on the order of the pairs nor on a BLAS
+    thread count, and
+
+        r = (nΣxy − ΣxΣy) / √((nΣx² − (Σx)²)(nΣy² − (Σy)²))
+
+    is rounded once: an integer quotient, with both sides scaled so that the
+    integer square root carries at least 64 significant bits.
+    """
+    n = int(xs.size)
+    if n == 0 or n != ys.size:
         return 0.0
-    dx = xs.astype(np.float64) - xs.mean()
-    dy = ys.astype(np.float64) - ys.mean()
-    var_x = float(np.dot(dx, dx))
-    var_y = float(np.dot(dy, dy))
-    if var_x <= 0 or var_y <= 0:
+    xs = xs.astype(np.int64, copy=False)
+    ys = ys.astype(np.int64, copy=False)
+    bound = max(int(np.abs(xs).max()), int(np.abs(ys).max()), 1)
+    if bound * bound > _INT64_MAX:
+        xs, ys, step = xs.astype(object), ys.astype(object), n
+    else:
+        step = _INT64_MAX // (bound * bound)
+    sx = sy = sxx = syy = sxy = 0
+    for start in range(0, n, step):
+        x, y = xs[start : start + step], ys[start : start + step]
+        sx += int(x.sum())
+        sy += int(y.sum())
+        sxx += int((x * x).sum())
+        syy += int((y * y).sum())
+        sxy += int((x * y).sum())
+    variances = (n * sxx - sx * sx) * (n * syy - sy * sy)
+    if variances == 0:
         return 0.0
-    return float(np.dot(dx, dy) / math.sqrt(var_x * var_y))
+    shift = max(0, 64 - variances.bit_length() // 2)
+    covariance = n * sxy - sx * sy
+    return (covariance << shift) / math.isqrt(variances << 2 * shift)

@@ -13,8 +13,9 @@ evolution cuts it as a window of its own event log and an Algorithm 1 run
 lowers its compact log into it.  :class:`ArrivalHistory` holds label-keyed
 event objects; it comes from :meth:`ArrivalHistory.from_snapshots`, which
 reconstructs one by diffing two snapshots (arrival order within the gap is
-unknown, so new nodes and their attributes are applied before the new links
-— the same approximation one has to make with real daily crawls), and from
+unknown, so new nodes come first, then new attribute links, then new social
+links, each sorted by label — the same approximation one has to make with
+real daily crawls), and from
 an Algorithm 1 run's :meth:`history`.
 :meth:`ArrivalHistory.columns` lowers it into the column form.
 """
@@ -208,32 +209,65 @@ class ArrivalHistory:
     def from_snapshots(cls, earlier: SAN, later: SAN) -> "ArrivalHistory":
         """Approximate history between two snapshots of the same network.
 
-        New social nodes (with their attribute links) are emitted first, then
-        new attribute links of pre-existing nodes, then new social links.
+        New social nodes are emitted first, then new attribute links, then
+        new social links, each group in :func:`_label_order`; the initial SAN
+        is ``earlier`` with its nodes added in that order too.  So the
+        history, and every score computed from it, depends only on the two
+        snapshots' content: not on the order their links were loaded in, nor
+        on how sets of string labels iterate under ``PYTHONHASHSEED``.
         """
-        history = cls(initial=earlier.copy())
+        history = cls(initial=_label_ordered_copy(earlier))
         new_nodes = [
             node for node in later.social_nodes() if not earlier.is_social_node(node)
         ]
-        for node in new_nodes:
+        for node in sorted(new_nodes, key=_label_order):
             history.record_node(node)
-            for attribute in later.attribute_neighbors(node):
-                info = later.attribute_info(attribute)
-                history.record_attribute_link(
-                    node, attribute, attr_type=info.attr_type, value=info.value
-                )
-        for social, attribute in later.attribute_edges():
-            if earlier.is_social_node(social) and not earlier.has_attribute_edge(
-                social, attribute
-            ):
-                info = later.attribute_info(attribute)
-                history.record_attribute_link(
-                    social, attribute, attr_type=info.attr_type, value=info.value
-                )
-        for source, target in later.social_edges():
-            if not earlier.has_social_edge(source, target):
-                history.record_social_link(source, target)
+        new_links = [
+            (social, attribute)
+            for social, attribute in later.attribute_edges()
+            if not earlier.has_attribute_edge(social, attribute)
+        ]
+        for social, attribute in sorted(new_links, key=_pair_order):
+            info = later.attribute_info(attribute)
+            history.record_attribute_link(
+                social, attribute, attr_type=info.attr_type, value=info.value
+            )
+        new_edges = [
+            (source, target)
+            for source, target in later.social_edges()
+            if not earlier.has_social_edge(source, target)
+        ]
+        for source, target in sorted(new_edges, key=_pair_order):
+            history.record_social_link(source, target)
         return history
+
+
+def _label_order(label: Node) -> Tuple[int, object]:
+    """Sort key of one total order on node labels: ints first by value, then
+    every other label by its string."""
+    if isinstance(label, int):
+        return (0, label)
+    return (1, str(label))
+
+
+def _pair_order(pair: Tuple[Node, Node]) -> Tuple[Tuple[int, object], Tuple[int, object]]:
+    return _label_order(pair[0]), _label_order(pair[1])
+
+
+def _label_ordered_copy(san: SAN) -> SAN:
+    """``san`` rebuilt with its social and attribute nodes added in
+    :func:`_label_order`, so node ids interned from it follow that order."""
+    copy = SAN()
+    for node in sorted(san.social_nodes(), key=_label_order):
+        copy.add_social_node(node)
+    for attribute in sorted(san.attribute_nodes(), key=_label_order):
+        info = san.attribute_info(attribute)
+        copy.add_attribute_node(attribute, attr_type=info.attr_type, value=info.value)
+    for source, target in san.social_edges():
+        copy.add_social_edge(source, target)
+    for social, attribute in san.attribute_edges():
+        copy.add_attribute_edge(social, attribute)
+    return copy
 
 
 def apply_event(san: SAN, event: ArrivalEvent) -> None:

@@ -129,17 +129,6 @@ class GroundTruthEvolution:
         joins = self.kind == KIND_NODE
         return dict(zip(self.first[joins].tolist(), self.day[joins].tolist()))
 
-    @property
-    def profiles(self) -> Dict[int, Dict[str, str]]:
-        """Every user's declared ``{attribute type: value}`` at the end of the log."""
-        final = self.final_san()
-        indptr, indices = final.attributes.social_to_attr_csr()
-        info = self.attribute_info
-        return {
-            user: {info[a].attr_type: info[a].value for a in indices[start:stop].tolist()}
-            for user, (start, stop) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
-        }
-
     def _prefix(self, day: int) -> int:
         """Number of events on days ``<= day``."""
         return int(np.searchsorted(self.day, day, side="right"))

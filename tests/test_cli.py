@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.graph import load_san_tsv, save_san_tsv
 
@@ -216,6 +223,39 @@ def test_likelihood_from_snapshot_pair(tmp_path, capsys, tiny_snapshots):
     )
     assert exit_code == 0
     assert "snapshot diff" in capsys.readouterr().out
+
+
+def test_likelihood_of_a_snapshot_pair_depends_only_on_its_content(tmp_path, tiny_snapshots):
+    """Shuffled TSV lines and another hash seed give the same ``--out`` JSON.
+
+    Users are relabelled as strings, whose sets iterate in an order that
+    ``PYTHONHASHSEED`` decides; all links are scored, so every event counts.
+    """
+    rng = random.Random(3)
+    for directory, shuffle in (("ordered", False), ("shuffled", True)):
+        (tmp_path / directory).mkdir()
+        for name, san in (("before", tiny_snapshots.halfway()), ("after", tiny_snapshots.last())):
+            save_san_tsv(san, tmp_path / "social.tsv", tmp_path / "attrs.tsv")
+            for kind, users_per_line in (("social", 2), ("attrs", 1)):
+                lines = []
+                for line in (tmp_path / f"{kind}.tsv").read_text().splitlines():
+                    fields = line.split("\t")
+                    fields[:users_per_line] = [f"u{user}" for user in fields[:users_per_line]]
+                    lines.append("\t".join(fields))
+                if shuffle:
+                    rng.shuffle(lines)
+                (tmp_path / directory / f"{name}.{kind}.tsv").write_text("\n".join(lines) + "\n")
+    command = [sys.executable, "-m", "repro", "likelihood", "--max-links", "0", "--out", "out.json"]
+    for name in ("before", "after"):
+        command += [f"--{name}-social", f"{name}.social.tsv"]
+        command += [f"--{name}-attributes", f"{name}.attrs.tsv"]
+    source_root = str(Path(repro.__file__).resolve().parent.parent)
+    outputs = []
+    for directory, hash_seed in (("ordered", "1"), ("ordered", "2"), ("shuffled", "1")):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
+        subprocess.run(command, cwd=tmp_path / directory, env=env, check=True, capture_output=True)
+        outputs.append((tmp_path / directory / "out.json").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_likelihood_requires_inputs(capsys):

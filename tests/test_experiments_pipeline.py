@@ -14,6 +14,7 @@ Covers the three contract areas of the pipeline subsystem:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -334,6 +335,9 @@ def test_runner_writes_manifest_and_reports(tmp_path, tiny_pipeline, pipeline_ca
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["scenario"]["name"] == "tiny"
     assert {stage["name"] for stage in manifest["stages"]} == {"fig02_03", "sec22"}
+    for stage in manifest["stages"]:
+        payload = canonical_json(result.stages[stage["name"]].payload)
+        assert stage["digest"] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
     for event in manifest["artifacts"]:
         assert event["status"] in ("built", "cached")
         assert len(event["key"]) == 16

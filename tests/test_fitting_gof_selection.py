@@ -69,7 +69,6 @@ def test_compare_distributions_and_best_fit_lognormal_data():
     comparison = compare_distributions(samples)
     assert "lognormal" in comparison.fits
     assert comparison.best_name == "lognormal"
-    assert comparison.ranked()[0] == "lognormal"
     assert best_fit_name(samples) == "lognormal"
     assert comparison.fits[comparison.best_name].name == "lognormal"
 

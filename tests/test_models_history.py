@@ -66,3 +66,33 @@ def test_apply_event_kinds():
     assert san.is_social_node(6)
     assert san.has_attribute_edge(5, "a")
     assert san.attribute_type("a") == "t"
+
+
+def test_from_snapshots_emits_each_group_in_label_order():
+    """New nodes, then new attribute links, then new social links, each
+    sorted with int labels before string labels; the initial SAN's nodes
+    follow the same order, whatever order the snapshots were built in."""
+    earlier = SAN()
+    for node in ("b", 5, "a", 2):
+        earlier.add_social_node(node)
+    earlier.add_attribute_edge("a", "city:Z", attr_type="city", value="Z")
+    earlier.add_attribute_edge(5, "city:A", attr_type="city", value="A")
+    later = earlier.copy()
+    later.add_social_edge("c", 2)
+    later.add_social_edge(9, "a")
+    later.add_social_edge(2, 5)
+    later.add_attribute_edge("c", "city:A", attr_type="city", value="A")
+    later.add_attribute_edge(2, "city:Z", attr_type="city", value="Z")
+
+    history = ArrivalHistory.from_snapshots(earlier, later)
+    assert list(history.initial.social_nodes()) == [2, 5, "a", "b"]
+    assert list(history.initial.attribute_nodes()) == ["city:A", "city:Z"]
+    assert [(event.kind, event.first, event.second) for event in history.events] == [
+        ("node", 9, None),
+        ("node", "c", None),
+        ("attribute", 2, "city:Z"),
+        ("attribute", "c", "city:A"),
+        ("social", 2, 5),
+        ("social", 9, "a"),
+        ("social", "c", 2),
+    ]

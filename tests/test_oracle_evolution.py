@@ -80,7 +80,10 @@ def test_frozen_snapshots_equal_the_mutable_replay(which, tiny_evolution, regime
 
 def test_profiles_and_join_days_equal_the_replay(regime_evolution):
     final = final_san(regime_evolution)
-    for user, profile in regime_evolution.profiles.items():
+    indptr, indices = regime_evolution.final_san().attributes.social_to_attr_csr()
+    info = regime_evolution.attribute_info
+    for user, (start, stop) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
+        profile = {info[a].attr_type: info[a].value for a in indices[start:stop].tolist()}
         held = {
             final.attribute_info(attribute).attr_type: final.attribute_info(attribute).value
             for attribute in final.attribute_neighbors(user)

@@ -13,8 +13,10 @@ any class, in ``src/repro`` counts as used when any of these holds:
   functions by name);
 * it is registered by ``@experiment``, ``@artifact`` or ``@register_rule``.
 
-Methods are matched by name alone: a method counts as used when its name is
-used as above, whichever class it belongs to.  A name that only tests reach is
+Methods are matched by name alone, and only as attributes: a method counts
+as used when ``.name`` appears as above (or ``"name"`` in ``perfbench/``),
+whichever class it belongs to.  A local variable or a function that shares
+the spelling does not count.  A name that only tests reach is
 deleted, unless :data:`KEPT` (or :data:`KEPT_METHODS`) lists it with a
 reason the test can check: the file that uses it, or the ROADMAP item that
 will.  A ``KEPT`` entry that is no longer needed fails too, so the list
@@ -87,8 +89,11 @@ def _is_all_assignment(node: ast.AST) -> bool:
     )
 
 
-def _references(tree: ast.AST, *, imports: bool, strings: bool) -> Counter:
-    """Count the names ``tree`` mentions as names, attributes, imports or strings."""
+def _references(
+    tree: ast.AST, *, imports: bool, strings: bool, names: bool = True
+) -> Counter:
+    """Count the names ``tree`` mentions as names, attributes, imports or
+    strings (``names=False`` skips plain names)."""
     counts: Counter = Counter()
     skipped = {
         id(child)
@@ -99,7 +104,7 @@ def _references(tree: ast.AST, *, imports: bool, strings: bool) -> Counter:
     for node in ast.walk(tree):
         if id(node) in skipped:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and names:
             counts[node.id] += 1
         elif isinstance(node, ast.Attribute):
             counts[node.attr] += 1
@@ -145,28 +150,33 @@ def public_methods() -> List[Tuple[str, str, Path, ast.AST]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _uses() -> Tuple[Counter, Counter]:
-    """Name counts in ``src/`` and in the caller directories."""
+def _uses(methods: bool = False) -> Tuple[Counter, Counter]:
+    """Name counts in ``src/`` and in the caller directories; with
+    ``methods``, attribute references (and perfbench strings) only."""
     src_uses: Counter = Counter()
     for path in _python_files(SRC):
         src_uses += _references(
-            _parse(path), imports=path.name != "__init__.py", strings=False
+            _parse(path),
+            imports=path.name != "__init__.py" and not methods,
+            strings=False,
+            names=not methods,
         )
     outside_uses: Counter = Counter()
     for directory in CALLER_DIRS:
         for path in _python_files(ROOT / directory):
             outside_uses += _references(
                 _parse(path),
-                imports=True,
+                imports=not methods,
                 strings=directory in STRING_CALLER_DIRS,
+                names=not methods,
             )
     return src_uses, outside_uses
 
 
-def _has_caller(name: str, node: ast.AST) -> bool:
+def _has_caller(name: str, node: ast.AST, methods: bool = False) -> bool:
     """Whether ``name`` is used outside its definition ``node``."""
-    src_uses, outside_uses = _uses()
-    own = _references(node, imports=True, strings=False)[name]
+    src_uses, outside_uses = _uses(methods)
+    own = _references(node, imports=not methods, strings=False, names=not methods)[name]
     return src_uses[name] - own > 0 or outside_uses[name] > 0
 
 
@@ -191,7 +201,7 @@ def unused_public_methods() -> Dict[str, Path]:
     return {
         qualified: path
         for qualified, name, path, node in public_methods()
-        if not _has_caller(name, node)
+        if not _has_caller(name, node, methods=True)
     }
 
 

@@ -62,12 +62,12 @@ def test_declaration_fraction_matches_config(tiny_evolution):
 
 
 def test_profiles_only_for_declaring_users(tiny_evolution):
-    final = tiny_evolution.final_san()
-    for user, profile in tiny_evolution.profiles.items():
-        if profile:
-            assert final.attribute_degree(user) == len(profile)
-        else:
-            assert final.attribute_degree(user) == 0
+    """A user declares at most one value per attribute type."""
+    indptr, indices = tiny_evolution.final_san().attributes.social_to_attr_csr()
+    info = tiny_evolution.attribute_info
+    for start, stop in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        types = [info[attribute].attr_type for attribute in indices[start:stop].tolist()]
+        assert len(set(types)) == len(types)
 
 
 def test_reciprocity_in_plausible_range(tiny_evolution):
