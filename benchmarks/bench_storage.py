@@ -1,8 +1,8 @@
 """Columnar storage tier vs the TSV text path.
 
-The out-of-core tentpole claims the binary columnar format makes frozen
-graphs cheap to load and nearly free to *re*-load: a cold columnar read
-into RAM beats the streaming TSV parse by ``REQUIRED_COLD_SPEEDUP``, a warm
+The binary columnar format makes frozen graphs cheap to load and nearly
+free to *re*-load: a cold columnar read into RAM beats the streaming TSV
+parse by ``REQUIRED_COLD_SPEEDUP``, a warm
 mmap-backed open (the artifact cache's warm-hit path) beats it by
 ``REQUIRED_WARM_SPEEDUP``, and an mmap-backed graph costs at most
 ``MAX_RSS_BYTES_PER_EDGE`` of resident memory to open — the adjacency
@@ -160,9 +160,7 @@ def test_storage_tier_gates(storage_workload, write_result):
 
     # The three load paths.  The TSV parse is the pre-columnar warm-hit
     # cost (the artifact cache used to re-parse text on every hit).
-    tsv_seconds, tsv_san = _best_of(
-        lambda: load_san_tsv(social_tsv, attrs_tsv, frozen=True)
-    )
+    tsv_seconds, tsv_san = _best_of(lambda: load_san_tsv(social_tsv, attrs_tsv))
     cold_seconds, ram_san = _best_of(lambda: open_columnar(columnar, mmap_mode=None))
     warm_seconds, mmap_san = _best_of(lambda: open_columnar(columnar, mmap_mode="r"))
 
@@ -184,7 +182,7 @@ def test_storage_tier_gates(storage_workload, write_result):
     tsv_bytes = social_tsv.stat().st_size + attrs_tsv.stat().st_size
     rows = [
         {
-            "path": "tsv parse (frozen=True)",
+            "path": "tsv parse",
             "seconds": round(tsv_seconds, 4),
             "speedup": 1.0,
             "disk_bytes": tsv_bytes,

@@ -91,6 +91,38 @@ from .models import (
 from .synthetic import GooglePlusConfig, build_workload
 
 
+def _checked_number(convert, text: str, requirement: str, ok) -> float:
+    """``convert(text)`` if it parses and satisfies ``ok``; otherwise an
+    argparse usage error naming ``requirement``."""
+    try:
+        value = convert(text)
+        if ok(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {requirement}, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    return _checked_number(int, text, "a positive integer", lambda value: value > 0)
+
+
+def _positive_float(text: str) -> float:
+    return _checked_number(float, text, "a positive number", lambda value: value > 0)
+
+
+def _non_negative_float(text: str) -> float:
+    return _checked_number(float, text, "a non-negative number", lambda value: value >= 0)
+
+
+def _float_grid(text: str) -> List[float]:
+    """Comma-separated numbers (empty entries are skipped)."""
+    try:
+        return [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -101,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = subparsers.add_parser(
         "simulate", help="simulate a Google+-like evolution and save the crawled SAN"
     )
-    simulate.add_argument("--users", type=int, default=2000, help="total users to simulate")
-    simulate.add_argument("--days", type=int, default=98, help="number of simulated days")
+    simulate.add_argument("--users", type=_positive_int, default=2000, help="total users to simulate (at least --days)")
+    simulate.add_argument("--days", type=_positive_int, default=98, help="number of simulated days")
     simulate.add_argument("--phase-one-end", type=int, default=20)
     simulate.add_argument("--phase-two-end", type=int, default=75)
     simulate.add_argument("--seed", type=int, default=20120835)
@@ -136,13 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate.add_argument("--social", required=True)
     estimate.add_argument("--attributes", required=True)
-    estimate.add_argument("--mean-sleep", type=float, default=2.0)
-    estimate.add_argument("--beta", type=float, default=200.0)
+    estimate.add_argument("--mean-sleep", type=_positive_float, default=2.0)
+    estimate.add_argument("--beta", type=_non_negative_float, default=200.0)
 
     generate = subparsers.add_parser(
         "generate", help="generate a synthetic SAN with the paper's model (Algorithm 1)"
     )
-    generate.add_argument("--steps", type=int, default=2000, help="number of new social nodes")
+    generate.add_argument("--steps", type=_positive_int, default=2000, help="number of new social nodes")
     generate.add_argument("--seed", type=int, default=1)
     generate.add_argument("--reference-social", default=None, help="optional reference SAN to estimate parameters from")
     generate.add_argument("--reference-attributes", default=None)
@@ -159,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     likelihood.add_argument(
         "--steps",
-        type=int,
+        type=_positive_int,
         default=None,
         help="generate an Algorithm 1 history of this many steps to score "
         "(alternative to the snapshot-pair inputs below)",
@@ -189,15 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=2000,
         help="number of links to score (uniform subsample); 0 scores all",
     )
-    likelihood.add_argument("--smoothing", type=float, default=1.0)
+    likelihood.add_argument("--smoothing", type=_non_negative_float, default=1.0)
     likelihood.add_argument(
-        "--alphas", default="0,0.5,1,1.5,2", help="comma-separated alpha grid"
+        "--alphas", type=_float_grid, default="0,0.5,1,1.5,2", help="comma-separated alpha grid"
     )
     likelihood.add_argument(
-        "--papa-betas", default="0,2,4,6,8", help="comma-separated PAPA beta grid"
+        "--papa-betas", type=_float_grid, default="0,2,4,6,8", help="comma-separated PAPA beta grid"
     )
     likelihood.add_argument(
         "--lapa-betas",
+        type=_float_grid,
         default="0,10,100,200,500",
         help="comma-separated LAPA beta grid",
     )
@@ -349,11 +382,14 @@ def _command_simulate(args: argparse.Namespace) -> int:
         num_days=args.days,
         phases=PhaseBoundaries(args.phase_one_end, args.phase_two_end),
     )
-    workload = build_workload(config, rng=args.seed, snapshot_count=14)
     day = args.day if args.day is not None else args.days
     if not 1 <= day <= args.days:
         print(f"error: --day must be in [1, {args.days}]", file=sys.stderr)
         return 2
+    if args.users < args.days:
+        print(f"error: --users must be at least --days ({args.days})", file=sys.stderr)
+        return 2
+    workload = build_workload(config, rng=args.seed, snapshot_count=14)
     series = crawl_evolution(workload.evolution, [day])
     san = series.at(day)
     print(f"simulated {args.users} users over {args.days} days; crawled day {day}: {san!r}")
@@ -362,7 +398,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_measure(args: argparse.Namespace) -> int:
-    san = load_san_tsv(args.social, args.attributes, frozen=True)
+    san = load_san_tsv(args.social, args.attributes)
     report = san_metric_report(
         san, include_diameter=not args.no_diameter, rng=args.seed
     )
@@ -373,7 +409,7 @@ def _command_measure(args: argparse.Namespace) -> int:
 def _command_report(args: argparse.Namespace) -> int:
     # The load itself performs the single freeze of the pipeline;
     # frozen_san_report's freeze() call is then the identity.
-    san = load_san_tsv(args.social, args.attributes, frozen=True)
+    san = load_san_tsv(args.social, args.attributes)
     report = frozen_san_report(
         san, include_diameter=not args.no_diameter, rng=args.seed
     )
@@ -423,13 +459,6 @@ def _command_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(text: str, flag: str) -> List[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise SystemExit(f"error: {flag} expects comma-separated numbers, got {text!r}")
-
-
 def _command_likelihood(args: argparse.Namespace) -> int:
     snapshot_flags = (
         args.before_social,
@@ -464,9 +493,9 @@ def _command_likelihood(args: argparse.Namespace) -> int:
     max_links = None if args.max_links <= 0 else args.max_links
     sweep = figure15_sweep(
         history,
-        alphas=_parse_grid(args.alphas, "--alphas"),
-        papa_betas=_parse_grid(args.papa_betas, "--papa-betas"),
-        lapa_betas=_parse_grid(args.lapa_betas, "--lapa-betas"),
+        alphas=args.alphas,
+        papa_betas=args.papa_betas,
+        lapa_betas=args.lapa_betas,
         smoothing=args.smoothing,
         max_links=max_links,
         rng=args.seed,
@@ -617,10 +646,10 @@ def _command_convert(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        san = load_san_json(args.json_path, frozen=True)
+        san = load_san_json(args.json_path)
         source = args.json_path
     elif args.social and args.attributes:
-        san = load_san_tsv(args.social, args.attributes, frozen=True)
+        san = load_san_tsv(args.social, args.attributes)
         source = args.social
     else:
         print(

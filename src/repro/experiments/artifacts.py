@@ -54,7 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Un
 import numpy as np
 
 from ..crawler.snapshots import SnapshotSeries, crawl_evolution
-from ..graph.columnar import load_columnar_extras, maybe_spill, open_columnar, save_columnar
+from ..graph.columnar import load_columnar_extras, open_columnar, save_columnar
 from ..graph.errors import ColumnarFormatError
 from ..graph.frozen import FrozenSAN
 from ..models.estimation import estimate_parameters
@@ -471,16 +471,14 @@ def canonical_frozen(san) -> FrozenSAN:
     link_social = np.repeat(np.arange(order.size, dtype=np.int64), np.diff(sa_indptr))
 
     kept_attrs = [attr_labels[i] for i in attr_order.tolist()]
-    return maybe_spill(
-        FrozenSAN.from_edge_arrays(
-            [labels[i] for i in order.tolist()],
-            rank[sources],
-            rank[targets],
-            kept_attrs,
-            [attributes.attribute_info(label) for label in kept_attrs],
-            rank[link_social],
-            attr_rank[sa_indices],
-        )
+    return FrozenSAN.from_edge_arrays(
+        [labels[i] for i in order.tolist()],
+        rank[sources],
+        rank[targets],
+        kept_attrs,
+        [attributes.attribute_info(label) for label in kept_attrs],
+        rank[link_social],
+        attr_rank[sa_indices],
     )
 
 

@@ -10,13 +10,9 @@ from .builders import (
 from .columnar import (
     FORMAT_VERSION,
     columnar_info,
-    is_mmap_backed,
     load_columnar_extras,
-    maybe_spill,
-    mmap_forced,
     open_columnar,
     save_columnar,
-    spill_to_mmap,
 )
 from .digraph import DiGraph
 from .errors import (
@@ -34,12 +30,7 @@ from .errors import (
     PackedKeyError,
     SerializationError,
 )
-from .frozen import (
-    FrozenBipartiteAttributeGraph,
-    FrozenDiGraph,
-    FrozenSAN,
-    IdentityLabels,
-)
+from .frozen import FrozenBipartiteAttributeGraph, FrozenDiGraph, FrozenSAN
 from .protocol import DiGraphView, SANView
 from .san import SAN
 from .serialization import load_san_json, load_san_tsv, save_san_json, save_san_tsv
@@ -52,7 +43,6 @@ __all__ = [
     "FrozenBipartiteAttributeGraph",
     "FrozenDiGraph",
     "FrozenSAN",
-    "IdentityLabels",
     "DiGraphView",
     "SANView",
     "FORMAT_VERSION",
@@ -60,10 +50,6 @@ __all__ = [
     "open_columnar",
     "load_columnar_extras",
     "columnar_info",
-    "maybe_spill",
-    "spill_to_mmap",
-    "mmap_forced",
-    "is_mmap_backed",
     "attribute_node_id",
     "complete_seed_san",
     "san_from_edge_lists",

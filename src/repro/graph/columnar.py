@@ -1,12 +1,12 @@
 """Versioned binary columnar storage for frozen graphs.
 
-This is the out-of-core backbone promised by ROADMAP item 1: a frozen graph
-(:class:`~repro.graph.frozen.FrozenSAN` or
+A frozen graph (:class:`~repro.graph.frozen.FrozenSAN` or
 :class:`~repro.graph.frozen.FrozenDiGraph`) is laid out on disk as a small
 self-describing header followed by 64-byte-aligned little-endian array
 sections — one per CSR array, label table, and attribute-membership column —
 so :func:`open_columnar` can hand every kernel an ``np.memmap`` view of the
-file instead of re-parsing text into RAM.
+file instead of re-parsing text into RAM.  The artifact store keeps every
+stored graph in this format.
 
 File layout (version 1)::
 
@@ -21,9 +21,9 @@ File layout (version 1)::
 ``sections`` maps section name to ``[relative_offset, shape, dtype]`` with
 offsets relative to ``data_start``, so the header can be serialized before
 the absolute layout is known.  Node labels are stored in one of three
-encodings chosen by the writer: ``identity`` (labels are exactly ``0..n-1``;
-no section at all — the reader substitutes
-:class:`~repro.graph.frozen.IdentityLabels`), ``int64`` (a plain array
+encodings chosen by the writer: ``identity`` (labels are exactly the ints
+``0..n-1``; no section at all — the reader rebuilds ``list(range(n))`` once
+the CSR arrays have confirmed ``n``), ``int64`` (a plain array
 section), or ``table`` (an interned string table: per-label kind codes, a
 ``uint8`` blob, and an offsets array).  Attribute values use the same table
 encoding; attribute types are interned into ``meta["attr_type_names"]`` with
@@ -40,11 +40,6 @@ instead of decoding garbage.
 The arrays returned by :func:`open_columnar` are bit-identical to the ones
 the in-RAM freeze produces, so every engine kernel works unchanged on an
 mmap-backed graph.
-
-``REPRO_MMAP=1`` (see :func:`mmap_forced` / :func:`maybe_spill`) reroutes the
-frozen-graph producers through a spill-to-columnar round trip, forcing every
-frozen graph in the process to be mmap-backed — the tier-1 CI leg uses this
-to prove the whole suite runs out-of-core.
 """
 
 from __future__ import annotations
@@ -53,8 +48,6 @@ import json
 import math
 import os
 import struct
-import tempfile
-import weakref
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -68,19 +61,12 @@ from .errors import (
     ColumnarTruncatedError,
     ColumnarVersionError,
 )
-from .frozen import (
-    FrozenBipartiteAttributeGraph,
-    FrozenDiGraph,
-    FrozenSAN,
-    IdentityLabels,
-    identity_labels_if_trivial,
-)
+from .frozen import FrozenBipartiteAttributeGraph, FrozenDiGraph, FrozenSAN
 from .san import SAN
 
 MAGIC = b"RPROCOL\x00"
 FORMAT_VERSION = 1
 SECTION_ALIGNMENT = 64
-MMAP_ENV = "REPRO_MMAP"
 
 _PREAMBLE = struct.Struct("<8sIIQQ")  # magic, version, byte-order mark, header len, data start
 _BOM_LITTLE = struct.pack("<I", 0x01020304)
@@ -172,11 +158,10 @@ def _label_sections(
     prefix: str, labels
 ) -> Tuple[str, Dict[str, np.ndarray]]:
     """Choose a label encoding; return ``(encoding, {section_name: array})``."""
-    labels = identity_labels_if_trivial(labels)
-    if isinstance(labels, IdentityLabels):
-        return "identity", {}
     values = list(labels)
-    if values and all(type(v) is int for v in values):
+    if all(type(v) is int and v == i for i, v in enumerate(values)):
+        return "identity", {}
+    if all(type(v) is int for v in values):
         return "int64", {f"{prefix}_i64": np.asarray(values, dtype=np.int64)}
     kinds, offsets, blob = _encode_object_table(values)
     return "table", {
@@ -192,9 +177,15 @@ def _decode_labels(
     count: int,
     prefix: str,
     arrays: Dict[str, np.ndarray],
-):
+) -> List[object]:
+    """The ``count`` labels of ``prefix``.
+
+    ``count`` must already be tied to a CSR's row count: an ``identity``
+    encoding has no section to bound it, so ``list(range(count))`` would
+    otherwise grow with whatever count a damaged header claims.
+    """
     if encoding == "identity":
-        return IdentityLabels(count)
+        return list(range(count))
     if encoding == "int64":
         labels = _section(path, arrays, f"{prefix}_i64").tolist()
     elif encoding == "table":
@@ -568,20 +559,24 @@ def open_columnar(
     arrays = _load_sections(path, header, mmap_mode)
     meta = header.get("meta", {})
     kind = header["kind"]
+    # Each label count is checked against a CSR's rows before its labels
+    # are decoded (see _decode_labels).
     if kind == "san":
-        encoding, social_count = _label_spec(path, meta, "social_labels")
-        social_labels = _decode_labels(path, encoding, social_count, "social_labels", arrays)
+        social_encoding, social_count = _label_spec(path, meta, "social_labels")
+        attr_encoding, attr_count = _label_spec(path, meta, "attr_labels")
         out_indptr, out_indices = _checked_csr(
             path, arrays, "social_out", social_count, social_count
         )
         in_indptr, in_indices = _checked_csr(
             path, arrays, "social_in", social_count, social_count
         )
-        social = FrozenDiGraph(social_labels, out_indptr, out_indices, in_indptr, in_indices)
-        encoding, attr_count = _label_spec(path, meta, "attr_labels")
-        attr_labels = _decode_labels(path, encoding, attr_count, "attr_labels", arrays)
         sa_indptr, sa_indices = _checked_csr(path, arrays, "sa", social_count, attr_count)
         as_indptr, as_indices = _checked_csr(path, arrays, "as", attr_count, social_count)
+        social_labels = _decode_labels(
+            path, social_encoding, social_count, "social_labels", arrays
+        )
+        social = FrozenDiGraph(social_labels, out_indptr, out_indices, in_indptr, in_indices)
+        attr_labels = _decode_labels(path, attr_encoding, attr_count, "attr_labels", arrays)
         type_names = meta.get("attr_type_names")
         if not isinstance(type_names, list) or not all(
             isinstance(name, str) for name in type_names
@@ -614,12 +609,10 @@ def open_columnar(
         return FrozenSAN(social, attributes)
     if kind == "digraph":
         encoding, count = _label_spec(path, meta, "labels")
+        out_csr = _checked_csr(path, arrays, "out", count, count)
+        in_csr = _checked_csr(path, arrays, "in", count, count)
         labels = _decode_labels(path, encoding, count, "labels", arrays)
-        return FrozenDiGraph(
-            labels,
-            *_checked_csr(path, arrays, "out", count, count),
-            *_checked_csr(path, arrays, "in", count, count),
-        )
+        return FrozenDiGraph(labels, *out_csr, *in_csr)
     raise ColumnarFormatError(path, f"unknown graph kind {kind!r}")
 
 
@@ -665,70 +658,3 @@ def columnar_info(path) -> Dict[str, object]:
         },
         "meta": header.get("meta", {}),
     }
-
-
-# ----------------------------------------------------------------------
-# Spill helpers (the REPRO_MMAP escape hatch)
-# ----------------------------------------------------------------------
-def mmap_forced() -> bool:
-    """Whether ``REPRO_MMAP`` requests mmap-backed frozen graphs.
-
-    Read per call (same contract as
-    :func:`repro.engine.deps.sanitize_enabled`) so tests can flip the
-    environment without cache invalidation concerns.
-    """
-    return os.environ.get(MMAP_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def spill_to_mmap(
-    graph: GraphLike, directory: Optional[str] = None
-) -> Union[FrozenSAN, FrozenDiGraph]:
-    """Round-trip ``graph`` through a columnar temp file, returning mmap views.
-
-    On POSIX the temp file is unlinked immediately after opening — the open
-    file descriptor keeps the pages readable, so spilled graphs need no
-    cleanup bookkeeping and cannot leak named files.  Elsewhere the unlink is
-    deferred to a ``weakref.finalize`` on the returned graph.
-    """
-    fd, tmp_path = tempfile.mkstemp(
-        prefix="repro-columnar-", suffix=".col", dir=directory
-    )
-    os.close(fd)
-    try:
-        save_columnar(graph, tmp_path)
-        reopened = open_columnar(tmp_path, mmap_mode="r")
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
-    try:
-        os.unlink(tmp_path)
-    except OSError:  # pragma: no cover - non-POSIX fallback
-        weakref.finalize(reopened, _unlink_quietly, tmp_path)
-    return reopened
-
-
-def _unlink_quietly(path: str) -> None:  # pragma: no cover - non-POSIX fallback
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
-def maybe_spill(graph: GraphLike) -> GraphLike:
-    """Spill ``graph`` to an mmap-backed columnar temp file under ``REPRO_MMAP``.
-
-    The identity function when the knob is off — producers wrap their return
-    value in this so the whole pipeline can be forced out-of-core without
-    touching call sites.
-    """
-    if mmap_forced() and isinstance(graph, (FrozenSAN, FrozenDiGraph)):
-        return spill_to_mmap(graph)
-    return graph
-
-
-def is_mmap_backed(graph: Union[FrozenSAN, FrozenDiGraph]) -> bool:
-    """Whether ``graph``'s primary adjacency array is an ``np.memmap`` view."""
-    if isinstance(graph, FrozenSAN):
-        graph = graph.social
-    _, indices = graph.out_csr()
-    return isinstance(indices, np.memmap)

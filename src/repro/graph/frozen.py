@@ -47,8 +47,7 @@ True
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -201,110 +200,6 @@ def sorted_membership(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Lazy identity labels (out-of-core graphs)
-# ----------------------------------------------------------------------
-class IdentityLabels(Sequence):
-    """Read-only stand-in for ``list(range(n))`` without materializing it.
-
-    Graphs produced by the generative engines label nodes with their own
-    compact ids, so a 10M-node frozen graph would otherwise carry a 10M-entry
-    Python list (plus a 10M-entry index dict) that dwarfs the CSR arrays it
-    accompanies.  The columnar loader detects that case and substitutes this
-    O(1)-memory sequence; it compares equal to the equivalent list so callers
-    that assert ``graph.labels() == list(range(n))`` keep working.
-    """
-
-    __slots__ = ("_n",)
-
-    def __init__(self, n: int) -> None:
-        self._n = int(n)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return list(range(self._n))[item]
-        i = operator.index(item)
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError(item)
-        return i
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._n))
-
-    def __contains__(self, item: object) -> bool:
-        return isinstance(item, int) and not isinstance(item, bool) and 0 <= item < self._n
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IdentityLabels):
-            return self._n == other._n
-        if isinstance(other, (list, tuple, range)):
-            return len(other) == self._n and all(
-                value == i for i, value in enumerate(other)
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("IdentityLabels", self._n))
-
-    def index(self, value, start: int = 0, stop: Optional[int] = None) -> int:
-        if value in self:
-            stop = self._n if stop is None else stop
-            if start <= value < stop:
-                return value
-        raise ValueError(f"{value!r} is not in labels")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IdentityLabels({self._n})"
-
-
-class IdentityIndex(Mapping):
-    """Read-only stand-in for ``{i: i for i in range(n)}`` (see IdentityLabels)."""
-
-    __slots__ = ("_n",)
-
-    def __init__(self, n: int) -> None:
-        self._n = int(n)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, key):
-        if isinstance(key, int) and not isinstance(key, bool) and 0 <= key < self._n:
-            return key
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._n))
-
-    def __contains__(self, key: object) -> bool:
-        return isinstance(key, int) and not isinstance(key, bool) and 0 <= key < self._n
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IdentityIndex({self._n})"
-
-
-def identity_labels_if_trivial(labels) -> object:
-    """Return ``IdentityLabels(n)`` when ``labels`` is exactly ``0..n-1``.
-
-    Otherwise return ``labels`` unchanged.  Used by the columnar writer to
-    decide whether the label section can be elided entirely.
-    """
-    if isinstance(labels, IdentityLabels):
-        return labels
-    n = len(labels)
-    if isinstance(labels, range):
-        return IdentityLabels(n) if labels == range(n) else labels
-    for i, value in enumerate(labels):
-        if type(value) is not int or value != i:
-            return labels
-    return IdentityLabels(n)
-
-
-# ----------------------------------------------------------------------
 # Frozen directed graph
 # ----------------------------------------------------------------------
 class FrozenDiGraph:
@@ -339,9 +234,6 @@ class FrozenDiGraph:
         "_und_indptr",
         "_und_indices",
         "_edge_src",
-        # Weak-referenceable so spill_to_mmap can tie a temp file it could
-        # not unlink yet to the graph's lifetime (weakref.finalize).
-        "__weakref__",
     )
 
     def __init__(
@@ -352,15 +244,8 @@ class FrozenDiGraph:
         in_indptr: np.ndarray,
         in_indices: np.ndarray,
     ) -> None:
-        # IdentityLabels (out-of-core graphs) are kept as-is so a 10M-node
-        # mmap-backed graph does not pay for a 10M-entry list + index dict.
-        self._labels = (
-            labels if isinstance(labels, IdentityLabels) else list(labels)
-        )
-        if isinstance(self._labels, IdentityLabels):
-            self._index = IdentityIndex(len(self._labels))
-        else:
-            self._index = {label: i for i, label in enumerate(self._labels)}
+        self._labels = list(labels)
+        self._index = {label: i for i, label in enumerate(self._labels)}
         self._out_indptr = out_indptr
         self._out_indices = out_indices
         self._in_indptr = in_indptr
@@ -812,9 +697,7 @@ class FrozenSAN:
     True
     """
 
-    # __weakref__: spill_to_mmap may tie its temp file's unlink to the
-    # graph's lifetime (weakref.finalize), as for FrozenDiGraph.
-    __slots__ = ("social", "attributes", "_derived", "__weakref__")
+    __slots__ = ("social", "attributes", "_derived")
 
     def __init__(
         self, social: FrozenDiGraph, attributes: FrozenBipartiteAttributeGraph

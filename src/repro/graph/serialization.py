@@ -9,9 +9,8 @@ Two formats are supported:
 
 Both the mutable :class:`~repro.graph.san.SAN` and the frozen
 :class:`~repro.graph.frozen.FrozenSAN` backend can be saved (the writers only
-touch the shared read-only surface), and both loaders accept ``frozen=True``
-to return the loaded network already compacted to CSR form — so a frozen SAN
-round-trips through disk without an intermediate manual ``freeze()`` call.
+touch the shared read-only surface); both loaders return a
+:class:`~repro.graph.frozen.FrozenSAN`.
 """
 
 from __future__ import annotations
@@ -19,21 +18,18 @@ from __future__ import annotations
 import json
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
 from .bipartite import AttributeInfo
 from .builders import attribute_node_id
 from .errors import InvalidNodeKindError, SerializationError
-from .frozen import sorted_pair_keys
+from .frozen import FrozenSAN, sorted_pair_keys
 from .san import SAN
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .frozen import FrozenSAN
-
 PathLike = Union[str, Path]
-SANLike = Union[SAN, "FrozenSAN"]
+SANLike = Union[SAN, FrozenSAN]
 
 
 def save_san_tsv(
@@ -51,78 +47,18 @@ def save_san_tsv(
             handle.write(f"{social}\t{info.attr_type}\t{info.value}\n")
 
 
-def load_san_tsv(
-    social_path: PathLike, attribute_path: PathLike, frozen: bool = False
-) -> SANLike:
+def load_san_tsv(social_path: PathLike, attribute_path: PathLike) -> FrozenSAN:
     """Load a SAN from the TSV pair written by :func:`save_san_tsv`.
 
     Social node ids are parsed back to integers when possible so a round trip
-    through disk preserves the library's integer-id convention.  With
-    ``frozen=True`` the result is returned as a read-only CSR-backed
-    :class:`~repro.graph.frozen.FrozenSAN`, built by streaming the TSV
-    straight into compact-id edge arrays — the mutable dict-of-sets
-    intermediate is only constructed when mutability is actually requested.
+    through disk preserves the library's integer-id convention.  The TSV is
+    streamed straight into compact-id edge arrays that
+    :meth:`FrozenSAN.from_edge_arrays` packs into CSR form, never into
+    Python dicts of sets.  Labels are interned in order of first appearance
+    in the files (social file first); duplicate rows collapse, and the first
+    row naming an attribute fixes its metadata.
     """
-    if frozen:
-        from .columnar import maybe_spill
-
-        return maybe_spill(_stream_frozen_san_tsv(Path(social_path), Path(attribute_path)))
-    san = SAN()
-    for source, target in _tsv_rows(Path(social_path), 2):
-        san.add_social_edge(_parse_node(source), _parse_node(target))
-    for social, attr_type, value in _tsv_rows(Path(attribute_path), 3):
-        san.add_attribute_edge(
-            _parse_node(social),
-            attribute_node_id(attr_type, value),
-            attr_type=attr_type,
-            value=value,
-        )
-    return san
-
-
-def _tsv_rows(path: Path, width: int) -> Iterator[List[str]]:
-    """The ``width`` tab-separated fields of each non-empty line of ``path``.
-
-    A line with another field count, or bytes that are not UTF-8, raise
-    :class:`~repro.graph.errors.SerializationError` naming the file.
-    """
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != width:
-                    raise SerializationError(
-                        f"{path}:{line_number}: expected {width} fields, got {len(parts)}"
-                    )
-                yield parts
-    except UnicodeDecodeError as exc:
-        raise SerializationError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from exc
-
-
-def _dedup_edge_arrays(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Drop duplicate ``(src, dst)`` pairs; output order is irrelevant because
-    the CSR builder re-sorts every row."""
-    keys, stride = sorted_pair_keys(src, dst, unique=True)
-    return np.divmod(keys, stride)
-
-
-def _stream_frozen_san_tsv(social_path: Path, attribute_path: Path) -> "FrozenSAN":
-    """Stream a TSV pair directly into a :class:`FrozenSAN`.
-
-    Produces the same network as ``load_san_tsv(..., frozen=False).freeze()``
-    — identical node interning order (first appearance in file order),
-    duplicate-edge collapsing, and first-seen-wins attribute metadata — but
-    the adjacency only ever exists as growable int64 edge arrays that
-    :meth:`FrozenSAN.from_edge_arrays` packs into CSR form, never as Python
-    dicts of sets.
-    """
-    from .frozen import FrozenSAN
-
+    social_path, attribute_path = Path(social_path), Path(attribute_path)
     social_index: dict = {}
     social_labels: list = []
     attr_index: dict = {}
@@ -170,10 +106,40 @@ def _stream_frozen_san_tsv(social_path: Path, attribute_path: Path) -> "FrozenSA
         np.frombuffer(link_social, dtype=np.int64),
         np.frombuffer(link_attr, dtype=np.int64),
     )
-
     return FrozenSAN.from_edge_arrays(
         social_labels, src, dst, attr_labels, attr_info, ls, la
     )
+
+
+def _tsv_rows(path: Path, width: int) -> Iterator[List[str]]:
+    """The ``width`` tab-separated fields of each non-empty line of ``path``.
+
+    A line with another field count, or bytes that are not UTF-8, raise
+    :class:`~repro.graph.errors.SerializationError` naming the file.
+    """
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != width:
+                    raise SerializationError(
+                        f"{path}:{line_number}: expected {width} fields, got {len(parts)}"
+                    )
+                yield parts
+    except UnicodeDecodeError as exc:
+        raise SerializationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+
+
+def _dedup_edge_arrays(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Drop duplicate ``(src, dst)`` pairs; output order is irrelevant because
+    the CSR builder re-sorts every row."""
+    keys, stride = sorted_pair_keys(src, dst, unique=True)
+    return np.divmod(keys, stride)
 
 
 def save_san_json(san: SANLike, path: PathLike) -> None:
@@ -197,12 +163,8 @@ def save_san_json(san: SANLike, path: PathLike) -> None:
     Path(path).write_text(json.dumps(document, indent=2), encoding="utf-8")
 
 
-def load_san_json(path: PathLike, frozen: bool = False) -> SANLike:
-    """Load a SAN from the JSON document written by :func:`save_san_json`.
-
-    With ``frozen=True`` the result is returned as a read-only CSR-backed
-    :class:`~repro.graph.frozen.FrozenSAN`.
-    """
+def load_san_json(path: PathLike) -> FrozenSAN:
+    """Load a SAN from the JSON document written by :func:`save_san_json`."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -219,11 +181,7 @@ def load_san_json(path: PathLike, frozen: bool = False) -> SANLike:
             attr_type=record.get("type", "generic"),
             value=record.get("value"),
         )
-    if frozen:
-        from .columnar import maybe_spill
-
-        return maybe_spill(san.freeze())
-    return san
+    return san.freeze()
 
 
 def _parse_node(token: str):

@@ -27,6 +27,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from ..graph.protocol import SANView
 from ..graph.san import SAN
 
 Node = Hashable
@@ -206,8 +207,11 @@ class ArrivalHistory:
     # Construction from snapshots
     # ------------------------------------------------------------------
     @classmethod
-    def from_snapshots(cls, earlier: SAN, later: SAN) -> "ArrivalHistory":
+    def from_snapshots(cls, earlier: SANView, later: SANView) -> "ArrivalHistory":
         """Approximate history between two snapshots of the same network.
+
+        Either snapshot may be a mutable :class:`~repro.graph.san.SAN` or a
+        :class:`~repro.graph.frozen.FrozenSAN`.
 
         New social nodes are emitted first, then new attribute links, then
         new social links, each group in :func:`_label_order`; the initial SAN
@@ -254,18 +258,19 @@ def _pair_order(pair: Tuple[Node, Node]) -> Tuple[Tuple[int, object], Tuple[int,
     return _label_order(pair[0]), _label_order(pair[1])
 
 
-def _label_ordered_copy(san: SAN) -> SAN:
-    """``san`` rebuilt with its social and attribute nodes added in
-    :func:`_label_order`, so node ids interned from it follow that order."""
+def _label_ordered_copy(san: SANView) -> SAN:
+    """``san`` rebuilt with its nodes, then its links, added in
+    :func:`_label_order`, so node ids interned from it follow that order and
+    its links iterate alike whichever backend or load order ``san`` had."""
     copy = SAN()
     for node in sorted(san.social_nodes(), key=_label_order):
         copy.add_social_node(node)
     for attribute in sorted(san.attribute_nodes(), key=_label_order):
         info = san.attribute_info(attribute)
         copy.add_attribute_node(attribute, attr_type=info.attr_type, value=info.value)
-    for source, target in san.social_edges():
+    for source, target in sorted(san.social_edges(), key=_pair_order):
         copy.add_social_edge(source, target)
-    for social, attribute in san.attribute_edges():
+    for social, attribute in sorted(san.attribute_edges(), key=_pair_order):
         copy.add_attribute_edge(social, attribute)
     return copy
 

@@ -272,9 +272,7 @@ class SANModelRun:
         follow from a stable position filter — the sorted order of an
         edge-log *prefix* is the sorted full order restricted to positions
         below the watermark.  Materializing ``k`` snapshots therefore costs
-        one sort plus ``k`` linear passes, not ``k`` sorts.  ``REPRO_MMAP=1``
-        spills every snapshot to a self-deleting columnar file and re-opens
-        it mmap-backed.
+        one sort plus ``k`` linear passes, not ``k`` sorts.
         """
         if mark is None:
             n = self.num_social_nodes
@@ -340,9 +338,7 @@ class SANModelRun:
             as_indptr,
             as_indices,
         )
-        from ..graph.columnar import maybe_spill
-
-        return maybe_spill(FrozenSAN(social, attributes))
+        return FrozenSAN(social, attributes)
 
     def _event_columns(self) -> Optional[np.ndarray]:
         """The compact event log as an ``(events, 3)`` array (``None`` unrecorded)."""

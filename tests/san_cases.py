@@ -12,14 +12,32 @@ rows, isolated nodes, reciprocal pairs and skewed attribute communities:
 * :data:`EDGE_CASES`: factories for an empty SAN, a single node, and an
   attribute-only component beside a social one.
 
+It also holds the tooling those tests share: :func:`spill_to_mmap` gives a
+kernel its mmap-backed input (the form a warm artifact-store hit takes),
+:func:`is_mmap_backed` tells the two apart, and :func:`tsv_reference_san`
+is the row-by-row SAN that ``load_san_tsv`` is compared with.
+
 Tests import it by name (pytest puts ``tests/`` on ``sys.path``).
 """
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
+from pathlib import Path
 
-from repro.graph import SAN, san_from_edge_lists
+import numpy as np
+
+from repro.graph import (
+    SAN,
+    FrozenSAN,
+    attribute_node_id,
+    open_columnar,
+    save_columnar,
+    san_from_edge_lists,
+)
+from repro.graph.serialization import _parse_node, _tsv_rows
 
 ATTRIBUTE_TYPES = ["employer", "school", "major", "city"]
 
@@ -124,3 +142,46 @@ def all_cases():
     for factory in EDGE_CASES:
         cases.append((factory.__name__, factory()))
     return cases
+
+
+def spill_to_mmap(graph):
+    """``graph`` round-tripped through a columnar temp file, as mmap views.
+
+    The file is unlinked as soon as it is open: the mapping keeps its pages
+    readable, and no named file outlives the call.
+    """
+    handle, path = tempfile.mkstemp(prefix="repro-columnar-", suffix=".col")
+    os.close(handle)
+    try:
+        save_columnar(graph, path)
+        return open_columnar(path, mmap_mode="r")
+    finally:
+        os.unlink(path)
+
+
+def is_mmap_backed(graph) -> bool:
+    """Whether the out-adjacency of a frozen graph (or SAN) is an ``np.memmap``."""
+    if isinstance(graph, FrozenSAN):
+        graph = graph.social
+    _, indices = graph.out_csr()
+    return isinstance(indices, np.memmap)
+
+
+def tsv_reference_san(social_path, attribute_path) -> SAN:
+    """A mutable SAN filled row by row from a TSV pair, in file order.
+
+    ``load_san_tsv`` must give ``reference.freeze()``: the same network with
+    labels interned in the same first-appearance order.  Rows come from the
+    loader's own line reader, so a malformed line raises the same error.
+    """
+    san = SAN()
+    for source, target in _tsv_rows(Path(social_path), 2):
+        san.add_social_edge(_parse_node(source), _parse_node(target))
+    for social, attr_type, value in _tsv_rows(Path(attribute_path), 3):
+        san.add_attribute_edge(
+            _parse_node(social),
+            attribute_node_id(attr_type, value),
+            attr_type=attr_type,
+            value=value,
+        )
+    return san

@@ -20,9 +20,10 @@ import random
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 from repro.experiments.artifacts import canonical_frozen
-from repro.graph import SAN, spill_to_mmap
+from repro.graph import SAN
 
 #: Social labels with pairwise distinct ``str()`` forms (check a).
 DISTINCT_SOCIAL = [0, 1, 2, 3, 10, 11, "x", "y", "user:7"]

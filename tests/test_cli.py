@@ -423,3 +423,50 @@ def test_a_truncated_columnar_file_is_a_one_line_error(tmp_path, capsys):
     path.write_bytes(b"REPROCO")
     assert main(["convert", "--info", str(path)]) == 2
     assert "short.col" in _one_line_error(capsys)
+
+
+def _exit_code(argv) -> int:
+    """``main(argv)``'s exit code, also when argparse ends the command."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--users", "0", "--days", "30"], "--users: expected a positive integer"),
+        (["simulate", "--users", "10", "--days", "30"], "--users must be at least --days"),
+        (["generate", "--steps", "0"], "--steps: expected a positive integer"),
+        (["likelihood", "--steps", "0"], "--steps: expected a positive integer"),
+        (["estimate", "--mean-sleep", "0"], "--mean-sleep: expected a positive number"),
+        (["estimate", "--beta", "-1"], "--beta: expected a non-negative number"),
+        (["likelihood", "--steps", "50", "--alphas", "x"], "--alphas: expected comma-separated"),
+        (["likelihood", "--steps", "50", "--smoothing", "-1"], "--smoothing: expected a non-negative"),
+    ],
+    ids=[
+        "simulate-users-0",
+        "simulate-users-below-days",
+        "generate-steps-0",
+        "likelihood-steps-0",
+        "estimate-mean-sleep-0",
+        "estimate-beta-negative",
+        "likelihood-alphas-not-numbers",
+        "likelihood-smoothing-negative",
+    ],
+)
+def test_a_bad_argument_is_a_usage_error(tmp_path, capsys, figure1_san, argv, message):
+    """Out-of-range arguments exit 2 with an ``error:`` line, like bad input
+    files, before any work starts; no library ``ValueError`` escapes."""
+    social, attrs = tmp_path / "social.tsv", tmp_path / "attrs.tsv"
+    save_san_tsv(figure1_san, social, attrs)
+    if argv[0] in ("simulate", "generate"):
+        argv = argv + ["--out-prefix", str(tmp_path / "out")]
+    elif argv[0] == "estimate":
+        argv = argv + ["--social", str(social), "--attributes", str(attrs)]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and message in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out.social.tsv").exists()

@@ -18,6 +18,7 @@ import hashlib
 import json
 
 import pytest
+from san_cases import is_mmap_backed
 
 from repro.experiments import (
     ArtifactCycleError,
@@ -255,8 +256,6 @@ def test_warm_columnar_hit_is_mmap_backed_with_sized_marker(
     served as an mmap view of the cache entry, whose marker records the
     payload hash and size from write time.  The frozen reference is a memory
     view of the series' last snapshot."""
-    from repro.graph import is_mmap_backed
-
     resolver = ArtifactResolver(get_scenario("tiny"), cache_dir=pipeline_cache)
     series = resolver.artifact("snapshot_series")
     event = next(e for e in resolver.events if e.name == "snapshot_series")

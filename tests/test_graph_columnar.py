@@ -2,15 +2,19 @@
 
 Covers the format contract end to end: round-trip bit-identity (in-RAM vs
 mmap) across representative engine kernels, the named error taxonomy for
-malformed files, label-encoding selection, extras sections, the
-``REPRO_MMAP`` spill path, and the artifact cache's zero-parse warm hits.
+malformed files, label-encoding selection, extras sections, the spill
+helper the oracles take their mmap inputs from, and the TSV loader's
+parity with a row-by-row reference.
 """
 
 import json
 import struct
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from san_cases import is_mmap_backed, spill_to_mmap, tsv_reference_san
 
 from repro.algorithms.clustering import average_social_clustering_coefficient
 from repro.algorithms.components import weakly_connected_components
@@ -19,17 +23,15 @@ from repro.graph import (
     DiGraph,
     FrozenDiGraph,
     FrozenSAN,
+    SAN,
     columnar_info,
-    is_mmap_backed,
     load_columnar_extras,
     load_san_tsv,
-    maybe_spill,
-    mmap_forced,
     open_columnar,
     save_columnar,
     save_san_tsv,
-    spill_to_mmap,
 )
+from repro.graph import columnar
 from repro.graph.columnar import (
     FORMAT_VERSION,
     SECTION_ALIGNMENT,
@@ -43,7 +45,6 @@ from repro.graph.errors import (
     ColumnarVersionError,
     GraphError,
 )
-from repro.graph.frozen import IdentityLabels
 from repro.metrics.reciprocity import reciprocal_edge_count
 
 
@@ -242,8 +243,8 @@ def test_identity_labels_skip_sections(tmp_path):
     assert info["meta"]["labels"]["encoding"] == "identity"
     assert not any(name.startswith("labels") for name in info["sections"])
     reopened = open_columnar(path)
-    assert isinstance(reopened.labels(), IdentityLabels)
-    assert list(reopened.labels()) == list(range(5))
+    assert reopened.labels() == list(range(5))
+    assert reopened.index_of(4) == 4
 
 
 def test_int_labels_use_int64_encoding(columnar_path):
@@ -279,6 +280,42 @@ def test_unsupported_label_type_raises(tmp_path):
         save_columnar(graph, tmp_path / "never.col")
 
 
+def _identity_san(labels_key: str) -> SAN:
+    """A SAN whose social (or else attribute) labels are the ints 0..n-1."""
+    users = [0, 1, 2] if labels_key == "social_labels" else ["u0", "u1", "u2"]
+    attributes = ["city:a", "city:b"] if labels_key == "social_labels" else [0, 1]
+    san = SAN()
+    for user, attribute in zip(users, [attributes[0], attributes[0], attributes[1]]):
+        san.add_attribute_edge(user, attribute, attr_type="city", value=str(attribute))
+    san.add_social_edge(users[0], users[1])
+    return san
+
+
+@pytest.mark.parametrize("labels_key", ["labels", "social_labels", "attr_labels"])
+def test_a_corrupted_identity_count_is_a_named_error(tmp_path, monkeypatch, labels_key):
+    """A damaged header cannot make the reader build a huge label list: an
+    identity count is checked against the CSR rows before it is decoded."""
+    if labels_key == "labels":
+        graph = DiGraph([(0, 1), (1, 2), (2, 0)])
+    else:
+        graph = _identity_san(labels_key)
+    collect = columnar._collect_sections
+
+    def corrupted(graph, extras):
+        kind, sections, meta = collect(graph, extras)
+        assert meta[labels_key]["encoding"] == "identity"
+        meta[labels_key]["count"] = 10**12
+        return kind, sections, meta
+
+    monkeypatch.setattr(columnar, "_collect_sections", corrupted)
+    path = tmp_path / "corrupted.col"
+    save_columnar(graph, path)
+    started = time.perf_counter()
+    with pytest.raises(ColumnarFormatError):
+        open_columnar(path)
+    assert time.perf_counter() - started < 1.0
+
+
 # ----------------------------------------------------------------------
 # Extras sections
 # ----------------------------------------------------------------------
@@ -307,54 +344,16 @@ def test_extras_absent_returns_empty(columnar_path):
 
 
 # ----------------------------------------------------------------------
-# Spill helpers and the REPRO_MMAP escape hatch
+# The spill helper the oracles use
 # ----------------------------------------------------------------------
-def test_spill_to_mmap_leaves_no_named_file(tmp_path, figure1_san):
+def test_spill_to_mmap_leaves_no_named_file(tmp_path, monkeypatch, figure1_san):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     frozen = figure1_san.freeze()
-    spilled = spill_to_mmap(frozen, directory=str(tmp_path))
-    assert is_mmap_backed(spilled)
+    spilled = spill_to_mmap(frozen)
+    assert is_mmap_backed(spilled) and not is_mmap_backed(frozen)
     _assert_sections_identical(frozen, spilled)
-    # POSIX: the temp file is unlinked immediately; the mapping keeps it alive.
+    # The file is unlinked once open; the mapping keeps its pages readable.
     assert list(tmp_path.iterdir()) == []
-
-
-def test_maybe_spill_is_identity_when_off(monkeypatch, figure1_san):
-    monkeypatch.delenv("REPRO_MMAP", raising=False)
-    frozen = figure1_san.freeze()
-    assert maybe_spill(frozen) is frozen
-    assert not mmap_forced()
-
-
-def test_maybe_spill_reroutes_under_repro_mmap(monkeypatch, figure1_san):
-    monkeypatch.setenv("REPRO_MMAP", "1")
-    assert mmap_forced()
-    frozen = figure1_san.freeze()
-    spilled = maybe_spill(frozen)
-    assert spilled is not frozen
-    assert is_mmap_backed(spilled)
-    _assert_sections_identical(frozen, spilled)
-
-
-def test_maybe_spill_passes_mutable_graphs_through(monkeypatch, figure1_san):
-    monkeypatch.setenv("REPRO_MMAP", "1")
-    assert maybe_spill(figure1_san) is figure1_san
-
-
-@pytest.mark.parametrize(
-    "value,expected",
-    [("1", True), ("true", True), ("ON", True), ("0", False), ("", False)],
-)
-def test_mmap_forced_parses_common_flag_spellings(monkeypatch, value, expected):
-    monkeypatch.setenv("REPRO_MMAP", value)
-    assert mmap_forced() is expected
-
-
-def test_frozen_loaders_spill_under_repro_mmap(monkeypatch, tmp_path, figure1_san):
-    monkeypatch.setenv("REPRO_MMAP", "1")
-    social, attrs = tmp_path / "social.tsv", tmp_path / "attrs.tsv"
-    save_san_tsv(figure1_san, social, attrs)
-    loaded = load_san_tsv(social, attrs, frozen=True)
-    assert is_mmap_backed(loaded)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +362,6 @@ def test_frozen_loaders_spill_under_repro_mmap(monkeypatch, tmp_path, figure1_sa
 def test_streaming_tsv_load_matches_freeze(tmp_path, figure1_san):
     social, attrs = tmp_path / "social.tsv", tmp_path / "attrs.tsv"
     save_san_tsv(figure1_san, social, attrs)
-    streamed = load_san_tsv(social, attrs, frozen=True)
+    streamed = load_san_tsv(social, attrs)
     assert isinstance(streamed, FrozenSAN)
-    materialized = load_san_tsv(social, attrs, frozen=False).freeze()
-    _assert_sections_identical(streamed, materialized)
+    _assert_sections_identical(streamed, tsv_reference_san(social, attrs).freeze())

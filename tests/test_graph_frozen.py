@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.graph import (
-    SAN,
     DiGraph,
     DiGraphView,
     FrozenGraphError,
@@ -176,7 +175,7 @@ class TestFrozenSerialization:
         frozen = figure1_san.freeze()
         social, attrs = tmp_path / "social.tsv", tmp_path / "attrs.tsv"
         save_san_tsv(frozen, social, attrs)
-        loaded = load_san_tsv(social, attrs, frozen=True)
+        loaded = load_san_tsv(social, attrs)
         assert isinstance(loaded, FrozenSAN)
         assert loaded.summary() == frozen.summary()
         assert set(loaded.social_edges()) == set(frozen.social_edges())
@@ -185,14 +184,9 @@ class TestFrozenSerialization:
     def test_json_round_trip_frozen(self, figure1_san, tmp_path):
         path = tmp_path / "san.json"
         save_san_json(figure1_san.freeze(), path)
-        loaded = load_san_json(path, frozen=True)
+        loaded = load_san_json(path)
         assert isinstance(loaded, FrozenSAN)
         assert loaded.summary() == figure1_san.summary()
-
-    def test_loaders_default_to_mutable(self, figure1_san, tmp_path):
-        path = tmp_path / "san.json"
-        save_san_json(figure1_san, path)
-        assert isinstance(load_san_json(path), SAN)
 
 
 def test_frozen_san_from_builder_edge_lists():

@@ -1,9 +1,14 @@
 """Tests for arrival histories (recording, final state, snapshot diffing)."""
 
-import pytest
+import dataclasses
 
-from repro.graph import SAN, san_from_edge_lists
+import numpy as np
+import pytest
+from san_cases import tsv_reference_san
+
+from repro.graph import SAN, load_san_tsv, san_from_edge_lists, save_san_tsv
 from repro.models import ArrivalEvent, ArrivalHistory, apply_event
+from repro.models.history import HistoryColumns
 
 
 def test_event_validation():
@@ -96,3 +101,36 @@ def test_from_snapshots_emits_each_group_in_label_order():
         ("social", 9, "a"),
         ("social", "c", 2),
     ]
+
+
+@pytest.mark.parametrize("string_labels", [False, True], ids=["int-labels", "string-labels"])
+def test_from_snapshots_of_loaded_tsvs_matches_the_row_by_row_sans(
+    tmp_path, tiny_snapshots, string_labels
+):
+    """The frozen graphs ``load_san_tsv`` returns diff into the same history
+    columns, array for array, as mutable SANs filled from the same files."""
+    pairs = {}
+    for name, san in (("before", tiny_snapshots.halfway()), ("after", tiny_snapshots.last())):
+        social, attrs = tmp_path / f"{name}.social.tsv", tmp_path / f"{name}.attrs.tsv"
+        save_san_tsv(san, social, attrs)
+        if string_labels:
+            for path, users_per_line in ((social, 2), (attrs, 1)):
+                lines = []
+                for line in path.read_text(encoding="utf-8").splitlines():
+                    fields = line.split("\t")
+                    fields[:users_per_line] = [f"u{user}" for user in fields[:users_per_line]]
+                    lines.append("\t".join(fields))
+                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pairs[name] = (social, attrs)
+
+    loaded = ArrivalHistory.from_snapshots(
+        load_san_tsv(*pairs["before"]), load_san_tsv(*pairs["after"])
+    ).columns()
+    reference = ArrivalHistory.from_snapshots(
+        tsv_reference_san(*pairs["before"]), tsv_reference_san(*pairs["after"])
+    ).columns()
+    assert loaded.num_social_links() > 0
+    for field in dataclasses.fields(HistoryColumns):
+        observed, expected = getattr(loaded, field.name), getattr(reference, field.name)
+        assert np.asarray(observed).dtype == np.asarray(expected).dtype, field.name
+        assert np.array_equal(observed, expected), field.name

@@ -25,11 +25,11 @@ import math
 
 import numpy as np
 import pytest
-from san_cases import all_cases
+from san_cases import all_cases, spill_to_mmap
 
 from repro.applications.anonymity import AnonymityParameters, end_to_end_attack_probability
 from repro.applications.sybil import SybilLimitParameters, sybil_identities_vs_compromised
-from repro.graph import san_from_edge_lists, spill_to_mmap
+from repro.graph import san_from_edge_lists
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).

@@ -18,13 +18,14 @@ import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 from repro.algorithms import (
     approximate_average_clustering,
     average_attribute_clustering_coefficient,
     average_social_clustering_coefficient,
 )
-from repro.graph import SAN, spill_to_mmap
+from repro.graph import SAN
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).

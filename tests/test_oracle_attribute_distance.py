@@ -18,6 +18,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 nx = pytest.importorskip("networkx")
 
@@ -26,7 +27,7 @@ from repro.algorithms import (  # noqa: E402
     bfs_distances,
     sample_attribute_distance_distribution,
 )
-from repro.graph import SAN, spill_to_mmap  # noqa: E402
+from repro.graph import SAN  # noqa: E402
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).

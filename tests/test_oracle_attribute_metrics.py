@@ -24,7 +24,7 @@ import random
 
 import numpy as np
 import pytest
-from san_cases import all_cases
+from san_cases import all_cases, spill_to_mmap
 from scipy import sparse
 
 from repro.algorithms.clustering import (
@@ -32,7 +32,6 @@ from repro.algorithms.clustering import (
     _loop_free_directed_matrix,
     average_clustering_by_attribute_type,
 )
-from repro.graph import spill_to_mmap
 from repro.metrics.attribute_metrics import top_attribute_nodes
 
 #: The dispatched operations this oracle checks (see

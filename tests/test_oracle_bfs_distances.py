@@ -13,11 +13,12 @@ mmap-backed spill of the freeze.
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 nx = pytest.importorskip("networkx")
 
 from repro.algorithms.traversal import bfs_distances  # noqa: E402
-from repro.graph import DiGraph, spill_to_mmap  # noqa: E402
+from repro.graph import DiGraph  # noqa: E402
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 from repro.algorithms import classify_closures, is_focal_closure, is_triadic_closure
-from repro.graph import SAN, spill_to_mmap
+from repro.graph import SAN
 from repro.models import (
     BaselineClosing,
     ClosureScores,

@@ -21,6 +21,7 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 nx = pytest.importorskip("networkx")
 
@@ -30,7 +31,7 @@ from repro.algorithms.clustering import (  # noqa: E402
     clustering_by_degree,
 )
 from repro.algorithms.triangles import count_directed_triangles  # noqa: E402
-from repro.graph import SAN, spill_to_mmap  # noqa: E402
+from repro.graph import SAN  # noqa: E402
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).

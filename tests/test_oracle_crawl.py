@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 nx = pytest.importorskip("networkx")
 
@@ -42,7 +43,7 @@ from repro.experiments.artifacts import (  # noqa: E402
     canonical_frozen,
 )
 from repro.experiments.scenarios import get_scenario  # noqa: E402
-from repro.graph import SAN, FrozenSAN, spill_to_mmap  # noqa: E402
+from repro.graph import SAN, FrozenSAN  # noqa: E402
 from repro.synthetic.gplus import simulate_google_plus  # noqa: E402
 
 #: The dispatched operations this oracle checks (none: it checks

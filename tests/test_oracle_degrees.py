@@ -25,10 +25,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 nx = pytest.importorskip("networkx")
 
-from repro.graph import SAN, spill_to_mmap  # noqa: E402
+from repro.graph import SAN  # noqa: E402
 from repro.metrics import (  # noqa: E402
     attribute_degrees_of_social_nodes,
     out_degrees_for_attribute_value,

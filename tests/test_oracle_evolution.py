@@ -12,11 +12,12 @@ import random
 import numpy as np
 import pytest
 from evolution_reference import fidelity_metrics_loop, final_san, san_at
+from san_cases import spill_to_mmap
 
 from repro.algorithms.sampling import subsample_attributes
 from repro.experiments.runner import canonical_json
 from repro.experiments.validation import fidelity_metrics
-from repro.graph import SAN, spill_to_mmap
+from repro.graph import SAN
 from repro.graph.bipartite import AttributeInfo
 from repro.metrics import PhaseBoundaries
 from repro.models.history import KIND_ATTRIBUTE, KIND_NODE, KIND_SOCIAL

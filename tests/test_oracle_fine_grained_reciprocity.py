@@ -22,11 +22,12 @@ label order.
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 nx = pytest.importorskip("networkx")
 
 from repro.experiments.artifacts import canonical_frozen  # noqa: E402
-from repro.graph import SAN, spill_to_mmap  # noqa: E402
+from repro.graph import SAN  # noqa: E402
 from repro.metrics.reciprocity import fine_grained_reciprocity  # noqa: E402
 
 #: The dispatched operations this oracle checks (see

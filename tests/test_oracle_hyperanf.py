@@ -25,13 +25,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 from repro.algorithms import exact_neighbourhood_function, neighbourhood_function
 from repro.algorithms.hyperloglog import (
     cardinality_of_register_matrix,
     register_matrix_for_items,
 )
-from repro.graph import DiGraph, spill_to_mmap
+from repro.graph import DiGraph
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).

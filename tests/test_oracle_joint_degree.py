@@ -35,10 +35,11 @@ import statistics
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 nx = pytest.importorskip("networkx")
 
-from repro.graph import SAN, spill_to_mmap  # noqa: E402
+from repro.graph import SAN  # noqa: E402
 from repro.metrics import (  # noqa: E402
     attribute_assortativity,
     attribute_knn,

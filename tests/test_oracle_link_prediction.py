@@ -17,7 +17,7 @@ small ones the per-pair row intersections, and both paths are checked.
 import math
 
 import pytest
-from san_cases import all_cases
+from san_cases import all_cases, spill_to_mmap
 
 nx = pytest.importorskip("networkx")
 
@@ -25,7 +25,6 @@ from repro.applications.link_prediction import (  # noqa: E402
     STRONG_ATTRIBUTE_TYPES,
     pair_features_batch,
 )
-from repro.graph import spill_to_mmap  # noqa: E402
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).

@@ -18,10 +18,11 @@ spill of the freeze.
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from san_cases import spill_to_mmap
 
 nx = pytest.importorskip("networkx")
 
-from repro.graph import SAN, spill_to_mmap  # noqa: E402
+from repro.graph import SAN  # noqa: E402
 from repro.metrics import global_reciprocity, reciprocal_edge_count  # noqa: E402
 
 #: The dispatched operations this oracle checks (see

@@ -27,7 +27,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from san_cases import all_cases, random_san
+from san_cases import all_cases, random_san, spill_to_mmap
 
 nx = pytest.importorskip("networkx")
 
@@ -36,7 +36,7 @@ from repro.algorithms.random_walk import (  # noqa: E402
     capped_undirected_csr,
 )
 from repro.algorithms.traversal import sample_distance_distribution  # noqa: E402
-from repro.graph import san_from_edge_lists, spill_to_mmap  # noqa: E402
+from repro.graph import san_from_edge_lists  # noqa: E402
 
 #: The dispatched operations this oracle checks (see
 #: ``tests/test_engine.py::TestIntrospection::test_oracles_cover_every_op``).

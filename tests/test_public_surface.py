@@ -51,7 +51,6 @@ KEPT: Dict[str, Tuple[str, str]] = {
     # Test tooling.
     "list_ops": ("tooling", "test_engine.py"),
     "unregister_artifact": ("tooling", "test_experiments_pipeline.py"),
-    "is_mmap_backed": ("tooling", "test_graph_columnar.py"),
     # The SAN constructor the module doctests use, and the read-only graph protocol.
     "san_from_edge_lists": ("doctest", "algorithms/clustering.py"),
     "DiGraphView": ("doctest", "graph/protocol.py"),

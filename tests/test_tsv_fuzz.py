@@ -1,14 +1,16 @@
 """Byte-mutation fuzzing of the TSV loader.
 
 A crawl's TSV pair may arrive with bytes flipped, lines cut or files
-truncated.  Loading such a pair, mutable or ``frozen=True``, may only fail
+truncated.  Loading such a pair may only fail
 with a named :class:`~repro.graph.errors.GraphError` — a
 :class:`~repro.graph.errors.SerializationError` for a line with the wrong
 field count or bytes that are not UTF-8 (naming the file), an
 :class:`~repro.graph.errors.InvalidNodeKindError` for a label used as both
 a user and an attribute — never with a ``UnicodeDecodeError`` or another
-error from inside the reader.  A pair that loads gives the same network on
-both paths.
+error from inside the reader.  A pair that loads gives the same network
+as a mutable SAN filled row by row from the same files
+(``san_cases.tsv_reference_san``), and a pair that fails fails with the
+same error there.
 """
 
 import tempfile
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from san_cases import tsv_reference_san
 
 from repro.graph import SAN
 from repro.graph.errors import GraphError, SerializationError
@@ -46,27 +49,30 @@ _FUZZ = settings(
 
 
 def _load_both(social: bytes, attributes: bytes):
-    """``(mutable, frozen)`` loads of a pair, or the named error they raise."""
+    """``(reference, loaded)``: the row-by-row SAN and ``load_san_tsv``'s
+    result for a pair, each replaced by the named error it raises."""
     with tempfile.TemporaryDirectory() as directory:
         social_path, attribute_path = Path(directory) / "s.tsv", Path(directory) / "a.tsv"
         social_path.write_bytes(social)
         attribute_path.write_bytes(attributes)
         results = []
-        for frozen in (False, True):
+        for load in (tsv_reference_san, load_san_tsv):
             try:
-                results.append(load_san_tsv(social_path, attribute_path, frozen=frozen))
+                results.append(load(social_path, attribute_path))
             except GraphError as error:
                 results.append(type(error))
         return results
 
 
-def _assert_same_network(mutable, frozen):
-    if isinstance(mutable, type) or isinstance(frozen, type):
-        assert mutable == frozen
+def _assert_same_network(reference, loaded):
+    if isinstance(reference, type) or isinstance(loaded, type):
+        assert reference == loaded
         return
-    assert sorted(map(repr, mutable.social_edges())) == sorted(map(repr, frozen.social_edges()))
-    assert sorted(map(repr, mutable.attribute_edges())) == sorted(
-        map(repr, frozen.attribute_edges())
+    assert sorted(map(repr, reference.social_edges())) == sorted(
+        map(repr, loaded.social_edges())
+    )
+    assert sorted(map(repr, reference.attribute_edges())) == sorted(
+        map(repr, loaded.attribute_edges())
     )
 
 
@@ -86,9 +92,9 @@ def mutated_pairs(draw):
 
 
 def test_the_unmutated_pair_loads():
-    mutable, frozen = _load_both(*FILES)
-    assert mutable.number_of_social_edges() == 4
-    _assert_same_network(mutable, frozen)
+    reference, loaded = _load_both(*FILES)
+    assert loaded.number_of_social_edges() == 4
+    _assert_same_network(reference, loaded)
 
 
 @given(mutated_pairs())
@@ -97,10 +103,9 @@ def test_mutated_bytes_fail_only_with_named_errors(files):
     _assert_same_network(*_load_both(*files))
 
 
-@pytest.mark.parametrize("frozen", [False, True])
-def test_bytes_that_are_not_utf8_name_the_file(tmp_path, frozen):
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path):
     social, attributes = tmp_path / "s.tsv", tmp_path / "a.tsv"
     social.write_bytes(FILES[0])
     attributes.write_bytes(FILES[1].replace(b"city", b"c\xffty", 1))
     with pytest.raises(SerializationError, match="a.tsv: not UTF-8"):
-        load_san_tsv(social, attributes, frozen=frozen)
+        load_san_tsv(social, attributes)
